@@ -185,7 +185,8 @@ def check_markov(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_walk(budget_c: int | None = None) -> tuple[bool, str]:
-    """Exact taxicab bound on the full s*t grid plus a Monte Carlo run."""
+    """Exact taxicab and per-class bounds on the full s*t grid, plus a Monte
+    Carlo run that must agree with the exact value within 5 standard errors."""
     grid = max(4, _clamp(20, budget_c))
     for s in range(1, grid + 1):
         for t in range(1, grid // s + 1):
@@ -194,10 +195,14 @@ def check_walk(budget_c: int | None = None) -> tuple[bool, str]:
                 return False, f"distance bound fails at s={s}, t={t}"
             if not markov.verify_abs_means(s, t):
                 return False, f"per-class bound fails at s={s}, t={t}"
+    exact = float(markov.exact_expected_distance(4, 100))
     mean, stderr = markov.monte_carlo_distance(4, 100, 10 ** 4, seed=0)
+    if abs(mean - exact) > 5 * stderr:
+        return False, f"Monte Carlo mean {mean:.3f} not within 5 stderr of exact {exact:.3f}"
     if mean - 3 * stderr > markov.distance_bound(4, 100):
         return False, "Monte Carlo mean exceeds bound beyond 3 sigma"
-    return True, (f"exact grid s*t <= {grid}; MC mean {mean:.2f} vs bound "
+    return True, (f"exact (transfer DP) s*t <= {grid}; s=4, t=100: MC mean "
+                  f"{mean:.2f} +- {stderr:.2f} vs exact {exact:.3f}, bound "
                   f"{markov.distance_bound(4, 100):.2f}")
 
 

@@ -266,7 +266,7 @@ def cmd_markov_verify(ctx: click.Context, s: int, kmax: int) -> None:
 @main.command(name="walk-sim")
 @click.option("--s", "s", type=int, required=True)
 @click.option("--t", "t", type=int, required=True)
-@click.option("--exact", is_flag=True, help="Exact full enumeration.")
+@click.option("--exact", is_flag=True, help="Exact value by transfer DP.")
 @click.option("--trials", type=int, default=10 ** 4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.pass_context
@@ -281,15 +281,18 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
             value = markov.exact_expected_distance(s, t)
         except BudgetError:
             raise click.UsageError(
-                f"exact enumeration over 2^{s * t} block sequences is above "
-                "budget; drop --exact to sample instead")
+                f"exact walk at s={s}, t={t} is above the work budget; drop "
+                "--exact to sample instead")
         ok = markov.distance_bound_holds(s, t, value)
         _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "exact",
                     "mean": float(value),
                     "mean_exact": f"{value.numerator}/{value.denominator}",
                     "bound": bound, "pass": ok})
     else:
-        mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)
+        try:
+            mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)
+        except ValueError as problem:
+            raise click.UsageError(str(problem))
         ok = mean - 3 * stderr <= bound
         _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "monte-carlo",
                     "trials": trials, "seed": seed, "mean": mean,

@@ -11,8 +11,14 @@ Cutting a long word into t blocks of s letters yields t summands
 (orientation state, block).  Mirror cancellation turns the summand
 multiset into a walk on Z^d x Z_2^p: one signed integer coordinate per
 mirror pair of classes, one parity bit per palindromic-type oriented word.
-Everything here evaluates the walk exactly (rational arithmetic over all
-2^(s t) block sequences) or by Monte Carlo sampling, and checks the
+The distance is a sum over classes, so E[Dist] = sum_w E|D_w|, and the law
+of one displacement D_w depends only on the class's transfer signature:
+the (start, end) states of the class and of its mirror, and its type.
+Classes are grouped by signature, and one exact integer dynamic program
+per group over (orientation state, D_w) across the t uniform blocks gives
+every moment in O(t^2) steps instead of a sum over all 2^(s t) block
+sequences (the tests keep that enumeration as the oracle).  Monte Carlo
+sampling covers walks past the work budget.  The module checks the
 taxicab-distance bound 3 sqrt(2^s t) + p and the per-class second-moment
 bound 4 t / 2^s.
 """
@@ -31,11 +37,14 @@ from .errors import BudgetError
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-# Exact-enumeration guard and vectorization chunk size for the walk.
-SEQUENCE_BUDGET = 1 << 24
+# Work guard for the exact walk, in table entries plus DP cells (see
+# walk_work), and the vectorization chunk size for Monte Carlo sampling.
+WALK_WORK_BUDGET = 1 << 22
 _CHUNK = 1 << 16
 
-_FLIP = {1: 3, 2: 2, 3: 1}
+# Signature groups are at most the 9 (start, end) pairs times the type: a
+# mirror's (start, end) is the flip of the class's (end, start).
+_MAX_GROUPS = 18
 
 
 def identity_matrix() -> Matrix:
@@ -182,13 +191,20 @@ def pal_coordinate_count(s: int) -> int:
 
 @dataclass(frozen=True)
 class _WalkTables:
-    """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel."""
+    """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel,
+    and the summand classes grouped by transfer signature."""
 
     s: int
     next_state: np.ndarray
     canon: np.ndarray
     sign: np.ndarray
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
+    classes: np.ndarray  # canonical ids in increasing order, one per class
+    class_group: np.ndarray  # signature group of each entry of ``classes``
+    # One row per group: start and end state indices (0..2) of the class,
+    # then of its mirror, then the palindromic-type flag.
+    signatures: np.ndarray
+    group_sizes: np.ndarray  # number of classes in each group
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +235,20 @@ def _tables(s: int) -> _WalkTables:
     is_pal = np.tile(is_pal_block, 3)
     canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
     sign = np.where(is_pal | (ids == canon), 1, -1).astype(np.int64)
-    return _WalkTables(s, next_state, canon, sign, is_pal)
+
+    # Group the classes by signature code, a mixed-radix number < 162.
+    classes = np.flatnonzero(canon == ids)
+    mirrors = mirror_id[classes]
+    codes = ((((classes >> s) * 3 + next_state[classes] - 1) * 3
+              + (mirrors >> s)) * 3 + next_state[mirrors] - 1) * 2 + is_pal[classes]
+    counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
+    group_of_code = np.zeros(counts.size, dtype=np.int8)
+    group_of_code[present] = np.arange(present.size)
+    signatures = np.stack([present // 54, present // 18 % 3, present // 6 % 3,
+                           present // 2 % 3, present % 2], axis=1)
+    return _WalkTables(s, next_state, canon, sign, is_pal, classes,
+                       group_of_code[codes], signatures, counts[present])
 
 
 def oriented_word_key(s: int, ident: int) -> str:
@@ -275,6 +304,67 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     return np.where(end, contributions, 0).sum(axis=1)
 
 
+def walk_work(s: int, t: int) -> int:
+    """Work estimate of the exact walk: 3 * 2^s table entries plus the DP
+    cells (group, orientation state, displacement) over t steps."""
+    return 3 * 2 ** s + _MAX_GROUPS * 3 * (2 * t + 1) * t
+
+
+def _displacement_laws(tables: _WalkTables, t: int) -> np.ndarray:
+    """law[g, t + d] = number of the 2^(s t) block sequences that displace a
+    class of signature group g by d (its match count if palindromic-type).
+
+    A step from state x to state y adds +1 through the class's own (start,
+    end), -1 through its mirror's, and 0 through the other blocks of the
+    N[x][y] = M^s[x][y] that move x to y.  Entries are exact Python ints.
+    """
+    x_c, y_c, x_m, y_m, pal = tables.signatures.T
+    groups = np.arange(len(pal))
+    paired = np.flatnonzero(pal == 0)
+    stay = np.empty((len(pal), 3, 3), dtype=object)
+    stay[:] = [[int(n) for n in row] for row in matrix_power(step_matrix(), tables.s)]
+    stay[groups, x_c, y_c] -= 1
+    stay[paired, x_m[paired], y_m[paired]] -= 1
+    into = stay.transpose(0, 2, 1)
+
+    law = np.zeros((len(pal), 3, 2 * t + 1), dtype=object)
+    law[:, 0, t] = 1  # every walk starts in state 1 with D = 0
+    for _ in range(t):
+        after = into @ law
+        after[groups, y_c, 1:] += law[groups, x_c, :-1]
+        after[paired, y_m[paired], :-1] += law[paired, x_m[paired], 1:]
+        law = after
+    return law.sum(axis=1)
+
+
+def _group_moments(s: int, t: int
+                   ) -> tuple[_WalkTables, list[tuple[bool, Fraction, Fraction]]]:
+    """Walk tables and, per signature group, (palindromic, E|D_w|, E[D_w^2])
+    with |D_w| read as the parity bit for palindromic-type classes."""
+    if s < 1:
+        raise ValueError(f"block size must be at least 1, got {s}")
+    if t < 1:
+        raise ValueError(f"step count must be at least 1, got {t}")
+    work = walk_work(s, t)
+    if work > WALK_WORK_BUDGET:
+        raise BudgetError(
+            f"exact walk at s={s}, t={t} needs about {work} table entries and "
+            f"DP cells, above the budget of {WALK_WORK_BUDGET}; use "
+            "monte_carlo_distance instead")
+    tables = _tables(s)
+    law = _displacement_laws(tables, t)
+    pal = tables.signatures[:, 4].astype(bool)
+    d = np.arange(-t, t + 1, dtype=np.int64)
+    contribution = np.where(pal[:, None], d & 1, np.abs(d))
+    abs_totals = (law * contribution).sum(axis=1)
+    square_totals = (law * contribution * contribution).sum(axis=1)
+    total = 1 << (s * t)
+    return tables, [
+        (bool(p), Fraction(a, total), Fraction(q, total))
+        for p, a, q in zip(pal.tolist(), abs_totals.tolist(), square_totals.tolist())
+    ]
+
+
 def exact_expected_distance(s: int, t: int) -> Fraction:
     """Exact E[Dist] of the t-step summand walk over all block sequences."""
     if s < 1:
@@ -283,21 +373,10 @@ def exact_expected_distance(s: int, t: int) -> Fraction:
         raise ValueError(f"step count must be nonnegative, got {t}")
     if t == 0:
         return Fraction(0)
-    total_sequences = 1 << (s * t)
-    if total_sequences > SEQUENCE_BUDGET:
-        raise BudgetError(
-            f"exact walk enumeration needs 2^{s * t} block sequences, above "
-            f"the 2^24 budget; use monte_carlo_distance instead")
-    tables = _tables(s)
-    mask = (1 << s) - 1
-    total = 0
-    for lo in range(0, total_sequences, _CHUNK):
-        seqs = np.arange(lo, min(lo + _CHUNK, total_sequences), dtype=np.int64)
-        blocks = np.empty((seqs.size, t), dtype=np.int64)
-        for step in range(t):
-            blocks[:, step] = (seqs >> (s * step)) & mask
-        total += int(_distances(blocks, tables).sum())
-    return Fraction(total, total_sequences)
+    tables, moments = _group_moments(s, t)
+    sizes = tables.group_sizes.tolist()
+    return sum((n * abs_mean for n, (_, abs_mean, _) in zip(sizes, moments)),
+               Fraction(0))
 
 
 def distance_bound(s: int, t: int) -> float:
@@ -346,60 +425,27 @@ class ClassMoments:
 
 def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
     """Exact E|D_w| and E[D_w^2] for every summand class."""
-    if s < 1:
-        raise ValueError(f"block size must be at least 1, got {s}")
-    if t < 1:
-        raise ValueError(f"step count must be at least 1, got {t}")
-    total_sequences = 1 << (s * t)
-    if total_sequences > SEQUENCE_BUDGET:
-        raise BudgetError(
-            f"exact walk enumeration needs 2^{s * t} block sequences, above "
-            f"the 2^24 budget; use monte_carlo_distance instead")
-    tables = _tables(s)
-    mask = (1 << s) - 1
-    size = 3 << s
-    abs_totals = np.zeros(size, dtype=np.int64)
-    square_totals = np.zeros(size, dtype=np.int64)
-    for lo in range(0, total_sequences, _CHUNK):
-        seqs = np.arange(lo, min(lo + _CHUNK, total_sequences), dtype=np.int64)
-        blocks = np.empty((seqs.size, t), dtype=np.int64)
-        for step in range(t):
-            blocks[:, step] = (seqs >> (s * step)) & mask
-        keys, runs, pal, end = _walk_segments(blocks, tables)
-        flat_keys = keys[end]
-        flat_runs = np.where(pal[end], runs[end] & 1, np.abs(runs[end]))
-        np.add.at(abs_totals, flat_keys, flat_runs)
-        np.add.at(square_totals, flat_keys, flat_runs * flat_runs)
+    tables, moments = _group_moments(s, t)
     out: dict[str, ClassMoments] = {}
-    canonical = np.flatnonzero(tables.canon == np.arange(size))
-    for ident in canonical.tolist():
+    for ident, group in zip(tables.classes.tolist(), tables.class_group.tolist()):
         key = oriented_word_key(s, ident)
-        out[key] = ClassMoments(
-            key, bool(tables.is_pal[ident]),
-            Fraction(int(abs_totals[ident]), total_sequences),
-            Fraction(int(square_totals[ident]), total_sequences))
+        out[key] = ClassMoments(key, *moments[group])
     return out
 
 
 def verify_second_moments(s: int, t: int) -> bool:
     """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
     bound = Fraction(4 * t, 2 ** s)
-    return all(
-        m.second_moment <= bound
-        for m in per_class_moments(s, t).values()
-        if not m.palindromic
-    )
+    _, moments = _group_moments(s, t)
+    return all(second <= bound for pal, _, second in moments if not pal)
 
 
 def verify_abs_means(s: int, t: int) -> bool:
     """Every integer-coordinate class satisfies E|D_w| <= 2 sqrt(t / 2^s),
     decided exactly by squaring."""
     bound = Fraction(4 * t, 2 ** s)
-    return all(
-        m.abs_mean * m.abs_mean <= bound
-        for m in per_class_moments(s, t).values()
-        if not m.palindromic
-    )
+    _, moments = _group_moments(s, t)
+    return all(mean * mean <= bound for pal, mean, _ in moments if not pal)
 
 
 def class_bucket(key: str) -> tuple[int, tuple[int, int, int], bool]:

@@ -179,9 +179,16 @@ def test_walk_sim_exact():
 
 
 def test_walk_sim_exact_over_budget():
-    result = invoke("walk-sim", "--s", "5", "--t", "5", "--exact")
+    result = invoke("walk-sim", "--s", "4", "--t", "1000", "--exact")
     assert result.exit_code == 2
     assert "--exact" in result.stderr
+
+
+def test_walk_sim_rejects_one_trial():
+    result = invoke("walk-sim", "--s", "2", "--t", "3", "--trials", "1")
+    assert result.exit_code == 2
+    assert "at least 2 trials" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
 
 
 def test_walk_sim_monte_carlo_deterministic():

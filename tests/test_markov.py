@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,9 @@ from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import orientation_after
 from twobridge.errors import BudgetError
 from twobridge.markov import (
+    WALK_WORK_BUDGET,
+    _tables,
+    _walk_segments,
     class_bucket,
     contraction_gap,
     distance_bound,
@@ -33,6 +37,7 @@ from twobridge.markov import (
     verify_empirical,
     verify_power_identity,
     verify_second_moments,
+    walk_work,
 )
 
 
@@ -48,6 +53,24 @@ def brute_force_expected_distance(s, t):
             state = orientation_after(state, block)
         total += cancel_mirrors(summands)[0]
     return Fraction(total, len(blocks) ** t)
+
+
+def enumerated_class_totals(s, t):
+    """Vectorized walk oracle: sums of each class's |D_w| (parity for
+    palindromic types) and of its square over all 2^(s t) block sequences,
+    indexed by canonical id."""
+    tables = _tables(s)
+    total_sequences = 1 << (s * t)
+    abs_totals = np.zeros(3 << s, dtype=np.int64)
+    square_totals = np.zeros(3 << s, dtype=np.int64)
+    for lo in range(0, total_sequences, 1 << 16):
+        seqs = np.arange(lo, min(lo + (1 << 16), total_sequences), dtype=np.int64)
+        blocks = (seqs[:, None] >> (s * np.arange(t))) & ((1 << s) - 1)
+        keys, runs, pal, end = _walk_segments(blocks, tables)
+        flat_runs = np.where(pal[end], runs[end] & 1, np.abs(runs[end]))
+        np.add.at(abs_totals, keys[end], flat_runs)
+        np.add.at(square_totals, keys[end], flat_runs * flat_runs)
+    return abs_totals, square_totals
 
 
 def test_step_matrix():
@@ -126,8 +149,38 @@ def test_exact_distance_matches_brute_force():
 
 
 def test_exact_distance_budget():
+    # Each term of the estimate can exceed the budget on its own.
+    assert walk_work(4, 1000) > WALK_WORK_BUDGET
+    assert walk_work(25, 1) > WALK_WORK_BUDGET
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        exact_expected_distance(5, 5)
+        exact_expected_distance(4, 1000)
+    with pytest.raises(BudgetError, match="monte_carlo_distance"):
+        per_class_moments(25, 1)
+
+
+def test_exact_distance_matches_enumeration():
+    for s in range(1, 21):
+        for t in range(1, 20 // s + 1):
+            abs_totals, _ = enumerated_class_totals(s, t)
+            assert exact_expected_distance(s, t) == \
+                Fraction(int(abs_totals.sum()), 1 << (s * t)), (s, t)
+
+
+def test_per_class_moments_match_enumeration():
+    for s in range(1, 15):
+        for t in range(1, 14 // s + 1):
+            abs_totals, square_totals = enumerated_class_totals(s, t)
+            moments = per_class_moments(s, t)
+            tables = _tables(s)
+            # A mirror's (start, end) is the flip of the class's (end, start),
+            # which bounds the signature groups by 9 pairs times the type.
+            assert (tables.signatures[:, 2:4] == 2 - tables.signatures[:, 1::-1]).all()
+            classes = tables.classes.tolist()
+            assert list(moments) == [oriented_word_key(s, i) for i in classes]
+            for ident, m in zip(classes, moments.values()):
+                assert (m.abs_mean, m.second_moment) == (
+                    Fraction(int(abs_totals[ident]), 1 << (s * t)),
+                    Fraction(int(square_totals[ident]), 1 << (s * t))), (s, t, m.key)
 
 
 def test_distance_bound_small_grid():
@@ -211,7 +264,7 @@ def test_oriented_word_key_and_bucket():
 
 
 @settings(deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(1, 6), st.integers(1, 60))
 def test_distance_bound_property(s, t):
     value = exact_expected_distance(s, t)
     assert distance_bound_holds(s, t, value)
