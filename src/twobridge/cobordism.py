@@ -25,7 +25,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import CROSSING_PAIR, orientation_after, signature, strand_permutation
+from .diagram import (
+    CROSSING_PAIR,
+    PLAT_RIGHT,
+    closure_components,
+    orientation_after,
+    signature,
+    strand_permutation,
+)
 from .errors import BudgetError
 from .words import enumerate_words, swap_braid, to_braid, validate_braid, validate_word
 
@@ -38,8 +45,6 @@ _FLIP = {1: 3, 2: 2, 3: 1}
 # leftward strand sits at different heights.
 _LEFT_CLOSURE = {1: ((1, 2), 3), 2: ((1, 2), 3), 3: ((2, 3), 1)}
 _RIGHT_CLOSURE = {1: ((1, 2), 3), 2: ((2, 3), 1), 3: ((2, 3), 1)}
-# The remainder keeps the original diagram's right-hand plat closure.
-_PLAT_RIGHT = {"A": ((1, 2), 3), "B": ((2, 3), 1)}
 
 
 @dataclass(frozen=True)
@@ -102,50 +107,17 @@ def summand_class(x: OrientedWord) -> SummandClass:
     return SummandClass(min(own, other), "plus" if own < other else "minus")
 
 
-def _closure_components(start: int, perm: tuple[int, int, int],
-                        right: tuple[tuple[int, int], int]) -> int:
-    """Component count of a block closed by cut caps.
-
-    Endpoints L1..L3 and R1..R3 are joined by the block's strand
-    permutation, one cap on each side, and the around arc connecting the
-    two through strands.
-    """
-    parent = list(range(6))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    (lcap, lthrough) = _LEFT_CLOSURE[start]
-    (rcap, rthrough) = right
-    for q in (1, 2, 3):
-        union(q - 1, 3 + perm[q - 1] - 1)
-    union(lcap[0] - 1, lcap[1] - 1)
-    union(3 + rcap[0] - 1, 3 + rcap[1] - 1)
-    union(lthrough - 1, 3 + rthrough - 1)
-    return len({find(i) for i in range(6)})
-
-
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
     perm = strand_permutation(x.letters)
-    n = _closure_components(x.start, perm, _RIGHT_CLOSURE[x.end])
-    assert n in (1, 2)
-    return n
+    return closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[x.end])
 
 
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
     """Components of the remainder block: cut cap on the left, original plat
     closure (A or B) on the right."""
     perm = strand_permutation(letters)
-    n = _closure_components(start, perm, _PLAT_RIGHT[closure])
-    assert n in (1, 2)
-    return n
+    return closure_components(_LEFT_CLOSURE[start], perm, PLAT_RIGHT[closure])
 
 
 @dataclass(frozen=True)
@@ -215,7 +187,7 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
     assert end == x.end
-    assert _closure_components(x.start, perm, _RIGHT_CLOSURE[end]) == 1
+    assert closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[end]) == 1
     return fix
 
 

@@ -15,29 +15,58 @@ sends strand 1 around.  The diagram of a word in T(c) ends in a lower
 crossing exactly when c is odd, and its plat uses closure A in that case,
 closure B otherwise.
 
-The diagram is stored as an arc graph on *nodes* (j, q): the point of
-strand q on the vertical cut line j, for j = 0..n.  Every node has one
-arc-end on its west side and one on its east side, so the diagram is a
-disjoint union of closed curves and a traversal visits each node once.
+Traczyk's formula sigma = s_A - c_plus - 1 needs three things, and each
+comes from the braid letters in O(c) integer steps, with no graph:
+
+* Knot or link.  The strand permutation plus the six cut endpoints (two
+  caps and the around arc) form a 6-node graph; ``closure_components``
+  counts its components.  The same function closes the summand blocks in
+  ``cobordism``.
+* Crossing signs.  Exactly one strand runs leftward on each cut line of a
+  knot diagram (the around arc always runs leftward outside it).  This
+  *orientation state* moves across a crossing by the crossing's
+  transposition, and the crossing's sign depends only on its letter and
+  the state on its left: 'a' is positive unless strand 1 is leftward,
+  'b' only when strand 3 is.  The state at cut 0 comes from walking the
+  closure once.
+* All-A circles.  The A-smoothing turns strands 2,3 back at every 'a' and
+  lets everything run through at 'b', so strand 1 runs straight across.
+  Each gap between consecutive 'a's closes one circle, and the closure
+  adds one more outer circle when it is B.
+
+The arc graph these rules were read off (one node per strand per cut
+line, traced curve by curve, with a union-find for the smoothing) is kept
+in ``tests/test_diagram.py`` as the oracle the scan is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import to_braid, validate_braid, validate_word
+from .words import to_braid, validate_braid
 
 #: strands involved in each crossing letter
 CROSSING_PAIR = {"a": (2, 3), "b": (1, 2)}
 
-# Over/under arcs of a crossing between cuts i-1 and i, as
-# (start strand, end strand, forward direction vector).  Direction
-# vectors live in a plane with x pointing right and y up (strand 1 on
-# top), and are negated when the curve runs through the arc backwards.
-_OVER = {"a": (3, 2, (1, 1)), "b": (1, 2, (1, -1))}
-_UNDER = {"a": (2, 3, (1, -1)), "b": (2, 1, (1, 1))}
+#: plat closures as (capped pair, through strand): the left end of every
+#: diagram, and the two right ends
+PLAT_LEFT = ((1, 2), 3)
+PLAT_RIGHT = {"A": ((1, 2), 3), "B": ((2, 3), 1)}
 
-_W, _E = 0, 1
+# Orientation state after one letter, indexed by the state before it.
+_AFTER = {"a": (0, 1, 3, 2), "b": (0, 2, 1, 3)}
+# The six strand permutations, and the index of each one followed by a
+# letter: a strand's exit position moves as an orientation state does.
+_S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+_S3_AFTER = {
+    letter: tuple(_S3.index(tuple(step[q] for q in p)) for p in _S3)
+    for letter, step in _AFTER.items()
+}
+# (sign of the crossing, state after it), indexed by the state before it.
+_STEP = {
+    "a": (None, (-1, 1), (1, 3), (1, 2)),
+    "b": (None, (-1, 2), (-1, 1), (1, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +93,10 @@ class DiagramMetrics:
     signature: int
 
     def __post_init__(self) -> None:
-        assert self.signature == self.s_A - self.c_plus - 1
+        if self.signature != self.s_A - self.c_plus - 1:
+            raise ValueError(
+                f"signature {self.signature} != s_A - c_plus - 1 = "
+                f"{self.s_A - self.c_plus - 1}")
 
 
 def build_diagram(z: str, closure: str = "B") -> PlatDiagram:
@@ -75,95 +107,73 @@ def build_diagram(z: str, closure: str = "B") -> PlatDiagram:
 def diagram_for_word(word: str) -> PlatDiagram:
     """The alternating knot diagram of a word: closure matches the last
     crossing row, which is what the drawn plat closures do."""
-    validate_word(word)
-    z = to_braid(word)
+    z = to_braid(word)  # validates the word
     return PlatDiagram(z, "A" if z[-1] == "a" else "B")
 
 
-def _arcs(d: PlatDiagram):
-    """All arcs as pairs of node-ends ((j, q), side)."""
-    n = len(d.letters)
-    arcs = []
-    for i, letter in enumerate(d.letters, 1):
-        passq = 1 if letter == "a" else 3
-        oq, oq2, _ = _OVER[letter]
-        uq, uq2, _ = _UNDER[letter]
-        arcs.append((((i - 1, passq), _E), ((i, passq), _W)))
-        arcs.append((((i - 1, oq), _E), ((i, oq2), _W)))
-        arcs.append((((i - 1, uq), _E), ((i, uq2), _W)))
-    arcs.append((((0, 1), _W), ((0, 2), _W)))  # left cap
-    if d.closure == "A":
-        arcs.append((((n, 1), _E), ((n, 2), _E)))
-        arcs.append((((n, 3), _E), ((0, 3), _W)))  # around arc
-    else:
-        arcs.append((((n, 2), _E), ((n, 3), _E)))
-        arcs.append((((n, 1), _E), ((0, 3), _W)))
-    return arcs
+def closure_components(left: tuple[tuple[int, int], int],
+                       perm: tuple[int, int, int],
+                       right: tuple[tuple[int, int], int]) -> int:
+    """Component count (1 or 2) of three strands closed at both ends.
 
+    Endpoints L1..L3 and R1..R3 are joined by the strand permutation (left
+    q to right perm[q-1]), one cap on each side, and the around arc
+    connecting the two through strands.  ``left`` and ``right`` are
+    (capped pair, through strand).
+    """
+    parent = list(range(6))
 
-def _adjacency(d: PlatDiagram):
-    adj = {}
-    for e1, e2 in _arcs(d):
-        adj[e1] = e2
-        adj[e2] = e1
-    return adj
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-
-def _follow(adj, node, side):
-    """Trace the closed curve leaving `node` by `side`; map each visited
-    node to its traversal direction 'E' (rightward) or 'W'."""
-    start = (node, side)
-    direction = {}
-    while node not in direction:
-        direction[node] = "E" if side == _E else "W"
-        node, arrived = adj[(node, side)]
-        side = _W if arrived == _E else _E
-    assert (node, side) == start, "curve did not close up at its basepoint"
-    return direction
+    # Endpoint Lq is node q-1 and Rq is node q+2.
+    (l1, l2), lthrough = left
+    (r1, r2), rthrough = right
+    n = 6
+    for i, j in ((0, 2 + perm[0]), (1, 2 + perm[1]), (2, 2 + perm[2]),
+                 (l1 - 1, l2 - 1), (2 + r1, 2 + r2), (lthrough - 1, 2 + rthrough)):
+        i, j = find(i), find(j)
+        if i != j:
+            parent[i] = j
+            n -= 1
+    # Strands 1 and 2 share the left cap, so at most two components exist.
+    if n not in (1, 2):
+        raise ValueError(f"closed 3-strand block has {n} components")
+    return n
 
 
 def plat_component_count(d: PlatDiagram) -> int:
     """Number of closed curves in the diagram (1 for a knot)."""
-    adj = _adjacency(d)
-    seen: set = set()
-    k = 0
-    for node, _ in adj:
-        if node not in seen:
-            k += 1
-            seen.update(_follow(adj, node, _E))
-    return k
+    perm = strand_permutation(d.letters)
+    return closure_components(PLAT_LEFT, perm, PLAT_RIGHT[d.closure])
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
-    """Traverse the knot once; return (crossing signs, cut states).
+    """Orient the knot once; return (crossing signs, cut states).
 
-    The traversal starts on the bottom strand entering crossing 1 headed
+    The orientation starts on the bottom strand entering crossing 1 headed
     right, so the leftmost crossing is oriented "horizontally and to the
     right".  `signs[i-1]` is +1 iff the planar cross product of the over-
     and under-strand directions at crossing i is positive.  `states[j]`
-    (j = 0..n) is the strand oriented leftward on cut line j; exactly one
-    strand is leftward at every cut because the around arc always runs
-    leftward outside the diagram.
+    (j = 0..n) is the strand oriented leftward on cut line j.
     """
-    adj = _adjacency(d)
-    direction = _follow(adj, (0, 3), _E)
-    n = len(d.letters)
-    if len(direction) < 3 * (n + 1):
+    perm = strand_permutation(d.letters)
+    right = PLAT_RIGHT[d.closure]
+    if closure_components(PLAT_LEFT, perm, right) != 1:
         raise ValueError("diagram is a link; cannot orient by one traversal")
-
-    states = []
-    for j in range(n + 1):
-        left = [q for q in (1, 2, 3) if direction[(j, q)] == "W"]
-        assert len(left) == 1, f"cut {j} has leftward strands {left}"
-        states.append(left[0])
-
+    (cap, _) = right
+    # Bottom strand rightward to the right cap (a knot never sends it
+    # around), back leftward from the other capped endpoint: the strand
+    # arriving there is leftward on cut 0.
+    state = perm.index(cap[0] + cap[1] - perm[2]) + 1
     signs = []
-    for i, letter in enumerate(d.letters, 1):
-        oq, _, od = _OVER[letter]
-        uq, _, ud = _UNDER[letter]
-        ox, oy = od if direction[(i - 1, oq)] == "E" else (-od[0], -od[1])
-        ux, uy = ud if direction[(i - 1, uq)] == "E" else (-ud[0], -ud[1])
-        signs.append(1 if ox * uy - oy * ux > 0 else -1)
+    states = [state]
+    for letter in d.letters:
+        sign, state = _STEP[letter][state]
+        signs.append(sign)
+        states.append(state)
     return signs, states
 
 
@@ -174,71 +184,41 @@ def orientation_after(state: int, z: str) -> int:
         raise ValueError(f"orientation state must be 1, 2 or 3: {state!r}")
     validate_braid(z)
     for letter in z:
-        u, v = CROSSING_PAIR[letter]
-        if state == u:
-            state = v
-        elif state == v:
-            state = u
+        state = _AFTER[letter][state]
     return state
 
 
 def strand_permutation(z: str) -> tuple[int, int, int]:
     """Exit position on the right of the strand entering at each left
     position: component q of the tuple is orientation_after(q, z)."""
-    return (
-        orientation_after(1, z),
-        orientation_after(2, z),
-        orientation_after(3, z),
-    )
+    validate_braid(z)
+    k = 0
+    for letter in z:
+        k = _S3_AFTER[letter][k]
+    return _S3[k]
 
 
 def all_A_components(d: PlatDiagram) -> int:
     """Circles after replacing every crossing by its A-smoothing.
 
     At an 'a' crossing the A-smoothing turns strands 2,3 back on both
-    sides; at a 'b' crossing it lets strands 1,2 run through.  Circles
-    are counted by union-find over the nodes.
+    sides; at a 'b' crossing it lets strands 1,2 run through.  With k >= 1
+    'a's that leaves k - 1 circles between them, one circle through strand
+    1, and for closure B one more past the last 'a'.
     """
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    n = len(d.letters)
-    for i, letter in enumerate(d.letters, 1):
-        if letter == "a":
-            union((i - 1, 2), (i - 1, 3))
-            union((i, 2), (i, 3))
-            union((i - 1, 1), (i, 1))
-        else:
-            union((i - 1, 1), (i, 1))
-            union((i - 1, 2), (i, 2))
-            union((i - 1, 3), (i, 3))
-    union((0, 1), (0, 2))
-    if d.closure == "A":
-        union((n, 1), (n, 2))
-        union((n, 3), (0, 3))
-    else:
-        union((n, 2), (n, 3))
-        union((n, 1), (0, 3))
-    for j in range(n + 1):
-        for q in (1, 2, 3):
-            find((j, q))
-    return sum(1 for x, p in parent.items() if x == p)
+    k = d.letters.count("a")
+    if k == 0:
+        return 2 if d.closure == "A" else 1
+    return k + (1 if d.closure == "B" else 0)
 
 
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
     d = diagram_for_word(word)
     signs, states = orient_diagram(d)
-    assert states[1] == 1, "state right of crossing 1 must be o1"
-    c_plus = sum(1 for s in signs if s > 0)
+    if states[1] != 1:
+        raise ValueError(f"state right of crossing 1 must be o1, got o{states[1]}")
+    c_plus = signs.count(1)
     s_a = all_A_components(d)
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -64,8 +67,9 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
     Work is proportional to 2^(c-2); refuses beyond ENUMERATION_BUDGET.
-    With workers > 1 the mask range is sharded over a process pool
-    (falling back to serial evaluation if the pool cannot start).
+    With workers > 1 the mask range is sharded over a process pool; if the
+    pool cannot start or breaks, a RuntimeWarning names the reason and the
+    row is evaluated serially.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
@@ -87,8 +91,10 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
                 for h in pool.map(_shard, chunks):
                     total.update(h)
                 return dict(total)
-        except OSError:
-            pass  # pools are unavailable in some sandboxes; do it serially
+        except (OSError, BrokenProcessPool) as exc:
+            warnings.warn(
+                f"process pool for c={c} failed ({type(exc).__name__}: {exc}); "
+                "enumerating serially", RuntimeWarning, stacklevel=2)
     return dict(_shard((c, 0, n_masks)))
 
 
@@ -424,7 +430,15 @@ def load_cached_row(cache_dir: str | Path, c: int) -> Row | None:
 
 
 def store_cached_row(cache_dir: str | Path, c: int, row: Row) -> Path:
+    """Write one row atomically: a temp file in the same directory is
+    renamed over the row, so no reader ever sees a half-written file."""
     path = cache_path(cache_dir, c)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(row_to_csv(c, row))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(row_to_csv(c, row))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

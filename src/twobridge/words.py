@@ -19,6 +19,14 @@ from typing import Iterator
 
 _SWAP_SIGNS = str.maketrans("+-", "-+")
 _SWAP_LETTERS = str.maketrans("ab", "ba")
+# Single-sign runs after the double runs are replaced: (+)^1 -> a, (-)^1 -> b.
+_RUN_LETTERS = str.maketrans("+-", "ab")
+# Hex digit -> its four interior runs, signs "-+-+", exponent 1 + bit.
+_HEX_RUNS = str.maketrans({
+    f"{v:x}": "".join(sign * (1 + ((v >> (3 - i)) & 1))
+                      for i, sign in enumerate("-+-+"))
+    for v in range(16)
+})
 
 
 def runs(word: str) -> list[tuple[str, int]]:
@@ -48,17 +56,17 @@ def validate_word(word: str) -> int:
     signs is automatic once the alphabet check passes, since runs are
     maximal.)
     """
-    if not word or set(word) - {"+", "-"}:
+    # Runs are maximal, so c is one more than the number of sign changes.
+    if not word or word.strip("+-"):
         raise ValueError(f"word must be a nonempty string over +/-: {word!r}")
-    rr = runs(word)
-    c = len(rr)
+    c = 1 + word.count("+-") + word.count("-+")
     if c < 3:
         raise ValueError(f"word needs at least 3 runs, got {c}: {word!r}")
     if word[0] != "+":
         raise ValueError(f"word must start with +: {word!r}")
-    if rr[0][1] != 1 or rr[-1][1] != 1:
+    if word[1] == word[0] or word[-1] == word[-2]:
         raise ValueError(f"first and last runs must have length 1: {word!r}")
-    if any(e > 2 for _, e in rr):
+    if "+++" in word or "---" in word:
         raise ValueError(f"run exponents must be 1 or 2: {word!r}")
     if len(word) % 3 != 1:
         raise ValueError(f"length must be 1 mod 3, got {len(word)}: {word!r}")
@@ -72,13 +80,16 @@ def word_from_interior_bits(c: int, mask: int) -> str:
     is eps_2, so increasing mask order is lexicographic order of exponent
     sequences.  The mask is kept by the enumerators iff the resulting
     length c + popcount(mask) is 1 mod 3.
+
+    Each hex digit of the mask holds four interior exponents that start on
+    a '-' run, so the interior is the mask's hex string translated digit
+    by digit; zero bits pad the mask to whole digits, and the single-sign
+    runs they produce are cut off again.
     """
-    parts = ["+"]
-    for i in range(c - 2):
-        e = 1 + ((mask >> (c - 3 - i)) & 1)
-        parts.append(("-" if i % 2 == 0 else "+") * e)
-    parts.append("-" if c % 2 == 0 else "+")
-    return "".join(parts)
+    n = c - 2
+    pad = -n % 4
+    interior = format(mask << pad, f"0{(n + pad) // 4}x").translate(_HEX_RUNS)
+    return "+" + interior[:len(interior) - pad] + ("-" if c % 2 == 0 else "+")
 
 
 def enumerate_words(c: int) -> Iterator[str]:
@@ -106,13 +117,10 @@ def enumerate_palindromic_words(c: int) -> Iterator[str]:
     n = c - 2                   # interior positions
     half = (n + 1) // 2         # free positions
     for hm in range(1 << half):
-        mask = 0
-        for i in range(n):
-            j = min(i, n - 1 - i)
-            bit = (hm >> (half - 1 - j)) & 1
-            mask |= bit << (n - 1 - i)
-        if (c + mask.bit_count()) % 3 == 1:
-            yield word_from_interior_bits(c, mask)
+        bits = format(hm, f"0{half}b")
+        bits += bits[:n - half][::-1]
+        if (c + bits.count("1")) % 3 == 1:
+            yield word_from_interior_bits(c, int(bits, 2))
 
 
 def jacobsthal(n: int) -> int:
@@ -189,9 +197,8 @@ def to_braid(word: str) -> str:
     output has exactly c letters.
     """
     validate_word(word)
-    return "".join(
-        "a" if (s == "+") == (e == 1) else "b" for s, e in runs(word)
-    )
+    # Runs are at most 2 long, so each "++" or "--" is a whole run.
+    return word.replace("++", "b").replace("--", "a").translate(_RUN_LETTERS)
 
 
 def swap_braid(z: str) -> str:

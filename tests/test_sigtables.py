@@ -1,6 +1,7 @@
 """Tests for signature histograms, recursions, totals, and the CSV cache."""
 
 import math
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,27 @@ def test_enumeration_budget_refusal():
 
 def test_workers_shard_agrees_with_serial():
     assert S.histogram_enumerated(12, workers=2) == TABLE[12]
+
+
+@pytest.mark.parametrize("error", [OSError("no semaphores"),
+                                   BrokenProcessPool("worker died")])
+def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch, error):
+    class FailingPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            raise error
+
+    monkeypatch.setattr(S, "ProcessPoolExecutor", FailingPool)
+    with pytest.warns(RuntimeWarning, match=type(error).__name__):
+        assert S.histogram_enumerated(12, workers=2) == TABLE[12]
 
 
 def test_recursed_equals_enumerated(enum14, rec20):
@@ -236,3 +258,17 @@ def test_cache_store_and_load(tmp_path, enum14):
     path.write_text(path.read_text().replace("9,0,6", "9,0,5"))
     with pytest.raises(ValueError):
         S.load_cached_row(tmp_path, 9)
+
+
+def test_cache_write_interrupted_keeps_old_row(tmp_path, monkeypatch, enum14):
+    S.store_cached_row(tmp_path, 9, enum14.rows[9])
+
+    def crash(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(S.os, "replace", crash)
+    with pytest.raises(KeyboardInterrupt):
+        S.store_cached_row(tmp_path, 9, {0: 1})
+    monkeypatch.undo()
+    assert S.load_cached_row(tmp_path, 9) == enum14.rows[9]
+    assert [p.name for p in tmp_path.iterdir()] == ["sig-c09.csv"]

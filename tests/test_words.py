@@ -16,6 +16,80 @@ def exponent_key(word):
     return tuple(W.exponents(word))
 
 
+# ------------------------------------------------- loop-based string oracles
+#
+# The per-position loops the string-method versions in `twobridge.words`
+# replaced; the fast versions must agree with them exactly.
+
+
+def loop_word_from_interior_bits(c, mask):
+    parts = ["+"]
+    for i in range(c - 2):
+        e = 1 + ((mask >> (c - 3 - i)) & 1)
+        parts.append(("-" if i % 2 == 0 else "+") * e)
+    parts.append("-" if c % 2 == 0 else "+")
+    return "".join(parts)
+
+
+def loop_palindromic_words(c):
+    n = c - 2
+    half = (n + 1) // 2
+    for hm in range(1 << half):
+        mask = 0
+        for i in range(n):
+            j = min(i, n - 1 - i)
+            bit = (hm >> (half - 1 - j)) & 1
+            mask |= bit << (n - 1 - i)
+        if (c + mask.bit_count()) % 3 == 1:
+            yield loop_word_from_interior_bits(c, mask)
+
+
+def runs_validate_word(word):
+    if not word or set(word) - {"+", "-"}:
+        raise ValueError("alphabet")
+    rr = W.runs(word)
+    if len(rr) < 3 or word[0] != "+" or rr[0][1] != 1 or rr[-1][1] != 1:
+        raise ValueError("shape")
+    if any(e > 2 for _, e in rr) or len(word) % 3 != 1:
+        raise ValueError("exponents")
+    return len(rr)
+
+
+def runs_to_braid(word):
+    runs_validate_word(word)
+    return "".join("a" if (s == "+") == (e == 1) else "b" for s, e in W.runs(word))
+
+
+def _outcome(fn, word):
+    try:
+        return fn(word)
+    except ValueError:
+        return ValueError
+
+
+def test_word_from_interior_bits_matches_loop():
+    for c in range(3, 17):
+        for mask in range(1 << (c - 2)):
+            assert W.word_from_interior_bits(c, mask) == \
+                loop_word_from_interior_bits(c, mask), (c, mask)
+
+
+def test_palindromic_enumeration_matches_mask_loop():
+    for c in range(3, 25):
+        assert list(W.enumerate_palindromic_words(c)) == \
+            list(loop_palindromic_words(c)), c
+
+
+_RUN_WORDS = st.lists(st.integers(1, 3), min_size=1, max_size=12).map(
+    lambda es: "".join("+-"[i % 2] * e for i, e in enumerate(es)))
+
+
+@given(_RUN_WORDS | st.text(alphabet="+-", max_size=24) | st.text(alphabet="+-x", max_size=8))
+def test_validate_and_braid_match_run_loop(word):
+    assert _outcome(W.validate_word, word) == _outcome(runs_validate_word, word)
+    assert _outcome(W.to_braid, word) == _outcome(runs_to_braid, word)
+
+
 # ---------------------------------------------------------------- enumeration
 
 
