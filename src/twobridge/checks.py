@@ -94,50 +94,53 @@ def check_metric_rows(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_sig_table(budget_c: int | None = None) -> tuple[bool, str]:
-    """Histogram table by enumeration, regenerated by recursion, plus the
-    one-step recursion and symmetry identities on every row."""
+    """Histogram rows by enumeration against the published table and the
+    recursion, plus the one-step recursion and symmetry identities on
+    every recursed row."""
     enum_max = max(5, _clamp(14, budget_c))
     full_max = max(5, _clamp(18, budget_c))
-    enumerated = sigtables.enumerated_table(enum_max)
-    for c in range(3, enum_max + 1):
-        if enumerated.row(c) != SIGNATURE_TABLE[c]:
-            return False, f"enumerated row mismatch at c={c}"
     recursed = sigtables.recursed_table(full_max)
     for c in range(3, enum_max + 1):
-        if recursed.row(c) != enumerated.row(c):
+        enumerated = sigtables.histogram_enumerated(c)
+        if enumerated != SIGNATURE_TABLE[c]:
+            return False, f"enumerated row mismatch at c={c}"
+        if recursed[c] != enumerated:
             return False, f"recursion regenerates wrong row at c={c}"
     for c in range(4, full_max + 1):
-        if not sigtables.verify_recursion2(c, recursed.rows):
+        if not sigtables.verify_recursion2(c, recursed):
             return False, f"one-step recursion fails at c={c}"
     for c in range(3, full_max + 1):
-        if not sigtables.verify_symmetry(c, recursed.row(c)):
+        if not sigtables.verify_symmetry(c, recursed[c]):
             return False, f"symmetry fails at c={c}"
     return True, (f"rows 3..{enum_max} enumerated, recursion + symmetry "
                   f"to c={full_max}")
 
 
 def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
-    """Odd/even row sums collapse to central binomial coefficients."""
+    """Odd/even recursed row sums collapse to central binomial coefficients."""
     m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c else None))
+    rows = sigtables.recursed_table(2 * m_max + 2)
     for m in range(1, m_max + 1):
-        if not sigtables.verify_binomial(m):
+        if not sigtables.verify_binomial(m, rows):
             return False, f"binomial identity fails at m={m}"
     return True, f"binomial identity for m <= {m_max}"
 
 
 def check_totals(budget_c: int | None = None) -> tuple[bool, str]:
-    """Total-|sigma| identities: paired rows, even-c recursion, exact forms."""
+    """Total-|sigma| identities on the recursed rows: paired rows, even-c
+    recursion, exact forms."""
     m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c else None))
-    for m in range(1, m_max + 1):
-        if not sigtables.verify_tot2(m):
-            return False, f"paired totals fail at m={m}"
     even_max = max(6, _clamp(18, budget_c))
-    for c in range(6, even_max + 1, 2):
-        if not sigtables.verify_tot_recursion(c):
-            return False, f"totals recursion fails at c={c}"
     identity_max = max(2, _clamp(6, (budget_c - 1) // 2 if budget_c else None))
+    rows = sigtables.recursed_table(max(2 * m_max + 2, even_max))
+    for m in range(1, m_max + 1):
+        if not sigtables.verify_tot2(m, rows):
+            return False, f"paired totals fail at m={m}"
+    for c in range(6, even_max + 1, 2):
+        if not sigtables.verify_tot_recursion(c, rows):
+            return False, f"totals recursion fails at c={c}"
     for m in range(2, identity_max + 1):
-        if not sigtables.verify_totals_identity(m):
+        if not sigtables.verify_totals_identity(m, rows):
             return False, f"exact totals identity fails at m={m}"
     return True, (f"paired totals m <= {m_max}, even-c recursion to "
                   f"{even_max}, exact identities m <= {identity_max}")

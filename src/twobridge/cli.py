@@ -13,9 +13,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -25,28 +25,18 @@ from .errors import BudgetError
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options shared by the table-producing commands."""
-
-    command: str
-    c_values: tuple[int, ...]
-    s: int | None = None
-    cache_dir: Path | None = None
-    workers: int = 1
-    fmt: str = "csv"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise click.UsageError(f"--workers must be >= 1, got {self.workers}")
-        for c in self.c_values:
-            if c < 3:
-                raise click.UsageError(f"crossing number must be >= 3, got {c}")
+def _crossing_number(ctx: click.Context, param: click.Parameter,
+                     c: int | None) -> int | None:
+    """Option callback: a crossing number must be at least 3."""
+    if c is not None and c < 3:
+        raise click.UsageError(f"crossing number must be >= 3, got {c}")
+    return c
 
 
-def _parse_c_range(text: str) -> tuple[int, ...]:
-    """Parse "9" or "3..14" into an inclusive run of crossing numbers."""
+def _parse_c_range(ctx: click.Context, param: click.Parameter,
+                   text: str) -> tuple[int, ...]:
+    """Option callback: parse "9" or "3..14" into an inclusive run of
+    crossing numbers, each at least 3."""
     try:
         if ".." in text:
             lo_str, hi_str = text.split("..", 1)
@@ -57,6 +47,7 @@ def _parse_c_range(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"cannot parse crossing-number range {text!r}")
     if lo > hi:
         raise click.UsageError(f"empty crossing-number range {text!r}")
+    _crossing_number(ctx, param, lo)
     return tuple(range(lo, hi + 1))
 
 
@@ -75,6 +66,12 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
+def _refuse(ctx: click.Context, problem: BudgetError) -> NoReturn:
+    """Over-budget request: one line on stderr, exit 2."""
+    click.echo(f"Error: {problem}", err=True)
+    ctx.exit(2)
+
+
 @click.group()
 @click.version_option(package_name="twobridge")
 def main() -> None:
@@ -83,20 +80,21 @@ def main() -> None:
 
 
 @main.command(name="enumerate")
-@click.option("--c", "c", required=True, type=int, help="Crossing number.")
+@click.option("--c", "c", required=True, type=int, callback=_crossing_number,
+              help="Crossing number.")
 @click.option("--count-only", is_flag=True, help="Print the word count only.")
 def cmd_enumerate(c: int, count_only: bool) -> None:
     """Stream the words of T(c) in enumeration order."""
-    config = RunConfig("enumerate", (c,))
     if count_only:
-        click.echo(str(words.word_count(config.c_values[0])))
+        click.echo(str(words.word_count(c)))
         return
-    for word in words.enumerate_words(config.c_values[0]):
+    for word in words.enumerate_words(c):
         click.echo(word)
 
 
-def _cached_histogram(c: int, cache_dir: Path | None, compute) -> sigtables.Row:
-    """Row via cache when possible; recompute and overwrite on corruption."""
+def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables.Row:
+    """Enumerated row via cache when possible; re-enumerate and overwrite
+    on corruption."""
     if cache_dir is not None:
         try:
             cached = sigtables.load_cached_row(cache_dir, c)
@@ -106,52 +104,48 @@ def _cached_histogram(c: int, cache_dir: Path | None, compute) -> sigtables.Row:
         else:
             if cached is not None:
                 return cached
-    row = compute(c)
+    row = sigtables.histogram_enumerated(c, workers)
     if cache_dir is not None:
         sigtables.store_cached_row(cache_dir, c, row)
     return row
 
 
 @main.command(name="sig-table")
-@click.option("--c", "c_range", default="3..14", help="c or lo..hi range.")
+@click.option("--c", "c_values", default="3..14", callback=_parse_c_range,
+              help="c or lo..hi range.")
 @click.option("--method", type=click.Choice(["enumerate", "recurse", "both"]),
               default="both", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--cache-dir", default=None,
               help="Row cache directory (TB_CACHE_DIR overrides).")
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Enumeration shards; defaults to available parallelism.")
 @click.pass_context
-def cmd_sig_table(ctx: click.Context, c_range: str, method: str, fmt: str,
-                  cache_dir: str | None, workers: int | None) -> None:
+def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
+                  fmt: str, cache_dir: str | None, workers: int | None) -> None:
     """Signature histogram rows s(c, sigma)."""
-    config = RunConfig("sig-table", _parse_c_range(c_range),
-                       cache_dir=_resolve_cache_dir(cache_dir),
-                       workers=workers if workers is not None else _default_workers(),
-                       fmt=fmt)
-    c_max = max(config.c_values)
-    recursed = sigtables.recursed_table(c_max) if method in ("recurse", "both") else None
+    cache = _resolve_cache_dir(cache_dir)
+    if workers is None:
+        workers = _default_workers()
+    recursed = (sigtables.recursed_table(max(c_values))
+                if method in ("recurse", "both") else None)
 
     rows: dict[int, sigtables.Row] = {}
-    for c in config.c_values:
-        if method == "enumerate":
-            rows[c] = _cached_histogram(
-                c, config.cache_dir,
-                lambda cc: sigtables.histogram_enumerated(cc, config.workers))
-        elif method == "recurse":
-            rows[c] = recursed.row(c)
-            if config.cache_dir is not None:
-                sigtables.store_cached_row(config.cache_dir, c, rows[c])
-        else:
-            enumerated = _cached_histogram(
-                c, config.cache_dir,
-                lambda cc: sigtables.histogram_enumerated(cc, config.workers))
-            if enumerated != recursed.row(c):
-                click.echo(f"mismatch between enumeration and recursion at c={c}",
-                           err=True)
-                ctx.exit(1)
-            rows[c] = enumerated
+    for c in c_values:
+        if method == "recurse":
+            rows[c] = recursed[c]
+            if cache is not None:
+                sigtables.store_cached_row(cache, c, rows[c])
+            continue
+        try:
+            rows[c] = _cached_histogram(c, cache, workers)
+        except BudgetError as problem:
+            _refuse(ctx, problem)
+        if method == "both" and rows[c] != recursed[c]:
+            click.echo(f"mismatch between enumeration and recursion at c={c}",
+                       err=True)
+            ctx.exit(1)
 
     if fmt == "json":
         payload = {"schema": SCHEMA, "method": method,
@@ -159,20 +153,24 @@ def cmd_sig_table(ctx: click.Context, c_range: str, method: str, fmt: str,
                             for c, row in rows.items()}}
         _echo_json(payload)
     else:
-        for c in config.c_values:
+        for c in c_values:
             click.echo(sigtables.row_to_csv(c, rows[c]), nl=False)
 
 
 @main.command(name="avg-sig")
-@click.option("--c", "c_range", default="3..20", help="c or lo..hi range.")
+@click.option("--c", "c_values", default="3..20", callback=_parse_c_range,
+              help="c or lo..hi range.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
-def cmd_avg_sig(c_range: str, fmt: str) -> None:
+@click.pass_context
+def cmd_avg_sig(ctx: click.Context, c_values: tuple[int, ...], fmt: str) -> None:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
-    config = RunConfig("avg-sig", _parse_c_range(c_range), fmt=fmt)
     entries = []
-    for c in config.c_values:
-        report = sigtables.totals(c)
+    for c in c_values:
+        try:
+            report = sigtables.totals(c)
+        except BudgetError as problem:
+            _refuse(ctx, problem)
         root = math.sqrt(2 * c / math.pi)
         gap = float(report.avg_abs_sigma) - root
         entries.append((c, report.avg_abs_sigma, root, gap))
@@ -191,7 +189,7 @@ def cmd_avg_sig(c_range: str, fmt: str) -> None:
 
 @main.command(name="g4")
 @click.option("--word", "word", default=None, help="One word to decompose.")
-@click.option("--c", "c", type=int, default=None,
+@click.option("--c", "c", type=int, default=None, callback=_crossing_number,
               help="Aggregate over all of T(c) instead.")
 @click.option("--s", "s", type=int, default=None,
               help="Block size; defaults to ceil(log10 c).")
@@ -220,8 +218,7 @@ def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> None:
             "g4_lower": report.g4_lower, "g4_upper": report.g4_upper,
         })
         return
-    config = RunConfig("g4", (c,), s=s, fmt=fmt)
-    block = config.s if config.s is not None else cobordism.choose_block_size(c)
+    block = s if s is not None else cobordism.choose_block_size(c)
     try:
         row = cobordism.average_g4_row(c, block)
     except (ValueError, BudgetError) as problem:

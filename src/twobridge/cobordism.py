@@ -103,7 +103,9 @@ def summand_class(x: OrientedWord) -> SummandClass:
         return SummandClass(x.serialize(), "self_mirror")
     own = x.serialize()
     other = mirror(x).serialize()
-    assert own != other
+    if own == other:
+        raise ValueError(f"summand {own} equals its mirror but is not "
+                         "palindromic-type")
     return SummandClass(min(own, other), "plus" if own < other else "minus")
 
 
@@ -161,7 +163,8 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
         raise ValueError("link repair applies only to two-component summands")
     z = x.letters
     s = len(z)
-    assert s >= 1
+    if s < 1:
+        raise ValueError("link repair needs a non-empty summand")
     if s % 2 == 1:
         h = (s - 1) // 2
         pair = CROSSING_PAIR[z[h]]
@@ -186,8 +189,11 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     end = perm[x.start - 1] if fix.marker is not None else orientation_after(x.start, fix.letters)
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
-    assert end == x.end
-    assert closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[end]) == 1
+    if end != x.end:
+        raise ValueError(f"{fix.kind} repair of {x.serialize()} moved the end "
+                         f"state {x.end} -> {end}")
+    if closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[end]) != 1:
+        raise ValueError(f"{fix.kind} repair of {x.serialize()} left a link")
     return fix
 
 
@@ -234,7 +240,6 @@ class DecompositionReport:
     s: int
     t: int
     r: int
-    r1_moves: int
     cut_states: tuple[int, ...]
     cut_saddles: int
     summands: tuple[OrientedWord, ...]
@@ -250,10 +255,17 @@ class DecompositionReport:
     g4_upper: int
 
     def __post_init__(self) -> None:
-        assert len(self.summands) == self.t
-        assert self.remainder_crossings == self.r - 1
-        assert self.cut_saddles <= 2 * self.t + 2
-        assert self.g4_lower <= self.g4_upper
+        if len(self.summands) != self.t:
+            raise ValueError(f"{len(self.summands)} summands, expected t={self.t}")
+        if self.remainder_crossings != self.r - 1:
+            raise ValueError(f"remainder has {self.remainder_crossings} "
+                             f"crossings, expected r-1={self.r - 1}")
+        if self.cut_saddles > 2 * self.t + 2:
+            raise ValueError(f"{self.cut_saddles} cut saddles exceed "
+                             f"2t+2={2 * self.t + 2}")
+        if self.g4_lower > self.g4_upper:
+            raise ValueError(f"g4 interval [{self.g4_lower}, {self.g4_upper}] "
+                             "is empty")
 
 
 def decompose(word: str, s: int) -> DecompositionReport:
@@ -267,7 +279,8 @@ def decompose(word: str, s: int) -> DecompositionReport:
     core = braid[1:2 * m]
     t = (2 * m - 1) // s
     r = c - s * t
-    assert 0 <= r - 1 - j <= s - 1
+    if not 0 <= r - 1 - j <= s - 1:
+        raise ValueError(f"remainder r={r} out of range for s={s}, j={j}")
 
     state = 1
     cut_states = [state]
@@ -291,7 +304,9 @@ def decompose(word: str, s: int) -> DecompositionReport:
             link_fix_saddles += fix.saddles
 
     remainder = braid[1 + t * s:]
-    assert len(remainder) == r - 1 >= 1
+    if not len(remainder) == r - 1 >= 1:
+        raise ValueError(f"remainder {remainder!r} should hold r-1={r - 1} >= 1 "
+                         "letters")
     closure = "A" if c % 2 == 1 else "B"
     remainder_is_link = remainder_component_count(state, remainder, closure) == 2
     if remainder_is_link:
@@ -299,7 +314,8 @@ def decompose(word: str, s: int) -> DecompositionReport:
         # one crossing and reconnects the two components.
         remainder_fix_saddles = 1
         remaining = r - 2
-        assert remainder_component_count(state, remainder[:-1], closure) == 1
+        if remainder_component_count(state, remainder[:-1], closure) != 1:
+            raise ValueError(f"undoing the last twist of {remainder!r} left a link")
     else:
         remainder_fix_saddles = 0
         remaining = r - 1
@@ -312,13 +328,14 @@ def decompose(word: str, s: int) -> DecompositionReport:
 
     total_saddles = cut_saddles + link_fix_saddles + remainder_fix_saddles
     # Knot-to-knot cobordisms use an even number of saddle moves.
-    assert total_saddles % 2 == 0
+    if total_saddles % 2:
+        raise ValueError(f"odd saddle count {total_saddles} for {word}")
     upper = total_saddles // 2
     upper += sum(n // 2 for n in residual_crossings)
     upper += remaining // 2
     lower = abs(signature(word)) // 2
     return DecompositionReport(
-        word=word, s=s, t=t, r=r, r1_moves=1,
+        word=word, s=s, t=t, r=r,
         cut_states=tuple(cut_states), cut_saddles=cut_saddles,
         summands=tuple(summands), link_fix_saddles=link_fix_saddles,
         remainder_letters=remainder, remainder_crossings=r - 1,

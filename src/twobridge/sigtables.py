@@ -1,10 +1,12 @@
 """Exact signature histograms s(c, sigma) and their identities.
 
 The histogram row for crossing number c counts, for each even sigma, the
-words whose knot has that signature.  Rows can be built two independent
-ways — exhaustive enumeration plus the diagram pipeline, or a two-step
-recursion from the base rows c=3,4 — and the two must agree, which is the
-backbone of the verification suite.  On top of the rows sit the total
+words whose knot has that signature.  Rows come from the two-step
+recursion grown from the base rows c=3,4 (``recursed_table``); exhaustive
+enumeration through the diagram pipeline (``histogram_enumerated``) is
+the independent cross-check the verification suite compares them with.
+Every identity takes the rows it checks as an argument, so the caller
+decides which derivation it sees.  On top of the rows sit the total
 absolute signature tot(c), its palindromic variant tot_p(c), the exact
 average |sigma| per knot, and the √(2c/π) asymptote it approaches.
 """
@@ -41,17 +43,6 @@ SCHEMA_VERSION = 1
 
 # Base rows: the unique words of T(3) and T(4) have signatures 2 and 0.
 BASE_ROWS: dict[int, Row] = {3: {2: 1}, 4: {0: 1}}
-
-
-@dataclass(frozen=True)
-class SignatureTable:
-    """A block of histogram rows plus how they were produced."""
-
-    rows: dict[int, Row]
-    provenance: str  # "enumerated" or "recursed"
-
-    def row(self, c: int) -> Row:
-        return self.rows[c]
 
 
 def _shard(args: tuple[int, int, int]) -> Counter:
@@ -118,48 +109,12 @@ def histogram_recursed(c: int, base: Mapping[int, Row]) -> Row:
     return dict(out)
 
 
-def enumerated_table(c_max: int, workers: int | None = None) -> SignatureTable:
-    return SignatureTable(
-        {c: histogram_enumerated(c, workers) for c in range(3, c_max + 1)},
-        "enumerated",
-    )
-
-
-def recursed_table(c_max: int) -> SignatureTable:
-    """Rows 3..c_max grown from the two base rows by the recursion."""
+def recursed_table(c_max: int) -> dict[int, Row]:
+    """Rows 3..max(c_max, 4) grown from the two base rows by the recursion."""
     rows: dict[int, Row] = {3: dict(BASE_ROWS[3]), 4: dict(BASE_ROWS[4])}
     for c in range(5, c_max + 1):
         rows[c] = histogram_recursed(c, rows)
-    return SignatureTable(rows, "recursed")
-
-
-_AUTO_ENUM_MAX = 14
-_auto_rows: dict[int, Row] = {}
-
-
-def histogram(c: int, method: str = "auto") -> Row:
-    """Best-available row: enumerated up to c=14, recursed beyond.
-
-    The two methods agree wherever both are tested (see the suite), so
-    the recursed rows are exact; enumeration is kept as the default for
-    small c purely so that routine use keeps exercising the diagrams.
-    """
-    if method == "enumerate":
-        return histogram_enumerated(c)
-    if method == "recurse":
-        return dict(recursed_table(max(c, 4)).rows[c])
-    if method != "auto":
-        raise ValueError(f"method must be enumerate/recurse/auto: {method!r}")
-    if not _auto_rows:
-        _auto_rows.update(
-            {k: histogram_enumerated(k) for k in range(3, _AUTO_ENUM_MAX + 1)}
-        )
-    if c <= _AUTO_ENUM_MAX:
-        return dict(_auto_rows[c])
-    rows = dict(_auto_rows)
-    for k in range(_AUTO_ENUM_MAX + 1, c + 1):
-        rows[k] = histogram_recursed(k, rows)
-    return rows[c]
+    return rows
 
 
 # ------------------------------------------------------------------ identities
@@ -172,7 +127,7 @@ def _support(*rows: Mapping[int, int]) -> set[int]:
     return out
 
 
-def verify_recursion2(c: int, base: Mapping[int, Row] | None = None) -> bool:
+def verify_recursion2(c: int, rows: Mapping[int, Row]) -> bool:
     """One-step recursion with the ±1 correction at sigma = ±2.
 
     Odd c:  s(c,s) = s(c-1,s-2) + s(c-1,s-4), except
@@ -182,9 +137,7 @@ def verify_recursion2(c: int, base: Mapping[int, Row] | None = None) -> bool:
     """
     if c < 4:
         raise ValueError(f"one-step recursion needs c >= 4, got {c}")
-    if base is None:
-        base = {c: histogram(c), c - 1: histogram(c - 1)}
-    row, prev = base[c], base[c - 1]
+    row, prev = rows[c], rows[c - 1]
     sigmas = _support(row) | {s - 2 for s in prev} | {s - 4 for s in prev} | \
         {s + 2 for s in prev} | {s + 4 for s in prev} | {2, -2}
     for s in sigmas:
@@ -203,11 +156,9 @@ def verify_recursion2(c: int, base: Mapping[int, Row] | None = None) -> bool:
     return True
 
 
-def verify_symmetry(c: int, row: Row | None = None) -> bool:
+def verify_symmetry(c: int, row: Row) -> bool:
     """Row symmetries: even rows are even in sigma; odd rows satisfy
     s(c,2) = s(c,4) + 1 and are symmetric about sigma = 3 elsewhere."""
-    if row is None:
-        row = histogram(c)
     if c % 2 == 0:
         return all(row.get(s, 0) == row.get(-s, 0) for s in _support(row))
     if row.get(2, 0) != row.get(4, 0) + 1:
@@ -223,14 +174,12 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def verify_binomial(m: int, base: Mapping[int, Row] | None = None) -> bool:
+def verify_binomial(m: int, rows: Mapping[int, Row]) -> bool:
     """Paired rows sum to a Pascal row:
     s(2m+1,s) + s(2m+2,s) = C(2m-1, m-1+s/2) for every even s."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if base is None:
-        base = {2 * m + 1: histogram(2 * m + 1), 2 * m + 2: histogram(2 * m + 2)}
-    a, b = base[2 * m + 1], base[2 * m + 2]
+    a, b = rows[2 * m + 1], rows[2 * m + 2]
     sigmas = _support(a, b) | {2 * k - 2 * m + 2 for k in range(2 * m)}
     return all(
         a.get(s, 0) + b.get(s, 0) == _comb(2 * m - 1, m - 1 + s // 2)
@@ -247,8 +196,18 @@ def total_abs(row: Row) -> int:
 
 
 def palindromic_total_abs(c: int) -> int:
-    """Sum of |sigma| over the palindromic words only (enumerates just
-    the O(2^(c/2)) palindromes)."""
+    """Sum of |sigma| over the palindromic words only.
+
+    Enumerates just the 2^((c-1)//2) half-masks of the palindromes, and
+    refuses above the 2^(ENUMERATION_BUDGET-2) masks that
+    ``histogram_enumerated`` allows.
+    """
+    half = (c - 1) // 2
+    if half > ENUMERATION_BUDGET - 2:
+        raise BudgetError(
+            f"palindromic total at c={c} means {1 << half} half-masks; the "
+            f"budget stops at 2^{ENUMERATION_BUDGET - 2} (c <= "
+            f"{2 * ENUMERATION_BUDGET - 2})")
     return sum(abs(signature(w)) for w in enumerate_palindromic_words(c))
 
 
@@ -273,26 +232,27 @@ class TotalsReport:
     asymptote: float
 
     def __post_init__(self) -> None:
-        assert self.avg_abs_sigma == Fraction(
-            self.tot + self.tot_p, 2 * knot_count(self.c)
-        )
+        if self.avg_abs_sigma != Fraction(self.tot + self.tot_p,
+                                          2 * knot_count(self.c)):
+            raise ValueError(
+                f"avg_abs_sigma {self.avg_abs_sigma} != (tot + tot_p) / "
+                f"(2 * knot_count) at c={self.c}")
 
 
-def totals(c: int, method: str = "auto") -> TotalsReport:
+def totals(c: int) -> TotalsReport:
     """Totals report for one crossing number.
 
-    tot comes from the histogram (recursed above the enumeration range);
-    tot_p always enumerates the palindromes, which stays cheap.  The
-    average per knot is exact: each knot is counted by two words, or by
-    one word when that word is palindromic, so summing |sigma| over words
-    and palindromes double-counts every knot.
+    tot and the paired total come from one recursed table up to 2m+2;
+    tot_p enumerates the palindromes, within the budget of
+    ``palindromic_total_abs``.  The average per knot is exact: each knot
+    is counted by two words, or by one word when that word is palindromic,
+    so summing |sigma| over words and palindromes double-counts every knot.
     """
     m = (c - 1) // 2
-    tot = total_abs(histogram(c, method))
+    rows = recursed_table(2 * m + 2)
+    tot = total_abs(rows[c])
     tot_p = palindromic_total_abs(c)
-    tot2 = total_abs(histogram(2 * m + 1, method)) + total_abs(
-        histogram(2 * m + 2, method)
-    )
+    tot2 = total_abs(rows[2 * m + 1]) + total_abs(rows[2 * m + 2])
     return TotalsReport(
         c=c,
         tot=tot,
@@ -304,36 +264,30 @@ def totals(c: int, method: str = "auto") -> TotalsReport:
     )
 
 
-def verify_tot2(m: int, base: Mapping[int, Row] | None = None) -> bool:
+def verify_tot2(m: int, rows: Mapping[int, Row]) -> bool:
     """tot(2m+1) + tot(2m+2) = m * C(2m, m)."""
-    if base is None:
-        base = {c: histogram(c) for c in (2 * m + 1, 2 * m + 2)}
-    lhs = total_abs(base[2 * m + 1]) + total_abs(base[2 * m + 2])
+    lhs = total_abs(rows[2 * m + 1]) + total_abs(rows[2 * m + 2])
     return lhs == m * math.comb(2 * m, m)
 
 
-def verify_tot_recursion(c: int, base: Mapping[int, Row] | None = None) -> bool:
+def verify_tot_recursion(c: int, rows: Mapping[int, Row]) -> bool:
     """Even-c step: tot(c) = 2 tot(c-1) - 2 s(c-1,2) - 6 s(c-1,4) - 2."""
     if c % 2 != 0 or c < 4:
         raise ValueError(f"need even c >= 4, got {c}")
-    if base is None:
-        base = {c: histogram(c), c - 1: histogram(c - 1)}
-    prev = base[c - 1]
+    prev = rows[c - 1]
     want = (
         2 * total_abs(prev) - 2 * prev.get(2, 0) - 6 * prev.get(4, 0) - 2
     )
-    return total_abs(base[c]) == want
+    return total_abs(rows[c]) == want
 
 
-def verify_totals_identity(m: int, base: Mapping[int, Row] | None = None) -> bool:
+def verify_totals_identity(m: int, rows: Mapping[int, Row]) -> bool:
     """The exact forms behind the error-term estimate:
 
     3 tot(2m+1) - m C(2m,m) = 2 s(2m+1,2) + 6 s(2m+1,4) + 2
     3 tot(2m+2)             = 2m C(2m,m) - (2 s(2m+1,2) + 6 s(2m+1,4) + 2)
     """
-    if base is None:
-        base = {c: histogram(c) for c in (2 * m + 1, 2 * m + 2)}
-    odd, even = base[2 * m + 1], base[2 * m + 2]
+    odd, even = rows[2 * m + 1], rows[2 * m + 2]
     mid = math.comb(2 * m, m)
     err = 2 * odd.get(2, 0) + 6 * odd.get(4, 0) + 2
     return (
@@ -362,11 +316,11 @@ def verify_wallis(m: int) -> bool:
     return upper and lower
 
 
-def asymptote_gap(c_max: int, method: str = "auto") -> list[tuple[int, float]]:
+def asymptote_gap(c_max: int) -> list[tuple[int, float]]:
     """Sequence (c, avg|sigma| - √(2c/π)) for c = 3..c_max."""
     out = []
     for c in range(3, c_max + 1):
-        r = totals(c, method)
+        r = totals(c)
         out.append((c, float(r.avg_abs_sigma) - r.asymptote))
     return out
 

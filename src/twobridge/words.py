@@ -181,7 +181,10 @@ class CountReport:
     knots: int
 
     def __post_init__(self) -> None:
-        assert 2 * self.knots == self.words + self.palindromes
+        if 2 * self.knots != self.words + self.palindromes:
+            raise ValueError(
+                f"2 * knots ({2 * self.knots}) != words + palindromes "
+                f"({self.words + self.palindromes}) at c={self.c}")
 
 
 def count_report(c: int) -> CountReport:
@@ -269,5 +272,6 @@ def partition_class(word: str) -> tuple[int, str]:
     e = exponents(word)
     i = _CLASS_BY_PAIR[(e[-3], e[-2])]
     tail, repl = (_TAIL_ODD if c % 2 == 1 else _TAIL_EVEN)[i]
-    assert word.endswith(tail)
+    if not word.endswith(tail):
+        raise ValueError(f"{word} does not end in the class-{i} tail {tail}")
     return i, word[: -len(tail)] + repl

@@ -7,10 +7,12 @@ arguments and seed are byte-identical.
 """
 
 import json
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
-from twobridge import sigtables
+from twobridge import sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
@@ -105,6 +107,57 @@ def test_sig_table_workers_match_serial():
                      "--workers", "4")
     assert serial.exit_code == 0 and sharded.exit_code == 0
     assert serial.output == sharded.output
+
+
+@pytest.mark.parametrize("method", ["enumerate", "both"])
+def test_sig_table_over_budget_exits_2(method):
+    result = invoke("sig-table", "--c", "23", "--method", method)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "budget stops at c=22" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_sig_table_mismatch_exits_1(monkeypatch):
+    monkeypatch.setattr(sigtables, "recursed_table",
+                        lambda c_max: {5: {2: 3}})
+    result = invoke("sig-table", "--c", "5", "--method", "both")
+    assert result.exit_code == 1
+    assert "mismatch between enumeration and recursion at c=5" in result.stderr
+
+
+def test_sig_table_rejects_bad_options():
+    zero = invoke("sig-table", "--c", "5", "--workers", "0")
+    assert zero.exit_code == 2
+    assert "--workers" in zero.stderr
+    small = invoke("sig-table", "--c", "2..5")
+    assert small.exit_code == 2
+    assert "crossing number must be >= 3" in small.stderr
+
+
+def test_avg_sig_over_budget_exits_2():
+    result = invoke("avg-sig", "--c", "43")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "half-masks" in result.stderr
+
+
+def test_avg_sig_never_enumerates_rows(monkeypatch):
+    enumerated = {c: sigtables.histogram_enumerated(c) for c in range(3, 15)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("avg-sig must not enumerate the histogram")
+
+    monkeypatch.setattr(sigtables, "histogram_enumerated", refuse)
+    result = invoke("avg-sig", "--c", "3..14", "--format", "json")
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["rows"]
+    for c, row in enumerated.items():
+        want = Fraction(sigtables.total_abs(row) + sigtables.palindromic_total_abs(c),
+                        2 * words.knot_count(c))
+        assert Fraction(rows[str(c)]["avg"]) == want, c
 
 
 def test_avg_sig_csv():

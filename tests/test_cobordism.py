@@ -220,7 +220,7 @@ def test_cancel_mirrors_order_invariant(order):
 def test_decompose_example():
     rep = decompose(EXAMPLE_WORD, 3)
     assert to_braid(EXAMPLE_WORD) == "aaababaabbbb"
-    assert (rep.t, rep.r, rep.r1_moves) == (3, 3, 1)
+    assert (rep.t, rep.r) == (3, 3)
     assert [(x.start, x.letters) for x in rep.summands] == [
         (1, "aab"), (2, "aba"), (2, "abb")]
     assert rep.cut_states == (1, 2, 2, 3)

@@ -357,14 +357,34 @@ def test_metrics_invariant_enforced():
         D.DiagramMetrics(c_plus=1, s_A=3, signature=0)
 
 
-def test_metrics_invariant_survives_optimize_flag():
+# Each invariant-carrying class built with numbers that break its invariant.
+INCONSISTENT_REPORTS = {
+    "DiagramMetrics":
+        "from twobridge.diagram import DiagramMetrics\n"
+        "DiagramMetrics(c_plus=1, s_A=3, signature=0)",
+    "CountReport":
+        "from twobridge.words import CountReport\n"
+        "CountReport(c=3, words=1, palindromes=1, knots=5)",
+    "TotalsReport":
+        "from fractions import Fraction\n"
+        "from twobridge.sigtables import TotalsReport\n"
+        "TotalsReport(c=6, tot=4, tot_p=0, tot2_m=16, epsilon_c=14,\n"
+        "             avg_abs_sigma=Fraction(1, 3), asymptote=1.95)",
+    "DecompositionReport":
+        "from dataclasses import replace\n"
+        "from twobridge.cobordism import decompose\n"
+        "replace(decompose('+--+-+-+--++-++-', 3), g4_lower=99)",
+}
+
+
+@pytest.mark.parametrize("code", INCONSISTENT_REPORTS.values(),
+                         ids=INCONSISTENT_REPORTS.keys())
+def test_metrics_invariant_survives_optimize_flag(code):
     src = str(Path(D.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from twobridge.diagram import DiagramMetrics\n"
-         "DiagramMetrics(c_plus=1, s_A=3, signature=0)"],
+        [sys.executable, "-O", "-c", code],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert "ValueError" in proc.stderr

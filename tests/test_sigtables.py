@@ -29,7 +29,7 @@ TABLE = {
 
 @pytest.fixture(scope="module")
 def enum14():
-    return S.enumerated_table(14)
+    return {c: S.histogram_enumerated(c) for c in range(3, 15)}
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +37,19 @@ def rec20():
     return S.recursed_table(20)
 
 
+@pytest.fixture(scope="module")
+def rows18(enum14, rec20):
+    """Enumerated rows for c <= 14 and recursed rows beyond, so each
+    identity is checked on both derivations."""
+    return {c: enum14.get(c, rec20[c]) for c in range(3, 19)}
+
+
 # ----------------------------------------------------------------- histograms
 
 
 def test_enumerated_rows_match_published_table(enum14):
     for c, row in TABLE.items():
-        assert enum14.rows[c] == row, c
+        assert enum14[c] == row, c
 
 
 def test_enumerated_examples():
@@ -52,10 +59,10 @@ def test_enumerated_examples():
 
 
 def test_row_sums_are_word_counts(enum14, rec20):
-    for c, row in enum14.rows.items():
+    for c, row in enum14.items():
         assert sum(row.values()) == W.word_count(c)
         assert all(s % 2 == 0 for s in row)
-    for c, row in rec20.rows.items():
+    for c, row in rec20.items():
         assert sum(row.values()) == W.word_count(c)
 
 
@@ -93,16 +100,14 @@ def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch, error):
 
 def test_recursed_equals_enumerated(enum14, rec20):
     for c in range(3, 15):
-        assert rec20.rows[c] == enum14.rows[c], c
-    assert rec20.provenance == "recursed"
-    assert enum14.provenance == "enumerated"
+        assert rec20[c] == enum14[c], c
 
 
 def test_recursion_examples(rec20):
     # s(8,0) = s(7,2) + s(6,2) + s(6,0) = 5 + 1 + 3
     assert S.histogram_recursed(8, TABLE)[0] == 5 + 1 + 3 == TABLE[8][0]
     assert S.histogram_recursed(5, TABLE)[4] == 1
-    assert rec20.rows[14][0] == 351
+    assert rec20[14][0] == 351
 
 
 def test_recursed_missing_base_rows():
@@ -122,7 +127,7 @@ def test_recursion2_examples():
 
 def test_recursion2_all_rows(rec20):
     for c in range(4, 19):
-        assert S.verify_recursion2(c, rec20.rows), c
+        assert S.verify_recursion2(c, rec20), c
 
 
 def test_symmetry_examples(rec20):
@@ -130,7 +135,7 @@ def test_symmetry_examples(rec20):
     assert TABLE[13][2] == 176 and TABLE[13][4] == 175
     assert TABLE[11][-2] == TABLE[11][8] == 8
     for c in range(3, 19):
-        assert S.verify_symmetry(c, rec20.rows[c]), c
+        assert S.verify_symmetry(c, rec20[c]), c
     assert not S.verify_symmetry(6, {-2: 1, 0: 3, 2: 2})
 
 
@@ -138,7 +143,7 @@ def test_binomial_rows(rec20):
     # m=3, sigma=0: s(7,0)+s(8,0) = 1+9 = C(5,2)
     assert TABLE[7][0] + TABLE[8][0] == math.comb(5, 2)
     for m in range(1, 9):
-        assert S.verify_binomial(m, rec20.rows), m
+        assert S.verify_binomial(m, rec20), m
     bad = {9: TABLE[9], 10: {**TABLE[10], 0: 28}}
     assert not S.verify_binomial(4, bad)
 
@@ -161,20 +166,20 @@ def test_totals_asymptote_field():
     assert r.tot2_m == S.totals(7).tot + S.totals(8).tot
 
 
-def test_verify_tot2():
-    assert S.verify_tot2(2)  # 8 + 4 = 2 C(4,2)
-    assert S.verify_tot2(1)  # 2 + 0 = 1 C(2,1)
+def test_verify_tot2(rows18):
+    assert S.verify_tot2(2, TABLE)  # 8 + 4 = 2 C(4,2)
+    assert S.verify_tot2(1, TABLE)  # 2 + 0 = 1 C(2,1)
     for m in range(1, 9):
-        assert S.verify_tot2(m), m
+        assert S.verify_tot2(m, rows18), m
     assert S.totals(13).tot + S.totals(14).tot == 6 * math.comb(12, 6) == 5544
 
 
-def test_verify_tot_recursion():
+def test_verify_tot_recursion(rows18):
     assert S.totals(6).tot == 2 * 8 - 2 * 2 - 6 * 1 - 2
     for c in range(4, 19, 2):
-        assert S.verify_tot_recursion(c), c
+        assert S.verify_tot_recursion(c, rows18), c
     with pytest.raises(ValueError):
-        S.verify_tot_recursion(7)
+        S.verify_tot_recursion(7, rows18)
 
 
 def test_epsilon_values():
@@ -194,9 +199,38 @@ def test_epsilon_share_decreasing():
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_exact_totals_identities():
+def test_exact_totals_identities(rows18):
     for m in range(1, 7):
-        assert S.verify_totals_identity(m), m
+        assert S.verify_totals_identity(m, rows18), m
+
+
+def test_totals_never_enumerate_and_match_enumerated_rows(monkeypatch, enum14):
+    def refuse(*args, **kwargs):
+        raise AssertionError("totals must not enumerate the histogram")
+
+    monkeypatch.setattr(S, "histogram_enumerated", refuse)
+    for c in range(3, 15):
+        r = S.totals(c)
+        m = (c - 1) // 2
+        assert r.tot == S.total_abs(enum14[c]), c
+        assert r.tot2_m == (S.total_abs(enum14[2 * m + 1])
+                            + S.total_abs(enum14[2 * m + 2])), c
+        assert r.avg_abs_sigma == Fraction(
+            S.total_abs(enum14[c]) + S.palindromic_total_abs(c),
+            2 * W.knot_count(c)), c
+
+
+def test_palindromic_total_budget(monkeypatch):
+    assert S.palindromic_total_abs(26) == 0
+    assert S.palindromic_total_abs(25) > 0
+    with pytest.raises(BudgetError, match="half-masks"):
+        S.palindromic_total_abs(43)
+    # c = 42 walks exactly 2^(ENUMERATION_BUDGET-2) half-masks, the last
+    # size allowed; an empty generator keeps this check instant.
+    monkeypatch.setattr(S, "enumerate_palindromic_words", lambda c: iter(()))
+    assert S.palindromic_total_abs(2 * S.ENUMERATION_BUDGET - 2) == 0
+    with pytest.raises(BudgetError):
+        S.palindromic_total_abs(2 * S.ENUMERATION_BUDGET - 1)
 
 
 def test_palindromic_share_vanishes():
@@ -233,14 +267,14 @@ def test_asymptote_gap_sequence():
 
 
 def test_csv_roundtrip(enum14):
-    text = S.row_to_csv(8, enum14.rows[8])
+    text = S.row_to_csv(8, enum14[8])
     c, row = S.row_from_csv(text)
-    assert c == 8 and row == enum14.rows[8]
+    assert c == 8 and row == enum14[8]
     assert text.startswith("# twobridge sig-table schema=1 sha256=")
 
 
 def test_csv_detects_tampering(enum14):
-    text = S.row_to_csv(8, enum14.rows[8])
+    text = S.row_to_csv(8, enum14[8])
     broken = text.replace("8,0,9", "8,0,7")
     with pytest.raises(ValueError, match="sha256"):
         S.row_from_csv(broken)
@@ -252,16 +286,16 @@ def test_csv_detects_tampering(enum14):
 
 def test_cache_store_and_load(tmp_path, enum14):
     assert S.load_cached_row(tmp_path, 9) is None
-    path = S.store_cached_row(tmp_path, 9, enum14.rows[9])
+    path = S.store_cached_row(tmp_path, 9, enum14[9])
     assert path.name == "sig-c09.csv"
-    assert S.load_cached_row(tmp_path, 9) == enum14.rows[9]
+    assert S.load_cached_row(tmp_path, 9) == enum14[9]
     path.write_text(path.read_text().replace("9,0,6", "9,0,5"))
     with pytest.raises(ValueError):
         S.load_cached_row(tmp_path, 9)
 
 
 def test_cache_write_interrupted_keeps_old_row(tmp_path, monkeypatch, enum14):
-    S.store_cached_row(tmp_path, 9, enum14.rows[9])
+    S.store_cached_row(tmp_path, 9, enum14[9])
 
     def crash(src, dst):
         raise KeyboardInterrupt
@@ -270,5 +304,5 @@ def test_cache_write_interrupted_keeps_old_row(tmp_path, monkeypatch, enum14):
     with pytest.raises(KeyboardInterrupt):
         S.store_cached_row(tmp_path, 9, {0: 1})
     monkeypatch.undo()
-    assert S.load_cached_row(tmp_path, 9) == enum14.rows[9]
+    assert S.load_cached_row(tmp_path, 9) == enum14[9]
     assert [p.name for p in tmp_path.iterdir()] == ["sig-c09.csv"]
