@@ -66,7 +66,7 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
-def _refuse(ctx: click.Context, problem: BudgetError) -> NoReturn:
+def _refuse(ctx: click.Context, problem: BudgetError | str) -> NoReturn:
     """Over-budget request: one line on stderr, exit 2."""
     click.echo(f"Error: {problem}", err=True)
     ctx.exit(2)
@@ -128,6 +128,12 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
     cache = _resolve_cache_dir(cache_dir)
     if workers is None:
         workers = _default_workers()
+    if method != "recurse":
+        # The work grows with c: refuse the whole range before any row.
+        try:
+            sigtables.check_enumeration_budget(max(c_values))
+        except BudgetError as problem:
+            _refuse(ctx, problem)
     recursed = (sigtables.recursed_table(max(c_values))
                 if method in ("recurse", "both") else None)
 
@@ -138,10 +144,7 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
             if cache is not None:
                 sigtables.store_cached_row(cache, c, rows[c])
             continue
-        try:
-            rows[c] = _cached_histogram(c, cache, workers)
-        except BudgetError as problem:
-            _refuse(ctx, problem)
+        rows[c] = _cached_histogram(c, cache, workers)
         if method == "both" and rows[c] != recursed[c]:
             click.echo(f"mismatch between enumeration and recursion at c={c}",
                        err=True)
@@ -165,12 +168,14 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
 @click.pass_context
 def cmd_avg_sig(ctx: click.Context, c_values: tuple[int, ...], fmt: str) -> None:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
+    # The work grows with c: refuse the whole range before any row.
+    try:
+        sigtables.check_palindrome_budget(max(c_values))
+    except BudgetError as problem:
+        _refuse(ctx, problem)
     entries = []
     for c in c_values:
-        try:
-            report = sigtables.totals(c)
-        except BudgetError as problem:
-            _refuse(ctx, problem)
+        report = sigtables.totals(c)
         root = math.sqrt(2 * c / math.pi)
         gap = float(report.avg_abs_sigma) - root
         entries.append((c, report.avg_abs_sigma, root, gap))
@@ -195,7 +200,9 @@ def cmd_avg_sig(ctx: click.Context, c_values: tuple[int, ...], fmt: str) -> None
               help="Block size; defaults to ceil(log10 c).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="json", show_default=True)
-def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> None:
+@click.pass_context
+def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
+           fmt: str) -> None:
     """4-genus interval for one word, or the mean bound over T(c)."""
     if (word is None) == (c is None):
         raise click.UsageError("pass exactly one of --word or --c")
@@ -221,7 +228,9 @@ def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> None:
     block = s if s is not None else cobordism.choose_block_size(c)
     try:
         row = cobordism.average_g4_row(c, block)
-    except (ValueError, BudgetError) as problem:
+    except BudgetError as problem:
+        _refuse(ctx, problem)
+    except ValueError as problem:
         raise click.UsageError(str(problem))
     mean = row.mean_upper
     if fmt == "json":
@@ -277,9 +286,8 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
         try:
             value = markov.exact_expected_distance(s, t)
         except BudgetError:
-            raise click.UsageError(
-                f"exact walk at s={s}, t={t} is above the work budget; drop "
-                "--exact to sample instead")
+            _refuse(ctx, f"exact walk at s={s}, t={t} is above the work "
+                         "budget; drop --exact to sample instead")
         ok = markov.distance_bound_holds(s, t, value)
         _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "exact",
                     "mean": float(value),

@@ -17,10 +17,18 @@ the (start, end) states of the class and of its mirror, and its type.
 Classes are grouped by signature, and one exact integer dynamic program
 per group over (orientation state, D_w) across the t uniform blocks gives
 every moment in O(t^2) steps instead of a sum over all 2^(s t) block
-sequences (the tests keep that enumeration as the oracle).  Monte Carlo
-sampling covers walks past the work budget.  The module checks the
-taxicab-distance bound 3 sqrt(2^s t) + p and the per-class second-moment
-bound 4 t / 2^s.
+sequences (the tests keep that enumeration as the oracle).  The module
+checks the taxicab-distance bound 3 sqrt(2^s t) + p and the per-class
+second-moment bound 4 t / 2^s.
+
+Monte Carlo sampling covers walks past the work budget.  Each summand id
+carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
+keys groups every class, and one run-length pass gives each class's signed
+count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
+chunks of at most 2^22 blocks; the draws do not depend on the chunking.
+The lookup tables behind both paths are built by prefix doubling over the
+blocks, O(2^s) work in all, and only the last block size's tables are
+kept.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ from .errors import BudgetError
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
 # Work guard for the exact walk, in table entries plus DP cells (see
-# walk_work), and the vectorization chunk size for Monte Carlo sampling.
+# walk_work), and the most blocks (at least one walk) that Monte Carlo
+# sampling draws and scores at once.
 WALK_WORK_BUDGET = 1 << 22
-_CHUNK = 1 << 16
+_CELL_CAP = 1 << 22
 
 # Signature groups are at most the 9 (start, end) pairs times the type: a
 # mirror's (start, end) is the flip of the class's (end, start).
@@ -196,8 +205,9 @@ class _WalkTables:
 
     s: int
     next_state: np.ndarray
-    canon: np.ndarray
-    sign: np.ndarray
+    # Sort key 2 * canon + [mirror side] per id: canon is the class's
+    # canonical id, and the mirror side of a class counts -1 in D_w.
+    key: np.ndarray
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
     classes: np.ndarray  # canonical ids in increasing order, one per class
     class_group: np.ndarray  # signature group of each entry of ``classes``
@@ -207,24 +217,28 @@ class _WalkTables:
     group_sizes: np.ndarray  # number of classes in each group
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _tables(s: int) -> _WalkTables:
-    half = 1 << s
-    blocks = np.arange(half, dtype=np.int64)
-
-    # Orientation states after each prefix, starting from each of 1, 2, 3.
+    # End state after each block from each start state, and each block with
+    # its letters reversed, by prefix doubling: the block b of k + 1 letters
+    # is the block b >> 1 of k letters followed by the letter b & 1.
     a_step = np.array([0, 1, 3, 2], dtype=np.int64)
     b_step = np.array([0, 2, 1, 3], dtype=np.int64)
-    states = np.repeat(np.arange(1, 4, dtype=np.int64), half).reshape(3, half)
-    for j in range(s):
-        bit = (blocks >> (s - 1 - j)) & 1
-        states = np.where(bit == 0, a_step[states], b_step[states])
-    ends = states  # shape (3, half): end state per (start, block)
+    ends = np.arange(1, 4, dtype=np.int64)[:, None]  # shape (3, 2^k)
+    reversed_bits = np.zeros(1, dtype=np.int64)
+    for k in range(s):
+        longer = np.empty((3, 2 << k), dtype=np.int64)
+        longer[:, 0::2] = a_step[ends]
+        longer[:, 1::2] = b_step[ends]
+        ends = longer
+        flipped = np.empty(2 << k, dtype=np.int64)
+        flipped[0::2] = reversed_bits
+        flipped[1::2] = reversed_bits | (1 << k)
+        reversed_bits = flipped
 
     # Mirror block: reverse the letter order and swap a <-> b.
-    reversed_bits = np.zeros(half, dtype=np.int64)
-    for j in range(s):
-        reversed_bits = (reversed_bits << 1) | ((blocks >> j) & 1)
+    half = 1 << s
+    blocks = np.arange(half, dtype=np.int64)
     mirror_block = (half - 1) ^ reversed_bits
     is_pal_block = mirror_block == blocks
 
@@ -234,7 +248,7 @@ def _tables(s: int) -> _WalkTables:
     mirror_id = (flip[next_state] - 1) * half + np.tile(mirror_block, 3)
     is_pal = np.tile(is_pal_block, 3)
     canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
-    sign = np.where(is_pal | (ids == canon), 1, -1).astype(np.int64)
+    key = (2 * canon + (canon != ids)).astype(np.int32)
 
     # Group the classes by signature code, a mixed-radix number < 162.
     classes = np.flatnonzero(canon == ids)
@@ -247,7 +261,7 @@ def _tables(s: int) -> _WalkTables:
     group_of_code[present] = np.arange(present.size)
     signatures = np.stack([present // 54, present // 18 % 3, present // 6 % 3,
                            present // 2 % 3, present % 2], axis=1)
-    return _WalkTables(s, next_state, canon, sign, is_pal, classes,
+    return _WalkTables(s, next_state, key, is_pal, classes,
                        group_of_code[codes], signatures, counts[present])
 
 
@@ -258,50 +272,35 @@ def oriented_word_key(s: int, ident: int) -> str:
     return f"o{state + 1}:{letters}"
 
 
-def _walk_segments(blocks: np.ndarray, tables: _WalkTables):
-    """Per-sequence class displacements.
+def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
+    """Walk distance of each row of a (rows, t) array of blocks.
 
-    Returns (keys, runs, pal, end) arrays of shape (rows, t): at positions
-    where ``end`` is True, ``runs`` holds the total signed displacement of
-    the class ``keys`` over that sequence (match count for palindromic-type
-    classes, where parity is what matters).
+    Sorting a row's summand keys puts each class's summands next to each
+    other, own side (+1) before mirror side (-1).  One run-length pass over
+    the sorted rows sums each class's signed count D_w, which contributes
+    |D_w|, or its parity for a palindromic-type class.
     """
     rows, t = blocks.shape
     s = tables.s
-    keys = np.empty((rows, t), dtype=np.int64)
-    signs = np.empty((rows, t), dtype=np.int64)
+    keys = np.empty((rows, t), dtype=np.int32)
     state = np.ones(rows, dtype=np.int64)
     for step in range(t):
         ident = (state - 1) * (1 << s) + blocks[:, step]
-        keys[:, step] = tables.canon[ident]
-        signs[:, step] = tables.sign[ident]
+        keys[:, step] = tables.key[ident]
         state = tables.next_state[ident]
+    keys.sort(axis=1)
 
-    order = np.argsort(keys, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, order, axis=1)
-    signs = np.take_along_axis(signs, order, axis=1)
-    sums = np.cumsum(signs, axis=1)
-
-    start = np.empty((rows, t), dtype=bool)
-    start[:, 0] = True
-    start[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    end = np.empty_like(start)
-    end[:, -1] = True
-    end[:, :-1] = start[:, 1:]
-
-    before = np.empty_like(sums)
-    before[:, 0] = 0
-    before[:, 1:] = sums[:, :-1]
-    anchor = np.where(start, np.arange(t, dtype=np.int64), 0)
-    np.maximum.accumulate(anchor, axis=1, out=anchor)
-    runs = sums - np.take_along_axis(before, anchor, axis=1)
-    return keys, runs, tables.is_pal[keys], end
-
-
-def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
-    keys, runs, pal, end = _walk_segments(blocks, tables)
-    contributions = np.where(pal, runs & 1, np.abs(runs))
-    return np.where(end, contributions, 0).sum(axis=1)
+    flat = keys.reshape(-1)
+    canon = flat >> 1
+    first = np.empty(flat.size, dtype=bool)
+    first[0] = True
+    np.not_equal(canon[1:], canon[:-1], out=first[1:])
+    first[::t] = True  # a run never crosses into the next row
+    starts = np.flatnonzero(first)
+    counts = np.add.reduceat(1 - 2 * (flat & 1), starts)
+    contributions = np.where(tables.is_pal[canon[starts]], counts & 1, np.abs(counts))
+    return np.bincount(starts // t, weights=contributions,
+                       minlength=rows).astype(np.int64)
 
 
 def walk_work(s: int, t: int) -> int:
@@ -394,7 +393,13 @@ def distance_bound_holds(s: int, t: int, expected: Fraction) -> bool:
 
 def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
                          ) -> tuple[float, float]:
-    """Sampled (mean, standard error) of the walk distance."""
+    """Sampled (mean, standard error) of the walk distance.
+
+    Trials are drawn in chunks of at most 2^22 blocks (whole trials, at
+    least one per chunk) and scored by the row-sort kernel.  The chunked
+    draws concatenate to the single draw of all trials, so the samples, and
+    the result, depend only on (s, t, trials, seed), not on the chunking.
+    """
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if trials < 2:
@@ -404,8 +409,9 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     rng = np.random.Generator(np.random.Philox(seed))
     tables = _tables(s)
     distances = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, _CHUNK):
-        hi = min(lo + _CHUNK, trials)
+    rows = max(1, _CELL_CAP // t)
+    for lo in range(0, trials, rows):
+        hi = min(lo + rows, trials)
         blocks = rng.integers(0, 1 << s, size=(hi - lo, t), dtype=np.int64)
         distances[lo:hi] = _distances(blocks, tables)
     mean = float(distances.mean())

@@ -54,6 +54,16 @@ def _shard(args: tuple[int, int, int]) -> Counter:
     return h
 
 
+def check_enumeration_budget(c: int) -> None:
+    """Raise BudgetError if enumerating T(c) is above ENUMERATION_BUDGET."""
+    if c > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"enumerating c={c} means {1 << (c - 2)} exponent masks and "
+            f"{word_count(c)} diagrams; the budget stops at "
+            f"c={ENUMERATION_BUDGET}"
+        )
+
+
 def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
@@ -64,12 +74,7 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    if c > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"enumerating c={c} means {1 << (c - 2)} exponent masks and "
-            f"{word_count(c)} diagrams; the budget stops at "
-            f"c={ENUMERATION_BUDGET}"
-        )
+    check_enumeration_budget(c)
     n_masks = 1 << (c - 2)
     if workers and workers > 1 and n_masks >= 1 << 10:
         chunks = []
@@ -195,19 +200,25 @@ def total_abs(row: Row) -> int:
     return sum(abs(s) * n for s, n in row.items())
 
 
-def palindromic_total_abs(c: int) -> int:
-    """Sum of |sigma| over the palindromic words only.
-
-    Enumerates just the 2^((c-1)//2) half-masks of the palindromes, and
-    refuses above the 2^(ENUMERATION_BUDGET-2) masks that
-    ``histogram_enumerated`` allows.
-    """
+def check_palindrome_budget(c: int) -> None:
+    """Raise BudgetError if the 2^((c-1)//2) palindrome half-masks of T(c)
+    are more than the 2^(ENUMERATION_BUDGET-2) masks that
+    ``histogram_enumerated`` allows."""
     half = (c - 1) // 2
     if half > ENUMERATION_BUDGET - 2:
         raise BudgetError(
             f"palindromic total at c={c} means {1 << half} half-masks; the "
             f"budget stops at 2^{ENUMERATION_BUDGET - 2} (c <= "
             f"{2 * ENUMERATION_BUDGET - 2})")
+
+
+def palindromic_total_abs(c: int) -> int:
+    """Sum of |sigma| over the palindromic words only.
+
+    Enumerates just the 2^((c-1)//2) half-masks of the palindromes, within
+    ``check_palindrome_budget``.
+    """
+    check_palindrome_budget(c)
     return sum(abs(signature(w)) for w in enumerate_palindromic_words(c))
 
 

@@ -7,6 +7,7 @@ arguments and seed are byte-identical.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,25 @@ def test_avg_sig_over_budget_exits_2():
     assert "half-masks" in result.stderr
 
 
+@pytest.mark.parametrize("args, work, message", [
+    (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
+     "histogram_enumerated", "budget stops at c=22"),
+    (("avg-sig", "--c", "3..43"), "totals", "half-masks"),
+])
+def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget range must be refused first")
+
+    monkeypatch.setattr(sigtables, work, refuse)
+    start = time.perf_counter()
+    result = invoke(*args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
 def test_avg_sig_never_enumerates_rows(monkeypatch):
     enumerated = {c: sigtables.histogram_enumerated(c) for c in range(3, 15)}
 
@@ -211,6 +231,8 @@ def test_g4_aggregate_below_bound():
 def test_g4_aggregate_refuses_huge_c():
     result = invoke("g4", "--c", "40")
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
     assert "refusing" in result.stderr
 
 
@@ -234,6 +256,8 @@ def test_walk_sim_exact():
 def test_walk_sim_exact_over_budget():
     result = invoke("walk-sim", "--s", "4", "--t", "1000", "--exact")
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
     assert "--exact" in result.stderr
 
 

@@ -13,8 +13,8 @@ from twobridge.diagram import orientation_after
 from twobridge.errors import BudgetError
 from twobridge.markov import (
     WALK_WORK_BUDGET,
+    _distances,
     _tables,
-    _walk_segments,
     class_bucket,
     contraction_gap,
     distance_bound,
@@ -55,6 +55,96 @@ def brute_force_expected_distance(s, t):
     return Fraction(total, len(blocks) ** t)
 
 
+def reference_tables(s):
+    """Per-bit build of the walk tables: s passes over all 3 * 2^s ids for
+    the end states and s more for the mirror blocks.  Returns the fields
+    of ``_WalkTables`` with the sort key split into canonical id and sign."""
+    half = 1 << s
+    blocks = np.arange(half, dtype=np.int64)
+
+    a_step = np.array([0, 1, 3, 2], dtype=np.int64)
+    b_step = np.array([0, 2, 1, 3], dtype=np.int64)
+    states = np.repeat(np.arange(1, 4, dtype=np.int64), half).reshape(3, half)
+    for j in range(s):
+        bit = (blocks >> (s - 1 - j)) & 1
+        states = np.where(bit == 0, a_step[states], b_step[states])
+
+    reversed_bits = np.zeros(half, dtype=np.int64)
+    for j in range(s):
+        reversed_bits = (reversed_bits << 1) | ((blocks >> j) & 1)
+    mirror_block = (half - 1) ^ reversed_bits
+    is_pal_block = mirror_block == blocks
+
+    flip = np.array([0, 3, 2, 1], dtype=np.int64)
+    ids = np.arange(3 * half, dtype=np.int64)
+    next_state = states.reshape(-1)
+    mirror_id = (flip[next_state] - 1) * half + np.tile(mirror_block, 3)
+    is_pal = np.tile(is_pal_block, 3)
+    canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
+    sign = np.where(is_pal | (ids == canon), 1, -1).astype(np.int64)
+
+    classes = np.flatnonzero(canon == ids)
+    mirrors = mirror_id[classes]
+    codes = ((((classes >> s) * 3 + next_state[classes] - 1) * 3
+              + (mirrors >> s)) * 3 + next_state[mirrors] - 1) * 2 + is_pal[classes]
+    counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
+    group_of_code = np.zeros(counts.size, dtype=np.int8)
+    group_of_code[present] = np.arange(present.size)
+    signatures = np.stack([present // 54, present // 18 % 3, present // 6 % 3,
+                           present // 2 % 3, present % 2], axis=1)
+    return {"next_state": next_state, "canon": canon, "sign": sign,
+            "is_pal": is_pal, "classes": classes,
+            "class_group": group_of_code[codes], "signatures": signatures,
+            "group_sizes": counts[present]}
+
+
+def walk_segments(blocks, tables):
+    """Argsort oracle for the walk kernel: per-sequence class displacements.
+
+    Returns (keys, runs, pal, end) arrays of shape (rows, t): at positions
+    where ``end`` is True, ``runs`` holds the total signed displacement of
+    the class ``keys`` over that sequence (match count for palindromic-type
+    classes, where parity is what matters).
+    """
+    rows, t = blocks.shape
+    s = tables.s
+    keys = np.empty((rows, t), dtype=np.int64)
+    signs = np.empty((rows, t), dtype=np.int64)
+    state = np.ones(rows, dtype=np.int64)
+    for step in range(t):
+        ident = (state - 1) * (1 << s) + blocks[:, step]
+        keys[:, step] = tables.key[ident] >> 1
+        signs[:, step] = 1 - 2 * (tables.key[ident] & 1)
+        state = tables.next_state[ident]
+
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    signs = np.take_along_axis(signs, order, axis=1)
+    sums = np.cumsum(signs, axis=1)
+
+    start = np.empty((rows, t), dtype=bool)
+    start[:, 0] = True
+    start[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    end = np.empty_like(start)
+    end[:, -1] = True
+    end[:, :-1] = start[:, 1:]
+
+    before = np.empty_like(sums)
+    before[:, 0] = 0
+    before[:, 1:] = sums[:, :-1]
+    anchor = np.where(start, np.arange(t, dtype=np.int64), 0)
+    np.maximum.accumulate(anchor, axis=1, out=anchor)
+    runs = sums - np.take_along_axis(before, anchor, axis=1)
+    return keys, runs, tables.is_pal[keys], end
+
+
+def oracle_distances(blocks, tables):
+    keys, runs, pal, end = walk_segments(blocks, tables)
+    contributions = np.where(pal, runs & 1, np.abs(runs))
+    return np.where(end, contributions, 0).sum(axis=1)
+
+
 def enumerated_class_totals(s, t):
     """Vectorized walk oracle: sums of each class's |D_w| (parity for
     palindromic types) and of its square over all 2^(s t) block sequences,
@@ -66,7 +156,7 @@ def enumerated_class_totals(s, t):
     for lo in range(0, total_sequences, 1 << 16):
         seqs = np.arange(lo, min(lo + (1 << 16), total_sequences), dtype=np.int64)
         blocks = (seqs[:, None] >> (s * np.arange(t))) & ((1 << s) - 1)
-        keys, runs, pal, end = _walk_segments(blocks, tables)
+        keys, runs, pal, end = walk_segments(blocks, tables)
         flat_runs = np.where(pal[end], runs[end] & 1, np.abs(runs[end]))
         np.add.at(abs_totals, keys[end], flat_runs)
         np.add.at(square_totals, keys[end], flat_runs * flat_runs)
@@ -197,6 +287,43 @@ def test_monte_carlo_deterministic():
     assert first == second
     assert monte_carlo_distance(3, 20, 500, seed=43) != first
     assert monte_carlo_distance(3, 0, 500, seed=1) == (0.0, 0.0)
+
+
+def test_tables_match_per_bit_reference():
+    for s in range(1, 19):
+        tables = _tables(s)
+        reference = reference_tables(s)
+        assert tables.s == s
+        for name in ("next_state", "is_pal", "classes", "class_group",
+                     "signatures", "group_sizes"):
+            field = getattr(tables, name)
+            assert field.dtype == reference[name].dtype, (s, name)
+            assert np.array_equal(field, reference[name]), (s, name)
+        assert tables.key.dtype == np.int32
+        assert np.array_equal(tables.key,
+                              2 * reference["canon"] + (reference["sign"] < 0)), s
+
+
+def test_distances_match_argsort_oracle():
+    rng = np.random.default_rng(2024)
+    for s in range(1, 21):
+        tables = _tables(s)
+        for t in (1, 2, 3, 7, 50, 300):
+            if s >= 17 and t > 50:
+                continue
+            blocks = rng.integers(0, 1 << s, size=(40, t), dtype=np.int64)
+            distances = _distances(blocks, tables)
+            assert distances.dtype == np.int64
+            assert np.array_equal(distances, oracle_distances(blocks, tables)), (s, t)
+
+
+def test_monte_carlo_pinned_values():
+    assert monte_carlo_distance(4, 100, 10 ** 4, seed=0) == \
+        (34.1976, 0.05688039171714793)
+    # 700000 walks of 7 blocks exceed one chunk of 2^22 blocks.
+    assert 700000 * 7 > 1 << 22
+    assert monte_carlo_distance(3, 7, 700000, seed=5) == \
+        (5.61438, 0.0017120068797528236)
 
 
 def test_monte_carlo_matches_exact():
