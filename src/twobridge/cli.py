@@ -3,8 +3,11 @@
 All commands print deterministic output for a fixed (version, options,
 seed): JSON objects carry ``"schema": 1`` and sorted keys, CSV tables carry
 a schema comment line.  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.  The environment variable ``TB_CACHE_DIR``
-overrides ``--cache-dir`` wherever caching applies.
+2 usage or domain error.  A request that twobridge refuses prints one
+``Error:`` line on stderr and nothing on stdout; click's own parse errors
+(an unknown option, a missing or ill-typed value) keep click's usage
+block.  The row cache holds enumerated rows only; the environment
+variable ``TB_CACHE_DIR`` overrides ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def _crossing_number(ctx: click.Context, param: click.Parameter,
                      c: int | None) -> int | None:
     """Option callback: a crossing number must be at least 3."""
     if c is not None and c < 3:
-        raise click.UsageError(f"crossing number must be >= 3, got {c}")
+        _refuse(ctx, f"crossing number must be >= 3, got {c}")
     return c
 
 
@@ -44,9 +47,9 @@ def _parse_c_range(ctx: click.Context, param: click.Parameter,
         else:
             lo = hi = int(text)
     except ValueError:
-        raise click.UsageError(f"cannot parse crossing-number range {text!r}")
+        _refuse(ctx, f"cannot parse crossing-number range {text!r}")
     if lo > hi:
-        raise click.UsageError(f"empty crossing-number range {text!r}")
+        _refuse(ctx, f"empty crossing-number range {text!r}")
     _crossing_number(ctx, param, lo)
     return tuple(range(lo, hi + 1))
 
@@ -66,8 +69,8 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
-def _refuse(ctx: click.Context, problem: BudgetError | str) -> NoReturn:
-    """Over-budget request: one line on stderr, exit 2."""
+def _refuse(ctx: click.Context, problem: Exception | str) -> NoReturn:
+    """Misuse or an over-budget request: one line on stderr, exit 2."""
     click.echo(f"Error: {problem}", err=True)
     ctx.exit(2)
 
@@ -118,7 +121,7 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--cache-dir", default=None,
-              help="Row cache directory (TB_CACHE_DIR overrides).")
+              help="Enumerated-row cache directory (TB_CACHE_DIR overrides).")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Enumeration shards; defaults to available parallelism.")
 @click.pass_context
@@ -140,9 +143,9 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
     rows: dict[int, sigtables.Row] = {}
     for c in c_values:
         if method == "recurse":
+            # The cache holds enumerated rows only: a recursed row stored
+            # there would later be compared with itself.
             rows[c] = recursed[c]
-            if cache is not None:
-                sigtables.store_cached_row(cache, c, rows[c])
             continue
         rows[c] = _cached_histogram(c, cache, workers)
         if method == "both" and rows[c] != recursed[c]:
@@ -205,17 +208,17 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
            fmt: str) -> None:
     """4-genus interval for one word, or the mean bound over T(c)."""
     if (word is None) == (c is None):
-        raise click.UsageError("pass exactly one of --word or --c")
+        _refuse(ctx, "pass exactly one of --word or --c")
     if word is not None:
         try:
             c_word = words.validate_word(word)
         except ValueError as problem:
-            raise click.UsageError(f"invalid word: {problem}")
+            _refuse(ctx, f"invalid word: {problem}")
         block = s if s is not None else cobordism.choose_block_size(c_word)
         try:
             report = cobordism.decompose(word, block)
         except ValueError as problem:
-            raise click.UsageError(str(problem))
+            _refuse(ctx, problem)
         _echo_json({
             "schema": SCHEMA, "word": word, "c": c_word, "s": block,
             "t": report.t, "r": report.r,
@@ -228,10 +231,8 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
     block = s if s is not None else cobordism.choose_block_size(c)
     try:
         row = cobordism.average_g4_row(c, block)
-    except BudgetError as problem:
+    except (BudgetError, ValueError) as problem:
         _refuse(ctx, problem)
-    except ValueError as problem:
-        raise click.UsageError(str(problem))
     mean = row.mean_upper
     if fmt == "json":
         _echo_json({
@@ -255,7 +256,7 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
 def cmd_markov_verify(ctx: click.Context, s: int, kmax: int) -> None:
     """Exact transition-matrix verifications up to the given sizes."""
     if s < 1 or kmax < 1:
-        raise click.UsageError("--s and --kmax must be >= 1")
+        _refuse(ctx, "--s and --kmax must be >= 1")
     results = {
         "empirical": all(markov.verify_empirical(n) for n in range(1, s + 1)),
         "closed_form": markov.verify_closed_form(s, kmax),
@@ -280,7 +281,7 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
                  trials: int, seed: int) -> None:
     """Summand-walk expected distance versus the taxicab bound."""
     if s < 1 or t < 0:
-        raise click.UsageError("need --s >= 1 and --t >= 0")
+        _refuse(ctx, "need --s >= 1 and --t >= 0")
     bound = markov.distance_bound(s, t)
     if exact:
         try:
@@ -297,7 +298,7 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
         try:
             mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)
         except ValueError as problem:
-            raise click.UsageError(str(problem))
+            _refuse(ctx, problem)
         ok = mean - 3 * stderr <= bound
         _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "monte-carlo",
                     "trials": trials, "seed": seed, "mean": mean,
@@ -313,7 +314,7 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
 def cmd_verify_all(ctx: click.Context, budget_c: int | None) -> None:
     """Run every named verification check; exit 0 only if all pass."""
     if budget_c is not None and budget_c < 3:
-        raise click.UsageError("--budget-c must be >= 3")
+        _refuse(ctx, "--budget-c must be >= 3")
     results = checks.run_all(budget_c)
     payload = {
         "schema": SCHEMA,

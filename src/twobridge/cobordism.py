@@ -83,15 +83,6 @@ def is_palindromic_type(letters: str) -> bool:
     return swap_braid(letters[::-1]) == letters
 
 
-def canonical_key(x: OrientedWord) -> str:
-    """Canonical class label: a palindromic-type block labels itself, any
-    other block shares a label with its mirror (lexicographically smaller
-    serialization wins)."""
-    if is_palindromic_type(x.letters):
-        return x.serialize()
-    return min(x.serialize(), mirror(x).serialize())
-
-
 @dataclass(frozen=True)
 class SummandClass:
     key: str
@@ -99,6 +90,9 @@ class SummandClass:
 
 
 def summand_class(x: OrientedWord) -> SummandClass:
+    """Mirror class of a summand: a palindromic-type block labels itself,
+    any other block shares a label with its mirror (lexicographically
+    smaller serialization wins) and is "plus" when it holds that label."""
     if is_palindromic_type(x.letters):
         return SummandClass(x.serialize(), "self_mirror")
     own = x.serialize()
@@ -197,17 +191,14 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     return fix
 
 
-def fixed_crossing_count(x: OrientedWord) -> int:
-    """Crossing count of a summand after any link repair it needs."""
-    if component_count(x) == 1:
-        return len(x.letters)
-    fix = link_lemma_fix(x)
-    return len(x.letters) + fix.added_crossings
-
-
 def cancel_mirrors(summands: list[OrientedWord] | tuple[OrientedWord, ...]
                    ) -> tuple[int, tuple[str, ...]]:
-    """Cancel mirror-image summand pairs; return (count, residual keys).
+    """Cancel mirror-image summand pairs; return (count, residual keys)."""
+    return _cancel(Counter(map(summand_class, summands)))
+
+
+def _cancel(classes: Counter[SummandClass]) -> tuple[int, tuple[str, ...]]:
+    """Cancel mirror pairs within a multiset of summand classes.
 
     A mirror pair's connected sum is slice, so opposite polarities within a
     class cancel and the class survives |plus - minus| times.  A
@@ -216,12 +207,11 @@ def cancel_mirrors(summands: list[OrientedWord] | tuple[OrientedWord, ...]
     """
     displacement: Counter[str] = Counter()
     parity: Counter[str] = Counter()
-    for x in summands:
-        cls = summand_class(x)
+    for cls, n in classes.items():
         if cls.polarity == "self_mirror":
-            parity[cls.key] ^= 1
+            parity[cls.key] ^= n & 1
         else:
-            displacement[cls.key] += 1 if cls.polarity == "plus" else -1
+            displacement[cls.key] += n if cls.polarity == "plus" else -n
     residual: list[str] = []
     for key, value in displacement.items():
         residual.extend([key] * abs(value))
@@ -292,16 +282,22 @@ def decompose(word: str, s: int) -> DecompositionReport:
         cut_states.append(state)
     cut_saddles = sum(2 if q == 2 else 1 for q in cut_states)
 
-    # Link repairs for the summands, computed once per distinct oriented word
-    # but charged per occurrence.
-    fix_cache: dict[OrientedWord, LinkFix | None] = {}
+    # Mirror class and link repair of each distinct oriented word, worked
+    # out once and charged per occurrence.  A class's residual copies cost
+    # the repaired crossing count of its first summand (mirrors cost the
+    # same).
+    classes: Counter[SummandClass] = Counter()
+    crossings: dict[str, int] = {}
     link_fix_saddles = 0
-    for x in summands:
-        if x not in fix_cache:
-            fix_cache[x] = link_lemma_fix(x) if component_count(x) == 2 else None
-        fix = fix_cache[x]
-        if fix is not None:
-            link_fix_saddles += fix.saddles
+    for x, n in Counter(summands).items():
+        cls = summand_class(x)
+        classes[cls] += n
+        added = 0
+        if component_count(x) == 2:
+            fix = link_lemma_fix(x)
+            link_fix_saddles += n * fix.saddles
+            added = fix.added_crossings
+        crossings.setdefault(cls.key, len(x.letters) + added)
 
     remainder = braid[1 + t * s:]
     if not len(remainder) == r - 1 >= 1:
@@ -320,11 +316,8 @@ def decompose(word: str, s: int) -> DecompositionReport:
         remainder_fix_saddles = 0
         remaining = r - 1
 
-    residual_count, residual = cancel_mirrors(summands)
-    by_key: dict[str, OrientedWord] = {}
-    for x in summands:
-        by_key.setdefault(canonical_key(x), x)
-    residual_crossings = tuple(fixed_crossing_count(by_key[key]) for key in residual)
+    _, residual = _cancel(classes)
+    residual_crossings = tuple(crossings[key] for key in residual)
 
     total_saddles = cut_saddles + link_fix_saddles + remainder_fix_saddles
     # Knot-to-knot cobordisms use an even number of saddle moves.
@@ -423,10 +416,6 @@ def average_g4_bound(m: int, s: int) -> AverageG4Report:
     """Average the saddle-move upper bound over T(2m+1) and T(2m+2)."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if 2 ** (2 * m - 1) > 1 << 17:
-        raise BudgetError(
-            f"averaging over T({2 * m + 1}) and T({2 * m + 2}) walks "
-            f"2^{2 * m - 1} exponent masks; refusing above 2^17")
     rows = tuple(average_g4_row(c, s) for c in (2 * m + 1, 2 * m + 2))
     total = sum(row.mean_upper * row.words for row in rows)
     count = sum(row.words for row in rows)

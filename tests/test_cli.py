@@ -25,6 +25,14 @@ def invoke(*args):
     return runner.invoke(main, list(args))
 
 
+def assert_refused(result, message):
+    """A refusal by twobridge itself: exit 2, nothing on stdout, and one
+    ``Error:`` line on stderr with no usage block."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {message}\n"
+
+
 def test_enumerate_lists_words():
     result = invoke("enumerate", "--c", "5")
     assert result.exit_code == 0
@@ -38,9 +46,8 @@ def test_enumerate_count_only():
 
 
 def test_enumerate_rejects_small_c():
-    result = invoke("enumerate", "--c", "2")
-    assert result.exit_code == 2
-    assert "crossing number" in result.stderr
+    assert_refused(invoke("enumerate", "--c", "2"),
+                   "crossing number must be >= 3, got 2")
 
 
 def test_sig_table_csv_round_trips():
@@ -101,6 +108,30 @@ def test_cache_env_var_beats_option(tmp_path, monkeypatch):
     assert not (option_dir / "sig-c05.csv").exists()
 
 
+@pytest.mark.parametrize("env", [False, True])
+def test_recurse_never_writes_the_cache(tmp_path, monkeypatch, env):
+    cache = ("--cache-dir", str(tmp_path))
+    if env:
+        monkeypatch.setenv("TB_CACHE_DIR", str(tmp_path))
+        cache = ()
+    recurse = invoke("sig-table", "--c", "6", "--method", "recurse", *cache)
+    assert recurse.exit_code == 0
+    assert not (tmp_path / "sig-c06.csv").exists()
+
+    enumerated = []
+    histogram_enumerated = sigtables.histogram_enumerated
+
+    def counted(c, workers=None):
+        enumerated.append(c)
+        return histogram_enumerated(c, workers)
+
+    monkeypatch.setattr(sigtables, "histogram_enumerated", counted)
+    both = invoke("sig-table", "--c", "6", "--method", "both", *cache)
+    assert both.exit_code == 0
+    assert enumerated == [6]
+    assert both.stdout == recurse.stdout
+
+
 def test_sig_table_workers_match_serial():
     serial = invoke("sig-table", "--c", "10", "--method", "enumerate",
                     "--workers", "1")
@@ -129,12 +160,37 @@ def test_sig_table_mismatch_exits_1(monkeypatch):
 
 
 def test_sig_table_rejects_bad_options():
-    zero = invoke("sig-table", "--c", "5", "--workers", "0")
-    assert zero.exit_code == 2
-    assert "--workers" in zero.stderr
-    small = invoke("sig-table", "--c", "2..5")
-    assert small.exit_code == 2
-    assert "crossing number must be >= 3" in small.stderr
+    assert_refused(invoke("sig-table", "--c", "2..5"),
+                   "crossing number must be >= 3, got 2")
+
+
+@pytest.mark.parametrize("args, option", [
+    (("sig-table", "--c", "5", "--workers", "0"), "'--workers'"),
+    (("walk-sim", "--t", "3"), "'--s'"),
+])
+def test_click_parse_errors_keep_usage(args, option):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: ")
+    assert option in result.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sig-table", "--c", "x"), "cannot parse crossing-number range 'x'"),
+    (("sig-table", "--c", "5..3"), "empty crossing-number range '5..3'"),
+    (("avg-sig", "--c", "1..4"), "crossing number must be >= 3, got 1"),
+    (("g4", "--c", "10", "--s", "0"),
+     "block size must satisfy 1 <= s <= 7, got 0"),
+    (("g4", "--word", EXAMPLE_WORD, "--s", "10"),
+     "block size must satisfy 1 <= s <= 9, got 10"),
+    (("markov-verify", "--s", "0"), "--s and --kmax must be >= 1"),
+    (("walk-sim", "--s", "0", "--t", "3"), "need --s >= 1 and --t >= 0"),
+    (("walk-sim", "--s", "2", "--t", "-1", "--exact"),
+     "need --s >= 1 and --t >= 0"),
+])
+def test_misuse_refused_with_one_line(args, message):
+    assert_refused(invoke(*args), message)
 
 
 def test_avg_sig_over_budget_exits_2():
@@ -211,14 +267,14 @@ def test_g4_single_word_report():
 
 
 def test_g4_rejects_bad_word():
-    result = invoke("g4", "--word", "+-+")
-    assert result.exit_code == 2
-    assert "invalid word" in result.stderr
+    assert_refused(invoke("g4", "--word", "+-+"),
+                   "invalid word: length must be 1 mod 3, got 3: '+-+'")
 
 
 def test_g4_needs_exactly_one_target():
-    assert invoke("g4").exit_code == 2
-    assert invoke("g4", "--word", "+--+", "--c", "5").exit_code == 2
+    assert_refused(invoke("g4"), "pass exactly one of --word or --c")
+    assert_refused(invoke("g4", "--word", "+--+", "--c", "5"),
+                   "pass exactly one of --word or --c")
 
 
 def test_g4_aggregate_below_bound():
@@ -262,10 +318,8 @@ def test_walk_sim_exact_over_budget():
 
 
 def test_walk_sim_rejects_one_trial():
-    result = invoke("walk-sim", "--s", "2", "--t", "3", "--trials", "1")
-    assert result.exit_code == 2
-    assert "at least 2 trials" in result.stderr
-    assert "Traceback" not in result.output + result.stderr
+    assert_refused(invoke("walk-sim", "--s", "2", "--t", "3", "--trials", "1"),
+                   "need at least 2 trials, got 1")
 
 
 def test_walk_sim_monte_carlo_deterministic():
@@ -292,7 +346,8 @@ def test_verify_all_reduced_budget():
 
 
 def test_verify_all_rejects_tiny_budget():
-    assert invoke("verify-all", "--budget-c", "2").exit_code == 2
+    assert_refused(invoke("verify-all", "--budget-c", "2"),
+                   "--budget-c must be >= 3")
 
 
 def test_outputs_are_deterministic():

@@ -13,12 +13,10 @@ from twobridge.cobordism import (
     average_g4_bound,
     average_g4_row,
     cancel_mirrors,
-    canonical_key,
     choose_block_size,
     component_count,
     decompose,
     expression_upper_bound,
-    fixed_crossing_count,
     g4_interval,
     is_palindromic_type,
     link_lemma_fix,
@@ -27,6 +25,7 @@ from twobridge.cobordism import (
     remainder_component_count,
     summand_class,
 )
+from twobridge import checks, cobordism
 from twobridge.diagram import signature
 from twobridge.errors import BudgetError
 from twobridge.words import enumerate_words, swap_braid, to_braid
@@ -84,9 +83,9 @@ def test_palindromic_type():
 
 def test_summand_classes():
     x = OrientedWord(1, "aab")
-    assert canonical_key(x) == "o1:aab"
+    assert summand_class(x).key == "o1:aab"
     assert summand_class(x).polarity == "plus"
-    assert canonical_key(mirror(x)) == "o1:aab"
+    assert summand_class(mirror(x)).key == "o1:aab"
     assert summand_class(mirror(x)).polarity == "minus"
     pal = OrientedWord(3, "ab")
     assert summand_class(pal) == type(summand_class(pal))("o3:ab", "self_mirror")
@@ -147,7 +146,7 @@ def test_link_fix_example():
     assert fix.marker is None
     assert fix.saddles == 1
     assert fix.added_crossings == 1
-    assert fixed_crossing_count(OrientedWord(2, "aba")) == 4
+    assert decompose(EXAMPLE_WORD, 3).residual_crossings == (4,)
 
 
 def test_link_fix_rejects_knots():
@@ -270,6 +269,16 @@ def test_decompose_arithmetic_and_reconstitution():
                 assert rep.cut_saddles <= 2 * rep.t + 2
                 # Construction asserts even total saddles and the sandwich
                 # g4_lower <= g4_upper internally.
+                assert rep.residual == cancel_mirrors(rep.summands)[1]
+                # A residual copy costs the letters of the oriented word its
+                # key names, plus the crossings its link repair adds.
+                for key, crossings in zip(rep.residual, rep.residual_crossings,
+                                          strict=True):
+                    start, letters = key[1:].split(":")
+                    x = OrientedWord(int(start), letters)
+                    added = (link_lemma_fix(x).added_crossings
+                             if component_count(x) == 2 else 0)
+                    assert crossings == len(letters) + added
 
 
 def test_sandwich_at_chosen_block_size():
@@ -308,6 +317,23 @@ def test_average_g4_row():
     assert row.below_expression and row.below_log10
 
 
+# Exact means pinned so that no change to the summand analysis can move them.
+@pytest.mark.parametrize("c, s, words, mean", [
+    (10, 3, 85, Fraction(497, 85)),
+    (11, 3, 171, Fraction(137, 19)),
+    (12, 3, 341, Fraction(2554, 341)),
+    (13, 1, 683, Fraction(7542, 683)),
+    (13, 3, 683, Fraction(5703, 683)),
+    (14, 1, 1365, Fraction(15331, 1365)),
+    (14, 3, 1365, Fraction(789, 91)),
+])
+def test_average_g4_row_pinned(c, s, words, mean):
+    row = average_g4_row(c, s)
+    assert row.words == words
+    assert row.mean_upper == mean
+    assert row.below_expression and row.below_log10
+
+
 def test_average_g4_bound_report():
     report = average_g4_bound(3, 1)
     assert isinstance(report, AverageG4Report)
@@ -321,6 +347,13 @@ def test_average_g4_bound_report():
 def test_average_g4_bound_budget():
     with pytest.raises(BudgetError, match="masks"):
         average_g4_bound(10, 4)
+
+
+def test_aggregate_g4_check_reports_failed_mean(monkeypatch):
+    monkeypatch.setattr(cobordism, "log10_upper_bound", lambda c: 0.0)
+    result = checks.run_check("aggregate-g4", 8)
+    assert not result.passed
+    assert result.detail == "mean bound fails at c=7"
 
 
 @settings(deadline=None)
