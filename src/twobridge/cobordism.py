@@ -16,6 +16,9 @@ connected sum is slice, so only the residual multiset of unmatched
 summand classes contributes crossings to the 4-genus bound.  Every saddle
 move contributes genus 1/2 and each surviving knot with n crossings
 contributes at most floor(n / 2).
+
+The mean of that bound over T(c) comes from one transfer dynamic program
+over the word cores, with no enumeration (see ``average_g4_row``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+
+import numpy as np
 
 from .diagram import (
     CROSSING_PAIR,
@@ -34,7 +40,7 @@ from .diagram import (
     strand_permutation,
 )
 from .errors import BudgetError
-from .words import enumerate_words, swap_braid, to_braid, validate_braid, validate_word
+from .words import swap_braid, to_braid, validate_braid, validate_word, word_count
 
 # Flipping a plat diagram top to bottom exchanges orientation states 1 and 3.
 _FLIP = {1: 3, 2: 2, 3: 1}
@@ -45,6 +51,10 @@ _FLIP = {1: 3, 2: 2, 3: 1}
 # leftward strand sits at different heights.
 _LEFT_CLOSURE = {1: ((1, 2), 3), 2: ((1, 2), 3), 3: ((2, 3), 1)}
 _RIGHT_CLOSURE = {1: ((1, 2), 3), 2: ((2, 3), 1), 3: ((2, 3), 1)}
+
+# Saddle moves at a cut, by its orientation state: two where the leftward
+# strand runs through the middle, one elsewhere.
+_CUT_SADDLES = {1: 1, 2: 2, 3: 1}
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,25 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     return fix
 
 
+def _repair_costs(x: OrientedWord) -> tuple[int, int]:
+    """(saddle moves, crossings) of a summand after its link repair, if any."""
+    if component_count(x) == 2:
+        fix = link_lemma_fix(x)
+        return fix.saddles, len(x.letters) + fix.added_crossings
+    return 0, len(x.letters)
+
+
+def _remainder_is_link(state: int, remainder: str, closure: str) -> bool:
+    """Whether the remainder block closes up to a two-component link.  Its
+    repair undoes the final twist crossing: one saddle move removes one
+    crossing and reconnects the two components."""
+    if remainder_component_count(state, remainder, closure) == 1:
+        return False
+    if remainder_component_count(state, remainder[:-1], closure) != 1:
+        raise ValueError(f"undoing the last twist of {remainder!r} left a link")
+    return True
+
+
 def cancel_mirrors(summands: list[OrientedWord] | tuple[OrientedWord, ...]
                    ) -> tuple[int, tuple[str, ...]]:
     """Cancel mirror-image summand pairs; return (count, residual keys)."""
@@ -280,7 +309,7 @@ def decompose(word: str, s: int) -> DecompositionReport:
         summands.append(OrientedWord(state, block))
         state = orientation_after(state, block)
         cut_states.append(state)
-    cut_saddles = sum(2 if q == 2 else 1 for q in cut_states)
+    cut_saddles = sum(_CUT_SADDLES[q] for q in cut_states)
 
     # Mirror class and link repair of each distinct oriented word, worked
     # out once and charged per occurrence.  A class's residual copies cost
@@ -292,29 +321,18 @@ def decompose(word: str, s: int) -> DecompositionReport:
     for x, n in Counter(summands).items():
         cls = summand_class(x)
         classes[cls] += n
-        added = 0
-        if component_count(x) == 2:
-            fix = link_lemma_fix(x)
-            link_fix_saddles += n * fix.saddles
-            added = fix.added_crossings
-        crossings.setdefault(cls.key, len(x.letters) + added)
+        saddles, repaired = _repair_costs(x)
+        link_fix_saddles += n * saddles
+        crossings.setdefault(cls.key, repaired)
 
     remainder = braid[1 + t * s:]
     if not len(remainder) == r - 1 >= 1:
         raise ValueError(f"remainder {remainder!r} should hold r-1={r - 1} >= 1 "
                          "letters")
     closure = "A" if c % 2 == 1 else "B"
-    remainder_is_link = remainder_component_count(state, remainder, closure) == 2
-    if remainder_is_link:
-        # Undo the remainder's final twist crossing: one saddle move removes
-        # one crossing and reconnects the two components.
-        remainder_fix_saddles = 1
-        remaining = r - 2
-        if remainder_component_count(state, remainder[:-1], closure) != 1:
-            raise ValueError(f"undoing the last twist of {remainder!r} left a link")
-    else:
-        remainder_fix_saddles = 0
-        remaining = r - 1
+    remainder_is_link = _remainder_is_link(state, remainder, closure)
+    remainder_fix_saddles = int(remainder_is_link)
+    remaining = r - 1 - remainder_fix_saddles
 
     _, residual = _cancel(classes)
     residual_crossings = tuple(crossings[key] for key in residual)
@@ -397,18 +415,238 @@ class AverageG4Report:
     overall_mean: Fraction
 
 
+# The mean over T(c).  bijection_f maps T(2m+1) and T(2m+2) together one to
+# one onto the braid words ("cores") of length 2m - 1.  The core letter at
+# position i stands for a run of exponent 2 when it is 'a' at even i or 'b' at
+# odd i, so the interior length mod 3 can be carried letter by letter; at the
+# end it decides c and forces the ending letters (see bijection_f_inverse).
+# DP states are 3 * (orientation state - 1) + interior length mod 3.
+_ENDING = {2: "a", 1: "ab", 0: "bb"}
+
+# A class's law key (see _SummandTable) is fixed by its (start, end), its
+# interior length mod 3 at parity 0 and its type, so there are at most
+# 9 * 3 * 2 keys (there are 6 for odd s and 15 for even s >= 4).
+_MAX_LAW_KEYS = 54
+# One table entry, an oriented block analysed as a class and as a mirror,
+# costs about 2^11 DP cell updates: ~46 us against ~25 ns on a 2-CPU x86
+# machine.  There, the budget stops the DP at about 3.5 s.
+_TABLE_ENTRY_WORK = 1 << 11
+G4_WORK_BUDGET = 1 << 27
+
+
+def _interior_length(letters: str, parity: int) -> int:
+    """Length of the word runs that core letters stand for, the first one
+    at a core position of the given parity."""
+    return sum(2 if (letter == "a") == ((parity + i) % 2 == 0) else 1
+               for i, letter in enumerate(letters))
+
+
+def _dp_state(state: int, length: int) -> int:
+    return 3 * (state - 1) + length % 3
+
+
+def _letter_sources(parity: int, letter: str) -> list[int]:
+    """sources[j]: the DP state that one core letter, at a position of the
+    given parity, moves to state j.  Each letter permutes the nine states."""
+    step = _interior_length(letter, parity)
+    sources = [0] * 9
+    for state in (1, 2, 3):
+        for length in range(3):
+            target = _dp_state(orientation_after(state, letter), length + step)
+            sources[target] = _dp_state(state, length)
+    return sources
+
+
+def g4_work(c: int, s: int) -> int:
+    """Work estimate of average_g4_row, in DP cell updates: the table of
+    3 * 2^s oriented blocks, plus s letter steps over 9 states and the
+    2k + 3 displacements of block k, for each law key."""
+    m = (c - 1) // 2
+    t = (2 * m - 1) // s
+    classes = (3 * 2 ** s + (3 * 2 ** (s // 2) if s % 2 == 0 else 0)) // 2
+    cells = min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
+    return 3 * 2 ** s * _TABLE_ENTRY_WORK + cells
+
+
+@dataclass(frozen=True)
+class _SummandTable:
+    """What the mean DP needs to know of the 3 * 2^s oriented blocks.
+
+    ``counts[p][i][j]`` is the number of blocks that take DP state i to j
+    when the block starts at a core position of parity p, and
+    ``costs[p][i][j]`` their summed local saddle moves: the block's link
+    repair and the cut after it.  ``weights`` maps each law key to the
+    summed floor(n_w / 2) of its classes.  The key is the (start, end)
+    states and interior lengths mod 3 at parities 0 and 1 of the class and
+    then of its mirror, and the palindromic-type flag: the joint law of
+    (DP state, D_w) over the cores depends on nothing else.
+    """
+
+    counts: tuple[list[list[int]], list[list[int]]]
+    costs: tuple[list[list[int]], list[list[int]]]
+    weights: dict[tuple[int, ...], int]
+
+
+def _summand_table(s: int) -> _SummandTable:
+    counts = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    costs = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    weights: Counter[tuple[int, ...]] = Counter()
+    for start in (1, 2, 3):
+        for letters in map("".join, product("ab", repeat=s)):
+            x = OrientedWord(start, letters)
+            saddles, crossings = _repair_costs(x)
+            cost = saddles + _CUT_SADDLES[x.end]
+            for parity in (0, 1):
+                step = _interior_length(letters, parity)
+                for length in range(3):
+                    i, j = _dp_state(start, length), _dp_state(x.end, length + step)
+                    counts[parity][i][j] += 1
+                    costs[parity][i][j] += cost
+            cls = summand_class(x)
+            if cls.polarity == "minus":
+                continue
+            other = mirror(x)
+            # decompose charges a class the crossings of whichever side
+            # occurs first; the DP charges the class's own.
+            if _repair_costs(other)[1] != crossings:
+                raise ValueError(f"summand {x.serialize()} and its mirror "
+                                 "have different repaired crossing counts")
+            if crossings < 2:
+                continue
+            key = tuple(value for y in (x, other)
+                        for value in (y.start, y.end, *(_interior_length(y.letters, p) % 3
+                                                        for p in (0, 1))))
+            weights[key + (cls.polarity == "self_mirror",)] += crossings // 2
+    return _SummandTable(counts, costs, dict(weights))
+
+
+def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
+                    tails: list[int]) -> int:
+    """Sum over the words of T(c) of sum_w floor(n_w / 2) |D_w|, where
+    ``tails[length]`` counts the core endings that put a core with that
+    interior length mod 3 after its t blocks into T(c).
+
+    law[g, i, t + d] counts the cores whose first k blocks end in DP state i
+    and displace a class of law key g by d.  The s letter steps of a block
+    move every core; the class's own block is then moved from displacement
+    d to d + 1, and its mirror block to d - 1.  Entries are exact Python
+    ints.  |D_w| is the parity bit for a palindromic-type class.
+    """
+    if not weights:
+        return 0
+    keys = np.array(list(weights), dtype=np.int64)
+    n = len(keys)
+    start, end, *own_steps = keys[:, :4].T
+    m_start, m_end, *m_steps = keys[:, 4:8].T
+    pal = keys[:, 8].astype(bool)
+    paired = np.flatnonzero(~pal)
+    lengths = np.arange(3)
+    rows, paired_rows = np.arange(n)[:, None], paired[:, None]
+    own_from = 3 * (start[:, None] - 1) + lengths
+    mirror_from = 3 * (m_start[paired, None] - 1) + lengths
+    sources = {(p, letter): _letter_sources(p, letter) for p in (0, 1) for letter in "ab"}
+
+    law = np.zeros((n, 9, 2 * t + 1), dtype=object)
+    law[:, _dp_state(1, 0), t] = 1
+    for k in range(t):
+        parity = k * s % 2
+        window = slice(t - k - 1, t + k + 2)  # displacements -k-1 .. k+1
+        before = law[:, :, window]
+        after = before
+        for i in range(s):
+            p = (parity + i) % 2
+            after = after[:, sources[p, "a"]] + after[:, sources[p, "b"]]
+        own_to = 3 * (end[:, None] - 1) + (lengths + own_steps[parity][:, None]) % 3
+        moved = before[rows, own_from]
+        after[rows, own_to, 1:] += moved[..., :-1]
+        after[rows, own_to] -= moved
+        mirror_to = (3 * (m_end[paired, None] - 1)
+                     + (lengths + m_steps[parity][paired, None]) % 3)
+        moved = before[paired_rows, mirror_from]
+        after[paired_rows, mirror_to, :-1] += moved[..., 1:]
+        after[paired_rows, mirror_to] -= moved
+        law[:, :, window] = after
+
+    d = np.arange(-t, t + 1)
+    contribution = np.where(pal[:, None], d & 1, np.abs(d))
+    by_length = law.reshape(n, 3, 3, -1).sum(axis=1)
+    per_core = (by_length * np.array(tails, dtype=object)[:, None]).sum(axis=1)
+    totals = (per_core * contribution).sum(axis=1)
+    return sum(w * int(total) for w, total in zip(weights.values(), totals))
+
+
 def average_g4_row(c: int, s: int) -> AverageRow:
-    """Mean saddle-move upper bound over T(c), with the closed-form bounds."""
-    if c - 2 > 18:
+    """Exact mean saddle-move upper bound over T(c), with the closed-form
+    bounds, by a transfer DP over the cores of length 2m - 1.
+
+    By linearity of expectation the mean splits into local terms and the
+    residual.  The cut and link-repair saddles of every block follow a DP
+    over (orientation state, interior length mod 3) across the t blocks;
+    the remainder's repair and crossings depend only on the last state and
+    the at most s - 1 core letters after the blocks, which are enumerated
+    with the ending they force.  The residual is linear over summand
+    classes, and each law key's E|D_w| is one more DP
+    (``_residual_total``).  Words are counted, not listed, and the count
+    must equal word_count(c).
+    """
+    if c < 3:
+        raise ValueError(f"crossing number must be at least 3, got {c}")
+    m = (c - 1) // 2
+    if not 1 <= s <= 2 * m - 1:
+        raise ValueError(f"block size must satisfy 1 <= s <= {2 * m - 1}, got {s}")
+    work = g4_work(c, s)
+    if work > G4_WORK_BUDGET:
         raise BudgetError(
-            f"averaging over T({c}) walks 2^{c - 2} exponent masks; "
-            "refusing above 2^18")
-    total = 0
-    count = 0
-    for word in enumerate_words(c):
-        total += decompose(word, s).g4_upper
-        count += 1
-    return AverageRow(c, count, Fraction(total, count),
+            f"mean g4 DP at c={c}, s={s} needs about {work} cell updates for "
+            f"its table of 3 * 2^{s} block masks and its DP; refusing above "
+            f"{G4_WORK_BUDGET}")
+    t = (2 * m - 1) // s
+    r = c - s * t
+    table = _summand_table(s)
+
+    # Cores and their summed cut and link-repair saddles, by DP state after
+    # the t blocks.
+    cores = [0] * 9
+    saddles = [0] * 9
+    cores[_dp_state(1, 0)] = 1
+    saddles[_dp_state(1, 0)] = _CUT_SADDLES[1]
+    for k in range(t):
+        counts, costs = table.counts[k * s % 2], table.costs[k * s % 2]
+        next_cores, next_saddles = [0] * 9, [0] * 9
+        for i in range(9):
+            for j in range(9):
+                next_cores[j] += counts[i][j] * cores[i]
+                next_saddles[j] += counts[i][j] * saddles[i] + costs[i][j] * cores[i]
+        cores, saddles = next_cores, next_saddles
+
+    # The core letters after the blocks and the ending they force form the
+    # remainder.  c is odd exactly when the interior length is 2 mod 3.
+    closure = "A" if c % 2 == 1 else "B"
+    tails = [0, 0, 0]
+    words = total_saddles = total_remaining = 0
+    for letters in map("".join, product("ab", repeat=2 * m - 1 - s * t)):
+        step = _interior_length(letters, s * t % 2)
+        for length in range(3):
+            final = (length + step) % 3
+            if (final == 2) != (c % 2 == 1):
+                continue
+            tails[length] += 1
+            remainder = letters + _ENDING[final]
+            for state in (1, 2, 3):
+                i = _dp_state(state, length)
+                link = _remainder_is_link(state, remainder, closure)
+                words += cores[i]
+                total_saddles += saddles[i] + link * cores[i]
+                total_remaining += (r - 1 - link) // 2 * cores[i]
+    if words != word_count(c):
+        raise ValueError(f"mean DP counted {words} words in T({c}), "
+                         f"expected {word_count(c)}")
+    # Each word uses an even number of saddle moves, so the sum is even.
+    if total_saddles % 2:
+        raise ValueError(f"odd saddle total {total_saddles} over T({c})")
+    total = (total_saddles // 2 + total_remaining
+             + _residual_total(table.weights, s, t, tails))
+    return AverageRow(c, words, Fraction(total, words),
                       expression_upper_bound(c, s), log10_upper_bound(c))
 
 

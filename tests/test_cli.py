@@ -285,11 +285,34 @@ def test_g4_aggregate_below_bound():
 
 
 def test_g4_aggregate_refuses_huge_c():
-    result = invoke("g4", "--c", "40")
+    result = invoke("g4", "--c", "2000")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert "refusing" in result.stderr
+
+
+@pytest.mark.parametrize("c, message", [
+    ("40", "block size must satisfy 1 <= s <= 37, got 39"),
+    ("80", "refusing"),
+])
+def test_g4_aggregate_refuses_huge_block_size_at_once(c, message):
+    start = time.perf_counter()
+    result = invoke("g4", "--c", c, "--s", "39")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("Error: ") and message in result.stderr
+
+
+def test_g4_aggregate_exact_at_c_1000():
+    result = invoke("g4", "--c", "1000")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["s"] == 3
+    assert payload["words"] == words.word_count(1000)
+    assert payload["below_bound"] is True
 
 
 def test_markov_verify_passes():

@@ -1,14 +1,23 @@
 """Tests for the saddle-move decomposition and 4-genus bounds."""
 
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobridge.cobordism import (
+    G4_WORK_BUDGET,
     AverageG4Report,
+    AverageRow,
     OrientedWord,
     average_g4_bound,
     average_g4_row,
@@ -18,6 +27,7 @@ from twobridge.cobordism import (
     decompose,
     expression_upper_bound,
     g4_interval,
+    g4_work,
     is_palindromic_type,
     link_lemma_fix,
     log10_upper_bound,
@@ -28,7 +38,13 @@ from twobridge.cobordism import (
 from twobridge import checks, cobordism
 from twobridge.diagram import signature
 from twobridge.errors import BudgetError
-from twobridge.words import enumerate_words, swap_braid, to_braid
+from twobridge.words import (
+    enumerate_words,
+    swap_braid,
+    to_braid,
+    word_count,
+    word_from_interior_bits,
+)
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 
@@ -310,6 +326,116 @@ def test_expression_bound_example():
     assert log10_upper_bound(10) == pytest.approx(97.5)
 
 
+def enumerated_average_g4_row(c, s):
+    """The oracle for the mean DP: decompose every word of T(c)."""
+    if c - 2 > 18:
+        raise BudgetError(f"averaging over T({c}) walks 2^{c - 2} exponent "
+                          "masks; refusing above 2^18")
+    total = 0
+    count = 0
+    for word in enumerate_words(c):
+        total += decompose(word, s).g4_upper
+        count += 1
+    return AverageRow(c, count, Fraction(total, count),
+                      expression_upper_bound(c, s), log10_upper_bound(c))
+
+
+@pytest.mark.parametrize("c, s", [
+    *((c, s) for c in range(3, 15) for s in range(1, min(4, 2 * ((c - 1) // 2) - 1) + 1)),
+    (15, choose_block_size(15)),
+    (16, choose_block_size(16)),
+])
+def test_average_g4_row_matches_enumeration(c, s):
+    assert average_g4_row(c, s) == enumerated_average_g4_row(c, s)
+
+
+def sampled_g4_upper(c, s, samples, seed):
+    """(mean, standard error) of g4_upper over uniform words of T(c), drawn
+    by rejection from uniform interior exponent masks."""
+    rng = random.Random(seed)
+    values = []
+    while len(values) < samples:
+        mask = rng.getrandbits(c - 2)
+        if (c + mask.bit_count()) % 3 == 1:
+            values.append(decompose(word_from_interior_bits(c, mask), s).g4_upper)
+    mean = sum(values) / samples
+    variance = sum((v - mean) ** 2 for v in values) / (samples - 1)
+    return mean, (variance / samples) ** 0.5
+
+
+@pytest.mark.parametrize("c", [200, 1000])
+def test_average_g4_row_past_enumeration_matches_sampling(c):
+    s = choose_block_size(c)
+    row = average_g4_row(c, s)
+    assert row.words == word_count(c)
+    mean, stderr = sampled_g4_upper(c, s, 2000, seed=c)
+    assert stderr > 0
+    assert abs(float(row.mean_upper) - mean) <= 5 * stderr
+    assert row.below_expression and row.below_log10
+
+
+def test_repaired_crossings_are_mirror_invariant():
+    # The mean DP charges a residual class its own repaired crossing count,
+    # decompose that of whichever side occurs first: they must agree.
+    for s in range(1, 11):
+        for x in all_oriented_words(s):
+            assert (cobordism._repair_costs(x)[1]
+                    == cobordism._repair_costs(mirror(x))[1])
+
+
+def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
+    real = cobordism.link_lemma_fix
+
+    def lopsided(x):
+        fix = real(x)
+        return dataclasses.replace(fix, added_crossings=fix.added_crossings
+                                   + (x.letters[0] == "a"))
+
+    monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
+    with pytest.raises(ValueError, match="mirror"):
+        average_g4_row(9, 3)
+
+
+def test_mirror_crossing_check_survives_optimize_flag():
+    code = ("import dataclasses\n"
+            "from twobridge import cobordism\n"
+            "real = cobordism.link_lemma_fix\n"
+            "cobordism.link_lemma_fix = lambda x: dataclasses.replace(\n"
+            "    real(x), added_crossings=real(x).added_crossings\n"
+            "    + (x.letters[0] == 'a'))\n"
+            "cobordism.average_g4_row(9, 3)\n")
+    src = str(Path(cobordism.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
+
+
+def test_g4_work_refused_before_any_work(monkeypatch):
+    def build(s):
+        raise AssertionError("an over-budget mean must be refused first")
+
+    monkeypatch.setattr(cobordism, "_summand_table", build)
+    assert g4_work(2000, 4) > G4_WORK_BUDGET
+    assert g4_work(1000, 3) <= G4_WORK_BUDGET
+    start = time.perf_counter()
+    for c, s in ((2000, 4), (80, 39)):
+        with pytest.raises(BudgetError, match="refusing"):
+            average_g4_row(c, s)
+    assert time.perf_counter() - start < 1
+
+
+def test_average_g4_row_domain():
+    with pytest.raises(ValueError, match="block size"):
+        average_g4_row(10, 0)
+    with pytest.raises(ValueError, match="block size"):
+        average_g4_row(10, 8)
+    with pytest.raises(ValueError, match="crossing number"):
+        average_g4_row(2, 1)
+
+
 def test_average_g4_row():
     row = average_g4_row(7, 1)
     assert row.words == 11
@@ -346,7 +472,7 @@ def test_average_g4_bound_report():
 
 def test_average_g4_bound_budget():
     with pytest.raises(BudgetError, match="masks"):
-        average_g4_bound(10, 4)
+        average_g4_bound(1000, 4)
 
 
 def test_aggregate_g4_check_reports_failed_mean(monkeypatch):
