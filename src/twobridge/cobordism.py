@@ -34,8 +34,10 @@ import numpy as np
 from .diagram import (
     CROSSING_PAIR,
     PLAT_RIGHT,
+    S3,
+    S3_AFTER,
+    STATE_AFTER,
     closure_components,
-    orientation_after,
     signature,
     strand_permutation,
 )
@@ -56,6 +58,22 @@ _RIGHT_CLOSURE = {1: ((1, 2), 3), 2: ((2, 3), 1), 3: ((2, 3), 1)}
 # strand runs through the middle, one elsewhere.
 _CUT_SADDLES = {1: 1, 2: 2, 3: 1}
 
+# Components (1 or 2) of a block closed at both cuts, by start state and the
+# S3 index of its strand permutation: the end state perm[start - 1] fixes
+# the right cap.
+_COMPONENTS = tuple(
+    tuple(closure_components(_LEFT_CLOSURE[start], perm,
+                             _RIGHT_CLOSURE[perm[start - 1]]) for perm in S3)
+    for start in (1, 2, 3))
+
+
+def _s3_index(letters: str, index: int = 0) -> int:
+    """S3 index of the strand permutation of ``index`` followed by the
+    letters, which the caller has validated."""
+    for letter in letters:
+        index = S3_AFTER[letter][index]
+    return index
+
 
 @dataclass(frozen=True)
 class OrientedWord:
@@ -72,7 +90,7 @@ class OrientedWord:
 
     @property
     def end(self) -> int:
-        return orientation_after(self.start, self.letters)
+        return S3[_s3_index(self.letters)][self.start - 1]
 
     def serialize(self) -> str:
         return f"o{self.start}:{self.letters}"
@@ -103,10 +121,10 @@ def summand_class(x: OrientedWord) -> SummandClass:
     """Mirror class of a summand: a palindromic-type block labels itself,
     any other block shares a label with its mirror (lexicographically
     smaller serialization wins) and is "plus" when it holds that label."""
-    if is_palindromic_type(x.letters):
-        return SummandClass(x.serialize(), "self_mirror")
     own = x.serialize()
-    other = mirror(x).serialize()
+    if is_palindromic_type(x.letters):
+        return SummandClass(own, "self_mirror")
+    other = f"o{_FLIP[x.end]}:{swap_braid(x.letters[::-1])}"  # mirror(x).serialize()
     if own == other:
         raise ValueError(f"summand {own} equals its mirror but is not "
                          "palindromic-type")
@@ -115,8 +133,7 @@ def summand_class(x: OrientedWord) -> SummandClass:
 
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
-    perm = strand_permutation(x.letters)
-    return closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[x.end])
+    return _COMPONENTS[x.start - 1][_s3_index(x.letters)]
 
 
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
@@ -144,12 +161,13 @@ class LinkFix:
     added_crossings: int
 
 
-def _fix_permutation(fix: LinkFix) -> tuple[int, int, int]:
+def _fix_permutation(fix: LinkFix) -> int:
+    """S3 index of the repaired block's strand permutation."""
     if fix.marker is None:
-        return strand_permutation(fix.letters)
-    left = strand_permutation(fix.letters[: fix.marker])
-    right = strand_permutation(fix.letters[fix.marker:])
-    return tuple(right[_FLIP[left[q - 1]] - 1] for q in (1, 2, 3))
+        return _s3_index(fix.letters)
+    left = S3[_s3_index(fix.letters[: fix.marker])]
+    right = S3[_s3_index(fix.letters[fix.marker:])]
+    return S3.index(tuple(right[_FLIP[left[q - 1]] - 1] for q in (1, 2, 3)))
 
 
 def link_lemma_fix(x: OrientedWord) -> LinkFix:
@@ -163,16 +181,20 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     strand is outermost, and a strand slide (three saddles) when it runs
     through the middle.
     """
-    if component_count(x) != 1 + 1:
-        raise ValueError("link repair applies only to two-component summands")
     z = x.letters
     s = len(z)
+    # One walk over the block gives its closure and the orientation state
+    # before its central crossing (odd s) or at its middle cut (even s).
+    h = s // 2
+    half = _s3_index(z[:h])
+    index = _s3_index(z[h:], half)
+    if _COMPONENTS[x.start - 1][index] != 1 + 1:
+        raise ValueError("link repair applies only to two-component summands")
     if s < 1:
         raise ValueError("link repair needs a non-empty summand")
+    before = S3[half][x.start - 1]
     if s % 2 == 1:
-        h = (s - 1) // 2
         pair = CROSSING_PAIR[z[h]]
-        before = orientation_after(x.start, z[:h])
         twist = "a" if pair == (1, 2) else "b"
         if before not in pair:
             fix = LinkFix("double", z[: h + 1] + z[h] + z[h + 1:], None, 1, 1)
@@ -181,22 +203,20 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
         else:
             fix = LinkFix("twist-right", z[: h + 1] + twist + z[h + 1:], None, 1, 1)
     else:
-        h = s // 2
-        middle = orientation_after(x.start, z[:h])
-        if middle == 1:
+        if before == 1:
             fix = LinkFix("twist-middle", z[:h] + "a" + z[h:], None, 1, 1)
-        elif middle == 3:
+        elif before == 3:
             fix = LinkFix("twist-middle", z[:h] + "b" + z[h:], None, 1, 1)
         else:
             fix = LinkFix("rii-twist", z, h, 3, 3)
-    perm = _fix_permutation(fix)
-    end = perm[x.start - 1] if fix.marker is not None else orientation_after(x.start, fix.letters)
+    fixed = _fix_permutation(fix)
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
-    if end != x.end:
+    end, fixed_end = S3[index][x.start - 1], S3[fixed][x.start - 1]
+    if fixed_end != end:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} moved the end "
-                         f"state {x.end} -> {end}")
-    if closure_components(_LEFT_CLOSURE[x.start], perm, _RIGHT_CLOSURE[end]) != 1:
+                         f"state {end} -> {fixed_end}")
+    if _COMPONENTS[x.start - 1][fixed] != 1:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} left a link")
     return fix
 
@@ -301,15 +321,19 @@ def decompose(word: str, s: int) -> DecompositionReport:
     if not 0 <= r - 1 - j <= s - 1:
         raise ValueError(f"remainder r={r} out of range for s={s}, j={j}")
 
-    state = 1
-    cut_states = [state]
-    summands: list[OrientedWord] = []
-    for k in range(t):
-        block = core[k * s:(k + 1) * s]
-        summands.append(OrientedWord(state, block))
-        state = orientation_after(state, block)
-        cut_states.append(state)
+    # The orientation state at every cut, pushed through the core letter by
+    # letter, and one oriented word per distinct (start, block), shared by
+    # its repeats.
+    states = [1]
+    for letter in core[:s * t]:
+        states.append(STATE_AFTER[letter][states[-1]])
+    cut_states = states[::s]
+    state = cut_states[-1]
     cut_saddles = sum(_CUT_SADDLES[q] for q in cut_states)
+    blocks = [(cut_states[k], core[k * s:(k + 1) * s]) for k in range(t)]
+    counts = Counter(blocks)
+    oriented = {block: OrientedWord(*block) for block in counts}
+    summands = tuple(map(oriented.__getitem__, blocks))
 
     # Mirror class and link repair of each distinct oriented word, worked
     # out once and charged per occurrence.  A class's residual copies cost
@@ -318,7 +342,8 @@ def decompose(word: str, s: int) -> DecompositionReport:
     classes: Counter[SummandClass] = Counter()
     crossings: dict[str, int] = {}
     link_fix_saddles = 0
-    for x, n in Counter(summands).items():
+    for block, n in counts.items():
+        x = oriented[block]
         cls = summand_class(x)
         classes[cls] += n
         saddles, repaired = _repair_costs(x)
@@ -348,7 +373,7 @@ def decompose(word: str, s: int) -> DecompositionReport:
     return DecompositionReport(
         word=word, s=s, t=t, r=r,
         cut_states=tuple(cut_states), cut_saddles=cut_saddles,
-        summands=tuple(summands), link_fix_saddles=link_fix_saddles,
+        summands=summands, link_fix_saddles=link_fix_saddles,
         remainder_letters=remainder, remainder_crossings=r - 1,
         remainder_is_link=remainder_is_link,
         remainder_fix_saddles=remainder_fix_saddles,
@@ -428,9 +453,9 @@ _ENDING = {2: "a", 1: "ab", 0: "bb"}
 # 9 * 3 * 2 keys (there are 6 for odd s and 15 for even s >= 4).
 _MAX_LAW_KEYS = 54
 # One table entry, an oriented block analysed as a class and as a mirror,
-# costs about 2^11 DP cell updates: ~46 us against ~25 ns on a 2-CPU x86
-# machine.  There, the budget stops the DP at about 3.5 s.
-_TABLE_ENTRY_WORK = 1 << 11
+# costs about 2^10 DP cell updates: ~30 us against ~25 ns on a 2-CPU x86
+# machine, at s = 14.  There, the budget stops the DP at about 3.5 s.
+_TABLE_ENTRY_WORK = 1 << 10
 G4_WORK_BUDGET = 1 << 27
 
 
@@ -452,7 +477,7 @@ def _letter_sources(parity: int, letter: str) -> list[int]:
     sources = [0] * 9
     for state in (1, 2, 3):
         for length in range(3):
-            target = _dp_state(orientation_after(state, letter), length + step)
+            target = _dp_state(STATE_AFTER[letter][state], length + step)
             sources[target] = _dp_state(state, length)
     return sources
 
@@ -494,12 +519,13 @@ def _summand_table(s: int) -> _SummandTable:
     for start in (1, 2, 3):
         for letters in map("".join, product("ab", repeat=s)):
             x = OrientedWord(start, letters)
+            end = x.end
             saddles, crossings = _repair_costs(x)
-            cost = saddles + _CUT_SADDLES[x.end]
+            cost = saddles + _CUT_SADDLES[end]
             for parity in (0, 1):
                 step = _interior_length(letters, parity)
                 for length in range(3):
-                    i, j = _dp_state(start, length), _dp_state(x.end, length + step)
+                    i, j = _dp_state(start, length), _dp_state(end, length + step)
                     counts[parity][i][j] += 1
                     costs[parity][i][j] += cost
             cls = summand_class(x)

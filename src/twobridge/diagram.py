@@ -53,14 +53,14 @@ CROSSING_PAIR = {"a": (2, 3), "b": (1, 2)}
 PLAT_LEFT = ((1, 2), 3)
 PLAT_RIGHT = {"A": ((1, 2), 3), "B": ((2, 3), 1)}
 
-# Orientation state after one letter, indexed by the state before it.
-_AFTER = {"a": (0, 1, 3, 2), "b": (0, 2, 1, 3)}
-# The six strand permutations, and the index of each one followed by a
-# letter: a strand's exit position moves as an orientation state does.
-_S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-_S3_AFTER = {
-    letter: tuple(_S3.index(tuple(step[q] for q in p)) for p in _S3)
-    for letter, step in _AFTER.items()
+#: orientation state after one letter, indexed by the state before it
+STATE_AFTER = {"a": (0, 1, 3, 2), "b": (0, 2, 1, 3)}
+#: the six strand permutations, and the index of each one followed by a
+#: letter: a strand's exit position moves as an orientation state does
+S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+S3_AFTER = {
+    letter: tuple(S3.index(tuple(step[q] for q in p)) for p in S3)
+    for letter, step in STATE_AFTER.items()
 }
 # (sign of the crossing, state after it), indexed by the state before it.
 _STEP = {
@@ -184,7 +184,7 @@ def orientation_after(state: int, z: str) -> int:
         raise ValueError(f"orientation state must be 1, 2 or 3: {state!r}")
     validate_braid(z)
     for letter in z:
-        state = _AFTER[letter][state]
+        state = STATE_AFTER[letter][state]
     return state
 
 
@@ -194,8 +194,8 @@ def strand_permutation(z: str) -> tuple[int, int, int]:
     validate_braid(z)
     k = 0
     for letter in z:
-        k = _S3_AFTER[letter][k]
-    return _S3[k]
+        k = S3_AFTER[letter][k]
+    return S3[k]
 
 
 def all_A_components(d: PlatDiagram) -> int:

@@ -1,11 +1,13 @@
 """Tests for the saddle-move decomposition and 4-genus bounds."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -36,7 +38,13 @@ from twobridge.cobordism import (
     summand_class,
 )
 from twobridge import checks, cobordism
-from twobridge.diagram import signature
+from twobridge.diagram import (
+    S3,
+    closure_components,
+    orientation_after,
+    signature,
+    strand_permutation,
+)
 from twobridge.errors import BudgetError
 from twobridge.words import (
     enumerate_words,
@@ -133,6 +141,22 @@ def test_component_count_regressions():
         assert component_count(OrientedWord(start, letters)) == expected
 
 
+def test_component_count_matches_union_find():
+    # The component table against the union-find of the closed block, on
+    # every oriented word with s <= 10; these reach all 18 (start,
+    # permutation) pairs that index the table.
+    seen = set()
+    for s in range(0, 11):
+        for x in all_oriented_words(s):
+            perm = strand_permutation(x.letters)
+            end = orientation_after(x.start, x.letters)
+            assert component_count(x) == closure_components(
+                cobordism._LEFT_CLOSURE[x.start], perm, cobordism._RIGHT_CLOSURE[end])
+            assert x.end == end
+            seen.add((x.start, perm))
+    assert len(seen) == 18
+
+
 def test_component_count_is_mirror_invariant():
     for s in range(0, 6):
         for x in all_oriented_words(s):
@@ -168,6 +192,18 @@ def test_link_fix_example():
 def test_link_fix_rejects_knots():
     with pytest.raises(ValueError, match="two-component"):
         link_lemma_fix(OrientedWord(1, "aab"))
+
+
+def test_link_fix_rejects_a_bad_repair(monkeypatch):
+    x = OrientedWord(2, "aba")
+    own = S3.index(strand_permutation(x.letters))
+    moved = next(k for k, perm in enumerate(S3) if perm[x.start - 1] != x.end)
+    monkeypatch.setattr(cobordism, "_fix_permutation", lambda fix: moved)
+    with pytest.raises(ValueError, match="moved the end state"):
+        link_lemma_fix(x)
+    monkeypatch.setattr(cobordism, "_fix_permutation", lambda fix: own)
+    with pytest.raises(ValueError, match="left a link"):
+        link_lemma_fix(x)
 
 
 def test_link_fix_covers_all_kinds():
@@ -295,6 +331,63 @@ def test_decompose_arithmetic_and_reconstitution():
                     added = (link_lemma_fix(x).added_crossings
                              if component_count(x) == 2 else 0)
                     assert crossings == len(letters) + added
+
+
+def seeded_long_words(count, seed, crossings=(60, 250)):
+    """Uniform words of T(c), c uniform in the given range, by rejection
+    from uniform interior exponent masks."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        c = rng.randint(*crossings)
+        mask = rng.getrandbits(c - 2)
+        if (c + mask.bit_count()) % 3 == 1:
+            words.append(word_from_interior_bits(c, mask))
+    return words
+
+
+def test_decompose_pinned_on_long_words():
+    # The digest was recorded with the union-find closure counts that the
+    # component table replaced.  s = 1..5 covers choose_block_size (2 or 3).
+    digest = hashlib.sha256()
+    for word in seeded_long_words(200, seed=2025):
+        for s in range(1, 6):
+            rep = decompose(word, s)
+            digest.update(repr((
+                rep.cut_saddles, rep.link_fix_saddles, rep.remainder_fix_saddles,
+                rep.residual, rep.residual_crossings, rep.g4_lower, rep.g4_upper,
+            )).encode())
+    assert digest.hexdigest() == \
+        "7436f0f702bc71ec723d3d36d81b9ca903c8d305f1c0615ec84bef34cf8217e6"
+
+
+def test_decompose_analyses_each_distinct_block_once(monkeypatch):
+    # Repeats of a (start, block) share one oriented word and its analysis,
+    # and a two-component summand's closure is counted once.
+    word = seeded_long_words(1, seed=7, crossings=(200, 200))[0]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("summand_class", "_repair_costs", "component_count",
+                 "link_lemma_fix"):
+        monkeypatch.setattr(cobordism, name, counted(name, getattr(cobordism, name)))
+    monkeypatch.setattr(OrientedWord, "__post_init__",
+                        counted("OrientedWord", OrientedWord.__post_init__))
+    rep = decompose(word, 3)
+    monkeypatch.undo()
+
+    distinct = set(rep.summands)
+    assert len(set(map(id, rep.summands))) == len(distinct)
+    links = sum(component_count(x) == 2 for x in distinct)
+    assert rep.t > 2 * len(distinct) and links > 0
+    assert calls == {"OrientedWord": len(distinct), "summand_class": len(distinct),
+                     "_repair_costs": len(distinct),
+                     "component_count": len(distinct), "link_lemma_fix": links}
 
 
 def test_sandwich_at_chosen_block_size():

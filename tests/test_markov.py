@@ -102,10 +102,12 @@ def reference_tables(s):
 def walk_segments(blocks, tables):
     """Argsort oracle for the walk kernel: per-sequence class displacements.
 
-    Returns (keys, runs, pal, end) arrays of shape (rows, t): at positions
-    where ``end`` is True, ``runs`` holds the total signed displacement of
-    the class ``keys`` over that sequence (match count for palindromic-type
-    classes, where parity is what matters).
+    Returns (keys, runs, pal, end, order) arrays of shape (rows, t), each
+    row sorted by class: ``runs`` holds the signed displacement of the class
+    ``keys`` up to and including that block (match count for
+    palindromic-type classes, where parity is what matters), so at
+    positions where ``end`` is True it is the total over the sequence.
+    ``order`` holds each sorted position's block index.
     """
     rows, t = blocks.shape
     s = tables.s
@@ -136,11 +138,11 @@ def walk_segments(blocks, tables):
     anchor = np.where(start, np.arange(t, dtype=np.int64), 0)
     np.maximum.accumulate(anchor, axis=1, out=anchor)
     runs = sums - np.take_along_axis(before, anchor, axis=1)
-    return keys, runs, tables.is_pal[keys], end
+    return keys, runs, tables.is_pal[keys], end, order
 
 
 def oracle_distances(blocks, tables):
-    keys, runs, pal, end = walk_segments(blocks, tables)
+    keys, runs, pal, end, _ = walk_segments(blocks, tables)
     contributions = np.where(pal, runs & 1, np.abs(runs))
     return np.where(end, contributions, 0).sum(axis=1)
 
@@ -156,11 +158,33 @@ def enumerated_class_totals(s, t):
     for lo in range(0, total_sequences, 1 << 16):
         seqs = np.arange(lo, min(lo + (1 << 16), total_sequences), dtype=np.int64)
         blocks = (seqs[:, None] >> (s * np.arange(t))) & ((1 << s) - 1)
-        keys, runs, pal, end = walk_segments(blocks, tables)
+        keys, runs, pal, end, _ = walk_segments(blocks, tables)
         flat_runs = np.where(pal[end], runs[end] & 1, np.abs(runs[end]))
         np.add.at(abs_totals, keys[end], flat_runs)
         np.add.at(square_totals, keys[end], flat_runs * flat_runs)
     return abs_totals, square_totals
+
+
+def enumerated_prefix_totals(s, top):
+    """Walk oracle over all 2^(s top) block sequences: entry t - 1 sums the
+    distance of their first t blocks.  Each t-block sequence is the prefix
+    of 2^(s (top - t)) of them, so the entry over 2^(s top) is the mean
+    distance at t.  A block changes the distance by the change in its own
+    class's |D_w| (parity for palindromic types)."""
+    tables = _tables(s)
+    total_sequences = 1 << (s * top)
+    totals = np.zeros(top, dtype=np.int64)
+    for lo in range(0, total_sequences, 1 << 16):
+        seqs = np.arange(lo, min(lo + (1 << 16), total_sequences), dtype=np.int64)
+        blocks = (seqs[:, None] >> (s * np.arange(top))) & ((1 << s) - 1)
+        _, runs, pal, end, order = walk_segments(blocks, tables)
+        distance = np.where(pal, runs & 1, np.abs(runs))
+        before = np.zeros_like(distance)
+        before[:, 1:] = np.where(end[:, :-1], 0, distance[:, :-1])
+        steps = np.empty_like(distance)
+        np.put_along_axis(steps, order, distance - before, axis=1)
+        totals += np.cumsum(steps, axis=1).sum(axis=0)
+    return totals
 
 
 def test_step_matrix():
@@ -250,10 +274,11 @@ def test_exact_distance_budget():
 
 def test_exact_distance_matches_enumeration():
     for s in range(1, 21):
-        for t in range(1, 20 // s + 1):
-            abs_totals, _ = enumerated_class_totals(s, t)
+        top = 20 // s
+        totals = enumerated_prefix_totals(s, top)
+        for t in range(1, top + 1):
             assert exact_expected_distance(s, t) == \
-                Fraction(int(abs_totals.sum()), 1 << (s * t)), (s, t)
+                Fraction(int(totals[t - 1]), 1 << (s * top)), (s, t)
 
 
 def test_per_class_moments_match_enumeration():
