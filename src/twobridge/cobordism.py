@@ -18,7 +18,9 @@ move contributes genus 1/2 and each surviving knot with n crossings
 contributes at most floor(n / 2).
 
 The mean of that bound over T(c) comes from one transfer dynamic program
-over the word cores, with no enumeration (see ``average_g4_row``).
+over the word cores, with no enumeration (see ``average_g4_row``); its
+residual term reuses the summand walk's displacement-law DP,
+``markov.displacement_laws``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from .diagram import (
     strand_permutation,
 )
 from .errors import BudgetError
-from .words import swap_braid, to_braid, validate_braid, validate_word, word_count
+from .markov import displacement_laws, residual_count
+from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
+                    word_count)
 
 # Flipping a plat diagram top to bottom exchanges orientation states 1 and 3.
 _FLIP = {1: 3, 2: 2, 3: 1}
@@ -104,11 +108,6 @@ def mirror(x: OrientedWord) -> OrientedWord:
     state.  This makes mirror an involution on oriented words.
     """
     return OrientedWord(_FLIP[x.end], swap_braid(x.letters[::-1]))
-
-
-def is_palindromic_type(letters: str) -> bool:
-    """True when a block's letters coincide with their own mirror letters."""
-    return swap_braid(letters[::-1]) == letters
 
 
 @dataclass(frozen=True)
@@ -309,12 +308,12 @@ class DecompositionReport:
 
 def decompose(word: str, s: int) -> DecompositionReport:
     """Run the full saddle-move pipeline on one word at block size s."""
-    c = validate_word(word)
+    braid = to_braid(word)  # validates the word
+    c = len(braid)
     m = (c - 1) // 2
     j = c - 2 * m
     if not 1 <= s <= 2 * m - 1:
         raise ValueError(f"block size must satisfy 1 <= s <= {2 * m - 1}, got {s}")
-    braid = to_braid(word)
     core = braid[1:2 * m]
     t = (2 * m - 1) // s
     r = c - s * t
@@ -472,14 +471,10 @@ def _dp_state(state: int, length: int) -> int:
 
 def _letter_sources(parity: int, letter: str) -> list[int]:
     """sources[j]: the DP state that one core letter, at a position of the
-    given parity, moves to state j.  Each letter permutes the nine states."""
+    given parity, moves to state j.  A letter's move of the orientation
+    states is its own inverse."""
     step = _interior_length(letter, parity)
-    sources = [0] * 9
-    for state in (1, 2, 3):
-        for length in range(3):
-            target = _dp_state(STATE_AFTER[letter][state], length + step)
-            sources[target] = _dp_state(state, length)
-    return sources
+    return [_dp_state(STATE_AFTER[letter][j // 3 + 1], j - step) for j in range(9)]
 
 
 def g4_work(c: int, s: int) -> int:
@@ -522,8 +517,8 @@ def _summand_table(s: int) -> _SummandTable:
             end = x.end
             saddles, crossings = _repair_costs(x)
             cost = saddles + _CUT_SADDLES[end]
-            for parity in (0, 1):
-                step = _interior_length(letters, parity)
+            steps = (_interior_length(letters, 0), _interior_length(letters, 1))
+            for parity, step in enumerate(steps):
                 for length in range(3):
                     i, j = _dp_state(start, length), _dp_state(end, length + step)
                     counts[parity][i][j] += 1
@@ -539,10 +534,12 @@ def _summand_table(s: int) -> _SummandTable:
                                  "have different repaired crossing counts")
             if crossings < 2:
                 continue
-            key = tuple(value for y in (x, other)
-                        for value in (y.start, y.end, *(_interior_length(y.letters, p) % 3
-                                                        for p in (0, 1))))
-            weights[key + (cls.polarity == "self_mirror",)] += crossings // 2
+            # The mirror runs from _FLIP[end] to _FLIP[start], and its
+            # interior length at parity p is this block's at parity p + s.
+            key = (start, end, steps[0] % 3, steps[1] % 3,
+                   _FLIP[end], _FLIP[start], steps[s % 2] % 3, steps[1 - s % 2] % 3,
+                   cls.polarity == "self_mirror")
+            weights[key] += crossings // 2
     return _SummandTable(counts, costs, dict(weights))
 
 
@@ -552,52 +549,29 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
     ``tails[length]`` counts the core endings that put a core with that
     interior length mod 3 after its t blocks into T(c).
 
-    law[g, i, t + d] counts the cores whose first k blocks end in DP state i
-    and displace a class of law key g by d.  The s letter steps of a block
-    move every core; the class's own block is then moved from displacement
-    d to d + 1, and its mirror block to d - 1.  Entries are exact Python
-    ints.  |D_w| is the parity bit for a palindromic-type class.
+    The joint law of (DP state, D_w) over the cores, one row per law key,
+    is ``markov.displacement_laws`` over the nine DP states, from state
+    0 = _dp_state(1, 0), with the letter steps of ``_letter_sources``.  A
+    block adds its interior length at the parity it starts on to every
+    interior length mod 3.
     """
     if not weights:
         return 0
     keys = np.array(list(weights), dtype=np.int64)
-    n = len(keys)
-    start, end, *own_steps = keys[:, :4].T
-    m_start, m_end, *m_steps = keys[:, 4:8].T
     pal = keys[:, 8].astype(bool)
-    paired = np.flatnonzero(~pal)
     lengths = np.arange(3)
-    rows, paired_rows = np.arange(n)[:, None], paired[:, None]
-    own_from = 3 * (start[:, None] - 1) + lengths
-    mirror_from = 3 * (m_start[paired, None] - 1) + lengths
-    sources = {(p, letter): _letter_sources(p, letter) for p in (0, 1) for letter in "ab"}
 
-    law = np.zeros((n, 9, 2 * t + 1), dtype=object)
-    law[:, _dp_state(1, 0), t] = 1
-    for k in range(t):
-        parity = k * s % 2
-        window = slice(t - k - 1, t + k + 2)  # displacements -k-1 .. k+1
-        before = law[:, :, window]
-        after = before
-        for i in range(s):
-            p = (parity + i) % 2
-            after = after[:, sources[p, "a"]] + after[:, sources[p, "b"]]
-        own_to = 3 * (end[:, None] - 1) + (lengths + own_steps[parity][:, None]) % 3
-        moved = before[rows, own_from]
-        after[rows, own_to, 1:] += moved[..., :-1]
-        after[rows, own_to] -= moved
-        mirror_to = (3 * (m_end[paired, None] - 1)
-                     + (lengths + m_steps[parity][paired, None]) % 3)
-        moved = before[paired_rows, mirror_from]
-        after[paired_rows, mirror_to, :-1] += moved[..., 1:]
-        after[paired_rows, mirror_to] -= moved
-        law[:, :, window] = after
+    def moves(start, end, steps):
+        # (from, to) DP states of a block at block parities 0 and 1.
+        return [(_dp_state(start[:, None], lengths),
+                 _dp_state(end[:, None], lengths + step[:, None])) for step in steps]
 
-    d = np.arange(-t, t + 1)
-    contribution = np.where(pal[:, None], d & 1, np.abs(d))
-    by_length = law.reshape(n, 3, 3, -1).sum(axis=1)
+    sources = [(_letter_sources(p, "a"), _letter_sources(p, "b")) for p in (0, 1)]
+    law = displacement_laws(s, t, sources, moves(*keys[:, 0:2].T, keys[:, 2:4].T),
+                            moves(*keys[:, 4:6].T, keys[:, 6:8].T), pal)
+    by_length = law.reshape(len(keys), 3, 3, -1).sum(axis=1)
     per_core = (by_length * np.array(tails, dtype=object)[:, None]).sum(axis=1)
-    totals = (per_core * contribution).sum(axis=1)
+    totals = (per_core * residual_count(np.arange(-t, t + 1), pal[:, None])).sum(axis=1)
     return sum(w * int(total) for w, total in zip(weights.values(), totals))
 
 
@@ -611,9 +585,9 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     the remainder's repair and crossings depend only on the last state and
     the at most s - 1 core letters after the blocks, which are enumerated
     with the ending they force.  The residual is linear over summand
-    classes, and each law key's E|D_w| is one more DP
-    (``_residual_total``).  Words are counted, not listed, and the count
-    must equal word_count(c).
+    classes, and each law key's E|D_w| comes from the walk's
+    displacement-law DP (``_residual_total``).  Words are counted, not
+    listed, and the count must equal word_count(c).
     """
     if c < 3:
         raise ValueError(f"crossing number must be at least 3, got {c}")

@@ -14,12 +14,13 @@ mirror pair of classes, one parity bit per palindromic-type oriented word.
 The distance is a sum over classes, so E[Dist] = sum_w E|D_w|, and the law
 of one displacement D_w depends only on the class's transfer signature:
 the (start, end) states of the class and of its mirror, and its type.
-Classes are grouped by signature, and one exact integer dynamic program
-per group over (orientation state, D_w) across the t uniform blocks gives
-every moment in O(t^2) steps instead of a sum over all 2^(s t) block
-sequences (the tests keep that enumeration as the oracle).  The module
-checks the taxicab-distance bound 3 sqrt(2^s t) + p and the per-class
-second-moment bound 4 t / 2^s.
+Classes are grouped by signature, and one exact integer dynamic program,
+``displacement_laws``, steps (orientation state, D_w) for every group
+letter by letter across the t uniform blocks: O(s t^2) steps instead of a
+sum over all 2^(s t) block sequences (the tests keep that enumeration as
+the oracle).  Over nine states it also gives the residual term of
+``cobordism.average_g4_row``.  The module checks the taxicab-distance bound
+3 sqrt(2^s t) + p and the per-class second-moment bound 4 t / 2^s.
 
 Monte Carlo sampling covers walks past the work budget.  Each summand id
 carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
@@ -39,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cobordism import is_palindromic_type
-from .diagram import orientation_after, strand_permutation
+from .diagram import STATE_AFTER, orientation_after, strand_permutation
 from .errors import BudgetError
+from .words import is_palindromic_type
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
@@ -50,6 +51,12 @@ Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 # sampling draws and scores at once.
 WALK_WORK_BUDGET = 1 << 22
 _CELL_CAP = 1 << 22
+
+# Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
+# Less one, a row is the walk DP's gather index at either parity: entry j
+# is the state that the letter moves to j (a letter is its own inverse).
+_STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
+_LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
 
 # Signature groups are at most the 9 (start, end) pairs times the type: a
 # mirror's (start, end) is the flip of the class's (end, start).
@@ -222,8 +229,7 @@ def _tables(s: int) -> _WalkTables:
     # End state after each block from each start state, and each block with
     # its letters reversed, by prefix doubling: the block b of k + 1 letters
     # is the block b >> 1 of k letters followed by the letter b & 1.
-    a_step = np.array([0, 1, 3, 2], dtype=np.int64)
-    b_step = np.array([0, 2, 1, 3], dtype=np.int64)
+    a_step, b_step = _STEPS
     ends = np.arange(1, 4, dtype=np.int64)[:, None]  # shape (3, 2^k)
     reversed_bits = np.zeros(1, dtype=np.int64)
     for k in range(s):
@@ -298,7 +304,7 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     first[::t] = True  # a run never crosses into the next row
     starts = np.flatnonzero(first)
     counts = np.add.reduceat(1 - 2 * (flat & 1), starts)
-    contributions = np.where(tables.is_pal[canon[starts]], counts & 1, np.abs(counts))
+    contributions = residual_count(counts, tables.is_pal[canon[starts]])
     return np.bincount(starts // t, weights=contributions,
                        minlength=rows).astype(np.int64)
 
@@ -309,31 +315,42 @@ def walk_work(s: int, t: int) -> int:
     return 3 * 2 ** s + _MAX_GROUPS * 3 * (2 * t + 1) * t
 
 
-def _displacement_laws(tables: _WalkTables, t: int) -> np.ndarray:
-    """law[g, t + d] = number of the 2^(s t) block sequences that displace a
-    class of signature group g by d (its match count if palindromic-type).
+def residual_count(d, pal):
+    """Copies of a class left by cancellation: |d|, or d mod 2 if palindromic-type."""
+    return np.where(pal, d & 1, np.abs(d))
 
-    A step from state x to state y adds +1 through the class's own (start,
-    end), -1 through its mirror's, and 0 through the other blocks of the
-    N[x][y] = M^s[x][y] that move x to y.  Entries are exact Python ints.
+
+def displacement_laws(s: int, t: int, sources, own, mirror, pal: np.ndarray
+                      ) -> np.ndarray:
+    """law[g, i, t + d] = number of sequences of t blocks of s letters, from
+    state 0 and D = 0, that end in state i and displace the class of row g
+    by d (its match count if palindromic-type).  Entries are exact ints.
+
+    ``sources[p]`` holds the (a, b) gather indices of a letter at position
+    parity p: entry j is the state that the letter moves to j.  After the
+    s letter steps of block k, at parity p = k s % 2, the row's own block
+    (states ``own[p][0][g]`` to ``own[p][1][g]``, one pair per column) moves
+    from d to d + 1, and its mirror (``mirror[p]``, unless ``pal[g]``) from
+    d to d - 1.  Block k touches only the window d in [-k-1, k+1].
     """
-    x_c, y_c, x_m, y_m, pal = tables.signatures.T
-    groups = np.arange(len(pal))
-    paired = np.flatnonzero(pal == 0)
-    stay = np.empty((len(pal), 3, 3), dtype=object)
-    stay[:] = [[int(n) for n in row] for row in matrix_power(step_matrix(), tables.s)]
-    stay[groups, x_c, y_c] -= 1
-    stay[paired, x_m[paired], y_m[paired]] -= 1
-    into = stay.transpose(0, 2, 1)
-
-    law = np.zeros((len(pal), 3, 2 * t + 1), dtype=object)
-    law[:, 0, t] = 1  # every walk starts in state 1 with D = 0
-    for _ in range(t):
-        after = into @ law
-        after[groups, y_c, 1:] += law[groups, x_c, :-1]
-        after[paired, y_m[paired], :-1] += law[paired, x_m[paired], 1:]
-        law = after
-    return law.sum(axis=1)
+    rows, paired = np.arange(len(pal)), np.flatnonzero(~pal)
+    law = np.zeros((len(pal), len(sources[0][0]), 2 * t + 1), dtype=object)
+    law[:, 0, t] = 1
+    for k in range(t):
+        parity = k * s % 2
+        window = slice(t - k - 1, t + k + 2)
+        before = law[:, :, window]
+        after = before
+        for i in range(s):
+            a, b = sources[(parity + i) % 2]
+            after = after[:, a] + after[:, b]
+        # The window's ends are still 0 before the block: a roll is a shift.
+        for moving, (src, dst), shift in ((rows, own[parity], 1),
+                                          (paired, mirror[parity], -1)):
+            moved = before[moving[:, None], src[moving]]
+            after[moving[:, None], dst[moving]] += np.roll(moved, shift, axis=-1) - moved
+        law[:, :, window] = after
+    return law
 
 
 def _group_moments(s: int, t: int
@@ -351,10 +368,12 @@ def _group_moments(s: int, t: int
             f"DP cells, above the budget of {WALK_WORK_BUDGET}; use "
             "monte_carlo_distance instead")
     tables = _tables(s)
-    law = _displacement_laws(tables, t)
-    pal = tables.signatures[:, 4].astype(bool)
-    d = np.arange(-t, t + 1, dtype=np.int64)
-    contribution = np.where(pal[:, None], d & 1, np.abs(d))
+    x_c, y_c, x_m, y_m, pal = tables.signatures.T
+    pal = pal.astype(bool)
+    own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
+    law = displacement_laws(s, t, _LETTER_SOURCES, (own, own), (mirror, mirror),
+                            pal).sum(axis=1)
+    contribution = residual_count(np.arange(-t, t + 1), pal[:, None])
     abs_totals = (law * contribution).sum(axis=1)
     square_totals = (law * contribution * contribution).sum(axis=1)
     total = 1 << (s * t)

@@ -209,6 +209,11 @@ def swap_braid(z: str) -> str:
     return z.translate(_SWAP_LETTERS)
 
 
+def is_palindromic_type(letters: str) -> bool:
+    """True when a block's letters coincide with their own mirror letters."""
+    return swap_braid(letters[::-1]) == letters
+
+
 def validate_braid(z: str) -> None:
     if set(z) - {"a", "b"}:
         raise ValueError(f"braid word must be over a/b: {z!r}")

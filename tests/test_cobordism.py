@@ -37,7 +37,7 @@ from twobridge.cobordism import (
     remainder_component_count,
     summand_class,
 )
-from twobridge import checks, cobordism
+from twobridge import checks, cobordism, words
 from twobridge.diagram import (
     S3,
     closure_components,
@@ -390,6 +390,25 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
                      "component_count": len(distinct), "link_lemma_fix": links}
 
 
+def test_decompose_validates_its_word_twice(monkeypatch):
+    # to_braid and signature validate the word once each; decompose reads c
+    # off the braid word instead of validating a third time.
+    calls = []
+    real = words.validate_word
+
+    def counted(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(words, "validate_word", counted)
+    monkeypatch.setattr(cobordism, "validate_word", counted, raising=False)
+    decompose(EXAMPLE_WORD, 3)
+    assert calls == [EXAMPLE_WORD] * 2
+    # An invalid word still fails with validate_word's own message.
+    with pytest.raises(ValueError, match="run exponents must be 1 or 2"):
+        decompose("+---+", 1)
+
+
 def test_sandwich_at_chosen_block_size():
     for c in range(7, 18):
         s = choose_block_size(c)
@@ -474,6 +493,40 @@ def test_repaired_crossings_are_mirror_invariant():
         for x in all_oriented_words(s):
             assert (cobordism._repair_costs(x)[1]
                     == cobordism._repair_costs(mirror(x))[1])
+
+
+def reference_summand_table(s):
+    """Table build that analyses every class's mirror from scratch: its
+    (start, end) from ``mirror`` and its interior lengths from its letters."""
+    counts = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    costs = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    weights = Counter()
+    for x in all_oriented_words(s):
+        saddles, crossings = cobordism._repair_costs(x)
+        cost = saddles + cobordism._CUT_SADDLES[x.end]
+        for parity in (0, 1):
+            step = cobordism._interior_length(x.letters, parity)
+            for length in range(3):
+                i = cobordism._dp_state(x.start, length)
+                j = cobordism._dp_state(x.end, length + step)
+                counts[parity][i][j] += 1
+                costs[parity][i][j] += cost
+        cls = summand_class(x)
+        if cls.polarity == "minus" or crossings < 2:
+            continue
+        key = tuple(value for y in (x, mirror(x))
+                    for value in (y.start, y.end,
+                                  *(cobordism._interior_length(y.letters, p) % 3
+                                    for p in (0, 1))))
+        weights[key + (cls.polarity == "self_mirror",)] += crossings // 2
+    return counts, costs, dict(weights)
+
+
+def test_summand_table_matches_mirror_analysis():
+    for s in range(1, 11):
+        table = cobordism._summand_table(s)
+        assert ((table.counts, table.costs, table.weights)
+                == reference_summand_table(s)), s
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twobridge import markov
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import orientation_after
 from twobridge.errors import BudgetError
@@ -17,6 +18,7 @@ from twobridge.markov import (
     _tables,
     class_bucket,
     contraction_gap,
+    displacement_laws,
     distance_bound,
     distance_bound_holds,
     empirical_transition_matrix,
@@ -298,6 +300,39 @@ def test_per_class_moments_match_enumeration():
                     Fraction(int(square_totals[ident]), 1 << (s * t))), (s, t, m.key)
 
 
+def test_ungrouped_laws_match_grouped_moments():
+    # One DP row per summand class, with no signature grouping: each row
+    # moves its class's own ids and its mirror's, read off the walk tables,
+    # and the letter steps are built from orientation_after.
+    letter_sources = tuple(
+        np.array([next(i for i in range(3)
+                       if orientation_after(i + 1, letter) == j + 1) for j in range(3)])
+        for letter in "ab")
+    for s in (1, 2, 3):
+        tables = _tables(s)
+        mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
+        classes = tables.classes
+        mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
+        pal = tables.is_pal[classes]
+        assert (mirrors == classes).tolist() == pal.tolist()
+        own = ((classes >> s)[:, None], tables.next_state[classes, None] - 1)
+        other = ((mirrors >> s)[:, None], tables.next_state[mirrors, None] - 1)
+        for t in (1, 2, 3, 8, 21, 60):
+            law = displacement_laws(s, t, (letter_sources,) * 2, (own,) * 2,
+                                    (other,) * 2, pal).sum(axis=1)
+            d = np.arange(-t, t + 1)
+            count = np.where(pal[:, None], d & 1, np.abs(d))
+            expected = {
+                oriented_word_key(s, c): (bool(p), Fraction(a, 1 << (s * t)),
+                                          Fraction(q, 1 << (s * t)))
+                for c, p, a, q in zip(classes.tolist(), pal.tolist(),
+                                      (law * count).sum(axis=1).tolist(),
+                                      (law * count * count).sum(axis=1).tolist())}
+            moments = per_class_moments(s, t)
+            assert {key: (m.palindromic, m.abs_mean, m.second_moment)
+                    for key, m in moments.items()} == expected, (s, t)
+
+
 def test_distance_bound_small_grid():
     for s in range(1, 7):
         for t in range(1, 12 // s + 1):
@@ -355,6 +390,17 @@ def test_monte_carlo_matches_exact():
     mean, stderr = monte_carlo_distance(2, 3, 4000, seed=11)
     exact = float(exact_expected_distance(2, 3))
     assert abs(mean - exact) <= 5 * stderr
+
+
+@pytest.mark.parametrize("s, t", [(3, 333), (2, 500)])
+def test_monte_carlo_matches_exact_past_enumeration(monkeypatch, s, t):
+    # Far past the 2^(s t) enumeration, sampling is the exact DP's check.
+    assert walk_work(s, t) > WALK_WORK_BUDGET
+    monkeypatch.setattr(markov, "WALK_WORK_BUDGET", walk_work(s, t))
+    exact = exact_expected_distance(s, t)
+    mean, stderr = monte_carlo_distance(s, t, 4000, seed=t)
+    assert stderr > 0
+    assert abs(mean - float(exact)) <= 5 * stderr
 
 
 def test_monte_carlo_below_bound():
