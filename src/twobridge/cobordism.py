@@ -17,6 +17,13 @@ summand classes contributes crossings to the 4-genus bound.  Every saddle
 move contributes genus 1/2 and each surviving knot with n crossings
 contributes at most floor(n / 2).
 
+Each oriented block is analysed once per process.  ``_analyse_block`` is a
+``functools.lru_cache`` memo keyed by (start state, letters) and bounded at
+2^12 records, enough for every block with s <= 10.  It holds only results
+of pure functions of its key: the block's ``OrientedWord``, end state,
+mirror class and link repair.  A check that raises caches nothing.
+``decompose`` reads every block from it, and so does the mean DP's table.
+
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the word cores, with no enumeration (see ``average_g4_row``); its
 residual term reuses the summand walk's displacement-law DP,
@@ -25,6 +32,7 @@ residual term reuses the summand walk's displacement-law DP,
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -40,8 +48,7 @@ from .diagram import (
     S3_AFTER,
     STATE_AFTER,
     closure_components,
-    signature,
-    strand_permutation,
+    metrics_for_braid,
 )
 from .errors import BudgetError
 from .markov import displacement_laws, residual_count
@@ -69,6 +76,13 @@ _COMPONENTS = tuple(
     tuple(closure_components(_LEFT_CLOSURE[start], perm,
                              _RIGHT_CLOSURE[perm[start - 1]]) for perm in S3)
     for start in (1, 2, 3))
+
+# Components of a remainder block, by (plat closure on its right, cut state
+# on its left) and the S3 index of its strand permutation.
+_REMAINDER_COMPONENTS = {
+    (closure, start): tuple(closure_components(left, perm, right) for perm in S3)
+    for closure, right in PLAT_RIGHT.items()
+    for start, left in _LEFT_CLOSURE.items()}
 
 
 def _s3_index(letters: str, index: int = 0) -> int:
@@ -138,8 +152,8 @@ def component_count(x: OrientedWord) -> int:
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
     """Components of the remainder block: cut cap on the left, original plat
     closure (A or B) on the right."""
-    perm = strand_permutation(letters)
-    return closure_components(_LEFT_CLOSURE[start], perm, PLAT_RIGHT[closure])
+    validate_braid(letters)
+    return _REMAINDER_COMPONENTS[closure, start][_s3_index(letters)]
 
 
 @dataclass(frozen=True)
@@ -226,6 +240,31 @@ def _repair_costs(x: OrientedWord) -> tuple[int, int]:
         fix = link_lemma_fix(x)
         return fix.saddles, len(x.letters) + fix.added_crossings
     return 0, len(x.letters)
+
+
+@dataclass(eq=False, slots=True)
+class _BlockAnalysis:
+    """An oriented block's summand, end state, mirror class and link repair
+    (saddle moves, repaired crossings).  Records compare by identity: the
+    memo hands out one record per (start, letters), and no caller writes
+    to one."""
+
+    summand: OrientedWord
+    end: int
+    cls: SummandClass
+    saddles: int
+    crossings: int
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
+    """Analyse one oriented block, with every check of ``OrientedWord``,
+    ``summand_class`` and ``link_lemma_fix``.  The memo holds every block
+    with s <= 10; a check that raises caches nothing."""
+    x = OrientedWord(start, letters)
+    cls = summand_class(x)
+    saddles, crossings = _repair_costs(x)
+    return _BlockAnalysis(x, x.end, cls, saddles, crossings)
 
 
 def _remainder_is_link(state: int, remainder: str, closure: str) -> bool:
@@ -320,34 +359,29 @@ def decompose(word: str, s: int) -> DecompositionReport:
     if not 0 <= r - 1 - j <= s - 1:
         raise ValueError(f"remainder r={r} out of range for s={s}, j={j}")
 
-    # The orientation state at every cut, pushed through the core letter by
-    # letter, and one oriented word per distinct (start, block), shared by
-    # its repeats.
-    states = [1]
-    for letter in core[:s * t]:
-        states.append(STATE_AFTER[letter][states[-1]])
-    cut_states = states[::s]
-    state = cut_states[-1]
+    # One block record per cut, each block starting at the state its
+    # predecessor ends in.
+    state = 1
+    cut_states = [state]
+    blocks = []
+    for k in range(0, s * t, s):
+        block = _analyse_block(state, core[k:k + s])
+        blocks.append(block)
+        state = block.end
+        cut_states.append(state)
     cut_saddles = sum(_CUT_SADDLES[q] for q in cut_states)
-    blocks = [(cut_states[k], core[k * s:(k + 1) * s]) for k in range(t)]
-    counts = Counter(blocks)
-    oriented = {block: OrientedWord(*block) for block in counts}
-    summands = tuple(map(oriented.__getitem__, blocks))
+    summands = tuple(block.summand for block in blocks)
 
-    # Mirror class and link repair of each distinct oriented word, worked
-    # out once and charged per occurrence.  A class's residual copies cost
-    # the repaired crossing count of its first summand (mirrors cost the
-    # same).
+    # Each distinct block is charged per occurrence.  A class's residual
+    # copies cost the repaired crossing count of its first summand (mirrors
+    # cost the same).
     classes: Counter[SummandClass] = Counter()
     crossings: dict[str, int] = {}
     link_fix_saddles = 0
-    for block, n in counts.items():
-        x = oriented[block]
-        cls = summand_class(x)
-        classes[cls] += n
-        saddles, repaired = _repair_costs(x)
-        link_fix_saddles += n * saddles
-        crossings.setdefault(cls.key, repaired)
+    for block, n in Counter(blocks).items():
+        classes[block.cls] += n
+        link_fix_saddles += n * block.saddles
+        crossings.setdefault(block.cls.key, block.crossings)
 
     remainder = braid[1 + t * s:]
     if not len(remainder) == r - 1 >= 1:
@@ -368,7 +402,7 @@ def decompose(word: str, s: int) -> DecompositionReport:
     upper = total_saddles // 2
     upper += sum(n // 2 for n in residual_crossings)
     upper += remaining // 2
-    lower = abs(signature(word)) // 2
+    lower = abs(metrics_for_braid(braid).signature) // 2
     return DecompositionReport(
         word=word, s=s, t=t, r=r,
         cut_states=tuple(cut_states), cut_saddles=cut_saddles,
@@ -460,9 +494,10 @@ G4_WORK_BUDGET = 1 << 27
 
 def _interior_length(letters: str, parity: int) -> int:
     """Length of the word runs that core letters stand for, the first one
-    at a core position of the given parity."""
-    return sum(2 if (letter == "a") == ((parity + i) % 2 == 0) else 1
-               for i, letter in enumerate(letters))
+    at a core position of the given parity: 2 for an 'a' at an even
+    position or a 'b' at an odd one, 1 otherwise."""
+    even = parity % 2
+    return len(letters) + letters[even::2].count("a") + letters[1 - even::2].count("b")
 
 
 def _dp_state(state: int, length: int) -> int:
@@ -513,17 +548,16 @@ def _summand_table(s: int) -> _SummandTable:
     weights: Counter[tuple[int, ...]] = Counter()
     for start in (1, 2, 3):
         for letters in map("".join, product("ab", repeat=s)):
-            x = OrientedWord(start, letters)
-            end = x.end
-            saddles, crossings = _repair_costs(x)
-            cost = saddles + _CUT_SADDLES[end]
+            block = _analyse_block(start, letters)
+            x, end, crossings = block.summand, block.end, block.crossings
+            cost = block.saddles + _CUT_SADDLES[end]
             steps = (_interior_length(letters, 0), _interior_length(letters, 1))
             for parity, step in enumerate(steps):
                 for length in range(3):
                     i, j = _dp_state(start, length), _dp_state(end, length + step)
                     counts[parity][i][j] += 1
                     costs[parity][i][j] += cost
-            cls = summand_class(x)
+            cls = block.cls
             if cls.polarity == "minus":
                 continue
             other = mirror(x)

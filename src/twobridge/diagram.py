@@ -105,10 +105,14 @@ def build_diagram(z: str, closure: str = "B") -> PlatDiagram:
 
 
 def diagram_for_word(word: str) -> PlatDiagram:
-    """The alternating knot diagram of a word: closure matches the last
+    """The alternating knot diagram of a word."""
+    return _braid_diagram(to_braid(word))  # validates the word
+
+
+def _braid_diagram(z: str) -> PlatDiagram:
+    """The diagram of a word's braid word z: closure matches the last
     crossing row, which is what the drawn plat closures do."""
-    z = to_braid(word)  # validates the word
-    return PlatDiagram(z, "A" if z[-1] == "a" else "B")
+    return PlatDiagram(z, "A" if z[-1:] == "a" else "B")
 
 
 def closure_components(left: tuple[tuple[int, int], int],
@@ -214,7 +218,13 @@ def all_A_components(d: PlatDiagram) -> int:
 
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
-    d = diagram_for_word(word)
+    return metrics_for_braid(to_braid(word))  # validates the word
+
+
+def metrics_for_braid(z: str) -> DiagramMetrics:
+    """``metrics_for_word`` of the word whose braid word is z, for callers
+    that hold the braid word of a validated word already."""
+    d = _braid_diagram(z)
     signs, states = orient_diagram(d)
     if states[1] != 1:
         raise ValueError(f"state right of crossing 1 must be o1, got o{states[1]}")

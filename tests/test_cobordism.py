@@ -39,6 +39,7 @@ from twobridge.cobordism import (
 )
 from twobridge import checks, cobordism, words
 from twobridge.diagram import (
+    PLAT_RIGHT,
     S3,
     closure_components,
     orientation_after,
@@ -55,6 +56,15 @@ from twobridge.words import (
 )
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
+
+
+@pytest.fixture(autouse=True)
+def fresh_block_memo():
+    # Each test's patches reach the block analysis, and no record made under
+    # a patch outlives its test.
+    cobordism._analyse_block.cache_clear()
+    yield
+    cobordism._analyse_block.cache_clear()
 
 
 def all_oriented_words(s):
@@ -169,6 +179,17 @@ def test_remainder_component_count():
     # final crossing reconnects it.
     assert remainder_component_count(3, "bb", "B") == 2
     assert remainder_component_count(3, "b", "B") == 1
+
+
+def test_remainder_table_matches_union_find():
+    for n in range(1, 11):
+        for bits in product("ab", repeat=n):
+            letters = "".join(bits)
+            perm = strand_permutation(letters)
+            for start in (1, 2, 3):
+                for closure, right in PLAT_RIGHT.items():
+                    assert remainder_component_count(start, letters, closure) == \
+                        closure_components(cobordism._LEFT_CLOSURE[start], perm, right)
 
 
 def test_single_crossing_remainders_are_knots():
@@ -379,20 +400,62 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
     monkeypatch.setattr(OrientedWord, "__post_init__",
                         counted("OrientedWord", OrientedWord.__post_init__))
     rep = decompose(word, 3)
+    first = dict(calls)
+    calls.clear()
+    # The block memo serves every block of a repeat call.
+    again = decompose(word, 3)
     monkeypatch.undo()
 
     distinct = set(rep.summands)
     assert len(set(map(id, rep.summands))) == len(distinct)
     links = sum(component_count(x) == 2 for x in distinct)
     assert rep.t > 2 * len(distinct) and links > 0
-    assert calls == {"OrientedWord": len(distinct), "summand_class": len(distinct),
+    assert first == {"OrientedWord": len(distinct), "summand_class": len(distinct),
                      "_repair_costs": len(distinct),
                      "component_count": len(distinct), "link_lemma_fix": links}
+    assert again == rep and not calls
+    assert all(x is y for x, y in zip(again.summands, rep.summands, strict=True))
 
 
-def test_decompose_validates_its_word_twice(monkeypatch):
-    # to_braid and signature validate the word once each; decompose reads c
-    # off the braid word instead of validating a third time.
+def test_block_memo_matches_fresh_analysis():
+    for s in range(1, 9):
+        for x in all_oriented_words(s):
+            block = cobordism._analyse_block(x.start, x.letters)
+            assert (block.summand, block.end, block.cls,
+                    block.saddles, block.crossings) == (
+                x, x.end, summand_class(x), *cobordism._repair_costs(x))
+            assert cobordism._analyse_block(x.start, x.letters) is block
+
+
+def test_block_memo_caches_no_failure(monkeypatch):
+    # A block whose analysis raises is analysed, and raises, on every call.
+    for start, letters, message in ((1, "ax", "braid"), (1, "", "non-empty")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                cobordism._analyse_block(start, letters)
+    calls = []
+
+    def failing(x):
+        calls.append(x)
+        raise ValueError("repair failed")
+
+    monkeypatch.setattr(cobordism, "link_lemma_fix", failing)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="repair failed"):
+            cobordism._analyse_block(2, "aba")
+    assert calls == [OrientedWord(2, "aba")] * 2
+    assert cobordism._analyse_block.cache_info().currsize == 0
+
+
+def test_block_memo_is_bounded():
+    # Finite, and large enough for every oriented block with s <= 10.
+    maxsize = cobordism._analyse_block.cache_info().maxsize
+    assert maxsize is not None and 3 * 2 ** 10 <= maxsize
+
+
+def test_decompose_validates_its_word_once(monkeypatch):
+    # to_braid validates the word; decompose reads c off the braid word and
+    # scores the lower bound on it.
     calls = []
     real = words.validate_word
 
@@ -403,7 +466,7 @@ def test_decompose_validates_its_word_twice(monkeypatch):
     monkeypatch.setattr(words, "validate_word", counted)
     monkeypatch.setattr(cobordism, "validate_word", counted, raising=False)
     decompose(EXAMPLE_WORD, 3)
-    assert calls == [EXAMPLE_WORD] * 2
+    assert calls == [EXAMPLE_WORD]
     # An invalid word still fails with validate_word's own message.
     with pytest.raises(ValueError, match="run exponents must be 1 or 2"):
         decompose("+---+", 1)
@@ -520,6 +583,16 @@ def reference_summand_table(s):
                                     for p in (0, 1))))
         weights[key + (cls.polarity == "self_mirror",)] += crossings // 2
     return counts, costs, dict(weights)
+
+
+def test_interior_length_matches_letter_scan():
+    for n in range(0, 11):
+        for bits in product("ab", repeat=n):
+            letters = "".join(bits)
+            for parity in (0, 1):
+                assert cobordism._interior_length(letters, parity) == sum(
+                    2 if (letter == "a") == ((parity + i) % 2 == 0) else 1
+                    for i, letter in enumerate(letters))
 
 
 def test_summand_table_matches_mirror_analysis():
