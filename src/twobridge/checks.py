@@ -95,17 +95,23 @@ def check_metric_rows(budget_c: int | None = None) -> tuple[bool, str]:
 
 def check_sig_table(budget_c: int | None = None) -> tuple[bool, str]:
     """Histogram rows by enumeration against the published table and the
-    recursion, plus the one-step recursion and symmetry identities on
-    every recursed row."""
+    recursion, the transfer DP's rows against the recursion to c = 200,
+    plus the one-step recursion and symmetry identities on every recursed
+    row to c = 18."""
     enum_max = max(5, _clamp(14, budget_c))
     full_max = max(5, _clamp(18, budget_c))
-    recursed = sigtables.recursed_table(full_max)
+    dp_max = max(5, _clamp(200, budget_c))
+    recursed = sigtables.recursed_table(dp_max)
     for c in range(3, enum_max + 1):
         enumerated = sigtables.histogram_enumerated(c)
         if enumerated != SIGNATURE_TABLE[c]:
             return False, f"enumerated row mismatch at c={c}"
         if recursed[c] != enumerated:
             return False, f"recursion regenerates wrong row at c={c}"
+    transferred = sigtables.transfer_table(dp_max)
+    for c in range(3, dp_max + 1):
+        if transferred[c] != recursed[c]:
+            return False, f"transfer DP and recursion differ at c={c}"
     for c in range(4, full_max + 1):
         if not sigtables.verify_recursion2(c, recursed):
             return False, f"one-step recursion fails at c={c}"
@@ -113,7 +119,7 @@ def check_sig_table(budget_c: int | None = None) -> tuple[bool, str]:
         if not sigtables.verify_symmetry(c, recursed[c]):
             return False, f"symmetry fails at c={c}"
     return True, (f"rows 3..{enum_max} enumerated, recursion + symmetry "
-                  f"to c={full_max}")
+                  f"to c={full_max}, transfer DP = recursion to c={dp_max}")
 
 
 def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
@@ -147,19 +153,28 @@ def check_totals(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_avg_signature(budget_c: int | None = None) -> tuple[bool, str]:
-    """avg|sigma|(6) = 2/3 and the gap to sqrt(2c/pi) narrows 10->20, 9->19."""
-    if sigtables.totals(6).avg_abs_sigma != Fraction(2, 3):
-        return False, "avg|sigma|(6) != 2/3"
-    c_max = max(10, _clamp(20, budget_c))
-    gaps = dict(sigtables.asymptote_gap(c_max))
+    """avg|sigma|(6) = 2/3 and the gap to sqrt(2c/pi) narrows 10->1000,
+    9->999 (to budget_c under a budget).  The detail reports gap * sqrt(c)
+    at the late c without asserting it."""
+    c_max = max(10, _clamp(1000, budget_c))
     pairs = [(early, late)
              for early, late in ((10, c_max - c_max % 2), (9, c_max - 1 + c_max % 2))
              if early < late]
+    rows = sigtables.recursed_table(c_max + 1)
+    if sigtables.totals(6, rows).avg_abs_sigma != Fraction(2, 3):
+        return False, "avg|sigma|(6) != 2/3"
+    gaps = {}
+    for c in sorted({c for pair in pairs for c in pair}):
+        report = sigtables.totals(c, rows)
+        gaps[c] = float(report.avg_abs_sigma) - report.asymptote
     for early, late in pairs:
         if not abs(gaps[late]) < abs(gaps[early]):
             return False, f"gap at c={late} not below gap at c={early}"
     if pairs:
-        return True, f"avg(6)=2/3; |gap| shrinks on {pairs}"
+        scaled = ", ".join(f"c={late}: {gaps[late] * math.sqrt(late):+.2f}"
+                           for _, late in pairs)
+        return True, (f"avg(6)=2/3; |gap| shrinks on {pairs}; "
+                      f"gap*sqrt(c) at {scaled}")
     return True, "avg(6)=2/3"
 
 

@@ -173,12 +173,13 @@ def cmd_avg_sig(ctx: click.Context, c_values: tuple[int, ...], fmt: str) -> None
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
     # The work grows with c: refuse the whole range before any row.
     try:
-        sigtables.check_palindrome_budget(max(c_values))
+        sigtables.check_avg_sig_budget(c_values)
     except BudgetError as problem:
         _refuse(ctx, problem)
+    rows = sigtables.recursed_table(max(c_values) + 1)
     entries = []
     for c in c_values:
-        report = sigtables.totals(c)
+        report = sigtables.totals(c, rows)
         root = math.sqrt(2 * c / math.pi)
         gap = float(report.avg_abs_sigma) - root
         entries.append((c, report.avg_abs_sigma, root, gap))

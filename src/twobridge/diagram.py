@@ -62,8 +62,8 @@ S3_AFTER = {
     letter: tuple(S3.index(tuple(step[q] for q in p)) for p in S3)
     for letter, step in STATE_AFTER.items()
 }
-# (sign of the crossing, state after it), indexed by the state before it.
-_STEP = {
+#: (sign of the crossing, state after it), indexed by the state before it
+STEP = {
     "a": (None, (-1, 1), (1, 3), (1, 2)),
     "b": (None, (-1, 2), (-1, 1), (1, 3)),
 }
@@ -175,7 +175,7 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     signs = []
     states = [state]
     for letter in d.letters:
-        sign, state = _STEP[letter][state]
+        sign, state = STEP[letter][state]
         signs.append(sign)
         states.append(state)
     return signs, states

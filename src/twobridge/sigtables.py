@@ -2,13 +2,16 @@
 
 The histogram row for crossing number c counts, for each even sigma, the
 words whose knot has that signature.  Rows come from the two-step
-recursion grown from the base rows c=3,4 (``recursed_table``); exhaustive
-enumeration through the diagram pipeline (``histogram_enumerated``) is
-the independent cross-check the verification suite compares them with.
-Every identity takes the rows it checks as an argument, so the caller
-decides which derivation it sees.  On top of the rows sit the total
-absolute signature tot(c), its palindromic variant tot_p(c), the exact
-average |sigma| per knot, and the √(2c/π) asymptote it approaches.
+recursion grown from the base rows c=3,4 (``recursed_table``).  Two
+independent derivations check them: a transfer DP over the runs of the
+words (``transfer_table``), and exhaustive enumeration through the diagram
+pipeline (``histogram_enumerated``).  Every identity takes the rows it
+checks as an argument, so the caller decides which derivation it sees.  On
+top of the rows sit the total absolute signature tot(c), its palindromic
+variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
+asymptote it approaches.  tot_p comes from the same DP folded in half
+(``palindromic_histogram``), in O(c^2) steps rather than one diagram per
+palindrome.
 """
 
 from __future__ import annotations
@@ -17,27 +20,31 @@ import hashlib
 import math
 import os
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .diagram import signature
+from .diagram import STATE_AFTER, STEP, signature
 from .errors import BudgetError
-from .words import (
-    enumerate_palindromic_words,
-    knot_count,
-    word_count,
-    word_from_interior_bits,
-)
+from .words import knot_count, word_count, word_from_interior_bits
 
 Row = dict[int, int]
 
 #: largest c accepted for exhaustive enumeration (2^20 masks, ~350k diagrams)
 ENUMERATION_BUDGET = 22
+# Fewest masks that histogram_enumerated shards over a process pool.  On a
+# 2-CPU x86 machine a serial row beats a 2-worker pool up to c = 17 (153 ms
+# against 173 ms), and the pool wins from c = 18 (159 ms against 272 ms).
+_POOL_MIN_MASKS = 1 << 16
+
+#: work budget of the average signature over a range of c, in the units of
+#: ``avg_sig_work``: about 1 us each on a 2-CPU x86 machine near c = 2000,
+#: where ``avg-sig --c 2047``, the largest single c, takes about 9.5 s
+AVG_SIG_WORK_BUDGET = 1 << 23
 
 SCHEMA_VERSION = 1
 
@@ -68,15 +75,15 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
     Work is proportional to 2^(c-2); refuses beyond ENUMERATION_BUDGET.
-    With workers > 1 the mask range is sharded over a process pool; if the
-    pool cannot start or breaks, a RuntimeWarning names the reason and the
-    row is evaluated serially.
+    With workers > 1 and at least 2^16 masks (c >= 18) the mask range is
+    sharded over a process pool; if the pool cannot start or breaks, a
+    RuntimeWarning names the reason and the row is evaluated serially.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     check_enumeration_budget(c)
     n_masks = 1 << (c - 2)
-    if workers and workers > 1 and n_masks >= 1 << 10:
+    if workers and workers > 1 and n_masks >= _POOL_MIN_MASKS:
         chunks = []
         step = -(-n_masks // (workers * 4))
         for lo in range(0, n_masks, step):
@@ -120,6 +127,134 @@ def recursed_table(c_max: int) -> dict[int, Row]:
     for c in range(5, c_max + 1):
         rows[c] = histogram_recursed(c, rows)
     return rows
+
+
+# ------------------------------------------------------------- transfer DPs
+#
+# Traczyk's formula reads sigma = s_A - c_plus - 1, and s_A = #a + [c even]
+# for the diagram of a word of T(c) (its closure is B exactly when c is
+# even; see ``diagram``).  So sigma = (#a - c_plus) + [c even] - 1, summed
+# crossing by crossing: run i's letter follows from its sign, fixed by i,
+# and its exponent, and the crossing's sign from STEP of that letter and the
+# orientation state on its left.  Every word of T(c) has state 1 on cut 0
+# (the ``states[1] == 1`` invariant of ``diagram.metrics_for_braid``), and a
+# word of runs with exponents 1 or 2 is in T(c) exactly when e_1 = e_c = 1
+# and its length is 1 mod 3.  The DPs carry counts of #a - c_plus per
+# (orientation states, length mod 3), run by run.
+
+_OTHER_LETTER = {"a": "b", "b": "a"}
+
+_Counts = dict[tuple[int, ...], Counter]
+
+
+def _run_letter(i: int, exponent: int) -> str:
+    """Braid letter of run i (1-based): 'a' for (+)^1 and (-)^2, where run
+    i has sign + exactly when i is odd."""
+    return "a" if (i % 2 == 1) == (exponent == 1) else "b"
+
+
+def _forward(letter: str, state: int) -> tuple[int, int]:
+    """(state right of a crossing, its #a - c_plus), from the state on its
+    left."""
+    sign, after = STEP[letter][state]
+    return after, (letter == "a") - (sign == 1)
+
+
+def _backward(letter: str, state: int) -> tuple[int, int]:
+    """(state left of a crossing, its #a - c_plus), from the state on its
+    right: a letter's move of the states is its own inverse."""
+    before = STATE_AFTER[letter][state]
+    return before, _forward(letter, before)[1]
+
+
+def _advance(counts: _Counts,
+             moves: Callable[[tuple[int, ...]], Iterator[tuple[tuple[int, ...], int]]]
+             ) -> _Counts:
+    """One run of a DP: each key's counts, shifted by the #a - c_plus of
+    every move out of it."""
+    out: defaultdict = defaultdict(Counter)
+    for key, by_d in counts.items():
+        for nxt, delta in moves(key):
+            target = out[nxt]
+            for d, n in by_d.items():
+                target[d + delta] += n
+    return out
+
+
+def _exponents(i: int) -> tuple[int, ...]:
+    return (1,) if i == 1 else (1, 2)
+
+
+def transfer_table(c_max: int) -> dict[int, Row]:
+    """Rows 3..max(c_max, 4) by one forward pass of the transfer DP.
+
+    The DP walks runs 1..c_max-1 from state 1 on cut 0, keyed by
+    (orientation state, length mod 3).  Row c closes the walk after run
+    c-1 with run c, of exponent 1, and keeps the words of length 1 mod 3.
+    """
+    rows: dict[int, Row] = {}
+    counts: _Counts = {(1, 0): Counter({0: 1})}
+    for i in range(1, max(c_max, 4)):
+        def moves(key, i=i):
+            state, length = key
+            for e in _exponents(i):
+                after, delta = _forward(_run_letter(i, e), state)
+                yield (after, (length + e) % 3), delta
+        counts = _advance(counts, moves)
+        c = i + 1
+        if c < 3:
+            continue
+        last = _run_letter(c, 1)
+        row: Counter = Counter()
+        for (state, length), by_d in counts.items():
+            if (length + 1) % 3 == 1:
+                shift = _forward(last, state)[1] + (c % 2 == 0) - 1
+                for d, n in by_d.items():
+                    row[d + shift] += n
+        rows[c] = dict(row)
+    return rows
+
+
+def palindromic_histogram(c: int) -> Row:
+    """Histogram row of the palindromic words of T(c), by the DP folded in
+    half.
+
+    A palindrome has e_i = e_{c+1-i}, so run c+1-i carries run i's letter
+    for odd c and the other letter for even c.  One pass over runs
+    1..c//2 walks both ends of the word: a forward track from state 1 on
+    cut 0, and a backward track from the state on cut c, seeded once with
+    each of 1, 2 and 3.  The seed that is the word's own is the one where
+    the tracks meet, at the middle cut for even c and across the middle
+    run for odd c.  Keys are (forward state, backward state, length mod
+    3); work is O(c^2) counter updates, within ``check_avg_sig_budget``.
+    """
+    if c < 3:
+        raise ValueError(f"crossing number must be >= 3, got {c}")
+    check_avg_sig_budget((c,))
+    odd = c % 2 == 1
+    counts: _Counts = {(1, end, 0): Counter({0: 1}) for end in (1, 2, 3)}
+    for i in range(1, c // 2 + 1):
+        def moves(key, i=i):
+            ahead, behind, length = key
+            for e in _exponents(i):
+                letter = _run_letter(i, e)
+                ahead2, d_ahead = _forward(letter, ahead)
+                behind2, d_behind = _backward(
+                    letter if odd else _OTHER_LETTER[letter], behind)
+                yield (ahead2, behind2, (length + 2 * e) % 3), d_ahead + d_behind
+        counts = _advance(counts, moves)
+    row: Counter = Counter()
+    for (ahead, behind, length), by_d in counts.items():
+        if odd:  # the middle run takes the forward track onto the backward one
+            joins = [(e, *_forward(_run_letter(c // 2 + 1, e), ahead)) for e in (1, 2)]
+        else:
+            joins = [(0, ahead, 0)]
+        for e, meet, delta in joins:
+            if meet == behind and (length + e) % 3 == 1:
+                shift = delta + (not odd) - 1
+                for d, n in by_d.items():
+                    row[d + shift] += n
+    return dict(row)
 
 
 # ------------------------------------------------------------------ identities
@@ -200,26 +335,31 @@ def total_abs(row: Row) -> int:
     return sum(abs(s) * n for s, n in row.items())
 
 
-def check_palindrome_budget(c: int) -> None:
-    """Raise BudgetError if the 2^((c-1)//2) palindrome half-masks of T(c)
-    are more than the 2^(ENUMERATION_BUDGET-2) masks that
-    ``histogram_enumerated`` allows."""
-    half = (c - 1) // 2
-    if half > ENUMERATION_BUDGET - 2:
+def avg_sig_work(c_values: Iterable[int]) -> int:
+    """Work estimate of the average signature over c_values: c^2 for the
+    folded palindrome DP at each c, plus R^2 for one recursed table to row
+    R = max(c) + 1.  Both cost about 1 us per unit near c = 2000."""
+    c_values = tuple(c_values)
+    return sum(c * c for c in c_values) + (max(c_values) + 1) ** 2
+
+
+def check_avg_sig_budget(c_values: Iterable[int]) -> None:
+    """Raise BudgetError if ``avg_sig_work`` of c_values is above
+    AVG_SIG_WORK_BUDGET."""
+    c_values = tuple(c_values)
+    work = avg_sig_work(c_values)
+    if work > AVG_SIG_WORK_BUDGET:
+        lo, hi = min(c_values), max(c_values)
+        span = f"c={lo}" if lo == hi else f"c={lo}..{hi}"
         raise BudgetError(
-            f"palindromic total at c={c} means {1 << half} half-masks; the "
-            f"budget stops at 2^{ENUMERATION_BUDGET - 2} (c <= "
-            f"{2 * ENUMERATION_BUDGET - 2})")
+            f"average signature at {span} is about {work} work units "
+            f"(avg_sig_work); the budget stops at {AVG_SIG_WORK_BUDGET}")
 
 
 def palindromic_total_abs(c: int) -> int:
-    """Sum of |sigma| over the palindromic words only.
-
-    Enumerates just the 2^((c-1)//2) half-masks of the palindromes, within
-    ``check_palindrome_budget``.
-    """
-    check_palindrome_budget(c)
-    return sum(abs(signature(w)) for w in enumerate_palindromic_words(c))
+    """Sum of |sigma| over the palindromic words only, from
+    ``palindromic_histogram``."""
+    return total_abs(palindromic_histogram(c))
 
 
 def epsilon(c: int) -> int:
@@ -250,17 +390,20 @@ class TotalsReport:
                 f"(2 * knot_count) at c={self.c}")
 
 
-def totals(c: int) -> TotalsReport:
+def totals(c: int, rows: Mapping[int, Row] | None = None) -> TotalsReport:
     """Totals report for one crossing number.
 
-    tot and the paired total come from one recursed table up to 2m+2;
-    tot_p enumerates the palindromes, within the budget of
-    ``palindromic_total_abs``.  The average per knot is exact: each knot
-    is counted by two words, or by one word when that word is palindromic,
-    so summing |sigma| over words and palindromes double-counts every knot.
+    tot and the paired total come from one recursed table through row
+    2m+2 <= c+1: ``rows`` when the caller totals many c from one table,
+    else a table built here.  tot_p comes from the folded palindrome DP,
+    within ``check_avg_sig_budget``.  The average per knot is exact: each
+    knot is counted by two words, or by one word when that word is
+    palindromic, so summing |sigma| over words and palindromes
+    double-counts every knot.
     """
     m = (c - 1) // 2
-    rows = recursed_table(2 * m + 2)
+    if rows is None:
+        rows = recursed_table(2 * m + 2)
     tot = total_abs(rows[c])
     tot_p = palindromic_total_abs(c)
     tot2 = total_abs(rows[2 * m + 1]) + total_abs(rows[2 * m + 2])
@@ -328,10 +471,12 @@ def verify_wallis(m: int) -> bool:
 
 
 def asymptote_gap(c_max: int) -> list[tuple[int, float]]:
-    """Sequence (c, avg|sigma| - √(2c/π)) for c = 3..c_max."""
+    """Sequence (c, avg|sigma| - √(2c/π)) for c = 3..c_max, from one
+    recursed table."""
+    rows = recursed_table(c_max + 1)
     out = []
     for c in range(3, c_max + 1):
-        r = totals(c)
+        r = totals(c, rows)
         out.append((c, float(r.avg_abs_sigma) - r.asymptote))
     return out
 

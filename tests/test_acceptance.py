@@ -35,7 +35,8 @@ def test_02_metric_rows():
 
 def test_03_signature_table():
     # Enumerated rows for 3 <= c <= 14, regenerated by the histogram
-    # recursion, plus one-step recursion and symmetry up to c = 18,
+    # recursion, plus one-step recursion and symmetry up to c = 18 and
+    # the transfer DP's rows equal to the recursion's up to c = 200,
     # in under two minutes.
     _run("sig-table", budget_seconds=120)
 
@@ -53,7 +54,7 @@ def test_05_totals():
 
 def test_06_average_signature():
     # avg |sigma| at c = 6 is exactly 2/3, and the gap to sqrt(2c/pi)
-    # shrinks from c = 9/10 to c = 19/20, in under two minutes.
+    # shrinks from c = 9/10 to c = 999/1000, in under two minutes.
     _run("avg-signature", budget_seconds=120)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from test_sigtables import enumerated_palindromic_histogram
 from twobridge import sigtables, words
 from twobridge.cli import main
 
@@ -133,9 +134,10 @@ def test_recurse_never_writes_the_cache(tmp_path, monkeypatch, env):
 
 
 def test_sig_table_workers_match_serial():
-    serial = invoke("sig-table", "--c", "10", "--method", "enumerate",
+    # c = 18 has 2^16 masks, the fewest that are sharded.
+    serial = invoke("sig-table", "--c", "18", "--method", "enumerate",
                     "--workers", "1")
-    sharded = invoke("sig-table", "--c", "10", "--method", "enumerate",
+    sharded = invoke("sig-table", "--c", "18", "--method", "enumerate",
                      "--workers", "4")
     assert serial.exit_code == 0 and sharded.exit_code == 0
     assert serial.output == sharded.output
@@ -194,17 +196,17 @@ def test_misuse_refused_with_one_line(args, message):
 
 
 def test_avg_sig_over_budget_exits_2():
-    result = invoke("avg-sig", "--c", "43")
+    result = invoke("avg-sig", "--c", "2048")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
-    assert "half-masks" in result.stderr
+    assert "avg_sig_work" in result.stderr
 
 
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
      "histogram_enumerated", "budget stops at c=22"),
-    (("avg-sig", "--c", "3..43"), "totals", "half-masks"),
+    (("avg-sig", "--c", "3..5000"), "totals", "avg_sig_work"),
 ])
 def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
     def refuse(*args, **kwargs):
@@ -231,7 +233,8 @@ def test_avg_sig_never_enumerates_rows(monkeypatch):
     assert result.exit_code == 0
     rows = json.loads(result.output)["rows"]
     for c, row in enumerated.items():
-        want = Fraction(sigtables.total_abs(row) + sigtables.palindromic_total_abs(c),
+        want = Fraction(sigtables.total_abs(row)
+                        + sigtables.total_abs(enumerated_palindromic_histogram(c)),
                         2 * words.knot_count(c))
         assert Fraction(rows[str(c)]["avg"]) == want, c
 

@@ -1,6 +1,7 @@
 """Tests for signature histograms, recursions, totals, and the CSV cache."""
 
 import math
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from twobridge import sigtables as S
 from twobridge import words as W
+from twobridge.diagram import signature
 from twobridge.errors import BudgetError
 
 # The published table of s(c, sigma) for 3 <= c <= 14.
@@ -25,6 +27,11 @@ TABLE = {
     13: {-6: 1, -4: 10, -2: 44, 0: 111, 2: 176, 4: 175, 6: 111, 8: 44, 10: 10, 12: 1},
     14: {-10: 1, -8: 11, -6: 54, -4: 155, -2: 286, 0: 351, 2: 286, 4: 155, 6: 54, 8: 11, 10: 1},
 }
+
+
+def enumerated_palindromic_histogram(c):
+    """Oracle: the palindromic row of T(c), one diagram per palindrome."""
+    return dict(Counter(signature(w) for w in W.enumerate_palindromic_words(c)))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +81,8 @@ def test_enumeration_budget_refusal():
 
 
 def test_workers_shard_agrees_with_serial():
-    assert S.histogram_enumerated(12, workers=2) == TABLE[12]
+    # c = 18 has 2^16 masks, the fewest that are sharded.
+    assert S.histogram_enumerated(18, workers=2) == S.recursed_table(18)[18]
 
 
 @pytest.mark.parametrize("error", [OSError("no semaphores"),
@@ -95,7 +103,7 @@ def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch, error):
 
     monkeypatch.setattr(S, "ProcessPoolExecutor", FailingPool)
     with pytest.warns(RuntimeWarning, match=type(error).__name__):
-        assert S.histogram_enumerated(12, workers=2) == TABLE[12]
+        assert S.histogram_enumerated(18, workers=2) == S.recursed_table(18)[18]
 
 
 def test_recursed_equals_enumerated(enum14, rec20):
@@ -157,6 +165,8 @@ def test_totals_examples():
     assert r6.avg_abs_sigma == Fraction(2, 3)
     assert S.totals(3).avg_abs_sigma == 2
     assert S.totals(5).tot == 2 * 2 + 4 * 1 == 8
+    # A table shared across many c gives each c the report it builds alone.
+    assert S.totals(9, S.recursed_table(40)) == S.totals(9)
 
 
 def test_totals_asymptote_field():
@@ -216,21 +226,28 @@ def test_totals_never_enumerate_and_match_enumerated_rows(monkeypatch, enum14):
         assert r.tot2_m == (S.total_abs(enum14[2 * m + 1])
                             + S.total_abs(enum14[2 * m + 2])), c
         assert r.avg_abs_sigma == Fraction(
-            S.total_abs(enum14[c]) + S.palindromic_total_abs(c),
+            S.total_abs(enum14[c])
+            + S.total_abs(enumerated_palindromic_histogram(c)),
             2 * W.knot_count(c)), c
 
 
 def test_palindromic_total_budget(monkeypatch):
     assert S.palindromic_total_abs(26) == 0
     assert S.palindromic_total_abs(25) > 0
-    with pytest.raises(BudgetError, match="half-masks"):
-        S.palindromic_total_abs(43)
-    # c = 42 walks exactly 2^(ENUMERATION_BUDGET-2) half-masks, the last
-    # size allowed; an empty generator keeps this check instant.
-    monkeypatch.setattr(S, "enumerate_palindromic_words", lambda c: iter(()))
-    assert S.palindromic_total_abs(2 * S.ENUMERATION_BUDGET - 2) == 0
-    with pytest.raises(BudgetError):
-        S.palindromic_total_abs(2 * S.ENUMERATION_BUDGET - 1)
+    # c = 2047 is the largest single c within the budget; past it the DP is
+    # refused before its first step.
+    assert S.avg_sig_work((2047,)) <= S.AVG_SIG_WORK_BUDGET
+    assert S.avg_sig_work((2048,)) > S.AVG_SIG_WORK_BUDGET
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget DP must be refused first")
+
+    monkeypatch.setattr(S, "_advance", refuse)
+    with pytest.raises(BudgetError, match="avg_sig_work"):
+        S.palindromic_total_abs(2048)
+    with pytest.raises(BudgetError, match="c=3..300"):
+        S.check_avg_sig_budget(range(3, 301))
+    S.check_avg_sig_budget(range(3, 201))
 
 
 def test_palindromic_share_vanishes():
@@ -243,6 +260,39 @@ def test_palindromic_share_vanishes():
         for c in range(9, 21, 2)
     ]
     assert all(b < a for a, b in zip(shares, shares[1:]))
+
+
+def test_palindromic_histogram_matches_enumeration():
+    for c in range(3, 31):
+        assert S.palindromic_histogram(c) == enumerated_palindromic_histogram(c), c
+    for c in range(31, 35):
+        assert S.palindromic_total_abs(c) == S.total_abs(
+            enumerated_palindromic_histogram(c)), c
+
+
+def test_palindromic_histogram_counts_and_even_c_identity():
+    # Counted, not assumed: the DP handles both parities alike, and at even
+    # c every palindrome is amphichiral, so its row is all sigma = 0.
+    for c in range(3, 201):
+        row = S.palindromic_histogram(c)
+        assert sum(row.values()) == W.palindrome_count(c), c
+        assert all(s % 2 == 0 for s in row), c
+        if c % 2 == 0:
+            assert set(row) == {0}, c
+    with pytest.raises(ValueError):
+        S.palindromic_histogram(2)
+
+
+def test_transfer_table_matches_enumeration_and_recursion(enum14):
+    rows = S.transfer_table(200)
+    assert set(rows) == set(range(3, 201))
+    for c in range(3, 17):
+        enumerated = enum14[c] if c in enum14 else S.histogram_enumerated(c)
+        assert rows[c] == enumerated, c
+    recursed = S.recursed_table(200)
+    for c in range(3, 201):
+        assert rows[c] == recursed[c], c
+    assert S.transfer_table(3) == {3: {2: 1}, 4: {0: 1}}
 
 
 # ------------------------------------------------------------------ asymptote
