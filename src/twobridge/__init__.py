@@ -6,13 +6,14 @@ alternating-word model T(c), `diagram` evaluates plat diagrams
 and verifies the signature histograms, `cobordism` runs the
 saddle-move decomposition that yields 4-genus upper bounds, `markov`
 handles the summand-walk distributions behind the average-case
-bound, and `checks` bundles every verification into named,
+bound, `budget` holds the work limit of every exhaustive
+computation, and `checks` bundles every verification into named,
 timed checks (also exposed as `twobridge verify-all`).
 """
 
 from .cobordism import choose_block_size, decompose, g4_interval
 from .diagram import metrics_for_word, signature
-from .errors import BudgetError
+from .budget import BudgetError
 from .markov import exact_expected_distance, monte_carlo_distance, transition_matrix
 from .sigtables import histogram_enumerated, recursed_table, totals
 from .words import count_report, enumerate_words, validate_word, word_count

@@ -3,11 +3,11 @@
 All commands print deterministic output for a fixed (version, options,
 seed): JSON objects carry ``"schema": 1`` and sorted keys, CSV tables carry
 a schema comment line.  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.  A request that twobridge refuses prints one
-``Error:`` line on stderr and nothing on stdout; click's own parse errors
-(an unknown option, a missing or ill-typed value) keep click's usage
-block.  The row cache holds enumerated rows only; the environment
-variable ``TB_CACHE_DIR`` overrides ``--cache-dir``.
+2 usage or domain error.  A request that twobridge refuses (over budget:
+in ``_Group.invoke``) prints one ``Error:`` line on stderr and nothing on
+stdout; click's own parse errors (an unknown option, a missing or
+ill-typed value) keep click's usage block.  The row cache holds
+enumerated rows only; ``TB_CACHE_DIR`` overrides ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import NoReturn
 
 import click
 
-from . import checks, cobordism, markov, sigtables, words
-from .errors import BudgetError
+from . import budget, checks, cobordism, markov, sigtables, words
+from .budget import BudgetError
 
 SCHEMA = 1
 
@@ -61,10 +61,6 @@ def _resolve_cache_dir(option: str | None) -> Path | None:
     return Path(option) if option else None
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
@@ -75,7 +71,17 @@ def _refuse(ctx: click.Context, problem: Exception | str) -> NoReturn:
     ctx.exit(2)
 
 
-@click.group()
+class _Group(click.Group):
+    """A command group that refuses any command's over-budget request."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BudgetError as problem:
+            _refuse(ctx, problem)
+
+
+@click.group(cls=_Group)
 @click.version_option(package_name="twobridge")
 def main() -> None:
     """Alternating-word models of 2-bridge knots: enumeration, signature
@@ -91,6 +97,7 @@ def cmd_enumerate(c: int, count_only: bool) -> None:
     if count_only:
         click.echo(str(words.word_count(c)))
         return
+    budget.check_enumeration(c)
     for word in words.enumerate_words(c):
         click.echo(word)
 
@@ -130,13 +137,12 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
     """Signature histogram rows s(c, sigma)."""
     cache = _resolve_cache_dir(cache_dir)
     if workers is None:
-        workers = _default_workers()
+        workers = os.cpu_count() or 1
+    # The work grows with c: refuse the whole range before any row.
     if method != "recurse":
-        # The work grows with c: refuse the whole range before any row.
-        try:
-            sigtables.check_enumeration_budget(max(c_values))
-        except BudgetError as problem:
-            _refuse(ctx, problem)
+        budget.check_enumeration(max(c_values))
+    if method != "enumerate":
+        budget.check_recursion(max(c_values))
     recursed = (sigtables.recursed_table(max(c_values))
                 if method in ("recurse", "both") else None)
 
@@ -172,10 +178,7 @@ def cmd_sig_table(ctx: click.Context, c_values: tuple[int, ...], method: str,
 def cmd_avg_sig(ctx: click.Context, c_values: tuple[int, ...], fmt: str) -> None:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
     # The work grows with c: refuse the whole range before any row.
-    try:
-        sigtables.check_avg_sig_budget(c_values)
-    except BudgetError as problem:
-        _refuse(ctx, problem)
+    budget.check_avg_sig(c_values)
     rows = sigtables.recursed_table(max(c_values) + 1)
     entries = []
     for c in c_values:
@@ -210,6 +213,8 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
     """4-genus interval for one word, or the mean bound over T(c)."""
     if (word is None) == (c is None):
         _refuse(ctx, "pass exactly one of --word or --c")
+    if word is not None and fmt == "csv":
+        _refuse(ctx, "--format csv applies to --c only")
     if word is not None:
         try:
             c_word = words.validate_word(word)
@@ -232,7 +237,7 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
     block = s if s is not None else cobordism.choose_block_size(c)
     try:
         row = cobordism.average_g4_row(c, block)
-    except (BudgetError, ValueError) as problem:
+    except ValueError as problem:
         _refuse(ctx, problem)
     mean = row.mean_upper
     if fmt == "json":
@@ -258,6 +263,7 @@ def cmd_markov_verify(ctx: click.Context, s: int, kmax: int) -> None:
     """Exact transition-matrix verifications up to the given sizes."""
     if s < 1 or kmax < 1:
         _refuse(ctx, "--s and --kmax must be >= 1")
+    budget.check_markov(s, kmax)
     results = {
         "empirical": all(markov.verify_empirical(n) for n in range(1, s + 1)),
         "closed_form": markov.verify_closed_form(s, kmax),
@@ -283,27 +289,22 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
     """Summand-walk expected distance versus the taxicab bound."""
     if s < 1 or t < 0:
         _refuse(ctx, "need --s >= 1 and --t >= 0")
-    bound = markov.distance_bound(s, t)
+    # The walk's budget refuses a huge s before 2^s overflows the float bound.
     if exact:
-        try:
-            value = markov.exact_expected_distance(s, t)
-        except BudgetError:
-            _refuse(ctx, f"exact walk at s={s}, t={t} is above the work "
-                         "budget; drop --exact to sample instead")
+        value = markov.exact_expected_distance(s, t)
         ok = markov.distance_bound_holds(s, t, value)
-        _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "exact",
-                    "mean": float(value),
-                    "mean_exact": f"{value.numerator}/{value.denominator}",
-                    "bound": bound, "pass": ok})
+        result = {"mode": "exact", "mean": float(value),
+                  "mean_exact": f"{value.numerator}/{value.denominator}"}
     else:
         try:
             mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)
         except ValueError as problem:
             _refuse(ctx, problem)
-        ok = mean - 3 * stderr <= bound
-        _echo_json({"schema": SCHEMA, "s": s, "t": t, "mode": "monte-carlo",
-                    "trials": trials, "seed": seed, "mean": mean,
-                    "stderr": stderr, "bound": bound, "pass": ok})
+        ok = mean - 3 * stderr <= markov.distance_bound(s, t)
+        result = {"mode": "monte-carlo", "trials": trials, "seed": seed,
+                  "mean": mean, "stderr": stderr}
+    _echo_json({"schema": SCHEMA, "s": s, "t": t, **result,
+                "bound": markov.distance_bound(s, t), "pass": ok})
     if not ok:
         ctx.exit(1)
 

@@ -26,9 +26,9 @@ mirror class and link repair.  A check that raises caches nothing.
 for s <= 10; a larger table analyses its blocks past the memo.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
-over the word cores, with no enumeration (see ``average_g4_row``); its
-residual term reuses the summand walk's displacement-law DP,
-``markov.displacement_laws``.
+over the word cores, with no enumeration (see ``average_g4_row``), within
+``budget.check_g4``; its residual term reuses the summand walk's
+displacement-law DP, ``markov.displacement_laws``.
 """
 
 from __future__ import annotations
@@ -42,16 +42,9 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import (
-    CROSSING_PAIR,
-    PLAT_RIGHT,
-    S3,
-    S3_AFTER,
-    STATE_AFTER,
-    closure_components,
-    metrics_for_braid,
-)
-from .errors import BudgetError
+from . import budget
+from .diagram import (CROSSING_PAIR, PLAT_RIGHT, S3, STATE_AFTER, closure_components,
+                      metrics_for_braid, s3_index)
 from .markov import displacement_laws, residual_count
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
@@ -86,14 +79,6 @@ _REMAINDER_COMPONENTS = {
     for start, left in _LEFT_CLOSURE.items()}
 
 
-def _s3_index(letters: str, index: int = 0) -> int:
-    """S3 index of the strand permutation of ``index`` followed by the
-    letters, which the caller has validated."""
-    for letter in letters:
-        index = S3_AFTER[letter][index]
-    return index
-
-
 @dataclass(frozen=True)
 class OrientedWord:
     """A braid-letter block together with the orientation state at its left cut."""
@@ -109,7 +94,7 @@ class OrientedWord:
 
     @property
     def end(self) -> int:
-        return S3[_s3_index(self.letters)][self.start - 1]
+        return S3[s3_index(self.letters)][self.start - 1]
 
     def serialize(self) -> str:
         return f"o{self.start}:{self.letters}"
@@ -147,14 +132,14 @@ def summand_class(x: OrientedWord) -> SummandClass:
 
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
-    return _COMPONENTS[x.start - 1][_s3_index(x.letters)]
+    return _COMPONENTS[x.start - 1][s3_index(x.letters)]
 
 
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
     """Components of the remainder block: cut cap on the left, original plat
     closure (A or B) on the right."""
     validate_braid(letters)
-    return _REMAINDER_COMPONENTS[closure, start][_s3_index(letters)]
+    return _REMAINDER_COMPONENTS[closure, start][s3_index(letters)]
 
 
 @dataclass(frozen=True)
@@ -178,9 +163,9 @@ class LinkFix:
 def _fix_permutation(fix: LinkFix) -> int:
     """S3 index of the repaired block's strand permutation."""
     if fix.marker is None:
-        return _s3_index(fix.letters)
-    left = S3[_s3_index(fix.letters[: fix.marker])]
-    right = S3[_s3_index(fix.letters[fix.marker:])]
+        return s3_index(fix.letters)
+    left = S3[s3_index(fix.letters[: fix.marker])]
+    right = S3[s3_index(fix.letters[fix.marker:])]
     return S3.index(tuple(right[_FLIP[left[q - 1]] - 1] for q in (1, 2, 3)))
 
 
@@ -200,8 +185,8 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     # One walk over the block gives its closure and the orientation state
     # before its central crossing (odd s) or at its middle cut (even s).
     h = s // 2
-    half = _s3_index(z[:h])
-    index = _s3_index(z[h:], half)
+    half = s3_index(z[:h])
+    index = s3_index(z[h:], half)
     if _COMPONENTS[x.start - 1][index] != 1 + 1:
         raise ValueError("link repair applies only to two-component summands")
     if s < 1:
@@ -466,14 +451,6 @@ class AverageRow:
         return self.mean_upper <= self.log10_bound
 
 
-@dataclass(frozen=True)
-class AverageG4Report:
-    m: int
-    s: int
-    rows: tuple[AverageRow, AverageRow]
-    overall_mean: Fraction
-
-
 # The mean over T(c).  bijection_f maps T(2m+1) and T(2m+2) together one to
 # one onto the braid words ("cores") of length 2m - 1.  The core letter at
 # position i stands for a run of exponent 2 when it is 'a' at even i or 'b' at
@@ -481,16 +458,6 @@ class AverageG4Report:
 # end it decides c and forces the ending letters (see bijection_f_inverse).
 # DP states are 3 * (orientation state - 1) + interior length mod 3.
 _ENDING = {2: "a", 1: "ab", 0: "bb"}
-
-# A class's law key (see _SummandTable) is fixed by its (start, end), its
-# interior length mod 3 at parity 0 and its type, so there are at most
-# 9 * 3 * 2 keys (there are 6 for odd s and 15 for even s >= 4).
-_MAX_LAW_KEYS = 54
-# One table entry, an oriented block analysed as a class and as a mirror,
-# costs about 2^10 DP cell updates: ~30 us against ~25 ns on a 2-CPU x86
-# machine, at s = 14.  There, the budget stops the DP at about 3.5 s.
-_TABLE_ENTRY_WORK = 1 << 10
-G4_WORK_BUDGET = 1 << 27
 
 
 def _interior_length(letters: str, parity: int) -> int:
@@ -511,17 +478,6 @@ def _letter_sources(parity: int, letter: str) -> list[int]:
     states is its own inverse."""
     step = _interior_length(letter, parity)
     return [_dp_state(STATE_AFTER[letter][j // 3 + 1], j - step) for j in range(9)]
-
-
-def g4_work(c: int, s: int) -> int:
-    """Work estimate of average_g4_row, in DP cell updates: the table of
-    3 * 2^s oriented blocks, plus s letter steps over 9 states and the
-    2k + 3 displacements of block k, for each law key."""
-    m = (c - 1) // 2
-    t = (2 * m - 1) // s
-    classes = (3 * 2 ** s + (3 * 2 ** (s // 2) if s % 2 == 0 else 0)) // 2
-    cells = min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
-    return 3 * 2 ** s * _TABLE_ENTRY_WORK + cells
 
 
 @dataclass(frozen=True)
@@ -632,12 +588,7 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     m = (c - 1) // 2
     if not 1 <= s <= 2 * m - 1:
         raise ValueError(f"block size must satisfy 1 <= s <= {2 * m - 1}, got {s}")
-    work = g4_work(c, s)
-    if work > G4_WORK_BUDGET:
-        raise BudgetError(
-            f"mean g4 DP at c={c}, s={s} needs about {work} cell updates for "
-            f"its table of 3 * 2^{s} block masks and its DP; refusing above "
-            f"{G4_WORK_BUDGET}")
+    budget.check_g4(c, s)
     t = (2 * m - 1) // s
     r = c - s * t
     table = _summand_table(s)
@@ -686,13 +637,3 @@ def average_g4_row(c: int, s: int) -> AverageRow:
              + _residual_total(table.weights, s, t, tails))
     return AverageRow(c, words, Fraction(total, words),
                       expression_upper_bound(c, s), log10_upper_bound(c))
-
-
-def average_g4_bound(m: int, s: int) -> AverageG4Report:
-    """Average the saddle-move upper bound over T(2m+1) and T(2m+2)."""
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    rows = tuple(average_g4_row(c, s) for c in (2 * m + 1, 2 * m + 2))
-    total = sum(row.mean_upper * row.words for row in rows)
-    count = sum(row.words for row in rows)
-    return AverageG4Report(m, s, rows, Fraction(total, count))

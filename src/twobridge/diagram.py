@@ -99,11 +99,6 @@ class DiagramMetrics:
                 f"{self.s_A - self.c_plus - 1}")
 
 
-def build_diagram(z: str, closure: str = "B") -> PlatDiagram:
-    """Plat diagram of a raw braid word (default right closure "B")."""
-    return PlatDiagram(z, closure)
-
-
 def diagram_for_word(word: str) -> PlatDiagram:
     """The alternating knot diagram of a word."""
     return _braid_diagram(to_braid(word))  # validates the word
@@ -181,25 +176,27 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     return signs, states
 
 
+def s3_index(letters: str, index: int = 0) -> int:
+    """S3 index of the strand permutation of ``index`` followed by the
+    letters, which the caller has validated."""
+    for letter in letters:
+        index = S3_AFTER[letter][index]
+    return index
+
+
 def orientation_after(state: int, z: str) -> int:
-    """Push an orientation state through a braid word, letter by letter:
-    'a' transposes strands 2,3 and 'b' transposes 1,2."""
+    """Push an orientation state through a braid word: 'a' transposes
+    strands 2,3 and 'b' transposes 1,2."""
     if state not in (1, 2, 3):
         raise ValueError(f"orientation state must be 1, 2 or 3: {state!r}")
-    validate_braid(z)
-    for letter in z:
-        state = STATE_AFTER[letter][state]
-    return state
+    return strand_permutation(z)[state - 1]
 
 
 def strand_permutation(z: str) -> tuple[int, int, int]:
     """Exit position on the right of the strand entering at each left
     position: component q of the tuple is orientation_after(q, z)."""
     validate_braid(z)
-    k = 0
-    for letter in z:
-        k = S3_AFTER[letter][k]
-    return S3[k]
+    return S3[s3_index(z)]
 
 
 def all_A_components(d: PlatDiagram) -> int:

@@ -22,7 +22,8 @@ the oracle).  Over nine states it also gives the residual term of
 ``cobordism.average_g4_row``.  The module checks the taxicab-distance bound
 3 sqrt(2^s t) + p and the per-class second-moment bound 4 t / 2^s.
 
-Monte Carlo sampling covers walks past the work budget.  Each summand id
+Monte Carlo sampling covers walks past ``budget.check_walk``, within
+``budget.check_monte_carlo``.  Each summand id
 carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
 keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
@@ -40,16 +41,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import budget
 from .diagram import STATE_AFTER, orientation_after, strand_permutation
-from .errors import BudgetError
 from .words import is_palindromic_type
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-# Work guard for the exact walk, in table entries plus DP cells (see
-# walk_work), and the most blocks (at least one walk) that Monte Carlo
-# sampling draws and scores at once.
-WALK_WORK_BUDGET = 1 << 22
+# The most blocks (at least one walk) that Monte Carlo sampling draws and
+# scores at once.
 _CELL_CAP = 1 << 22
 
 # Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
@@ -57,10 +56,6 @@ _CELL_CAP = 1 << 22
 # is the state that the letter moves to j (a letter is its own inverse).
 _STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
 _LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
-
-# Signature groups are at most the 9 (start, end) pairs times the type: a
-# mirror's (start, end) is the flip of the class's (end, start).
-_MAX_GROUPS = 18
 
 
 def identity_matrix() -> Matrix:
@@ -309,12 +304,6 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
                        minlength=rows).astype(np.int64)
 
 
-def walk_work(s: int, t: int) -> int:
-    """Work estimate of the exact walk: 3 * 2^s table entries plus the DP
-    cells (group, orientation state, displacement) over t steps."""
-    return 3 * 2 ** s + _MAX_GROUPS * 3 * (2 * t + 1) * t
-
-
 def residual_count(d, pal):
     """Copies of a class left by cancellation: |d|, or d mod 2 if palindromic-type."""
     return np.where(pal, d & 1, np.abs(d))
@@ -361,12 +350,7 @@ def _group_moments(s: int, t: int
         raise ValueError(f"block size must be at least 1, got {s}")
     if t < 1:
         raise ValueError(f"step count must be at least 1, got {t}")
-    work = walk_work(s, t)
-    if work > WALK_WORK_BUDGET:
-        raise BudgetError(
-            f"exact walk at s={s}, t={t} needs about {work} table entries and "
-            f"DP cells, above the budget of {WALK_WORK_BUDGET}; use "
-            "monte_carlo_distance instead")
+    budget.check_walk(s, t)
     tables = _tables(s)
     x_c, y_c, x_m, y_m, pal = tables.signatures.T
     pal = pal.astype(bool)
@@ -423,12 +407,13 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
         raise ValueError(f"block size must be at least 1, got {s}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    rows = max(1, _CELL_CAP // max(t, 1))
+    budget.check_monte_carlo(s, t, trials, -(-trials // rows))
     if t == 0:
         return 0.0, 0.0
     rng = np.random.Generator(np.random.Philox(seed))
     tables = _tables(s)
     distances = np.empty(trials, dtype=np.int64)
-    rows = max(1, _CELL_CAP // t)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
         blocks = rng.integers(0, 1 << s, size=(hi - lo, t), dtype=np.int64)

@@ -26,25 +26,18 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
+from . import budget
 from .diagram import STATE_AFTER, STEP, signature
-from .errors import BudgetError
-from .words import knot_count, word_count, word_from_interior_bits
+from .words import knot_count, swap_braid, word_from_interior_bits
 
 Row = dict[int, int]
 
-#: largest c accepted for exhaustive enumeration (2^20 masks, ~350k diagrams)
-ENUMERATION_BUDGET = 22
 # Fewest masks that histogram_enumerated shards over a process pool.  On a
 # 2-CPU x86 machine a serial row beats a 2-worker pool up to c = 17 (153 ms
 # against 173 ms), and the pool wins from c = 18 (159 ms against 272 ms).
 _POOL_MIN_MASKS = 1 << 16
-
-#: work budget of the average signature over a range of c, in the units of
-#: ``avg_sig_work``: about 1 us each on a 2-CPU x86 machine near c = 2000,
-#: where ``avg-sig --c 2047``, the largest single c, takes about 9.5 s
-AVG_SIG_WORK_BUDGET = 1 << 23
 
 SCHEMA_VERSION = 1
 
@@ -61,27 +54,17 @@ def _shard(args: tuple[int, int, int]) -> Counter:
     return h
 
 
-def check_enumeration_budget(c: int) -> None:
-    """Raise BudgetError if enumerating T(c) is above ENUMERATION_BUDGET."""
-    if c > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"enumerating c={c} means {1 << (c - 2)} exponent masks and "
-            f"{word_count(c)} diagrams; the budget stops at "
-            f"c={ENUMERATION_BUDGET}"
-        )
-
-
 def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
-    Work is proportional to 2^(c-2); refuses beyond ENUMERATION_BUDGET.
+    Work is proportional to 2^(c-2), within ``budget.check_enumeration``.
     With workers > 1 and at least 2^16 masks (c >= 18) the mask range is
     sharded over a process pool; if the pool cannot start or breaks, a
     RuntimeWarning names the reason and the row is evaluated serially.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    check_enumeration_budget(c)
+    budget.check_enumeration(c)
     n_masks = 1 << (c - 2)
     if workers and workers > 1 and n_masks >= _POOL_MIN_MASKS:
         chunks = []
@@ -141,8 +124,6 @@ def recursed_table(c_max: int) -> dict[int, Row]:
 # word of runs with exponents 1 or 2 is in T(c) exactly when e_1 = e_c = 1
 # and its length is 1 mod 3.  The DPs carry counts of #a - c_plus per
 # (orientation states, length mod 3), run by run.
-
-_OTHER_LETTER = {"a": "b", "b": "a"}
 
 _Counts = dict[tuple[int, ...], Counter]
 
@@ -226,11 +207,11 @@ def palindromic_histogram(c: int) -> Row:
     each of 1, 2 and 3.  The seed that is the word's own is the one where
     the tracks meet, at the middle cut for even c and across the middle
     run for odd c.  Keys are (forward state, backward state, length mod
-    3); work is O(c^2) counter updates, within ``check_avg_sig_budget``.
+    3); work is O(c^2) counter updates, within ``budget.check_avg_sig``.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    check_avg_sig_budget((c,))
+    budget.check_avg_sig((c,))
     odd = c % 2 == 1
     counts: _Counts = {(1, end, 0): Counter({0: 1}) for end in (1, 2, 3)}
     for i in range(1, c // 2 + 1):
@@ -240,7 +221,7 @@ def palindromic_histogram(c: int) -> Row:
                 letter = _run_letter(i, e)
                 ahead2, d_ahead = _forward(letter, ahead)
                 behind2, d_behind = _backward(
-                    letter if odd else _OTHER_LETTER[letter], behind)
+                    letter if odd else swap_braid(letter), behind)
                 yield (ahead2, behind2, (length + 2 * e) % 3), d_ahead + d_behind
         counts = _advance(counts, moves)
     row: Counter = Counter()
@@ -335,27 +316,6 @@ def total_abs(row: Row) -> int:
     return sum(abs(s) * n for s, n in row.items())
 
 
-def avg_sig_work(c_values: Iterable[int]) -> int:
-    """Work estimate of the average signature over c_values: c^2 for the
-    folded palindrome DP at each c, plus R^2 for one recursed table to row
-    R = max(c) + 1.  Both cost about 1 us per unit near c = 2000."""
-    c_values = tuple(c_values)
-    return sum(c * c for c in c_values) + (max(c_values) + 1) ** 2
-
-
-def check_avg_sig_budget(c_values: Iterable[int]) -> None:
-    """Raise BudgetError if ``avg_sig_work`` of c_values is above
-    AVG_SIG_WORK_BUDGET."""
-    c_values = tuple(c_values)
-    work = avg_sig_work(c_values)
-    if work > AVG_SIG_WORK_BUDGET:
-        lo, hi = min(c_values), max(c_values)
-        span = f"c={lo}" if lo == hi else f"c={lo}..{hi}"
-        raise BudgetError(
-            f"average signature at {span} is about {work} work units "
-            f"(avg_sig_work); the budget stops at {AVG_SIG_WORK_BUDGET}")
-
-
 def palindromic_total_abs(c: int) -> int:
     """Sum of |sigma| over the palindromic words only, from
     ``palindromic_histogram``."""
@@ -396,7 +356,7 @@ def totals(c: int, rows: Mapping[int, Row] | None = None) -> TotalsReport:
     tot and the paired total come from one recursed table through row
     2m+2 <= c+1: ``rows`` when the caller totals many c from one table,
     else a table built here.  tot_p comes from the folded palindrome DP,
-    within ``check_avg_sig_budget``.  The average per knot is exact: each
+    within ``budget.check_avg_sig``.  The average per knot is exact: each
     knot is counted by two words, or by one word when that word is
     palindromic, so summing |sigma| over words and palindromes
     double-counts every knot.

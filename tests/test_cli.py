@@ -7,6 +7,7 @@ arguments and seed are byte-identical.
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from test_sigtables import enumerated_palindromic_histogram
-from twobridge import sigtables, words
+from twobridge import markov, sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
@@ -190,6 +191,8 @@ def test_click_parse_errors_keep_usage(args, option):
     (("walk-sim", "--s", "0", "--t", "3"), "need --s >= 1 and --t >= 0"),
     (("walk-sim", "--s", "2", "--t", "-1", "--exact"),
      "need --s >= 1 and --t >= 0"),
+    (("g4", "--word", EXAMPLE_WORD, "--format", "csv"),
+     "--format csv applies to --c only"),
 ])
 def test_misuse_refused_with_one_line(args, message):
     assert_refused(invoke(*args), message)
@@ -205,14 +208,26 @@ def test_avg_sig_over_budget_exits_2():
 
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
-     "histogram_enumerated", "budget stops at c=22"),
-    (("avg-sig", "--c", "3..5000"), "totals", "avg_sig_work"),
+     sigtables.histogram_enumerated, "budget stops at c=22"),
+    (("avg-sig", "--c", "3..5000"), sigtables.totals, "avg_sig_work"),
+    (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
+    (("sig-table", "--c", "100000", "--method", "recurse"),
+     sigtables.recursed_table, "recursion_work"),
+    (("markov-verify", "--s", "40"), markov.verify_empirical, "s=40, kmax=8"),
+    (("markov-verify", "--kmax", "1000000"), markov.verify_empirical,
+     "kmax=1000000"),
+    (("walk-sim", "--s", "40", "--t", "1", "--trials", "2"), markov._tables,
+     "Monte Carlo at s=40"),
+    (("walk-sim", "--s", "2", "--t", "1", "--trials", "100000000000"),
+     markov._tables, "trials=100000000000"),
 ])
 def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
+    """The worker an over-budget request would start, patched by its module
+    and name, must never run."""
     def refuse(*args, **kwargs):
         raise AssertionError("an over-budget range must be refused first")
 
-    monkeypatch.setattr(sigtables, work, refuse)
+    monkeypatch.setattr(sys.modules[work.__module__], work.__name__, refuse)
     start = time.perf_counter()
     result = invoke(*args)
     assert time.perf_counter() - start < 1

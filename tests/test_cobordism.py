@@ -16,12 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twobridge.budget import G4_WORK_BUDGET, BudgetError, g4_work
 from twobridge.cobordism import (
-    G4_WORK_BUDGET,
-    AverageG4Report,
     AverageRow,
     OrientedWord,
-    average_g4_bound,
     average_g4_row,
     cancel_mirrors,
     choose_block_size,
@@ -29,7 +27,6 @@ from twobridge.cobordism import (
     decompose,
     expression_upper_bound,
     g4_interval,
-    g4_work,
     is_palindromic_type,
     link_lemma_fix,
     log10_upper_bound,
@@ -46,7 +43,6 @@ from twobridge.diagram import (
     signature,
     strand_permutation,
 )
-from twobridge.errors import BudgetError
 from twobridge.words import (
     enumerate_words,
     swap_braid,
@@ -693,21 +689,6 @@ def test_average_g4_row_pinned(c, s, words, mean):
     assert row.words == words
     assert row.mean_upper == mean
     assert row.below_expression and row.below_log10
-
-
-def test_average_g4_bound_report():
-    report = average_g4_bound(3, 1)
-    assert isinstance(report, AverageG4Report)
-    assert tuple(row.c for row in report.rows) == (7, 8)
-    total = sum(row.mean_upper * row.words for row in report.rows)
-    words = sum(row.words for row in report.rows)
-    assert report.overall_mean == total / words
-    assert all(row.below_expression and row.below_log10 for row in report.rows)
-
-
-def test_average_g4_bound_budget():
-    with pytest.raises(BudgetError, match="masks"):
-        average_g4_bound(1000, 4)
 
 
 def test_aggregate_g4_check_reports_failed_mean(monkeypatch):

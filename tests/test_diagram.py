@@ -191,7 +191,7 @@ def test_scan_matches_oracle_on_every_word_to_c16():
 
 @given(st.text(alphabet="ab", min_size=1, max_size=40), st.sampled_from("AB"))
 def test_scan_matches_oracle_on_braid_words(z, closure):
-    d = D.build_diagram(z, closure)
+    d = D.PlatDiagram(z, closure)
     assert D.plat_component_count(d) == oracle_component_count(d)
     assert D.all_A_components(d) == oracle_all_A(d)
     assert _outcome(D.orient_diagram, d) == _outcome(oracle_orient, d)
@@ -230,18 +230,18 @@ def test_closure_follows_last_crossing_row():
 
 
 def test_single_crossing_closes_to_unknot_with_two_A_circles():
-    d = D.build_diagram("a")
+    d = D.PlatDiagram("a", "B")
     assert D.plat_component_count(d) == 1
     assert D.all_A_components(d) == 2
 
 
 def test_build_diagram_rejects_bad_input():
     with pytest.raises(ValueError):
-        D.build_diagram("")
+        D.PlatDiagram("", "B")
     with pytest.raises(ValueError):
-        D.build_diagram("ax")
+        D.PlatDiagram("ax", "B")
     with pytest.raises(ValueError):
-        D.build_diagram("ab", closure="C")
+        D.PlatDiagram("ab", closure="C")
 
 
 def test_every_word_diagram_is_a_knot():
@@ -255,7 +255,7 @@ def test_every_word_diagram_is_a_knot():
 
 def test_orient_rejects_links():
     # 'ab' with closure B closes to a 2-component link.
-    d = D.build_diagram("ab")
+    d = D.PlatDiagram("ab", "B")
     assert D.plat_component_count(d) == 2
     with pytest.raises(ValueError):
         D.orient_diagram(d)
@@ -325,8 +325,8 @@ def test_all_A_components_table_rows():
 def test_all_A_closure_dependence():
     # The same braid word smooths differently under the two closures; the
     # word pipeline must pick the closure matching the final crossing row.
-    assert D.all_A_components(D.build_diagram("aaa", "A")) == 3
-    assert D.all_A_components(D.build_diagram("aaa", "B")) == 4
+    assert D.all_A_components(D.PlatDiagram("aaa", "A")) == 3
+    assert D.all_A_components(D.PlatDiagram("aaa", "B")) == 4
 
 
 # ------------------------------------------------------------------ signature

@@ -3,6 +3,8 @@
 The layers run words -> diagram -> markov -> cobordism, with sigtables,
 checks and cli above them: markov steps the displacement laws that
 cobordism's mean 4-genus bound reuses, so markov must not import cobordism.
+``budget`` sits below them all and is the only module that raises
+``BudgetError``.
 """
 
 import ast
@@ -75,6 +77,16 @@ def test_markov_below_cobordism():
     graph = import_graph()
     assert "cobordism" not in graph["markov"]
     assert graph["words"] == set()
+
+
+def test_budget_is_the_one_refusal_path():
+    graph = import_graph()
+    assert graph["budget"] == set()
+    raisers = {name for name in MODULES
+               for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and "BudgetError(" in ast.unparse(node.exc)}
+    assert raisers == {"budget"}
 
 
 def test_cycle_finder_reports_a_cycle():

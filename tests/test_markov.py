@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge import markov
+from twobridge import budget
+from twobridge.budget import WALK_WORK_BUDGET, BudgetError, walk_work
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import orientation_after
-from twobridge.errors import BudgetError
 from twobridge.markov import (
-    WALK_WORK_BUDGET,
     _distances,
     _tables,
     class_bucket,
@@ -39,7 +38,6 @@ from twobridge.markov import (
     verify_empirical,
     verify_power_identity,
     verify_second_moments,
-    walk_work,
 )
 
 
@@ -396,7 +394,7 @@ def test_monte_carlo_matches_exact():
 def test_monte_carlo_matches_exact_past_enumeration(monkeypatch, s, t):
     # Far past the 2^(s t) enumeration, sampling is the exact DP's check.
     assert walk_work(s, t) > WALK_WORK_BUDGET
-    monkeypatch.setattr(markov, "WALK_WORK_BUDGET", walk_work(s, t))
+    monkeypatch.setattr(budget, "WALK_WORK_BUDGET", walk_work(s, t))
     exact = exact_expected_distance(s, t)
     mean, stderr = monte_carlo_distance(s, t, 4000, seed=t)
     assert stderr > 0

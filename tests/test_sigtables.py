@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from twobridge import budget
 from twobridge import sigtables as S
 from twobridge import words as W
+from twobridge.budget import BudgetError
 from twobridge.diagram import signature
-from twobridge.errors import BudgetError
 
 # The published table of s(c, sigma) for 3 <= c <= 14.
 TABLE = {
@@ -75,7 +76,7 @@ def test_row_sums_are_word_counts(enum14, rec20):
 
 def test_enumeration_budget_refusal():
     with pytest.raises(BudgetError, match="masks"):
-        S.histogram_enumerated(S.ENUMERATION_BUDGET + 1)
+        S.histogram_enumerated(budget.ENUMERATION_BUDGET + 1)
     with pytest.raises(ValueError):
         S.histogram_enumerated(2)
 
@@ -236,8 +237,8 @@ def test_palindromic_total_budget(monkeypatch):
     assert S.palindromic_total_abs(25) > 0
     # c = 2047 is the largest single c within the budget; past it the DP is
     # refused before its first step.
-    assert S.avg_sig_work((2047,)) <= S.AVG_SIG_WORK_BUDGET
-    assert S.avg_sig_work((2048,)) > S.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((2047,)) <= budget.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((2048,)) > budget.AVG_SIG_WORK_BUDGET
 
     def refuse(*args, **kwargs):
         raise AssertionError("an over-budget DP must be refused first")
@@ -246,8 +247,8 @@ def test_palindromic_total_budget(monkeypatch):
     with pytest.raises(BudgetError, match="avg_sig_work"):
         S.palindromic_total_abs(2048)
     with pytest.raises(BudgetError, match="c=3..300"):
-        S.check_avg_sig_budget(range(3, 301))
-    S.check_avg_sig_budget(range(3, 201))
+        budget.check_avg_sig(range(3, 301))
+    budget.check_avg_sig(range(3, 201))
 
 
 def test_palindromic_share_vanishes():
