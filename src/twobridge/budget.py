@@ -17,13 +17,18 @@ RECURSION_WORK_BUDGET = 1 << 21
 AVG_SIG_WORK_BUDGET = 1 << 23
 #: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
 G4_WORK_BUDGET = 1 << 27
-#: about 50 ns per unit: ``walk-sim --s 3 --t 196 --exact`` takes 0.5 s
-WALK_WORK_BUDGET = 1 << 22
+#: 8-26 ns per unit: ``walk-sim --s 4 --t 605 --exact`` takes 7.6 s,
+#: ``--s 2 --t 935`` 5.0 s and ``--s 3 --t 333`` 0.6 s, and
+#: ``exact_expected_distance(39000, 1)`` 2.4 s; ``(4, 1000)``, refused, 27 s
+WALK_WORK_BUDGET = 1 << 28
+#: about 4 us per table entry: ``per_class_moments(18, 1)`` takes 3.2 s, and
+#: ``(20, 1)``, refused, took 13 s at a peak of 0.6 GB
+CLASS_LISTING_BUDGET = 1 << 21
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 1.9 s
 #: at a peak of 0.8 GB, and ``--s 2 --t 1 --trials 16777000`` 2.1 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
-#: about 14 us per block: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
-#: and ``--s 1 --kmax 1365`` or ``--s 18 --kmax 37`` about 8 s
+#: about 11-18 us per block: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
+#: ``--s 6 --kmax 1365`` 8.0 s and ``--s 18 --kmax 227`` 9.4 s
 MARKOV_WORK_BUDGET = 1 << 19
 
 # The mean g4 DP has at most 9 * 3 * 2 law keys, from a class's (start,
@@ -31,13 +36,19 @@ MARKOV_WORK_BUDGET = 1 << 19
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
 _MAX_LAW_KEYS = 54
 _TABLE_ENTRY_WORK = 1 << 10
-# The walk's signature groups: 9 (start, end) pairs times the type.
+# The walk's signature groups: 9 (start, end) pairs times the type.  A
+# letter step of the walk DP costs ~15 us beyond its cells, as much as 512
+# of them, and a cell costs one unit more for every 1024 bits of its exact
+# ints, which have up to s * t bits.
 _MAX_GROUPS = 18
+_LETTER_STEP_WORK = 512
+_CELL_BITS = 1024
 # A sampling-kernel step over a chunk costs ~3 us beyond its blocks, as
 # much as 32 of them (``walk-sim --s 2 --t 8388602 --trials 2`` took 53 s),
-# and a closed-form power ~5 ms near s * kmax = 1200, as much as 384 blocks.
+# and a matrix power, taken from the previous one and compared with its
+# closed form, ~0.7 ms up to s * kmax = 8000, as much as 64 blocks.
 _STEP_WORK = 32
-_POWER_WORK = 384
+_POWER_WORK = 64
 
 
 class BudgetError(RuntimeError):
@@ -69,12 +80,18 @@ def check_recursion(c_max: int) -> None:
 
 
 def avg_sig_work(c_values: Sequence[int]) -> int:
-    """c^2 for the folded palindrome DP at each c, plus the recursed rows."""
-    return sum(c * c for c in c_values) + recursion_work(max(c_values) + 1)
+    """c^2 for the folded palindrome DP at each c of a run lo..hi of
+    consecutive crossing numbers, summed in closed form, plus the recursed
+    rows to hi + 1."""
+    lo, hi = c_values[0], c_values[-1]
+    if len(c_values) != hi - lo + 1:
+        raise ValueError(f"not a run of consecutive crossing numbers: {c_values!r}")
+    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+    return squares + recursion_work(hi + 1)
 
 
 def check_avg_sig(c_values: Sequence[int]) -> None:
-    lo, hi = min(c_values), max(c_values)
+    lo, hi = c_values[0], c_values[-1]
     _check(avg_sig_work(c_values), AVG_SIG_WORK_BUDGET, "the average signature at "
            + (f"c={lo}" if lo == hi else f"c={lo}..{hi}"), "work units (avg_sig_work)")
 
@@ -94,14 +111,23 @@ def check_g4(c: int, s: int) -> None:
 
 
 def walk_work(s: int, t: int) -> int:
-    """3 * 2^s table entries plus the exact walk's DP cells over t steps."""
-    return (3 << s) + _MAX_GROUPS * 3 * (2 * t + 1) * t
+    """The exact walk DP's s t letter steps, plus its cells: 3 states and
+    2k + 3 displacements per group at each letter of block k, 54 s t (t + 2)
+    in all, each weighted by 1 + s t / 1024 for the size of its ints."""
+    cells = _MAX_GROUPS * 3 * s * t * (t + 2)
+    return _LETTER_STEP_WORK * s * t + cells * (_CELL_BITS + s * t) // _CELL_BITS
 
 
 def check_walk(s: int, t: int) -> None:
     _check(walk_work(s, t), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
            "(sample it with monte_carlo_distance: walk-sim without --exact)",
-           "table entries and DP cells (walk_work)")
+           "letter steps and DP cells (walk_work)")
+
+
+def check_class_listing(s: int) -> None:
+    """3 * 2^s table entries, to list every summand class."""
+    _check(3 << s, CLASS_LISTING_BUDGET, f"the per-class walk moments at s={s} "
+           "(sample the walk with monte_carlo_distance)", "table entries")
 
 
 def check_monte_carlo(s: int, t: int, trials: int, chunks: int) -> None:

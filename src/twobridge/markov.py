@@ -14,13 +14,15 @@ mirror pair of classes, one parity bit per palindromic-type oriented word.
 The distance is a sum over classes, so E[Dist] = sum_w E|D_w|, and the law
 of one displacement D_w depends only on the class's transfer signature:
 the (start, end) states of the class and of its mirror, and its type.
-Classes are grouped by signature, and one exact integer dynamic program,
-``displacement_laws``, steps (orientation state, D_w) for every group
-letter by letter across the t uniform blocks: O(s t^2) steps instead of a
-sum over all 2^(s t) block sequences (the tests keep that enumeration as
-the oracle).  Over nine states it also gives the residual term of
-``cobordism.average_g4_row``.  The module checks the taxicab-distance bound
-3 sqrt(2^s t) + p and the per-class second-moment bound 4 t / 2^s.
+Classes are grouped by signature, and ``_signature_groups`` counts the
+classes of each group from S3 block counts in O(s) integer steps, with no
+block listed.  One exact integer dynamic program, ``displacement_laws``,
+steps (orientation state, D_w) for every group letter by letter across the
+t uniform blocks: O(s t^2) steps instead of a sum over all 2^(s t) block
+sequences (the tests keep that enumeration as the oracle).  Over nine
+states it also gives the residual term of ``cobordism.average_g4_row``.
+The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
+per-class second-moment bound 4 t / 2^s.
 
 Monte Carlo sampling covers walks past ``budget.check_walk``, within
 ``budget.check_monte_carlo``.  Each summand id
@@ -28,21 +30,24 @@ carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
 keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
 chunks of at most 2^22 blocks; the draws do not depend on the chunking.
-The lookup tables behind both paths are built by prefix doubling over the
-blocks, O(2^s) work in all, and only the last block size's tables are
-kept.
+The lookup tables over all 3 * 2^s oriented blocks serve Monte Carlo and
+the per-class listing ``per_class_moments`` only; no exact walk value reads
+them.  They are built by prefix doubling over the blocks, O(2^s) work in
+all, and only the last block size's tables are kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from . import budget
-from .diagram import STATE_AFTER, orientation_after, strand_permutation
+from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after, strand_permutation
 from .words import is_palindromic_type
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
@@ -56,6 +61,11 @@ _CELL_CAP = 1 << 22
 # is the state that the letter moves to j (a letter is its own inverse).
 _STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
 _LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
+# The S3 indices that the letters a and b take to each S3 index (a letter
+# is its own inverse here too).
+_S3_BEFORE = tuple(zip(S3_AFTER["a"], S3_AFTER["b"]))
+# A signature row (x, y, x_m, y_m, pal) as one mixed-radix code below 162.
+_CODE_WEIGHTS = np.array([54, 18, 6, 2, 1], dtype=np.int64)
 
 
 def identity_matrix() -> Matrix:
@@ -150,11 +160,14 @@ def verify_empirical(s: int) -> bool:
 
 
 def verify_closed_form(s_max: int, k_max: int) -> bool:
+    """Each power P^k, k <= k_max, taken from P^(k-1), equals the closed form."""
     for s in range(1, s_max + 1):
         p = transition_matrix(s)
+        power = identity_matrix()
         for k in range(0, k_max + 1):
-            if matrix_power(p, k) != power_closed_form(s, k):
+            if power != power_closed_form(s, k):
                 return False
+            power = matrix_multiply(power, p)
     return True
 
 
@@ -177,27 +190,79 @@ def verify_power_identity(r_max: int) -> bool:
     return True
 
 
-def contraction_gap(s: int, k: int) -> Fraction:
-    """Largest within-row spread of the k-step block transition matrix."""
-    p = matrix_power(transition_matrix(s), k)
+def _row_spread(p: Matrix) -> Fraction:
+    """Largest within-row spread of a matrix."""
     return max(
         abs(p[i][j] - p[i][l])
         for i in range(3) for j in range(3) for l in range(3)
     )
 
 
+def contraction_gap(s: int, k: int) -> Fraction:
+    """Largest within-row spread of the k-step block transition matrix."""
+    return _row_spread(matrix_power(transition_matrix(s), k))
+
+
 def verify_contraction(s_max: int, k_max: int) -> bool:
-    """Row spreads shrink at least geometrically: gap(s, k) <= 2^(-k s)."""
+    """Row spreads shrink at least geometrically: gap(s, k) <= 2^(-k s),
+    with each power taken from the previous one."""
     for s in range(1, s_max + 1):
+        p = transition_matrix(s)
+        power = p
         for k in range(1, k_max + 1):
-            if contraction_gap(s, k) > Fraction(1, 2 ** (k * s)):
+            if _row_spread(power) > Fraction(1, 2 ** (k * s)):
                 return False
+            power = matrix_multiply(power, p)
     return True
 
 
 def pal_coordinate_count(s: int) -> int:
     """Number p of parity coordinates: palindromic-type oriented words."""
     return 3 * 2 ** (s // 2) if s % 2 == 0 else 0
+
+
+def _s3_counts(letters: int) -> list[int]:
+    """Number of blocks of the given length with each strand permutation,
+    indexed as ``S3``."""
+    counts = [1, 0, 0, 0, 0, 0]
+    for _ in range(letters):
+        counts = [counts[a] + counts[b] for a, b in _S3_BEFORE]
+    return counts
+
+
+def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
+    """The walk's signature groups in increasing order of signature code:
+    one row (start, end, mirror start, mirror end, palindromic-type) of
+    state indices 0..2 per group, and the number of classes in each.
+
+    No block is listed: N[x][y], the number of blocks that take state x to
+    y, comes from the S3 block counts over s letters.  A palindromic-type
+    block (even s) is a half h followed by the mirror of h, which takes x
+    to J h^-1 J h (x) with J the flip 1 <-> 3, so the S3 counts over s / 2
+    letters give P[x][y] of them, each its own class.  A mirror runs from
+    flip(y) to flip(x) and the class is the side with the smaller id, so
+    the other blocks from x to y are N - P classes when x < flip(y), half
+    of that when x = flip(y), and none otherwise.
+    """
+    n = [[0] * 3 for _ in range(3)]
+    for perm, count in zip(S3, _s3_counts(s)):
+        for x in range(3):
+            n[x][perm[x] - 1] += count
+    p = [[0] * 3 for _ in range(3)]
+    if s % 2 == 0:
+        for perm, count in zip(S3, _s3_counts(s // 2)):
+            for x in range(3):
+                p[x][2 - perm.index(4 - perm[x])] += count
+    groups = []
+    for x, y in product(range(3), repeat=2):
+        others = n[x][y] - p[x][y]
+        if x <= 2 - y:
+            groups.append(((x, y, 2 - y, 2 - x, 0),
+                           others if x < 2 - y else others // 2))
+        groups.append(((x, y, 2 - y, 2 - x, 1), p[x][y]))
+    groups = [group for group in groups if group[1]]
+    return (np.array([row for row, _ in groups], dtype=np.int64),
+            [size for _, size in groups])
 
 
 @dataclass(frozen=True)
@@ -213,8 +278,8 @@ class _WalkTables:
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
     classes: np.ndarray  # canonical ids in increasing order, one per class
     class_group: np.ndarray  # signature group of each entry of ``classes``
-    # One row per group: start and end state indices (0..2) of the class,
-    # then of its mirror, then the palindromic-type flag.
+    # One row per group, from ``_signature_groups``: start and end state
+    # indices (0..2) of the class, then of its mirror, then the type flag.
     signatures: np.ndarray
     group_sizes: np.ndarray  # number of classes in each group
 
@@ -251,19 +316,15 @@ def _tables(s: int) -> _WalkTables:
     canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
     key = (2 * canon + (canon != ids)).astype(np.int32)
 
-    # Group the classes by signature code, a mixed-radix number < 162.
+    # Each class's signature code, looked up among the groups' codes.
     classes = np.flatnonzero(canon == ids)
     mirrors = mirror_id[classes]
-    codes = ((((classes >> s) * 3 + next_state[classes] - 1) * 3
-              + (mirrors >> s)) * 3 + next_state[mirrors] - 1) * 2 + is_pal[classes]
-    counts = np.bincount(codes)
-    present = np.flatnonzero(counts)
-    group_of_code = np.zeros(counts.size, dtype=np.int8)
-    group_of_code[present] = np.arange(present.size)
-    signatures = np.stack([present // 54, present // 18 % 3, present // 6 % 3,
-                           present // 2 % 3, present % 2], axis=1)
-    return _WalkTables(s, next_state, key, is_pal, classes,
-                       group_of_code[codes], signatures, counts[present])
+    codes = np.stack([classes >> s, next_state[classes] - 1, mirrors >> s,
+                      next_state[mirrors] - 1, is_pal[classes]], axis=1) @ _CODE_WEIGHTS
+    signatures, sizes = _signature_groups(s)
+    class_group = np.searchsorted(signatures @ _CODE_WEIGHTS, codes).astype(np.int8)
+    return _WalkTables(s, next_state, key, is_pal, classes, class_group,
+                       signatures, np.array(sizes, dtype=np.int64))
 
 
 def oriented_word_key(s: int, ident: int) -> str:
@@ -343,16 +404,16 @@ def displacement_laws(s: int, t: int, sources, own, mirror, pal: np.ndarray
 
 
 def _group_moments(s: int, t: int
-                   ) -> tuple[_WalkTables, list[tuple[bool, Fraction, Fraction]]]:
-    """Walk tables and, per signature group, (palindromic, E|D_w|, E[D_w^2])
-    with |D_w| read as the parity bit for palindromic-type classes."""
+                   ) -> tuple[list[int], list[tuple[bool, Fraction, Fraction]]]:
+    """Per signature group, its number of classes and (palindromic, E|D_w|,
+    E[D_w^2]) with |D_w| read as the parity bit for palindromic-type classes."""
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if t < 1:
         raise ValueError(f"step count must be at least 1, got {t}")
     budget.check_walk(s, t)
-    tables = _tables(s)
-    x_c, y_c, x_m, y_m, pal = tables.signatures.T
+    signatures, sizes = _signature_groups(s)
+    x_c, y_c, x_m, y_m, pal = signatures.T
     pal = pal.astype(bool)
     own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
     law = displacement_laws(s, t, _LETTER_SOURCES, (own, own), (mirror, mirror),
@@ -361,7 +422,7 @@ def _group_moments(s: int, t: int
     abs_totals = (law * contribution).sum(axis=1)
     square_totals = (law * contribution * contribution).sum(axis=1)
     total = 1 << (s * t)
-    return tables, [
+    return sizes, [
         (bool(p), Fraction(a, total), Fraction(q, total))
         for p, a, q in zip(pal.tolist(), abs_totals.tolist(), square_totals.tolist())
     ]
@@ -375,15 +436,24 @@ def exact_expected_distance(s: int, t: int) -> Fraction:
         raise ValueError(f"step count must be nonnegative, got {t}")
     if t == 0:
         return Fraction(0)
-    tables, moments = _group_moments(s, t)
-    sizes = tables.group_sizes.tolist()
+    sizes, moments = _group_moments(s, t)
     return sum((n * abs_mean for n, (_, abs_mean, _) in zip(sizes, moments)),
                Fraction(0))
 
 
 def distance_bound(s: int, t: int) -> float:
-    """Taxicab bound 3 sqrt(2^s t) + p on the expected walk distance."""
-    return 3 * (2 ** s * t) ** 0.5 + pal_coordinate_count(s)
+    """Taxicab bound 3 sqrt(2^s t) + p on the expected walk distance.
+
+    2^s never becomes a float: the bound is 2^(s // 2) times
+    3 sqrt(2^(s % 2) t) + p / 2^(s // 2), scaled by ``math.ldexp``.  A bound
+    past the float range raises ValueError.
+    """
+    scaled_p = 3 if s % 2 == 0 else 0
+    try:
+        return math.ldexp(3 * math.sqrt(t << s % 2) + scaled_p, s // 2)
+    except OverflowError:
+        raise ValueError(f"the walk bound 3 sqrt(2^s t) + p at s={s}, t={t} "
+                         "exceeds the float range") from None
 
 
 def distance_bound_holds(s: int, t: int, expected: Fraction) -> bool:
@@ -435,7 +505,9 @@ class ClassMoments:
 
 def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
     """Exact E|D_w| and E[D_w^2] for every summand class."""
-    tables, moments = _group_moments(s, t)
+    budget.check_class_listing(s)
+    _, moments = _group_moments(s, t)
+    tables = _tables(s)
     out: dict[str, ClassMoments] = {}
     for ident, group in zip(tables.classes.tolist(), tables.class_group.tolist()):
         key = oriented_word_key(s, ident)

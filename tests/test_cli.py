@@ -6,6 +6,7 @@ starts with a schema comment line; repeated runs with the same
 arguments and seed are byte-identical.
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -193,6 +194,10 @@ def test_click_parse_errors_keep_usage(args, option):
      "need --s >= 1 and --t >= 0"),
     (("g4", "--word", EXAMPLE_WORD, "--format", "csv"),
      "--format csv applies to --c only"),
+    (("walk-sim", "--s", "2048", "--t", "0", "--exact"),
+     "the walk bound 3 sqrt(2^s t) + p at s=2048, t=0 exceeds the float range"),
+    (("walk-sim", "--s", "2046", "--t", "1"),
+     "the walk bound 3 sqrt(2^s t) + p at s=2046, t=1 exceeds the float range"),
 ])
 def test_misuse_refused_with_one_line(args, message):
     assert_refused(invoke(*args), message)
@@ -220,6 +225,7 @@ def test_avg_sig_over_budget_exits_2():
      "Monte Carlo at s=40"),
     (("walk-sim", "--s", "2", "--t", "1", "--trials", "100000000000"),
      markov._tables, "trials=100000000000"),
+    (("avg-sig", "--c", "3..1000000000"), sigtables.totals, "avg_sig_work"),
 ])
 def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
     """The worker an over-budget request would start, patched by its module
@@ -348,6 +354,24 @@ def test_walk_sim_exact():
     payload = json.loads(result.output)
     assert payload["mean_exact"] == "45/16"
     assert payload["pass"] is True
+
+
+def test_walk_sim_exact_reads_no_tables(monkeypatch):
+    # The digest was recorded when the exact walk read the walk tables.
+    def refuse(s):
+        raise AssertionError(f"the walk tables were built at s={s}")
+
+    monkeypatch.setattr(markov, "_tables", refuse)
+    digest = hashlib.sha256()
+    for s in range(1, 21):
+        for t in range(1, 20 // s + 1):
+            result = invoke("walk-sim", "--s", str(s), "--t", str(t), "--exact")
+            assert result.exit_code == 0, (s, t)
+            digest.update(result.stdout.encode())
+    assert digest.hexdigest() == \
+        "412308920bca2f884b15ca91a90dad62ed4257b84743c01bbc090d352920e765"
+    payload = json.loads(invoke("walk-sim", "--s", "1100", "--t", "1", "--exact").output)
+    assert (payload["mean_exact"], payload["bound"]) == ("1/1", 6 * 2.0 ** 550)
 
 
 def test_walk_sim_exact_over_budget():

@@ -1,5 +1,6 @@
 """Tests for the orientation-state chain and the summand walk."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -8,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge import budget
-from twobridge.budget import WALK_WORK_BUDGET, BudgetError, walk_work
+from twobridge import markov
+from twobridge.budget import (
+    CLASS_LISTING_BUDGET,
+    WALK_WORK_BUDGET,
+    BudgetError,
+    walk_work,
+)
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import orientation_after
 from twobridge.markov import (
     _distances,
+    _signature_groups,
     _tables,
     class_bucket,
     contraction_gap,
@@ -263,13 +270,55 @@ def test_exact_distance_matches_brute_force():
 
 
 def test_exact_distance_budget():
-    # Each term of the estimate can exceed the budget on its own.
+    # The walk DP and the per-class listing's table each have a budget.
     assert walk_work(4, 1000) > WALK_WORK_BUDGET
-    assert walk_work(25, 1) > WALK_WORK_BUDGET
+    assert 3 << 25 > CLASS_LISTING_BUDGET
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
         exact_expected_distance(4, 1000)
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
         per_class_moments(25, 1)
+
+
+def test_exact_walk_builds_no_tables(monkeypatch):
+    # Every exact walk value comes from the S3 block counts alone.  The
+    # digest was recorded when the groups were read off the walk tables.
+    def refuse(s):
+        raise AssertionError(f"the walk tables were built at s={s}")
+
+    monkeypatch.setattr(markov, "_tables", refuse)
+    digest = hashlib.sha256()
+    for s in range(1, 21):
+        for t in range(1, 20 // s + 1):
+            digest.update(repr((s, t, exact_expected_distance(s, t))).encode())
+            assert verify_abs_means(s, t) and verify_second_moments(s, t), (s, t)
+    assert digest.hexdigest() == \
+        "b57c8f66d50ff14dc420dcf894d7135867f69b6b37ed68c77ffcba84712f5b78"
+
+
+def test_signature_groups_cover_every_oriented_block():
+    # A non-palindromic class stands for two oriented blocks, the class and
+    # its mirror; a palindromic-type class for one.
+    for s in [*range(1, 65), 1000]:
+        signatures, sizes = _signature_groups(s)
+        blocks = sum(n if pal else 2 * n
+                     for pal, n in zip(signatures[:, 4].tolist(), sizes))
+        assert blocks == 3 << s, s
+        pal_blocks = sum(n for pal, n in zip(signatures[:, 4].tolist(), sizes) if pal)
+        assert pal_blocks == pal_coordinate_count(s), s
+
+
+def test_one_block_walk_has_distance_one():
+    # One summand is never cancelled.  Every s up to 1000 would take ~6 s.
+    for s in [*range(1, 201), 255, 256, 511, 512, 999, 1000]:
+        assert exact_expected_distance(s, 1) == 1, s
+
+
+def test_distance_bound_past_the_float_range_of_2_to_the_s():
+    assert distance_bound(1100, 1) == 6 * 2.0 ** 550  # 3 sqrt(2^1100) + p
+    assert distance_bound(2047, 0) == 0.0
+    for s, t in [(2048, 0), (2046, 1), (10 ** 9, 1)]:
+        with pytest.raises(ValueError, match="float range"):
+            distance_bound(s, t)
 
 
 def test_exact_distance_matches_enumeration():
@@ -391,10 +440,9 @@ def test_monte_carlo_matches_exact():
 
 
 @pytest.mark.parametrize("s, t", [(3, 333), (2, 500)])
-def test_monte_carlo_matches_exact_past_enumeration(monkeypatch, s, t):
+def test_monte_carlo_matches_exact_past_enumeration(s, t):
     # Far past the 2^(s t) enumeration, sampling is the exact DP's check.
-    assert walk_work(s, t) > WALK_WORK_BUDGET
-    monkeypatch.setattr(budget, "WALK_WORK_BUDGET", walk_work(s, t))
+    assert walk_work(s, t) <= WALK_WORK_BUDGET
     exact = exact_expected_distance(s, t)
     mean, stderr = monte_carlo_distance(s, t, 4000, seed=t)
     assert stderr > 0
