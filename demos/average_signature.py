@@ -8,18 +8,19 @@ from both sides.
 
 import math
 
-from twobridge.sigtables import asymptote_gap, totals, verify_wallis
+from twobridge.sigtables import totals, verify_wallis
 
 print("c    avg|sigma|        sqrt(2c/pi)   gap")
+gaps = {}
 for c in range(3, 25):
     avg = totals(c).avg_abs_sigma
     root = math.sqrt(2 * c / math.pi)
+    gaps[c] = float(avg) - root
     print(f"{c:<4} {str(avg):<10} {float(avg):<6.4f} {root:<13.4f} "
-          f"{float(avg) - root:+.4f}")
+          f"{gaps[c]:+.4f}")
 
 print()
 print("|gap| at matched parities (the approach is monotone in each parity)")
-gaps = dict(asymptote_gap(24))
 for early, late in ((9, 19), (10, 20), (12, 24)):
     print(f"  |gap({late})| = {abs(gaps[late]):.4f}  <  "
           f"|gap({early})| = {abs(gaps[early]):.4f}")

@@ -56,17 +56,27 @@ class BudgetError(RuntimeError):
     advertised work budget; the message carries the estimate."""
 
 
-def _check(work: int, limit: int, request: str, units: str, stop: str = "") -> None:
-    """Raise BudgetError if work is above limit; a huge work prints as 2^k."""
-    if work > limit:
-        about = work if work.bit_length() <= 64 else f"2^{work.bit_length() - 1}"
-        raise BudgetError(f"refusing {request}: it needs about {about} {units}, "
-                          f"and the budget stops at {stop or limit}")
+def _check(work: int, limit: int, request: str, units: str, stop: str = "",
+           shift: tuple[int, int] = (0, 0)) -> None:
+    """Raise BudgetError if work + (base << s), for (base, s) = shift, is above
+    limit; a huge work prints as 2^k.  An s past 64 and the bit lengths of
+    limit and work is refused on its size alone, without building 2^s."""
+    base, s = shift
+    if s > max(64, limit.bit_length(), work.bit_length()):
+        bits = s + base.bit_length()
+    else:
+        work += base << s
+        if work <= limit:
+            return
+        bits = work.bit_length()
+    about = work if bits <= 64 else f"2^{bits - 1}"
+    raise BudgetError(f"refusing {request}: it needs about {about} {units}, "
+                      f"and the budget stops at {stop or limit}")
 
 
 def check_enumeration(c: int) -> None:
-    _check(1 << (c - 2), 1 << (ENUMERATION_BUDGET - 2), f"to enumerate c={c}",
-           "exponent masks", f"c={ENUMERATION_BUDGET}")
+    _check(0, 1 << (ENUMERATION_BUDGET - 2), f"to enumerate c={c}",
+           "exponent masks", f"c={ENUMERATION_BUDGET}", shift=(1, c - 2))
 
 
 def recursion_work(c_max: int) -> int:
@@ -96,18 +106,27 @@ def check_avg_sig(c_values: Sequence[int]) -> None:
            + (f"c={lo}" if lo == hi else f"c={lo}..{hi}"), "work units (avg_sig_work)")
 
 
-def g4_work(c: int, s: int) -> int:
-    """Cell updates of the mean g4 DP: its table of 3 * 2^s blocks, plus s
-    letter steps over 9 states and 2k + 3 displacements at block k, per key."""
+def _g4_cells(c: int, s: int) -> int:
+    """s letter steps over 9 states and 2k + 3 displacements at block k, per
+    law key: one per class, over 54 from s = 6 on (where 2^s is not built)."""
     t = (2 * ((c - 1) // 2) - 1) // s
-    classes = ((3 << s) + (3 << s // 2 if s % 2 == 0 else 0)) // 2
-    cells = min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
-    return (3 << s) * _TABLE_ENTRY_WORK + cells
+    classes = (((3 << s) + (3 << s // 2 if s % 2 == 0 else 0)) // 2 if s < 6
+               else _MAX_LAW_KEYS)
+    return min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
+
+
+def g4_work(c: int, s: int) -> int:
+    """Cell updates of the mean g4 DP: its 3 * 2^s block table and DP cells."""
+    return (3 << s) * _TABLE_ENTRY_WORK + _g4_cells(c, s)
 
 
 def check_g4(c: int, s: int) -> None:
-    _check(g4_work(c, s), G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
-           f"cell updates for its table of 3 * 2^{s} block masks and its DP (g4_work)")
+    message = (G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}", "cell updates "
+               f"for its table of 3 * 2^{s} block masks and its DP (g4_work)")
+    if s <= 64:
+        _check(g4_work(c, s), *message)
+    else:  # the table alone is over the budget: g4_work's 2^s is not built
+        _check(_g4_cells(c, s), *message, shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
 def walk_work(s: int, t: int) -> int:
@@ -126,19 +145,20 @@ def check_walk(s: int, t: int) -> None:
 
 def check_class_listing(s: int) -> None:
     """3 * 2^s table entries, to list every summand class."""
-    _check(3 << s, CLASS_LISTING_BUDGET, f"the per-class walk moments at s={s} "
-           "(sample the walk with monte_carlo_distance)", "table entries")
+    _check(0, CLASS_LISTING_BUDGET, f"the per-class walk moments at s={s} "
+           "(sample the walk with monte_carlo_distance)", "table entries", shift=(3, s))
 
 
 def check_monte_carlo(s: int, t: int, trials: int, chunks: int) -> None:
     """3 * 2^s table entries, trials * t blocks and t kernel steps per chunk."""
-    _check((3 << s) + trials * t + _STEP_WORK * chunks * t, MONTE_CARLO_WORK_BUDGET,
+    _check(trials * t + _STEP_WORK * chunks * t, MONTE_CARLO_WORK_BUDGET,
            f"Monte Carlo at s={s}, t={t}, trials={trials}",
-           "table entries, blocks and kernel steps")
+           "table entries, blocks and kernel steps", shift=(3, s))
 
 
 def check_markov(s: int, kmax: int) -> None:
     """2^s blocks for the empirical matrix, plus s * kmax closed-form powers."""
-    _check((1 << s) + _POWER_WORK * s * kmax, MARKOV_WORK_BUDGET,
+    _check(_POWER_WORK * s * kmax, MARKOV_WORK_BUDGET,
            f"the transition-matrix checks at s={s}, kmax={kmax}",
-           f"block units (2^s blocks, {_POWER_WORK} per closed-form power)")
+           f"block units (2^s blocks, {_POWER_WORK} per closed-form power)",
+           shift=(1, s))

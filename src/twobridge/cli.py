@@ -6,8 +6,8 @@ a schema comment line.  Exit codes: 0 success, 1 verification failure,
 2 usage or domain error.  A request that twobridge refuses (over budget:
 in ``_Group.invoke``) prints one ``Error:`` line on stderr and nothing on
 stdout; click's own parse errors (an unknown option, a missing or
-ill-typed value) keep click's usage block.  The row cache holds
-enumerated rows only; ``TB_CACHE_DIR`` overrides ``--cache-dir``.
+ill-typed value) keep click's usage block.  The row cache, in the
+directory that ``--cache-dir`` names, holds enumerated rows only.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ def _parse_c_range(ctx: click.Context, param: click.Parameter,
         _refuse(ctx, f"empty crossing-number range {text!r}")
     _crossing_number(ctx, param, lo)
     return range(lo, hi + 1)
-
-
-def _resolve_cache_dir(option: str | None) -> Path | None:
-    env = os.environ.get("TB_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(option) if option else None
 
 
 def _echo_json(payload: dict) -> None:
@@ -128,14 +121,14 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--cache-dir", default=None,
-              help="Enumerated-row cache directory (TB_CACHE_DIR overrides).")
+              help="Enumerated-row cache directory; no cache without it.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Enumeration shards; defaults to available parallelism.")
 @click.pass_context
 def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
                   fmt: str, cache_dir: str | None, workers: int | None) -> None:
     """Signature histogram rows s(c, sigma)."""
-    cache = _resolve_cache_dir(cache_dir)
+    cache = Path(cache_dir) if cache_dir else None
     if workers is None:
         workers = os.cpu_count() or 1
     # The work grows with c: refuse the whole range before any row.

@@ -22,7 +22,8 @@ t uniform blocks: O(s t^2) steps instead of a sum over all 2^(s t) block
 sequences (the tests keep that enumeration as the oracle).  Over nine
 states it also gives the residual term of ``cobordism.average_g4_row``.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
-per-class second-moment bound 4 t / 2^s.
+per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
+bound 4 t / 2^s that implies it.
 
 Monte Carlo sampling covers walks past ``budget.check_walk``, within
 ``budget.check_monte_carlo``.  Each summand id
@@ -31,9 +32,8 @@ keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
 chunks of at most 2^22 blocks; the draws do not depend on the chunking.
 The lookup tables over all 3 * 2^s oriented blocks serve Monte Carlo and
-the per-class listing ``per_class_moments`` only; no exact walk value reads
-them.  They are built by prefix doubling over the blocks, O(2^s) work in
-all, and only the last block size's tables are kept.
+the per-class listing ``per_class_moments`` only, built afresh by prefix
+doubling over the blocks, O(2^s) work; no exact walk value reads them.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from . import budget
-from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after, strand_permutation
-from .words import is_palindromic_type
+from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
@@ -268,7 +266,7 @@ def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
 @dataclass(frozen=True)
 class _WalkTables:
     """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel,
-    and the summand classes grouped by transfer signature."""
+    and the signature group of each summand class."""
 
     s: int
     next_state: np.ndarray
@@ -277,14 +275,9 @@ class _WalkTables:
     key: np.ndarray
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
     classes: np.ndarray  # canonical ids in increasing order, one per class
-    class_group: np.ndarray  # signature group of each entry of ``classes``
-    # One row per group, from ``_signature_groups``: start and end state
-    # indices (0..2) of the class, then of its mirror, then the type flag.
-    signatures: np.ndarray
-    group_sizes: np.ndarray  # number of classes in each group
+    class_group: np.ndarray  # signature group (``_signature_groups``) of each class
 
 
-@lru_cache(maxsize=1)
 def _tables(s: int) -> _WalkTables:
     # End state after each block from each start state, and each block with
     # its letters reversed, by prefix doubling: the block b of k + 1 letters
@@ -321,10 +314,9 @@ def _tables(s: int) -> _WalkTables:
     mirrors = mirror_id[classes]
     codes = np.stack([classes >> s, next_state[classes] - 1, mirrors >> s,
                       next_state[mirrors] - 1, is_pal[classes]], axis=1) @ _CODE_WEIGHTS
-    signatures, sizes = _signature_groups(s)
+    signatures, _ = _signature_groups(s)
     class_group = np.searchsorted(signatures @ _CODE_WEIGHTS, codes).astype(np.int8)
-    return _WalkTables(s, next_state, key, is_pal, classes, class_group,
-                       signatures, np.array(sizes, dtype=np.int64))
+    return _WalkTables(s, next_state, key, is_pal, classes, class_group)
 
 
 def oriented_word_key(s: int, ident: int) -> str:
@@ -515,13 +507,6 @@ def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
     return out
 
 
-def verify_second_moments(s: int, t: int) -> bool:
-    """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
-    bound = Fraction(4 * t, 2 ** s)
-    _, moments = _group_moments(s, t)
-    return all(second <= bound for pal, _, second in moments if not pal)
-
-
 def verify_abs_means(s: int, t: int) -> bool:
     """Every integer-coordinate class satisfies E|D_w| <= 2 sqrt(t / 2^s),
     decided exactly by squaring."""
@@ -529,21 +514,3 @@ def verify_abs_means(s: int, t: int) -> bool:
     _, moments = _group_moments(s, t)
     return all(mean * mean <= bound for pal, mean, _ in moments if not pal)
 
-
-def class_bucket(key: str) -> tuple[int, tuple[int, int, int], bool]:
-    """Walk-distribution bucket of a class: start state, strand permutation
-    of the letters, and palindromic-type flag."""
-    state, letters = key.split(":")
-    return int(state[1:]), strand_permutation(letters), is_palindromic_type(letters)
-
-
-def verify_bucket_collapse(s: int, t: int) -> bool:
-    """Class moments depend only on (start state, permutation, type)."""
-    buckets: dict[tuple, tuple[Fraction, Fraction]] = {}
-    for key, m in per_class_moments(s, t).items():
-        bucket = class_bucket(key)
-        value = (m.abs_mean, m.second_moment)
-        if buckets.setdefault(bucket, value) != value:
-            return False
-    non_pal = {b for b in buckets if not b[2]}
-    return len(non_pal) <= 18

@@ -430,17 +430,6 @@ def verify_wallis(m: int) -> bool:
     return upper and lower
 
 
-def asymptote_gap(c_max: int) -> list[tuple[int, float]]:
-    """Sequence (c, avg|sigma| - √(2c/π)) for c = 3..c_max, from one
-    recursed table."""
-    rows = recursed_table(c_max + 1)
-    out = []
-    for c in range(3, c_max + 1):
-        r = totals(c, rows)
-        out.append((c, float(r.avg_abs_sigma) - r.asymptote))
-    return out
-
-
 # ------------------------------------------------------------------ CSV cache
 
 

@@ -29,24 +29,6 @@ _HEX_RUNS = str.maketrans({
 })
 
 
-def runs(word: str) -> list[tuple[str, int]]:
-    """Split a sign string into maximal runs, as (sign, exponent) pairs."""
-    out: list[tuple[str, int]] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        out.append((word[i], j - i))
-        i = j
-    return out
-
-
-def exponents(word: str) -> list[int]:
-    """Run lengths of a validated word (signs are implicit by position)."""
-    return [e for _, e in runs(word)]
-
-
 def validate_word(word: str) -> int:
     """Check word validity and return its crossing number c.
 
@@ -254,29 +236,3 @@ def bijection_f_inverse(z: str) -> str:
     suffix = {2: "+", 1: "+-", 0: "++-"}[len(interior) % 3]
     return "+" + interior + suffix
 
-
-# Final-three-run patterns for the partition classes, keyed by the pair
-# (eps_{c-2}, eps_{c-1}); eps_c is always 1.  The replacement glues a
-# shorter tail in place of those runs, giving a bijection of class i onto:
-# classes 2 and 3 with c-1 crossings (i=1), classes 1 and 4 with c-1
-# crossings (i=2), or all words with c-2 crossings (i=3 and i=4).
-_CLASS_BY_PAIR = {(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 4}
-_TAIL_ODD = {1: ("+-+", "++-"), 2: ("++--+", "+-"), 3: ("+--+", "+"), 4: ("++-+", "+")}
-_TAIL_EVEN = {1: ("-+-", "--+"), 2: ("--++-", "-+"), 3: ("-++-", "-"), 4: ("--+-", "-")}
-
-
-def partition_class(word: str) -> tuple[int, str]:
-    """Classify a word by its final 3 runs and apply the tail replacement.
-
-    Returns (i, shorter_word) with i in {1,2,3,4}.  Needs c >= 5 so that
-    the final three runs do not overlap the fixed first run.
-    """
-    c = validate_word(word)
-    if c < 5:
-        raise ValueError(f"partition classes need c >= 5, got {c}")
-    e = exponents(word)
-    i = _CLASS_BY_PAIR[(e[-3], e[-2])]
-    tail, repl = (_TAIL_ODD if c % 2 == 1 else _TAIL_EVEN)[i]
-    if not word.endswith(tail):
-        raise ValueError(f"{word} does not end in the class-{i} tail {tail}")
-    return i, word[: -len(tail)] + repl

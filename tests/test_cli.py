@@ -8,6 +8,7 @@ arguments and seed are byte-identical.
 
 import hashlib
 import json
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from test_sigtables import enumerated_palindromic_histogram
-from twobridge import markov, sigtables, words
+from twobridge import cobordism, markov, sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
@@ -98,25 +99,8 @@ def test_sig_table_rederives_tampered_cache(tmp_path):
     assert sigtables.load_cached_row(tmp_path, 6) == {-2: 1, 0: 3, 2: 1}
 
 
-def test_cache_env_var_beats_option(tmp_path, monkeypatch):
-    option_dir = tmp_path / "opt"
-    env_dir = tmp_path / "env"
-    option_dir.mkdir()
-    env_dir.mkdir()
-    monkeypatch.setenv("TB_CACHE_DIR", str(env_dir))
-    result = invoke("sig-table", "--c", "5", "--method", "enumerate",
-                    "--cache-dir", str(option_dir))
-    assert result.exit_code == 0
-    assert (env_dir / "sig-c05.csv").exists()
-    assert not (option_dir / "sig-c05.csv").exists()
-
-
-@pytest.mark.parametrize("env", [False, True])
-def test_recurse_never_writes_the_cache(tmp_path, monkeypatch, env):
+def test_recurse_never_writes_the_cache(tmp_path, monkeypatch):
     cache = ("--cache-dir", str(tmp_path))
-    if env:
-        monkeypatch.setenv("TB_CACHE_DIR", str(tmp_path))
-        cache = ()
     recurse = invoke("sig-table", "--c", "6", "--method", "recurse", *cache)
     assert recurse.exit_code == 0
     assert not (tmp_path / "sig-c06.csv").exists()
@@ -226,6 +210,13 @@ def test_avg_sig_over_budget_exits_2():
     (("walk-sim", "--s", "2", "--t", "1", "--trials", "100000000000"),
      markov._tables, "trials=100000000000"),
     (("avg-sig", "--c", "3..1000000000"), sigtables.totals, "avg_sig_work"),
+    # A huge s is refused without building 2^s.
+    (("markov-verify", "--s", "10000000000"), markov.verify_empirical,
+     "s=10000000000, kmax=8"),
+    (("g4", "--c", "20000000003", "--s", "10000000000"), cobordism._summand_table,
+     "at c=20000000003, s=10000000000"),
+    (("enumerate", "--c", "10000000000"), words.enumerate_words,
+     "refusing to enumerate c=10000000000"),
 ])
 def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
     """The worker an over-budget request would start, patched by its module
@@ -234,9 +225,13 @@ def test_range_over_budget_refused_before_work(monkeypatch, args, work, message)
         raise AssertionError("an over-budget range must be refused first")
 
     monkeypatch.setattr(sys.modules[work.__module__], work.__name__, refuse)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     result = invoke(*args)
     assert time.perf_counter() - start < 1
+    # No estimate is built in proportion to s or c: 2^(10^10) alone takes
+    # 1.25 GB (ru_maxrss is in KB on Linux).
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100 << 10
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1

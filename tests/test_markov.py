@@ -1,6 +1,7 @@
 """Tests for the orientation-state chain and the summand walk."""
 
 import hashlib
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -17,12 +18,11 @@ from twobridge.budget import (
     walk_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
-from twobridge.diagram import orientation_after
+from twobridge.diagram import orientation_after, strand_permutation
 from twobridge.markov import (
     _distances,
     _signature_groups,
     _tables,
-    class_bucket,
     contraction_gap,
     displacement_laws,
     distance_bound,
@@ -39,13 +39,26 @@ from twobridge.markov import (
     step_matrix,
     transition_matrix,
     verify_abs_means,
-    verify_bucket_collapse,
     verify_closed_form,
     verify_contraction,
     verify_empirical,
     verify_power_identity,
-    verify_second_moments,
 )
+from twobridge.words import is_palindromic_type
+
+
+def verify_second_moments(s, t):
+    """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
+    bound = Fraction(4 * t, 2 ** s)
+    _, moments = markov._group_moments(s, t)
+    return all(second <= bound for pal, _, second in moments if not pal)
+
+
+def class_bucket(key):
+    """Walk-distribution bucket of a class: start state, strand permutation
+    of the letters, and palindromic-type flag."""
+    state, letters = key.split(":")
+    return int(state[1:]), strand_permutation(letters), is_palindromic_type(letters)
 
 
 def brute_force_expected_distance(s, t):
@@ -65,7 +78,8 @@ def brute_force_expected_distance(s, t):
 def reference_tables(s):
     """Per-bit build of the walk tables: s passes over all 3 * 2^s ids for
     the end states and s more for the mirror blocks.  Returns the fields
-    of ``_WalkTables`` with the sort key split into canonical id and sign."""
+    of ``_WalkTables`` with the sort key split into canonical id and sign,
+    and the rows and sizes of ``_signature_groups`` read off the classes."""
     half = 1 << s
     blocks = np.arange(half, dtype=np.int64)
 
@@ -279,6 +293,16 @@ def test_exact_distance_budget():
         per_class_moments(25, 1)
 
 
+def test_huge_block_size_refused_before_work():
+    # The budget refuses on the bit length of s and never builds 2^s.
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"s=10000000000 .*about 2\^10000000001"):
+        per_class_moments(10 ** 10, 1)
+    with pytest.raises(BudgetError, match=r"s=10000000000, t=1, trials=2.*2\^10000000001"):
+        monte_carlo_distance(10 ** 10, 1, 2)
+    assert time.perf_counter() - start < 1
+
+
 def test_exact_walk_builds_no_tables(monkeypatch):
     # Every exact walk value comes from the S3 block counts alone.  The
     # digest was recorded when the groups were read off the walk tables.
@@ -335,16 +359,23 @@ def test_per_class_moments_match_enumeration():
         for t in range(1, 14 // s + 1):
             abs_totals, square_totals = enumerated_class_totals(s, t)
             moments = per_class_moments(s, t)
-            tables = _tables(s)
             # A mirror's (start, end) is the flip of the class's (end, start),
             # which bounds the signature groups by 9 pairs times the type.
-            assert (tables.signatures[:, 2:4] == 2 - tables.signatures[:, 1::-1]).all()
-            classes = tables.classes.tolist()
+            signatures, _ = _signature_groups(s)
+            assert (signatures[:, 2:4] == 2 - signatures[:, 1::-1]).all()
+            classes = _tables(s).classes.tolist()
             assert list(moments) == [oriented_word_key(s, i) for i in classes]
+            buckets = {}
             for ident, m in zip(classes, moments.values()):
+                enumerated = (int(abs_totals[ident]), int(square_totals[ident]))
                 assert (m.abs_mean, m.second_moment) == (
-                    Fraction(int(abs_totals[ident]), 1 << (s * t)),
-                    Fraction(int(square_totals[ident]), 1 << (s * t))), (s, t, m.key)
+                    Fraction(enumerated[0], 1 << (s * t)),
+                    Fraction(enumerated[1], 1 << (s * t))), (s, t, m.key)
+                # The bucket lemma, on the enumeration: a class's totals
+                # depend only on its start state, strand permutation and type.
+                assert buckets.setdefault(class_bucket(m.key), enumerated) \
+                    == enumerated, (s, t, m.key)
+            assert sum(not pal for _, _, pal in buckets) <= 18, (s, t)
 
 
 def test_ungrouped_laws_match_grouped_moments():
@@ -401,11 +432,14 @@ def test_tables_match_per_bit_reference():
         tables = _tables(s)
         reference = reference_tables(s)
         assert tables.s == s
-        for name in ("next_state", "is_pal", "classes", "class_group",
-                     "signatures", "group_sizes"):
+        for name in ("next_state", "is_pal", "classes", "class_group"):
             field = getattr(tables, name)
             assert field.dtype == reference[name].dtype, (s, name)
             assert np.array_equal(field, reference[name]), (s, name)
+        signatures, sizes = _signature_groups(s)
+        assert signatures.dtype == reference["signatures"].dtype, s
+        assert np.array_equal(signatures, reference["signatures"]), s
+        assert sizes == reference["group_sizes"].tolist(), s
         assert tables.key.dtype == np.int32
         assert np.array_equal(tables.key,
                               2 * reference["canon"] + (reference["sign"] < 0)), s
@@ -488,13 +522,6 @@ def test_second_moment_example():
     for m in moments.values():
         assert not m.palindromic
         assert m.second_moment <= bound
-
-
-def test_bucket_collapse():
-    for s in range(1, 5):
-        for t in (1, 2):
-            assert verify_bucket_collapse(s, t)
-    assert verify_bucket_collapse(5, 2)
 
 
 def test_oriented_word_key_and_bucket():

@@ -308,7 +308,9 @@ def test_verify_wallis():
 
 
 def test_asymptote_gap_sequence():
-    gaps = dict(S.asymptote_gap(20))
+    rows = S.recursed_table(21)
+    gaps = {c: float(r.avg_abs_sigma) - r.asymptote
+            for c in range(3, 21) for r in [S.totals(c, rows)]}
     assert gaps[3] == pytest.approx(2 - math.sqrt(6 / math.pi), rel=1e-12)
     assert abs(gaps[20]) < abs(gaps[12])
     assert abs(gaps[19]) < abs(gaps[11])

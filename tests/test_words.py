@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge import words as W
+from twobridge.diagram import signature
 
 # Published tables list these words for small crossing numbers.
 T3 = ["+--+"]
@@ -12,8 +13,26 @@ T5 = ["+--+--+", "+--++-+", "+-++--+"]
 T6 = ["+-+-++-", "+-+--+-", "+--++--++-", "+-++-+-", "+--+-+-"]
 
 
+def runs(word):
+    """Split a sign string into maximal runs, as (sign, exponent) pairs."""
+    out = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        out.append((word[i], j - i))
+        i = j
+    return out
+
+
+def exponents(word):
+    """Run lengths of a validated word (signs are implicit by position)."""
+    return [e for _, e in runs(word)]
+
+
 def exponent_key(word):
-    return tuple(W.exponents(word))
+    return tuple(exponents(word))
 
 
 # ------------------------------------------------- loop-based string oracles
@@ -47,7 +66,7 @@ def loop_palindromic_words(c):
 def runs_validate_word(word):
     if not word or set(word) - {"+", "-"}:
         raise ValueError("alphabet")
-    rr = W.runs(word)
+    rr = runs(word)
     if len(rr) < 3 or word[0] != "+" or rr[0][1] != 1 or rr[-1][1] != 1:
         raise ValueError("shape")
     if any(e > 2 for _, e in rr) or len(word) % 3 != 1:
@@ -57,7 +76,7 @@ def runs_validate_word(word):
 
 def runs_to_braid(word):
     runs_validate_word(word)
-    return "".join("a" if (s == "+") == (e == 1) else "b" for s, e in W.runs(word))
+    return "".join("a" if (s == "+") == (e == 1) else "b" for s, e in runs(word))
 
 
 def _outcome(fn, word):
@@ -188,7 +207,7 @@ def test_is_palindromic_examples():
 def test_palindromic_iff_exponent_vector_palindrome():
     for c in range(3, 13):
         for w in W.enumerate_words(c):
-            e = W.exponents(w)
+            e = exponents(w)
             assert W.is_palindromic(w) == (e == e[::-1])
 
 
@@ -252,32 +271,70 @@ def test_bijection_f_inverse_rejects_even_length():
 
 
 # ------------------------------------------------------------------ partition
+#
+# The partition of T(c) that proves the two-row recursion of the signature
+# histogram.  Final-three-run patterns for the classes, keyed by the pair
+# (eps_{c-2}, eps_{c-1}); eps_c is always 1.  The replacement glues a
+# shorter tail in place of those runs, giving a bijection of class i onto:
+# classes 2 and 3 with c-1 crossings (i=1), classes 1 and 4 with c-1
+# crossings (i=2), or all words with c-2 crossings (i=3 and i=4).
+_CLASS_BY_PAIR = {(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 4}
+_TAIL_ODD = {1: ("+-+", "++-"), 2: ("++--+", "+-"), 3: ("+--+", "+"), 4: ("++-+", "+")}
+_TAIL_EVEN = {1: ("-+-", "--+"), 2: ("--++-", "-+"), 3: ("-++-", "-"), 4: ("--+-", "-")}
+
+
+def partition_class(word):
+    """Classify a word by its final 3 runs and apply the tail replacement.
+
+    Returns (i, shorter_word) with i in {1,2,3,4}.  Needs c >= 5 so that
+    the final three runs do not overlap the fixed first run.
+    """
+    c = W.validate_word(word)
+    if c < 5:
+        raise ValueError(f"partition classes need c >= 5, got {c}")
+    e = exponents(word)
+    i = _CLASS_BY_PAIR[(e[-3], e[-2])]
+    tail, repl = (_TAIL_ODD if c % 2 == 1 else _TAIL_EVEN)[i]
+    if not word.endswith(tail):
+        raise ValueError(f"{word} does not end in the class-{i} tail {tail}")
+    return i, word[: -len(tail)] + repl
 
 
 def test_partition_class_examples():
-    i, shorter = W.partition_class("+--++--++-")
+    i, shorter = partition_class("+--++--++-")
     assert i == 2
     assert shorter == "+--++-+"
-    i, shorter = W.partition_class("+--+--+")
+    i, shorter = partition_class("+--+--+")
     assert i == 3
     assert shorter == "+--+"
 
 
 def test_partition_class_rejects_small_c():
     with pytest.raises(ValueError):
-        W.partition_class("+--+")
+        partition_class("+--+")
 
 
 def class_of(word):
-    e = W.exponents(word)
-    return {(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 4}[(e[-3], e[-2])]
+    e = exponents(word)
+    return _CLASS_BY_PAIR[(e[-3], e[-2])]
+
+
+@pytest.mark.parametrize("c", range(5, 15))
+def test_partition_shifts_signature(c):
+    # The tail replacement moves the signature by -d in classes 1-3 and
+    # keeps it in class 4, with d = 2 for even c and -2 for odd c: with the
+    # bijections above, this is the two-row recursion of the histogram.
+    d = 2 if c % 2 == 0 else -2
+    for w in W.enumerate_words(c):
+        i, shorter = partition_class(w)
+        assert signature(w) - signature(shorter) == (0 if i == 4 else -d), (w, i)
 
 
 @pytest.mark.parametrize("c", range(5, 13))
 def test_partition_is_bijective_onto_targets(c):
     buckets = {1: [], 2: [], 3: [], 4: []}
     for w in W.enumerate_words(c):
-        i, shorter = W.partition_class(w)
+        i, shorter = partition_class(w)
         W.validate_word(shorter)
         buckets[i].append(shorter)
     assert sum(map(len, buckets.values())) == W.word_count(c)
@@ -295,6 +352,6 @@ def test_partition_is_bijective_onto_targets(c):
 def test_partition_reduces_crossing_number(c, seed):
     ws = list(W.enumerate_words(c))
     w = ws[seed % len(ws)]
-    i, shorter = W.partition_class(w)
+    i, shorter = partition_class(w)
     drop = 1 if i in (1, 2) else 2
     assert W.validate_word(shorter) == c - drop
