@@ -24,8 +24,8 @@ WALK_WORK_BUDGET = 1 << 28
 #: about 4 us per table entry: ``per_class_moments(18, 1)`` takes 3.2 s, and
 #: ``(20, 1)``, refused, took 13 s at a peak of 0.6 GB
 CLASS_LISTING_BUDGET = 1 << 21
-#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 1.9 s
-#: at a peak of 0.8 GB, and ``--s 2 --t 1 --trials 16777000`` 2.1 s
+#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 1.1-1.5 s
+#: at a peak of 0.66 GB, and ``--s 2 --t 1 --trials 16777000`` 2.1 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
 #: about 11-18 us per block: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
 #: ``--s 6 --kmax 1365`` 8.0 s and ``--s 18 --kmax 227`` 9.4 s

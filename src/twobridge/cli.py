@@ -101,7 +101,7 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
     if cache_dir is not None:
         try:
             cached = sigtables.load_cached_row(cache_dir, c)
-        except ValueError as problem:
+        except (ValueError, OSError) as problem:
             click.echo(f"warning: cache for c={c} rejected ({problem}); "
                        "re-deriving", err=True)
         else:
@@ -128,7 +128,9 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
 def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
                   fmt: str, cache_dir: str | None, workers: int | None) -> None:
     """Signature histogram rows s(c, sigma)."""
-    cache = Path(cache_dir) if cache_dir else None
+    # The cache holds enumerated rows only: a recursed row stored there
+    # would later be compared with itself.
+    cache = Path(cache_dir) if cache_dir and method != "recurse" else None
     if workers is None:
         workers = os.cpu_count() or 1
     # The work grows with c: refuse the whole range before any row.
@@ -140,17 +142,20 @@ def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
                 if method in ("recurse", "both") else None)
 
     rows: dict[int, sigtables.Row] = {}
-    for c in c_values:
-        if method == "recurse":
-            # The cache holds enumerated rows only: a recursed row stored
-            # there would later be compared with itself.
-            rows[c] = recursed[c]
-            continue
-        rows[c] = _cached_histogram(c, cache, workers)
-        if method == "both" and rows[c] != recursed[c]:
-            click.echo(f"mismatch between enumeration and recursion at c={c}",
-                       err=True)
-            ctx.exit(1)
+    try:  # only the cache does I/O here, and its directory is made before any row
+        if cache is not None:
+            cache.mkdir(parents=True, exist_ok=True)
+        for c in c_values:
+            if method == "recurse":
+                rows[c] = recursed[c]
+                continue
+            rows[c] = _cached_histogram(c, cache, workers)
+            if method == "both" and rows[c] != recursed[c]:
+                click.echo(f"mismatch between enumeration and recursion at c={c}",
+                           err=True)
+                ctx.exit(1)
+    except OSError as problem:
+        _refuse(ctx, f"cache directory {cache_dir}: {problem}")
 
     if fmt == "json":
         payload = {"schema": SCHEMA, "method": method,

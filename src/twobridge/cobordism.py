@@ -43,8 +43,8 @@ from itertools import product
 import numpy as np
 
 from . import budget
-from .diagram import (CROSSING_PAIR, PLAT_RIGHT, S3, STATE_AFTER, closure_components,
-                      metrics_for_braid, s3_index)
+from .diagram import (COMPONENTS, CROSSING_PAIR, S3, STATE_AFTER, metrics_for_braid,
+                      s3_index)
 from .markov import displacement_laws, residual_count
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
@@ -53,30 +53,15 @@ from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
 _FLIP = {1: 3, 2: 2, 3: 1}
 
 # Closing off a block cut out of a word diagram: the orientation state at a
-# cut determines which pair of endpoints is capped and which strand runs
-# through to the around arc.  Left and right ends differ because the single
-# leftward strand sits at different heights.
-_LEFT_CLOSURE = {1: ((1, 2), 3), 2: ((1, 2), 3), 3: ((2, 3), 1)}
-_RIGHT_CLOSURE = {1: ((1, 2), 3), 2: ((2, 3), 1), 3: ((2, 3), 1)}
+# cut determines its cap shape (``diagram.PLAT_RIGHT``), and the shapes at
+# both cuts key ``diagram.COMPONENTS``.  Left and right ends differ because
+# the single leftward strand sits at different heights.
+_LEFT_CLOSURE = {1: "A", 2: "A", 3: "B"}
+_RIGHT_CLOSURE = {1: "A", 2: "B", 3: "B"}
 
 # Saddle moves at a cut, by its orientation state: two where the leftward
 # strand runs through the middle, one elsewhere.
 _CUT_SADDLES = {1: 1, 2: 2, 3: 1}
-
-# Components (1 or 2) of a block closed at both cuts, by start state and the
-# S3 index of its strand permutation: the end state perm[start - 1] fixes
-# the right cap.
-_COMPONENTS = tuple(
-    tuple(closure_components(_LEFT_CLOSURE[start], perm,
-                             _RIGHT_CLOSURE[perm[start - 1]]) for perm in S3)
-    for start in (1, 2, 3))
-
-# Components of a remainder block, by (plat closure on its right, cut state
-# on its left) and the S3 index of its strand permutation.
-_REMAINDER_COMPONENTS = {
-    (closure, start): tuple(closure_components(left, perm, right) for perm in S3)
-    for closure, right in PLAT_RIGHT.items()
-    for start, left in _LEFT_CLOSURE.items()}
 
 
 @dataclass(frozen=True)
@@ -132,14 +117,14 @@ def summand_class(x: OrientedWord) -> SummandClass:
 
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
-    return _COMPONENTS[x.start - 1][s3_index(x.letters)]
+    return COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[x.end]][s3_index(x.letters)]
 
 
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
     """Components of the remainder block: cut cap on the left, original plat
     closure (A or B) on the right."""
     validate_braid(letters)
-    return _REMAINDER_COMPONENTS[closure, start][s3_index(letters)]
+    return COMPONENTS[_LEFT_CLOSURE[start], closure][s3_index(letters)]
 
 
 @dataclass(frozen=True)
@@ -187,7 +172,9 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     h = s // 2
     half = s3_index(z[:h])
     index = s3_index(z[h:], half)
-    if _COMPONENTS[x.start - 1][index] != 1 + 1:
+    end = S3[index][x.start - 1]
+    closed = COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[end]]
+    if closed[index] != 2:
         raise ValueError("link repair applies only to two-component summands")
     if s < 1:
         raise ValueError("link repair needs a non-empty summand")
@@ -211,11 +198,11 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     fixed = _fix_permutation(fix)
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
-    end, fixed_end = S3[index][x.start - 1], S3[fixed][x.start - 1]
+    fixed_end = S3[fixed][x.start - 1]
     if fixed_end != end:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} moved the end "
                          f"state {end} -> {fixed_end}")
-    if _COMPONENTS[x.start - 1][fixed] != 1:
+    if closed[fixed] != 1:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} left a link")
     return fix
 

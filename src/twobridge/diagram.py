@@ -20,8 +20,8 @@ comes from the braid letters in O(c) integer steps, with no graph:
 
 * Knot or link.  The strand permutation plus the six cut endpoints (two
   caps and the around arc) form a 6-node graph; ``closure_components``
-  counts its components.  The same function closes the summand blocks in
-  ``cobordism``.
+  counts its components once per case at import, into ``COMPONENTS``,
+  which the diagram and the summand blocks in ``cobordism`` read.
 * Crossing signs.  Exactly one strand runs leftward on each cut line of a
   knot diagram (the around arc always runs leftward outside it).  This
   *orientation state* moves across a crossing by the crossing's
@@ -48,10 +48,10 @@ from .words import to_braid, validate_braid
 #: strands involved in each crossing letter
 CROSSING_PAIR = {"a": (2, 3), "b": (1, 2)}
 
-#: plat closures as (capped pair, through strand): the left end of every
-#: diagram, and the two right ends
-PLAT_LEFT = ((1, 2), 3)
+#: plat closures as (capped pair, through strand), by cap shape: the two
+#: right ends, and the left end of every diagram, which is shape A
 PLAT_RIGHT = {"A": ((1, 2), 3), "B": ((2, 3), 1)}
+PLAT_LEFT = "A"
 
 #: orientation state after one letter, indexed by the state before it
 STATE_AFTER = {"a": (0, 1, 3, 2), "b": (0, 2, 1, 3)}
@@ -130,23 +130,26 @@ def closure_components(left: tuple[tuple[int, int], int],
     # Endpoint Lq is node q-1 and Rq is node q+2.
     (l1, l2), lthrough = left
     (r1, r2), rthrough = right
-    n = 6
     for i, j in ((0, 2 + perm[0]), (1, 2 + perm[1]), (2, 2 + perm[2]),
                  (l1 - 1, l2 - 1), (2 + r1, 2 + r2), (lthrough - 1, 2 + rthrough)):
-        i, j = find(i), find(j)
-        if i != j:
-            parent[i] = j
-            n -= 1
+        parent[find(i)] = find(j)
+    n = sum(parent[i] == i for i in range(6))
     # Strands 1 and 2 share the left cap, so at most two components exist.
     if n not in (1, 2):
         raise ValueError(f"closed 3-strand block has {n} components")
     return n
 
 
+#: components (1 or 2) of three strands closed at both ends, by the (left,
+#: right) cap shapes and the S3 index of the strand permutation
+COMPONENTS = {(left, right): tuple(closure_components(PLAT_RIGHT[left], perm,
+                                                     PLAT_RIGHT[right]) for perm in S3)
+              for left in PLAT_RIGHT for right in PLAT_RIGHT}
+
+
 def plat_component_count(d: PlatDiagram) -> int:
     """Number of closed curves in the diagram (1 for a knot)."""
-    perm = strand_permutation(d.letters)
-    return closure_components(PLAT_LEFT, perm, PLAT_RIGHT[d.closure])
+    return COMPONENTS[PLAT_LEFT, d.closure][s3_index(d.letters)]
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
@@ -158,11 +161,11 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     and under-strand directions at crossing i is positive.  `states[j]`
     (j = 0..n) is the strand oriented leftward on cut line j.
     """
-    perm = strand_permutation(d.letters)
-    right = PLAT_RIGHT[d.closure]
-    if closure_components(PLAT_LEFT, perm, right) != 1:
+    index = s3_index(d.letters)  # d.letters was validated with d
+    if COMPONENTS[PLAT_LEFT, d.closure][index] != 1:
         raise ValueError("diagram is a link; cannot orient by one traversal")
-    (cap, _) = right
+    perm = S3[index]
+    (cap, _) = PLAT_RIGHT[d.closure]
     # Bottom strand rightward to the right cap (a knot never sends it
     # around), back leftward from the other capped endpoint: the strand
     # arriving there is leftward on cut 0.

@@ -31,9 +31,9 @@ carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
 keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
 chunks of at most 2^22 blocks; the draws do not depend on the chunking.
-The lookup tables over all 3 * 2^s oriented blocks serve Monte Carlo and
-the per-class listing ``per_class_moments`` only, built afresh by prefix
-doubling over the blocks, O(2^s) work; no exact walk value reads them.
+The lookup tables over all 3 * 2^s oriented blocks hold only what the
+sampler reads, and ``per_class_moments`` reads its class listing off them;
+they are built afresh by prefix doubling, O(2^s) work, for no exact value.
 """
 
 from __future__ import annotations
@@ -265,8 +265,7 @@ def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class _WalkTables:
-    """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel,
-    and the signature group of each summand class."""
+    """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel."""
 
     s: int
     next_state: np.ndarray
@@ -274,8 +273,6 @@ class _WalkTables:
     # canonical id, and the mirror side of a class counts -1 in D_w.
     key: np.ndarray
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
-    classes: np.ndarray  # canonical ids in increasing order, one per class
-    class_group: np.ndarray  # signature group (``_signature_groups``) of each class
 
 
 def _tables(s: int) -> _WalkTables:
@@ -297,26 +294,27 @@ def _tables(s: int) -> _WalkTables:
 
     # Mirror block: reverse the letter order and swap a <-> b.
     half = 1 << s
-    blocks = np.arange(half, dtype=np.int64)
     mirror_block = (half - 1) ^ reversed_bits
-    is_pal_block = mirror_block == blocks
+    is_pal = np.tile(mirror_block == np.arange(half), 3)
 
     flip = np.array([0, 3, 2, 1], dtype=np.int64)
     ids = np.arange(3 * half, dtype=np.int64)
     next_state = ends.reshape(-1)
     mirror_id = (flip[next_state] - 1) * half + np.tile(mirror_block, 3)
-    is_pal = np.tile(is_pal_block, 3)
     canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
     key = (2 * canon + (canon != ids)).astype(np.int32)
+    return _WalkTables(s, next_state, key, is_pal)
 
-    # Each class's signature code, looked up among the groups' codes.
-    classes = np.flatnonzero(canon == ids)
-    mirrors = mirror_id[classes]
-    codes = np.stack([classes >> s, next_state[classes] - 1, mirrors >> s,
-                      next_state[mirrors] - 1, is_pal[classes]], axis=1) @ _CODE_WEIGHTS
-    signatures, _ = _signature_groups(s)
-    class_group = np.searchsorted(signatures @ _CODE_WEIGHTS, codes).astype(np.int8)
-    return _WalkTables(s, next_state, key, is_pal, classes, class_group)
+
+def _class_listing(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical ids of the summand classes, the ids whose key is twice
+    the id, and each class's signature group (``_signature_groups``): its
+    mirror runs from the flip of its end state to the flip of its start."""
+    classes = np.flatnonzero(tables.key == 2 * np.arange(tables.key.size))
+    x, y = classes >> tables.s, tables.next_state[classes] - 1
+    codes = np.stack([x, y, 2 - y, 2 - x, tables.is_pal[classes]], axis=1) @ _CODE_WEIGHTS
+    signatures, _ = _signature_groups(tables.s)
+    return classes, np.searchsorted(signatures @ _CODE_WEIGHTS, codes).astype(np.int8)
 
 
 def oriented_word_key(s: int, ident: int) -> str:
@@ -499,12 +497,10 @@ def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
     """Exact E|D_w| and E[D_w^2] for every summand class."""
     budget.check_class_listing(s)
     _, moments = _group_moments(s, t)
-    tables = _tables(s)
-    out: dict[str, ClassMoments] = {}
-    for ident, group in zip(tables.classes.tolist(), tables.class_group.tolist()):
-        key = oriented_word_key(s, ident)
-        out[key] = ClassMoments(key, *moments[group])
-    return out
+    classes, groups = _class_listing(_tables(s))
+    keys = [oriented_word_key(s, ident) for ident in classes.tolist()]
+    return {key: ClassMoments(key, *moments[group])
+            for key, group in zip(keys, groups.tolist())}
 
 
 def verify_abs_means(s: int, t: int) -> bool:

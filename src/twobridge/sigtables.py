@@ -489,10 +489,9 @@ def load_cached_row(cache_dir: str | Path, c: int) -> Row | None:
 
 
 def store_cached_row(cache_dir: str | Path, c: int, row: Row) -> Path:
-    """Write one row atomically: a temp file in the same directory is
-    renamed over the row, so no reader ever sees a half-written file."""
+    """Write one row atomically into an existing directory: a temp file there
+    is renamed over the row, so no reader ever sees a half-written file."""
     path = cache_path(cache_dir, c)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(row_to_csv(c, row))

@@ -99,6 +99,30 @@ def test_sig_table_rederives_tampered_cache(tmp_path):
     assert sigtables.load_cached_row(tmp_path, 6) == {-2: 1, 0: 3, 2: 1}
 
 
+@pytest.mark.parametrize("below, errno", [("", "[Errno 17] File exists"),
+                                          ("x", "[Errno 20] Not a directory")])
+def test_sig_table_refuses_an_unusable_cache_dir(tmp_path, monkeypatch, below, errno):
+    # A file stands where the cache directory, or its parent, should be.
+    blocker = tmp_path / "README.md"
+    blocker.write_text("not a directory\n")
+    cache = blocker / below if below else blocker
+    monkeypatch.setattr(sigtables, "histogram_enumerated", None)  # no row is built
+    result = invoke("sig-table", "--c", "5", "--method", "enumerate",
+                    "--cache-dir", str(cache))
+    assert_refused(result, f"cache directory {cache}: {errno}: '{cache}'")
+
+
+def test_sig_table_refuses_a_failing_store(tmp_path, monkeypatch):
+    def store(cache_dir, c, row):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "sig-c05.csv"))
+
+    monkeypatch.setattr(sigtables, "store_cached_row", store)
+    result = invoke("sig-table", "--c", "5", "--method", "enumerate",
+                    "--cache-dir", str(tmp_path))
+    assert_refused(result, f"cache directory {tmp_path}: [Errno 13] Permission "
+                           f"denied: '{tmp_path / 'sig-c05.csv'}'")
+
+
 def test_recurse_never_writes_the_cache(tmp_path, monkeypatch):
     cache = ("--cache-dir", str(tmp_path))
     recurse = invoke("sig-table", "--c", "6", "--method", "recurse", *cache)

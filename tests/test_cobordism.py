@@ -34,7 +34,7 @@ from twobridge.cobordism import (
     remainder_component_count,
     summand_class,
 )
-from twobridge import checks, cobordism, words
+from twobridge import checks, cobordism, diagram, words
 from twobridge.diagram import (
     PLAT_RIGHT,
     S3,
@@ -157,7 +157,8 @@ def test_component_count_matches_union_find():
             perm = strand_permutation(x.letters)
             end = orientation_after(x.start, x.letters)
             assert component_count(x) == closure_components(
-                cobordism._LEFT_CLOSURE[x.start], perm, cobordism._RIGHT_CLOSURE[end])
+                PLAT_RIGHT[cobordism._LEFT_CLOSURE[x.start]], perm,
+                PLAT_RIGHT[cobordism._RIGHT_CLOSURE[end]])
             assert x.end == end
             seen.add((x.start, perm))
     assert len(seen) == 18
@@ -185,7 +186,43 @@ def test_remainder_table_matches_union_find():
             for start in (1, 2, 3):
                 for closure, right in PLAT_RIGHT.items():
                     assert remainder_component_count(start, letters, closure) == \
-                        closure_components(cobordism._LEFT_CLOSURE[start], perm, right)
+                        closure_components(PLAT_RIGHT[cobordism._LEFT_CLOSURE[start]],
+                                           perm, right)
+
+
+def test_closed_blocks_run_no_union_find_after_import(monkeypatch):
+    # Every closed 3-strand block is looked up in diagram.COMPONENTS, which
+    # is filled at import.  The pinned values were recorded when the
+    # diagram and the remainders ran the union-find themselves.
+    braids = ["".join(bits) for n in range(1, 9) for bits in product("ab", repeat=n)]
+    plat = [closure_components(PLAT_RIGHT["A"], strand_permutation(z), PLAT_RIGHT[closure])
+            for z in braids for closure in "AB"]
+    remainder = [closure_components(PLAT_RIGHT[cobordism._LEFT_CLOSURE[start]],
+                                    strand_permutation(z), PLAT_RIGHT[closure])
+                 for z in braids for start in (1, 2, 3) for closure in "AB"]
+
+    def refuse(*args):
+        raise AssertionError(f"closure_components{args} ran after import")
+
+    monkeypatch.setattr(diagram, "closure_components", refuse)
+    cobordism._analyse_block.cache_clear()
+    digest = hashlib.sha256()
+    for c in range(3, 13):
+        for word in enumerate_words(c):
+            digest.update(f"{word}:{signature(word)};".encode())
+    assert digest.hexdigest() == \
+        "a7d92676152493763cf431e70c61525755935bfef545aef36989734c01846b62"
+    report = decompose(EXAMPLE_WORD, 3)
+    assert (report.cut_states, report.cut_saddles, report.link_fix_saddles,
+            report.remainder_is_link, report.residual, report.residual_crossings,
+            report.g4_lower, report.g4_upper) == \
+        ((1, 2, 2, 3), 6, 1, True, ("o2:aba",), (4,), 1, 6)
+    row = average_g4_row(14, 2)
+    assert (row.words, row.mean_upper) == (1365, Fraction(5528, 455))
+    assert [diagram.plat_component_count(diagram.PlatDiagram(z, closure))
+            for z in braids for closure in "AB"] == plat
+    assert [remainder_component_count(start, z, closure)
+            for z in braids for start in (1, 2, 3) for closure in "AB"] == remainder
 
 
 def test_single_crossing_remainders_are_knots():

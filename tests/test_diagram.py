@@ -244,6 +244,16 @@ def test_build_diagram_rejects_bad_input():
         D.PlatDiagram("ab", closure="C")
 
 
+def test_component_table_matches_union_find():
+    # All 2 x 2 x 6 (left shape, right shape, permutation) cases.
+    assert D.PLAT_RIGHT == {"A": ((1, 2), 3), "B": ((2, 3), 1)}
+    assert D.PLAT_LEFT == "A"
+    assert sorted(D.COMPONENTS) == [("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")]
+    for (left, right), row in D.COMPONENTS.items():
+        assert row == tuple(D.closure_components(D.PLAT_RIGHT[left], perm,
+                                                 D.PLAT_RIGHT[right]) for perm in D.S3)
+
+
 def test_every_word_diagram_is_a_knot():
     for c in range(3, 11):
         for w in W.enumerate_words(c):

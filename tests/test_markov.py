@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from twobridge.budget import (
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import orientation_after, strand_permutation
 from twobridge.markov import (
+    _class_listing,
     _distances,
     _signature_groups,
     _tables,
@@ -79,7 +81,8 @@ def reference_tables(s):
     """Per-bit build of the walk tables: s passes over all 3 * 2^s ids for
     the end states and s more for the mirror blocks.  Returns the fields
     of ``_WalkTables`` with the sort key split into canonical id and sign,
-    and the rows and sizes of ``_signature_groups`` read off the classes."""
+    the classes and groups of ``_class_listing``, and the rows and sizes of
+    ``_signature_groups`` read off the classes."""
     half = 1 << s
     blocks = np.arange(half, dtype=np.int64)
 
@@ -363,7 +366,7 @@ def test_per_class_moments_match_enumeration():
             # which bounds the signature groups by 9 pairs times the type.
             signatures, _ = _signature_groups(s)
             assert (signatures[:, 2:4] == 2 - signatures[:, 1::-1]).all()
-            classes = _tables(s).classes.tolist()
+            classes = _class_listing(_tables(s))[0].tolist()
             assert list(moments) == [oriented_word_key(s, i) for i in classes]
             buckets = {}
             for ident, m in zip(classes, moments.values()):
@@ -389,7 +392,7 @@ def test_ungrouped_laws_match_grouped_moments():
     for s in (1, 2, 3):
         tables = _tables(s)
         mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
-        classes = tables.classes
+        classes, _ = _class_listing(tables)
         mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
         pal = tables.is_pal[classes]
         assert (mirrors == classes).tolist() == pal.tolist()
@@ -432,8 +435,9 @@ def test_tables_match_per_bit_reference():
         tables = _tables(s)
         reference = reference_tables(s)
         assert tables.s == s
-        for name in ("next_state", "is_pal", "classes", "class_group"):
-            field = getattr(tables, name)
+        classes, class_group = _class_listing(tables)
+        for name, field in (("next_state", tables.next_state), ("is_pal", tables.is_pal),
+                            ("classes", classes), ("class_group", class_group)):
             assert field.dtype == reference[name].dtype, (s, name)
             assert np.array_equal(field, reference[name]), (s, name)
         signatures, sizes = _signature_groups(s)
@@ -465,6 +469,18 @@ def test_monte_carlo_pinned_values():
     assert 700000 * 7 > 1 << 22
     assert monte_carlo_distance(3, 7, 700000, seed=5) == \
         (5.61438, 0.0017120068797528236)
+
+
+def test_monte_carlo_builds_no_class_listing(monkeypatch):
+    # The sampler's tables hold only what it reads: no summand class is
+    # listed and no signature group looked up.
+    def refuse(s):
+        raise AssertionError(f"signature groups looked up at s={s}")
+
+    monkeypatch.setattr(markov, "_signature_groups", refuse)
+    assert [field.name for field in fields(markov._WalkTables)] == \
+        ["s", "next_state", "key", "is_pal"]
+    test_monte_carlo_pinned_values()
 
 
 def test_monte_carlo_matches_exact():
