@@ -6,15 +6,12 @@ Wallis-type bounds on the central binomial ratio pin the asymptote
 from both sides.
 """
 
-import math
-
 from twobridge.sigtables import totals, verify_wallis
 
 print("c    avg|sigma|        sqrt(2c/pi)   gap")
 gaps = {}
-for c in range(3, 25):
-    avg = totals(c).avg_abs_sigma
-    root = math.sqrt(2 * c / math.pi)
+for c, report in totals(range(3, 25)).items():
+    avg, root = report.avg_abs_sigma, report.asymptote
     gaps[c] = float(avg) - root
     print(f"{c:<4} {str(avg):<10} {float(avg):<6.4f} {root:<13.4f} "
           f"{gaps[c]:+.4f}")

@@ -13,8 +13,9 @@ ENUMERATION_BUDGET = 22
 #: printed rows cost more than their recursion as their counts grow long:
 #: ``sig-table --c 3..1448 --method recurse`` takes 4-6.4 s
 RECURSION_WORK_BUDGET = 1 << 21
-#: about 1 us per unit near c = 2000: ``avg-sig --c 2047`` takes 9-9.5 s
-AVG_SIG_WORK_BUDGET = 1 << 23
+#: about 1 us per unit near c = 2000: ``avg-sig --c 2047``, the largest c,
+#: takes 7.6-9.7 s, and ``--c 3..1671``, the largest run from 3, 8.0-8.5 s
+AVG_SIG_WORK_BUDGET = 2 * 2047 ** 2
 #: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
 G4_WORK_BUDGET = 1 << 27
 #: 8-26 ns per unit: ``walk-sim --s 4 --t 605 --exact`` takes 7.6 s,
@@ -90,14 +91,10 @@ def check_recursion(c_max: int) -> None:
 
 
 def avg_sig_work(c_values: Sequence[int]) -> int:
-    """c^2 for the folded palindrome DP at each c of a run lo..hi of
-    consecutive crossing numbers, summed in closed form, plus the recursed
-    rows to hi + 1."""
-    lo, hi = c_values[0], c_values[-1]
-    if len(c_values) != hi - lo + 1:
-        raise ValueError(f"not a run of consecutive crossing numbers: {c_values!r}")
-    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
-    return squares + recursion_work(hi + 1)
+    """c^2 for the folded palindrome pass to each of the last two c (one
+    per parity of a run of consecutive c), plus the recursed rows to the
+    largest c."""
+    return sum(c * c for c in c_values[-2:]) + recursion_work(c_values[-1])
 
 
 def check_avg_sig(c_values: Sequence[int]) -> None:

@@ -153,29 +153,25 @@ def check_totals(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_avg_signature(budget_c: int | None = None) -> tuple[bool, str]:
-    """avg|sigma|(6) = 2/3 and the gap to sqrt(2c/pi) narrows 10->1000,
-    9->999 (to budget_c under a budget).  The detail reports gap * sqrt(c)
-    at the late c without asserting it."""
+    """avg|sigma|(6) = 2/3; for 6 <= c <= 1000 (to budget_c under a budget)
+    the gap to sqrt(2c/pi) is positive at odd c and negative at even c, and
+    |gap| shrinks at every step c -> c+2 from c = 9 and 10 on.  The detail
+    reports gap * sqrt(c) at the last two c without asserting it."""
     c_max = max(10, _clamp(1000, budget_c))
-    pairs = [(early, late)
-             for early, late in ((10, c_max - c_max % 2), (9, c_max - 1 + c_max % 2))
-             if early < late]
-    rows = sigtables.recursed_table(c_max + 1)
-    if sigtables.totals(6, rows).avg_abs_sigma != Fraction(2, 3):
+    reports = sigtables.totals(range(6, c_max + 1))
+    if reports[6].avg_abs_sigma != Fraction(2, 3):
         return False, "avg|sigma|(6) != 2/3"
-    gaps = {}
-    for c in sorted({c for pair in pairs for c in pair}):
-        report = sigtables.totals(c, rows)
-        gaps[c] = float(report.avg_abs_sigma) - report.asymptote
-    for early, late in pairs:
-        if not abs(gaps[late]) < abs(gaps[early]):
-            return False, f"gap at c={late} not below gap at c={early}"
-    if pairs:
-        scaled = ", ".join(f"c={late}: {gaps[late] * math.sqrt(late):+.2f}"
-                           for _, late in pairs)
-        return True, (f"avg(6)=2/3; |gap| shrinks on {pairs}; "
-                      f"gap*sqrt(c) at {scaled}")
-    return True, "avg(6)=2/3"
+    gaps = {c: float(r.avg_abs_sigma) - r.asymptote for c, r in reports.items()}
+    for c, gap in gaps.items():
+        if not (gap > 0 if c % 2 else gap < 0):
+            return False, f"gap {gap:+.3g} at c={c} is on the wrong side"
+    for c in range(9, c_max - 1):
+        if not abs(gaps[c + 2]) < abs(gaps[c]):
+            return False, f"|gap| at c={c + 2} not below |gap| at c={c}"
+    scaled = ", ".join(f"c={c}: {gaps[c] * math.sqrt(c):+.2f}" for c in (c_max - 1, c_max))
+    return True, (f"avg(6)=2/3; gap > 0 at odd c, < 0 at even c, for 6 <= c <= {c_max}; "
+                  f"|gap| shrinks at every step c -> c+2 from 9 and 10 to {c_max}; "
+                  f"gap*sqrt(c) at {scaled}")
 
 
 def check_wallis(budget_c: int | None = None) -> tuple[bool, str]:

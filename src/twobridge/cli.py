@@ -13,7 +13,6 @@ directory that ``--cache-dir`` names, holds enumerated rows only.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -177,13 +176,8 @@ def cmd_avg_sig(ctx: click.Context, c_values: range, fmt: str) -> None:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
     # The work grows with c: refuse the whole range before any row.
     budget.check_avg_sig(c_values)
-    rows = sigtables.recursed_table(c_values[-1] + 1)
-    entries = []
-    for c in c_values:
-        report = sigtables.totals(c, rows)
-        root = math.sqrt(2 * c / math.pi)
-        gap = float(report.avg_abs_sigma) - root
-        entries.append((c, report.avg_abs_sigma, root, gap))
+    entries = [(c, r.avg_abs_sigma, r.asymptote, float(r.avg_abs_sigma) - r.asymptote)
+               for c, r in sigtables.totals(c_values).items()]
     if fmt == "json":
         _echo_json({"schema": SCHEMA, "rows": {
             str(c): {"avg": f"{avg.numerator}/{avg.denominator}",

@@ -10,8 +10,8 @@ checks as an argument, so the caller decides which derivation it sees.  On
 top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
 asymptote it approaches.  tot_p comes from the same DP folded in half
-(``palindromic_histogram``), in O(c^2) steps rather than one diagram per
-palindrome.
+(``palindromic_table``), one pass per parity for a whole run of c, in
+O(c^2) steps rather than one diagram per palindrome.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import budget
 from .diagram import STATE_AFTER, STEP, signature
@@ -196,46 +196,54 @@ def transfer_table(c_max: int) -> dict[int, Row]:
     return rows
 
 
-def palindromic_histogram(c: int) -> Row:
-    """Histogram row of the palindromic words of T(c), by the DP folded in
-    half.
+def palindromic_table(c_values: Sequence[int]) -> dict[int, Row]:
+    """Histogram rows of the palindromic words of T(c), for each c of an
+    increasing sequence, by the DP folded in half.
 
     A palindrome has e_i = e_{c+1-i}, so run c+1-i carries run i's letter
-    for odd c and the other letter for even c.  One pass over runs
-    1..c//2 walks both ends of the word: a forward track from state 1 on
-    cut 0, and a backward track from the state on cut c, seeded once with
-    each of 1, 2 and 3.  The seed that is the word's own is the one where
-    the tracks meet, at the middle cut for even c and across the middle
-    run for odd c.  Keys are (forward state, backward state, length mod
-    3); work is O(c^2) counter updates, within ``budget.check_avg_sig``.
+    for odd c and the other letter for even c.  One pass per parity walks
+    both ends of the word over runs 1, 2, ...: a forward track from state 1
+    on cut 0, and a backward track from the state on cut c, seeded once
+    with each of 1, 2 and 3.  Its counts after run k depend on c only
+    through its parity, so the pass closes every wanted c of its parity on
+    the way: the seed that is the word's own is the one where the tracks
+    meet, at the middle cut for c = 2k and across run k+1 for c = 2k+1.
+    Keys are (forward state, backward state, length mod 3); a pass to c is
+    O(c^2) counter updates, within ``budget.check_avg_sig``.
     """
-    if c < 3:
-        raise ValueError(f"crossing number must be >= 3, got {c}")
-    budget.check_avg_sig((c,))
-    odd = c % 2 == 1
-    counts: _Counts = {(1, end, 0): Counter({0: 1}) for end in (1, 2, 3)}
-    for i in range(1, c // 2 + 1):
-        def moves(key, i=i):
-            ahead, behind, length = key
-            for e in _exponents(i):
-                letter = _run_letter(i, e)
-                ahead2, d_ahead = _forward(letter, ahead)
-                behind2, d_behind = _backward(
-                    letter if odd else swap_braid(letter), behind)
-                yield (ahead2, behind2, (length + 2 * e) % 3), d_ahead + d_behind
-        counts = _advance(counts, moves)
-    row: Counter = Counter()
-    for (ahead, behind, length), by_d in counts.items():
-        if odd:  # the middle run takes the forward track onto the backward one
-            joins = [(e, *_forward(_run_letter(c // 2 + 1, e), ahead)) for e in (1, 2)]
-        else:
-            joins = [(0, ahead, 0)]
-        for e, meet, delta in joins:
-            if meet == behind and (length + e) % 3 == 1:
-                shift = delta + (not odd) - 1
-                for d, n in by_d.items():
-                    row[d + shift] += n
-    return dict(row)
+    if c_values[0] < 3:
+        raise ValueError(f"crossing number must be >= 3, got {c_values[0]}")
+    budget.check_avg_sig(c_values)
+    rows: dict[int, Row] = {}
+    for odd in (False, True):
+        wanted = {c for c in c_values if c % 2 == odd}
+        counts: _Counts = {(1, end, 0): Counter({0: 1}) for end in (1, 2, 3)}
+        for i in range(1, max(wanted, default=0) // 2 + 1):
+            def moves(key, i=i, odd=odd):
+                ahead, behind, length = key
+                for e in _exponents(i):
+                    letter = _run_letter(i, e)
+                    ahead2, d_ahead = _forward(letter, ahead)
+                    behind2, d_behind = _backward(
+                        letter if odd else swap_braid(letter), behind)
+                    yield (ahead2, behind2, (length + 2 * e) % 3), d_ahead + d_behind
+            counts = _advance(counts, moves)
+            c = 2 * i + odd
+            if c not in wanted:
+                continue
+            # sigma = (#a - c_plus) + [c even] - 1: an odd c's middle run
+            # takes the forward track onto the backward one, and an even c's
+            # tracks meet at the middle cut, where it adds its [c even].
+            joins = {ahead: [(e, *_forward(_run_letter(i + 1, e), ahead)) for e in (1, 2)]
+                     if odd else [(0, ahead, 1)] for ahead in (1, 2, 3)}
+            row: Counter = Counter()
+            for (ahead, behind, length), by_d in counts.items():
+                for e, meet, delta in joins[ahead]:
+                    if meet == behind and (length + e) % 3 == 1:
+                        for d, n in by_d.items():
+                            row[d + delta - 1] += n
+            rows[c] = dict(row)
+    return {c: rows[c] for c in c_values}
 
 
 # ------------------------------------------------------------------ identities
@@ -317,17 +325,8 @@ def total_abs(row: Row) -> int:
 
 
 def palindromic_total_abs(c: int) -> int:
-    """Sum of |sigma| over the palindromic words only, from
-    ``palindromic_histogram``."""
-    return total_abs(palindromic_histogram(c))
-
-
-def epsilon(c: int) -> int:
-    """Error term 2*C(2m-1,m) + 6*C(2m-1,m+1) + 2 for c = 2m+1 or 2m+2."""
-    m = (c - 1) // 2
-    if m < 1:
-        raise ValueError(f"need c >= 3, got {c}")
-    return 2 * _comb(2 * m - 1, m) + 6 * _comb(2 * m - 1, m + 1) + 2
+    """Sum of |sigma| over the palindromic words of T(c) only."""
+    return total_abs(palindromic_table((c,))[c])
 
 
 @dataclass(frozen=True)
@@ -337,8 +336,6 @@ class TotalsReport:
     c: int
     tot: int
     tot_p: int
-    tot2_m: int
-    epsilon_c: int
     avg_abs_sigma: Fraction
     asymptote: float
 
@@ -350,32 +347,28 @@ class TotalsReport:
                 f"(2 * knot_count) at c={self.c}")
 
 
-def totals(c: int, rows: Mapping[int, Row] | None = None) -> TotalsReport:
-    """Totals report for one crossing number.
+def totals(c_values: Sequence[int]) -> dict[int, TotalsReport]:
+    """Totals reports for an increasing sequence of crossing numbers.
 
-    tot and the paired total come from one recursed table through row
-    2m+2 <= c+1: ``rows`` when the caller totals many c from one table,
-    else a table built here.  tot_p comes from the folded palindrome DP,
-    within ``budget.check_avg_sig``.  The average per knot is exact: each
-    knot is counted by two words, or by one word when that word is
-    palindromic, so summing |sigma| over words and palindromes
-    double-counts every knot.
+    tot comes from one recursed table to the largest c, and tot_p from one
+    folded palindrome pass per parity (``palindromic_table``), within
+    ``budget.check_avg_sig``.  The average per knot is exact: each knot is
+    counted by two words, or by one word when that word is palindromic, so
+    summing |sigma| over words and palindromes double-counts every knot.
+    An int c (``perfbench/record_reference.py``) gives c's report alone.
     """
-    m = (c - 1) // 2
-    if rows is None:
-        rows = recursed_table(2 * m + 2)
-    tot = total_abs(rows[c])
-    tot_p = palindromic_total_abs(c)
-    tot2 = total_abs(rows[2 * m + 1]) + total_abs(rows[2 * m + 2])
-    return TotalsReport(
-        c=c,
-        tot=tot,
-        tot_p=tot_p,
-        tot2_m=tot2,
-        epsilon_c=epsilon(c),
-        avg_abs_sigma=Fraction(tot + tot_p, 2 * knot_count(c)),
-        asymptote=math.sqrt(2 * c / math.pi),
-    )
+    if isinstance(c_values, int):
+        return totals((c_values,))[c_values]
+    palindromic = palindromic_table(c_values)
+    rows = recursed_table(c_values[-1])
+    reports = {}
+    for c in c_values:
+        tot, tot_p = total_abs(rows[c]), total_abs(palindromic[c])
+        reports[c] = TotalsReport(
+            c=c, tot=tot, tot_p=tot_p,
+            avg_abs_sigma=Fraction(tot + tot_p, 2 * knot_count(c)),
+            asymptote=math.sqrt(2 * c / math.pi))
+    return reports
 
 
 def verify_tot2(m: int, rows: Mapping[int, Row]) -> bool:

@@ -7,6 +7,11 @@ backs `twobridge verify-all`, so a green run here matches exit 0
 there.
 """
 
+from dataclasses import replace
+
+import pytest
+
+from twobridge import checks, sigtables
 from twobridge.checks import run_check
 
 
@@ -53,9 +58,30 @@ def test_05_totals():
 
 
 def test_06_average_signature():
-    # avg |sigma| at c = 6 is exactly 2/3, and the gap to sqrt(2c/pi)
-    # shrinks from c = 9/10 to c = 999/1000, in under two minutes.
+    # avg |sigma| at c = 6 is exactly 2/3; for 6 <= c <= 1000 the gap to
+    # sqrt(2c/pi) is positive at odd c and negative at even c, and |gap|
+    # shrinks at every step c -> c+2 from c = 9 and 10 on; in under two
+    # minutes.
     _run("avg-signature", budget_seconds=120)
+
+
+@pytest.mark.parametrize("c, shift, detail", [
+    (11, 1.0, "at c=11 is on the wrong side"),
+    (13, -1.0, "|gap| at c=13 not below |gap| at c=11"),
+])
+def test_06_average_signature_reports_a_failure(monkeypatch, c, shift, detail):
+    # Moving one asymptote by `shift` puts its gap on the wrong side of
+    # sqrt(2c/pi), or makes it wider than the gap two steps before.
+    totals = sigtables.totals
+
+    def moved(c_values):
+        reports = totals(c_values)
+        reports[c] = replace(reports[c], asymptote=reports[c].asymptote + shift)
+        return reports
+
+    monkeypatch.setattr(sigtables, "totals", moved)
+    passed, reported = checks.check_avg_signature(14)
+    assert not passed and detail in reported
 
 
 def test_07_wallis_bounds():

@@ -279,6 +279,16 @@ def test_avg_sig_never_enumerates_rows(monkeypatch):
         assert Fraction(rows[str(c)]["avg"]) == want, c
 
 
+def test_avg_sig_range_rows_match_single_c_runs():
+    result = invoke("avg-sig", "--c", "3..60", "--format", "json")
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["rows"]
+    assert set(rows) == {str(c) for c in range(3, 61)}
+    for c in range(3, 61):
+        single = invoke("avg-sig", "--c", str(c), "--format", "json")
+        assert json.loads(single.output)["rows"] == {str(c): rows[str(c)]}, c
+
+
 def test_avg_sig_csv():
     result = invoke("avg-sig", "--c", "6")
     assert result.exit_code == 0

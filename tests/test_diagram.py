@@ -378,8 +378,8 @@ INCONSISTENT_REPORTS = {
     "TotalsReport":
         "from fractions import Fraction\n"
         "from twobridge.sigtables import TotalsReport\n"
-        "TotalsReport(c=6, tot=4, tot_p=0, tot2_m=16, epsilon_c=14,\n"
-        "             avg_abs_sigma=Fraction(1, 3), asymptote=1.95)",
+        "TotalsReport(c=6, tot=4, tot_p=0, avg_abs_sigma=Fraction(1, 3),\n"
+        "             asymptote=1.95)",
     "DecompositionReport":
         "from dataclasses import replace\n"
         "from twobridge.cobordism import decompose\n"

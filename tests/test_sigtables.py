@@ -41,6 +41,11 @@ def enum14():
 
 
 @pytest.fixture(scope="module")
+def pal400():
+    return S.palindromic_table(range(3, 401))
+
+
+@pytest.fixture(scope="module")
 def rec20():
     return S.recursed_table(20)
 
@@ -161,20 +166,40 @@ def test_binomial_rows(rec20):
 
 
 def test_totals_examples():
-    r6 = S.totals(6)
+    r6 = S.totals((6,))[6]
     assert (r6.tot, r6.tot_p) == (4, 0)
     assert r6.avg_abs_sigma == Fraction(2, 3)
-    assert S.totals(3).avg_abs_sigma == 2
-    assert S.totals(5).tot == 2 * 2 + 4 * 1 == 8
-    # A table shared across many c gives each c the report it builds alone.
-    assert S.totals(9, S.recursed_table(40)) == S.totals(9)
+    assert S.totals((3,))[3].avg_abs_sigma == 2
+    assert S.totals((5,))[5].tot == 2 * 2 + 4 * 1 == 8
+    # A run of c gives each c the report it builds alone.
+    assert S.totals(range(3, 41))[9] == S.totals((9,))[9]
+    # The single-int call that perfbench/record_reference.py makes.
+    assert S.totals(9) == S.totals((9,))[9]
 
 
 def test_totals_asymptote_field():
-    r = S.totals(8)
+    r = S.totals((8,))[8]
     assert r.asymptote == pytest.approx(math.sqrt(16 / math.pi), rel=1e-12)
-    assert r.epsilon_c == S.epsilon(8)
-    assert r.tot2_m == S.totals(7).tot + S.totals(8).tot
+
+
+def test_totals_read_each_table_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(S, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("recursed_table", "_advance"):
+        monkeypatch.setattr(S, name, counted(name))
+    reports = S.totals(range(3, 61))
+    assert list(reports) == list(range(3, 61))
+    # One recursed table, and one folded pass per parity: 29 runs to c = 59
+    # and 30 to c = 60.
+    assert calls == {"recursed_table": 1, "_advance": 59}
 
 
 def test_verify_tot2(rows18):
@@ -182,21 +207,30 @@ def test_verify_tot2(rows18):
     assert S.verify_tot2(1, TABLE)  # 2 + 0 = 1 C(2,1)
     for m in range(1, 9):
         assert S.verify_tot2(m, rows18), m
-    assert S.totals(13).tot + S.totals(14).tot == 6 * math.comb(12, 6) == 5544
+    reports = S.totals((13, 14))
+    assert reports[13].tot + reports[14].tot == 6 * math.comb(12, 6) == 5544
 
 
 def test_verify_tot_recursion(rows18):
-    assert S.totals(6).tot == 2 * 8 - 2 * 2 - 6 * 1 - 2
+    assert S.totals((6,))[6].tot == 2 * 8 - 2 * 2 - 6 * 1 - 2
     for c in range(4, 19, 2):
         assert S.verify_tot_recursion(c, rows18), c
     with pytest.raises(ValueError):
         S.verify_tot_recursion(7, rows18)
 
 
+def epsilon(c):
+    """Error term 2*C(2m-1,m) + 6*C(2m-1,m+1) + 2 for c = 2m+1 or 2m+2."""
+    m = (c - 1) // 2
+    if m < 1:
+        raise ValueError(f"need c >= 3, got {c}")
+    return 2 * math.comb(2 * m - 1, m) + 6 * math.comb(2 * m - 1, m + 1) + 2
+
+
 def test_epsilon_values():
-    assert S.epsilon(5) == 2 * math.comb(3, 2) + 6 * math.comb(3, 3) + 2 == 14
-    assert S.epsilon(6) == 14
-    assert S.epsilon(3) == 4  # C(1,2) is out of range, hence zero
+    assert epsilon(5) == 2 * math.comb(3, 2) + 6 * math.comb(3, 3) + 2 == 14
+    assert epsilon(6) == 14
+    assert epsilon(3) == 4  # C(1,2) is out of range, hence zero
 
 
 def test_epsilon_share_decreasing():
@@ -204,7 +238,7 @@ def test_epsilon_share_decreasing():
     # still climbs over a small-m hump (peak at m=5) before the decay
     # kicks in, so monotonicity is asserted from m=5 on.
     ratios = [
-        Fraction(S.epsilon(2 * m + 1), 2 * W.knot_count(2 * m + 1))
+        Fraction(epsilon(2 * m + 1), 2 * W.knot_count(2 * m + 1))
         for m in range(5, 16)
     ]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -221,11 +255,12 @@ def test_totals_never_enumerate_and_match_enumerated_rows(monkeypatch, enum14):
 
     monkeypatch.setattr(S, "histogram_enumerated", refuse)
     for c in range(3, 15):
-        r = S.totals(c)
+        r = S.totals((c,))[c]
         m = (c - 1) // 2
+        paired = S.totals((2 * m + 1, 2 * m + 2))
         assert r.tot == S.total_abs(enum14[c]), c
-        assert r.tot2_m == (S.total_abs(enum14[2 * m + 1])
-                            + S.total_abs(enum14[2 * m + 2])), c
+        assert paired[2 * m + 1].tot + paired[2 * m + 2].tot == (
+            S.total_abs(enum14[2 * m + 1]) + S.total_abs(enum14[2 * m + 2])), c
         assert r.avg_abs_sigma == Fraction(
             S.total_abs(enum14[c])
             + S.total_abs(enumerated_palindromic_histogram(c)),
@@ -246,9 +281,12 @@ def test_palindromic_total_budget(monkeypatch):
     monkeypatch.setattr(S, "_advance", refuse)
     with pytest.raises(BudgetError, match="avg_sig_work"):
         S.palindromic_total_abs(2048)
-    with pytest.raises(BudgetError, match="c=3..300"):
-        budget.check_avg_sig(range(3, 301))
-    budget.check_avg_sig(range(3, 201))
+    with pytest.raises(BudgetError, match="c=3..4999"):
+        S.palindromic_table(range(3, 5000))
+    # c = 3..1671 is the largest run from c = 3 within the budget.
+    with pytest.raises(BudgetError, match="c=3..1672"):
+        budget.check_avg_sig(range(3, 1673))
+    budget.check_avg_sig(range(3, 1672))
 
 
 def test_palindromic_share_vanishes():
@@ -264,24 +302,33 @@ def test_palindromic_share_vanishes():
 
 
 def test_palindromic_histogram_matches_enumeration():
+    table = S.palindromic_table(range(3, 31))
     for c in range(3, 31):
-        assert S.palindromic_histogram(c) == enumerated_palindromic_histogram(c), c
+        assert table[c] == enumerated_palindromic_histogram(c), c
     for c in range(31, 35):
         assert S.palindromic_total_abs(c) == S.total_abs(
             enumerated_palindromic_histogram(c)), c
 
 
-def test_palindromic_histogram_counts_and_even_c_identity():
+def test_palindromic_histogram_counts_and_even_c_identity(pal400):
     # Counted, not assumed: the DP handles both parities alike, and at even
     # c every palindrome is amphichiral, so its row is all sigma = 0.
-    for c in range(3, 201):
-        row = S.palindromic_histogram(c)
+    assert list(pal400) == list(range(3, 401))
+    for c, row in pal400.items():
         assert sum(row.values()) == W.palindrome_count(c), c
         assert all(s % 2 == 0 for s in row), c
         if c % 2 == 0:
             assert set(row) == {0}, c
     with pytest.raises(ValueError):
-        S.palindromic_histogram(2)
+        S.palindromic_table((2,))
+
+
+def test_palindromic_table_closes_each_c_as_its_own_pass_would(pal400):
+    # One pass per parity to c = 400 gives each c the row of a pass that
+    # stops at c.
+    for c in range(3, 61):
+        assert pal400[c] == S.palindromic_table((c,))[c], c
+    assert S.palindromic_table((5, 8, 9)) == {c: pal400[c] for c in (5, 8, 9)}
 
 
 def test_transfer_table_matches_enumeration_and_recursion(enum14):
@@ -308,9 +355,8 @@ def test_verify_wallis():
 
 
 def test_asymptote_gap_sequence():
-    rows = S.recursed_table(21)
     gaps = {c: float(r.avg_abs_sigma) - r.asymptote
-            for c in range(3, 21) for r in [S.totals(c, rows)]}
+            for c, r in S.totals(range(3, 21)).items()}
     assert gaps[3] == pytest.approx(2 - math.sqrt(6 / math.pi), rel=1e-12)
     assert abs(gaps[20]) < abs(gaps[12])
     assert abs(gaps[19]) < abs(gaps[11])
