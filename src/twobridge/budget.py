@@ -18,15 +18,18 @@ RECURSION_WORK_BUDGET = 1 << 21
 AVG_SIG_WORK_BUDGET = 2 * 2047 ** 2
 #: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
 G4_WORK_BUDGET = 1 << 27
-#: 8-26 ns per unit: ``walk-sim --s 4 --t 605 --exact`` takes 7.6 s,
-#: ``--s 2 --t 935`` 5.0 s and ``--s 3 --t 333`` 0.6 s, and
-#: ``exact_expected_distance(39000, 1)`` 2.4 s; ``(4, 1000)``, refused, 27 s
-WALK_WORK_BUDGET = 1 << 28
+#: 30-70 ns per unit at the largest t of each small s, most at s = 1:
+#: ``walk-sim --s 1 --t 2174 --exact`` takes 9.2 s, ``--s 2 --t 976`` 4.8 s,
+#: ``--s 3 --t 841`` 4.6 s, ``--s 4 --t 499`` 4.2 s and ``--s 3 --t 333``
+#: 0.6 s; ``(4, 1000)``, refused, 27 s
+WALK_WORK_BUDGET = 1 << 27
 #: about 4 us per table entry: ``per_class_moments(18, 1)`` takes 3.2 s, and
 #: ``(20, 1)``, refused, took 13 s at a peak of 0.6 GB
 CLASS_LISTING_BUDGET = 1 << 21
-#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 1.1-1.5 s
-#: at a peak of 0.66 GB, and ``--s 2 --t 1 --trials 16777000`` 2.1 s
+#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.6-0.8 s
+#: at a peak of 0.29 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
+#: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
+#: --trials 50000`` 0.9 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
 #: about 11-18 us per block: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
 #: ``--s 6 --kmax 1365`` 8.0 s and ``--s 18 --kmax 227`` 9.4 s
@@ -37,18 +40,13 @@ MARKOV_WORK_BUDGET = 1 << 19
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
 _MAX_LAW_KEYS = 54
 _TABLE_ENTRY_WORK = 1 << 10
-# The walk's signature groups: 9 (start, end) pairs times the type.  A
-# letter step of the walk DP costs ~15 us beyond its cells, as much as 512
-# of them, and a cell costs one unit more for every 1024 bits of its exact
-# ints, which have up to s * t bits.
-_MAX_GROUPS = 18
+# A letter step of the walk DP costs ~15 us beyond its cells, as much as
+# 512 of them, and a cell costs one unit more for every 1024 bits of its
+# exact ints, which have up to s * t bits.
 _LETTER_STEP_WORK = 512
 _CELL_BITS = 1024
-# A sampling-kernel step over a chunk costs ~3 us beyond its blocks, as
-# much as 32 of them (``walk-sim --s 2 --t 8388602 --trials 2`` took 53 s),
-# and a matrix power, taken from the previous one and compared with its
-# closed form, ~0.7 ms up to s * kmax = 8000, as much as 64 blocks.
-_STEP_WORK = 32
+# A matrix power, taken from the previous one and compared with its closed
+# form, costs ~0.7 ms up to s * kmax = 8000, as much as 64 blocks.
 _POWER_WORK = 64
 
 
@@ -126,11 +124,19 @@ def check_g4(c: int, s: int) -> None:
         _check(_g4_cells(c, s), *message, shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
+def _walk_groups(s: int) -> int:
+    """The walk DP's rows, one per signature group
+    (``markov._signature_groups``): 3 at s = 1, 8 at s = 2, and 6 at odd
+    and 15 at even s from 3 on."""
+    return 3 if s == 1 else 8 if s == 2 else 6 if s % 2 else 15
+
+
 def walk_work(s: int, t: int) -> int:
     """The exact walk DP's s t letter steps, plus its cells: 3 states and
-    2k + 3 displacements per group at each letter of block k, 54 s t (t + 2)
-    in all, each weighted by 1 + s t / 1024 for the size of its ints."""
-    cells = _MAX_GROUPS * 3 * s * t * (t + 2)
+    2k + 3 displacements per group at each letter of block k, 3 s t (t + 2)
+    per group in all, each weighted by 1 + s t / 1024 for the size of its
+    ints."""
+    cells = _walk_groups(s) * 3 * s * t * (t + 2)
     return _LETTER_STEP_WORK * s * t + cells * (_CELL_BITS + s * t) // _CELL_BITS
 
 
@@ -146,11 +152,11 @@ def check_class_listing(s: int) -> None:
            "(sample the walk with monte_carlo_distance)", "table entries", shift=(3, s))
 
 
-def check_monte_carlo(s: int, t: int, trials: int, chunks: int) -> None:
-    """3 * 2^s table entries, trials * t blocks and t kernel steps per chunk."""
-    _check(trials * t + _STEP_WORK * chunks * t, MONTE_CARLO_WORK_BUDGET,
+def check_monte_carlo(s: int, t: int, trials: int) -> None:
+    """3 * 2^s table entries and trials * t blocks."""
+    _check(trials * t, MONTE_CARLO_WORK_BUDGET,
            f"Monte Carlo at s={s}, t={t}, trials={trials}",
-           "table entries, blocks and kernel steps", shift=(3, s))
+           "table entries and blocks", shift=(3, s))
 
 
 def check_markov(s: int, kmax: int) -> None:

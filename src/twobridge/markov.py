@@ -26,14 +26,19 @@ per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
 
 Monte Carlo sampling covers walks past ``budget.check_walk``, within
-``budget.check_monte_carlo``.  Each summand id
+``budget.check_monte_carlo``.  Each letter acts on Z/3 (state - 1) as a
+reflection, so a block acts as x -> (-1)^s x + r, with r read off its end
+state from state 1, and one prefix sum along a sampled walk gives the state
+before each of its blocks, with no Python step per block.  Each summand id
 carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
 keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
-chunks of at most 2^22 blocks; the draws do not depend on the chunking.
-The lookup tables over all 3 * 2^s oriented blocks hold only what the
-sampler reads, and ``per_class_moments`` reads its class listing off them;
-they are built afresh by prefix doubling, O(2^s) work, for no exact value.
+chunks of at most 2^16 blocks, so that each kernel array (512 KB at most,
+unless one walk is longer) stays in cache; the draws do not depend on the
+chunking.  The lookup tables over all 3 * 2^s oriented blocks hold only
+what the sampler reads, and ``per_class_moments`` reads its class listing
+off them; they are built afresh by prefix doubling in int32, O(2^s) work,
+for no exact value.
 """
 
 from __future__ import annotations
@@ -51,8 +56,10 @@ from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
 # The most blocks (at least one walk) that Monte Carlo sampling draws and
-# scores at once.
-_CELL_CAP = 1 << 22
+# scores at once.  The kernel's step count does not grow with a chunk, so a
+# chunk only needs to spread its fixed numpy calls, and small arrays stay in
+# cache.
+_CELL_CAP = 1 << 16
 
 # Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
 # Less one, a row is the walk DP's gather index at either parity: entry j
@@ -278,16 +285,18 @@ class _WalkTables:
 def _tables(s: int) -> _WalkTables:
     # End state after each block from each start state, and each block with
     # its letters reversed, by prefix doubling: the block b of k + 1 letters
-    # is the block b >> 1 of k letters followed by the letter b & 1.
-    a_step, b_step = _STEPS
-    ends = np.arange(1, 4, dtype=np.int64)[:, None]  # shape (3, 2^k)
-    reversed_bits = np.zeros(1, dtype=np.int64)
+    # is the block b >> 1 of k letters followed by the letter b & 1.  The
+    # build runs in int32: the budgets keep 3 * 2^s <= 2^24, so every key,
+    # below 6 * 2^s, stays below 2^31.
+    a_step, b_step = _STEPS.astype(np.int32)
+    ends = np.arange(1, 4, dtype=np.int32)[:, None]  # shape (3, 2^k)
+    reversed_bits = np.zeros(1, dtype=np.int32)
     for k in range(s):
-        longer = np.empty((3, 2 << k), dtype=np.int64)
+        longer = np.empty((3, 2 << k), dtype=np.int32)
         longer[:, 0::2] = a_step[ends]
         longer[:, 1::2] = b_step[ends]
         ends = longer
-        flipped = np.empty(2 << k, dtype=np.int64)
+        flipped = np.empty(2 << k, dtype=np.int32)
         flipped[0::2] = reversed_bits
         flipped[1::2] = reversed_bits | (1 << k)
         reversed_bits = flipped
@@ -295,15 +304,19 @@ def _tables(s: int) -> _WalkTables:
     # Mirror block: reverse the letter order and swap a <-> b.
     half = 1 << s
     mirror_block = (half - 1) ^ reversed_bits
-    is_pal = np.tile(mirror_block == np.arange(half), 3)
+    is_pal = np.tile(mirror_block == np.arange(half, dtype=np.int32), 3)
 
-    flip = np.array([0, 3, 2, 1], dtype=np.int64)
-    ids = np.arange(3 * half, dtype=np.int64)
-    next_state = ends.reshape(-1)
-    mirror_id = (flip[next_state] - 1) * half + np.tile(mirror_block, 3)
-    canon = np.where(is_pal, ids, np.minimum(ids, mirror_id))
-    key = (2 * canon + (canon != ids)).astype(np.int32)
-    return _WalkTables(s, next_state, key, is_pal)
+    # The key is built in place: first the mirror id, which starts at the
+    # flip 4 - y of the end state y, then the canonical id, then the key.
+    key = (((3 - ends) << s) + mirror_block).reshape(-1)
+    ids = np.arange(3 * half, dtype=np.int32)
+    np.minimum(key, ids, out=key)
+    np.copyto(key, ids, where=is_pal)
+    mirror_side = key != ids
+    del ids
+    key <<= 1
+    key += mirror_side
+    return _WalkTables(s, ends.reshape(-1).astype(np.int64), key, is_pal)
 
 
 def _class_listing(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
@@ -327,6 +340,13 @@ def oriented_word_key(s: int, ident: int) -> str:
 def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     """Walk distance of each row of a (rows, t) array of blocks.
 
+    With x = state - 1 in Z/3, a letter is a reflection (``STATE_AFTER``):
+    a is x -> -x and b is x -> 1 - x.  So block j moves x to
+    (-1)^s x + r_j, with r_j + 1 its end state from state 1, and one prefix
+    sum along each row gives the state before block k: the sum of r_j over
+    j < k for even s, and (-1)^k times the sum of (-1)^(j+1) r_j for odd s,
+    mod 3.  No step loops over t.
+
     Sorting a row's summand keys puts each class's summands next to each
     other, own side (+1) before mirror side (-1).  One run-length pass over
     the sorted rows sums each class's signed count D_w, which contributes
@@ -334,12 +354,20 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     """
     rows, t = blocks.shape
     s = tables.s
-    keys = np.empty((rows, t), dtype=np.int32)
-    state = np.ones(rows, dtype=np.int64)
-    for step in range(t):
-        ident = (state - 1) * (1 << s) + blocks[:, step]
-        keys[:, step] = tables.key[ident]
-        state = tables.next_state[ident]
+    # Column k holds r_(k-1), signed by (-1)^k for odd s; the blocks index
+    # the ids from state 1.  Its row prefix sums are the states.
+    ident = np.zeros((rows, t), dtype=np.int64)
+    ident[:, 1:] = tables.next_state[blocks[:, :-1]]
+    ident[:, 1:] -= 1
+    if s % 2:
+        ident[:, 1::2] *= -1
+    np.cumsum(ident, axis=1, out=ident)
+    if s % 2:
+        ident[:, 1::2] *= -1
+    ident %= 3
+    ident <<= s
+    ident += blocks
+    keys = tables.key[ident]
     keys.sort(axis=1)
 
     flat = keys.reshape(-1)
@@ -458,21 +486,22 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
                          ) -> tuple[float, float]:
     """Sampled (mean, standard error) of the walk distance.
 
-    Trials are drawn in chunks of at most 2^22 blocks (whole trials, at
-    least one per chunk) and scored by the row-sort kernel.  The chunked
-    draws concatenate to the single draw of all trials, so the samples, and
-    the result, depend only on (s, t, trials, seed), not on the chunking.
+    Trials are drawn in chunks of at most ``_CELL_CAP`` blocks (whole
+    trials, at least one per chunk) and scored by the row-sort kernel.  The
+    chunked draws concatenate to the single draw of all trials, so the
+    samples, and the result, depend only on (s, t, trials, seed), not on
+    the chunking.
     """
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    rows = max(1, _CELL_CAP // max(t, 1))
-    budget.check_monte_carlo(s, t, trials, -(-trials // rows))
+    budget.check_monte_carlo(s, t, trials)
     if t == 0:
         return 0.0, 0.0
     rng = np.random.Generator(np.random.Philox(seed))
     tables = _tables(s)
+    rows = max(1, _CELL_CAP // t)
     distances = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)

@@ -16,6 +16,8 @@ from twobridge.budget import (
     CLASS_LISTING_BUDGET,
     WALK_WORK_BUDGET,
     BudgetError,
+    _walk_groups,
+    check_monte_carlo,
     walk_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
@@ -286,6 +288,11 @@ def test_exact_distance_matches_brute_force():
         assert exact_expected_distance(s, t) == brute_force_expected_distance(s, t)
 
 
+def test_walk_work_charges_the_dp_rows():
+    for s in range(1, 65):
+        assert _walk_groups(s) == len(_signature_groups(s)[1]), s
+
+
 def test_exact_distance_budget():
     # The walk DP and the per-class listing's table each have a budget.
     assert walk_work(4, 1000) > WALK_WORK_BUDGET
@@ -460,15 +467,38 @@ def test_distances_match_argsort_oracle():
             distances = _distances(blocks, tables)
             assert distances.dtype == np.int64
             assert np.array_equal(distances, oracle_distances(blocks, tables)), (s, t)
+    # One walk longer than a chunk, at each parity of s: the oracle steps
+    # the end states block by block, the kernel takes one prefix sum.
+    for s in (3, 4):
+        tables = _tables(s)
+        blocks = rng.integers(0, 1 << s, size=(1, markov._CELL_CAP + 3), dtype=np.int64)
+        assert np.array_equal(_distances(blocks, tables),
+                              oracle_distances(blocks, tables)), s
 
 
 def test_monte_carlo_pinned_values():
     assert monte_carlo_distance(4, 100, 10 ** 4, seed=0) == \
         (34.1976, 0.05688039171714793)
-    # 700000 walks of 7 blocks exceed one chunk of 2^22 blocks.
-    assert 700000 * 7 > 1 << 22
+    # 700000 walks of 7 blocks exceed one chunk of markov._CELL_CAP blocks.
+    assert 700000 * 7 > markov._CELL_CAP
     assert monte_carlo_distance(3, 7, 700000, seed=5) == \
         (5.61438, 0.0017120068797528236)
+
+
+@pytest.mark.parametrize("cap", [1 << 10, 1 << 22])
+def test_monte_carlo_pinned_values_at_any_chunk_size(monkeypatch, cap):
+    # The draws, and so the samples, do not depend on the chunking.
+    monkeypatch.setattr(markov, "_CELL_CAP", cap)
+    test_monte_carlo_pinned_values()
+
+
+def test_monte_carlo_budget():
+    # 3 * 2^s table entries plus trials * t blocks, with no term per chunk.
+    for s, t, trials in [(2, 1, 16777000), (2, 8388600, 2)]:
+        check_monte_carlo(s, t, trials)
+    for s, t, trials in [(2, 1, 16777205), (40, 1, 2)]:
+        with pytest.raises(BudgetError, match=f"s={s}, t={t}, trials={trials}"):
+            check_monte_carlo(s, t, trials)
 
 
 def test_monte_carlo_builds_no_class_listing(monkeypatch):
