@@ -13,9 +13,13 @@ ENUMERATION_BUDGET = 22
 #: printed rows cost more than their recursion as their counts grow long:
 #: ``sig-table --c 3..1448 --method recurse`` takes 4-6.4 s
 RECURSION_WORK_BUDGET = 1 << 21
-#: about 1 us per unit near c = 2000: ``avg-sig --c 2047``, the largest c,
-#: takes 7.6-9.7 s, and ``--c 3..1671``, the largest run from 3, 8.0-8.5 s
-AVG_SIG_WORK_BUDGET = 2 * 2047 ** 2
+#: 0.11-0.19 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
+#: 3.5-4.7 s, ``--c 153392``, the largest even c, 2.8-3.2 s, and
+#: ``--c 3..10578``, the largest run from 3, 4.3-4.6 s at a peak of 0.23 GB
+AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
+#: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
+#: 5.5 s in process; only the avg-signature check and the tests run the DP
+PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
 G4_WORK_BUDGET = 1 << 27
 #: 30-70 ns per unit at the largest t of each small s, most at s = 1:
@@ -35,6 +39,9 @@ MONTE_CARLO_WORK_BUDGET = 1 << 24
 #: ``--s 6 --kmax 1365`` 8.0 s and ``--s 18 --kmax 227`` 9.4 s
 MARKOV_WORK_BUDGET = 1 << 19
 
+# A row of avg-sig (its Fraction, checked once more by its report, two
+# floats and its digits) costs about as much as 1/16 of a recurrence's c^2.
+_ROW_SHARE = 16
 # The mean g4 DP has at most 9 * 3 * 2 law keys, from a class's (start,
 # end), interior length mod 3 at parity 0 and type, and one table entry (a
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
@@ -88,17 +95,44 @@ def check_recursion(c_max: int) -> None:
            f"the recursed rows to c={c_max}", "work units (recursion_work)")
 
 
+def _sum_of_squares(c_values: Sequence[int]) -> int:
+    """Sum of c^2 over c_values, in closed form for a run of consecutive c."""
+    if isinstance(c_values, range) and c_values.step == 1:
+        lo, hi = c_values.start - 1, c_values[-1]
+        return (hi * (hi + 1) * (2 * hi + 1) - lo * (lo + 1) * (2 * lo + 1)) // 6
+    return sum(c * c for c in c_values)
+
+
 def avg_sig_work(c_values: Sequence[int]) -> int:
-    """c^2 for the folded palindrome pass to each of the last two c (one
-    per parity of a run of consecutive c), plus the recursed rows to the
-    largest c."""
-    return sum(c * c for c in c_values[-2:]) + recursion_work(c_values[-1])
+    """c^2 for each P-recurrence unrolled to the largest c of its parity,
+    about c/2 steps on c-bit ints: tot at even c, and tot and tot_p at odd
+    c.  Each row then costs c^2 / 16 for its exact fraction and digits."""
+    unrolled = 0
+    for parity, recurrences in ((0, 1), (1, 2)):
+        top = next((c for c in reversed(c_values) if c % 2 == parity), 0)
+        unrolled += recurrences * top * top
+    return unrolled + _sum_of_squares(c_values) // _ROW_SHARE
+
+
+def _c_label(c_values: Sequence[int]) -> str:
+    lo, hi = c_values[0], c_values[-1]
+    return f"c={lo}" if lo == hi else f"c={lo}..{hi}"
 
 
 def check_avg_sig(c_values: Sequence[int]) -> None:
-    lo, hi = c_values[0], c_values[-1]
-    _check(avg_sig_work(c_values), AVG_SIG_WORK_BUDGET, "the average signature at "
-           + (f"c={lo}" if lo == hi else f"c={lo}..{hi}"), "work units (avg_sig_work)")
+    _check(avg_sig_work(c_values), AVG_SIG_WORK_BUDGET,
+           f"the average signature at {_c_label(c_values)}", "work units (avg_sig_work)")
+
+
+def palindromic_work(c_values: Sequence[int]) -> int:
+    """c^2 for the folded palindrome pass to each of the last two c, one per
+    parity of a run of consecutive c."""
+    return sum(c * c for c in c_values[-2:])
+
+
+def check_palindromic(c_values: Sequence[int]) -> None:
+    _check(palindromic_work(c_values), PALINDROMIC_WORK_BUDGET,
+           f"the palindromic rows at {_c_label(c_values)}", "work units (palindromic_work)")
 
 
 def _g4_cells(c: int, s: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
@@ -55,6 +56,15 @@ def _parse_c_range(ctx: click.Context, param: click.Parameter,
 
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
+
+
+def _fraction_digits(value: Fraction) -> tuple[str, str]:
+    """An exact fraction's numerator and denominator in decimal, at any size.
+
+    ``str`` refuses an int of more than 4300 digits by default, but a
+    ``Decimal`` holds any int exactly and prints the same digits, and
+    changes no process-wide setting.  The budgets bound the digit count."""
+    return str(Decimal(value.numerator)), str(Decimal(value.denominator))
 
 
 def _refuse(ctx: click.Context, problem: Exception | str) -> NoReturn:
@@ -176,19 +186,18 @@ def cmd_avg_sig(ctx: click.Context, c_values: range, fmt: str) -> None:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
     # The work grows with c: refuse the whole range before any row.
     budget.check_avg_sig(c_values)
-    entries = [(c, r.avg_abs_sigma, r.asymptote, float(r.avg_abs_sigma) - r.asymptote)
+    entries = [(c, _fraction_digits(r.avg_abs_sigma), float(r.avg_abs_sigma), r.asymptote)
                for c, r in sigtables.totals(c_values).items()]
     if fmt == "json":
         _echo_json({"schema": SCHEMA, "rows": {
-            str(c): {"avg": f"{avg.numerator}/{avg.denominator}",
-                     "avg_float": float(avg), "root": root, "gap": gap}
-            for c, avg, root, gap in entries}})
+            str(c): {"avg": "/".join(digits), "avg_float": avg, "root": root,
+                     "gap": avg - root}
+            for c, digits, avg, root in entries}})
     else:
         click.echo(f"# twobridge avg-sig schema={SCHEMA}")
         click.echo("c,avg_num,avg_den,avg_float,root,gap")
-        for c, avg, root, gap in entries:
-            click.echo(f"{c},{avg.numerator},{avg.denominator},"
-                       f"{float(avg)!r},{root!r},{gap!r}")
+        for c, (num, den), avg, root in entries:
+            click.echo(f"{c},{num},{den},{avg!r},{root!r},{avg - root!r}")
 
 
 @main.command(name="g4")
@@ -232,10 +241,11 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
     except ValueError as problem:
         _refuse(ctx, problem)
     mean = row.mean_upper
+    num, den = _fraction_digits(mean)
     if fmt == "json":
         _echo_json({
             "schema": SCHEMA, "c": c, "s": block, "words": row.words,
-            "mean_upper": f"{mean.numerator}/{mean.denominator}",
+            "mean_upper": f"{num}/{den}",
             "mean_upper_float": float(mean),
             "bound_975": row.log10_bound,
             "below_bound": row.below_log10,
@@ -243,8 +253,7 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
     else:
         click.echo(f"# twobridge g4 schema={SCHEMA}")
         click.echo("c,s,mean_upper_num,mean_upper_den,bound_975")
-        click.echo(f"{c},{block},{mean.numerator},{mean.denominator},"
-                   f"{row.log10_bound!r}")
+        click.echo(f"{c},{block},{num},{den},{row.log10_bound!r}")
 
 
 @main.command(name="markov-verify")
@@ -289,7 +298,7 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
         value = markov.exact_expected_distance(s, t)
         ok = markov.distance_bound_holds(s, t, value)
         result = {"mode": "exact", "mean": float(value),
-                  "mean_exact": f"{value.numerator}/{value.denominator}"}
+                  "mean_exact": "/".join(_fraction_digits(value))}
     else:
         try:
             mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)

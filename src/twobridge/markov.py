@@ -421,8 +421,11 @@ def displacement_laws(s: int, t: int, sources, own, mirror, pal: np.ndarray
     return law
 
 
-def _group_moments(s: int, t: int
-                   ) -> tuple[list[int], list[tuple[bool, Fraction, Fraction]]]:
+# Per signature group: (palindromic, E|D_w|, E[D_w^2]).
+_Moments = list[tuple[bool, Fraction, Fraction]]
+
+
+def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
     """Per signature group, its number of classes and (palindromic, E|D_w|,
     E[D_w^2]) with |D_w| read as the parity bit for palindromic-type classes."""
     if s < 1:
@@ -454,7 +457,10 @@ def exact_expected_distance(s: int, t: int) -> Fraction:
         raise ValueError(f"step count must be nonnegative, got {t}")
     if t == 0:
         return Fraction(0)
-    sizes, moments = _group_moments(s, t)
+    return _mean_distance(*_group_moments(s, t))
+
+
+def _mean_distance(sizes: list[int], moments: _Moments) -> Fraction:
     return sum((n * abs_mean for n, (_, abs_mean, _) in zip(sizes, moments)),
                Fraction(0))
 
@@ -535,7 +541,16 @@ def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
 def verify_abs_means(s: int, t: int) -> bool:
     """Every integer-coordinate class satisfies E|D_w| <= 2 sqrt(t / 2^s),
     decided exactly by squaring."""
+    return _abs_means_hold(s, t, _group_moments(s, t)[1])
+
+
+def _abs_means_hold(s: int, t: int, moments: _Moments) -> bool:
     bound = Fraction(4 * t, 2 ** s)
-    _, moments = _group_moments(s, t)
     return all(mean * mean <= bound for pal, mean, _ in moments if not pal)
 
+
+def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
+    """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``, for
+    t >= 1, from one run of the walk DP."""
+    sizes, moments = _group_moments(s, t)
+    return _mean_distance(sizes, moments), _abs_means_hold(s, t, moments)

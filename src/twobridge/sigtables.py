@@ -6,12 +6,18 @@ recursion grown from the base rows c=3,4 (``recursed_table``).  Two
 independent derivations check them: a transfer DP over the runs of the
 words (``transfer_table``), and exhaustive enumeration through the diagram
 pipeline (``histogram_enumerated``).  Every identity takes the rows it
-checks as an argument, so the caller decides which derivation it sees.  On
-top of the rows sit the total absolute signature tot(c), its palindromic
+checks as an argument, so the caller decides which derivation it sees.  The
+palindromic rows come from the same DP folded in half
+(``palindromic_table``), one pass per parity for a whole run of c.
+
+On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
-asymptote it approaches.  tot_p comes from the same DP folded in half
-(``palindromic_table``), one pass per parity for a whole run of c, in
-O(c^2) steps rather than one diagram per palindrome.
+asymptote it approaches.  ``totals`` reads tot and tot_p from three linear
+recurrences with polynomial coefficients (P-recurrences), unrolled from
+literal seed terms in O(c) steps on c-bit ints, with no row built.  The
+recurrences are checked, not proven: against the recursion and the folded
+DP (``checks.check_avg_signature`` and the tests), and by every division
+they make being exact.
 """
 
 from __future__ import annotations
@@ -209,11 +215,11 @@ def palindromic_table(c_values: Sequence[int]) -> dict[int, Row]:
     the way: the seed that is the word's own is the one where the tracks
     meet, at the middle cut for c = 2k and across run k+1 for c = 2k+1.
     Keys are (forward state, backward state, length mod 3); a pass to c is
-    O(c^2) counter updates, within ``budget.check_avg_sig``.
+    O(c^2) counter updates, within ``budget.check_palindromic``.
     """
     if c_values[0] < 3:
         raise ValueError(f"crossing number must be >= 3, got {c_values[0]}")
-    budget.check_avg_sig(c_values)
+    budget.check_palindromic(c_values)
     rows: dict[int, Row] = {}
     for odd in (False, True):
         wanted = {c for c in c_values if c % 2 == odd}
@@ -329,6 +335,63 @@ def palindromic_total_abs(c: int) -> int:
     return total_abs(palindromic_table((c,))[c])
 
 
+# ------------------------------------------------------------ P-recurrences
+#
+# Write a(k) for tot or tot_p at c = 2k or c = 2k + 1, one sequence per
+# parity.  Each satisfies lead(k) a(k + r) = sum_j coefficients(k)[j] a(k + j)
+# from its first seed on, with r its number of seeds; the recurrences were
+# found by a nullspace solve over Q on the terms to c = 160.  tot_p(2k) = 0,
+# since every palindrome of even c closes to an amphichiral knot.
+
+
+@dataclass(frozen=True)
+class PRecurrence:
+    """One sequence's recurrence, from the seeds at c = first, first + 2, ..."""
+
+    name: str
+    first: int
+    seeds: tuple[int, ...]
+    lead: Callable[[int], int]
+    coefficients: Callable[[int], tuple[int, ...]]
+
+
+RECURRENCES = (
+    # tot(2k), k >= 2: (k-1) a(k+2) = (5k-3) a(k+1) - 2(2k-1) a(k)
+    PRecurrence("tot", 4, (0, 4), lambda k: k - 1,
+                lambda k: (-2 * (2 * k - 1), 5 * k - 3)),
+    # tot(2k+1), k >= 1:
+    # (k+1)(k+2) a(k+2) = (5k^2 + 17k + 8) a(k+1) - 2(k+3)(2k+1) a(k)
+    PRecurrence("tot", 3, (2, 8), lambda k: (k + 1) * (k + 2),
+                lambda k: (-2 * (k + 3) * (2 * k + 1), 5 * k * k + 17 * k + 8)),
+    # tot_p(2k+1), k >= 1: (k+1)(k+2) a(k+3)
+    #   = 4k(k+2) a(k) + 4(k^2 + 3k + 1) a(k+1) - (k-2)(k+1) a(k+2)
+    PRecurrence("tot_p", 3, (2, 4, 8), lambda k: (k + 1) * (k + 2),
+                lambda k: (4 * k * (k + 2), 4 * (k * k + 3 * k + 1), -(k - 2) * (k + 1))),
+)
+
+
+def unroll(recurrence: PRecurrence, c_values: Sequence[int]) -> dict[int, int]:
+    """The sequence at each c of c_values with its parity, unrolled from the
+    seeds to the largest such c; an inexact division raises ValueError."""
+    wanted = {c for c in c_values if c % 2 == recurrence.first % 2}
+    seeded = range(recurrence.first, recurrence.first + 2 * len(recurrence.seeds), 2)
+    out = {c: a for c, a in zip(seeded, recurrence.seeds) if c in wanted}
+    terms = list(recurrence.seeds)
+    k = recurrence.first // 2
+    for c in range(seeded.stop, max(wanted, default=0) + 1, 2):
+        lead = recurrence.lead(k)
+        a, rest = divmod(sum(f * x for f, x in zip(recurrence.coefficients(k), terms)),
+                         lead)
+        if rest:
+            raise ValueError(f"{recurrence.name}({c}) is not an integer: its "
+                             f"recurrence leaves remainder {rest} mod {lead}")
+        terms = [*terms[1:], a]
+        if c in wanted:
+            out[c] = a
+        k += 1
+    return out
+
+
 @dataclass(frozen=True)
 class TotalsReport:
     """Exact totals and the average |sigma| per knot for one c."""
@@ -350,23 +413,27 @@ class TotalsReport:
 def totals(c_values: Sequence[int]) -> dict[int, TotalsReport]:
     """Totals reports for an increasing sequence of crossing numbers.
 
-    tot comes from one recursed table to the largest c, and tot_p from one
-    folded palindrome pass per parity (``palindromic_table``), within
-    ``budget.check_avg_sig``.  The average per knot is exact: each knot is
-    counted by two words, or by one word when that word is palindromic, so
-    summing |sigma| over words and palindromes double-counts every knot.
-    An int c (``perfbench/record_reference.py``) gives c's report alone.
+    tot and tot_p come from the P-recurrences (``RECURRENCES``), each
+    unrolled once to the largest c of its parity, within
+    ``budget.check_avg_sig``; no histogram row is built.  The average per
+    knot is exact: each knot is counted by two words, or by one word when
+    that word is palindromic, so summing |sigma| over words and palindromes
+    double-counts every knot.  An int c (``perfbench/record_reference.py``)
+    gives c's report alone.
     """
     if isinstance(c_values, int):
         return totals((c_values,))[c_values]
-    palindromic = palindromic_table(c_values)
-    rows = recursed_table(c_values[-1])
+    if c_values[0] < 3:
+        raise ValueError(f"crossing number must be >= 3, got {c_values[0]}")
+    budget.check_avg_sig(c_values)
+    tot_even, tot_odd, tot_p = (unroll(r, c_values) for r in RECURRENCES)
+    tot = {**tot_even, **tot_odd}
     reports = {}
     for c in c_values:
-        tot, tot_p = total_abs(rows[c]), total_abs(palindromic[c])
+        tot_c, tot_p_c = tot[c], tot_p.get(c, 0)
         reports[c] = TotalsReport(
-            c=c, tot=tot, tot_p=tot_p,
-            avg_abs_sigma=Fraction(tot + tot_p, 2 * knot_count(c)),
+            c=c, tot=tot_c, tot_p=tot_p_c,
+            avg_abs_sigma=Fraction(tot_c + tot_p_c, 2 * knot_count(c)),
             asymptote=math.sqrt(2 * c / math.pi))
     return reports
 

@@ -58,10 +58,11 @@ def test_05_totals():
 
 
 def test_06_average_signature():
-    # avg |sigma| at c = 6 is exactly 2/3; for 6 <= c <= 1000 the gap to
-    # sqrt(2c/pi) is positive at odd c and negative at even c, and |gap|
-    # shrinks at every step c -> c+2 from c = 9 and 10 on; in under two
-    # minutes.
+    # The totals by recurrence equal the recursion's for c <= 400 and the
+    # folded DP's at odd c <= 61 and c = 999, 1001; avg |sigma| at c = 6 is
+    # exactly 2/3; for 6 <= c <= 1000 the gap to sqrt(2c/pi) is positive at
+    # odd c and negative at even c, and |gap| shrinks at every step
+    # c -> c+2 from c = 9 and 10 on; in under two minutes.
     _run("avg-signature", budget_seconds=120)
 
 

@@ -212,7 +212,8 @@ def test_misuse_refused_with_one_line(args, message):
 
 
 def test_avg_sig_over_budget_exits_2():
-    result = invoke("avg-sig", "--c", "2048")
+    # The smallest refused c: an odd c unrolls two recurrences, an even c one.
+    result = invoke("avg-sig", "--c", "110097")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
@@ -222,7 +223,7 @@ def test_avg_sig_over_budget_exits_2():
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
      sigtables.histogram_enumerated, "budget stops at c=22"),
-    (("avg-sig", "--c", "3..5000"), sigtables.totals, "avg_sig_work"),
+    (("avg-sig", "--c", "3..10579"), sigtables.totals, "avg_sig_work"),
     (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
     (("sig-table", "--c", "100000", "--method", "recurse"),
      sigtables.recursed_table, "recursion_work"),
@@ -305,6 +306,38 @@ def test_avg_sig_json():
     payload = json.loads(result.output)
     assert payload["schema"] == 1
     assert payload["rows"]["6"]["avg"] == "2/3"
+
+
+@pytest.fixture
+def lift_digit_limit():
+    """Lift Python's int-to-str digit limit inside the test body alone."""
+    limit = sys.get_int_max_str_digits()
+    yield lambda: sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
+
+
+def test_avg_sig_prints_fractions_past_the_digit_limit(lift_digit_limit):
+    limit = sys.get_int_max_str_digits()
+    as_json = invoke("avg-sig", "--c", "20001", "--format", "json")
+    as_csv = invoke("avg-sig", "--c", "20001")
+    # The digits are printed without changing the process-wide limit.
+    assert sys.get_int_max_str_digits() == limit
+    assert as_json.exit_code == 0 and as_csv.exit_code == 0
+    lift_digit_limit()
+    want = sigtables.totals((20001,))[20001].avg_abs_sigma
+    assert len(str(want.denominator)) > 4300
+    assert Fraction(json.loads(as_json.output)["rows"]["20001"]["avg"]) == want
+    num, den = as_csv.output.splitlines()[2].split(",")[1:3]
+    assert Fraction(int(num), int(den)) == want
+
+
+def test_walk_sim_exact_prints_a_mean_past_the_digit_limit(lift_digit_limit):
+    result = invoke("walk-sim", "--s", "1498", "--t", "10", "--exact")
+    assert result.exit_code == 0
+    lift_digit_limit()
+    printed = Fraction(json.loads(result.output)["mean_exact"])
+    assert len(str(printed.denominator)) > 4300
+    assert printed == markov.exact_expected_distance(1498, 10)
 
 
 def test_g4_single_word_report():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge import markov
+from twobridge import checks, markov
 from twobridge.budget import (
     CLASS_LISTING_BUDGET,
     WALK_WORK_BUDGET,
@@ -327,6 +327,25 @@ def test_exact_walk_builds_no_tables(monkeypatch):
             assert verify_abs_means(s, t) and verify_second_moments(s, t), (s, t)
     assert digest.hexdigest() == \
         "b57c8f66d50ff14dc420dcf894d7135867f69b6b37ed68c77ffcba84712f5b78"
+
+
+def test_exact_walk_cell_is_both_verdicts_from_one_dp(monkeypatch):
+    for s in range(1, 9):
+        for t in range(1, 12 // s + 1):
+            assert markov.exact_walk_cell(s, t) == (
+                exact_expected_distance(s, t), verify_abs_means(s, t)), (s, t)
+    # check_walk runs the walk DP once per cell of its grid.
+    cells = []
+    group_moments = markov._group_moments
+
+    def counted(s, t):
+        cells.append((s, t))
+        return group_moments(s, t)
+
+    monkeypatch.setattr(markov, "_group_moments", counted)
+    passed, _ = checks.check_walk(8)
+    grid = [(s, t) for s in range(1, 9) for t in range(1, 8 // s + 1)]
+    assert passed and cells == [*grid, (4, 100)]
 
 
 def test_signature_groups_cover_every_oriented_block():

@@ -1,6 +1,9 @@
 """Tests for signature histograms, recursions, totals, and the CSV cache."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
@@ -12,6 +15,8 @@ from twobridge import sigtables as S
 from twobridge import words as W
 from twobridge.budget import BudgetError
 from twobridge.diagram import signature
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # The published table of s(c, sigma) for 3 <= c <= 14.
 TABLE = {
@@ -182,24 +187,78 @@ def test_totals_asymptote_field():
     assert r.asymptote == pytest.approx(math.sqrt(16 / math.pi), rel=1e-12)
 
 
-def test_totals_read_each_table_once(monkeypatch):
-    calls = Counter()
+def test_totals_build_no_table(monkeypatch, pal400):
+    rows = S.recursed_table(60)
 
-    def counted(name):
-        inner = getattr(S, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
+    def refuse(*args, **kwargs):
+        raise AssertionError("totals must not build a recursed or folded table")
 
     for name in ("recursed_table", "_advance"):
-        monkeypatch.setattr(S, name, counted(name))
+        monkeypatch.setattr(S, name, refuse)
     reports = S.totals(range(3, 61))
     assert list(reports) == list(range(3, 61))
-    # One recursed table, and one folded pass per parity: 29 runs to c = 59
-    # and 30 to c = 60.
-    assert calls == {"recursed_table": 1, "_advance": 59}
+    for c, report in reports.items():
+        assert report.tot == S.total_abs(rows[c]), c
+        assert report.tot_p == S.total_abs(pal400[c]), c
+
+
+def test_recurrence_seeds_are_the_first_terms():
+    tot_even, tot_odd, tot_p = S.RECURRENCES
+    rows = S.recursed_table(6)
+    folded = S.palindromic_table((3, 5, 7))
+    assert tot_even.seeds == tuple(S.total_abs(rows[c]) for c in (4, 6)) == (0, 4)
+    assert tot_odd.seeds == tuple(S.total_abs(rows[c]) for c in (3, 5)) == (2, 8)
+    assert tot_p.seeds == tuple(S.total_abs(folded[c]) for c in (3, 5, 7)) == (2, 4, 8)
+    assert (tot_even.first, tot_odd.first, tot_p.first) == (4, 3, 3)
+
+
+def test_recurrences_match_the_recursion_and_the_folded_dp(pal400):
+    reports = S.totals(range(3, 401))
+    rows = S.recursed_table(400)
+    for c in range(3, 401):
+        assert reports[c].tot == S.total_abs(rows[c]), c
+        assert reports[c].tot_p == S.total_abs(pal400[c]), c
+    folded = S.palindromic_table((999, 1001))
+    far = S.totals((999, 1001))
+    for c in (999, 1001):
+        assert far[c].tot_p == S.total_abs(folded[c]), c
+
+
+def total_abs_by_recursion(c):
+    """tot(c) by the two-step recursion, holding two rows at a time."""
+    rows = {3: S.BASE_ROWS[3], 4: S.BASE_ROWS[4]}
+    for n in range(5, c + 1):
+        rows = {n - 1: rows[n - 1], n: S.histogram_recursed(n, rows)}
+    return S.total_abs(rows[c])
+
+
+def test_recurrences_match_at_the_largest_recursed_and_folded_c():
+    # c = 1448 is the largest c that sig-table recurses, and c = 2047 the
+    # largest that the folded DP takes.
+    assert S.totals(1448).tot == total_abs_by_recursion(1448)
+    assert S.totals(2047).tot_p == S.palindromic_total_abs(2047)
+
+
+@pytest.mark.parametrize("which, seeds", [(1, (2, 9)), (2, (2, 4, 9)), (2, (3, 4, 8))])
+def test_a_corrupted_seed_raises_without_asserts(which, seeds):
+    # Run under python -O: the exact-division check must not be an assert.
+    # The odd-c recurrences divide exactly only from the right seeds; the
+    # even-c tot recurrence stays integral from any integer seeds, so only
+    # the comparisons with the recursion catch a wrong seed there.
+    program = (
+        "import dataclasses, sys\n"
+        "from twobridge import sigtables as S\n"
+        f"bad = dataclasses.replace(S.RECURRENCES[{which}], seeds={seeds!r})\n"
+        "try:\n"
+        "    S.unroll(bad, (200, 201))\n"
+        "except ValueError as problem:\n"
+        "    print(problem)\n"
+        "else:\n"
+        "    sys.exit('no ValueError')\n")
+    result = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert "is not an integer" in result.stdout
 
 
 def test_verify_tot2(rows18):
@@ -270,23 +329,41 @@ def test_totals_never_enumerate_and_match_enumerated_rows(monkeypatch, enum14):
 def test_palindromic_total_budget(monkeypatch):
     assert S.palindromic_total_abs(26) == 0
     assert S.palindromic_total_abs(25) > 0
-    # c = 2047 is the largest single c within the budget; past it the DP is
-    # refused before its first step.
-    assert budget.avg_sig_work((2047,)) <= budget.AVG_SIG_WORK_BUDGET
-    assert budget.avg_sig_work((2048,)) > budget.AVG_SIG_WORK_BUDGET
+    # c = 2047 is the largest single c within the folded DP's budget; past
+    # it the DP is refused before its first step.
+    assert budget.palindromic_work((2047,)) <= budget.PALINDROMIC_WORK_BUDGET
+    assert budget.palindromic_work((2048,)) > budget.PALINDROMIC_WORK_BUDGET
 
     def refuse(*args, **kwargs):
         raise AssertionError("an over-budget DP must be refused first")
 
     monkeypatch.setattr(S, "_advance", refuse)
-    with pytest.raises(BudgetError, match="avg_sig_work"):
+    with pytest.raises(BudgetError, match="palindromic_work"):
         S.palindromic_total_abs(2048)
     with pytest.raises(BudgetError, match="c=3..4999"):
         S.palindromic_table(range(3, 5000))
-    # c = 3..1671 is the largest run from c = 3 within the budget.
-    with pytest.raises(BudgetError, match="c=3..1672"):
-        budget.check_avg_sig(range(3, 1673))
-    budget.check_avg_sig(range(3, 1672))
+
+
+def test_avg_sig_budget(monkeypatch):
+    # An odd c unrolls two recurrences and an even c one, so the largest
+    # single c within the budget is 110095 if odd and 153392 if even.
+    assert budget.avg_sig_work((110095,)) <= budget.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((110097,)) > budget.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((153392,)) <= budget.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((153394,)) > budget.AVG_SIG_WORK_BUDGET
+    # Each row costs its own fraction and digits: c = 3..10578 is the
+    # largest run from c = 3, and a run is charged as its listed c are.
+    budget.check_avg_sig(range(3, 10579))
+    with pytest.raises(BudgetError, match="c=3..10579"):
+        budget.check_avg_sig(range(3, 10580))
+    assert budget.avg_sig_work(range(5, 300)) == budget.avg_sig_work(tuple(range(5, 300)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget request must be refused first")
+
+    monkeypatch.setattr(S, "unroll", refuse)
+    with pytest.raises(BudgetError, match="avg_sig_work"):
+        S.totals((110097,))
 
 
 def test_palindromic_share_vanishes():
