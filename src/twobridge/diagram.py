@@ -15,24 +15,36 @@ sends strand 1 around.  The diagram of a word in T(c) ends in a lower
 crossing exactly when c is odd, and its plat uses closure A in that case,
 closure B otherwise.
 
-Traczyk's formula sigma = s_A - c_plus - 1 needs three things, and each
-comes from the braid letters in O(c) integer steps, with no graph:
+Traczyk's formula sigma = s_A - c_plus - 1 needs three things.  All three
+come from one prefix sum per word, with no graph and no loop over letters:
 
+* Orientation states.  Exactly one strand runs leftward on each cut line
+  of a knot diagram (the around arc always runs leftward outside it).
+  This *orientation state* moves across a crossing by the crossing's
+  transposition.  Written as x = state - 1 in Z/3, 'a' is the reflection
+  x -> -x and 'b' the reflection x -> 1 - x.  So with k = 0 for 'a' and
+  1 for 'b', the state right of crossing j is x_j = (-1)^j (x_0 + Q_j),
+  where Q_j is the alternating prefix sum of k_1 .. k_j.  The last term
+  Q_c and the parity of c fix the strand permutation (``S3``), and with it
+  whether the closed diagram is a knot and the state x_0 it starts in.
 * Knot or link.  The strand permutation plus the six cut endpoints (two
   caps and the around arc) form a 6-node graph; ``closure_components``
   counts its components once per case at import, into ``COMPONENTS``,
   which the diagram and the summand blocks in ``cobordism`` read.
-* Crossing signs.  Exactly one strand runs leftward on each cut line of a
-  knot diagram (the around arc always runs leftward outside it).  This
-  *orientation state* moves across a crossing by the crossing's
-  transposition, and the crossing's sign depends only on its letter and
-  the state on its left: 'a' is positive unless strand 1 is leftward,
-  'b' only when strand 3 is.  The state at cut 0 comes from walking the
-  closure once.
-* All-A circles.  The A-smoothing turns strands 2,3 back at every 'a' and
-  lets everything run through at 'b', so strand 1 runs straight across.
-  Each gap between consecutive 'a's closes one circle, and the closure
-  adds one more outer circle when it is B.
+* Crossing signs and all-A circles.  A crossing's sign depends only on
+  its letter and the state on its left: 'a' is positive unless strand 1
+  is leftward, 'b' only when strand 3 is, that is, exactly when x > k on
+  its left.  The A-smoothing turns strands 2,3 back at every 'a' and lets
+  everything run through at 'b', so strand 1 runs straight across.  Each
+  gap between consecutive 'a's closes one circle, and the closure adds
+  one more outer circle when it is B.
+
+``scan`` runs this on a whole (n, c) array of braid letters at once, one
+closure per row; ``orient_diagram`` and ``metrics_for_braid`` are its
+one-row calls, and ``sigtables`` scores whole signature rows with it.
+``s3_index`` reads Q_c off the letter counts of the two parities.  The two
+reflections and the sign rule are checked against ``STATE_AFTER`` and
+``STEP`` at import.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
@@ -42,6 +54,8 @@ in ``tests/test_diagram.py`` as the oracle the scan is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .words import to_braid, validate_braid
 
@@ -67,6 +81,35 @@ STEP = {
     "a": (None, (-1, 1), (1, 3), (1, 2)),
     "b": (None, (-1, 2), (-1, 1), (1, 3)),
 }
+
+
+def _check_reflections() -> None:
+    """Raise ValueError unless STATE_AFTER and STEP both move x = state - 1
+    across letter k (0 for 'a', 1 for 'b') to the reflection k - x in Z/3,
+    and STEP makes the crossing positive exactly when x > k."""
+    for k, letter in enumerate("ab"):
+        for x in range(3):
+            sign, after = STEP[letter][x + 1]
+            if not after == STATE_AFTER[letter][x + 1] == (k - x) % 3 + 1:
+                raise ValueError(f"letter {letter!r} does not move state {x + 1} "
+                                 f"to the reflection {(k - x) % 3 + 1}")
+            if (sign == 1) != (x > k):
+                raise ValueError(f"letter {letter!r} after state {x + 1} has sign "
+                                 f"{sign}, not +1 exactly when {x} > {k}")
+
+
+_check_reflections()
+#: letter codes of a braid word's bytes, 0 for 'a' and 1 for 'b'
+_CODES = bytes.maketrans(b"ab", b"\0\1")
+#: (-1)^j in Z/3 for j = 0, 1, 2, ...: the weights of the prefix sum
+_TURN = np.tile(np.int32([1, 2]), 1 << 12)
+#: S3 index of the strand permutation x -> (-1)^c (x + Q) of a word, by
+#: (c mod 2, Q), Q its alternating letter sum in Z/3 (module docstring)
+_S3_OF = tuple(tuple(S3.index(tuple((-1) ** parity * (x + q) % 3 + 1 for x in range(3)))
+                     for q in range(3)) for parity in (0, 1))
+#: S3 index of permutation i followed by permutation j, at [i][j]
+_S3_THEN = tuple(tuple(S3.index(tuple(S3[j][p - 1] for p in S3[i])) for j in range(6))
+                 for i in range(6))
 
 
 @dataclass(frozen=True)
@@ -147,9 +190,70 @@ COMPONENTS = {(left, right): tuple(closure_components(PLAT_RIGHT[left], perm,
               for left in PLAT_RIGHT for right in PLAT_RIGHT}
 
 
+def _start_state(closure: str, index: int) -> int:
+    """x = state - 1 on cut 0 of the diagram with this right closure and
+    strand permutation, or -1 when it closes to a link."""
+    if COMPONENTS[PLAT_LEFT, closure][index] != 1:
+        return -1
+    perm = S3[index]
+    (cap, _) = PLAT_RIGHT[closure]
+    # Bottom strand rightward to the right cap (a knot never sends it
+    # around), back leftward from the other capped endpoint: the strand
+    # arriving there is leftward on cut 0.
+    return perm.index(cap[0] + cap[1] - perm[2])
+
+
+#: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q)
+_START = np.array([[[_start_state(closure, _S3_OF[parity][q]) for q in range(3)]
+                    for parity in (0, 1)] for closure in "AB"], np.int32)
+
+
 def plat_component_count(d: PlatDiagram) -> int:
     """Number of closed curves in the diagram (1 for a knot)."""
     return COMPONENTS[PLAT_LEFT, d.closure][s3_index(d.letters)]
+
+
+def scan(letters: np.ndarray, closure_b, *, words: bool = False
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Orient n diagrams of c crossings each at once.
+
+    ``letters`` is an (n, c) int8 array, 0 for 'a' and 1 for 'b', and
+    ``closure_b`` an (n,) int8 array, or one int for every row, that is 1
+    where the right closure is B.  Returns (positive, x): an (n, c) bool
+    array, true where the crossing is positive, and the (n, c + 1) cut
+    states of ``orient_diagram`` less one.  A row that closes to a link
+    raises ValueError, and with ``words`` so does a row whose state right
+    of crossing 1 is not o1, as in every word diagram; the message names
+    the first bad row of a batch.
+    """
+    n, c = letters.shape
+    # _TURN has even length, so np.resize continues it for longer words.
+    turn = _TURN[:c + 1] if c < _TURN.size else np.resize(_TURN, c + 1)
+    # Q_j on cut j, then x_j = (-1)^j (x_0 + Q_j); int32 holds the at most
+    # 4c + 4 of the unreduced terms for any c below 5 * 10^8.
+    x = np.zeros((n, c + 1), np.int32)
+    np.multiply(letters, turn[1:], out=x[:, 1:])
+    np.add.accumulate(x, axis=1, out=x)
+    x0 = _START[closure_b, c % 2, x[:, -1] % 3]
+    x += x0[:, None]
+    x *= turn
+    x %= 3
+    # Python's min and any on lists: on one row they cost less than numpy
+    # reductions, and a one-row call is what decompose makes per word.
+    if min(x0.tolist(), default=0) < 0 or words and any(x[:, 1].tolist()):
+        row = int(((x0 < 0) | (words & (x[:, 1] != 0))).argmax())
+        where = f"row {row}: " if n > 1 else ""
+        if x0[row] < 0:
+            raise ValueError(where + "diagram is a link; cannot orient by one traversal")
+        raise ValueError(where + "state right of crossing 1 must be o1, "
+                         f"got o{x[row, 1] + 1}")
+    return x[:, :-1] > letters, x
+
+
+def _one_row(d: PlatDiagram, *, words: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``scan`` of one diagram, whose letters were validated with it."""
+    letters = np.frombuffer(d.letters.encode().translate(_CODES), np.int8)
+    return scan(letters.reshape(1, -1), int(d.closure == "B"), words=words)
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
@@ -161,30 +265,16 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     and under-strand directions at crossing i is positive.  `states[j]`
     (j = 0..n) is the strand oriented leftward on cut line j.
     """
-    index = s3_index(d.letters)  # d.letters was validated with d
-    if COMPONENTS[PLAT_LEFT, d.closure][index] != 1:
-        raise ValueError("diagram is a link; cannot orient by one traversal")
-    perm = S3[index]
-    (cap, _) = PLAT_RIGHT[d.closure]
-    # Bottom strand rightward to the right cap (a knot never sends it
-    # around), back leftward from the other capped endpoint: the strand
-    # arriving there is leftward on cut 0.
-    state = perm.index(cap[0] + cap[1] - perm[2]) + 1
-    signs = []
-    states = [state]
-    for letter in d.letters:
-        sign, state = STEP[letter][state]
-        signs.append(sign)
-        states.append(state)
-    return signs, states
+    positive, x = _one_row(d)
+    return (2 * positive[0].view(np.int8) - 1).tolist(), (x[0] + 1).tolist()
 
 
 def s3_index(letters: str, index: int = 0) -> int:
     """S3 index of the strand permutation of ``index`` followed by the
-    letters, which the caller has validated."""
-    for letter in letters:
-        index = S3_AFTER[letter][index]
-    return index
+    letters, which the caller has validated: the parity of their length and
+    their alternating sum Q (module docstring) fix it."""
+    q = (2 * letters[::2].count("b") + letters[1::2].count("b")) % 3
+    return _S3_THEN[index][_S3_OF[len(letters) % 2][q]]
 
 
 def orientation_after(state: int, z: str) -> int:
@@ -202,18 +292,22 @@ def strand_permutation(z: str) -> tuple[int, int, int]:
     return S3[s3_index(z)]
 
 
+def all_A_circles(a, closure_b):
+    """All-A circles from the count of 'a' and whether the closure is B,
+    for ints or elementwise for arrays (``all_A_components``)."""
+    return a + closure_b + 2 * (a == 0) * (1 - closure_b)
+
+
 def all_A_components(d: PlatDiagram) -> int:
     """Circles after replacing every crossing by its A-smoothing.
 
     At an 'a' crossing the A-smoothing turns strands 2,3 back on both
     sides; at a 'b' crossing it lets strands 1,2 run through.  With k >= 1
     'a's that leaves k - 1 circles between them, one circle through strand
-    1, and for closure B one more past the last 'a'.
+    1, and for closure B one more past the last 'a'; with none, strand 1
+    and the closure make two circles under closure A and one under B.
     """
-    k = d.letters.count("a")
-    if k == 0:
-        return 2 if d.closure == "A" else 1
-    return k + (1 if d.closure == "B" else 0)
+    return all_A_circles(d.letters.count("a"), int(d.closure == "B"))
 
 
 def metrics_for_word(word: str) -> DiagramMetrics:
@@ -225,10 +319,7 @@ def metrics_for_braid(z: str) -> DiagramMetrics:
     """``metrics_for_word`` of the word whose braid word is z, for callers
     that hold the braid word of a validated word already."""
     d = _braid_diagram(z)
-    signs, states = orient_diagram(d)
-    if states[1] != 1:
-        raise ValueError(f"state right of crossing 1 must be o1, got o{states[1]}")
-    c_plus = signs.count(1)
+    c_plus = int(np.count_nonzero(_one_row(d, words=True)[0]))
     s_a = all_A_components(d)
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 

@@ -4,11 +4,13 @@ The histogram row for crossing number c counts, for each even sigma, the
 words whose knot has that signature.  Rows come from the two-step
 recursion grown from the base rows c=3,4 (``recursed_table``).  Two
 independent derivations check them: a transfer DP over the runs of the
-words (``transfer_table``), and exhaustive enumeration through the diagram
-pipeline (``histogram_enumerated``).  Every identity takes the rows it
-checks as an argument, so the caller decides which derivation it sees.  The
-palindromic rows come from the same DP folded in half
-(``palindromic_table``), one pass per parity for a whole run of c.
+words (``transfer_table``), and exhaustive enumeration
+(``histogram_enumerated``), which builds the braid letters of a chunk of
+words straight from their exponent masks and scores the whole chunk with
+one ``diagram.scan``.  Every identity takes the rows it checks as an
+argument, so the caller decides which derivation it sees.  The palindromic
+rows come from the same DP folded in half (``palindromic_table``), one pass
+per parity for a whole run of c.
 
 On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
@@ -34,16 +36,23 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import budget
-from .diagram import STATE_AFTER, STEP, signature
-from .words import knot_count, swap_braid, word_from_interior_bits
+from .diagram import STATE_AFTER, STEP, all_A_circles, scan
+from .words import knot_count, swap_braid
 
 Row = dict[int, int]
 
-# Fewest masks that histogram_enumerated shards over a process pool.  On a
-# 2-CPU x86 machine a serial row beats a 2-worker pool up to c = 17 (153 ms
-# against 173 ms), and the pool wins from c = 18 (159 ms against 272 ms).
+# Fewest masks that histogram_enumerated shards over a process pool.  With
+# rows scored in batches a serial row beats a 2-worker pool on a 2-CPU x86
+# machine at every admitted c (in process: 12 against 35 ms at c = 18, 192
+# against 226 ms at c = 22); the pool stays until the benchmark stops
+# asking for it.
 _POOL_MIN_MASKS = 1 << 16
+# Masks scored per diagram.scan call: at c = 22 its int32 cut states take
+# about 2 MB for the third of them that are words.
+_CHUNK_MASKS = 1 << 16
 
 SCHEMA_VERSION = 1
 
@@ -51,12 +60,38 @@ SCHEMA_VERSION = 1
 BASE_ROWS: dict[int, Row] = {3: {2: 1}, 4: {0: 1}}
 
 
+def _letter_rows(c: int, masks: np.ndarray) -> np.ndarray:
+    """Braid letters of the interior-exponent masks below 2^32 whose word
+    has length 1 mod 3, in order: for each the (c,) int8 row of
+    ``to_braid(word_from_interior_bits(c, mask))``, 0 for 'a' and 1 for 'b'.
+
+    Bit c-1-i of a mask is 1 when run i has exponent 2, and such a run
+    takes the other letter than ``_run_letter(i, 1)``.
+    """
+    bits = np.unpackbits(masks.astype(">u4").view(np.uint8).reshape(-1, 4),
+                         axis=1)[:, 34 - c:]
+    keep = (c + bits.sum(axis=1)) % 3 == 1
+    rows = np.zeros((int(keep.sum()), c), np.int8)
+    rows[:, 1:-1] = bits[keep]
+    rows ^= np.array([_run_letter(i, 1) == "b" for i in range(1, c + 1)], np.int8)
+    return rows
+
+
 def _shard(args: tuple[int, int, int]) -> Counter:
+    """Signature counts of the words of T(c) with masks in [lo, hi), scored
+    by ``diagram.scan`` a chunk of masks at a time."""
     c, lo, hi = args
     h: Counter = Counter()
-    for mask in range(lo, hi):
-        if (c + mask.bit_count()) % 3 == 1:
-            h[signature(word_from_interior_bits(c, mask))] += 1
+    for start in range(lo, hi, _CHUNK_MASKS):
+        rows = _letter_rows(c, np.arange(start, min(start + _CHUNK_MASKS, hi)))
+        # A word's closure is B exactly when its last letter is 'b'.
+        closure_b = rows[:, -1]
+        positive, _ = scan(rows, closure_b, words=True)
+        sigma = (all_A_circles(c - rows.sum(axis=1), closure_b)
+                 - positive.sum(axis=1) - 1)
+        counts = np.bincount(sigma + c)
+        for i in np.flatnonzero(counts).tolist():
+            h[i - c] += int(counts[i])
     return h
 
 
@@ -64,9 +99,11 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
     Work is proportional to 2^(c-2), within ``budget.check_enumeration``.
-    With workers > 1 and at least 2^16 masks (c >= 18) the mask range is
-    sharded over a process pool; if the pool cannot start or breaks, a
-    RuntimeWarning names the reason and the row is evaluated serially.
+    Each word is scored from its letters by ``diagram.scan``, a batch of
+    words at a time, with no per-word call.  With workers > 1 and at least
+    2^16 masks (c >= 18) the mask range is sharded over a process pool; if
+    the pool cannot start or breaks, a RuntimeWarning names the reason and
+    the row is evaluated serially.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
@@ -126,7 +163,7 @@ def recursed_table(c_max: int) -> dict[int, Row]:
 # crossing by crossing: run i's letter follows from its sign, fixed by i,
 # and its exponent, and the crossing's sign from STEP of that letter and the
 # orientation state on its left.  Every word of T(c) has state 1 on cut 0
-# (the ``states[1] == 1`` invariant of ``diagram.metrics_for_braid``), and a
+# (the o1 invariant that ``diagram.scan`` checks on word rows), and a
 # word of runs with exponents 1 or 2 is in T(c) exactly when e_1 = e_c = 1
 # and its length is 1 mod 3.  The DPs carry counts of #a - c_plus per
 # (orientation states, length mod 3), run by run.
@@ -403,8 +440,13 @@ class TotalsReport:
     asymptote: float
 
     def __post_init__(self) -> None:
-        if self.avg_abs_sigma != Fraction(self.tot + self.tot_p,
-                                          2 * knot_count(self.c)):
+        # A reduced fraction equals (tot + tot_p) / (2 * knot_count) exactly
+        # when its denominator divides 2 * knot_count and the quotient takes
+        # its numerator to tot + tot_p: no second gcd and no product of two
+        # c-bit ints.
+        avg = self.avg_abs_sigma
+        scale, rest = divmod(2 * knot_count(self.c), avg.denominator)
+        if rest or avg.numerator * scale != self.tot + self.tot_p:
             raise ValueError(
                 f"avg_abs_sigma {self.avg_abs_sigma} != (tot + tot_p) / "
                 f"(2 * knot_count) at c={self.c}")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,10 +198,87 @@ def test_scan_matches_oracle_on_braid_words(z, closure):
     assert _outcome(D.orient_diagram, d) == _outcome(oracle_orient, d)
 
 
+def letter_array(zs):
+    """Letter codes of equal-length braid words, 0 for 'a' and 1 for 'b'."""
+    return np.array([[int(letter == "b") for letter in z] for z in zs], np.int8)
+
+
+@st.composite
+def braid_batches(draw):
+    """Equal-length braid words, each with its own closure."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    word = st.text(alphabet="ab", min_size=n, max_size=n)
+    return draw(st.lists(st.tuples(word, st.sampled_from("AB")), min_size=1, max_size=12))
+
+
+@given(braid_batches())
+def test_scan_matches_oracle_on_braid_word_batches(batch):
+    diagrams = [D.PlatDiagram(z, closure) for z, closure in batch]
+    letters = letter_array([d.letters for d in diagrams])
+    closure_b = np.array([d.closure == "B" for d in diagrams], np.int8)
+    circles = D.all_A_circles(letters.shape[1] - letters.sum(axis=1), closure_b)
+    assert circles.tolist() == [oracle_all_A(d) for d in diagrams]
+    outcomes = [_outcome(oracle_orient, d) for d in diagrams]
+    links = [i for i, o in enumerate(outcomes) if o == "link"]
+    if links:
+        with pytest.raises(ValueError) as refused:
+            D.scan(letters, closure_b)
+        where = f"row {links[0]}: " if len(batch) > 1 else ""
+        assert str(refused.value) == where + "diagram is a link; cannot orient by one traversal"
+    knots = [i for i, o in enumerate(outcomes) if o != "link"]
+    positive, x = D.scan(letters[knots], closure_b[knots])
+    for row, i in enumerate(knots):
+        signs, states = outcomes[i]
+        assert (2 * positive[row].astype(int) - 1).tolist() == signs
+        assert (x[row] + 1).tolist() == states
+
+
+# Batches that break the link refusal in row 1 and the o1 invariant of word
+# diagrams in row 2; the message names the row under python -O too.
+BAD_BATCHES = {
+    "link": ("aaa aab aba", "AAB", False,
+             "row 1: diagram is a link; cannot orient by one traversal"),
+    "o1": ("aaa abb aaa", "AAB", True,
+           "row 2: state right of crossing 1 must be o1, got o3"),
+}
+
+
+@pytest.mark.parametrize("words, closures, word_rows, message", BAD_BATCHES.values(),
+                         ids=BAD_BATCHES.keys())
+def test_scan_refuses_bad_rows_under_optimize_flag(words, closures, word_rows, message):
+    code = ("import numpy as np\n"
+            "from twobridge.diagram import scan\n"
+            f"letters = np.array({letter_array(words.split()).tolist()}, np.int8)\n"
+            f"closure_b = np.array({[int(c == 'B') for c in closures]}, np.int8)\n"
+            "try:\n"
+            f"    scan(letters, closure_b, words={word_rows})\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(D.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
+
+
+@pytest.mark.parametrize("table, letter, entry", [
+    ("STATE_AFTER", "a", (0, 1, 2, 3)),      # 'a' no longer swaps states 2, 3
+    ("STEP", "b", (None, (-1, 2), (1, 1), (1, 3))),  # a wrong sign
+    ("STEP", "a", (None, (-1, 1), (1, 2), (1, 2))),  # a wrong state after
+])
+def test_reflection_check_refuses_inconsistent_tables(monkeypatch, table, letter, entry):
+    monkeypatch.setitem(getattr(D, table), letter, entry)
+    with pytest.raises(ValueError, match=f"letter '{letter}'"):
+        D._check_reflections()
+
+
 def test_scan_matches_oracle_on_long_random_words():
     rng = random.Random(20240)
-    for _ in range(200):
-        c = rng.randint(60, 250)
+    for i in range(201):
+        # The last word is longer than the precomputed weights of the scan.
+        c = rng.randint(60, 250) if i < 200 else D._TURN.size + 1
         mask = rng.getrandbits(c - 2)
         while (c + mask.bit_count()) % 3 != 1:
             mask = rng.getrandbits(c - 2)

@@ -2,15 +2,18 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twobridge import budget
+from twobridge import diagram as D
 from twobridge import sigtables as S
 from twobridge import words as W
 from twobridge.budget import BudgetError
@@ -89,6 +92,47 @@ def test_enumeration_budget_refusal():
         S.histogram_enumerated(budget.ENUMERATION_BUDGET + 1)
     with pytest.raises(ValueError):
         S.histogram_enumerated(2)
+
+
+def braid_of_row(row):
+    return "".join("ab"[k] for k in row.tolist())
+
+
+def test_letter_rows_are_the_braid_words_of_their_masks():
+    for c in range(3, 17):
+        rows = S._letter_rows(c, np.arange(1 << (c - 2)))
+        kept = [m for m in range(1 << (c - 2)) if (c + m.bit_count()) % 3 == 1]
+        assert rows.shape == (len(kept), c) == (W.word_count(c), c)
+        for m, row in zip(kept, rows):
+            assert braid_of_row(row) == W.to_braid(W.word_from_interior_bits(c, m)), (c, m)
+
+
+def test_letter_rows_on_random_masks_at_c22():
+    rng = random.Random(22)
+    masks = [rng.getrandbits(20) for _ in range(6000)]
+    kept = [m for m in masks if (22 + m.bit_count()) % 3 == 1]
+    rows = S._letter_rows(22, np.array(masks))
+    assert len(rows) == len(kept) >= 2000
+    for m, row in zip(kept, rows):
+        assert braid_of_row(row) == W.to_braid(W.word_from_interior_bits(22, m)), m
+
+
+@pytest.mark.parametrize("c", range(17, 21))
+def test_enumerated_rows_past_the_table_match_the_recursion(c, rec20):
+    assert S.histogram_enumerated(c) == rec20[c]
+
+
+def test_enumeration_makes_no_per_word_diagram_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("histogram_enumerated must score words in batches")
+
+    # Patched wherever enumeration could reach them: the diagram module and
+    # any name sigtables imports from it.
+    for module in (D, S):
+        for name in ("signature", "metrics_for_word", "metrics_for_braid", "orient_diagram"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert S.histogram_enumerated(14) == TABLE[14]
+    assert S.histogram_enumerated(18, workers=1) == S.recursed_table(18)[18]
 
 
 def test_workers_shard_agrees_with_serial():
@@ -185,6 +229,20 @@ def test_totals_examples():
 def test_totals_asymptote_field():
     r = S.totals((8,))[8]
     assert r.asymptote == pytest.approx(math.sqrt(16 / math.pi), rel=1e-12)
+
+
+# avg|sigma|(6) = 4 / (2 * 3) = 2/3, also when written 4/6; a denominator
+# that divides 6 under the wrong numerator, and one that does not divide 6
+# (4/5 even has 4 * (6 // 5) = 4), are refused.
+@pytest.mark.parametrize("avg, ok", [(Fraction(2, 3), True), (Fraction(4, 6), True),
+                                     (Fraction(1, 3), False), (Fraction(4, 7), False),
+                                     (Fraction(4, 5), False), (Fraction(2, 1), False)])
+def test_totals_report_checks_its_average(avg, ok):
+    if ok:
+        assert S.TotalsReport(6, 4, 0, avg, 1.95).avg_abs_sigma == Fraction(2, 3)
+    else:
+        with pytest.raises(ValueError, match="avg_abs_sigma"):
+            S.TotalsReport(6, 4, 0, avg, 1.95)
 
 
 def test_totals_build_no_table(monkeypatch, pal400):
