@@ -203,9 +203,10 @@ def _start_state(closure: str, index: int) -> int:
     return perm.index(cap[0] + cap[1] - perm[2])
 
 
-#: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q)
+#: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q), read
+#: flat at 6 [closure is B] + 3 (c mod 2) + Q
 _START = np.array([[[_start_state(closure, _S3_OF[parity][q]) for q in range(3)]
-                    for parity in (0, 1)] for closure in "AB"], np.int32)
+                    for parity in (0, 1)] for closure in "AB"], np.int32).ravel()
 
 
 def plat_component_count(d: PlatDiagram) -> int:
@@ -234,13 +235,15 @@ def scan(letters: np.ndarray, closure_b, *, words: bool = False
     x = np.zeros((n, c + 1), np.int32)
     np.multiply(letters, turn[1:], out=x[:, 1:])
     np.add.accumulate(x, axis=1, out=x)
-    x0 = _START[closure_b, c % 2, x[:, -1] % 3]
+    x0 = _START.take(x[:, -1] % 3 + (6 * closure_b + 3 * (c % 2)))
     x += x0[:, None]
     x *= turn
     x %= 3
-    # Python's min and any on lists: on one row they cost less than numpy
-    # reductions, and a one-row call is what decompose makes per word.
-    if min(x0.tolist(), default=0) < 0 or words and any(x[:, 1].tolist()):
+    # A link's x_0 = -1 is 2 mod 3, which leaves x_1 at 1 or 2 whatever the
+    # first letter, so on word rows the o1 check refuses links as well.
+    # Python's any and min on lists cost less than numpy reductions on the
+    # one row that decompose scores per word.
+    if any(x[:, 1].tolist()) if words else min(x0.tolist(), default=0) < 0:
         row = int(((x0 < 0) | (words & (x[:, 1] != 0))).argmax())
         where = f"row {row}: " if n > 1 else ""
         if x0[row] < 0:

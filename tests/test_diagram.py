@@ -233,11 +233,16 @@ def test_scan_matches_oracle_on_braid_word_batches(batch):
         assert (x[row] + 1).tolist() == states
 
 
-# Batches that break the link refusal in row 1 and the o1 invariant of word
-# diagrams in row 2; the message names the row under python -O too.
+# Batches that break the link refusal in row 1, also as word rows (links
+# whose first letter is 'a' and 'b'), and the o1 invariant of word diagrams
+# in row 2; the message names the row under python -O too.
 BAD_BATCHES = {
     "link": ("aaa aab aba", "AAB", False,
              "row 1: diagram is a link; cannot orient by one traversal"),
+    "link-word-a": ("aaa aab aba", "AAB", True,
+                    "row 1: diagram is a link; cannot orient by one traversal"),
+    "link-word-b": ("aaa baa", "AA", True,
+                    "row 1: diagram is a link; cannot orient by one traversal"),
     "o1": ("aaa abb aaa", "AAB", True,
            "row 2: state right of crossing 1 must be o1, got o3"),
 }
