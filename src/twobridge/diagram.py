@@ -216,47 +216,55 @@ def plat_component_count(d: PlatDiagram) -> int:
 
 def scan(letters: np.ndarray, closure_b, *, words: bool = False
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Orient n diagrams of c crossings each at once.
+    """Orient one diagram, or a batch of n diagrams of c crossings each.
 
-    ``letters`` is an (n, c) int8 array, 0 for 'a' and 1 for 'b', and
-    ``closure_b`` an (n,) int8 array, or one int for every row, that is 1
-    where the right closure is B.  Returns (positive, x): an (n, c) bool
-    array, true where the crossing is positive, and the (n, c + 1) cut
-    states of ``orient_diagram`` less one.  A row that closes to a link
-    raises ValueError, and with ``words`` so does a row whose state right
-    of crossing 1 is not o1, as in every word diagram; the message names
-    the first bad row of a batch.
+    ``letters`` holds braid letters, 0 for 'a' and 1 for 'b', as a (c,)
+    int8 array or an (n, c) one, and ``closure_b`` is 1 where the right
+    closure is B: one int, or an (n,) int8 array for a batch.  Returns
+    (positive, x): the bool array, true where the crossing is positive, and
+    the cut states of ``orient_diagram`` less one, one column longer.  A
+    diagram that closes to a link raises ValueError, and with ``words`` so
+    does one whose state right of crossing 1 is not o1, as in every word
+    diagram; the message of a batch names its first bad row.
     """
-    n, c = letters.shape
+    c = letters.shape[-1]
     # _TURN has even length, so np.resize continues it for longer words.
     turn = _TURN[:c + 1] if c < _TURN.size else np.resize(_TURN, c + 1)
     # Q_j on cut j, then x_j = (-1)^j (x_0 + Q_j); int32 holds the at most
     # 4c + 4 of the unreduced terms for any c below 5 * 10^8.
-    x = np.zeros((n, c + 1), np.int32)
-    np.multiply(letters, turn[1:], out=x[:, 1:])
-    np.add.accumulate(x, axis=1, out=x)
-    x0 = _START.take(x[:, -1] % 3 + (6 * closure_b + 3 * (c % 2)))
-    x += x0[:, None]
+    x = np.zeros(letters.shape[:-1] + (c + 1,), np.int32)
+    np.multiply(letters, turn[1:], out=x[..., 1:])
+    np.add.accumulate(x, axis=-1, out=x)
+    offset = 6 * closure_b + 3 * (c % 2)
+    one = x.ndim == 1
+    if one:
+        # One diagram keeps its per-row values as Python ints: numpy calls
+        # on single values would cost more than the rest of its scan.
+        x0 = int(_START[offset + int(x[-1]) % 3])
+        x += x0
+    else:
+        x0 = _START.take(x[:, -1] % 3 + offset)
+        x += x0[:, None]
     x *= turn
     x %= 3
+    starts, firsts = ([x0], [int(x[1])]) if one else (x0.tolist(), x[:, 1].tolist())
     # A link's x_0 = -1 is 2 mod 3, which leaves x_1 at 1 or 2 whatever the
     # first letter, so on word rows the o1 check refuses links as well.
-    # Python's any and min on lists cost less than numpy reductions on the
-    # one row that decompose scores per word.
-    if any(x[:, 1].tolist()) if words else min(x0.tolist(), default=0) < 0:
-        row = int(((x0 < 0) | (words & (x[:, 1] != 0))).argmax())
-        where = f"row {row}: " if n > 1 else ""
-        if x0[row] < 0:
+    if any(firsts) if words else min(starts, default=0) < 0:
+        row = next(i for i, (start, first) in enumerate(zip(starts, firsts))
+                   if start < 0 or words and first)
+        where = "" if one else f"row {row}: "
+        if starts[row] < 0:
             raise ValueError(where + "diagram is a link; cannot orient by one traversal")
         raise ValueError(where + "state right of crossing 1 must be o1, "
-                         f"got o{x[row, 1] + 1}")
-    return x[:, :-1] > letters, x
+                         f"got o{firsts[row] + 1}")
+    return x[..., :-1] > letters, x
 
 
 def _one_row(d: PlatDiagram, *, words: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``scan`` of one diagram, whose letters were validated with it."""
     letters = np.frombuffer(d.letters.encode().translate(_CODES), np.int8)
-    return scan(letters.reshape(1, -1), int(d.closure == "B"), words=words)
+    return scan(letters, int(d.closure == "B"), words=words)
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
@@ -269,7 +277,7 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     (j = 0..n) is the strand oriented leftward on cut line j.
     """
     positive, x = _one_row(d)
-    return (2 * positive[0].view(np.int8) - 1).tolist(), (x[0] + 1).tolist()
+    return (2 * positive.view(np.int8) - 1).tolist(), (x + 1).tolist()
 
 
 def s3_index(letters: str, index: int = 0) -> int:

@@ -223,7 +223,7 @@ def test_scan_matches_oracle_on_braid_word_batches(batch):
     if links:
         with pytest.raises(ValueError) as refused:
             D.scan(letters, closure_b)
-        where = f"row {links[0]}: " if len(batch) > 1 else ""
+        where = f"row {links[0]}: "
         assert str(refused.value) == where + "diagram is a link; cannot orient by one traversal"
     knots = [i for i, o in enumerate(outcomes) if o != "link"]
     positive, x = D.scan(letters[knots], closure_b[knots])
@@ -235,8 +235,11 @@ def test_scan_matches_oracle_on_braid_word_batches(batch):
 
 # Batches that break the link refusal in row 1, also as word rows (links
 # whose first letter is 'a' and 'b'), and the o1 invariant of word diagrams
-# in row 2; the message names the row under python -O too.
+# in row 2; the message names the row under python -O too.  A single
+# diagram (a 1-d letter array) keeps the message of orient_diagram.
 BAD_BATCHES = {
+    "link-one": ("aab", "A", False, "diagram is a link; cannot orient by one traversal"),
+    "o1-one": ("aaa", "B", True, "state right of crossing 1 must be o1, got o3"),
     "link": ("aaa aab aba", "AAB", False,
              "row 1: diagram is a link; cannot orient by one traversal"),
     "link-word-a": ("aaa aab aba", "AAB", True,
@@ -251,10 +254,14 @@ BAD_BATCHES = {
 @pytest.mark.parametrize("words, closures, word_rows, message", BAD_BATCHES.values(),
                          ids=BAD_BATCHES.keys())
 def test_scan_refuses_bad_rows_under_optimize_flag(words, closures, word_rows, message):
+    letters = letter_array(words.split())
+    closure_b = [int(c == "B") for c in closures]
+    if len(letters) == 1:
+        letters, closure_b = letters[0], closure_b[0]
     code = ("import numpy as np\n"
             "from twobridge.diagram import scan\n"
-            f"letters = np.array({letter_array(words.split()).tolist()}, np.int8)\n"
-            f"closure_b = np.array({[int(c == 'B') for c in closures]}, np.int8)\n"
+            f"letters = np.array({letters.tolist()}, np.int8)\n"
+            f"closure_b = np.array({closure_b}, np.int8)\n"
             "try:\n"
             f"    scan(letters, closure_b, words={word_rows})\n"
             "except ValueError as refused:\n"
