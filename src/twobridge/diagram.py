@@ -39,12 +39,12 @@ come from one prefix sum per word, with no graph and no loop over letters:
   gap between consecutive 'a's closes one circle, and the closure adds
   one more outer circle when it is B.
 
-``scan`` runs this on a whole (n, c) array of braid letters at once, one
-closure per row; ``orient_diagram`` and ``metrics_for_braid`` are its
-one-row calls, and ``sigtables`` scores whole signature rows with it.
-``s3_index`` reads Q_c off the letter counts of the two parities.  The two
-reflections and the sign rule are checked against ``STATE_AFTER`` and
-``STEP`` at import.
+``scan`` runs this on one diagram's letters or on a whole (n, c) array of
+them at once, one closure per row; ``orient_diagram`` and
+``metrics_for_braid`` are its one-row calls, and ``sigtables`` scores whole
+signature rows with it.  ``s3_index`` reads Q_c off the letter counts of the
+two parities.  The two reflections and the sign rule are checked against
+``STATE_AFTER`` and ``STEP`` at import.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
