@@ -24,11 +24,10 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
 G4_WORK_BUDGET = 1 << 27
-#: 30-70 ns per unit at the largest t of each small s, most at s = 1:
-#: ``walk-sim --s 1 --t 2174 --exact`` takes 9.2 s, ``--s 2 --t 976`` 4.8 s,
-#: ``--s 3 --t 841`` 4.6 s, ``--s 4 --t 499`` 4.2 s and ``--s 3 --t 333``
-#: 0.6 s; ``(4, 1000)``, refused, 27 s
-WALK_WORK_BUDGET = 1 << 27
+#: 25-35 ns per unit, most at s = 1 and odd s: the largest t at each s takes
+#: 6.6-10.1 s, ``walk-sim --s 1 --t 2215 --exact`` 10.1 s, ``--s 4 --t 785``
+#: 6.6 s and ``--s 5 --t 977`` 9.9 s; ``(4, 1000)``, refused, 14.7 s
+WALK_WORK_BUDGET = 5 << 26
 #: about 4 us per table entry: ``per_class_moments(18, 1)`` takes 3.2 s, and
 #: ``(20, 1)``, refused, took 13 s at a peak of 0.6 GB
 CLASS_LISTING_BUDGET = 1 << 21
@@ -37,8 +36,9 @@ CLASS_LISTING_BUDGET = 1 << 21
 #: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
 #: --trials 50000`` 0.9 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
-#: about 11-18 us per block: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
-#: ``--s 6 --kmax 1365`` 8.0 s and ``--s 18 --kmax 227`` 9.4 s
+#: about 9-18 us per unit: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
+#: ``--s 6 --kmax 6588`` 5.5 s, ``--s 18 --kmax 1568`` 7.7 s and ``--s 1
+#: --kmax 30783`` 6.2 s
 MARKOV_WORK_BUDGET = 1 << 19
 
 # A row of avg-sig (its Fraction, checked once more by its report, two
@@ -49,14 +49,18 @@ _ROW_SHARE = 16
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
 _MAX_LAW_KEYS = 54
 _TABLE_ENTRY_WORK = 1 << 10
-# A letter step of the walk DP costs ~15 us beyond its cells, as much as
-# 512 of them, and a cell costs one unit more for every 1024 bits of its
+# A block of the walk DP costs ~100 us beyond its element operations (the
+# numpy calls of its step and of its own and mirror moves), as much as 4096
+# of them, and an operation costs one unit more for every 1024 bits of its
 # exact ints, which have up to s * t bits.
-_LETTER_STEP_WORK = 512
+_BLOCK_WORK = 4096
 _CELL_BITS = 1024
-# A matrix power, taken from the previous one and compared with its closed
-# form, costs ~0.7 ms up to s * kmax = 8000, as much as 64 blocks.
-_POWER_WORK = 64
+# A matrix power of the Markov checks, taken from the previous one and
+# compared with its closed form, costs ~30 us, as much as 2 blocks, and
+# one block more for every 1024 bits of its exponent n = k s (its entries
+# have n bits).
+_POWER_WORK = 2
+_POWER_BITS = 1024
 
 
 class BudgetError(RuntimeError):
@@ -160,26 +164,39 @@ def check_g4(c: int, s: int) -> None:
         _check(_g4_cells(c, s), *message, shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
-def _walk_groups(s: int) -> int:
+def _walk_groups(s: int) -> tuple[int, int]:
     """The walk DP's rows, one per signature group
-    (``markov._signature_groups``): 3 at s = 1, 8 at s = 2, and 6 at odd
-    and 15 at even s from 3 on."""
-    return 3 if s == 1 else 8 if s == 2 else 6 if s % 2 else 15
+    (``markov._signature_groups``), and how many are palindromic-type: 3 and
+    0 at s = 1, 8 and 6 at s = 2, and from s = 3 on 6 and 0 at odd and 15
+    and 9 at even s."""
+    return (3, 0) if s == 1 else (8, 6) if s == 2 else (6, 0) if s % 2 else (15, 9)
+
+
+def _walk_ops(s: int) -> int:
+    """Element operations per displacement of a block, summed over the walk
+    DP's rows: 3 for the step at s = 1 (one letter over 3 states) and from
+    s = 2 on 6 (three sums, their product by c_s, three adds) plus one per
+    32 bits of c_s, 2 for the own move, and 2 more for the mirror's unless
+    the row is palindromic-type."""
+    rows, palindromic = _walk_groups(s)
+    step = 3 if s == 1 else 6 + s // 32
+    return rows * (step + 2) + 2 * (rows - palindromic)
 
 
 def walk_work(s: int, t: int) -> int:
-    """The exact walk DP's s t letter steps, plus its cells: 3 states and
-    2k + 3 displacements per group at each letter of block k, 3 s t (t + 2)
-    per group in all, each weighted by 1 + s t / 1024 for the size of its
-    ints."""
-    cells = _walk_groups(s) * 3 * s * t * (t + 2)
-    return _LETTER_STEP_WORK * s * t + cells * (_CELL_BITS + s * t) // _CELL_BITS
+    """The exact walk DP's t blocks, plus _walk_ops(s) element operations
+    at each of the 2k + 3 displacements of block k, t (t + 2) in all, each
+    weighted by 1 + s t / 1024 for the size of its ints, plus s^2 / 128 for
+    the S3 block counts of the signature groups (s steps on s-bit ints)."""
+    ops = _walk_ops(s) * t * (t + 2)
+    return (_BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
+            + s * s // 128)
 
 
 def check_walk(s: int, t: int) -> None:
     _check(walk_work(s, t), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
            "(sample it with monte_carlo_distance: walk-sim without --exact)",
-           "letter steps and DP cells (walk_work)")
+           "work units for its blocks and element operations (walk_work)")
 
 
 def check_class_listing(s: int) -> None:
@@ -195,9 +212,18 @@ def check_monte_carlo(s: int, t: int, trials: int) -> None:
            "table entries and blocks", shift=(3, s))
 
 
+def markov_work(s: int, kmax: int) -> int:
+    """The power checks' work for every block size up to s and k <= kmax:
+    _POWER_WORK per power, plus its exponent n = k s' over _POWER_BITS,
+    summed in closed form; the 2^s blocks are charged apart."""
+    exponents = s * (s + 1) * kmax * (kmax + 1) // 4
+    return _POWER_WORK * s * kmax + exponents // _POWER_BITS
+
+
 def check_markov(s: int, kmax: int) -> None:
-    """2^s blocks for the empirical matrix, plus s * kmax closed-form powers."""
-    _check(_POWER_WORK * s * kmax, MARKOV_WORK_BUDGET,
+    """2^s blocks for the empirical matrix, plus the power checks
+    (``markov_work``)."""
+    _check(markov_work(s, kmax), MARKOV_WORK_BUDGET,
            f"the transition-matrix checks at s={s}, kmax={kmax}",
-           f"block units (2^s blocks, {_POWER_WORK} per closed-form power)",
+           "block units (2^s blocks and the matrix powers, markov_work)",
            shift=(1, s))

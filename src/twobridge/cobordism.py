@@ -45,7 +45,7 @@ import numpy as np
 from . import budget
 from .diagram import (COMPONENTS, CROSSING_PAIR, S3, STATE_AFTER, metrics_for_braid,
                       s3_index)
-from .markov import displacement_laws, residual_count
+from .markov import displacement_laws, letter_steps, residual_count
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -532,9 +532,10 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
 
     The joint law of (DP state, D_w) over the cores, one row per law key,
     is ``markov.displacement_laws`` over the nine DP states, from state
-    0 = _dp_state(1, 0), with the letter steps of ``_letter_sources``.  A
-    block adds its interior length at the parity it starts on to every
-    interior length mod 3.
+    0 = _dp_state(1, 0), with s letter steps of ``_letter_sources`` per
+    block (``markov.letter_steps``: at the block sizes of the mean, 3 or
+    4, a 9 x 9 block step costs more).  A block adds its interior length at the parity it
+    starts on to every interior length mod 3.
     """
     if not weights:
         return 0
@@ -548,8 +549,9 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
                  _dp_state(end[:, None], lengths + step[:, None])) for step in steps]
 
     sources = [(_letter_sources(p, "a"), _letter_sources(p, "b")) for p in (0, 1)]
-    law = displacement_laws(s, t, sources, moves(*keys[:, 0:2].T, keys[:, 2:4].T),
-                            moves(*keys[:, 4:6].T, keys[:, 6:8].T), pal)
+    law = displacement_laws(s, t, letter_steps(s, sources),
+                            moves(*keys[:, 0:2].T, keys[:, 2:4].T),
+                            moves(*keys[:, 4:6].T, keys[:, 6:8].T), pal, states=9)
     by_length = law.reshape(len(keys), 3, 3, -1).sum(axis=1)
     per_core = (by_length * np.array(tails, dtype=object)[:, None]).sum(axis=1)
     totals = (per_core * residual_count(np.arange(-t, t + 1), pal[:, None])).sum(axis=1)

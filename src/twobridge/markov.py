@@ -3,9 +3,12 @@
 Reading a block of s uniformly random braid letters moves the orientation
 state at a cut by a Markov chain on {1, 2, 3}: each letter either fixes the
 state or transposes it with a neighbour, so the one-letter step matrix is
-(1/2) M with M = [[1,1,0],[1,0,1],[0,1,1]].  The s-letter transition matrix
-(1/2^s) M^s has an exact closed form and contracts toward the uniform
-distribution at rate 2^(-s).
+(1/2) M with M = [[1,1,0],[1,0,1],[0,1,1]].  M = B - J, with B the all-ones
+matrix and J the flip 1 <-> 3, so M^n = (-J)^n + c_n B with
+c_n = (2^n - (-1)^n) / 3, and the s-letter transition matrix (1/2^s) M^s
+contracts toward the uniform distribution at rate 2^(-s).  The checks of
+these facts compare count matrices 2^n P^n, exact ints: the power of M, the
+counts over all 2^s blocks, the closed form and its row spreads.
 
 Cutting a long word into t blocks of s letters yields t summands
 (orientation state, block).  Mirror cancellation turns the summand
@@ -17,10 +20,13 @@ the (start, end) states of the class and of its mirror, and its type.
 Classes are grouped by signature, and ``_signature_groups`` counts the
 classes of each group from S3 block counts in O(s) integer steps, with no
 block listed.  One exact integer dynamic program, ``displacement_laws``,
-steps (orientation state, D_w) for every group letter by letter across the
-t uniform blocks: O(s t^2) steps instead of a sum over all 2^(s t) block
-sequences (the tests keep that enumeration as the oracle).  Over nine
-states it also gives the residual term of ``cobordism.average_g4_row``.
+steps (orientation state, D_w) for every group across the t uniform
+blocks, one block step per block: O(t^2) cells instead of a sum over all
+2^(s t) block sequences (the tests keep that enumeration as the oracle).
+The walk's block step applies M^s by its closed form, about two element
+operations per cell whatever s (at s = 1 one letter is cheaper).  Over
+nine states, with s letter steps per block (``letter_steps``), it also
+gives the residual term of ``cobordism.average_g4_row``.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -54,6 +60,7 @@ from . import budget
 from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
+IntMatrix = tuple[tuple[int, int, int], ...]
 
 # The most blocks (at least one walk) that Monte Carlo sampling draws and
 # scores at once.  The kernel's step count does not grow with a chunk, so a
@@ -73,104 +80,106 @@ _S3_BEFORE = tuple(zip(S3_AFTER["a"], S3_AFTER["b"]))
 _CODE_WEIGHTS = np.array([54, 18, 6, 2, 1], dtype=np.int64)
 
 
-def identity_matrix() -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+def identity_matrix() -> IntMatrix:
+    return tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
 
 
-def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
+def matrix_multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    columns = list(zip(*b))
+    return tuple([tuple([x * p + y * q + z * r for p, q, r in columns])
+                  for x, y, z in a])
+
+
+def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
+    result = identity_matrix()
+    while k:
+        if k & 1:
+            result = matrix_multiply(result, a)
+        k >>= 1
+        if k:
+            a = matrix_multiply(a, a)
+    return result
+
+
+def _letter_counts() -> IntMatrix:
+    """M[i][j] = number of letters moving state i+1 to j+1."""
+    counts = [[0] * 3 for _ in range(3)]
+    for after in STATE_AFTER.values():
+        for state in (1, 2, 3):
+            counts[state - 1][after[state] - 1] += 1
+    return tuple(map(tuple, counts))
+
+
+def _block_counts(s: int) -> IntMatrix:
+    """Number of the 2^s letter blocks moving state i+1 to j+1, each block
+    listed."""
+    counts = [[0] * 3 for _ in range(3)]
+    for bits in range(2 ** s):
+        block = "".join("ab"[(bits >> (s - 1 - j)) & 1] for j in range(s))
+        for state in (1, 2, 3):
+            counts[state - 1][orientation_after(state, block) - 1] += 1
+    return tuple(map(tuple, counts))
+
+
+def _power_parts(n: int) -> tuple[int, int]:
+    """(c_n, (-1)^n) with c_n = (2^n - (-1)^n) / 3."""
+    sign = -1 if n % 2 else 1
+    return (2 ** n - sign) // 3, sign
+
+
+def _closed_form(n: int) -> IntMatrix:
+    """M^n = (-J)^n + c_n B, with B the all-ones matrix, J the flip
+    1 <-> 3 (the anti-diagonal permutation) and (c_n, (-1)^n) from
+    ``_power_parts``: M = B - J, and B J = J B = B, B^2 = 3 B."""
+    bulk, sign = _power_parts(n)
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        tuple(bulk + sign * (j == (2 - i if n % 2 else i)) for j in range(3))
         for i in range(3)
     )
 
 
-def matrix_power(a: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    result = identity_matrix()
-    base = a
-    while k:
-        if k & 1:
-            result = matrix_multiply(result, base)
-        base = matrix_multiply(base, base)
-        k >>= 1
-    return result
-
-
-def step_matrix() -> Matrix:
-    """Letter counts M[i][j] = number of letters moving state i+1 to j+1."""
-    counts = [[0] * 3 for _ in range(3)]
-    for state in (1, 2, 3):
-        for letter in "ab":
-            counts[state - 1][orientation_after(state, letter) - 1] += 1
-    return tuple(tuple(Fraction(n) for n in row) for row in counts)
+def _scaled(counts: IntMatrix, n: int) -> Matrix:
+    """counts / 2^n as exact fractions."""
+    return tuple(tuple(Fraction(x, 2 ** n) for x in row) for row in counts)
 
 
 def transition_matrix(s: int) -> Matrix:
     """Orientation-state transition probabilities across s random letters."""
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
-    power = matrix_power(step_matrix(), s)
-    scale = Fraction(1, 2 ** s)
-    return tuple(tuple(scale * x for x in row) for row in power)
-
-
-def empirical_transition_matrix(s: int) -> Matrix:
-    """Transition frequencies measured over all 2^s letter blocks."""
-    if s < 1:
-        raise ValueError(f"block size must be at least 1, got {s}")
-    counts = [[0] * 3 for _ in range(3)]
-    for bits in range(2 ** s):
-        block = "".join("ab"[(bits >> (s - 1 - j)) & 1] for j in range(s))
-        for state in (1, 2, 3):
-            counts[state - 1][orientation_after(state, block) - 1] += 1
-    scale = Fraction(1, 2 ** s)
-    return tuple(tuple(scale * n for n in row) for row in counts)
+    return _scaled(matrix_power(_letter_counts(), s), s)
 
 
 def power_closed_form(s: int, k: int) -> Matrix:
     """Closed form for the k-th power of the block transition matrix.
 
-    With n = k s: for odd n every entry is (1 + 2^(-n)) / 3 except the
-    anti-diagonal ones at (1 - 2^(1-n)) / 3; for even n the diagonal holds
-    (1 + 2^(1-n)) / 3 and everything else (1 - 2^(-n)) / 3.  (The residual
-    permutation term (-J)^n alternates between minus the anti-diagonal flip
-    and the identity.)  k = 0 gives the identity.
+    With n = k s it is M^n / 2^n (``_closed_form``): for odd n every entry
+    is (1 + 2^(-n)) / 3 except the anti-diagonal ones at (1 - 2^(1-n)) / 3;
+    for even n the diagonal holds (1 + 2^(1-n)) / 3 and everything else
+    (1 - 2^(-n)) / 3.  k = 0 gives the identity.
     """
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    if k == 0:
-        return identity_matrix()
-    n = k * s
-    magnitude = Fraction(1, 2 ** n)
-    if n % 2:
-        base = (1 + magnitude) / 3
-        return tuple(
-            tuple(base - magnitude if i + j == 2 else base for j in range(3))
-            for i in range(3)
-        )
-    base = (1 - magnitude) / 3
-    return tuple(
-        tuple(base + magnitude if i == j else base for j in range(3))
-        for i in range(3)
-    )
+    return _scaled(_closed_form(k * s), k * s)
 
 
 def verify_empirical(s: int) -> bool:
-    """Exact matrix power equals exhaustive block frequencies."""
-    return transition_matrix(s) == empirical_transition_matrix(s)
+    """The matrix power M^s equals the counts over all 2^s blocks."""
+    return matrix_power(_letter_counts(), s) == _block_counts(s)
 
 
 def verify_closed_form(s_max: int, k_max: int) -> bool:
-    """Each power P^k, k <= k_max, taken from P^(k-1), equals the closed form."""
+    """Each power (M^s)^k, k <= k_max, taken from (M^s)^(k-1), equals the
+    closed form at n = k s."""
     for s in range(1, s_max + 1):
-        p = transition_matrix(s)
+        p = matrix_power(_letter_counts(), s)
         power = identity_matrix()
         for k in range(0, k_max + 1):
-            if power != power_closed_form(s, k):
+            if power != _closed_form(k * s):
                 return False
             power = matrix_multiply(power, p)
     return True
@@ -178,24 +187,13 @@ def verify_closed_form(s_max: int, k_max: int) -> bool:
 
 def verify_power_identity(r_max: int) -> bool:
     """M^r = (-J)^r + (2^r - (-1)^r)/3 * B with J the anti-diagonal
-    permutation matrix and B the all-ones matrix, checked exactly."""
-    m = step_matrix()
-    for r in range(0, r_max + 1):
-        bulk = Fraction(2 ** r - (-1) ** r, 3)
-        if r % 2:
-            expected = tuple(
-                tuple(bulk - (i + j == 2) for j in range(3)) for i in range(3)
-            )
-        else:
-            expected = tuple(
-                tuple(bulk + (i == j) for j in range(3)) for i in range(3)
-            )
-        if matrix_power(m, r) != expected:
-            return False
-    return True
+    permutation matrix and B the all-ones matrix, each M^r by repeated
+    squaring."""
+    m = _letter_counts()
+    return all(matrix_power(m, r) == _closed_form(r) for r in range(0, r_max + 1))
 
 
-def _row_spread(p: Matrix) -> Fraction:
+def _row_spread(p: IntMatrix) -> int:
     """Largest within-row spread of a matrix."""
     return max(
         abs(p[i][j] - p[i][l])
@@ -205,17 +203,19 @@ def _row_spread(p: Matrix) -> Fraction:
 
 def contraction_gap(s: int, k: int) -> Fraction:
     """Largest within-row spread of the k-step block transition matrix."""
-    return _row_spread(matrix_power(transition_matrix(s), k))
+    power = matrix_power(matrix_power(_letter_counts(), s), k)
+    return Fraction(_row_spread(power), 2 ** (k * s))
 
 
 def verify_contraction(s_max: int, k_max: int) -> bool:
     """Row spreads shrink at least geometrically: gap(s, k) <= 2^(-k s),
-    with each power taken from the previous one."""
+    that is a spread of at most 1 in (M^s)^k, with each power taken from
+    the previous one."""
     for s in range(1, s_max + 1):
-        p = transition_matrix(s)
+        p = matrix_power(_letter_counts(), s)
         power = p
         for k in range(1, k_max + 1):
-            if _row_spread(power) > Fraction(1, 2 ** (k * s)):
+            if _row_spread(power) > 1:
                 return False
             power = matrix_multiply(power, p)
     return True
@@ -388,30 +388,65 @@ def residual_count(d, pal):
     return np.where(pal, d & 1, np.abs(d))
 
 
-def displacement_laws(s: int, t: int, sources, own, mirror, pal: np.ndarray
-                      ) -> np.ndarray:
+def letter_steps(s: int, sources):
+    """The block step of ``displacement_laws`` as s letter steps.
+
+    ``sources[p]`` holds the (a, b) gather indices of a letter at position
+    parity p: entry j is the state that the letter moves to j.
+    """
+    def step(before: np.ndarray, parity: int) -> np.ndarray:
+        after = before
+        for i in range(s):
+            a, b = sources[(parity + i) % 2]
+            after = after[:, a] + after[:, b]
+        return after
+    return step
+
+
+def _block_step(s: int):
+    """The walk's block step by the closed form of M^s, the letter counts
+    over a block: M^s = c_s B + (-J)^s (``_closed_form``), so state i
+    after the block holds c_s times the sum over the three states before
+    it, plus (-1)^s the state J^s i before it.  About two element
+    operations per cell, against s gathers and adds for ``letter_steps``.
+
+    The integer M^s, a power of the letter counts, must equal the closed
+    form, or ValueError is raised.
+    """
+    if matrix_power(_letter_counts(), s) != _closed_form(s):
+        raise ValueError(f"M^{s} differs from its closed form")
+    bulk, sign = _power_parts(s)
+
+    def step(before: np.ndarray, parity: int) -> np.ndarray:
+        total = bulk * (before[:, 0] + before[:, 1] + before[:, 2])
+        if sign < 0:  # J reverses the three states
+            return total[:, None] - before[:, ::-1]
+        return total[:, None] + before
+    return step
+
+
+def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
+                      states: int = 3) -> np.ndarray:
     """law[g, i, t + d] = number of sequences of t blocks of s letters, from
     state 0 and D = 0, that end in state i and displace the class of row g
     by d (its match count if palindromic-type).  Entries are exact ints.
 
-    ``sources[p]`` holds the (a, b) gather indices of a letter at position
-    parity p: entry j is the state that the letter moves to j.  After the
-    s letter steps of block k, at parity p = k s % 2, the row's own block
-    (states ``own[p][0][g]`` to ``own[p][1][g]``, one pair per column) moves
-    from d to d + 1, and its mirror (``mirror[p]``, unless ``pal[g]``) from
-    d to d - 1.  Block k touches only the window d in [-k-1, k+1].
+    ``step(before, parity)`` returns a new (rows, states, window) array:
+    the counts after one block of s letters that starts at a position of
+    the given parity, from the counts ``before`` it.  After the block
+    step of block k, at parity p = k s % 2, the row's own block (states
+    ``own[p][0][g]`` to ``own[p][1][g]``, one pair per column) moves from
+    d to d + 1, and its mirror (``mirror[p]``, unless ``pal[g]``) from d
+    to d - 1.  Block k touches only the window d in [-k-1, k+1].
     """
     rows, paired = np.arange(len(pal)), np.flatnonzero(~pal)
-    law = np.zeros((len(pal), len(sources[0][0]), 2 * t + 1), dtype=object)
+    law = np.zeros((len(pal), states, 2 * t + 1), dtype=object)
     law[:, 0, t] = 1
     for k in range(t):
         parity = k * s % 2
         window = slice(t - k - 1, t + k + 2)
         before = law[:, :, window]
-        after = before
-        for i in range(s):
-            a, b = sources[(parity + i) % 2]
-            after = after[:, a] + after[:, b]
+        after = step(before, parity)
         # The window's ends are still 0 before the block: a roll is a shift.
         for moving, (src, dst), shift in ((rows, own[parity], 1),
                                           (paired, mirror[parity], -1)):
@@ -425,9 +460,11 @@ def displacement_laws(s: int, t: int, sources, own, mirror, pal: np.ndarray
 _Moments = list[tuple[bool, Fraction, Fraction]]
 
 
-def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
-    """Per signature group, its number of classes and (palindromic, E|D_w|,
-    E[D_w^2]) with |D_w| read as the parity bit for palindromic-type classes."""
+def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], list[int]]:
+    """Per signature group: its number of classes, whether it is
+    palindromic-type, and the sums of |D_w| and of D_w^2 over the 2^(s t)
+    block sequences, with |D_w| read as the parity bit for palindromic-type
+    classes."""
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if t < 1:
@@ -437,16 +474,22 @@ def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
     x_c, y_c, x_m, y_m, pal = signatures.T
     pal = pal.astype(bool)
     own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
-    law = displacement_laws(s, t, _LETTER_SOURCES, (own, own), (mirror, mirror),
-                            pal).sum(axis=1)
+    # One letter is cheaper than the closed form's three sums.
+    step = letter_steps(1, _LETTER_SOURCES) if s == 1 else _block_step(s)
+    law = displacement_laws(s, t, step, (own, own), (mirror, mirror), pal).sum(axis=1)
     contribution = residual_count(np.arange(-t, t + 1), pal[:, None])
     abs_totals = (law * contribution).sum(axis=1)
     square_totals = (law * contribution * contribution).sum(axis=1)
+    return sizes, pal.tolist(), abs_totals.tolist(), square_totals.tolist()
+
+
+def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
+    """Per signature group, its number of classes and (palindromic, E|D_w|,
+    E[D_w^2])."""
+    sizes, pals, abs_totals, square_totals = _group_totals(s, t)
     total = 1 << (s * t)
-    return sizes, [
-        (bool(p), Fraction(a, total), Fraction(q, total))
-        for p, a, q in zip(pal.tolist(), abs_totals.tolist(), square_totals.tolist())
-    ]
+    return sizes, [(p, Fraction(a, total), Fraction(q, total))
+                   for p, a, q in zip(pals, abs_totals, square_totals)]
 
 
 def exact_expected_distance(s: int, t: int) -> Fraction:
@@ -457,12 +500,7 @@ def exact_expected_distance(s: int, t: int) -> Fraction:
         raise ValueError(f"step count must be nonnegative, got {t}")
     if t == 0:
         return Fraction(0)
-    return _mean_distance(*_group_moments(s, t))
-
-
-def _mean_distance(sizes: list[int], moments: _Moments) -> Fraction:
-    return sum((n * abs_mean for n, (_, abs_mean, _) in zip(sizes, moments)),
-               Fraction(0))
+    return exact_walk_cell(s, t)[0]
 
 
 def distance_bound(s: int, t: int) -> float:
@@ -541,16 +579,19 @@ def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
 def verify_abs_means(s: int, t: int) -> bool:
     """Every integer-coordinate class satisfies E|D_w| <= 2 sqrt(t / 2^s),
     decided exactly by squaring."""
-    return _abs_means_hold(s, t, _group_moments(s, t)[1])
-
-
-def _abs_means_hold(s: int, t: int, moments: _Moments) -> bool:
-    bound = Fraction(4 * t, 2 ** s)
-    return all(mean * mean <= bound for pal, mean, _ in moments if not pal)
+    return exact_walk_cell(s, t)[1]
 
 
 def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
     """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``, for
-    t >= 1, from one run of the walk DP."""
-    sizes, moments = _group_moments(s, t)
-    return _mean_distance(sizes, moments), _abs_means_hold(s, t, moments)
+    t >= 1, from one run of the walk DP, in integers until the one fraction:
+    with E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t)
+    (``_abs_means_hold``)."""
+    sizes, pals, abs_totals, _ = _group_totals(s, t)
+    expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
+    return expected, _abs_means_hold(s, t, pals, abs_totals)
+
+
+def _abs_means_hold(s: int, t: int, pals: list[bool], abs_totals: list[int]) -> bool:
+    bound = 4 * t << 2 * s * t
+    return all(a * a << s <= bound for p, a in zip(pals, abs_totals) if not p)

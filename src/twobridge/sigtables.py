@@ -51,8 +51,10 @@ Row = dict[int, int]
 # asking for it.
 _POOL_MIN_MASKS = 1 << 16
 # Masks scored per diagram.scan call: at c = 22 its int32 cut states take
-# about 2 MB for the third of them that are words.
-_CHUNK_MASKS = 1 << 16
+# about 0.5 MB for the third of them that are words.  Larger chunks are no
+# faster, and at 2^16 masks they raise the peak of a serial row at c = 22
+# by 6 MB.
+_CHUNK_MASKS = 1 << 14
 
 SCHEMA_VERSION = 1
 
@@ -66,13 +68,14 @@ def _letter_rows(c: int, masks: np.ndarray) -> np.ndarray:
     ``to_braid(word_from_interior_bits(c, mask))``, 0 for 'a' and 1 for 'b'.
 
     Bit c-1-i of a mask is 1 when run i has exponent 2, and such a run
-    takes the other letter than ``_run_letter(i, 1)``.
+    takes the other letter than ``_run_letter(i, 1)``.  A word's length is
+    c plus its mask's bit count, and only the c - 2 interior bits of the
+    kept masks are unpacked, bit 0 first, so into columns c-2 down to 1.
     """
-    bits = np.unpackbits(masks.astype(">u4").view(np.uint8).reshape(-1, 4),
-                         axis=1)[:, 34 - c:]
-    keep = (c + bits.sum(axis=1)) % 3 == 1
-    rows = np.zeros((int(keep.sum()), c), np.int8)
-    rows[:, 1:-1] = bits[keep]
+    kept = masks[(c + np.bitwise_count(masks)) % 3 == 1]
+    rows = np.zeros((kept.size, c), np.int8)
+    rows[:, -2:0:-1] = np.unpackbits(kept.astype("<u4").view(np.uint8).reshape(-1, 4),
+                                     axis=1, count=c - 2, bitorder="little")
     rows ^= np.array([_run_letter(i, 1) == "b" for i in range(1, c + 1)], np.int8)
     return rows
 

@@ -1,10 +1,15 @@
 """Tests for the orientation-state chain and the summand walk."""
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ from twobridge.budget import (
     WALK_WORK_BUDGET,
     BudgetError,
     _walk_groups,
+    check_markov,
     check_monte_carlo,
+    check_walk,
     walk_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
@@ -31,16 +38,15 @@ from twobridge.markov import (
     displacement_laws,
     distance_bound,
     distance_bound_holds,
-    empirical_transition_matrix,
     exact_expected_distance,
     identity_matrix,
+    letter_steps,
     matrix_power,
     monte_carlo_distance,
     oriented_word_key,
     pal_coordinate_count,
     per_class_moments,
     power_closed_form,
-    step_matrix,
     transition_matrix,
     verify_abs_means,
     verify_closed_form,
@@ -49,6 +55,84 @@ from twobridge.markov import (
     verify_power_identity,
 )
 from twobridge.words import is_palindromic_type
+
+
+def step_matrix():
+    """Letter counts M[i][j] = number of letters moving state i+1 to j+1,
+    as fractions, read off ``orientation_after``."""
+    counts = [[0] * 3 for _ in range(3)]
+    for state in (1, 2, 3):
+        for letter in "ab":
+            counts[state - 1][orientation_after(state, letter) - 1] += 1
+    return tuple(tuple(Fraction(n) for n in row) for row in counts)
+
+
+def empirical_transition_matrix(s):
+    """Transition frequencies measured over all 2^s letter blocks."""
+    counts = [[0] * 3 for _ in range(3)]
+    for bits in range(2 ** s):
+        block = "".join("ab"[(bits >> (s - 1 - j)) & 1] for j in range(s))
+        for state in (1, 2, 3):
+            counts[state - 1][orientation_after(state, block) - 1] += 1
+    scale = Fraction(1, 2 ** s)
+    return tuple(tuple(scale * n for n in row) for row in counts)
+
+
+def fraction_closed_form(n):
+    """P^n for one-letter blocks in fractions, coded entry by entry: for
+    odd n (1 + 2^(-n)) / 3 off the anti-diagonal and (1 - 2^(1-n)) / 3 on
+    it; for even n (1 + 2^(1-n)) / 3 on the diagonal and (1 - 2^(-n)) / 3
+    off it."""
+    magnitude = Fraction(1, 2 ** n)
+    if n % 2:
+        base = (1 + magnitude) / 3
+        return tuple(tuple(base - magnitude if i + j == 2 else base for j in range(3))
+                     for i in range(3))
+    base = (1 - magnitude) / 3
+    return tuple(tuple(base + magnitude if i == j else base for j in range(3))
+                 for i in range(3))
+
+
+def fraction_spread(p):
+    return max(abs(row[j] - row[k]) for row in p for j in range(3) for k in range(3))
+
+
+# Gather indices of the letters a and b: entry j is the state that the
+# letter moves to j, read off orientation_after.
+LETTER_SOURCES = tuple(
+    np.array([next(i for i in range(3)
+                   if orientation_after(i + 1, letter) == j + 1) for j in range(3)])
+    for letter in "ab")
+
+
+def letter_step_walk_cell(s, t):
+    """E[Dist] and the abs-mean verdict of one walk cell by the letter-step
+    DP: per signature group, (state, D_w) counts stepped across each block
+    one letter at a time, then the block's own move (d -> d + 1) and, for
+    a non-palindromic group, its mirror's (d -> d - 1)."""
+    signatures, sizes = _signature_groups(s)
+    law = np.zeros((len(sizes), 3, 2 * t + 1), dtype=object)
+    law[:, 0, t] = 1
+    a, b = LETTER_SOURCES
+    for _ in range(t):
+        before = law
+        for _ in range(s):
+            law = law[:, a] + law[:, b]
+        for g, (x, y, x_m, y_m, pal) in enumerate(signatures.tolist()):
+            law[g, y, 1:] += before[g, x, :-1]
+            law[g, y, :] -= before[g, x, :]
+            if not pal:
+                law[g, y_m, :-1] += before[g, x_m, 1:]
+                law[g, y_m, :] -= before[g, x_m, :]
+    total = 1 << (s * t)
+    expected, holds = Fraction(0), True
+    for g, (size, pal) in enumerate(zip(sizes, signatures[:, 4].tolist())):
+        counts = law[g].sum(axis=0)
+        d = np.arange(-t, t + 1)
+        mean = Fraction(int((counts * np.where(pal, d & 1, np.abs(d))).sum()), total)
+        expected += size * mean
+        holds &= bool(pal) or mean * mean <= Fraction(4 * t, 2 ** s)
+    return expected, holds
 
 
 def verify_second_moments(s, t):
@@ -214,7 +298,7 @@ def enumerated_prefix_totals(s, top):
 
 
 def test_step_matrix():
-    assert step_matrix() == tuple(
+    assert step_matrix() == markov._letter_counts() == tuple(
         tuple(Fraction(n) for n in row) for row in [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
     )
 
@@ -261,6 +345,108 @@ def test_power_identity():
     assert verify_power_identity(20)
 
 
+def test_integer_checks_match_fraction_oracle():
+    # The count matrices 2^n P^n of markov against fractions: powers of the
+    # letter matrix, the frequencies over all blocks, and the closed form
+    # coded entry by entry.
+    m = step_matrix()
+    for s in range(1, 9):
+        p = transition_matrix(s)
+        assert all(isinstance(x, Fraction) for row in p for x in row)
+        assert p == empirical_transition_matrix(s) == \
+            tuple(tuple(x / 2 ** s for x in row) for row in matrix_power(m, s))
+        assert verify_empirical(s)
+        for k in range(0, 9):
+            power = matrix_power(p, k)
+            assert power_closed_form(s, k) == power == fraction_closed_form(k * s), (s, k)
+            if k:
+                assert contraction_gap(s, k) == fraction_spread(power), (s, k)
+                assert fraction_spread(power) <= Fraction(1, 2 ** (k * s))
+    assert verify_closed_form(8, 8) and verify_contraction(8, 8)
+    for r in range(0, 21):
+        bulk = Fraction(2 ** r - (-1) ** r, 3)
+        flip = (lambda i, j: i + j == 2) if r % 2 else (lambda i, j: i == j)
+        expected = tuple(tuple(bulk + (-1) ** r * flip(i, j) for j in range(3))
+                         for i in range(3))
+        assert matrix_power(m, r) == expected == tuple(
+            tuple(x * 2 ** r for x in row) for row in fraction_closed_form(r)), r
+
+
+def test_wrong_closed_form_fails_the_checks(monkeypatch):
+    right = markov._closed_form
+
+    def wrong(n):
+        rows = right(n)
+        return rows if n != 12 else ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+
+    monkeypatch.setattr(markov, "_closed_form", wrong)
+    assert verify_closed_form(6, 1) and verify_power_identity(11)
+    assert not verify_closed_form(6, 8)  # k s = 12 at s = 2, 3, 4 and 6
+    assert not verify_closed_form(1, 12)
+    assert not verify_power_identity(12)
+    with pytest.raises(ValueError, match="M\\^12 differs from its closed form"):
+        exact_expected_distance(12, 1)
+    assert exact_expected_distance(11, 1) == 1
+
+
+def test_contraction_check_fails_on_a_slower_chain(monkeypatch):
+    # A chain whose one-step rows spread by 2 breaks the bound at k = 1.
+    monkeypatch.setattr(markov, "_letter_counts",
+                        lambda: ((2, 0, 0), (0, 1, 1), (0, 1, 1)))
+    assert not verify_contraction(1, 1)
+    assert contraction_gap(1, 1) == 1
+
+
+def test_abs_mean_verdict_is_exact_at_the_bound():
+    # a^2 2^s <= 4 t 2^(2 s t) against E|D_w| = a / 2^(s t) in fractions,
+    # on both sides of the bound; palindromic-type groups are not checked.
+    for s, t in [(1, 1), (2, 3), (4, 100), (7, 2)]:
+        at_bound = math.isqrt(4 * t << 2 * s * t - s)
+        for a in (at_bound, at_bound + 1):
+            exact = Fraction(a, 1 << s * t) ** 2 <= Fraction(4 * t, 1 << s)
+            assert markov._abs_means_hold(s, t, [False, True], [0, a]) is True
+            assert markov._abs_means_hold(s, t, [True, False], [0, a]) is exact, (s, t, a)
+        assert not markov._abs_means_hold(s, t, [False], [at_bound + 1])
+
+
+def test_block_step_equals_letter_steps():
+    # The closed form of M^s against s letter gathers, on seeded random
+    # counts, some past 64 bits, at both parities.
+    rng = np.random.default_rng(2406)
+    for s in range(1, 13):
+        step = markov._block_step(s)
+        letters = letter_steps(s, (LETTER_SOURCES,) * 2)
+        for parity, scale in ((0, 1), (1, 1 << 70)):
+            before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
+            kept = before.copy()
+            after = step(before, parity)
+            assert after.dtype == object and after.shape == before.shape
+            assert np.array_equal(after, letters(before, parity)), (s, parity)
+            assert np.array_equal(before, kept), s
+
+
+def test_wrong_block_power_refused_under_optimize_flag():
+    code = ("from twobridge import markov\n"
+            "markov._letter_counts = lambda: ((1, 1, 0), (1, 1, 0), (0, 1, 1))\n"
+            "try:\n"
+            "    markov.exact_expected_distance(4, 2)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(markov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "M^4 differs from its closed form"
+
+
+def test_exact_walk_cell_matches_letter_steps():
+    cells = [(s, t) for s in range(1, 41) for t in range(1, 40 // s + 1)]
+    for s, t in [*cells, (4, 100), (79, 100)]:
+        assert markov.exact_walk_cell(s, t) == letter_step_walk_cell(s, t), (s, t)
+
+
 def test_contraction():
     assert contraction_gap(1, 1) == Fraction(1, 2)
     assert verify_contraction(6, 8)
@@ -290,7 +476,22 @@ def test_exact_distance_matches_brute_force():
 
 def test_walk_work_charges_the_dp_rows():
     for s in range(1, 65):
-        assert _walk_groups(s) == len(_signature_groups(s)[1]), s
+        signatures, sizes = _signature_groups(s)
+        assert _walk_groups(s) == (len(sizes), int(signatures[:, 4].sum())), s
+
+
+def test_budgets_admit_what_the_slower_paths_admitted():
+    # The largest requests admitted when the walk DP stepped letter by
+    # letter and the Markov checks multiplied fractions stay admitted.
+    for s, t in [(1, 2174), (2, 976), (3, 841), (4, 499), (5, 608), (6, 387),
+                 (7, 490), (8, 322), (79, 101), (1498, 10), (29547, 1), (45367, 1)]:
+        check_walk(s, t)
+    for s, kmax in [(1, 8191), (6, 1365), (18, 227)]:
+        check_markov(s, kmax)
+    with pytest.raises(BudgetError, match="walk_work"):
+        check_walk(4, 1000)
+    with pytest.raises(BudgetError, match="markov_work"):
+        check_markov(6, 10 ** 4)
 
 
 def test_exact_distance_budget():
@@ -336,13 +537,13 @@ def test_exact_walk_cell_is_both_verdicts_from_one_dp(monkeypatch):
                 exact_expected_distance(s, t), verify_abs_means(s, t)), (s, t)
     # check_walk runs the walk DP once per cell of its grid.
     cells = []
-    group_moments = markov._group_moments
+    group_totals = markov._group_totals
 
     def counted(s, t):
         cells.append((s, t))
-        return group_moments(s, t)
+        return group_totals(s, t)
 
-    monkeypatch.setattr(markov, "_group_moments", counted)
+    monkeypatch.setattr(markov, "_group_totals", counted)
     passed, _ = checks.check_walk(8)
     grid = [(s, t) for s in range(1, 9) for t in range(1, 8 // s + 1)]
     assert passed and cells == [*grid, (4, 100)]
@@ -411,10 +612,6 @@ def test_ungrouped_laws_match_grouped_moments():
     # One DP row per summand class, with no signature grouping: each row
     # moves its class's own ids and its mirror's, read off the walk tables,
     # and the letter steps are built from orientation_after.
-    letter_sources = tuple(
-        np.array([next(i for i in range(3)
-                       if orientation_after(i + 1, letter) == j + 1) for j in range(3)])
-        for letter in "ab")
     for s in (1, 2, 3):
         tables = _tables(s)
         mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
@@ -425,8 +622,8 @@ def test_ungrouped_laws_match_grouped_moments():
         own = ((classes >> s)[:, None], tables.next_state[classes, None] - 1)
         other = ((mirrors >> s)[:, None], tables.next_state[mirrors, None] - 1)
         for t in (1, 2, 3, 8, 21, 60):
-            law = displacement_laws(s, t, (letter_sources,) * 2, (own,) * 2,
-                                    (other,) * 2, pal).sum(axis=1)
+            step = letter_steps(s, (LETTER_SOURCES,) * 2)
+            law = displacement_laws(s, t, step, (own,) * 2, (other,) * 2, pal).sum(axis=1)
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
             expected = {
