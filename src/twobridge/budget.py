@@ -36,9 +36,10 @@ CLASS_LISTING_BUDGET = 1 << 21
 #: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
 #: --trials 50000`` 0.9 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
-#: about 9-18 us per unit: ``markov-verify --s 18 --kmax 8`` takes 4.6-6.3 s,
-#: ``--s 6 --kmax 6588`` 5.5 s, ``--s 18 --kmax 1568`` 7.7 s and ``--s 1
-#: --kmax 30783`` 6.2 s
+#: 6-9 us per unit of the matrix powers and about 0.1 us per block, counted
+#: in numpy: ``markov-verify --s 18 --kmax 8``, the largest s, takes
+#: 0.3-0.4 s, ``--s 6 --kmax 6588`` 3.3-4.5 s, ``--s 18 --kmax 1568``
+#: 1.9-2.9 s and ``--s 1 --kmax 30783`` 3.1-4.8 s
 MARKOV_WORK_BUDGET = 1 << 19
 
 # A row of avg-sig (its Fraction, checked once more by its report, two
@@ -56,9 +57,10 @@ _TABLE_ENTRY_WORK = 1 << 10
 _BLOCK_WORK = 4096
 _CELL_BITS = 1024
 # A matrix power of the Markov checks, taken from the previous one and
-# compared with its closed form, costs ~30 us, as much as 2 blocks, and
-# one block more for every 1024 bits of its exponent n = k s (its entries
-# have n bits).
+# compared with its closed form and for its row spread, costs 20-30 us, 2
+# units, and one unit more for every 1024 bits of its exponent n = k s (its
+# entries have n bits).  A block charges one unit too, far more than it
+# costs, so that every request admitted or refused before stays so.
 _POWER_WORK = 2
 _POWER_BITS = 1024
 

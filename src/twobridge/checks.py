@@ -223,16 +223,10 @@ def check_wallis(budget_c: int | None = None) -> tuple[bool, str]:
 def check_markov(budget_c: int | None = None) -> tuple[bool, str]:
     """Transition matrix empirics, closed-form powers, contraction, M^r."""
     del budget_c
-    for s in range(1, 9):
-        if not markov.verify_empirical(s):
-            return False, f"empirical transition mismatch at s={s}"
-    if not markov.verify_closed_form(6, 8):
-        return False, "closed-form power mismatch"
-    if not markov.verify_contraction(6, 8):
-        return False, "contraction bound fails"
-    if not markov.verify_power_identity(20):
-        return False, "step-matrix power identity fails"
-    return True, "empirical s <= 8; closed form & contraction s <= 6, k <= 8; powers r <= 20"
+    failed = [name for name, ok in markov.verify_chain(8, 8).items() if not ok]
+    if failed:
+        return False, f"failed: {', '.join(failed)}"
+    return True, "empirical, closed form & contraction s <= 8, k <= 8; powers r <= 20"
 
 
 def check_walk(budget_c: int | None = None) -> tuple[bool, str]:

@@ -264,13 +264,7 @@ def cmd_markov_verify(ctx: click.Context, s: int, kmax: int) -> None:
     """Exact transition-matrix verifications up to the given sizes."""
     if s < 1 or kmax < 1:
         _refuse(ctx, "--s and --kmax must be >= 1")
-    budget.check_markov(s, kmax)
-    results = {
-        "empirical": all(markov.verify_empirical(n) for n in range(1, s + 1)),
-        "closed_form": markov.verify_closed_form(s, kmax),
-        "contraction": markov.verify_contraction(s, kmax),
-        "power_identity": markov.verify_power_identity(20),
-    }
+    results = markov.verify_chain(s, kmax)
     passed = all(results.values())
     _echo_json({"schema": SCHEMA, "s": s, "kmax": kmax,
                 "checks": results, "passed": passed})

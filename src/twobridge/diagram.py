@@ -288,21 +288,6 @@ def s3_index(letters: str, index: int = 0) -> int:
     return _S3_THEN[index][_S3_OF[len(letters) % 2][q]]
 
 
-def orientation_after(state: int, z: str) -> int:
-    """Push an orientation state through a braid word: 'a' transposes
-    strands 2,3 and 'b' transposes 1,2."""
-    if state not in (1, 2, 3):
-        raise ValueError(f"orientation state must be 1, 2 or 3: {state!r}")
-    return strand_permutation(z)[state - 1]
-
-
-def strand_permutation(z: str) -> tuple[int, int, int]:
-    """Exit position on the right of the strand entering at each left
-    position: component q of the tuple is orientation_after(q, z)."""
-    validate_braid(z)
-    return S3[s3_index(z)]
-
-
 def all_A_circles(a, closure_b):
     """All-A circles from the count of 'a' and whether the closure is B,
     for ints or elementwise for arrays (``all_A_components``)."""

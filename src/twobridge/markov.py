@@ -7,8 +7,10 @@ state or transposes it with a neighbour, so the one-letter step matrix is
 matrix and J the flip 1 <-> 3, so M^n = (-J)^n + c_n B with
 c_n = (2^n - (-1)^n) / 3, and the s-letter transition matrix (1/2^s) M^s
 contracts toward the uniform distribution at rate 2^(-s).  The checks of
-these facts compare count matrices 2^n P^n, exact ints: the power of M, the
-counts over all 2^s blocks, the closed form and its row spreads.
+these facts (``verify_chain``) compare count matrices 2^n P^n, exact ints:
+the power of M, the counts over all 2^s blocks, read off the end states
+that the walk tables below are built on, the closed form and its row
+spreads, each power of M^s taken once.
 
 Cutting a long word into t blocks of s letters yields t summands
 (orientation state, block).  Mirror cancellation turns the summand
@@ -43,8 +45,9 @@ chunks of at most 2^16 blocks, so that each kernel array (512 KB at most,
 unless one walk is longer) stays in cache; the draws do not depend on the
 chunking.  The lookup tables over all 3 * 2^s oriented blocks hold only
 what the sampler reads, and ``per_class_moments`` reads its class listing
-off them; they are built afresh by prefix doubling in int32, O(2^s) work,
-for no exact value.
+off them.  They are built afresh, by prefix doubling in int32, on the end
+states (``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s)
+work, for no exact walk value.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from itertools import product
 import numpy as np
 
 from . import budget
-from .diagram import S3, S3_AFTER, STATE_AFTER, orientation_after
+from .diagram import S3, S3_AFTER, STATE_AFTER
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 IntMatrix = tuple[tuple[int, int, int], ...]
@@ -113,14 +116,10 @@ def _letter_counts() -> IntMatrix:
 
 
 def _block_counts(s: int) -> IntMatrix:
-    """Number of the 2^s letter blocks moving state i+1 to j+1, each block
-    listed."""
-    counts = [[0] * 3 for _ in range(3)]
-    for bits in range(2 ** s):
-        block = "".join("ab"[(bits >> (s - 1 - j)) & 1] for j in range(s))
-        for state in (1, 2, 3):
-            counts[state - 1][orientation_after(state, block) - 1] += 1
-    return tuple(map(tuple, counts))
+    """Number of the 2^s letter blocks moving state i+1 to j+1, counted off
+    their end states, on which the walk tables are built (``_end_states``)."""
+    return tuple(tuple(np.bincount(ends, minlength=4)[1:].tolist())
+                 for ends in _end_states(s))
 
 
 def _power_parts(n: int) -> tuple[int, int]:
@@ -167,38 +166,9 @@ def power_closed_form(s: int, k: int) -> Matrix:
     return _scaled(_closed_form(k * s), k * s)
 
 
-def verify_empirical(s: int) -> bool:
-    """The matrix power M^s equals the counts over all 2^s blocks."""
-    return matrix_power(_letter_counts(), s) == _block_counts(s)
-
-
-def verify_closed_form(s_max: int, k_max: int) -> bool:
-    """Each power (M^s)^k, k <= k_max, taken from (M^s)^(k-1), equals the
-    closed form at n = k s."""
-    for s in range(1, s_max + 1):
-        p = matrix_power(_letter_counts(), s)
-        power = identity_matrix()
-        for k in range(0, k_max + 1):
-            if power != _closed_form(k * s):
-                return False
-            power = matrix_multiply(power, p)
-    return True
-
-
-def verify_power_identity(r_max: int) -> bool:
-    """M^r = (-J)^r + (2^r - (-1)^r)/3 * B with J the anti-diagonal
-    permutation matrix and B the all-ones matrix, each M^r by repeated
-    squaring."""
-    m = _letter_counts()
-    return all(matrix_power(m, r) == _closed_form(r) for r in range(0, r_max + 1))
-
-
 def _row_spread(p: IntMatrix) -> int:
     """Largest within-row spread of a matrix."""
-    return max(
-        abs(p[i][j] - p[i][l])
-        for i in range(3) for j in range(3) for l in range(3)
-    )
+    return max(max(row) - min(row) for row in p)
 
 
 def contraction_gap(s: int, k: int) -> Fraction:
@@ -207,18 +177,40 @@ def contraction_gap(s: int, k: int) -> Fraction:
     return Fraction(_row_spread(power), 2 ** (k * s))
 
 
-def verify_contraction(s_max: int, k_max: int) -> bool:
-    """Row spreads shrink at least geometrically: gap(s, k) <= 2^(-k s),
-    that is a spread of at most 1 in (M^s)^k, with each power taken from
-    the previous one."""
-    for s in range(1, s_max + 1):
-        p = matrix_power(_letter_counts(), s)
-        power = p
-        for k in range(1, k_max + 1):
-            if _row_spread(power) > 1:
-                return False
+def verify_chain(s: int, kmax: int) -> dict[str, bool]:
+    """Every exact check of the chain for the block sizes s' <= s, on
+    integer count matrices, refused first by ``budget.check_markov``:
+
+    - ``empirical``: M^s' equals the counts over all 2^s' blocks
+      (``_block_counts``);
+    - ``closed_form``: each power (M^s')^k, k <= kmax, taken from
+      (M^s')^(k-1), equals the closed form at n = k s';
+    - ``contraction``: for k >= 1 the same power has row spreads of at most
+      1, that is gap(s', k) <= 2^(-k s');
+    - ``power_identity``: M^r by repeated squaring equals
+      (-J)^r + (2^r - (-1)^r)/3 * B for r <= 20, with J the anti-diagonal
+      permutation matrix and B the all-ones matrix.
+    """
+    if s < 1 or kmax < 1:
+        raise ValueError(f"need s >= 1 and kmax >= 1, got s={s}, kmax={kmax}")
+    budget.check_markov(s, kmax)
+    m = _letter_counts()
+    empirical = closed_form = contraction = True
+    for n in range(1, s + 1):
+        p = matrix_power(m, n)
+        empirical &= p == _block_counts(n)
+        power = identity_matrix()
+        for k in range(kmax + 1):
+            closed_form &= power == _closed_form(k * n)
+            if k:
+                contraction &= _row_spread(power) <= 1
             power = matrix_multiply(power, p)
-    return True
+    return {
+        "empirical": empirical,
+        "closed_form": closed_form,
+        "contraction": contraction,
+        "power_identity": all(matrix_power(m, r) == _closed_form(r) for r in range(21)),
+    }
 
 
 def pal_coordinate_count(s: int) -> int:
@@ -282,20 +274,27 @@ class _WalkTables:
     is_pal: np.ndarray  # indexed by id; depends only on the block letters
 
 
-def _tables(s: int) -> _WalkTables:
-    # End state after each block from each start state, and each block with
-    # its letters reversed, by prefix doubling: the block b of k + 1 letters
-    # is the block b >> 1 of k letters followed by the letter b & 1.  The
-    # build runs in int32: the budgets keep 3 * 2^s <= 2^24, so every key,
-    # below 6 * 2^s, stays below 2^31.
+def _end_states(s: int) -> np.ndarray:
+    """End state after each block from each start state, shape (3, 2^s), by
+    prefix doubling: the block b of k + 1 letters is the block b >> 1 of k
+    letters followed by the letter b & 1."""
     a_step, b_step = _STEPS.astype(np.int32)
     ends = np.arange(1, 4, dtype=np.int32)[:, None]  # shape (3, 2^k)
-    reversed_bits = np.zeros(1, dtype=np.int32)
     for k in range(s):
         longer = np.empty((3, 2 << k), dtype=np.int32)
         longer[:, 0::2] = a_step[ends]
         longer[:, 1::2] = b_step[ends]
         ends = longer
+    return ends
+
+
+def _tables(s: int) -> _WalkTables:
+    # The end states, and each block with its letters reversed by the same
+    # prefix doubling.  The build runs in int32: the budgets keep
+    # 3 * 2^s <= 2^24, so every key, below 6 * 2^s, stays below 2^31.
+    ends = _end_states(s)
+    reversed_bits = np.zeros(1, dtype=np.int32)
+    for k in range(s):
         flipped = np.empty(2 << k, dtype=np.int32)
         flipped[0::2] = reversed_bits
         flipped[1::2] = reversed_bits | (1 << k)
@@ -492,12 +491,17 @@ def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
                    for p, a, q in zip(pals, abs_totals, square_totals)]
 
 
-def exact_expected_distance(s: int, t: int) -> Fraction:
-    """Exact E[Dist] of the t-step summand walk over all block sequences."""
+def _check_walk_domain(s: int, t: int) -> None:
+    """Refuse a block size below 1 or a negative step count."""
     if s < 1:
         raise ValueError(f"block size must be at least 1, got {s}")
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
+
+
+def exact_expected_distance(s: int, t: int) -> Fraction:
+    """Exact E[Dist] of the t-step summand walk over all block sequences."""
+    _check_walk_domain(s, t)
     if t == 0:
         return Fraction(0)
     return exact_walk_cell(s, t)[0]
@@ -510,6 +514,7 @@ def distance_bound(s: int, t: int) -> float:
     3 sqrt(2^(s % 2) t) + p / 2^(s // 2), scaled by ``math.ldexp``.  A bound
     past the float range raises ValueError.
     """
+    _check_walk_domain(s, t)
     scaled_p = 3 if s % 2 == 0 else 0
     try:
         return math.ldexp(3 * math.sqrt(t << s % 2) + scaled_p, s // 2)
@@ -536,8 +541,7 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     samples, and the result, depend only on (s, t, trials, seed), not on
     the chunking.
     """
-    if s < 1:
-        raise ValueError(f"block size must be at least 1, got {s}")
+    _check_walk_domain(s, t)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     budget.check_monte_carlo(s, t, trials)

@@ -227,8 +227,8 @@ def test_avg_sig_over_budget_exits_2():
     (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
     (("sig-table", "--c", "100000", "--method", "recurse"),
      sigtables.recursed_table, "recursion_work"),
-    (("markov-verify", "--s", "40"), markov.verify_empirical, "s=40, kmax=8"),
-    (("markov-verify", "--kmax", "1000000"), markov.verify_empirical,
+    (("markov-verify", "--s", "40"), markov.matrix_power, "s=40, kmax=8"),
+    (("markov-verify", "--kmax", "1000000"), markov.matrix_power,
      "kmax=1000000"),
     (("walk-sim", "--s", "40", "--t", "1", "--trials", "2"), markov._tables,
      "Monte Carlo at s=40"),
@@ -236,7 +236,7 @@ def test_avg_sig_over_budget_exits_2():
      markov._tables, "trials=100000000000"),
     (("avg-sig", "--c", "3..1000000000"), sigtables.totals, "avg_sig_work"),
     # A huge s is refused without building 2^s.
-    (("markov-verify", "--s", "10000000000"), markov.verify_empirical,
+    (("markov-verify", "--s", "10000000000"), markov.matrix_power,
      "s=10000000000, kmax=8"),
     (("g4", "--c", "20000000003", "--s", "10000000000"), cobordism._summand_table,
      "at c=20000000003, s=10000000000"),

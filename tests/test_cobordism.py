@@ -35,14 +35,7 @@ from twobridge.cobordism import (
     summand_class,
 )
 from twobridge import checks, cobordism, diagram, words
-from twobridge.diagram import (
-    PLAT_RIGHT,
-    S3,
-    closure_components,
-    orientation_after,
-    signature,
-    strand_permutation,
-)
+from twobridge.diagram import PLAT_RIGHT, S3, closure_components, signature
 from twobridge.words import (
     enumerate_words,
     swap_braid,
@@ -50,6 +43,8 @@ from twobridge.words import (
     word_count,
     word_from_interior_bits,
 )
+
+from test_diagram import orientation_after, strand_permutation
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 

@@ -29,6 +29,20 @@ METRIC_ROWS = {
 }
 
 
+def orientation_after(state, z):
+    """Oracle: push an orientation state through a braid word one letter at
+    a time by ``STATE_AFTER`` ('a' transposes strands 2,3, 'b' 1,2)."""
+    for letter in z:
+        state = D.STATE_AFTER[letter][state]
+    return state
+
+
+def strand_permutation(z):
+    """Oracle: exit position on the right of the strand entering at each
+    left position, one letter at a time."""
+    return tuple(orientation_after(q, z) for q in (1, 2, 3))
+
+
 
 # ------------------------------------------------------------ arc-graph oracle
 #
@@ -380,9 +394,11 @@ def test_state_right_of_first_crossing_is_o1():
 
 
 def test_orientation_after_examples():
-    assert D.orientation_after(1, "aab") == 2
-    assert D.orientation_after(2, "aba") == 2
-    assert D.orientation_after(2, "") == 2
+    assert orientation_after(1, "aab") == 2
+    assert orientation_after(2, "aba") == 2
+    assert orientation_after(2, "") == 2
+    for state, z in ((1, "aab"), (2, "aba"), (2, "")):
+        assert D.S3[D.s3_index(z)][state - 1] == orientation_after(state, z)
 
 
 def test_orientation_after_matches_cut_states():
@@ -394,7 +410,7 @@ def test_orientation_after_matches_cut_states():
                 k = 1
                 while 1 + k * s <= c:
                     j = 1 + k * s
-                    assert states[j] == D.orientation_after(
+                    assert states[j] == orientation_after(
                         states[1], d.letters[1:j]
                     )
                     k += 1
@@ -403,15 +419,16 @@ def test_orientation_after_matches_cut_states():
 @given(st.text(alphabet="ab", max_size=30), st.sampled_from([1, 2, 3]))
 def test_orientation_after_is_a_group_action(z, o):
     mid = len(z) // 2
-    assert D.orientation_after(o, z) == D.orientation_after(
-        D.orientation_after(o, z[:mid]), z[mid:]
+    assert orientation_after(o, z) == orientation_after(
+        orientation_after(o, z[:mid]), z[mid:]
     )
-    assert D.strand_permutation(z)[o - 1] == D.orientation_after(o, z)
+    assert D.S3[D.s3_index(z)][o - 1] == orientation_after(o, z)
 
 
 def test_strand_permutation_is_a_permutation():
     for z in ("", "a", "b", "ab", "ba", "aab", "bba", "abab"):
-        assert sorted(D.strand_permutation(z)) == [1, 2, 3]
+        assert sorted(strand_permutation(z)) == [1, 2, 3]
+        assert D.S3[D.s3_index(z)] == strand_permutation(z)
 
 
 # ----------------------------------------------------------------- smoothings

@@ -28,7 +28,7 @@ from twobridge.budget import (
     walk_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
-from twobridge.diagram import orientation_after, strand_permutation
+from twobridge.diagram import S3, s3_index
 from twobridge.markov import (
     _class_listing,
     _distances,
@@ -49,12 +49,13 @@ from twobridge.markov import (
     power_closed_form,
     transition_matrix,
     verify_abs_means,
-    verify_closed_form,
-    verify_contraction,
-    verify_empirical,
-    verify_power_identity,
+    verify_chain,
 )
 from twobridge.words import is_palindromic_type
+
+from test_diagram import orientation_after
+
+CHAIN_CHECKS = ("empirical", "closed_form", "contraction", "power_identity")
 
 
 def step_matrix():
@@ -67,15 +68,21 @@ def step_matrix():
     return tuple(tuple(Fraction(n) for n in row) for row in counts)
 
 
-def empirical_transition_matrix(s):
-    """Transition frequencies measured over all 2^s letter blocks."""
+def spelled_block_counts(s):
+    """Number of the 2^s letter blocks moving state i+1 to j+1, each block
+    spelled out and pushed through letter by letter."""
     counts = [[0] * 3 for _ in range(3)]
     for bits in range(2 ** s):
         block = "".join("ab"[(bits >> (s - 1 - j)) & 1] for j in range(s))
         for state in (1, 2, 3):
             counts[state - 1][orientation_after(state, block) - 1] += 1
+    return tuple(map(tuple, counts))
+
+
+def empirical_transition_matrix(s):
+    """Transition frequencies measured over all 2^s letter blocks."""
     scale = Fraction(1, 2 ** s)
-    return tuple(tuple(scale * n for n in row) for row in counts)
+    return tuple(tuple(scale * n for n in row) for row in spelled_block_counts(s))
 
 
 def fraction_closed_form(n):
@@ -146,7 +153,7 @@ def class_bucket(key):
     """Walk-distribution bucket of a class: start state, strand permutation
     of the letters, and palindromic-type flag."""
     state, letters = key.split(":")
-    return int(state[1:]), strand_permutation(letters), is_palindromic_type(letters)
+    return int(state[1:]), S3[s3_index(letters)], is_palindromic_type(letters)
 
 
 def brute_force_expected_distance(s, t):
@@ -326,13 +333,56 @@ def test_matrix_domain_errors():
 
 
 def test_empirical_matches_power():
-    for s in range(1, 9):
-        assert verify_empirical(s)
+    # The block counts read off the prefix-doubled end states against every
+    # block spelled out, and against the power of the letter counts.
+    for s in range(1, 13):
+        assert markov._block_counts(s) == spelled_block_counts(s) == \
+            matrix_power(markov._letter_counts(), s), s
+
+
+def test_chain_passes_at_every_admitted_block_size():
+    # kmax = 8 admits every s <= 18, the largest, and refuses s = 19.
+    for s in range(1, 19):
+        assert verify_chain(s, 8) == dict.fromkeys(CHAIN_CHECKS, True), s
+    with pytest.raises(BudgetError, match="s=19, kmax=8"):
+        verify_chain(19, 8)
+    for s, kmax in [(0, 1), (1, 0), (-1, -1)]:
+        with pytest.raises(ValueError, match="need s >= 1 and kmax >= 1"):
+            verify_chain(s, kmax)
+
+
+_CORRUPT_STEPS = """
+from twobridge import markov
+steps = markov._STEPS.copy()
+steps[0] = steps[1]  # the letter a now acts as b
+markov._STEPS = steps
+print(sorted(name for name, ok in markov.verify_chain(6, 8).items() if not ok))
+"""
+
+
+def test_corrupt_letter_table_fails_only_the_empirical_check(monkeypatch):
+    # The end states (and the walk tables built on them) read _STEPS at call
+    # time; the powers and closed forms read the letter counts of
+    # STATE_AFTER, so only the block counts change.
+    steps = markov._STEPS.copy()
+    steps[0] = steps[1]
+    monkeypatch.setattr(markov, "_STEPS", steps)
+    assert verify_chain(6, 8) == {**dict.fromkeys(CHAIN_CHECKS, True), "empirical": False}
+    assert checks.check_markov() == (False, "failed: empirical")
+    monkeypatch.undo()
+    # The verdict needs no assert: it survives python -O.
+    src = str(Path(markov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_STEPS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['empirical']"
 
 
 def test_closed_form():
     assert power_closed_form(3, 0) == identity_matrix()
-    assert verify_closed_form(6, 8)
+    assert verify_chain(6, 8)["closed_form"]
     # n = k s odd puts the small entries on the anti-diagonal; even n puts
     # the large entries on the diagonal.
     odd = power_closed_form(1, 1)
@@ -342,7 +392,7 @@ def test_closed_form():
 
 
 def test_power_identity():
-    assert verify_power_identity(20)
+    assert verify_chain(1, 1)["power_identity"]
 
 
 def test_integer_checks_match_fraction_oracle():
@@ -355,14 +405,14 @@ def test_integer_checks_match_fraction_oracle():
         assert all(isinstance(x, Fraction) for row in p for x in row)
         assert p == empirical_transition_matrix(s) == \
             tuple(tuple(x / 2 ** s for x in row) for row in matrix_power(m, s))
-        assert verify_empirical(s)
+        assert markov._block_counts(s) == spelled_block_counts(s)
         for k in range(0, 9):
             power = matrix_power(p, k)
             assert power_closed_form(s, k) == power == fraction_closed_form(k * s), (s, k)
             if k:
                 assert contraction_gap(s, k) == fraction_spread(power), (s, k)
                 assert fraction_spread(power) <= Fraction(1, 2 ** (k * s))
-    assert verify_closed_form(8, 8) and verify_contraction(8, 8)
+    assert verify_chain(8, 8) == dict.fromkeys(CHAIN_CHECKS, True)
     for r in range(0, 21):
         bulk = Fraction(2 ** r - (-1) ** r, 3)
         flip = (lambda i, j: i + j == 2) if r % 2 else (lambda i, j: i == j)
@@ -375,25 +425,40 @@ def test_integer_checks_match_fraction_oracle():
 def test_wrong_closed_form_fails_the_checks(monkeypatch):
     right = markov._closed_form
 
-    def wrong(n):
-        rows = right(n)
-        return rows if n != 12 else ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+    def wrong_at(bad):
+        def wrong(n):
+            rows = right(n)
+            return rows if n != bad else ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+        return wrong
 
-    monkeypatch.setattr(markov, "_closed_form", wrong)
-    assert verify_closed_form(6, 1) and verify_power_identity(11)
-    assert not verify_closed_form(6, 8)  # k s = 12 at s = 2, 3, 4 and 6
-    assert not verify_closed_form(1, 12)
-    assert not verify_power_identity(12)
+    monkeypatch.setattr(markov, "_closed_form", wrong_at(12))
+    # The powers M^r by repeated squaring see n = 12 at any kmax.
+    assert verify_chain(6, 1) == {**dict.fromkeys(CHAIN_CHECKS, True),
+                                  "power_identity": False}
+    assert not verify_chain(6, 8)["closed_form"]  # k s = 12 at s = 2, 3, 4 and 6
+    assert verify_chain(1, 11)["closed_form"]
+    assert not verify_chain(1, 12)["closed_form"]
     with pytest.raises(ValueError, match="M\\^12 differs from its closed form"):
         exact_expected_distance(12, 1)
     assert exact_expected_distance(11, 1) == 1
+    # The power identity reaches r = 20 and stops there: a closed form wrong
+    # at n = 21 shows only in the powers (M^s)^k.
+    monkeypatch.setattr(markov, "_closed_form", wrong_at(20))
+    assert not verify_chain(1, 1)["power_identity"]
+    monkeypatch.setattr(markov, "_closed_form", wrong_at(21))
+    assert verify_chain(1, 20) == dict.fromkeys(CHAIN_CHECKS, True)
+    assert verify_chain(3, 7) == {**dict.fromkeys(CHAIN_CHECKS, True), "closed_form": False}
+    # The markov check of verify-all takes every power to s = 8 and k = 8:
+    # n = 64 is only there.
+    monkeypatch.setattr(markov, "_closed_form", wrong_at(64))
+    assert checks.check_markov() == (False, "failed: closed_form")
 
 
 def test_contraction_check_fails_on_a_slower_chain(monkeypatch):
     # A chain whose one-step rows spread by 2 breaks the bound at k = 1.
     monkeypatch.setattr(markov, "_letter_counts",
                         lambda: ((2, 0, 0), (0, 1, 1), (0, 1, 1)))
-    assert not verify_contraction(1, 1)
+    assert not verify_chain(1, 1)["contraction"]
     assert contraction_gap(1, 1) == 1
 
 
@@ -449,7 +514,7 @@ def test_exact_walk_cell_matches_letter_steps():
 
 def test_contraction():
     assert contraction_gap(1, 1) == Fraction(1, 2)
-    assert verify_contraction(6, 8)
+    assert verify_chain(6, 8)["contraction"]
     # The spread bound is attained: the gap equals 2^(-k s) exactly.
     for s in (1, 2, 3):
         for k in (1, 2, 3):
@@ -565,6 +630,17 @@ def test_one_block_walk_has_distance_one():
     # One summand is never cancelled.  Every s up to 1000 would take ~6 s.
     for s in [*range(1, 201), 255, 256, 511, 512, 999, 1000]:
         assert exact_expected_distance(s, 1) == 1, s
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (distance_bound, (0, 3), "block size must be at least 1, got 0"),
+    (distance_bound, (2, -1), "step count must be nonnegative, got -1"),
+    (monte_carlo_distance, (2, -1, 5), "step count must be nonnegative, got -1"),
+    (exact_expected_distance, (2, -1), "step count must be nonnegative, got -1"),
+])
+def test_walk_domain_refused(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_distance_bound_past_the_float_range_of_2_to_the_s():
