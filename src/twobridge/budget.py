@@ -36,10 +36,10 @@ CLASS_LISTING_BUDGET = 1 << 21
 #: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
 #: --trials 50000`` 0.9 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
-#: 6-9 us per unit of the matrix powers and about 0.1 us per block, counted
-#: in numpy: ``markov-verify --s 18 --kmax 8``, the largest s, takes
-#: 0.3-0.4 s, ``--s 6 --kmax 6588`` 3.3-4.5 s, ``--s 18 --kmax 1568``
-#: 1.9-2.9 s and ``--s 1 --kmax 30783`` 3.1-4.8 s
+#: 6-9 us per unit of the matrix powers: ``markov-verify --s 23 --kmax 1``,
+#: the largest s, takes 1.1-1.3 s at 0.23 GB, ``--s 23 --kmax 1233``
+#: 2.7-3.2 s, ``--s 18 --kmax 2279`` 2.9-3.3 s, ``--s 6 --kmax 6588``
+#: 2.7-3.7 s and ``--s 1 --kmax 30783`` 2.9-3.4 s
 MARKOV_WORK_BUDGET = 1 << 19
 
 # A row of avg-sig (its Fraction, checked once more by its report, two
@@ -59,10 +59,12 @@ _CELL_BITS = 1024
 # A matrix power of the Markov checks, taken from the previous one and
 # compared with its closed form and for its row spread, costs 20-30 us, 2
 # units, and one unit more for every 1024 bits of its exponent n = k s (its
-# entries have n bits).  A block charges one unit too, far more than it
-# costs, so that every request admitted or refused before stays so.
+# entries have n bits).  A block, counted off its end states, costs about
+# 0.12 us (1/64 unit) and 23 bytes at the peak; it charges 1/32 unit, so
+# memory bounds s at 23 (0.23 GB, near the largest Monte Carlo table).
 _POWER_WORK = 2
 _POWER_BITS = 1024
+_BLOCK_SHIFT = 5
 
 
 class BudgetError(RuntimeError):
@@ -223,9 +225,9 @@ def markov_work(s: int, kmax: int) -> int:
 
 
 def check_markov(s: int, kmax: int) -> None:
-    """2^s blocks for the empirical matrix, plus the power checks
-    (``markov_work``)."""
+    """2^(s-5) units for the 2^s blocks of the empirical matrix, plus the
+    power checks (``markov_work``)."""
     _check(markov_work(s, kmax), MARKOV_WORK_BUDGET,
            f"the transition-matrix checks at s={s}, kmax={kmax}",
-           "block units (2^s blocks and the matrix powers, markov_work)",
-           shift=(1, s))
+           "work units (2^(s-5) for the 2^s blocks, and markov_work)",
+           shift=(1, max(s - _BLOCK_SHIFT, 0)))

@@ -7,10 +7,12 @@ independent derivations check them: a transfer DP over the runs of the
 words (``transfer_table``), and exhaustive enumeration
 (``histogram_enumerated``), which builds the braid letters of a chunk of
 words straight from their exponent masks and scores the whole chunk with
-one ``diagram.scan``.  Every identity takes the rows it checks as an
-argument, so the caller decides which derivation it sees.  The palindromic
-rows come from the same DP folded in half (``palindromic_table``), one pass
-per parity for a whole run of c.
+one ``diagram.scan``; a row is the sum of its chunks' counts, taken on
+worker threads from c = 21 on (numpy releases the GIL in its larger calls,
+and two threads score c = 22 in 93 against 140 ms).  Every identity takes
+the rows it checks as an argument, so the caller decides which derivation
+it sees.  The palindromic rows come from the same DP folded in half
+(``palindromic_table``), one pass per parity for a whole run of c.
 
 On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
@@ -27,11 +29,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import warnings
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -44,12 +45,13 @@ from .words import knot_count, swap_braid
 
 Row = dict[int, int]
 
-# Fewest masks that histogram_enumerated shards over a process pool.  With
-# rows scored in batches a serial row beats a 2-worker pool on a 2-CPU x86
-# machine at every admitted c (in process: 12 against 35 ms at c = 18, 192
-# against 226 ms at c = 22); the pool stays until the benchmark stops
-# asking for it.
-_POOL_MIN_MASKS = 1 << 16
+# Fewest masks that histogram_enumerated scores on worker threads.  numpy
+# releases the GIL inside its larger calls, so on a 2-CPU x86 machine two
+# threads beat a serial row from c = 21 on (median of 8 fresh processes:
+# 54 against 73 ms at c = 21, 93 against 140 ms at c = 22); below it they
+# spend their time handing the GIL between short numpy calls (33 against
+# 36 ms at c = 20, 19 against 18 ms at c = 19, 8.3 against 4.9 ms at c = 17).
+_THREAD_MIN_MASKS = 1 << 19
 # Masks scored per diagram.scan call: at c = 22 its int32 cut states take
 # about 0.5 MB for the third of them that are words.  Larger chunks are no
 # faster, and at 2^16 masks they raise the peak of a serial row at c = 22
@@ -80,54 +82,46 @@ def _letter_rows(c: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _shard(args: tuple[int, int, int]) -> Counter:
-    """Signature counts of the words of T(c) with masks in [lo, hi), scored
-    by ``diagram.scan`` a chunk of masks at a time."""
-    c, lo, hi = args
-    h: Counter = Counter()
-    for start in range(lo, hi, _CHUNK_MASKS):
-        rows = _letter_rows(c, np.arange(start, min(start + _CHUNK_MASKS, hi)))
-        # A word's closure is B exactly when its last letter is 'b'.
-        closure_b = rows[:, -1]
-        positive, _ = scan(rows, closure_b, words=True)
-        sigma = (all_A_circles(c - rows.sum(axis=1), closure_b)
-                 - positive.sum(axis=1) - 1)
-        counts = np.bincount(sigma + c)
-        for i in np.flatnonzero(counts).tolist():
-            h[i - c] += int(counts[i])
-    return h
+def _chunk_counts(c: int, n_masks: int, start: int) -> np.ndarray:
+    """Signature counts of the words of T(c) whose masks are the
+    ``_CHUNK_MASKS`` from start (below n_masks), scored by one
+    ``diagram.scan``: entry sigma + c counts signature sigma."""
+    rows = _letter_rows(c, np.arange(start, min(start + _CHUNK_MASKS, n_masks)))
+    # A word's closure is B exactly when its last letter is 'b'.
+    closure_b = rows[:, -1]
+    # Only the crossing signs are kept, and einsum (3x faster than
+    # sum(axis=1) on rows this short) takes the row sums; either keeps a
+    # chunk's peak low enough that its heap is reused for the next chunk (a
+    # serial row at c = 22 faulted in 13,440 fresh pages otherwise).
+    positive = scan(rows, closure_b, words=True)[0]
+    sigma = (all_A_circles(c - np.einsum("ij->i", rows, dtype=np.int32), closure_b)
+             - np.einsum("ij->i", positive, dtype=np.int32) - 1)
+    return np.bincount(sigma + c, minlength=2 * c + 1)
 
 
 def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     """Histogram row by full enumeration of T(c).
 
     Work is proportional to 2^(c-2), within ``budget.check_enumeration``.
-    Each word is scored from its letters by ``diagram.scan``, a batch of
-    words at a time, with no per-word call.  With workers > 1 and at least
-    2^16 masks (c >= 18) the mask range is sharded over a process pool; if
-    the pool cannot start or breaks, a RuntimeWarning names the reason and
-    the row is evaluated serially.
+    Each word is scored from its letters by ``diagram.scan``, a chunk of
+    words at a time, with no per-word call, and the row is the sum of the
+    chunks' counts.  With workers > 1 and at least 2^19 masks (c >= 21) the
+    chunks are scored on that many threads.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     budget.check_enumeration(c)
     n_masks = 1 << (c - 2)
-    if workers and workers > 1 and n_masks >= _POOL_MIN_MASKS:
-        chunks = []
-        step = -(-n_masks // (workers * 4))
-        for lo in range(0, n_masks, step):
-            chunks.append((c, lo, min(lo + step, n_masks)))
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                total: Counter = Counter()
-                for h in pool.map(_shard, chunks):
-                    total.update(h)
-                return dict(total)
-        except (OSError, BrokenProcessPool) as exc:
-            warnings.warn(
-                f"process pool for c={c} failed ({type(exc).__name__}: {exc}); "
-                "enumerating serially", RuntimeWarning, stacklevel=2)
-    return dict(_shard((c, 0, n_masks)))
+    chunk = partial(_chunk_counts, c, n_masks)
+    starts = range(0, n_masks, _CHUNK_MASKS)
+    if workers and workers > 1 and n_masks >= _THREAD_MIN_MASKS:
+        # The threads call no function that perfbench/tracing.py wraps: its
+        # span stack is not thread-safe.
+        with ThreadPoolExecutor(workers) as pool:
+            counts = sum(pool.map(chunk, starts))
+    else:
+        counts = sum(map(chunk, starts))
+    return {i - c: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
 
 
 def histogram_recursed(c: int, base: Mapping[int, Row]) -> Row:

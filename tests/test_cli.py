@@ -144,13 +144,13 @@ def test_recurse_never_writes_the_cache(tmp_path, monkeypatch):
 
 
 def test_sig_table_workers_match_serial():
-    # c = 18 has 2^16 masks, the fewest that are sharded.
-    serial = invoke("sig-table", "--c", "18", "--method", "enumerate",
+    # c = 21 has 2^19 masks, the fewest that are scored on threads.
+    serial = invoke("sig-table", "--c", "21", "--method", "enumerate",
                     "--workers", "1")
-    sharded = invoke("sig-table", "--c", "18", "--method", "enumerate",
-                     "--workers", "4")
-    assert serial.exit_code == 0 and sharded.exit_code == 0
-    assert serial.output == sharded.output
+    threaded = invoke("sig-table", "--c", "21", "--method", "enumerate",
+                      "--workers", "4")
+    assert serial.exit_code == 0 and threaded.exit_code == 0
+    assert serial.output == threaded.output
 
 
 @pytest.mark.parametrize("method", ["enumerate", "both"])

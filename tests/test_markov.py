@@ -341,11 +341,11 @@ def test_empirical_matches_power():
 
 
 def test_chain_passes_at_every_admitted_block_size():
-    # kmax = 8 admits every s <= 18, the largest, and refuses s = 19.
-    for s in range(1, 19):
+    # kmax = 8 admits every s <= 23, the largest, and refuses s = 24.
+    for s in range(1, 24):
         assert verify_chain(s, 8) == dict.fromkeys(CHAIN_CHECKS, True), s
-    with pytest.raises(BudgetError, match="s=19, kmax=8"):
-        verify_chain(19, 8)
+    with pytest.raises(BudgetError, match="s=24, kmax=8"):
+        verify_chain(24, 8)
     for s, kmax in [(0, 1), (1, 0), (-1, -1)]:
         with pytest.raises(ValueError, match="need s >= 1 and kmax >= 1"):
             verify_chain(s, kmax)
@@ -551,12 +551,16 @@ def test_budgets_admit_what_the_slower_paths_admitted():
     for s, t in [(1, 2174), (2, 976), (3, 841), (4, 499), (5, 608), (6, 387),
                  (7, 490), (8, 322), (79, 101), (1498, 10), (29547, 1), (45367, 1)]:
         check_walk(s, t)
-    for s, kmax in [(1, 8191), (6, 1365), (18, 227)]:
+    # The Markov checks also keep the largest requests admitted when each
+    # block was charged a whole unit, and admit s up to 23.
+    for s, kmax in [(1, 8191), (6, 1365), (18, 227), (1, 30783), (6, 6588),
+                    (18, 1568), (23, 1233)]:
         check_markov(s, kmax)
     with pytest.raises(BudgetError, match="walk_work"):
         check_walk(4, 1000)
-    with pytest.raises(BudgetError, match="markov_work"):
-        check_markov(6, 10 ** 4)
+    for s, kmax in [(6, 10 ** 4), (23, 1234), (24, 1)]:
+        with pytest.raises(BudgetError, match="markov_work"):
+            check_markov(s, kmax)
 
 
 def test_exact_distance_budget():

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -127,38 +127,49 @@ def test_enumeration_makes_no_per_word_diagram_call(monkeypatch):
         raise AssertionError("histogram_enumerated must score words in batches")
 
     # Patched wherever enumeration could reach them: the diagram module and
-    # any name sigtables imports from it.
+    # any name sigtables imports from it.  The threaded row at c = 21 also
+    # shows that no diagram function that perfbench's tracer wraps runs on
+    # a worker thread.
     for module in (D, S):
-        for name in ("signature", "metrics_for_word", "metrics_for_braid", "orient_diagram"):
+        for name in ("signature", "metrics_for_word", "metrics_for_braid", "orient_diagram",
+                     "all_A_components"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert S.histogram_enumerated(14) == TABLE[14]
     assert S.histogram_enumerated(18, workers=1) == S.recursed_table(18)[18]
+    assert S.histogram_enumerated(21, workers=2) == S.recursed_table(21)[21]
 
 
-def test_workers_shard_agrees_with_serial():
-    # c = 18 has 2^16 masks, the fewest that are sharded.
-    assert S.histogram_enumerated(18, workers=2) == S.recursed_table(18)[18]
+def test_workers_shard_agrees_with_serial(monkeypatch):
+    # c = 21 has 2^19 masks, the fewest that are scored on threads.
+    pools = []
+    monkeypatch.setattr(S, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
+    assert S.histogram_enumerated(20, workers=2) == S.recursed_table(20)[20]
+    assert pools == []
+    assert S.histogram_enumerated(21, workers=2) == S.histogram_enumerated(21, workers=1)
+    assert pools == [2]
 
 
-@pytest.mark.parametrize("error", [OSError("no semaphores"),
-                                   BrokenProcessPool("worker died")])
-def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch, error):
-    class FailingPool:
-        def __init__(self, *args, **kwargs):
-            pass
+def test_threaded_row_at_the_budget_matches_the_recursion():
+    # More threads than a 2-CPU machine has, switching as often as the
+    # interpreter allows, on the largest admitted row.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        row = S.histogram_enumerated(22, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert row == S.recursed_table(22)[22]
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            raise error
-
-    monkeypatch.setattr(S, "ProcessPoolExecutor", FailingPool)
-    with pytest.warns(RuntimeWarning, match=type(error).__name__):
-        assert S.histogram_enumerated(18, workers=2) == S.recursed_table(18)[18]
+def test_cli_import_starts_no_process_machinery():
+    program = ("import sys, twobridge.cli\n"
+               "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+               "             if m in sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_recursed_equals_enumerated(enum14, rec20):
