@@ -15,9 +15,9 @@ ENUMERATION_BUDGET = 22
 #: printed rows cost more than their recursion as their counts grow long:
 #: ``sig-table --c 3..1448 --method recurse`` takes 4-6.4 s
 RECURSION_WORK_BUDGET = 1 << 21
-#: 0.11-0.19 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
-#: 3.5-4.7 s, ``--c 153392``, the largest even c, 2.8-3.2 s, and
-#: ``--c 3..10578``, the largest run from 3, 4.3-4.6 s at a peak of 0.23 GB
+#: 0.14-0.25 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
+#: 3.5-6.2 s, ``--c 175410``, the largest even c, 4.6-5.7 s, and
+#: ``--c 3..10582``, the largest run from 3, 4.6-5.3 s at a peak of 0.23 GB
 AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
@@ -28,11 +28,11 @@ G4_WORK_BUDGET = 1 << 27
 #: 6.6-10.1 s, ``walk-sim --s 1 --t 2215 --exact`` 10.1 s, ``--s 4 --t 785``
 #: 6.6 s and ``--s 5 --t 977`` 9.9 s; ``(4, 1000)``, refused, 14.7 s
 WALK_WORK_BUDGET = 5 << 26
-#: about 4 us per table entry: ``per_class_moments(18, 1)`` takes 3.2 s, and
-#: ``(20, 1)``, refused, took 13 s at a peak of 0.6 GB
+#: about 3 us per table entry: ``per_class_moments(18, 1)`` takes 1.8-2.7 s,
+#: and ``(20, 1)``, refused, 14 s at a peak of 0.46 GB
 CLASS_LISTING_BUDGET = 1 << 21
-#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.6-0.8 s
-#: at a peak of 0.29 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
+#: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
+#: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
 #: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
 #: --trials 50000`` 0.9 s
 MONTE_CARLO_WORK_BUDGET = 1 << 24
@@ -45,6 +45,9 @@ MARKOV_WORK_BUDGET = 1 << 19
 # A row of avg-sig (its Fraction, checked once more by its report, two
 # floats and its digits) costs about as much as 1/16 of a recurrence's c^2.
 _ROW_SHARE = 16
+# The even-c tot unroll costs 3/4 as much per c^2 as an odd-c recurrence:
+# 1.5 s at c = 10^5, against 2.3-2.4 s (tot) and 1.4 s (tot_p) at odd c.
+_EVEN_QUARTERS = 3
 # The mean g4 DP has at most 9 * 3 * 2 law keys, from a class's (start,
 # end), interior length mod 3 at parity 0 and type, and one table entry (a
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
@@ -115,13 +118,14 @@ def _sum_of_squares(c_values: Sequence[int]) -> int:
 
 def avg_sig_work(c_values: Sequence[int]) -> int:
     """c^2 for each P-recurrence unrolled to the largest c of its parity,
-    about c/2 steps on c-bit ints: tot at even c, and tot and tot_p at odd
-    c.  Each row then costs c^2 / 16 for its exact fraction and digits."""
+    about c/2 steps on c-bit ints: tot and tot_p at odd c, and tot at even
+    c, charged _EVEN_QUARTERS / 4 of that.  Each row then costs c^2 / 16
+    for its exact fraction and digits."""
     unrolled = 0
-    for parity, recurrences in ((0, 1), (1, 2)):
+    for parity, quarters in ((0, _EVEN_QUARTERS), (1, 8)):
         top = next((c for c in reversed(c_values) if c % 2 == parity), 0)
-        unrolled += recurrences * top * top
-    return unrolled + _sum_of_squares(c_values) // _ROW_SHARE
+        unrolled += quarters * top * top
+    return unrolled // 4 + _sum_of_squares(c_values) // _ROW_SHARE
 
 
 def _c_label(c_values: Sequence[int]) -> str:
@@ -160,12 +164,10 @@ def g4_work(c: int, s: int) -> int:
 
 
 def check_g4(c: int, s: int) -> None:
-    message = (G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}", "cell updates "
-               f"for its table of 3 * 2^{s} block masks and its DP (g4_work)")
-    if s <= 64:
-        _check(g4_work(c, s), *message)
-    else:  # the table alone is over the budget: g4_work's 2^s is not built
-        _check(_g4_cells(c, s), *message, shift=(3 * _TABLE_ENTRY_WORK, s))
+    """``g4_work``, its table's 3 * 2^s entries passed as a shift (no 2^s built)."""
+    _check(_g4_cells(c, s), G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
+           f"cell updates for its table of 3 * 2^{s} block masks and its DP (g4_work)",
+           shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
 def _walk_groups(s: int) -> tuple[int, int]:

@@ -22,8 +22,9 @@ Each oriented block is analysed once per process.  ``_analyse_block`` is a
 2^12 records, enough for every block with s <= 10.  It holds only results
 of pure functions of its key: the block's ``OrientedWord``, end state,
 mirror class and link repair.  A check that raises caches nothing.
-``decompose`` reads every block from it, and so does the mean DP's table
-for s <= 10; a larger table analyses its blocks past the memo.
+``decompose`` and the mean DP's table read every block from it.  A table
+past s = 10 has more blocks than the memo holds and evicts what it cached;
+no command builds one in a process that then decomposes words.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the word cores, with no enumeration (see ``average_g4_row``), within
@@ -490,12 +491,9 @@ def _summand_table(s: int) -> _SummandTable:
     counts = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
     costs = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
     weights: Counter[tuple[int, ...]] = Counter()
-    # Past s = 10 the 3 * 2^s blocks would overflow the memo and evict the
-    # blocks that decompose cached; each is analysed once here anyway.
-    analyse = _analyse_block if s <= 10 else _analyse_block.__wrapped__
     for start in (1, 2, 3):
         for letters in map("".join, product("ab", repeat=s)):
-            block = analyse(start, letters)
+            block = _analyse_block(start, letters)
             x, end, crossings = block.summand, block.end, block.crossings
             cost = block.saddles + _CUT_SADDLES[end]
             steps = (_interior_length(letters, 0), _interior_length(letters, 1))

@@ -43,11 +43,12 @@ keys groups every class, and one run-length pass gives each class's signed
 count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
 chunks of at most 2^16 blocks, so that each kernel array (512 KB at most,
 unless one walk is longer) stays in cache; the draws do not depend on the
-chunking.  The lookup tables over all 3 * 2^s oriented blocks hold only
-what the sampler reads, and ``per_class_moments`` reads its class listing
-off them.  They are built afresh, by prefix doubling in int32, on the end
-states (``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s)
-work, for no exact walk value.
+chunking.  The lookup tables hold what the sampler reads once each: the
+key over all 3 * 2^s oriented blocks, and r and the palindromic type per
+block; ``per_class_moments`` reads its class listing off them.  They are
+built afresh, by prefix doubling in int32, on the end states
+(``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s) work,
+for no exact walk value.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ _LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
 # The S3 indices that the letters a and b take to each S3 index (a letter
 # is its own inverse here too).
 _S3_BEFORE = tuple(zip(S3_AFTER["a"], S3_AFTER["b"]))
-# A signature row (x, y, x_m, y_m, pal) as one mixed-radix code below 162.
-_CODE_WEIGHTS = np.array([54, 18, 6, 2, 1], dtype=np.int64)
 
 
 def identity_matrix() -> IntMatrix:
@@ -264,14 +263,16 @@ def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class _WalkTables:
-    """Lookup tables over ids (state - 1) * 2^s + block for the walk kernel."""
+    """Lookup tables for the walk kernel, by id (state - 1) * 2^s + block or by block."""
 
     s: int
-    next_state: np.ndarray
     # Sort key 2 * canon + [mirror side] per id: canon is the class's
     # canonical id, and the mirror side of a class counts -1 in D_w.
     key: np.ndarray
-    is_pal: np.ndarray  # indexed by id; depends only on the block letters
+    # Per block: r, its end state less one from state 1, and whether it is
+    # palindromic-type.
+    offset: np.ndarray
+    is_pal: np.ndarray
 
 
 def _end_states(s: int) -> np.ndarray:
@@ -293,6 +294,7 @@ def _tables(s: int) -> _WalkTables:
     # prefix doubling.  The build runs in int32: the budgets keep
     # 3 * 2^s <= 2^24, so every key, below 6 * 2^s, stays below 2^31.
     ends = _end_states(s)
+    offset = (ends[0] - 1).astype(np.int8)
     reversed_bits = np.zeros(1, dtype=np.int32)
     for k in range(s):
         flipped = np.empty(2 << k, dtype=np.int32)
@@ -303,36 +305,42 @@ def _tables(s: int) -> _WalkTables:
     # Mirror block: reverse the letter order and swap a <-> b.
     half = 1 << s
     mirror_block = (half - 1) ^ reversed_bits
-    is_pal = np.tile(mirror_block == np.arange(half, dtype=np.int32), 3)
+    is_pal = mirror_block == np.arange(half, dtype=np.int32)
 
-    # The key is built in place: first the mirror id, which starts at the
-    # flip 4 - y of the end state y, then the canonical id, then the key.
-    key = (((3 - ends) << s) + mirror_block).reshape(-1)
-    ids = np.arange(3 * half, dtype=np.int32)
+    # The key is built in place of the end states: first the mirror id,
+    # which starts at the flip 4 - y of the end state y, then the canonical
+    # id, then the key.
+    key = np.subtract(3, ends, out=ends)
+    key <<= s
+    key += mirror_block
+    ids = np.arange(3 * half, dtype=np.int32).reshape(3, half)
     np.minimum(key, ids, out=key)
     np.copyto(key, ids, where=is_pal)
     mirror_side = key != ids
     del ids
     key <<= 1
     key += mirror_side
-    return _WalkTables(s, ends.reshape(-1).astype(np.int64), key, is_pal)
+    return _WalkTables(s, key.reshape(-1), offset, is_pal)
 
 
 def _class_listing(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
     """The canonical ids of the summand classes, the ids whose key is twice
-    the id, and each class's signature group (``_signature_groups``): its
-    mirror runs from the flip of its end state to the flip of its start."""
+    the id, and each class's signature group (``_signature_groups``) by its
+    start, type and end state, read off r as ``_distances`` does."""
+    s = tables.s
     classes = np.flatnonzero(tables.key == 2 * np.arange(tables.key.size))
-    x, y = classes >> tables.s, tables.next_state[classes] - 1
-    codes = np.stack([x, y, 2 - y, 2 - x, tables.is_pal[classes]], axis=1) @ _CODE_WEIGHTS
-    signatures, _ = _signature_groups(tables.s)
-    return classes, np.searchsorted(signatures @ _CODE_WEIGHTS, codes).astype(np.int8)
+    x, block = classes >> s, classes & ((1 << s) - 1)
+    y = ((-1) ** s * x + tables.offset[block]) % 3
+    signatures, _ = _signature_groups(s)
+    group_of = np.zeros((3, 3, 2), dtype=np.int8)
+    group_of[tuple(signatures[:, [0, 1, 4]].T)] = np.arange(len(signatures))
+    return classes, group_of[x, y, tables.is_pal[block].astype(np.int8)]
 
 
 def oriented_word_key(s: int, ident: int) -> str:
     """Serialize an id from the walk tables as an oriented-word key."""
     state, block = divmod(ident, 1 << s)
-    letters = "".join("ab"[(block >> (s - 1 - j)) & 1] for j in range(s))
+    letters = format(block, f"0{s}b").translate(str.maketrans("01", "ab"))
     return f"o{state + 1}:{letters}"
 
 
@@ -353,11 +361,10 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     """
     rows, t = blocks.shape
     s = tables.s
-    # Column k holds r_(k-1), signed by (-1)^k for odd s; the blocks index
-    # the ids from state 1.  Its row prefix sums are the states.
+    # Column k holds r_(k-1), signed by (-1)^k for odd s.  Its row prefix
+    # sums are the states.
     ident = np.zeros((rows, t), dtype=np.int64)
-    ident[:, 1:] = tables.next_state[blocks[:, :-1]]
-    ident[:, 1:] -= 1
+    ident[:, 1:] = tables.offset[blocks[:, :-1]]
     if s % 2:
         ident[:, 1::2] *= -1
     np.cumsum(ident, axis=1, out=ident)
@@ -377,7 +384,7 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     first[::t] = True  # a run never crosses into the next row
     starts = np.flatnonzero(first)
     counts = np.add.reduceat(1 - 2 * (flat & 1), starts)
-    contributions = residual_count(counts, tables.is_pal[canon[starts]])
+    contributions = residual_count(counts, tables.is_pal[canon[starts] & ((1 << s) - 1)])
     return np.bincount(starts // t, weights=contributions,
                        minlength=rows).astype(np.int64)
 
@@ -455,10 +462,6 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
     return law
 
 
-# Per signature group: (palindromic, E|D_w|, E[D_w^2]).
-_Moments = list[tuple[bool, Fraction, Fraction]]
-
-
 def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], list[int]]:
     """Per signature group: its number of classes, whether it is
     palindromic-type, and the sums of |D_w| and of D_w^2 over the 2^(s t)
@@ -480,15 +483,6 @@ def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], lis
     abs_totals = (law * contribution).sum(axis=1)
     square_totals = (law * contribution * contribution).sum(axis=1)
     return sizes, pal.tolist(), abs_totals.tolist(), square_totals.tolist()
-
-
-def _group_moments(s: int, t: int) -> tuple[list[int], _Moments]:
-    """Per signature group, its number of classes and (palindromic, E|D_w|,
-    E[D_w^2])."""
-    sizes, pals, abs_totals, square_totals = _group_totals(s, t)
-    total = 1 << (s * t)
-    return sizes, [(p, Fraction(a, total), Fraction(q, total))
-                   for p, a, q in zip(pals, abs_totals, square_totals)]
 
 
 def _check_walk_domain(s: int, t: int) -> None:
@@ -573,7 +567,10 @@ class ClassMoments:
 def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
     """Exact E|D_w| and E[D_w^2] for every summand class."""
     budget.check_class_listing(s)
-    _, moments = _group_moments(s, t)
+    _, pals, abs_totals, square_totals = _group_totals(s, t)
+    total = 1 << (s * t)
+    moments = [(p, Fraction(a, total), Fraction(q, total))
+               for p, a, q in zip(pals, abs_totals, square_totals)]
     classes, groups = _class_listing(_tables(s))
     keys = [oriented_word_key(s, ident) for ident in classes.tolist()]
     return {key: ClassMoments(key, *moments[group])

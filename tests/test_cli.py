@@ -223,7 +223,7 @@ def test_avg_sig_over_budget_exits_2():
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
      sigtables.histogram_enumerated, "budget stops at c=22"),
-    (("avg-sig", "--c", "3..10579"), sigtables.totals, "avg_sig_work"),
+    (("avg-sig", "--c", "3..10583"), sigtables.totals, "avg_sig_work"),
     (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
     (("sig-table", "--c", "100000", "--method", "recurse"),
      sigtables.recursed_table, "recursion_work"),

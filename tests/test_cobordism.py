@@ -624,26 +624,11 @@ def test_interior_length_matches_letter_scan():
 
 
 def test_summand_table_matches_mirror_analysis():
-    # s = 11 is the first table built past the block memo.
+    # s = 11 is the first table with more blocks than the block memo holds.
     for s in range(1, 12):
         table = cobordism._summand_table(s)
         assert ((table.counts, table.costs, table.weights)
                 == reference_summand_table(s)), s
-
-
-def test_large_summand_table_keeps_the_block_memo():
-    # Past s = 10 the table's 3 * 2^s blocks bypass the memo, so the blocks
-    # a decompose cached stay, and a second decompose analyses no block.
-    word = seeded_long_words(1, seed=7, crossings=(200, 200))[0]
-    rep = decompose(word, 3)
-    cached = cobordism._analyse_block.cache_info()
-    cobordism._summand_table(11)
-    assert cobordism._analyse_block.cache_info() == cached
-    again = decompose(word, 3)
-    after = cobordism._analyse_block.cache_info()
-    assert after.misses == cached.misses and after.currsize == cached.currsize
-    assert again == rep
-    assert all(x is y for x, y in zip(again.summands, rep.summands, strict=True))
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):

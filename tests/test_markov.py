@@ -145,8 +145,9 @@ def letter_step_walk_cell(s, t):
 def verify_second_moments(s, t):
     """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
     bound = Fraction(4 * t, 2 ** s)
-    _, moments = markov._group_moments(s, t)
-    return all(second <= bound for pal, _, second in moments if not pal)
+    _, pals, _, square_totals = markov._group_totals(s, t)
+    return all(Fraction(q, 1 << (s * t)) <= bound
+               for pal, q in zip(pals, square_totals) if not pal)
 
 
 def class_bucket(key):
@@ -174,8 +175,9 @@ def reference_tables(s):
     """Per-bit build of the walk tables: s passes over all 3 * 2^s ids for
     the end states and s more for the mirror blocks.  Returns the fields
     of ``_WalkTables`` with the sort key split into canonical id and sign,
-    the classes and groups of ``_class_listing``, and the rows and sizes of
-    ``_signature_groups`` read off the classes."""
+    the end state of every id, the classes and groups of
+    ``_class_listing``, and the rows and sizes of ``_signature_groups`` read
+    off the classes."""
     half = 1 << s
     blocks = np.arange(half, dtype=np.int64)
 
@@ -210,8 +212,8 @@ def reference_tables(s):
     group_of_code[present] = np.arange(present.size)
     signatures = np.stack([present // 54, present // 18 % 3, present // 6 % 3,
                            present // 2 % 3, present % 2], axis=1)
-    return {"next_state": next_state, "canon": canon, "sign": sign,
-            "is_pal": is_pal, "classes": classes,
+    return {"offset": (states[0] - 1).astype(np.int8), "is_pal": is_pal_block,
+            "next_state": next_state, "canon": canon, "sign": sign, "classes": classes,
             "class_group": group_of_code[codes], "signatures": signatures,
             "group_sizes": counts[present]}
 
@@ -228,6 +230,7 @@ def walk_segments(blocks, tables):
     """
     rows, t = blocks.shape
     s = tables.s
+    next_state = markov._end_states(s).reshape(-1)
     keys = np.empty((rows, t), dtype=np.int64)
     signs = np.empty((rows, t), dtype=np.int64)
     state = np.ones(rows, dtype=np.int64)
@@ -235,7 +238,7 @@ def walk_segments(blocks, tables):
         ident = (state - 1) * (1 << s) + blocks[:, step]
         keys[:, step] = tables.key[ident] >> 1
         signs[:, step] = 1 - 2 * (tables.key[ident] & 1)
-        state = tables.next_state[ident]
+        state = next_state[ident]
 
     order = np.argsort(keys, axis=1, kind="stable")
     keys = np.take_along_axis(keys, order, axis=1)
@@ -255,7 +258,7 @@ def walk_segments(blocks, tables):
     anchor = np.where(start, np.arange(t, dtype=np.int64), 0)
     np.maximum.accumulate(anchor, axis=1, out=anchor)
     runs = sums - np.take_along_axis(before, anchor, axis=1)
-    return keys, runs, tables.is_pal[keys], end, order
+    return keys, runs, tables.is_pal[keys & ((1 << s) - 1)], end, order
 
 
 def oracle_distances(blocks, tables):
@@ -694,13 +697,14 @@ def test_ungrouped_laws_match_grouped_moments():
     # and the letter steps are built from orientation_after.
     for s in (1, 2, 3):
         tables = _tables(s)
+        next_state = markov._end_states(s).reshape(-1)
         mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
         classes, _ = _class_listing(tables)
         mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
-        pal = tables.is_pal[classes]
+        pal = tables.is_pal[classes & ((1 << s) - 1)]
         assert (mirrors == classes).tolist() == pal.tolist()
-        own = ((classes >> s)[:, None], tables.next_state[classes, None] - 1)
-        other = ((mirrors >> s)[:, None], tables.next_state[mirrors, None] - 1)
+        own = ((classes >> s)[:, None], next_state[classes, None] - 1)
+        other = ((mirrors >> s)[:, None], next_state[mirrors, None] - 1)
         for t in (1, 2, 3, 8, 21, 60):
             step = letter_steps(s, (LETTER_SOURCES,) * 2)
             law = displacement_laws(s, t, step, (own,) * 2, (other,) * 2, pal).sum(axis=1)
@@ -739,7 +743,7 @@ def test_tables_match_per_bit_reference():
         reference = reference_tables(s)
         assert tables.s == s
         classes, class_group = _class_listing(tables)
-        for name, field in (("next_state", tables.next_state), ("is_pal", tables.is_pal),
+        for name, field in (("offset", tables.offset), ("is_pal", tables.is_pal),
                             ("classes", classes), ("class_group", class_group)):
             assert field.dtype == reference[name].dtype, (s, name)
             assert np.array_equal(field, reference[name]), (s, name)
@@ -750,6 +754,38 @@ def test_tables_match_per_bit_reference():
         assert tables.key.dtype == np.int32
         assert np.array_equal(tables.key,
                               2 * reference["canon"] + (reference["sign"] < 0)), s
+        assert np.array_equal(markov._end_states(s).reshape(-1), reference["next_state"]), s
+
+
+def test_walk_tables_hold_each_fact_once():
+    # Only the sort key spans the 3 * 2^s ids; every other table depends on
+    # the block alone, and no table is int64.
+    for s in range(1, 13):
+        tables = _tables(s)
+        arrays = {field.name: getattr(tables, field.name)
+                  for field in fields(markov._WalkTables) if field.name != "s"}
+        assert {name: array.shape for name, array in arrays.items()} == {
+            name: (3 << s,) if name == "key" else (1 << s,) for name in arrays}, s
+        assert all(array.dtype != np.int64 for array in arrays.values()), s
+
+
+def test_class_listing_matches_end_states_and_code_rule():
+    # The listing's end states (its groups' rows) against the prefix-doubled
+    # end states, and its groups against the rule that they replaced: each
+    # class's signature row as one mixed-radix code, found by searchsorted
+    # among the codes of the signature groups.
+    weights = np.array([54, 18, 6, 2, 1], dtype=np.int64)
+    for s in range(1, 13):
+        tables = _tables(s)
+        classes, groups = _class_listing(tables)
+        signatures, _ = _signature_groups(s)
+        x, y = classes >> s, markov._end_states(s).reshape(-1)[classes] - 1
+        pal = tables.is_pal[classes & ((1 << s) - 1)]
+        rows = signatures[groups]
+        assert np.array_equal(rows[:, 0], x) and np.array_equal(rows[:, 1], y), s
+        assert np.array_equal(rows[:, 4], pal), s
+        codes = np.stack([x, y, 2 - y, 2 - x, pal], axis=1) @ weights
+        assert np.array_equal(groups, np.searchsorted(signatures @ weights, codes)), s
 
 
 def test_distances_match_argsort_oracle():
@@ -805,7 +841,7 @@ def test_monte_carlo_builds_no_class_listing(monkeypatch):
 
     monkeypatch.setattr(markov, "_signature_groups", refuse)
     assert [field.name for field in fields(markov._WalkTables)] == \
-        ["s", "next_state", "key", "is_pal"]
+        ["s", "key", "offset", "is_pal"]
     test_monte_carlo_pinned_values()
 
 

@@ -414,17 +414,18 @@ def test_palindromic_total_budget(monkeypatch):
 
 
 def test_avg_sig_budget(monkeypatch):
-    # An odd c unrolls two recurrences and an even c one, so the largest
-    # single c within the budget is 110095 if odd and 153392 if even.
+    # An odd c unrolls two recurrences and an even c one, charged 3/4 of
+    # one, so the largest single c within the budget is 110095 if odd and
+    # 175410 if even.
     assert budget.avg_sig_work((110095,)) <= budget.AVG_SIG_WORK_BUDGET
     assert budget.avg_sig_work((110097,)) > budget.AVG_SIG_WORK_BUDGET
-    assert budget.avg_sig_work((153392,)) <= budget.AVG_SIG_WORK_BUDGET
-    assert budget.avg_sig_work((153394,)) > budget.AVG_SIG_WORK_BUDGET
-    # Each row costs its own fraction and digits: c = 3..10578 is the
+    assert budget.avg_sig_work((175410,)) <= budget.AVG_SIG_WORK_BUDGET
+    assert budget.avg_sig_work((175412,)) > budget.AVG_SIG_WORK_BUDGET
+    # Each row costs its own fraction and digits: c = 3..10582 is the
     # largest run from c = 3, and a run is charged as its listed c are.
-    budget.check_avg_sig(range(3, 10579))
-    with pytest.raises(BudgetError, match="c=3..10579"):
-        budget.check_avg_sig(range(3, 10580))
+    budget.check_avg_sig(range(3, 10583))
+    with pytest.raises(BudgetError, match="c=3..10583"):
+        budget.check_avg_sig(range(3, 10584))
     assert budget.avg_sig_work(range(5, 300)) == budget.avg_sig_work(tuple(range(5, 300)))
 
     def refuse(*args, **kwargs):
