@@ -26,7 +26,9 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 G4_WORK_BUDGET = 1 << 27
 #: 25-35 ns per unit, most at s = 1 and odd s: the largest t at each s takes
 #: 6.6-10.1 s, ``walk-sim --s 1 --t 2215 --exact`` 10.1 s, ``--s 4 --t 785``
-#: 6.6 s and ``--s 5 --t 977`` 9.9 s; ``(4, 1000)``, refused, 14.7 s
+#: 6.6 s and ``--s 5 --t 977`` 9.9 s; ``(4, 1000)``, refused, 14.7 s.  At
+#: t = 1 the largest odd s, ``exact_walk_cell(780895, 1)``, takes 2.4-2.7 s
+#: and the largest even s, 493662, 0.8-1.2 s
 WALK_WORK_BUDGET = 5 << 26
 #: about 3 us per table entry: ``per_class_moments(18, 1)`` takes 1.8-2.7 s,
 #: and ``(20, 1)``, refused, 14 s at a peak of 0.46 GB
@@ -158,15 +160,13 @@ def _g4_cells(c: int, s: int) -> int:
     return min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
 
 
-def g4_work(c: int, s: int) -> int:
-    """Cell updates of the mean g4 DP: its 3 * 2^s block table and DP cells."""
-    return (3 << s) * _TABLE_ENTRY_WORK + _g4_cells(c, s)
-
-
 def check_g4(c: int, s: int) -> None:
-    """``g4_work``, its table's 3 * 2^s entries passed as a shift (no 2^s built)."""
+    """Cell updates of the mean g4 DP: ``_g4_cells``, plus _TABLE_ENTRY_WORK
+    for each of the 3 * 2^s entries of its block table, passed as a shift
+    (no 2^s built)."""
     _check(_g4_cells(c, s), G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
-           f"cell updates for its table of 3 * 2^{s} block masks and its DP (g4_work)",
+           f"cell updates (2^10 per entry of its table of 3 * 2^{s} block "
+           "masks, plus _g4_cells for its DP)",
            shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
@@ -192,11 +192,10 @@ def _walk_ops(s: int) -> int:
 def walk_work(s: int, t: int) -> int:
     """The exact walk DP's t blocks, plus _walk_ops(s) element operations
     at each of the 2k + 3 displacements of block k, t (t + 2) in all, each
-    weighted by 1 + s t / 1024 for the size of its ints, plus s^2 / 128 for
-    the S3 block counts of the signature groups (s steps on s-bit ints)."""
+    weighted by 1 + s t / 1024 for the size of its ints.  The signature
+    groups, read off M^s and M^(s/2) in closed form, are not charged."""
     ops = _walk_ops(s) * t * (t + 2)
-    return (_BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
-            + s * s // 128)
+    return _BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
 
 
 def check_walk(s: int, t: int) -> None:

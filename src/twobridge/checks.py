@@ -124,7 +124,7 @@ def check_sig_table(budget_c: int | None = None) -> tuple[bool, str]:
 
 def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
     """Odd/even recursed row sums collapse to central binomial coefficients."""
-    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c else None))
+    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c is not None else None))
     rows = sigtables.recursed_table(2 * m_max + 2)
     for m in range(1, m_max + 1):
         if not sigtables.verify_binomial(m, rows):
@@ -135,9 +135,9 @@ def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
 def check_totals(budget_c: int | None = None) -> tuple[bool, str]:
     """Total-|sigma| identities on the recursed rows: paired rows, even-c
     recursion, exact forms."""
-    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c else None))
+    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c is not None else None))
     even_max = max(6, _clamp(18, budget_c))
-    identity_max = max(2, _clamp(6, (budget_c - 1) // 2 if budget_c else None))
+    identity_max = max(2, _clamp(6, (budget_c - 1) // 2 if budget_c is not None else None))
     rows = sigtables.recursed_table(max(2 * m_max + 2, even_max))
     for m in range(1, m_max + 1):
         if not sigtables.verify_tot2(m, rows):
@@ -325,9 +325,13 @@ REGISTRY: tuple[tuple[str, object], ...] = (
 
 
 def run_check(name: str, budget_c: int | None = None) -> CheckResult:
+    """Run one registered check; a budget_c below 3, the smallest crossing
+    number, raises ValueError."""
     table = dict(REGISTRY)
     if name not in table:
         raise ValueError(f"unknown check {name!r}")
+    if budget_c is not None and budget_c < 3:
+        raise ValueError(f"budget_c must be at least 3, got {budget_c}")
     started = time.perf_counter()
     passed, detail = table[name](budget_c)
     return CheckResult(name, passed, time.perf_counter() - started, detail)

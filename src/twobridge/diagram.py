@@ -69,13 +69,9 @@ PLAT_LEFT = "A"
 
 #: orientation state after one letter, indexed by the state before it
 STATE_AFTER = {"a": (0, 1, 3, 2), "b": (0, 2, 1, 3)}
-#: the six strand permutations, and the index of each one followed by a
-#: letter: a strand's exit position moves as an orientation state does
+#: the six strand permutations, which ``s3_index`` indexes: a strand's
+#: exit position moves as an orientation state does
 S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-S3_AFTER = {
-    letter: tuple(S3.index(tuple(step[q] for q in p)) for p in S3)
-    for letter, step in STATE_AFTER.items()
-}
 #: (sign of the crossing, state after it), indexed by the state before it
 STEP = {
     "a": (None, (-1, 1), (1, 3), (1, 2)),

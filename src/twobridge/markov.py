@@ -20,7 +20,7 @@ The distance is a sum over classes, so E[Dist] = sum_w E|D_w|, and the law
 of one displacement D_w depends only on the class's transfer signature:
 the (start, end) states of the class and of its mirror, and its type.
 Classes are grouped by signature, and ``_signature_groups`` counts the
-classes of each group from S3 block counts in O(s) integer steps, with no
+classes of each group off the closed forms of M^s and M^(s/2), with no
 block listed.  One exact integer dynamic program, ``displacement_laws``,
 steps (orientation state, D_w) for every group across the t uniform
 blocks, one block step per block: O(t^2) cells instead of a sum over all
@@ -61,7 +61,7 @@ from itertools import product
 import numpy as np
 
 from . import budget
-from .diagram import S3, S3_AFTER, STATE_AFTER
+from .diagram import STATE_AFTER
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 IntMatrix = tuple[tuple[int, int, int], ...]
@@ -77,9 +77,6 @@ _CELL_CAP = 1 << 16
 # is the state that the letter moves to j (a letter is its own inverse).
 _STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
 _LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
-# The S3 indices that the letters a and b take to each S3 index (a letter
-# is its own inverse here too).
-_S3_BEFORE = tuple(zip(S3_AFTER["a"], S3_AFTER["b"]))
 
 
 def identity_matrix() -> IntMatrix:
@@ -217,38 +214,29 @@ def pal_coordinate_count(s: int) -> int:
     return 3 * 2 ** (s // 2) if s % 2 == 0 else 0
 
 
-def _s3_counts(letters: int) -> list[int]:
-    """Number of blocks of the given length with each strand permutation,
-    indexed as ``S3``."""
-    counts = [1, 0, 0, 0, 0, 0]
-    for _ in range(letters):
-        counts = [counts[a] + counts[b] for a, b in _S3_BEFORE]
-    return counts
-
-
 def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
     """The walk's signature groups in increasing order of signature code:
     one row (start, end, mirror start, mirror end, palindromic-type) of
     state indices 0..2 per group, and the number of classes in each.
 
     No block is listed: N[x][y], the number of blocks that take state x to
-    y, comes from the S3 block counts over s letters.  A palindromic-type
-    block (even s) is a half h followed by the mirror of h, which takes x
-    to J h^-1 J h (x) with J the flip 1 <-> 3, so the S3 counts over s / 2
-    letters give P[x][y] of them, each its own class.  A mirror runs from
-    flip(y) to flip(x) and the class is the side with the smaller id, so
-    the other blocks from x to y are N - P classes when x < flip(y), half
-    of that when x = flip(y), and none otherwise.
+    y, is M^s (``_closed_form``).  A palindromic-type block (even s) is a
+    half h followed by J h^-1 J, with J the flip 1 <-> 3.  On x = state - 1
+    in Z/3, h is x -> e x + r with e = (-1)^(s/2) and r + 1 its end state
+    from state 1, and J is x -> -1 - x, so the block is the translation
+    x -> x + e (2 r + 1) - 1: row 0 of M^(s/2) gives P[x][y] of them, each
+    its own class.  A mirror runs from flip(y) to flip(x) and the class is
+    the side with the smaller id, so the other blocks from x to y are
+    N - P classes when x < flip(y), half of that when x = flip(y), and none
+    otherwise.
     """
-    n = [[0] * 3 for _ in range(3)]
-    for perm, count in zip(S3, _s3_counts(s)):
-        for x in range(3):
-            n[x][perm[x] - 1] += count
+    n = _closed_form(s)
     p = [[0] * 3 for _ in range(3)]
     if s % 2 == 0:
-        for perm, count in zip(S3, _s3_counts(s // 2)):
+        turn = (-1) ** (s // 2)
+        for r, count in enumerate(_closed_form(s // 2)[0]):
             for x in range(3):
-                p[x][2 - perm.index(4 - perm[x])] += count
+                p[x][(x + turn * (2 * r + 1) - 1) % 3] += count
     groups = []
     for x, y in product(range(3), repeat=2):
         others = n[x][y] - p[x][y]

@@ -114,3 +114,12 @@ def test_11_aggregate_g4():
     # stays below 9.75 c / log10(c) and the closed-form expression bound
     # for 7 <= c <= 100 and c = 200, 500, 1000, in under a minute.
     _run("aggregate-g4", budget_seconds=60)
+
+
+def test_budget_below_the_smallest_crossing_number_refused():
+    # No knot has fewer than 3 crossings, so a budget_c below 3 caps no
+    # check: every check refuses it before any work, as verify-all does.
+    for name, _ in checks.REGISTRY:
+        for budget_c in (0, 1, 2):
+            with pytest.raises(ValueError, match="budget_c must be at least 3"):
+                run_check(name, budget_c)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.budget import G4_WORK_BUDGET, BudgetError, g4_work
+from twobridge.budget import BudgetError, check_g4
 from twobridge.cobordism import (
     AverageRow,
     OrientedWord,
@@ -666,8 +666,9 @@ def test_g4_work_refused_before_any_work(monkeypatch):
         raise AssertionError("an over-budget mean must be refused first")
 
     monkeypatch.setattr(cobordism, "_summand_table", build)
-    assert g4_work(2000, 4) > G4_WORK_BUDGET
-    assert g4_work(1000, 3) <= G4_WORK_BUDGET
+    check_g4(1000, 3)
+    with pytest.raises(BudgetError, match=r"c=2000, s=4.*_g4_cells"):
+        check_g4(2000, 4)
     start = time.perf_counter()
     for c, s in ((2000, 4), (80, 39)):
         with pytest.raises(BudgetError, match="refusing"):

@@ -104,8 +104,6 @@ KEPT_UNREAD = {
     "bijection_f": "the paper's bijection of T(2m+1), T(2m+2) onto braid "
                    "words of length 2m-1, from which the word counts follow",
     "bijection_f_inverse": "its inverse, a uniform sampler of T(c)",
-    "g4_work": "the estimate that a g4 refusal names; check_g4 passes its table "
-               "term to _check as a shift, so that a huge s builds no 2^s",
 }
 
 

@@ -28,7 +28,7 @@ from twobridge.budget import (
     walk_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
-from twobridge.diagram import S3, s3_index
+from twobridge.diagram import S3, STATE_AFTER, s3_index
 from twobridge.markov import (
     _class_listing,
     _distances,
@@ -550,10 +550,18 @@ def test_walk_work_charges_the_dp_rows():
 
 def test_budgets_admit_what_the_slower_paths_admitted():
     # The largest requests admitted when the walk DP stepped letter by
-    # letter and the Markov checks multiplied fractions stay admitted.
+    # letter, when the signature groups were counted by an S3 block-count
+    # DP, and when the Markov checks multiplied fractions stay admitted.
     for s, t in [(1, 2174), (2, 976), (3, 841), (4, 499), (5, 608), (6, 387),
-                 (7, 490), (8, 322), (79, 101), (1498, 10), (29547, 1), (45367, 1)]:
+                 (7, 490), (8, 322), (79, 101), (1498, 10), (29547, 1), (45367, 1),
+                 (191027, 1)]:
         check_walk(s, t)
+    # At t = 1 the largest admitted s, odd and even (an even s runs more
+    # signature groups), and the next s of each parity refused.
+    for s in (780895, 493662):
+        check_walk(s, 1)
+        with pytest.raises(BudgetError, match="walk_work"):
+            check_walk(s + 2, 1)
     # The Markov checks also keep the largest requests admitted when each
     # block was charged a whole unit, and admit s up to 23.
     for s, kmax in [(1, 8191), (6, 1365), (18, 227), (1, 30783), (6, 6588),
@@ -587,7 +595,7 @@ def test_huge_block_size_refused_before_work():
 
 
 def test_exact_walk_builds_no_tables(monkeypatch):
-    # Every exact walk value comes from the S3 block counts alone.  The
+    # Every exact walk value comes from the closed form of M^s alone.  The
     # digest was recorded when the groups were read off the walk tables.
     def refuse(s):
         raise AssertionError(f"the walk tables were built at s={s}")
@@ -634,9 +642,52 @@ def test_signature_groups_cover_every_oriented_block():
 
 
 def test_one_block_walk_has_distance_one():
-    # One summand is never cancelled.  Every s up to 1000 would take ~6 s.
-    for s in [*range(1, 201), 255, 256, 511, 512, 999, 1000]:
+    # One summand is never cancelled.  s = 250000 is past what the budget
+    # admitted while it charged the S3 block-count DP s^2 / 128.
+    for s in [*range(1, 1001), 250000]:
         assert exact_expected_distance(s, 1) == 1, s
+
+
+def s3_count_groups(s):
+    """The signature groups by the S3 block-count rule: the number of blocks
+    of each strand permutation over s letters, and over s / 2 for the
+    palindromic-type blocks, a half h followed by its mirror, which takes x
+    to J h^-1 J h (x).  The class counts follow as in ``_signature_groups``."""
+    before = [tuple(S3.index(tuple(step[q] for q in perm)) for perm in S3)
+              for step in STATE_AFTER.values()]
+
+    def s3_counts(letters):
+        counts = [1, 0, 0, 0, 0, 0]
+        for _ in range(letters):
+            counts = [counts[a] + counts[b] for a, b in zip(*before)]
+        return counts
+
+    n = [[0] * 3 for _ in range(3)]
+    for perm, count in zip(S3, s3_counts(s)):
+        for x in range(3):
+            n[x][perm[x] - 1] += count
+    p = [[0] * 3 for _ in range(3)]
+    if s % 2 == 0:
+        for perm, count in zip(S3, s3_counts(s // 2)):
+            for x in range(3):
+                p[x][2 - perm.index(4 - perm[x])] += count
+    groups = []
+    for x, y in product(range(3), repeat=2):
+        others = n[x][y] - p[x][y]
+        if x <= 2 - y:
+            groups.append(((x, y, 2 - y, 2 - x, 0),
+                           others if x < 2 - y else others // 2))
+        groups.append(((x, y, 2 - y, 2 - x, 1), p[x][y]))
+    groups = [group for group in groups if group[1]]
+    return [list(row) for row, _ in groups], [size for _, size in groups]
+
+
+def test_signature_groups_match_s3_block_counts():
+    # The closed form of M^s and M^(s/2) gives the groups that the S3
+    # block counts over s and s / 2 letters give.
+    for s in [*range(1, 301), 1000, 2046]:
+        signatures, sizes = _signature_groups(s)
+        assert (signatures.tolist(), sizes) == s3_count_groups(s), s
 
 
 @pytest.mark.parametrize("call, args, message", [
