@@ -37,18 +37,25 @@ Monte Carlo sampling covers walks past ``budget.check_walk``, within
 ``budget.check_monte_carlo``.  Each letter acts on Z/3 (state - 1) as a
 reflection, so a block acts as x -> (-1)^s x + r, with r read off its end
 state from state 1, and one prefix sum along a sampled walk gives the state
-before each of its blocks, with no Python step per block.  Each summand id
-carries an int32 key 2 * canon + [mirror side]; sorting a sampled walk's t
-keys groups every class, and one run-length pass gives each class's signed
-count D_w per walk in time linear in the blocks drawn.  Walks are drawn in
-chunks of at most 2^16 blocks, so that each kernel array (512 KB at most,
-unless one walk is longer) stays in cache; the draws do not depend on the
-chunking.  The lookup tables hold what the sampler reads once each: the
-key over all 3 * 2^s oriented blocks, and r and the palindromic type per
-block; ``per_class_moments`` reads its class listing off them.  They are
-built afresh, by prefix doubling in int32, on the end states
-(``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s) work,
-for no exact walk value.
+before each of its blocks, with no Python step per block.  Blocks are drawn
+in int32 (the same values as an int64 draw), and every kernel array with
+one entry per block is int32.  A walk of t >= K blocks, with K about
+1.5 * 2^s summand classes (``_class_count``), is scored by one
+``np.bincount`` over (walk, class, side) bins: each class's own count less
+its mirror count is D_w, which contributes |D_w|, or its parity for a
+palindromic-type class.  A shorter walk would leave most bins empty, so
+its t int32 keys 2 * canon + [mirror side] are sorted instead, which
+groups every class, and one run-length pass gives each D_w.  The choice
+depends on (s, t) alone.  Walks are drawn in chunks of at most 2^16
+blocks, so that each kernel array (256 KB at most, unless one walk is
+longer) stays in cache and a binned chunk has at most 2 * 2^16 bins; the
+draws do not depend on the chunking.  The lookup tables hold what the
+sampler reads once each: the key over all 3 * 2^s oriented blocks, and r
+and the palindromic type per block; ``per_class_moments`` reads its class
+listing off them, and the binned scorer its bins.  They are built afresh,
+by prefix doubling in int32, on the end states (``_end_states``) that
+``verify_chain`` counts the blocks by, O(2^s) work, for no exact walk
+value.
 """
 
 from __future__ import annotations
@@ -69,7 +76,8 @@ IntMatrix = tuple[tuple[int, int, int], ...]
 # The most blocks (at least one walk) that Monte Carlo sampling draws and
 # scores at once.  The kernel's step count does not grow with a chunk, so a
 # chunk only needs to spread its fixed numpy calls, and small arrays stay in
-# cache.
+# cache: int32 arrays of 256 KB, and for walks of t >= K blocks at most
+# rows * 2 K <= 2 * 2^16 bins.
 _CELL_CAP = 1 << 16
 
 # Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
@@ -293,30 +301,39 @@ def _tables(s: int) -> _WalkTables:
     # Mirror block: reverse the letter order and swap a <-> b.
     half = 1 << s
     mirror_block = (half - 1) ^ reversed_bits
-    is_pal = mirror_block == np.arange(half, dtype=np.int32)
+    blocks = np.arange(half, dtype=np.int32)
+    is_pal = mirror_block == blocks
 
     # The key is built in place of the end states: first the mirror id,
-    # which starts at the flip 4 - y of the end state y, then the canonical
-    # id, then the key.
+    # which starts at the flip 4 - y of the end state y, less the row's
+    # offset x 2^s, so that each row compares with the blocks; then the
+    # canonical id, then the key.
     key = np.subtract(3, ends, out=ends)
     key <<= s
     key += mirror_block
-    ids = np.arange(3 * half, dtype=np.int32).reshape(3, half)
-    np.minimum(key, ids, out=key)
-    np.copyto(key, ids, where=is_pal)
-    mirror_side = key != ids
-    del ids
+    row_offset = np.arange(3, dtype=np.int32)[:, None] << s
+    key -= row_offset
+    np.minimum(key, blocks, out=key)
+    np.copyto(key, blocks, where=is_pal)
+    mirror_side = key != blocks
+    key += row_offset
     key <<= 1
     key += mirror_side
     return _WalkTables(s, key.reshape(-1), offset, is_pal)
 
 
+def _class_count(s: int) -> int:
+    """Number K of summand classes: one per mirror pair of the 3 * 2^s
+    oriented blocks, and one per palindromic-type oriented block."""
+    return (3 << s) + pal_coordinate_count(s) >> 1
+
+
 def _class_listing(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical ids of the summand classes, the ids whose key is twice
-    the id, and each class's signature group (``_signature_groups``) by its
-    start, type and end state, read off r as ``_distances`` does."""
+    """The canonical ids of the summand classes, the ids on the own side,
+    and each class's signature group (``_signature_groups``) by its start,
+    type and end state, read off r as ``_summand_ids`` does."""
     s = tables.s
-    classes = np.flatnonzero(tables.key == 2 * np.arange(tables.key.size))
+    classes = np.flatnonzero((tables.key & 1) == 0)
     x, block = classes >> s, classes & ((1 << s) - 1)
     y = ((-1) ** s * x + tables.offset[block]) % 3
     signatures, _ = _signature_groups(s)
@@ -332,8 +349,9 @@ def oriented_word_key(s: int, ident: int) -> str:
     return f"o{state + 1}:{letters}"
 
 
-def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
-    """Walk distance of each row of a (rows, t) array of blocks.
+def _summand_ids(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
+    """Summand id (state - 1) * 2^s + block, in int32, of each entry of a
+    (rows, t) array of blocks, every walk from state 1.
 
     With x = state - 1 in Z/3, a letter is a reflection (``STATE_AFTER``):
     a is x -> -x and b is x -> 1 - x.  So block j moves x to
@@ -341,6 +359,28 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     sum along each row gives the state before block k: the sum of r_j over
     j < k for even s, and (-1)^k times the sum of (-1)^(j+1) r_j for odd s,
     mod 3.  No step loops over t.
+    """
+    s = tables.s
+    # Column k holds r_(k-1), signed by (-1)^k for odd s.  Its row prefix
+    # sums are the states, at most 2 t < 2^24 in magnitude: with at least
+    # two trials, ``budget.check_monte_carlo`` keeps t below 2^23.
+    ident = np.zeros(blocks.shape, dtype=np.int32)
+    ident[:, 1:] = np.take(tables.offset, blocks[:, :-1])
+    if s % 2:
+        ident[:, 1::2] *= -1
+    np.cumsum(ident, axis=1, out=ident)
+    if s % 2:
+        ident[:, 1::2] *= -1
+    # x mod 3 as x - 3 (x // 3): numpy vectorises floor division by a
+    # scalar but not the remainder, which costs about 15 times as much.
+    ident -= 3 * (ident // 3)
+    ident <<= s
+    ident += blocks
+    return ident
+
+
+def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
+    """Walk distance of each row of a (rows, t) array of blocks, by sorting.
 
     Sorting a row's summand keys puts each class's summands next to each
     other, own side (+1) before mirror side (-1).  One run-length pass over
@@ -349,19 +389,7 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     """
     rows, t = blocks.shape
     s = tables.s
-    # Column k holds r_(k-1), signed by (-1)^k for odd s.  Its row prefix
-    # sums are the states.
-    ident = np.zeros((rows, t), dtype=np.int64)
-    ident[:, 1:] = tables.offset[blocks[:, :-1]]
-    if s % 2:
-        ident[:, 1::2] *= -1
-    np.cumsum(ident, axis=1, out=ident)
-    if s % 2:
-        ident[:, 1::2] *= -1
-    ident %= 3
-    ident <<= s
-    ident += blocks
-    keys = tables.key[ident]
+    keys = np.take(tables.key, _summand_ids(blocks, tables))
     keys.sort(axis=1)
 
     flat = keys.reshape(-1)
@@ -380,6 +408,36 @@ def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
 def residual_count(d, pal):
     """Copies of a class left by cancellation: |d|, or d mod 2 if palindromic-type."""
     return np.where(pal, d & 1, np.abs(d))
+
+
+def _bin_table(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's bin 2 * rank + [mirror side], with rank its class's place
+    among the K classes in order of canonical id, and whether each class,
+    by rank, is palindromic-type: int32 over the 3 * 2^s ids, bool over
+    the K classes."""
+    own = (tables.key & 1) == 0
+    rank = np.cumsum(own, dtype=np.int32)  # rank + 1 at each canonical id
+    bins = rank[tables.key >> 1]
+    bins -= 1
+    bins <<= 1
+    bins += tables.key & 1
+    classes = np.flatnonzero(own)
+    return bins, tables.is_pal[classes & ((1 << tables.s) - 1)]
+
+
+def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
+                      bins: np.ndarray, pal: np.ndarray) -> np.ndarray:
+    """Walk distance of each row of a (rows, t) array of blocks, by one
+    ``np.bincount`` over the (row, class, side) bins of ``_bin_table``:
+    each class's own count less its mirror count is D_w.  In int32, with
+    rows * 2 K bins."""
+    rows = blocks.shape[0]
+    width = 2 * pal.size
+    where = np.take(bins, _summand_ids(blocks, tables))
+    where += np.arange(0, rows * width, width, dtype=np.int32)[:, None]
+    counts = np.bincount(where.reshape(-1), minlength=rows * width)
+    counts = counts.reshape(rows, pal.size, 2)
+    return residual_count(counts[:, :, 0] - counts[:, :, 1], pal).sum(axis=1)
 
 
 def letter_steps(s: int, sources):
@@ -433,7 +491,16 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
     d to d + 1, and its mirror (``mirror[p]``, unless ``pal[g]``) from d
     to d - 1.  Block k touches only the window d in [-k-1, k+1].
     """
+    def pairs(moving, src, dst):
+        # (group, state) index pairs, one per moving row and column.
+        return np.repeat(moving, src.shape[1]), src[moving].ravel(), dst[moving].ravel()
+
     rows, paired = np.arange(len(pal)), np.flatnonzero(~pal)
+    # The moves at each block parity k s mod 2 that occurs: an own move
+    # takes d to d + 1, a mirror move d to d - 1.
+    moves = [(pairs(rows, *own[p]), pairs(paired, *mirror[p]))
+             for p in range(2 if s % 2 and t > 1 else 1)]
+    shifts = ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)))
     law = np.zeros((len(pal), states, 2 * t + 1), dtype=object)
     law[:, 0, t] = 1
     for k in range(t):
@@ -441,11 +508,15 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
         window = slice(t - k - 1, t + k + 2)
         before = law[:, :, window]
         after = step(before, parity)
-        # The window's ends are still 0 before the block: a roll is a shift.
-        for moving, (src, dst), shift in ((rows, own[parity], 1),
-                                          (paired, mirror[parity], -1)):
-            moved = before[moving[:, None], src[moving]]
-            after[moving[:, None], dst[moving]] += np.roll(moved, shift, axis=-1) - moved
+        # The window's ends are still 0 before the block, so a move shifts
+        # the moved counts within it.  ``after`` is indexed by the pairs:
+        # a step may return an array that is not C-contiguous, and a
+        # reshape of it would be a copy.
+        for (groups, src, dst), (to, source) in zip(moves[parity], shifts):
+            moved = before[groups, src]
+            shifted = np.zeros_like(moved)
+            shifted[:, to] = moved[:, source]
+            after[groups, dst] += shifted - moved
         law[:, :, window] = after
     return law
 
@@ -518,10 +589,11 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     """Sampled (mean, standard error) of the walk distance.
 
     Trials are drawn in chunks of at most ``_CELL_CAP`` blocks (whole
-    trials, at least one per chunk) and scored by the row-sort kernel.  The
-    chunked draws concatenate to the single draw of all trials, so the
-    samples, and the result, depend only on (s, t, trials, seed), not on
-    the chunking.
+    trials, at least one per chunk) and scored by bincount
+    (``_binned_distances``) if t is at least the class count K, else by
+    the row-sort kernel (``_distances``).  The chunked draws concatenate
+    to the single draw of all trials, so the samples, and the result,
+    depend only on (s, t, trials, seed), not on the chunking.
     """
     _check_walk_domain(s, t)
     if trials < 2:
@@ -531,12 +603,14 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
         return 0.0, 0.0
     rng = np.random.Generator(np.random.Philox(seed))
     tables = _tables(s)
+    bins = _bin_table(tables) if _class_count(s) <= t else None
     rows = max(1, _CELL_CAP // t)
     distances = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
-        blocks = rng.integers(0, 1 << s, size=(hi - lo, t), dtype=np.int64)
-        distances[lo:hi] = _distances(blocks, tables)
+        blocks = rng.integers(0, 1 << s, size=(hi - lo, t), dtype=np.int32)
+        distances[lo:hi] = (_distances(blocks, tables) if bins is None
+                            else _binned_distances(blocks, tables, *bins))
     mean = float(distances.mean())
     stderr = float(distances.std(ddof=1) / trials ** 0.5)
     return mean, stderr

@@ -30,6 +30,9 @@ from twobridge.budget import (
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import S3, STATE_AFTER, s3_index
 from twobridge.markov import (
+    _bin_table,
+    _binned_distances,
+    _class_count,
     _class_listing,
     _distances,
     _signature_groups,
@@ -859,9 +862,98 @@ def test_distances_match_argsort_oracle():
                               oracle_distances(blocks, tables)), s
 
 
+def test_bin_table_ranks_the_classes():
+    # Bin 2 * rank + side: the rank indexes the class listing, the side is
+    # the key's, and K = (3 * 2^s + p) / 2 classes get one pair of bins each.
+    for s in range(1, 13):
+        tables = _tables(s)
+        bins, pal = _bin_table(tables)
+        classes, _ = _class_listing(tables)
+        assert bins.dtype == np.int32 and bins.shape == tables.key.shape, s
+        assert pal.size == classes.size == _class_count(s), s
+        assert np.array_equal(classes[bins >> 1], tables.key >> 1), s
+        assert np.array_equal(bins & 1, tables.key & 1), s
+        assert np.array_equal(pal, tables.is_pal[classes & ((1 << s) - 1)]), s
+        assert int(pal.sum()) == pal_coordinate_count(s), s
+
+
+def test_binned_distances_match_argsort_oracle():
+    # Both scorers at the walk length K where the choice turns, one block to
+    # either side, at odd and even s, then on one walk longer than a chunk.
+    rng = np.random.default_rng(25)
+    for s in (3, 4, 5, 8):
+        tables = _tables(s)
+        bins, pal = _bin_table(tables)
+        for t in (_class_count(s) - 1, _class_count(s), _class_count(s) + 1):
+            blocks = rng.integers(0, 1 << s, size=(40, t), dtype=np.int32)
+            expected = oracle_distances(blocks, tables)
+            binned = _binned_distances(blocks, tables, bins, pal)
+            assert np.array_equal(binned, expected), (s, t)
+            assert np.array_equal(_distances(blocks, tables), expected), (s, t)
+    for s in (3, 4):
+        tables = _tables(s)
+        blocks = rng.integers(0, 1 << s, size=(1, markov._CELL_CAP + 3), dtype=np.int32)
+        assert np.array_equal(_binned_distances(blocks, tables, *_bin_table(tables)),
+                              oracle_distances(blocks, tables)), s
+
+
+def test_int32_draws_equal_int64_draws():
+    # Every block size the Monte Carlo budget admits, drawn in chunks of
+    # both shapes that the sampler uses.
+    check_monte_carlo(22, 1, 2)
+    with pytest.raises(BudgetError):
+        check_monte_carlo(23, 1, 2)
+    for s in range(1, 23):
+        wide = np.random.Generator(np.random.Philox(s))
+        narrow = np.random.Generator(np.random.Philox(s))
+        for shape in [(7, 5), (1, 3000), (300, 2)]:
+            drawn = narrow.integers(0, 1 << s, size=shape, dtype=np.int32)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, wide.integers(0, 1 << s, size=shape,
+                                                       dtype=np.int64)), (s, shape)
+
+
+def test_monte_carlo_scorer_turns_at_the_class_count(monkeypatch):
+    # Walks with t >= K blocks are binned, shorter ones sorted; the choice
+    # depends on (s, t) alone, and every value stays the oracle's.
+    calls = []
+
+    def spy(name):
+        kernel = getattr(markov, name)
+
+        def counted(*args):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(markov, name, counted)
+
+    spy("_distances")
+    spy("_binned_distances")
+    for s in (3, 4):
+        for t in (_class_count(s) - 1, _class_count(s)):
+            calls.clear()
+            monte_carlo_distance(s, t, 50, seed=s)
+            assert set(calls) == {"_binned_distances" if t >= _class_count(s)
+                                  else "_distances"}, (s, t)
+
+
+def test_largest_monte_carlo_table_builds_no_bins(monkeypatch):
+    # (22, 1) is sorted: no rank table of 3 * 2^22 bins is built.
+    def refuse(*args):
+        raise AssertionError("bin table built at s=22, t=1")
+
+    monkeypatch.setattr(markov, "_bin_table", refuse)
+    monkeypatch.setattr(markov, "_binned_distances", refuse)
+    assert monte_carlo_distance(22, 1, 2, seed=0) == (1.0, 0.0)
+
+
 def test_monte_carlo_pinned_values():
     assert monte_carlo_distance(4, 100, 10 ** 4, seed=0) == \
         (34.1976, 0.05688039171714793)
+    # The benchmark's two sizes, both scored by bincount.
+    assert monte_carlo_distance(4, 100, 20000, seed=0) == \
+        (34.2367, 0.04017075229525828)
+    assert monte_carlo_distance(8, 1000, 4000, seed=0) == \
+        (460.4955, 0.2938766081243974)
     # 700000 walks of 7 blocks exceed one chunk of markov._CELL_CAP blocks.
     assert 700000 * 7 > markov._CELL_CAP
     assert monte_carlo_distance(3, 7, 700000, seed=5) == \
