@@ -22,13 +22,15 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: about 25 ns per cell update: ``g4 --c 1410`` takes 4.0 s
+#: about 8 ns per cell update: ``g4 --c 1410`` takes 1.0-1.2 s
 G4_WORK_BUDGET = 1 << 27
-#: 25-35 ns per unit, most at s = 1 and odd s: the largest t at each s takes
-#: 6.6-10.1 s, ``walk-sim --s 1 --t 2215 --exact`` 10.1 s, ``--s 4 --t 785``
-#: 6.6 s and ``--s 5 --t 977`` 9.9 s; ``(4, 1000)``, refused, 14.7 s.  At
-#: t = 1 the largest odd s, ``exact_walk_cell(780895, 1)``, takes 2.4-2.7 s
-#: and the largest even s, 493662, 0.8-1.2 s
+#: 11-32 ns per unit: the largest t at each s takes 3.7-10.7 s,
+#: ``walk-sim --s 1 --t 2215 --exact`` 8.0-8.8 s, ``--s 4 --t 785`` 5.6-6.2 s,
+#: ``--s 5 --t 977`` 9.4-9.7 s, ``--s 7 --t 884`` 10.2-10.7 s and
+#: ``(150, 225)``, where the counts far from d = 0 fill little of their
+#: packed slots, 6.7 s.  At t = 1 the largest odd s,
+#: ``exact_walk_cell(780895, 1)``, takes 1.9-2.1 s and the largest even s,
+#: 493662, 1.0-1.1 s
 WALK_WORK_BUDGET = 5 << 26
 #: about 3 us per table entry: ``per_class_moments(18, 1)`` takes 1.8-2.7 s,
 #: and ``(20, 1)``, refused, 14 s at a peak of 0.46 GB
@@ -41,7 +43,7 @@ MONTE_CARLO_WORK_BUDGET = 1 << 24
 #: 6-9 us per unit of the matrix powers: ``markov-verify --s 23 --kmax 1``,
 #: the largest s, takes 1.1-1.3 s at 0.23 GB, ``--s 23 --kmax 1233``
 #: 2.7-3.2 s, ``--s 18 --kmax 2279`` 2.9-3.3 s, ``--s 6 --kmax 6588``
-#: 2.7-3.7 s and ``--s 1 --kmax 30783`` 2.9-3.4 s
+#: 2.6-3.0 s and ``--s 1 --kmax 30783`` 2.9-3.4 s
 MARKOV_WORK_BUDGET = 1 << 19
 
 # A row of avg-sig (its Fraction, checked once more by its report, two
@@ -55,10 +57,12 @@ _EVEN_QUARTERS = 3
 # block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
 _MAX_LAW_KEYS = 54
 _TABLE_ENTRY_WORK = 1 << 10
-# A block of the walk DP costs ~100 us beyond its element operations (the
-# numpy calls of its step and of its own and mirror moves), as much as 4096
-# of them, and an operation costs one unit more for every 1024 bits of its
-# exact ints, which have up to s * t bits.
+# A block of the walk DP costs a few us per signature group beyond its
+# element operations (a Python step and one or two moves on the group's
+# packed ints); the 4096 units charged for it overstate that, and are kept
+# so that every request admitted so far stays admitted.  An element
+# operation, one displacement's slot of a packed int, costs one unit more
+# for every 1024 bits of the exact counts, which have up to s * t bits.
 _BLOCK_WORK = 4096
 _CELL_BITS = 1024
 # A matrix power of the Markov checks, taken from the previous one and

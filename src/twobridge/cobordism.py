@@ -29,13 +29,16 @@ no command builds one in a process that then decomposes words.
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the word cores, with no enumeration (see ``average_g4_row``), within
 ``budget.check_g4``; its residual term reuses the summand walk's
-displacement-law DP, ``markov.displacement_laws``.
+displacement-law DP, ``markov.displacement_laws``, which packs the law of
+each law key and DP state into one int and decodes each key's law once,
+summed over the cores of T(c).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -522,38 +525,45 @@ def _summand_table(s: int) -> _SummandTable:
     return _SummandTable(counts, costs, dict(weights))
 
 
+def _law_moves(keys: np.ndarray):
+    """The DP rows of the law keys (``_SummandTable.weights``): each key's
+    own and mirror moves, (from, to) DP states at block parities 0 and 1,
+    one column per interior length mod 3 before the block, and whether it
+    is palindromic-type.  A block adds its interior length at the parity
+    it starts on to every interior length mod 3."""
+    lengths = np.arange(3)
+
+    def moves(start, end, steps):
+        return [(_dp_state(start[:, None], lengths),
+                 _dp_state(end[:, None], lengths + step[:, None])) for step in steps]
+
+    return (moves(*keys[:, 0:2].T, keys[:, 2:4].T),
+            moves(*keys[:, 4:6].T, keys[:, 6:8].T), keys[:, 8].astype(bool))
+
+
 def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
                     tails: list[int]) -> int:
     """Sum over the words of T(c) of sum_w floor(n_w / 2) |D_w|, where
     ``tails[length]`` counts the core endings that put a core with that
     interior length mod 3 after its t blocks into T(c).
 
-    The joint law of (DP state, D_w) over the cores, one row per law key,
-    is ``markov.displacement_laws`` over the nine DP states, from state
-    0 = _dp_state(1, 0), with s letter steps of ``_letter_sources`` per
-    block (``markov.letter_steps``: at the block sizes of the mean, 3 or
-    4, a 9 x 9 block step costs more).  A block adds its interior length at the parity it
-    starts on to every interior length mod 3.
+    The law of D_w over the cores, one row per law key (``_law_moves``),
+    comes from ``markov.displacement_laws`` over the nine DP states, from
+    state 0 = _dp_state(1, 0), with s letter steps of ``_letter_sources``
+    per block (``markov.letter_steps``: at the block sizes of the mean, 3
+    or 4, a 9 x 9 block step costs more).  The DP weighs each state by the
+    tails of its interior length, so each row is decoded once, summed over
+    the cores of T(c).
     """
     if not weights:
         return 0
-    keys = np.array(list(weights), dtype=np.int64)
-    pal = keys[:, 8].astype(bool)
-    lengths = np.arange(3)
-
-    def moves(start, end, steps):
-        # (from, to) DP states of a block at block parities 0 and 1.
-        return [(_dp_state(start[:, None], lengths),
-                 _dp_state(end[:, None], lengths + step[:, None])) for step in steps]
-
+    own, mirror, pal = _law_moves(np.array(list(weights), dtype=np.int64))
     sources = [(_letter_sources(p, "a"), _letter_sources(p, "b")) for p in (0, 1)]
-    law = displacement_laws(s, t, letter_steps(s, sources),
-                            moves(*keys[:, 0:2].T, keys[:, 2:4].T),
-                            moves(*keys[:, 4:6].T, keys[:, 6:8].T), pal, states=9)
-    by_length = law.reshape(len(keys), 3, 3, -1).sum(axis=1)
-    per_core = (by_length * np.array(tails, dtype=object)[:, None]).sum(axis=1)
-    totals = (per_core * residual_count(np.arange(-t, t + 1), pal[:, None])).sum(axis=1)
-    return sum(w * int(total) for w, total in zip(weights.values(), totals))
+    laws = displacement_laws(s, t, letter_steps(s, sources), own, mirror, pal,
+                             [tails[i % 3] for i in range(9)])
+    contributions = residual_count(np.arange(-t, t + 1), pal[:, None]).tolist()
+    return sum(w * sum(map(operator.mul, law, c))
+               for w, law, c in zip(weights.values(), laws, contributions))
 
 
 def average_g4_row(c: int, s: int) -> AverageRow:

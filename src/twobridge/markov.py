@@ -23,12 +23,17 @@ Classes are grouped by signature, and ``_signature_groups`` counts the
 classes of each group off the closed forms of M^s and M^(s/2), with no
 block listed.  One exact integer dynamic program, ``displacement_laws``,
 steps (orientation state, D_w) for every group across the t uniform
-blocks, one block step per block: O(t^2) cells instead of a sum over all
-2^(s t) block sequences (the tests keep that enumeration as the oracle).
-The walk's block step applies M^s by its closed form, about two element
-operations per cell whatever s (at s = 1 one letter is cheaper).  Over
-nine states, with s letter steps per block (``letter_steps``), it also
-gives the residual term of ``cobordism.average_g4_row``.
+blocks, one block step per block, instead of a sum over all 2^(s t) block
+sequences (the tests keep that enumeration as the oracle, and the same DP
+on numpy object arrays, one int per cell, as the reference).  The law of
+each (group, state) is one Python int, its count at each d in a slot of
+s (k + 1) + 1 bits or more after block k, so a block costs about a dozen
+big-int additions and shifts per group, whatever the number of
+displacements: the block step applies M^s by its closed form, c_s times
+the sum of the three states plus or minus one of them (at s = 1 one
+letter is cheaper), and a class's move from d to d +- 1 is a shift by one
+slot.  Over nine states, with s letter steps per block (``letter_steps``),
+it also gives the residual term of ``cobordism.average_g4_row``.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -37,10 +42,11 @@ Monte Carlo sampling covers walks past ``budget.check_walk``, within
 ``budget.check_monte_carlo``.  Each letter acts on Z/3 (state - 1) as a
 reflection, so a block acts as x -> (-1)^s x + r, with r read off its end
 state from state 1, and one prefix sum along a sampled walk gives the state
-before each of its blocks, with no Python step per block.  Blocks are drawn
-in int32 (the same values as an int64 draw), and every kernel array with
-one entry per block is int32.  A walk of t >= K blocks, with K about
-1.5 * 2^s summand classes (``_class_count``), is scored by one
+before each of its blocks, with no Python step per block.  Blocks are the
+top s bits of the 32-bit halves of raw Philox words (``_block_sampler``),
+the values that ``Generator.integers`` draws, in int32, and every kernel
+array with one entry per block is int32.  A walk of t >= K blocks, with K
+about 1.5 * 2^s summand classes (``_class_count``), is scored by one
 ``np.bincount`` over (walk, class, side) bins: each class's own count less
 its mirror count is D_w, which contributes |D_w|, or its parity for a
 palindromic-type class.  A shorter walk would leave most bins empty, so
@@ -61,6 +67,7 @@ value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -132,15 +139,19 @@ def _power_parts(n: int) -> tuple[int, int]:
     return (2 ** n - sign) // 3, sign
 
 
-def _closed_form(n: int) -> IntMatrix:
-    """M^n = (-J)^n + c_n B, with B the all-ones matrix, J the flip
-    1 <-> 3 (the anti-diagonal permutation) and (c_n, (-1)^n) from
-    ``_power_parts``: M = B - J, and B J = J B = B, B^2 = 3 B."""
-    bulk, sign = _power_parts(n)
+def _power_matrix(bulk: int, sign: int) -> IntMatrix:
+    """(-J)^n + c_n B from (c_n, (-1)^n), with B the all-ones matrix and J
+    the flip 1 <-> 3 (the anti-diagonal permutation)."""
     return tuple(
-        tuple(bulk + sign * (j == (2 - i if n % 2 else i)) for j in range(3))
+        tuple(bulk + sign * (j == (2 - i if sign < 0 else i)) for j in range(3))
         for i in range(3)
     )
+
+
+def _closed_form(n: int) -> IntMatrix:
+    """M^n = (-J)^n + c_n B, with (c_n, (-1)^n) from ``_power_parts``:
+    M = B - J, and B J = J B = B, B^2 = 3 B."""
+    return _power_matrix(*_power_parts(n))
 
 
 def _scaled(counts: IntMatrix, n: int) -> Matrix:
@@ -188,7 +199,8 @@ def verify_chain(s: int, kmax: int) -> dict[str, bool]:
     - ``empirical``: M^s' equals the counts over all 2^s' blocks
       (``_block_counts``);
     - ``closed_form``: each power (M^s')^k, k <= kmax, taken from
-      (M^s')^(k-1), equals the closed form at n = k s';
+      (M^s')^(k-1), equals the closed form at n = k s', whose c_n is
+      stepped as c_(n+s') = 2^s' c_n + (-1)^n c_s';
     - ``contraction``: for k >= 1 the same power has row spreads of at most
       1, that is gap(s', k) <= 2^(-k s');
     - ``power_identity``: M^r by repeated squaring equals
@@ -204,11 +216,14 @@ def verify_chain(s: int, kmax: int) -> dict[str, bool]:
         p = matrix_power(m, n)
         empirical &= p == _block_counts(n)
         power = identity_matrix()
+        step_bulk, step_sign = _power_parts(n)
+        bulk, sign = _power_parts(0)
         for k in range(kmax + 1):
-            closed_form &= power == _closed_form(k * n)
+            closed_form &= power == _power_matrix(bulk, sign)
             if k:
                 contraction &= _row_spread(power) <= 1
             power = matrix_multiply(power, p)
+            bulk, sign = (bulk << n) + sign * step_bulk, sign * step_sign
     return {
         "empirical": empirical,
         "closed_form": closed_form,
@@ -440,17 +455,25 @@ def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
     return residual_count(counts[:, :, 0] - counts[:, :, 1], pal).sum(axis=1)
 
 
+# From this block size on, c_s has 7 or more 30-bit digits, and the block
+# step's product by it costs more than a shift by s, a subtraction and an
+# exact division by 3.
+_DIVIDE_S = 200
+
+
 def letter_steps(s: int, sources):
     """The block step of ``displacement_laws`` as s letter steps.
 
     ``sources[p]`` holds the (a, b) gather indices of a letter at position
-    parity p: entry j is the state that the letter moves to j.
+    parity p: entry j is the state that the letter moves to j.  A row's
+    state j after the letter is the sum of its states a[j] and b[j] before.
     """
-    def step(before: np.ndarray, parity: int) -> np.ndarray:
+    pairs = [[(int(x), int(y)) for x, y in zip(a, b)] for a, b in sources]
+
+    def step(before: list[int], parity: int) -> list[int]:
         after = before
         for i in range(s):
-            a, b = sources[(parity + i) % 2]
-            after = after[:, a] + after[:, b]
+            after = [after[x] + after[y] for x, y in pairs[(parity + i) % 2]]
         return after
     return step
 
@@ -459,8 +482,9 @@ def _block_step(s: int):
     """The walk's block step by the closed form of M^s, the letter counts
     over a block: M^s = c_s B + (-J)^s (``_closed_form``), so state i
     after the block holds c_s times the sum over the three states before
-    it, plus (-1)^s the state J^s i before it.  About two element
-    operations per cell, against s gathers and adds for ``letter_steps``.
+    it, plus (-1)^s the state J^s i before it.  Five integer operations
+    and a product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction
+    and a division by 3), against 3 s additions for ``letter_steps``.
 
     The integer M^s, a power of the letter counts, must equal the closed
     form, or ValueError is raised.
@@ -469,56 +493,141 @@ def _block_step(s: int):
         raise ValueError(f"M^{s} differs from its closed form")
     bulk, sign = _power_parts(s)
 
-    def step(before: np.ndarray, parity: int) -> np.ndarray:
-        total = bulk * (before[:, 0] + before[:, 1] + before[:, 2])
+    def step(before: list[int], parity: int) -> list[int]:
+        total = before[0] + before[1] + before[2]
+        if s < _DIVIDE_S:
+            total *= bulk
+        else:  # c_s x = (2^s x - (-1)^s x) / 3, exactly
+            total = ((total << s) - total if sign > 0 else (total << s) + total) // 3
         if sign < 0:  # J reverses the three states
-            return total[:, None] - before[:, ::-1]
-        return total[:, None] + before
+            return [total - before[2], total - before[1], total - before[0]]
+        return [total + x for x in before]
     return step
 
 
+def _slot_width(bits: int, width: int, final: int) -> int:
+    """The slot width, in whole bytes, for counts of the given bit length:
+    ``width`` while it holds them, else grown by max(64, width / 8) bits
+    (enough for them), and never past ``final``, the width of the last
+    block."""
+    if bits <= width:
+        return width
+    grown = min(max(bits, width + max(64, width >> 3)), final)
+    return -(-grown // 8) * 8
+
+
+def _regrid(row: list[int], width: int, new_width: int, pad: int) -> None:
+    """Move a row's packed laws from slots of ``width`` bits to slots of
+    ``new_width`` bits, with ``pad`` empty slots added below, in place."""
+    if new_width == width:
+        row[:] = [p << pad * width for p in row]
+        return
+    size, new_size = width // 8, new_width // 8
+    for i, p in enumerate(row):
+        slots = -(-p.bit_length() // width)
+        old = np.frombuffer(p.to_bytes(slots * size, "little"), dtype=np.uint8)
+        new = np.zeros((pad + slots, new_size), dtype=np.uint8)
+        new[pad:, :size] = old.reshape(slots, size)
+        row[i] = int.from_bytes(new.tobytes(), "little")
+
+
+def _slots(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` slots of ``width`` bits of a packed law, lowest first,
+    or None if it is negative or does not fit them."""
+    size = width // 8
+    if packed < 0 or packed.bit_length() > count * width:
+        return None
+    data = packed.to_bytes(count * size, "little")
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, count * size, size)]
+
+
+def _period(moves, s: int) -> int:
+    """How often a row's moves (pairs per block parity) can recur: 1 if a
+    move can end in the state that a move of the next block starts from,
+    so every block can move; else 2, one block in two; 0 with no moves."""
+    if not any(moves):
+        return 0
+    chained = any(dst == src for p, pairs in enumerate(moves) for _, dst in pairs
+                  for src, _ in moves[(p + s) % len(moves)])
+    return 1 if chained else 2
+
+
 def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
-                      states: int = 3) -> np.ndarray:
-    """law[g, i, t + d] = number of sequences of t blocks of s letters, from
-    state 0 and D = 0, that end in state i and displace the class of row g
-    by d (its match count if palindromic-type).  Entries are exact ints.
+                      weights) -> list[list[int]]:
+    """law[g][t + d] = sum over the states i of ``weights[i]`` times the
+    number of sequences of t blocks of s letters, from state 0 and D = 0,
+    that end in state i and displace the class of row g by d (its match
+    count if palindromic-type).
 
-    ``step(before, parity)`` returns a new (rows, states, window) array:
-    the counts after one block of s letters that starts at a position of
-    the given parity, from the counts ``before`` it.  After the block
-    step of block k, at parity p = k s % 2, the row's own block (states
-    ``own[p][0][g]`` to ``own[p][1][g]``, one pair per column) moves from
-    d to d + 1, and its mirror (``mirror[p]``, unless ``pal[g]``) from d
-    to d - 1.  Block k touches only the window d in [-k-1, k+1].
+    Each (row, state) law is one Python int, the count at d in its slot
+    d - lo of ``width`` bits.  Every count after block k is at most
+    2^(s (k + 1)), so a slot of s (k + 1) + 1 bits holds it
+    (``_slot_width``, one bit more for each bit of the largest weight).
+    ``step(before, parity)`` maps a row's list of state ints to the list
+    after one block of s letters that starts at a position of the given
+    parity, every slot at once.  After the block step of block k, at
+    parity p = k s % 2, the row's own block (states ``own[p][0][g]`` to
+    ``own[p][1][g]``, one pair per column) moves from d to d + 1, adding
+    (m << width) - m for the law m before the block, and its mirror
+    (``mirror[p]``, unless ``pal[g]``) from d to d - 1, adding
+    (m >> width) - m, which is exact while m's lowest slot is empty.  So
+    lo stays below the lowest d that the row's mirror moves reach, k or
+    k / 2 before block k (``_period``).  When the slots get too narrow,
+    every law moves to wider ones (``_regrid``), with empty slots below
+    that last as long as they do.
+
+    Each row's weighted sum is decoded once, and its plain sum over the
+    states must come to 2^(s t): ValueError if it does not, as when a
+    count overflowed its slot.
     """
-    def pairs(moving, src, dst):
-        # (group, state) index pairs, one per moving row and column.
-        return np.repeat(moving, src.shape[1]), src[moving].ravel(), dst[moving].ravel()
+    parities = range(2 if s % 2 and t > 1 else 1)
 
-    rows, paired = np.arange(len(pal)), np.flatnonzero(~pal)
-    # The moves at each block parity k s mod 2 that occurs: an own move
-    # takes d to d + 1, a mirror move d to d - 1.
-    moves = [(pairs(rows, *own[p]), pairs(paired, *mirror[p]))
-             for p in range(2 if s % 2 and t > 1 else 1)]
-    shifts = ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)))
-    law = np.zeros((len(pal), states, 2 * t + 1), dtype=object)
-    law[:, 0, t] = 1
+    def row_moves(pairs, moving):
+        # Per row, its (from, to) state pairs at each block parity.
+        by_parity = [[list(zip(src, dst)) if move else [] for src, dst, move
+                      in zip(pairs[p][0].tolist(), pairs[p][1].tolist(), moving)]
+                     for p in parities]
+        return list(zip(*by_parity))
+
+    own_moves = row_moves(own, [True] * len(pal))
+    mirror_moves = row_moves(mirror, (~pal).tolist())
+    periods = [_period(moves, s) for moves in mirror_moves]
+    extra = max(1, *weights).bit_length()
+    final = -(-(s * t + extra) // 8) * 8
+    width, lo = 0, [0] * len(pal)
+    laws = [[1] + [0] * (len(weights) - 1) for _ in pal]
     for k in range(t):
+        new_width = _slot_width(s * (k + 1) + extra, width, final)
+        if new_width != width:
+            # The slots below must last to the block before the next width.
+            last = min(t, (new_width - extra) // s) - 1
+            for g, row in enumerate(laws):
+                new_lo = (-last // periods[g] if periods[g] else 0) - 1
+                _regrid(row, width or new_width, new_width, lo[g] - new_lo)
+                lo[g] = new_lo
+            width = new_width
         parity = k * s % 2
-        window = slice(t - k - 1, t + k + 2)
-        before = law[:, :, window]
-        after = step(before, parity)
-        # The window's ends are still 0 before the block, so a move shifts
-        # the moved counts within it.  ``after`` is indexed by the pairs:
-        # a step may return an array that is not C-contiguous, and a
-        # reshape of it would be a copy.
-        for (groups, src, dst), (to, source) in zip(moves[parity], shifts):
-            moved = before[groups, src]
-            shifted = np.zeros_like(moved)
-            shifted[:, to] = moved[:, source]
-            after[groups, dst] += shifted - moved
-        law[:, :, window] = after
-    return law
+        for g, before in enumerate(laws):
+            after = step(before, parity)
+            for src, dst in own_moves[g][parity]:
+                m = before[src]
+                after[dst] += (m << width) - m
+            for src, dst in mirror_moves[g][parity]:
+                m = before[src]
+                after[dst] += (m >> width) - m
+            laws[g] = after
+
+    decoded = []
+    for row, low in zip(laws, lo):
+        total, weighted = sum(row), sum(w * p for w, p in zip(weights, row))
+        law = _slots(weighted, width, t + 1 - low)
+        plain = law if weighted == total else _slots(total, width, t + 1 - low)
+        if law is None or plain is None or sum(plain) != 1 << s * t:
+            raise ValueError(f"a displacement law at s={s}, t={t} overflowed "
+                             f"its slots of {width} bits")
+        decoded.append([0] * (t + low) + law)
+    return decoded
 
 
 def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], list[int]]:
@@ -537,11 +646,15 @@ def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], lis
     own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
     # One letter is cheaper than the closed form's three sums.
     step = letter_steps(1, _LETTER_SOURCES) if s == 1 else _block_step(s)
-    law = displacement_laws(s, t, step, (own, own), (mirror, mirror), pal).sum(axis=1)
-    contribution = residual_count(np.arange(-t, t + 1), pal[:, None])
-    abs_totals = (law * contribution).sum(axis=1)
-    square_totals = (law * contribution * contribution).sum(axis=1)
-    return sizes, pal.tolist(), abs_totals.tolist(), square_totals.tolist()
+    laws = displacement_laws(s, t, step, (own, own), (mirror, mirror), pal, (1, 1, 1))
+    # |D_w| (or its parity) and its square, by d, for either type.
+    counts = residual_count(np.arange(-t, t + 1), np.array([[False], [True]]))
+    squares = (counts * counts).tolist()
+    counts = counts.tolist()
+    pal = pal.tolist()
+    abs_totals = [sum(map(operator.mul, law, counts[p])) for law, p in zip(laws, pal)]
+    square_totals = [sum(map(operator.mul, law, squares[p])) for law, p in zip(laws, pal)]
+    return sizes, pal, abs_totals, square_totals
 
 
 def _check_walk_domain(s: int, t: int) -> None:
@@ -584,6 +697,29 @@ def distance_bound_holds(s: int, t: int, expected: Fraction) -> bool:
     return excess * excess <= 9 * 2 ** s * t
 
 
+def _block_sampler(bitgen: np.random.BitGenerator, s: int):
+    """A function of n that returns the next n blocks of s letters, uniform
+    below 2^s, in int32.  They are the top s bits of successive 32-bit
+    halves of the generator's 64-bit words, low half first, an unused half
+    kept for the next call: the values that
+    ``np.random.Generator(bitgen).integers(0, 2^s, n, dtype=np.int32)``
+    draws, with one shift per value."""
+    spare = np.empty(0, dtype=np.uint32)
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal spare
+        blocks = np.empty(count, dtype=np.int32)
+        out = blocks.view(np.uint32)  # a block below 2^31 reads the same
+        used = spare.size  # at most one half, and count >= 1
+        np.right_shift(spare, 32 - s, out=out[:used])
+        words = bitgen.random_raw((count - used + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        np.right_shift(halves[:count - used], 32 - s, out=out[used:])
+        spare = halves[count - used:].copy()
+        return blocks
+    return draw
+
+
 def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
                          ) -> tuple[float, float]:
     """Sampled (mean, standard error) of the walk distance.
@@ -601,14 +737,14 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     budget.check_monte_carlo(s, t, trials)
     if t == 0:
         return 0.0, 0.0
-    rng = np.random.Generator(np.random.Philox(seed))
     tables = _tables(s)
     bins = _bin_table(tables) if _class_count(s) <= t else None
     rows = max(1, _CELL_CAP // t)
     distances = np.empty(trials, dtype=np.int64)
+    draw = _block_sampler(np.random.Philox(seed), s)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
-        blocks = rng.integers(0, 1 << s, size=(hi - lo, t), dtype=np.int32)
+        blocks = draw((hi - lo) * t).reshape(hi - lo, t)
         distances[lo:hi] = (_distances(blocks, tables) if bins is None
                             else _binned_distances(blocks, tables, *bins))
     mean = float(distances.mean())

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from twobridge.cobordism import (
     remainder_component_count,
     summand_class,
 )
-from twobridge import checks, cobordism, diagram, words
+from twobridge import checks, cobordism, diagram, markov, words
 from twobridge.diagram import PLAT_RIGHT, S3, closure_components, signature
 from twobridge.words import (
     enumerate_words,
@@ -44,6 +45,7 @@ from twobridge.words import (
     word_from_interior_bits,
 )
 
+import object_walk_dp
 from test_diagram import orientation_after, strand_permutation
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
@@ -629,6 +631,27 @@ def test_summand_table_matches_mirror_analysis():
         table = cobordism._summand_table(s)
         assert ((table.counts, table.costs, table.weights)
                 == reference_summand_table(s)), s
+
+
+def test_packed_g4_laws_match_object_array_oracle():
+    # The mean's residual laws, one row per law key over the nine DP states,
+    # by interior length mod 3, against the DP on object arrays that the
+    # packed one replaced.  At s = 3 blocks start at both position parities.
+    for s in (3, 4):
+        keys = np.array(list(cobordism._summand_table(s).weights), dtype=np.int64)
+        own, mirror, pal = cobordism._law_moves(keys)
+        sources = [(cobordism._letter_sources(p, "a"), cobordism._letter_sources(p, "b"))
+                   for p in (0, 1)]
+        oracle_sources = [tuple(map(np.array, pair)) for pair in sources]
+        for t in range(1, 41):
+            expected = object_walk_dp.displacement_laws(
+                s, t, object_walk_dp.letter_steps(s, oracle_sources), own, mirror, pal,
+                states=9).reshape(len(keys), 3, 3, -1).sum(axis=1)
+            for length in range(3):
+                weights = [int(i % 3 == length) for i in range(9)]
+                laws = markov.displacement_laws(s, t, markov.letter_steps(s, sources),
+                                                own, mirror, pal, weights)
+                assert laws == expected[:, length].tolist(), (s, t, length)
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):

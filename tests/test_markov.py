@@ -56,6 +56,7 @@ from twobridge.markov import (
 )
 from twobridge.words import is_palindromic_type
 
+import object_walk_dp
 from test_diagram import orientation_after
 
 CHAIN_CHECKS = ("empirical", "closed_form", "contraction", "power_identity")
@@ -429,15 +430,19 @@ def test_integer_checks_match_fraction_oracle():
 
 
 def test_wrong_closed_form_fails_the_checks(monkeypatch):
-    right = markov._closed_form
+    # The closed form is built from (c_n, (-1)^n), which names n: verify_chain
+    # steps c_n from one power to the next, the other checks take it whole.
+    right = markov._power_matrix
 
     def wrong_at(bad):
-        def wrong(n):
-            rows = right(n)
-            return rows if n != bad else ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+        def wrong(bulk, sign):
+            rows = right(bulk, sign)
+            if (bulk, sign) != markov._power_parts(bad):
+                return rows
+            return ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
         return wrong
 
-    monkeypatch.setattr(markov, "_closed_form", wrong_at(12))
+    monkeypatch.setattr(markov, "_power_matrix", wrong_at(12))
     # The powers M^r by repeated squaring see n = 12 at any kmax.
     assert verify_chain(6, 1) == {**dict.fromkeys(CHAIN_CHECKS, True),
                                   "power_identity": False}
@@ -449,14 +454,14 @@ def test_wrong_closed_form_fails_the_checks(monkeypatch):
     assert exact_expected_distance(11, 1) == 1
     # The power identity reaches r = 20 and stops there: a closed form wrong
     # at n = 21 shows only in the powers (M^s)^k.
-    monkeypatch.setattr(markov, "_closed_form", wrong_at(20))
+    monkeypatch.setattr(markov, "_power_matrix", wrong_at(20))
     assert not verify_chain(1, 1)["power_identity"]
-    monkeypatch.setattr(markov, "_closed_form", wrong_at(21))
+    monkeypatch.setattr(markov, "_power_matrix", wrong_at(21))
     assert verify_chain(1, 20) == dict.fromkeys(CHAIN_CHECKS, True)
     assert verify_chain(3, 7) == {**dict.fromkeys(CHAIN_CHECKS, True), "closed_form": False}
     # The markov check of verify-all takes every power to s = 8 and k = 8:
     # n = 64 is only there.
-    monkeypatch.setattr(markov, "_closed_form", wrong_at(64))
+    monkeypatch.setattr(markov, "_power_matrix", wrong_at(64))
     assert checks.check_markov() == (False, "failed: closed_form")
 
 
@@ -481,19 +486,76 @@ def test_abs_mean_verdict_is_exact_at_the_bound():
 
 
 def test_block_step_equals_letter_steps():
-    # The closed form of M^s against s letter gathers, on seeded random
-    # counts, some past 64 bits, at both parities.
+    # The closed form of M^s against s letter gathers, on the states of
+    # seeded random rows, some past 64 bits, at both parities and on both
+    # sides of the block size where c_s x turns into a division: per column,
+    # and with the 7 columns packed into one int per state 100 bits apart
+    # (negative values borrow from the slot above, which the sum undoes).
     rng = np.random.default_rng(2406)
-    for s in range(1, 13):
+    divide = markov._DIVIDE_S
+    for s in [*range(1, 13), divide - 1, divide, divide + 1]:
         step = markov._block_step(s)
         letters = letter_steps(s, (LETTER_SOURCES,) * 2)
         for parity, scale in ((0, 1), (1, 1 << 70)):
             before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
-            kept = before.copy()
-            after = step(before, parity)
-            assert after.dtype == object and after.shape == before.shape
-            assert np.array_equal(after, letters(before, parity)), (s, parity)
-            assert np.array_equal(before, kept), s
+            for row in before:
+                columns = [list(column) for column in row.T]
+                packed = [sum(x << 100 * d for d, x in enumerate(state)) for state in row]
+                kept = list(packed)
+                after = [step(column, parity) for column in columns]
+                assert after == [letters(column, parity) for column in columns], (s, parity)
+                assert step(packed, parity) == letters(packed, parity) == [
+                    sum(column[i] << 100 * d for d, column in enumerate(after))
+                    for i in range(3)], (s, parity)
+                assert packed == kept, s
+
+
+def walk_dp_arguments(s):
+    """The walk DP's own and mirror moves at both parities and its
+    palindromic-type flags, one row per signature group."""
+    signatures, _ = _signature_groups(s)
+    x_c, y_c, x_m, y_m, pal = signatures.T
+    own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
+    return (own, own), (mirror, mirror), pal.astype(bool)
+
+
+def test_packed_laws_match_object_array_oracle():
+    # Every law of every walk cell with s t <= 40, state by state, and the
+    # sum over the states at (4, 100), (79, 100) and past the block size
+    # where the block step divides, against the DP on object arrays that
+    # the packed one replaced.
+    cells = [(s, t) for s in range(1, 41) for t in range(1, 40 // s + 1)]
+    for s, t in [*cells, (4, 100), (79, 100), (markov._DIVIDE_S, 5), (301, 4)]:
+        if s == 1:
+            step = letter_steps(1, (LETTER_SOURCES,) * 2)
+            oracle_step = object_walk_dp.letter_steps(1, (LETTER_SOURCES,) * 2)
+        else:
+            step, oracle_step = markov._block_step(s), object_walk_dp._block_step(s)
+        own, mirror, pal = walk_dp_arguments(s)
+        expected = object_walk_dp.displacement_laws(s, t, oracle_step, own, mirror, pal)
+        for weights in ([(1, 1, 1)] if s * t > 40 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            laws = displacement_laws(s, t, step, own, mirror, pal, weights)
+            assert laws == (expected * np.array(weights)[:, None]).sum(axis=1).tolist(), \
+                (s, t, weights)
+
+
+def test_slot_overflow_refused_under_optimize_flag():
+    # Slots of 8 bits cannot hold the counts of (4, 3), up to 2^12: the
+    # decoded laws no longer sum to 2^(s t).
+    code = ("from twobridge import markov\n"
+            "markov._slot_width = lambda bits, width, final: 8\n"
+            "try:\n"
+            "    markov.exact_expected_distance(4, 3)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(markov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "a displacement law at s=4, t=3 overflowed its slots of 8 bits"
 
 
 def test_wrong_block_power_refused_under_optimize_flag():
@@ -761,7 +823,8 @@ def test_ungrouped_laws_match_grouped_moments():
         other = ((mirrors >> s)[:, None], next_state[mirrors, None] - 1)
         for t in (1, 2, 3, 8, 21, 60):
             step = letter_steps(s, (LETTER_SOURCES,) * 2)
-            law = displacement_laws(s, t, step, (own,) * 2, (other,) * 2, pal).sum(axis=1)
+            law = np.array(displacement_laws(s, t, step, (own,) * 2, (other,) * 2, pal,
+                                             (1, 1, 1)), dtype=object)
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
             expected = {
@@ -911,6 +974,19 @@ def test_int32_draws_equal_int64_draws():
             assert drawn.dtype == np.int32
             assert np.array_equal(drawn, wide.integers(0, 1 << s, size=shape,
                                                        dtype=np.int64)), (s, shape)
+
+
+def test_block_sampler_equals_generator_draws():
+    # The raw Philox words, shifted, give the blocks that Generator.integers
+    # draws, across calls of odd and even sizes that split a 64-bit word.
+    for s in range(1, 23):
+        draw = markov._block_sampler(np.random.Philox(s), s)
+        rng = np.random.Generator(np.random.Philox(s))
+        for count in (7, 1, 3000, 2, 5, 600, 1):
+            drawn = draw(count)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, rng.integers(0, 1 << s, size=count,
+                                                      dtype=np.int32)), (s, count)
 
 
 def test_monte_carlo_scorer_turns_at_the_class_count(monkeypatch):
