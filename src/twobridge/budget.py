@@ -22,7 +22,9 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: about 8 ns per cell update: ``g4 --c 1410`` takes 1.0-1.2 s
+#: 15-55 ns per cell update, more at larger c (longer ints): ``g4 --c 1994``,
+#: the largest c at the default s, takes 2.0-2.6 s, and the largest c at
+#: s = 1..7 1.7-7.3 s, ``--c 4166 --s 7`` the slowest
 G4_WORK_BUDGET = 1 << 27
 #: 11-32 ns per unit: the largest t at each s takes 3.7-10.7 s,
 #: ``walk-sim --s 1 --t 2215 --exact`` 8.0-8.8 s, ``--s 4 --t 785`` 5.6-6.2 s,
@@ -52,10 +54,8 @@ _ROW_SHARE = 16
 # The even-c tot unroll costs 3/4 as much per c^2 as an odd-c recurrence:
 # 1.5 s at c = 10^5, against 2.3-2.4 s (tot) and 1.4 s (tot_p) at odd c.
 _EVEN_QUARTERS = 3
-# The mean g4 DP has at most 9 * 3 * 2 law keys, from a class's (start,
-# end), interior length mod 3 at parity 0 and type, and one table entry (a
-# block analysed as a class and as a mirror, ~30 us) costs 2^10 cell updates.
-_MAX_LAW_KEYS = 54
+# One table entry of the mean g4 DP (a block analysed as a class and as a
+# mirror, ~30 us) costs 2^10 cell updates.
 _TABLE_ENTRY_WORK = 1 << 10
 # A block of the walk DP costs a few us per signature group beyond its
 # element operations (a Python step and one or two moves on the group's
@@ -157,11 +157,12 @@ def check_palindromic(c_values: Sequence[int]) -> None:
 
 def _g4_cells(c: int, s: int) -> int:
     """s letter steps over 9 states and 2k + 3 displacements at block k, per
-    law key: one per class, over 54 from s = 6 on (where 2^s is not built)."""
+    law key.  A block's interior length mod 3 at either parity is fixed by
+    its (start, end) states (both are alternating sums of its letters mod
+    3), so the law keys are at most the walk's signature groups
+    (``_walk_groups``)."""
     t = (2 * ((c - 1) // 2) - 1) // s
-    classes = (((3 << s) + (3 << s // 2 if s % 2 == 0 else 0)) // 2 if s < 6
-               else _MAX_LAW_KEYS)
-    return min(classes, _MAX_LAW_KEYS) * 9 * s * t * (t + 2)
+    return _walk_groups(s)[0] * 9 * s * t * (t + 2)
 
 
 def check_g4(c: int, s: int) -> None:

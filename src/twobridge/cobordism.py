@@ -31,7 +31,9 @@ over the word cores, with no enumeration (see ``average_g4_row``), within
 ``budget.check_g4``; its residual term reuses the summand walk's
 displacement-law DP, ``markov.displacement_laws``, which packs the law of
 each law key and DP state into one int and decodes each key's law once,
-summed over the cores of T(c).
+summed over the cores of T(c).  A key's row is its block's and its
+mirror's (from, to) DP states at each block parity (``_law_rows``), and
+the laws are scored as the walk's are (``markov.residual_totals``).
 """
 
 from __future__ import annotations
@@ -44,12 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import budget
 from .diagram import (COMPONENTS, CROSSING_PAIR, S3, STATE_AFTER, metrics_for_braid,
                       s3_index)
-from .markov import displacement_laws, letter_steps, residual_count
+from .markov import displacement_laws, letter_steps, residual_totals
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -525,20 +525,18 @@ def _summand_table(s: int) -> _SummandTable:
     return _SummandTable(counts, costs, dict(weights))
 
 
-def _law_moves(keys: np.ndarray):
-    """The DP rows of the law keys (``_SummandTable.weights``): each key's
-    own and mirror moves, (from, to) DP states at block parities 0 and 1,
-    one column per interior length mod 3 before the block, and whether it
-    is palindromic-type.  A block adds its interior length at the parity
-    it starts on to every interior length mod 3."""
-    lengths = np.arange(3)
-
+def _law_rows(keys) -> list:
+    """The rows of ``markov.displacement_laws`` for the law keys
+    (``_SummandTable.weights``): per block parity, the (from, to) DP states
+    of the key's block, one pair per interior length mod 3 before it, and
+    those of its mirror, none for a palindromic-type key.  A block adds its
+    interior length at the parity it starts on to every interior length."""
     def moves(start, end, steps):
-        return [(_dp_state(start[:, None], lengths),
-                 _dp_state(end[:, None], lengths + step[:, None])) for step in steps]
+        return [[(_dp_state(start, n), _dp_state(end, n + step)) for n in range(3)]
+                for step in steps]
 
-    return (moves(*keys[:, 0:2].T, keys[:, 2:4].T),
-            moves(*keys[:, 4:6].T, keys[:, 6:8].T), keys[:, 8].astype(bool))
+    return [(moves(key[0], key[1], key[2:4]),
+             [[], []] if key[8] else moves(key[4], key[5], key[6:8])) for key in keys]
 
 
 def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
@@ -547,23 +545,21 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
     ``tails[length]`` counts the core endings that put a core with that
     interior length mod 3 after its t blocks into T(c).
 
-    The law of D_w over the cores, one row per law key (``_law_moves``),
+    The law of D_w over the cores, one row per law key (``_law_rows``),
     comes from ``markov.displacement_laws`` over the nine DP states, from
     state 0 = _dp_state(1, 0), with s letter steps of ``_letter_sources``
     per block (``markov.letter_steps``: at the block sizes of the mean, 3
     or 4, a 9 x 9 block step costs more).  The DP weighs each state by the
     tails of its interior length, so each row is decoded once, summed over
-    the cores of T(c).
+    the cores of T(c), and scored by ``markov.residual_totals``.
     """
     if not weights:
         return 0
-    own, mirror, pal = _law_moves(np.array(list(weights), dtype=np.int64))
     sources = [(_letter_sources(p, "a"), _letter_sources(p, "b")) for p in (0, 1)]
-    laws = displacement_laws(s, t, letter_steps(s, sources), own, mirror, pal,
+    laws = displacement_laws(s, t, letter_steps(s, sources), _law_rows(weights),
                              [tails[i % 3] for i in range(9)])
-    contributions = residual_count(np.arange(-t, t + 1), pal[:, None]).tolist()
-    return sum(w * sum(map(operator.mul, law, c))
-               for w, law, c in zip(weights.values(), laws, contributions))
+    totals = residual_totals(laws, [key[8] for key in weights], t)
+    return sum(map(operator.mul, weights.values(), totals))
 
 
 def average_g4_row(c: int, s: int) -> AverageRow:

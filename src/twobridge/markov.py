@@ -32,8 +32,12 @@ big-int additions and shifts per group, whatever the number of
 displacements: the block step applies M^s by its closed form, c_s times
 the sum of the three states plus or minus one of them (at s = 1 one
 letter is cheaper), and a class's move from d to d +- 1 is a shift by one
-slot.  Over nine states, with s letter steps per block (``letter_steps``),
-it also gives the residual term of ``cobordism.average_g4_row``.
+slot.  A row is plain Python, (own, mirror): per block parity, the (from,
+to) state pairs of the row's block and of its mirror, none for a
+palindromic-type row.  Over nine states, with s letter steps per block
+(``letter_steps``), it also gives the residual term of
+``cobordism.average_g4_row``, and ``residual_totals`` scores the decoded
+laws of both.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -553,12 +557,18 @@ def _period(moves, s: int) -> int:
     return 1 if chained else 2
 
 
-def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
-                      weights) -> list[list[int]]:
+def displacement_laws(s: int, t: int, step, rows, weights) -> list[list[int]]:
     """law[g][t + d] = sum over the states i of ``weights[i]`` times the
     number of sequences of t blocks of s letters, from state 0 and D = 0,
     that end in state i and displace the class of row g by d (its match
     count if palindromic-type).
+
+    ``rows[g] = (own, mirror)``: ``own[p]`` lists the (from, to) state
+    pairs of the row's block at block parity p, and ``mirror[p]`` those of
+    its mirror, empty for a palindromic-type row.  After the block step of
+    block k, at parity p = k s % 2, each own pair moves the counts of its
+    from state before the block from d to d + 1 in its to state, and each
+    mirror pair from d to d - 1.
 
     Each (row, state) law is one Python int, the count at d in its slot
     d - lo of ``width`` bits.  Every count after block k is at most
@@ -566,37 +576,25 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
     (``_slot_width``, one bit more for each bit of the largest weight).
     ``step(before, parity)`` maps a row's list of state ints to the list
     after one block of s letters that starts at a position of the given
-    parity, every slot at once.  After the block step of block k, at
-    parity p = k s % 2, the row's own block (states ``own[p][0][g]`` to
-    ``own[p][1][g]``, one pair per column) moves from d to d + 1, adding
-    (m << width) - m for the law m before the block, and its mirror
-    (``mirror[p]``, unless ``pal[g]``) from d to d - 1, adding
-    (m >> width) - m, which is exact while m's lowest slot is empty.  So
-    lo stays below the lowest d that the row's mirror moves reach, k or
-    k / 2 before block k (``_period``).  When the slots get too narrow,
-    every law moves to wider ones (``_regrid``), with empty slots below
-    that last as long as they do.
+    parity, every slot at once.  An own move adds (m << width) - m for the
+    law m before the block, and a mirror move adds (m >> width) - m, which
+    is exact while m's lowest slot is empty.  So lo stays below the lowest
+    d that the row's mirror moves reach, k or k / 2 before block k
+    (``_period``).  When the slots get too narrow, every law moves to wider
+    ones (``_regrid``), with empty slots below that last as long as they do.
 
     Each row's weighted sum is decoded once, and its plain sum over the
     states must come to 2^(s t): ValueError if it does not, as when a
     count overflowed its slot.
     """
-    parities = range(2 if s % 2 and t > 1 else 1)
-
-    def row_moves(pairs, moving):
-        # Per row, its (from, to) state pairs at each block parity.
-        by_parity = [[list(zip(src, dst)) if move else [] for src, dst, move
-                      in zip(pairs[p][0].tolist(), pairs[p][1].tolist(), moving)]
-                     for p in parities]
-        return list(zip(*by_parity))
-
-    own_moves = row_moves(own, [True] * len(pal))
-    mirror_moves = row_moves(mirror, (~pal).tolist())
-    periods = [_period(moves, s) for moves in mirror_moves]
+    # Only the block parities that occur: at even s a row's parity-1
+    # moves never run, and _period must not chain them.
+    parities = 2 if s % 2 and t > 1 else 1
+    periods = [_period(mirror[:parities], s) for _, mirror in rows]
     extra = max(1, *weights).bit_length()
     final = -(-(s * t + extra) // 8) * 8
-    width, lo = 0, [0] * len(pal)
-    laws = [[1] + [0] * (len(weights) - 1) for _ in pal]
+    width, lo = 0, [0] * len(rows)
+    laws = [[1] + [0] * (len(weights) - 1) for _ in rows]
     for k in range(t):
         new_width = _slot_width(s * (k + 1) + extra, width, final)
         if new_width != width:
@@ -608,16 +606,18 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
                 lo[g] = new_lo
             width = new_width
         parity = k * s % 2
-        for g, before in enumerate(laws):
+        for g, (own, mirror) in enumerate(rows):
+            before = laws[g]
             after = step(before, parity)
-            for src, dst in own_moves[g][parity]:
+            for src, dst in own[parity]:
                 m = before[src]
                 after[dst] += (m << width) - m
-            for src, dst in mirror_moves[g][parity]:
+            for src, dst in mirror[parity]:
                 m = before[src]
                 after[dst] += (m >> width) - m
             laws[g] = after
 
+    width = width or final  # t = 0: no block set a width
     decoded = []
     for row, low in zip(laws, lo):
         total, weighted = sum(row), sum(w * p for w, p in zip(weights, row))
@@ -630,31 +630,34 @@ def displacement_laws(s: int, t: int, step, own, mirror, pal: np.ndarray,
     return decoded
 
 
+def residual_totals(laws: list[list[int]], pals, t: int, power: int = 1) -> list[int]:
+    """Per decoded law of ``displacement_laws``, its counts summed against
+    |d|^power, or against d mod 2 for a palindromic-type row: the copies
+    of the class that cancellation leaves (``residual_count``), or their
+    square."""
+    shifts = range(-t, t + 1)
+    scores = ([abs(d) ** power for d in shifts], [d & 1 for d in shifts])
+    return [sum(map(operator.mul, law, scores[pal])) for law, pal in zip(laws, pals)]
+
+
 def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], list[int]]:
     """Per signature group: its number of classes, whether it is
     palindromic-type, and the sums of |D_w| and of D_w^2 over the 2^(s t)
     block sequences, with |D_w| read as the parity bit for palindromic-type
     classes."""
-    if s < 1:
-        raise ValueError(f"block size must be at least 1, got {s}")
-    if t < 1:
-        raise ValueError(f"step count must be at least 1, got {t}")
+    _check_walk_domain(s, t)
     budget.check_walk(s, t)
     signatures, sizes = _signature_groups(s)
-    x_c, y_c, x_m, y_m, pal = signatures.T
-    pal = pal.astype(bool)
-    own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
+    pals = signatures[:, 4].astype(bool).tolist()
+    # A group's block and its mirror each move one state pair, the same at
+    # both block parities.
+    rows = [(([(x, y)],) * 2, ([] if pal else [(x_m, y_m)],) * 2)
+            for x, y, x_m, y_m, pal in signatures.tolist()]
     # One letter is cheaper than the closed form's three sums.
     step = letter_steps(1, _LETTER_SOURCES) if s == 1 else _block_step(s)
-    laws = displacement_laws(s, t, step, (own, own), (mirror, mirror), pal, (1, 1, 1))
-    # |D_w| (or its parity) and its square, by d, for either type.
-    counts = residual_count(np.arange(-t, t + 1), np.array([[False], [True]]))
-    squares = (counts * counts).tolist()
-    counts = counts.tolist()
-    pal = pal.tolist()
-    abs_totals = [sum(map(operator.mul, law, counts[p])) for law, p in zip(laws, pal)]
-    square_totals = [sum(map(operator.mul, law, squares[p])) for law, p in zip(laws, pal)]
-    return sizes, pal, abs_totals, square_totals
+    laws = displacement_laws(s, t, step, rows, (1, 1, 1))
+    return (sizes, pals, residual_totals(laws, pals, t),
+            residual_totals(laws, pals, t, 2))
 
 
 def _check_walk_domain(s: int, t: int) -> None:
@@ -782,15 +785,10 @@ def verify_abs_means(s: int, t: int) -> bool:
 
 
 def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
-    """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``, for
-    t >= 1, from one run of the walk DP, in integers until the one fraction:
-    with E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t)
-    (``_abs_means_hold``)."""
+    """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``
+    from one run of the walk DP, in integers until the one fraction: with
+    E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t)."""
     sizes, pals, abs_totals, _ = _group_totals(s, t)
     expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
-    return expected, _abs_means_hold(s, t, pals, abs_totals)
-
-
-def _abs_means_hold(s: int, t: int, pals: list[bool], abs_totals: list[int]) -> bool:
     bound = 4 * t << 2 * s * t
-    return all(a * a << s <= bound for p, a in zip(pals, abs_totals) if not p)
+    return expected, all(a * a << s <= bound for p, a in zip(pals, abs_totals) if not p)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.budget import BudgetError, check_g4
+from twobridge.budget import BudgetError, _g4_cells, _walk_groups, check_g4
 from twobridge.cobordism import (
     AverageRow,
     OrientedWord,
@@ -47,6 +47,7 @@ from twobridge.words import (
 
 import object_walk_dp
 from test_diagram import orientation_after, strand_permutation
+from test_markov import reference_arguments
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 
@@ -638,19 +639,18 @@ def test_packed_g4_laws_match_object_array_oracle():
     # by interior length mod 3, against the DP on object arrays that the
     # packed one replaced.  At s = 3 blocks start at both position parities.
     for s in (3, 4):
-        keys = np.array(list(cobordism._summand_table(s).weights), dtype=np.int64)
-        own, mirror, pal = cobordism._law_moves(keys)
+        rows = cobordism._law_rows(cobordism._summand_table(s).weights)
         sources = [(cobordism._letter_sources(p, "a"), cobordism._letter_sources(p, "b"))
                    for p in (0, 1)]
         oracle_sources = [tuple(map(np.array, pair)) for pair in sources]
         for t in range(1, 41):
             expected = object_walk_dp.displacement_laws(
-                s, t, object_walk_dp.letter_steps(s, oracle_sources), own, mirror, pal,
-                states=9).reshape(len(keys), 3, 3, -1).sum(axis=1)
+                s, t, object_walk_dp.letter_steps(s, oracle_sources),
+                *reference_arguments(rows), states=9).reshape(len(rows), 3, 3, -1).sum(axis=1)
             for length in range(3):
                 weights = [int(i % 3 == length) for i in range(9)]
                 laws = markov.displacement_laws(s, t, markov.letter_steps(s, sources),
-                                                own, mirror, pal, weights)
+                                                rows, weights)
                 assert laws == expected[:, length].tolist(), (s, t, length)
 
 
@@ -697,6 +697,43 @@ def test_g4_work_refused_before_any_work(monkeypatch):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
+
+
+def test_interior_length_fixed_by_end_states():
+    # A block's interior length mod 3 at either parity depends only on its
+    # (start, end) states, so a law key is fixed by the signature group of
+    # its class: the mean DP has at most as many rows as the walk DP.
+    for s in range(1, 12):
+        lengths = {}
+        for start in (1, 2, 3):
+            for letters in map("".join, product("ab", repeat=s)):
+                end = orientation_after(start, letters)
+                for parity in (0, 1):
+                    length = cobordism._interior_length(letters, parity) % 3
+                    assert lengths.setdefault((start, end, parity), length) == length, \
+                        (s, start, letters, parity)
+        assert len(cobordism._summand_table(s).weights) <= _walk_groups(s)[0], s
+
+
+def test_g4_budget_charges_the_law_rows():
+    # The largest mean row at the default s, 4 from c = 1000 on.
+    assert choose_block_size(1994) == choose_block_size(1995) == 4
+    check_g4(1994, 4)
+    with pytest.raises(BudgetError, match=r"c=1995, s=4"):
+        check_g4(1995, 4)
+
+    # The charge when every class (at most 54 law keys) was a DP row: the
+    # one by signature group never exceeds it, so no request admitted then
+    # is refused.
+    def by_class(c, s):
+        t = (2 * ((c - 1) // 2) - 1) // s
+        classes = (((3 << s) + (3 << s // 2 if s % 2 == 0 else 0)) // 2 if s < 6
+                   else 54)
+        return min(classes, 54) * 9 * s * t * (t + 2)
+
+    for s in range(1, 17):
+        for c in range(max(3, s + 2), 5001):
+            assert _g4_cells(c, s) <= by_class(c, s), (c, s)
 
 
 def test_average_g4_row_domain():

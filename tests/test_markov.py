@@ -473,16 +473,21 @@ def test_contraction_check_fails_on_a_slower_chain(monkeypatch):
     assert contraction_gap(1, 1) == 1
 
 
-def test_abs_mean_verdict_is_exact_at_the_bound():
+def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
     # a^2 2^s <= 4 t 2^(2 s t) against E|D_w| = a / 2^(s t) in fractions,
     # on both sides of the bound; palindromic-type groups are not checked.
+    def verdict(s, t, pals, abs_totals):
+        monkeypatch.setattr(markov, "_group_totals", lambda s, t: (
+            [1] * len(pals), pals, abs_totals, [0] * len(pals)))
+        return markov.exact_walk_cell(s, t)[1]
+
     for s, t in [(1, 1), (2, 3), (4, 100), (7, 2)]:
         at_bound = math.isqrt(4 * t << 2 * s * t - s)
         for a in (at_bound, at_bound + 1):
             exact = Fraction(a, 1 << s * t) ** 2 <= Fraction(4 * t, 1 << s)
-            assert markov._abs_means_hold(s, t, [False, True], [0, a]) is True
-            assert markov._abs_means_hold(s, t, [True, False], [0, a]) is exact, (s, t, a)
-        assert not markov._abs_means_hold(s, t, [False], [at_bound + 1])
+            assert verdict(s, t, [False, True], [0, a]) is True
+            assert verdict(s, t, [True, False], [0, a]) is exact, (s, t, a)
+        assert not verdict(s, t, [False], [at_bound + 1])
 
 
 def test_block_step_equals_letter_steps():
@@ -510,13 +515,25 @@ def test_block_step_equals_letter_steps():
                 assert packed == kept, s
 
 
-def walk_dp_arguments(s):
-    """The walk DP's own and mirror moves at both parities and its
-    palindromic-type flags, one row per signature group."""
+def walk_dp_rows(s):
+    """The walk DP's rows, one per signature group: its own and mirror
+    (from, to) pairs at both parities, no mirror pair if palindromic-type."""
     signatures, _ = _signature_groups(s)
-    x_c, y_c, x_m, y_m, pal = signatures.T
-    own, mirror = (x_c[:, None], y_c[:, None]), (x_m[:, None], y_m[:, None])
-    return (own, own), (mirror, mirror), pal.astype(bool)
+    return [(([(x, y)],) * 2, ([] if pal else [(x_m, y_m)],) * 2)
+            for x, y, x_m, y_m, pal in signatures.tolist()]
+
+
+def reference_arguments(rows):
+    """The object-array reference's (own, mirror, pal) for rows of
+    ``displacement_laws``: per parity, (from, to) arrays with one column
+    per pair, and the palindromic-type flags of the rows with no mirror
+    pairs, whose mirror columns (the own pairs here) the reference skips."""
+    pal = np.array([not any(mirror) for _, mirror in rows])
+
+    def side(i):
+        return [tuple(np.array([[pair[j] for pair in row[i][p] or row[0][p]]
+                                for row in rows]) for j in (0, 1)) for p in (0, 1)]
+    return side(0), side(1), pal
 
 
 def test_packed_laws_match_object_array_oracle():
@@ -531,10 +548,11 @@ def test_packed_laws_match_object_array_oracle():
             oracle_step = object_walk_dp.letter_steps(1, (LETTER_SOURCES,) * 2)
         else:
             step, oracle_step = markov._block_step(s), object_walk_dp._block_step(s)
-        own, mirror, pal = walk_dp_arguments(s)
-        expected = object_walk_dp.displacement_laws(s, t, oracle_step, own, mirror, pal)
+        rows = walk_dp_rows(s)
+        expected = object_walk_dp.displacement_laws(s, t, oracle_step,
+                                                    *reference_arguments(rows))
         for weights in ([(1, 1, 1)] if s * t > 40 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            laws = displacement_laws(s, t, step, own, mirror, pal, weights)
+            laws = displacement_laws(s, t, step, rows, weights)
             assert laws == (expected * np.array(weights)[:, None]).sum(axis=1).tolist(), \
                 (s, t, weights)
 
@@ -597,6 +615,10 @@ def test_exact_distance_basics():
     assert exact_expected_distance(1, 0) == 0
     assert exact_expected_distance(1, 1) == 1
     assert exact_expected_distance(2, 3) == Fraction(45, 16)
+    # No block: every displacement is 0, and the DP decodes its one slot.
+    assert markov.exact_walk_cell(2, 0) == (0, True)
+    assert {(m.abs_mean, m.second_moment) for m in per_class_moments(3, 0).values()} \
+        == {(0, 0)}
     with pytest.raises(ValueError, match="block size"):
         exact_expected_distance(0, 1)
 
@@ -760,6 +782,7 @@ def test_signature_groups_match_s3_block_counts():
     (distance_bound, (2, -1), "step count must be nonnegative, got -1"),
     (monte_carlo_distance, (2, -1, 5), "step count must be nonnegative, got -1"),
     (exact_expected_distance, (2, -1), "step count must be nonnegative, got -1"),
+    (markov.exact_walk_cell, (2, -1), "step count must be nonnegative, got -1"),
 ])
 def test_walk_domain_refused(call, args, message):
     with pytest.raises(ValueError, match=message):
@@ -813,18 +836,18 @@ def test_ungrouped_laws_match_grouped_moments():
     # and the letter steps are built from orientation_after.
     for s in (1, 2, 3):
         tables = _tables(s)
-        next_state = markov._end_states(s).reshape(-1)
+        next_state = markov._end_states(s).reshape(-1).tolist()
         mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
         classes, _ = _class_listing(tables)
         mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
         pal = tables.is_pal[classes & ((1 << s) - 1)]
         assert (mirrors == classes).tolist() == pal.tolist()
-        own = ((classes >> s)[:, None], next_state[classes, None] - 1)
-        other = ((mirrors >> s)[:, None], next_state[mirrors, None] - 1)
+        rows = [(([(c >> s, next_state[c] - 1)],) * 2,
+                 ([] if p else [(m >> s, next_state[m] - 1)],) * 2)
+                for c, m, p in zip(classes.tolist(), mirrors.tolist(), pal.tolist())]
         for t in (1, 2, 3, 8, 21, 60):
             step = letter_steps(s, (LETTER_SOURCES,) * 2)
-            law = np.array(displacement_laws(s, t, step, (own,) * 2, (other,) * 2, pal,
-                                             (1, 1, 1)), dtype=object)
+            law = np.array(displacement_laws(s, t, step, rows, (1, 1, 1)), dtype=object)
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
             expected = {
