@@ -22,9 +22,9 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: 15-55 ns per cell update, more at larger c (longer ints): ``g4 --c 1994``,
-#: the largest c at the default s, takes 2.0-2.6 s, and the largest c at
-#: s = 1..7 1.7-7.3 s, ``--c 4166 --s 7`` the slowest
+#: 7-30 ns per charged cell update, which overstates the three-state DP:
+#: ``g4 --c 1994``, the largest c at the default s, takes 1.2-1.7 s, and the
+#: largest c at s = 1..7 1.0-4.0 s, ``--c 2732 --s 3`` the slowest
 G4_WORK_BUDGET = 1 << 27
 #: 11-32 ns per unit: the largest t at each s takes 3.7-10.7 s,
 #: ``walk-sim --s 1 --t 2215 --exact`` 8.0-8.8 s, ``--s 4 --t 785`` 5.6-6.2 s,
@@ -157,10 +157,11 @@ def check_palindromic(c_values: Sequence[int]) -> None:
 
 def _g4_cells(c: int, s: int) -> int:
     """s letter steps over 9 states and 2k + 3 displacements at block k, per
-    law key.  A block's interior length mod 3 at either parity is fixed by
-    its (start, end) states (both are alternating sums of its letters mod
-    3), so the law keys are at most the walk's signature groups
-    (``_walk_groups``)."""
+    signature group of the walk (``_walk_groups``): the charge of the DP
+    over (orientation state, interior length mod 3) that the mean once ran.
+    The state fixes the length, so the residual now runs the walk's block
+    step on three states, which this charge, kept unchanged so that the
+    same requests are admitted, overstates."""
     t = (2 * ((c - 1) // 2) - 1) // s
     return _walk_groups(s)[0] * 9 * s * t * (t + 2)
 

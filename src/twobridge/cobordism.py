@@ -27,13 +27,13 @@ past s = 10 has more blocks than the memo holds and evicts what it cached;
 no command builds one in a process that then decomposes words.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
-over the word cores, with no enumeration (see ``average_g4_row``), within
-``budget.check_g4``; its residual term reuses the summand walk's
-displacement-law DP, ``markov.displacement_laws``, which packs the law of
-each law key and DP state into one int and decodes each key's law once,
-summed over the cores of T(c).  A key's row is its block's and its
-mirror's (from, to) DP states at each block parity (``_law_rows``), and
-the laws are scored as the walk's are (``markov.residual_totals``).
+over the orientation states of the word cores, with no enumeration (see
+``average_g4_row``), within ``budget.check_g4``.  Its residual term is the
+summand walk's displacement-law DP, ``markov.displacement_laws``, on the
+walk's own rows, the signatures of the classes, with each final state
+weighted by the core endings that put a core into T(c): each signature's
+law is decoded once, summed over the cores of T(c), and scored as the
+walk's are (``markov.residual_totals``).
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import budget
-from .diagram import (COMPONENTS, CROSSING_PAIR, S3, STATE_AFTER, metrics_for_braid,
-                      s3_index)
-from .markov import displacement_laws, letter_steps, residual_totals
+from .diagram import COMPONENTS, CROSSING_PAIR, S3, metrics_for_braid, s3_index
+from .markov import displacement_laws, residual_totals
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -445,9 +444,9 @@ class AverageRow:
 # The mean over T(c).  bijection_f maps T(2m+1) and T(2m+2) together one to
 # one onto the braid words ("cores") of length 2m - 1.  The core letter at
 # position i stands for a run of exponent 2 when it is 'a' at even i or 'b' at
-# odd i, so the interior length mod 3 can be carried letter by letter; at the
-# end it decides c and forces the ending letters (see bijection_f_inverse).
-# DP states are 3 * (orientation state - 1) + interior length mod 3.
+# odd i.  The interior length mod 3 at the end decides c and forces the
+# ending letters (see bijection_f_inverse); the orientation state fixes it
+# (``_length``), so the mean DP runs on the three states alone.
 _ENDING = {2: "a", 1: "ab", 0: "bb"}
 
 
@@ -459,52 +458,52 @@ def _interior_length(letters: str, parity: int) -> int:
     return len(letters) + letters[even::2].count("a") + letters[1 - even::2].count("b")
 
 
-def _dp_state(state: int, length: int) -> int:
-    return 3 * (state - 1) + length % 3
-
-
-def _letter_sources(parity: int, letter: str) -> list[int]:
-    """sources[j]: the DP state that one core letter, at a position of the
-    given parity, moves to state j.  A letter's move of the orientation
-    states is its own inverse."""
-    step = _interior_length(letter, parity)
-    return [_dp_state(STATE_AFTER[letter][j // 3 + 1], j - step) for j in range(9)]
+def _length(state: int, n: int) -> int:
+    """Interior length mod 3 of every core prefix of n letters that ends in
+    the given orientation state: x at even n and 2 - x at odd n, with
+    x = state - 1.  A letter k (0 for a, 1 for b) at position n sends x to
+    k - x and adds 1 + [k = n mod 2] to the length, which keeps both
+    forms from the empty prefix, in state 1 with length 0."""
+    x = state - 1
+    return 2 - x if n % 2 else x
 
 
 @dataclass(frozen=True)
 class _SummandTable:
     """What the mean DP needs to know of the 3 * 2^s oriented blocks.
 
-    ``counts[p][i][j]`` is the number of blocks that take DP state i to j
-    when the block starts at a core position of parity p, and
-    ``costs[p][i][j]`` their summed local saddle moves: the block's link
-    repair and the cut after it.  ``weights`` maps each law key to the
-    summed floor(n_w / 2) of its classes.  The key is the (start, end)
-    states and interior lengths mod 3 at parities 0 and 1 of the class and
-    then of its mirror, and the palindromic-type flag: the joint law of
-    (DP state, D_w) over the cores depends on nothing else.
+    ``counts[i][j]`` is the number of blocks that take orientation state
+    i + 1 to j + 1, M^s, and ``costs[i][j]`` their summed local saddle
+    moves: the block's link repair and the cut after it.  ``weights`` maps
+    each signature of the walk (``markov._signature_groups``: the (start,
+    end) state indices of the class and of its mirror, and the
+    palindromic-type flag) to the summed floor(n_w / 2) of its classes:
+    the joint law of (orientation state, D_w) over the cores depends on
+    nothing else.
     """
 
-    counts: tuple[list[list[int]], list[list[int]]]
-    costs: tuple[list[list[int]], list[list[int]]]
+    counts: tuple[tuple[int, ...], ...]
+    costs: tuple[tuple[int, ...], ...]
     weights: dict[tuple[int, ...], int]
 
 
 def _summand_table(s: int) -> _SummandTable:
-    counts = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
-    costs = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    counts = [[0] * 3 for _ in range(3)]
+    costs = [[0] * 3 for _ in range(3)]
     weights: Counter[tuple[int, ...]] = Counter()
     for start in (1, 2, 3):
         for letters in map("".join, product("ab", repeat=s)):
             block = _analyse_block(start, letters)
             x, end, crossings = block.summand, block.end, block.crossings
-            cost = block.saddles + _CUT_SADDLES[end]
-            steps = (_interior_length(letters, 0), _interior_length(letters, 1))
-            for parity, step in enumerate(steps):
-                for length in range(3):
-                    i, j = _dp_state(start, length), _dp_state(end, length + step)
-                    counts[parity][i][j] += 1
-                    costs[parity][i][j] += cost
+            # At either position parity the block must take the interior
+            # length of its start state to that of its end state.
+            for p in (0, 1):
+                if (_length(start, p) + _interior_length(letters, p)
+                        - _length(end, p + s)) % 3:
+                    raise ValueError(f"block {x.serialize()} at parity {p} does not "
+                                     "end on the interior length of its end state")
+            counts[start - 1][end - 1] += 1
+            costs[start - 1][end - 1] += block.saddles + _CUT_SADDLES[end]
             cls = block.cls
             if cls.polarity == "minus":
                 continue
@@ -516,49 +515,30 @@ def _summand_table(s: int) -> _SummandTable:
                                  "have different repaired crossing counts")
             if crossings < 2:
                 continue
-            # The mirror runs from _FLIP[end] to _FLIP[start], and its
-            # interior length at parity p is this block's at parity p + s.
-            key = (start, end, steps[0] % 3, steps[1] % 3,
-                   _FLIP[end], _FLIP[start], steps[s % 2] % 3, steps[1 - s % 2] % 3,
-                   cls.polarity == "self_mirror")
+            # The mirror runs from _FLIP[end] to _FLIP[start], the state
+            # indices 3 - end and 3 - start.
+            key = (start - 1, end - 1, 3 - end, 3 - start,
+                   int(cls.polarity == "self_mirror"))
             weights[key] += crossings // 2
-    return _SummandTable(counts, costs, dict(weights))
-
-
-def _law_rows(keys) -> list:
-    """The rows of ``markov.displacement_laws`` for the law keys
-    (``_SummandTable.weights``): per block parity, the (from, to) DP states
-    of the key's block, one pair per interior length mod 3 before it, and
-    those of its mirror, none for a palindromic-type key.  A block adds its
-    interior length at the parity it starts on to every interior length."""
-    def moves(start, end, steps):
-        return [[(_dp_state(start, n), _dp_state(end, n + step)) for n in range(3)]
-                for step in steps]
-
-    return [(moves(key[0], key[1], key[2:4]),
-             [[], []] if key[8] else moves(key[4], key[5], key[6:8])) for key in keys]
+    return _SummandTable(tuple(map(tuple, counts)), tuple(map(tuple, costs)),
+                         dict(weights))
 
 
 def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
                     tails: list[int]) -> int:
     """Sum over the words of T(c) of sum_w floor(n_w / 2) |D_w|, where
-    ``tails[length]`` counts the core endings that put a core with that
-    interior length mod 3 after its t blocks into T(c).
+    ``tails[i]`` counts the core endings that put a core whose t blocks
+    end in state i + 1 into T(c).
 
-    The law of D_w over the cores, one row per law key (``_law_rows``),
-    comes from ``markov.displacement_laws`` over the nine DP states, from
-    state 0 = _dp_state(1, 0), with s letter steps of ``_letter_sources``
-    per block (``markov.letter_steps``: at the block sizes of the mean, 3
-    or 4, a 9 x 9 block step costs more).  The DP weighs each state by the
-    tails of its interior length, so each row is decoded once, summed over
-    the cores of T(c), and scored by ``markov.residual_totals``.
+    The law of D_w over the cores, one row per signature, comes from the
+    walk's DP, ``markov.displacement_laws``, with each final state weighted
+    by its tails, so each row is decoded once, summed over the cores of
+    T(c), and scored by ``markov.residual_totals``.
     """
     if not weights:
         return 0
-    sources = [(_letter_sources(p, "a"), _letter_sources(p, "b")) for p in (0, 1)]
-    laws = displacement_laws(s, t, letter_steps(s, sources), _law_rows(weights),
-                             [tails[i % 3] for i in range(9)])
-    totals = residual_totals(laws, [key[8] for key in weights], t)
+    laws = displacement_laws(s, t, list(weights), tails)
+    totals = residual_totals(laws, [key[4] for key in weights], t)
     return sum(map(operator.mul, weights.values(), totals))
 
 
@@ -568,13 +548,14 @@ def average_g4_row(c: int, s: int) -> AverageRow:
 
     By linearity of expectation the mean splits into local terms and the
     residual.  The cut and link-repair saddles of every block follow a DP
-    over (orientation state, interior length mod 3) across the t blocks;
-    the remainder's repair and crossings depend only on the last state and
-    the at most s - 1 core letters after the blocks, which are enumerated
-    with the ending they force.  The residual is linear over summand
-    classes, and each law key's E|D_w| comes from the walk's
-    displacement-law DP (``_residual_total``).  Words are counted, not
-    listed, and the count must equal word_count(c).
+    over the orientation state across the t blocks; the remainder's repair
+    and crossings depend only on the last state and the at most s - 1 core
+    letters after the blocks, which are enumerated with the ending they
+    force, read off the interior length that the last state fixes
+    (``_length``).  The residual is linear over summand classes, and each
+    signature's E|D_w| comes from the walk's displacement-law DP
+    (``_residual_total``).  Words are counted, not listed, and the count
+    must equal word_count(c).
     """
     if c < 3:
         raise ValueError(f"crossing number must be at least 3, got {c}")
@@ -586,17 +567,15 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     r = c - s * t
     table = _summand_table(s)
 
-    # Cores and their summed cut and link-repair saddles, by DP state after
-    # the t blocks.
-    cores = [0] * 9
-    saddles = [0] * 9
-    cores[_dp_state(1, 0)] = 1
-    saddles[_dp_state(1, 0)] = _CUT_SADDLES[1]
-    for k in range(t):
-        counts, costs = table.counts[k * s % 2], table.costs[k * s % 2]
-        next_cores, next_saddles = [0] * 9, [0] * 9
-        for i in range(9):
-            for j in range(9):
+    # Cores and their summed cut and link-repair saddles, by orientation
+    # state after the t blocks.
+    cores = [1, 0, 0]
+    saddles = [_CUT_SADDLES[1], 0, 0]
+    counts, costs = table.counts, table.costs
+    for _ in range(t):
+        next_cores, next_saddles = [0] * 3, [0] * 3
+        for i in range(3):
+            for j in range(3):
                 next_cores[j] += counts[i][j] * cores[i]
                 next_saddles[j] += counts[i][j] * saddles[i] + costs[i][j] * cores[i]
         cores, saddles = next_cores, next_saddles
@@ -608,18 +587,15 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     words = total_saddles = total_remaining = 0
     for letters in map("".join, product("ab", repeat=2 * m - 1 - s * t)):
         step = _interior_length(letters, s * t % 2)
-        for length in range(3):
-            final = (length + step) % 3
+        for i in range(3):
+            final = (_length(i + 1, s * t) + step) % 3
             if (final == 2) != (c % 2 == 1):
                 continue
-            tails[length] += 1
-            remainder = letters + _ENDING[final]
-            for state in (1, 2, 3):
-                i = _dp_state(state, length)
-                link = _remainder_is_link(state, remainder, closure)
-                words += cores[i]
-                total_saddles += saddles[i] + link * cores[i]
-                total_remaining += (r - 1 - link) // 2 * cores[i]
+            tails[i] += 1
+            link = _remainder_is_link(i + 1, letters + _ENDING[final], closure)
+            words += cores[i]
+            total_saddles += saddles[i] + link * cores[i]
+            total_remaining += (r - 1 - link) // 2 * cores[i]
     if words != word_count(c):
         raise ValueError(f"mean DP counted {words} words in T({c}), "
                          f"expected {word_count(c)}")

@@ -30,14 +30,12 @@ each (group, state) is one Python int, its count at each d in a slot of
 s (k + 1) + 1 bits or more after block k, so a block costs about a dozen
 big-int additions and shifts per group, whatever the number of
 displacements: the block step applies M^s by its closed form, c_s times
-the sum of the three states plus or minus one of them (at s = 1 one
-letter is cheaper), and a class's move from d to d +- 1 is a shift by one
-slot.  A row is plain Python, (own, mirror): per block parity, the (from,
-to) state pairs of the row's block and of its mirror, none for a
-palindromic-type row.  Over nine states, with s letter steps per block
-(``letter_steps``), it also gives the residual term of
-``cobordism.average_g4_row``, and ``residual_totals`` scores the decoded
-laws of both.
+the sum of the three states plus or minus one of them (at s = 1 the three
+sums of M are cheaper), and a class's move from d to d +- 1 is a shift by
+one slot.  A row is a group's signature, a plain tuple.  With other
+weights on the final states, the same DP gives the residual term of
+``cobordism.average_g4_row``, whose rows are the same signatures, and
+``residual_totals`` scores the decoded laws of both.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -92,10 +90,7 @@ IntMatrix = tuple[tuple[int, int, int], ...]
 _CELL_CAP = 1 << 16
 
 # Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
-# Less one, a row is the walk DP's gather index at either parity: entry j
-# is the state that the letter moves to j (a letter is its own inverse).
 _STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
-_LETTER_SOURCES = (_STEPS[:, 1:] - 1,) * 2
 
 
 def identity_matrix() -> IntMatrix:
@@ -465,39 +460,27 @@ def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
 _DIVIDE_S = 200
 
 
-def letter_steps(s: int, sources):
-    """The block step of ``displacement_laws`` as s letter steps.
-
-    ``sources[p]`` holds the (a, b) gather indices of a letter at position
-    parity p: entry j is the state that the letter moves to j.  A row's
-    state j after the letter is the sum of its states a[j] and b[j] before.
-    """
-    pairs = [[(int(x), int(y)) for x, y in zip(a, b)] for a, b in sources]
-
-    def step(before: list[int], parity: int) -> list[int]:
-        after = before
-        for i in range(s):
-            after = [after[x] + after[y] for x, y in pairs[(parity + i) % 2]]
-        return after
-    return step
-
-
 def _block_step(s: int):
-    """The walk's block step by the closed form of M^s, the letter counts
-    over a block: M^s = c_s B + (-J)^s (``_closed_form``), so state i
-    after the block holds c_s times the sum over the three states before
-    it, plus (-1)^s the state J^s i before it.  Five integer operations
-    and a product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction
-    and a division by 3), against 3 s additions for ``letter_steps``.
+    """The block step of ``displacement_laws``: a row's list of state ints
+    after one block of s letters, every slot at once, by the closed form of
+    M^s, the letter counts over a block.  M^s = c_s B + (-J)^s
+    (``_closed_form``), so state i after the block holds c_s times the sum
+    over the three states before it, plus (-1)^s the state J^s i before
+    it: five integer operations and a product by c_s (from ``_DIVIDE_S``
+    on, a shift, a subtraction and a division by 3).  At s = 1 the three
+    sums of M itself are cheaper.
 
     The integer M^s, a power of the letter counts, must equal the closed
     form, or ValueError is raised.
     """
     if matrix_power(_letter_counts(), s) != _closed_form(s):
         raise ValueError(f"M^{s} differs from its closed form")
+    if s == 1:
+        return lambda before: [before[0] + before[1], before[0] + before[2],
+                               before[1] + before[2]]
     bulk, sign = _power_parts(s)
 
-    def step(before: list[int], parity: int) -> list[int]:
+    def step(before: list[int]) -> list[int]:
         total = before[0] + before[1] + before[2]
         if s < _DIVIDE_S:
             total *= bulk
@@ -546,55 +529,42 @@ def _slots(packed: int, width: int, count: int) -> list[int]:
             for i in range(0, count * size, size)]
 
 
-def _period(moves, s: int) -> int:
-    """How often a row's moves (pairs per block parity) can recur: 1 if a
-    move can end in the state that a move of the next block starts from,
-    so every block can move; else 2, one block in two; 0 with no moves."""
-    if not any(moves):
-        return 0
-    chained = any(dst == src for p, pairs in enumerate(moves) for _, dst in pairs
-                  for src, _ in moves[(p + s) % len(moves)])
-    return 1 if chained else 2
-
-
-def displacement_laws(s: int, t: int, step, rows, weights) -> list[list[int]]:
+def displacement_laws(s: int, t: int, rows, weights) -> list[list[int]]:
     """law[g][t + d] = sum over the states i of ``weights[i]`` times the
     number of sequences of t blocks of s letters, from state 0 and D = 0,
     that end in state i and displace the class of row g by d (its match
     count if palindromic-type).
 
-    ``rows[g] = (own, mirror)``: ``own[p]`` lists the (from, to) state
-    pairs of the row's block at block parity p, and ``mirror[p]`` those of
-    its mirror, empty for a palindromic-type row.  After the block step of
-    block k, at parity p = k s % 2, each own pair moves the counts of its
-    from state before the block from d to d + 1 in its to state, and each
-    mirror pair from d to d - 1.
+    A row is a signature (start, end, mirror start, mirror end,
+    palindromic-type) in state indices 0..2, as ``_signature_groups``
+    lists them.  After the block step of each block (``_block_step``), the
+    counts of the row's start state before the block move from d to d + 1
+    in its end state, and unless the row is palindromic-type, those of its
+    mirror start from d to d - 1 in its mirror end.
 
     Each (row, state) law is one Python int, the count at d in its slot
     d - lo of ``width`` bits.  Every count after block k is at most
     2^(s (k + 1)), so a slot of s (k + 1) + 1 bits holds it
     (``_slot_width``, one bit more for each bit of the largest weight).
-    ``step(before, parity)`` maps a row's list of state ints to the list
-    after one block of s letters that starts at a position of the given
-    parity, every slot at once.  An own move adds (m << width) - m for the
-    law m before the block, and a mirror move adds (m >> width) - m, which
-    is exact while m's lowest slot is empty.  So lo stays below the lowest
-    d that the row's mirror moves reach, k or k / 2 before block k
-    (``_period``).  When the slots get too narrow, every law moves to wider
-    ones (``_regrid``), with empty slots below that last as long as they do.
+    The block step maps every slot at once.  An own move adds
+    (m << width) - m for the law m before the block, and a mirror move adds
+    (m >> width) - m, which is exact while m's lowest slot is empty.  So
+    lo stays below the lowest d that the row's mirror moves reach before
+    block k: k if the mirror ends in the state it starts from, so that its
+    move can repeat at every block, else k / 2, one block in two.  When
+    the slots get too narrow, every law moves to wider ones (``_regrid``),
+    with empty slots below that last as long as they do.
 
     Each row's weighted sum is decoded once, and its plain sum over the
     states must come to 2^(s t): ValueError if it does not, as when a
     count overflowed its slot.
     """
-    # Only the block parities that occur: at even s a row's parity-1
-    # moves never run, and _period must not chain them.
-    parities = 2 if s % 2 and t > 1 else 1
-    periods = [_period(mirror[:parities], s) for _, mirror in rows]
+    step = _block_step(s)
+    periods = [0 if pal else 1 if x_m == y_m else 2 for _, _, x_m, y_m, pal in rows]
     extra = max(1, *weights).bit_length()
     final = -(-(s * t + extra) // 8) * 8
     width, lo = 0, [0] * len(rows)
-    laws = [[1] + [0] * (len(weights) - 1) for _ in rows]
+    laws = [[1, 0, 0] for _ in rows]
     for k in range(t):
         new_width = _slot_width(s * (k + 1) + extra, width, final)
         if new_width != width:
@@ -605,16 +575,14 @@ def displacement_laws(s: int, t: int, step, rows, weights) -> list[list[int]]:
                 _regrid(row, width or new_width, new_width, lo[g] - new_lo)
                 lo[g] = new_lo
             width = new_width
-        parity = k * s % 2
-        for g, (own, mirror) in enumerate(rows):
+        for g, (x, y, x_m, y_m, pal) in enumerate(rows):
             before = laws[g]
-            after = step(before, parity)
-            for src, dst in own[parity]:
-                m = before[src]
-                after[dst] += (m << width) - m
-            for src, dst in mirror[parity]:
-                m = before[src]
-                after[dst] += (m >> width) - m
+            after = step(before)
+            m = before[x]
+            after[y] += (m << width) - m
+            if not pal:
+                m = before[x_m]
+                after[y_m] += (m >> width) - m
             laws[g] = after
 
     width = width or final  # t = 0: no block set a width
@@ -649,13 +617,7 @@ def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], lis
     budget.check_walk(s, t)
     signatures, sizes = _signature_groups(s)
     pals = signatures[:, 4].astype(bool).tolist()
-    # A group's block and its mirror each move one state pair, the same at
-    # both block parities.
-    rows = [(([(x, y)],) * 2, ([] if pal else [(x_m, y_m)],) * 2)
-            for x, y, x_m, y_m, pal in signatures.tolist()]
-    # One letter is cheaper than the closed form's three sums.
-    step = letter_steps(1, _LETTER_SOURCES) if s == 1 else _block_step(s)
-    laws = displacement_laws(s, t, step, rows, (1, 1, 1))
+    laws = displacement_laws(s, t, signatures.tolist(), (1, 1, 1))
     return (sizes, pals, residual_totals(laws, pals, t),
             residual_totals(laws, pals, t, 2))
 
@@ -670,9 +632,6 @@ def _check_walk_domain(s: int, t: int) -> None:
 
 def exact_expected_distance(s: int, t: int) -> Fraction:
     """Exact E[Dist] of the t-step summand walk over all block sequences."""
-    _check_walk_domain(s, t)
-    if t == 0:
-        return Fraction(0)
     return exact_walk_cell(s, t)[0]
 
 
@@ -787,7 +746,11 @@ def verify_abs_means(s: int, t: int) -> bool:
 def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
     """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``
     from one run of the walk DP, in integers until the one fraction: with
-    E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t)."""
+    E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t).
+    With no block every displacement is 0, at any s: no M^s is built."""
+    _check_walk_domain(s, t)
+    if t == 0:
+        return Fraction(0), True
     sizes, pals, abs_totals, _ = _group_totals(s, t)
     expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
     bound = 4 * t << 2 * s * t

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.budget import BudgetError, _g4_cells, _walk_groups, check_g4
+from twobridge.budget import BudgetError, _g4_cells, check_g4
 from twobridge.cobordism import (
     AverageRow,
     OrientedWord,
@@ -591,29 +591,56 @@ def test_repaired_crossings_are_mirror_invariant():
 
 def reference_summand_table(s):
     """Table build that analyses every class's mirror from scratch: its
-    (start, end) from ``mirror`` and its interior lengths from its letters."""
-    counts = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
-    costs = ([[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)])
+    (start, end) from ``mirror``."""
+    counts = [[0] * 3 for _ in range(3)]
+    costs = [[0] * 3 for _ in range(3)]
     weights = Counter()
     for x in all_oriented_words(s):
         saddles, crossings = cobordism._repair_costs(x)
-        cost = saddles + cobordism._CUT_SADDLES[x.end]
-        for parity in (0, 1):
-            step = cobordism._interior_length(x.letters, parity)
-            for length in range(3):
-                i = cobordism._dp_state(x.start, length)
-                j = cobordism._dp_state(x.end, length + step)
-                counts[parity][i][j] += 1
-                costs[parity][i][j] += cost
+        counts[x.start - 1][x.end - 1] += 1
+        costs[x.start - 1][x.end - 1] += saddles + cobordism._CUT_SADDLES[x.end]
         cls = summand_class(x)
         if cls.polarity == "minus" or crossings < 2:
             continue
-        key = tuple(value for y in (x, mirror(x))
-                    for value in (y.start, y.end,
-                                  *(cobordism._interior_length(y.letters, p) % 3
-                                    for p in (0, 1))))
-        weights[key + (cls.polarity == "self_mirror",)] += crossings // 2
-    return counts, costs, dict(weights)
+        y = mirror(x)
+        key = (x.start - 1, x.end - 1, y.start - 1, y.end - 1,
+               int(cls.polarity == "self_mirror"))
+        weights[key] += crossings // 2
+    return tuple(map(tuple, counts)), tuple(map(tuple, costs)), dict(weights)
+
+
+def nine_state_sources(parity, letter):
+    """sources[j]: the state that one core letter, at a position of the
+    given parity, moves to state j, over the nine states
+    3 (orientation state - 1) + interior length mod 3 that the mean DP ran
+    on before the length was read off the state, by ``orientation_after``
+    (a letter's move of the orientation states is its own inverse)."""
+    step = 2 if (letter == "a") == (parity == 0) else 1
+    return [3 * (orientation_after(j // 3 + 1, letter) - 1) + (j - step) % 3
+            for j in range(9)]
+
+
+def nine_state_moves(s, keys):
+    """Per signature in ``keys``, its (own, mirror) moves over the nine
+    states: per block parity, the (from, to) states of its block and of its
+    mirror, one pair per interior length mod 3 before the block, none for
+    a palindromic-type mirror.  Every block of a signature must give the
+    same moves."""
+    def moves(x):
+        return [[(3 * (x.start - 1) + n,
+                  3 * (x.end - 1) + (n + cobordism._interior_length(x.letters, p)) % 3)
+                 for n in range(3)] for p in (0, 1)]
+
+    rows = {}
+    for x in all_oriented_words(s):
+        cls = summand_class(x)
+        if cls.polarity == "minus":
+            continue
+        y, pal = mirror(x), cls.polarity == "self_mirror"
+        row = (moves(x), [[], []] if pal else moves(y))
+        key = (x.start - 1, x.end - 1, y.start - 1, y.end - 1, int(pal))
+        assert rows.setdefault(key, row) == row, x
+    return [rows[key] for key in keys]
 
 
 def test_interior_length_matches_letter_scan():
@@ -632,26 +659,34 @@ def test_summand_table_matches_mirror_analysis():
         table = cobordism._summand_table(s)
         assert ((table.counts, table.costs, table.weights)
                 == reference_summand_table(s)), s
+        # The counts are M^s, and the rows of the residual DP are signature
+        # groups of the walk.
+        assert table.counts == markov._closed_form(s), s
+        assert set(table.weights) <= set(map(tuple, markov._signature_groups(s)[0].tolist())), s
 
 
 def test_packed_g4_laws_match_object_array_oracle():
-    # The mean's residual laws, one row per law key over the nine DP states,
-    # by interior length mod 3, against the DP on object arrays that the
-    # packed one replaced.  At s = 3 blocks start at both position parities.
+    # The mean's residual laws, one row per signature over the three
+    # orientation states, against the DP on object arrays that the packed
+    # one replaced, run over the nine (orientation state, interior length
+    # mod 3) states with s letter steps per block and summed over the
+    # lengths.  Only the length that the state fixes holds any count.  At
+    # s = 3 blocks start at both position parities.
     for s in (3, 4):
-        rows = cobordism._law_rows(cobordism._summand_table(s).weights)
-        sources = [(cobordism._letter_sources(p, "a"), cobordism._letter_sources(p, "b"))
+        keys = list(cobordism._summand_table(s).weights)
+        moves = nine_state_moves(s, keys)
+        sources = [tuple(np.array(nine_state_sources(p, letter)) for letter in "ab")
                    for p in (0, 1)]
-        oracle_sources = [tuple(map(np.array, pair)) for pair in sources]
         for t in range(1, 41):
-            expected = object_walk_dp.displacement_laws(
-                s, t, object_walk_dp.letter_steps(s, oracle_sources),
-                *reference_arguments(rows), states=9).reshape(len(rows), 3, 3, -1).sum(axis=1)
-            for length in range(3):
-                weights = [int(i % 3 == length) for i in range(9)]
-                laws = markov.displacement_laws(s, t, markov.letter_steps(s, sources),
-                                                rows, weights)
-                assert laws == expected[:, length].tolist(), (s, t, length)
+            nine = object_walk_dp.displacement_laws(
+                s, t, object_walk_dp.letter_steps(s, sources),
+                *reference_arguments(moves), states=9).reshape(len(keys), 3, 3, -1)
+            for state in range(3):
+                length = cobordism._length(state + 1, s * t)
+                assert not np.delete(nine[:, state], length, axis=1).any(), (s, t, state)
+                weights = [int(i == state) for i in range(3)]
+                laws = markov.displacement_laws(s, t, keys, weights)
+                assert laws == nine[:, state, length].tolist(), (s, t, state)
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
@@ -700,19 +735,32 @@ def test_g4_work_refused_before_any_work(monkeypatch):
 
 
 def test_interior_length_fixed_by_end_states():
-    # A block's interior length mod 3 at either parity depends only on its
-    # (start, end) states, so a law key is fixed by the signature group of
-    # its class: the mean DP has at most as many rows as the walk DP.
-    for s in range(1, 12):
-        lengths = {}
-        for start in (1, 2, 3):
-            for letters in map("".join, product("ab", repeat=s)):
-                end = orientation_after(start, letters)
-                for parity in (0, 1):
-                    length = cobordism._interior_length(letters, parity) % 3
-                    assert lengths.setdefault((start, end, parity), length) == length, \
-                        (s, start, letters, parity)
-        assert len(cobordism._summand_table(s).weights) <= _walk_groups(s)[0], s
+    # Every core prefix of up to 12 letters, from state 1: its interior
+    # length mod 3 is the one that its end state fixes.
+    for n in range(13):
+        for bits in product("ab", repeat=n):
+            letters = "".join(bits)
+            assert cobordism._length(orientation_after(1, letters), n) \
+                == cobordism._interior_length(letters, 0) % 3, letters
+
+
+def test_interior_length_check_survives_optimize_flag():
+    code = ("from twobridge import cobordism\n"
+            "real = cobordism._interior_length\n"
+            "cobordism._interior_length = lambda letters, parity: (\n"
+            "    real(letters, parity) + (letters == 'ab'))\n"
+            "try:\n"
+            "    cobordism._summand_table(2)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(cobordism.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("block o1:ab at parity 0 does not end on the "
+                                   "interior length of its end state")
 
 
 def test_g4_budget_charges_the_law_rows():
@@ -767,6 +815,28 @@ def test_average_g4_row_pinned(c, s, words, mean):
     assert row.words == words
     assert row.mean_upper == mean
     assert row.below_expression and row.below_log10
+
+
+# sha256 of each mean's "num/den" past enumeration, at the default s (3
+# at these c) and at c = 300 for s = 1..7, recorded when the mean DP still
+# ran over nine (orientation state, interior length mod 3) states.
+@pytest.mark.parametrize("c, s, digest", [
+    (101, 3, "7439c97941f7b602d54e6b66013e99fdb73cd8bd0aa7e7fc283085d35bb2c4db"),
+    (200, 3, "9162d6cfbdd060e2527d85b31f000af06836d05f7adba9ab393dc5fbfe747965"),
+    (1000, 3, "c5b18559ae3f70f3caaa1850bec66a6555a36e1825c06601ad69a5f94b6765b6"),
+    (300, 1, "538db1d0973ae48aca95ddc7faa1f2d326f4217311e08e6cc05a7afbb35e4f14"),
+    (300, 2, "8f608f13357d7e8e4e5ee6b91568b238cfd94abfbff2df8958ec149ca904a736"),
+    (300, 3, "464de508c9d3da6763de0e2c49fe77979e57c9b7c4e5bbd491a8e9df0894b294"),
+    (300, 4, "e99e38c7e46db4d39617da3a36eb15606902dc438fc7df02d6b33b4313804f50"),
+    (300, 5, "c3d5029e89f899b924c5f172b81396758e857c26b75cf5e9f6111b71a93441d4"),
+    (300, 6, "7cccbd4ee56a8f183c2505d75431a5678168fc419ebec508ce3d94304be83ca4"),
+    (300, 7, "e48b16baf25b0c989c54a02e543c16c8a6f46e284e69c97ec6f8326bb9f4f44c"),
+])
+def test_average_g4_row_digest(c, s, digest):
+    assert c == 300 or s == choose_block_size(c)
+    mean = average_g4_row(c, s).mean_upper
+    assert hashlib.sha256(f"{mean.numerator}/{mean.denominator}".encode()).hexdigest() \
+        == digest
 
 
 def test_aggregate_g4_check_reports_failed_mean(monkeypatch):

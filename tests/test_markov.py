@@ -43,7 +43,6 @@ from twobridge.markov import (
     distance_bound_holds,
     exact_expected_distance,
     identity_matrix,
-    letter_steps,
     matrix_power,
     monte_carlo_distance,
     oriented_word_key,
@@ -114,6 +113,20 @@ LETTER_SOURCES = tuple(
     np.array([next(i for i in range(3)
                    if orientation_after(i + 1, letter) == j + 1) for j in range(3)])
     for letter in "ab")
+
+
+def letter_steps(s):
+    """The walk's block step as s letter steps on Python ints, the oracle
+    of ``markov._block_step``: a row's state j after a letter is the sum of
+    its states a[j] and b[j] before it (``LETTER_SOURCES``)."""
+    pairs = list(zip(*(sources.tolist() for sources in LETTER_SOURCES)))
+
+    def step(before):
+        after = before
+        for _ in range(s):
+            after = [after[x] + after[y] for x, y in pairs]
+        return after
+    return step
 
 
 def letter_step_walk_cell(s, t):
@@ -491,48 +504,56 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
 
 
 def test_block_step_equals_letter_steps():
-    # The closed form of M^s against s letter gathers, on the states of
-    # seeded random rows, some past 64 bits, at both parities and on both
-    # sides of the block size where c_s x turns into a division: per column,
-    # and with the 7 columns packed into one int per state 100 bits apart
-    # (negative values borrow from the slot above, which the sum undoes).
+    # The closed form of M^s (the three sums of M at s = 1) against s letter
+    # gathers, on the states of seeded random rows, some past 64 bits, on
+    # both sides of the block size where c_s x turns into a division: per
+    # column, and with the 7 columns packed into one int per state 100 bits
+    # apart (negative values borrow from the slot above, which the sum
+    # undoes).
     rng = np.random.default_rng(2406)
     divide = markov._DIVIDE_S
     for s in [*range(1, 13), divide - 1, divide, divide + 1]:
         step = markov._block_step(s)
-        letters = letter_steps(s, (LETTER_SOURCES,) * 2)
-        for parity, scale in ((0, 1), (1, 1 << 70)):
+        letters = letter_steps(s)
+        for scale in (1, 1 << 70):
             before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
             for row in before:
                 columns = [list(column) for column in row.T]
                 packed = [sum(x << 100 * d for d, x in enumerate(state)) for state in row]
                 kept = list(packed)
-                after = [step(column, parity) for column in columns]
-                assert after == [letters(column, parity) for column in columns], (s, parity)
-                assert step(packed, parity) == letters(packed, parity) == [
+                after = [step(column) for column in columns]
+                assert after == [letters(column) for column in columns], (s, scale)
+                assert step(packed) == letters(packed) == [
                     sum(column[i] << 100 * d for d, column in enumerate(after))
-                    for i in range(3)], (s, parity)
+                    for i in range(3)], (s, scale)
                 assert packed == kept, s
 
 
 def walk_dp_rows(s):
-    """The walk DP's rows, one per signature group: its own and mirror
-    (from, to) pairs at both parities, no mirror pair if palindromic-type."""
-    signatures, _ = _signature_groups(s)
+    """The walk DP's rows, one signature (start, end, mirror start, mirror
+    end, palindromic-type) per group."""
+    return _signature_groups(s)[0].tolist()
+
+
+def parity_moves(rows):
+    """Signature rows as the object-array reference reads them: per block
+    parity, the (from, to) pairs of the row's block and of its mirror, the
+    same at both parities, and no mirror pair if palindromic-type."""
     return [(([(x, y)],) * 2, ([] if pal else [(x_m, y_m)],) * 2)
-            for x, y, x_m, y_m, pal in signatures.tolist()]
+            for x, y, x_m, y_m, pal in rows]
 
 
-def reference_arguments(rows):
-    """The object-array reference's (own, mirror, pal) for rows of
-    ``displacement_laws``: per parity, (from, to) arrays with one column
-    per pair, and the palindromic-type flags of the rows with no mirror
-    pairs, whose mirror columns (the own pairs here) the reference skips."""
-    pal = np.array([not any(mirror) for _, mirror in rows])
+def reference_arguments(moves):
+    """The object-array reference's (own, mirror, pal) for rows given as
+    per-parity (own, mirror) pair lists (``parity_moves``): per parity,
+    (from, to) arrays with one column per pair, and the palindromic-type
+    flags of the rows with no mirror pairs, whose mirror columns (the own
+    pairs here) the reference skips."""
+    pal = np.array([not any(mirror) for _, mirror in moves])
 
     def side(i):
         return [tuple(np.array([[pair[j] for pair in row[i][p] or row[0][p]]
-                                for row in rows]) for j in (0, 1)) for p in (0, 1)]
+                                for row in moves]) for j in (0, 1)) for p in (0, 1)]
     return side(0), side(1), pal
 
 
@@ -540,19 +561,18 @@ def test_packed_laws_match_object_array_oracle():
     # Every law of every walk cell with s t <= 40, state by state, and the
     # sum over the states at (4, 100), (79, 100) and past the block size
     # where the block step divides, against the DP on object arrays that
-    # the packed one replaced.
+    # the packed one replaced (at s = 1, its letter step).
     cells = [(s, t) for s in range(1, 41) for t in range(1, 40 // s + 1)]
     for s, t in [*cells, (4, 100), (79, 100), (markov._DIVIDE_S, 5), (301, 4)]:
         if s == 1:
-            step = letter_steps(1, (LETTER_SOURCES,) * 2)
             oracle_step = object_walk_dp.letter_steps(1, (LETTER_SOURCES,) * 2)
         else:
-            step, oracle_step = markov._block_step(s), object_walk_dp._block_step(s)
+            oracle_step = object_walk_dp._block_step(s)
         rows = walk_dp_rows(s)
         expected = object_walk_dp.displacement_laws(s, t, oracle_step,
-                                                    *reference_arguments(rows))
+                                                    *reference_arguments(parity_moves(rows)))
         for weights in ([(1, 1, 1)] if s * t > 40 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            laws = displacement_laws(s, t, step, rows, weights)
+            laws = displacement_laws(s, t, rows, weights)
             assert laws == (expected * np.array(weights)[:, None]).sum(axis=1).tolist(), \
                 (s, t, weights)
 
@@ -678,6 +698,14 @@ def test_huge_block_size_refused_before_work():
         per_class_moments(10 ** 10, 1)
     with pytest.raises(BudgetError, match=r"s=10000000000, t=1, trials=2.*2\^10000000001"):
         monte_carlo_distance(10 ** 10, 1, 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_walk_cell_without_blocks_builds_no_block_power():
+    # With t = 0 the answer is exact at any s, and M^s is never built.
+    start = time.perf_counter()
+    assert markov.exact_walk_cell(10 ** 10 + 1, 0) == (0, True)
+    assert exact_expected_distance(10 ** 10 + 1, 0) == 0
     assert time.perf_counter() - start < 1
 
 
@@ -830,10 +858,10 @@ def test_per_class_moments_match_enumeration():
             assert sum(not pal for _, _, pal in buckets) <= 18, (s, t)
 
 
-def test_ungrouped_laws_match_grouped_moments():
+def test_ungrouped_laws_match_grouped_moments(monkeypatch):
     # One DP row per summand class, with no signature grouping: each row
     # moves its class's own ids and its mirror's, read off the walk tables,
-    # and the letter steps are built from orientation_after.
+    # and the block step is s letter steps built from orientation_after.
     for s in (1, 2, 3):
         tables = _tables(s)
         next_state = markov._end_states(s).reshape(-1).tolist()
@@ -842,12 +870,12 @@ def test_ungrouped_laws_match_grouped_moments():
         mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
         pal = tables.is_pal[classes & ((1 << s) - 1)]
         assert (mirrors == classes).tolist() == pal.tolist()
-        rows = [(([(c >> s, next_state[c] - 1)],) * 2,
-                 ([] if p else [(m >> s, next_state[m] - 1)],) * 2)
+        rows = [(c >> s, next_state[c] - 1, m >> s, next_state[m] - 1, p)
                 for c, m, p in zip(classes.tolist(), mirrors.tolist(), pal.tolist())]
         for t in (1, 2, 3, 8, 21, 60):
-            step = letter_steps(s, (LETTER_SOURCES,) * 2)
-            law = np.array(displacement_laws(s, t, step, rows, (1, 1, 1)), dtype=object)
+            with monkeypatch.context() as patch:
+                patch.setattr(markov, "_block_step", letter_steps)
+                law = np.array(displacement_laws(s, t, rows, (1, 1, 1)), dtype=object)
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
             expected = {
