@@ -3,43 +3,50 @@
 All commands print deterministic output for a fixed (version, options,
 seed): JSON objects carry ``"schema": 1`` and sorted keys, CSV tables carry
 a schema comment line.  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.  A request that twobridge refuses (over budget:
-in ``_Group.invoke``) prints one ``Error:`` line on stderr and nothing on
-stdout; click's own parse errors (an unknown option, a missing or
-ill-typed value) keep click's usage block.  The row cache, in the
-directory that ``--cache-dir`` names, holds enumerated rows only.
+2 usage or domain error.  A request that twobridge refuses (misuse, or over
+budget) prints one ``Error:`` line on stderr and nothing on stdout; a parse
+error (an unknown option, a missing or ill-typed value) prints a usage
+block above an ``Error:`` line that quotes the option.  The row cache, in
+the directory that ``--cache-dir`` names, holds enumerated rows only.
+
+``main(args=None, standalone_mode=True)`` parses ``args`` (``sys.argv[1:]``
+when None) with one parser built at import, runs the command, and exits
+the process with its exit code; with ``standalone_mode=False`` it returns
+the code instead.  It writes to the ``sys.stdout`` and ``sys.stderr`` of
+the moment of the call, so a caller may redirect them.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-import click
-
-from . import budget, checks, cobordism, markov, sigtables, words
+from . import __version__, budget, checks, cobordism, markov, sigtables, words
 from .budget import BudgetError
 
 SCHEMA = 1
 
 
-def _crossing_number(ctx: click.Context, param: click.Parameter,
-                     c: int | None) -> int | None:
-    """Option callback: a crossing number must be at least 3."""
+class _Refusal(Exception):
+    """A request that twobridge refuses: one ``Error:`` line, exit 2."""
+
+
+def _crossing_number(c: int | None) -> None:
+    """A crossing number must be at least 3."""
     if c is not None and c < 3:
-        _refuse(ctx, f"crossing number must be >= 3, got {c}")
-    return c
+        raise _Refusal(f"crossing number must be >= 3, got {c}")
 
 
-def _parse_c_range(ctx: click.Context, param: click.Parameter,
-                   text: str) -> range:
-    """Option callback: parse "9" or "3..14" into an inclusive run of
-    crossing numbers, each at least 3, as a range that lists none of them."""
+def _parse_c_range(text: str) -> range:
+    """Parse "9" or "3..14" into an inclusive run of crossing numbers, each
+    at least 3, as a range that lists none of them."""
     try:
         if ".." in text:
             lo_str, hi_str = text.split("..", 1)
@@ -47,15 +54,15 @@ def _parse_c_range(ctx: click.Context, param: click.Parameter,
         else:
             lo = hi = int(text)
     except ValueError:
-        _refuse(ctx, f"cannot parse crossing-number range {text!r}")
+        raise _Refusal(f"cannot parse crossing-number range {text!r}")
     if lo > hi:
-        _refuse(ctx, f"empty crossing-number range {text!r}")
-    _crossing_number(ctx, param, lo)
+        raise _Refusal(f"empty crossing-number range {text!r}")
+    _crossing_number(lo)
     return range(lo, hi + 1)
 
 
 def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _fraction_digits(value: Fraction) -> tuple[str, str]:
@@ -67,41 +74,16 @@ def _fraction_digits(value: Fraction) -> tuple[str, str]:
     return str(Decimal(value.numerator)), str(Decimal(value.denominator))
 
 
-def _refuse(ctx: click.Context, problem: Exception | str) -> NoReturn:
-    """Misuse or an over-budget request: one line on stderr, exit 2."""
-    click.echo(f"Error: {problem}", err=True)
-    ctx.exit(2)
-
-
-class _Group(click.Group):
-    """A command group that refuses any command's over-budget request."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except BudgetError as problem:
-            _refuse(ctx, problem)
-
-
-@click.group(cls=_Group)
-@click.version_option(package_name="twobridge")
-def main() -> None:
-    """Alternating-word models of 2-bridge knots: enumeration, signature
-    tables, and 4-genus bounds."""
-
-
-@main.command(name="enumerate")
-@click.option("--c", "c", required=True, type=int, callback=_crossing_number,
-              help="Crossing number.")
-@click.option("--count-only", is_flag=True, help="Print the word count only.")
-def cmd_enumerate(c: int, count_only: bool) -> None:
+def cmd_enumerate(c: int, count_only: bool) -> int:
     """Stream the words of T(c) in enumeration order."""
+    _crossing_number(c)
     if count_only:
-        click.echo(str(words.word_count(c)))
-        return
+        print(words.word_count(c))
+        return 0
     budget.check_enumeration(c)
     for word in words.enumerate_words(c):
-        click.echo(word)
+        print(word)
+    return 0
 
 
 def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables.Row:
@@ -111,8 +93,8 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
         try:
             cached = sigtables.load_cached_row(cache_dir, c)
         except (ValueError, OSError) as problem:
-            click.echo(f"warning: cache for c={c} rejected ({problem}); "
-                       "re-deriving", err=True)
+            print(f"warning: cache for c={c} rejected ({problem}); re-deriving",
+                  file=sys.stderr)
         else:
             if cached is not None:
                 return cached
@@ -122,21 +104,10 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
     return row
 
 
-@main.command(name="sig-table")
-@click.option("--c", "c_values", default="3..14", callback=_parse_c_range,
-              help="c or lo..hi range.")
-@click.option("--method", type=click.Choice(["enumerate", "recurse", "both"]),
-              default="both", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--cache-dir", default=None,
-              help="Enumerated-row cache directory; no cache without it.")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Enumeration shards; defaults to available parallelism.")
-@click.pass_context
-def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
-                  fmt: str, cache_dir: str | None, workers: int | None) -> None:
+def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
+                  workers: int | None) -> int:
     """Signature histogram rows s(c, sigma)."""
+    c_values = _parse_c_range(c)
     # The cache holds enumerated rows only: a recursed row stored there
     # would later be compared with itself.
     cache = Path(cache_dir) if cache_dir and method != "recurse" else None
@@ -160,11 +131,11 @@ def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
                 continue
             rows[c] = _cached_histogram(c, cache, workers)
             if method == "both" and rows[c] != recursed[c]:
-                click.echo(f"mismatch between enumeration and recursion at c={c}",
-                           err=True)
-                ctx.exit(1)
+                print(f"mismatch between enumeration and recursion at c={c}",
+                      file=sys.stderr)
+                return 1
     except OSError as problem:
-        _refuse(ctx, f"cache directory {cache_dir}: {problem}")
+        raise _Refusal(f"cache directory {cache_dir}: {problem}")
 
     if fmt == "json":
         payload = {"schema": SCHEMA, "method": method,
@@ -173,17 +144,13 @@ def cmd_sig_table(ctx: click.Context, c_values: range, method: str,
         _echo_json(payload)
     else:
         for c in c_values:
-            click.echo(sigtables.row_to_csv(c, rows[c]), nl=False)
+            print(sigtables.row_to_csv(c, rows[c]), end="")
+    return 0
 
 
-@main.command(name="avg-sig")
-@click.option("--c", "c_values", default="3..20", callback=_parse_c_range,
-              help="c or lo..hi range.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.pass_context
-def cmd_avg_sig(ctx: click.Context, c_values: range, fmt: str) -> None:
+def cmd_avg_sig(c: str, fmt: str) -> int:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
+    c_values = _parse_c_range(c)
     # The work grows with c: refuse the whole range before any row.
     budget.check_avg_sig(c_values)
     entries = [(c, _fraction_digits(r.avg_abs_sigma), float(r.avg_abs_sigma), r.asymptote)
@@ -194,38 +161,30 @@ def cmd_avg_sig(ctx: click.Context, c_values: range, fmt: str) -> None:
                      "gap": avg - root}
             for c, digits, avg, root in entries}})
     else:
-        click.echo(f"# twobridge avg-sig schema={SCHEMA}")
-        click.echo("c,avg_num,avg_den,avg_float,root,gap")
+        print(f"# twobridge avg-sig schema={SCHEMA}")
+        print("c,avg_num,avg_den,avg_float,root,gap")
         for c, (num, den), avg, root in entries:
-            click.echo(f"{c},{num},{den},{avg!r},{root!r},{avg - root!r}")
+            print(f"{c},{num},{den},{avg!r},{root!r},{avg - root!r}")
+    return 0
 
 
-@main.command(name="g4")
-@click.option("--word", "word", default=None, help="One word to decompose.")
-@click.option("--c", "c", type=int, default=None, callback=_crossing_number,
-              help="Aggregate over all of T(c) instead.")
-@click.option("--s", "s", type=int, default=None,
-              help="Block size; defaults to ceil(log10 c).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="json", show_default=True)
-@click.pass_context
-def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
-           fmt: str) -> None:
+def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> int:
     """4-genus interval for one word, or the mean bound over T(c)."""
+    _crossing_number(c)
     if (word is None) == (c is None):
-        _refuse(ctx, "pass exactly one of --word or --c")
+        raise _Refusal("pass exactly one of --word or --c")
     if word is not None and fmt == "csv":
-        _refuse(ctx, "--format csv applies to --c only")
+        raise _Refusal("--format csv applies to --c only")
     if word is not None:
         try:
             c_word = words.validate_word(word)
         except ValueError as problem:
-            _refuse(ctx, f"invalid word: {problem}")
+            raise _Refusal(f"invalid word: {problem}")
         block = s if s is not None else cobordism.choose_block_size(c_word)
         try:
             report = cobordism.decompose(word, block)
         except ValueError as problem:
-            _refuse(ctx, problem)
+            raise _Refusal(problem)
         _echo_json({
             "schema": SCHEMA, "word": word, "c": c_word, "s": block,
             "t": report.t, "r": report.r,
@@ -234,12 +193,12 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
             "residual": list(report.residual),
             "g4_lower": report.g4_lower, "g4_upper": report.g4_upper,
         })
-        return
+        return 0
     block = s if s is not None else cobordism.choose_block_size(c)
     try:
         row = cobordism.average_g4_row(c, block)
     except ValueError as problem:
-        _refuse(ctx, problem)
+        raise _Refusal(problem)
     mean = row.mean_upper
     num, den = _fraction_digits(mean)
     if fmt == "json":
@@ -251,43 +210,31 @@ def cmd_g4(ctx: click.Context, word: str | None, c: int | None, s: int | None,
             "below_bound": row.below_log10,
         })
     else:
-        click.echo(f"# twobridge g4 schema={SCHEMA}")
-        click.echo("c,s,mean_upper_num,mean_upper_den,bound_975")
-        click.echo(f"{c},{block},{num},{den},{row.log10_bound!r}")
+        print(f"# twobridge g4 schema={SCHEMA}")
+        print("c,s,mean_upper_num,mean_upper_den,bound_975")
+        print(f"{c},{block},{num},{den},{row.log10_bound!r}")
+    return 0
 
 
-@main.command(name="markov-verify")
-@click.option("--s", "s", type=int, default=6, show_default=True)
-@click.option("--kmax", type=int, default=8, show_default=True)
-@click.pass_context
-def cmd_markov_verify(ctx: click.Context, s: int, kmax: int) -> None:
+def cmd_markov_verify(s: int, kmax: int) -> int:
     """Exact transition-matrix verifications up to the given sizes."""
     if s < 1 or kmax < 1:
-        _refuse(ctx, "--s and --kmax must be >= 1")
+        raise _Refusal("--s and --kmax must be >= 1")
     results = markov.verify_chain(s, kmax)
     passed = all(results.values())
     _echo_json({"schema": SCHEMA, "s": s, "kmax": kmax,
                 "checks": results, "passed": passed})
-    if not passed:
-        ctx.exit(1)
+    return 0 if passed else 1
 
 
-@main.command(name="walk-sim")
-@click.option("--s", "s", type=int, required=True)
-@click.option("--t", "t", type=int, required=True)
-@click.option("--exact", is_flag=True, help="Exact value by transfer DP.")
-@click.option("--trials", type=int, default=10 ** 4, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
-                 trials: int, seed: int) -> None:
+def cmd_walk_sim(s: int, t: int, exact: bool, trials: int, seed: int) -> int:
     """Summand-walk expected distance versus the taxicab bound."""
     if s < 1 or t < 0:
-        _refuse(ctx, "need --s >= 1 and --t >= 0")
+        raise _Refusal("need --s >= 1 and --t >= 0")
     try:
         bound = markov.distance_bound(s, t)
     except ValueError as problem:
-        _refuse(ctx, problem)
+        raise _Refusal(problem)
     if exact:
         value = markov.exact_expected_distance(s, t)
         ok = markov.distance_bound_holds(s, t, value)
@@ -297,24 +244,19 @@ def cmd_walk_sim(ctx: click.Context, s: int, t: int, exact: bool,
         try:
             mean, stderr = markov.monte_carlo_distance(s, t, trials, seed)
         except ValueError as problem:
-            _refuse(ctx, problem)
+            raise _Refusal(problem)
         ok = mean - 3 * stderr <= bound
         result = {"mode": "monte-carlo", "trials": trials, "seed": seed,
                   "mean": mean, "stderr": stderr}
     _echo_json({"schema": SCHEMA, "s": s, "t": t, **result,
                 "bound": bound, "pass": ok})
-    if not ok:
-        ctx.exit(1)
+    return 0 if ok else 1
 
 
-@main.command(name="verify-all")
-@click.option("--budget-c", type=int, default=None,
-              help="Cap crossing-number ranges for a quicker run.")
-@click.pass_context
-def cmd_verify_all(ctx: click.Context, budget_c: int | None) -> None:
+def cmd_verify_all(budget_c: int | None) -> int:
     """Run every named verification check; exit 0 only if all pass."""
     if budget_c is not None and budget_c < 3:
-        _refuse(ctx, "--budget-c must be >= 3")
+        raise _Refusal("--budget-c must be >= 3")
     results = checks.run_all(budget_c)
     payload = {
         "schema": SCHEMA,
@@ -327,9 +269,131 @@ def cmd_verify_all(ctx: click.Context, budget_c: int | None) -> None:
         "passed": all(r.passed for r in results),
     }
     _echo_json(payload)
-    if not payload["passed"]:
-        ctx.exit(1)
+    return 0 if payload["passed"] else 1
+
+
+# An option name in an argparse message, not already quoted.
+_OPTION = re.compile(r"(?<![\w'-])(--[\w-]+)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors print the usage, a pointer to ``--help``, and
+    an ``Error:`` line that quotes the option at fault, then exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        usage = self.format_usage().removeprefix("usage: ")
+        message = _OPTION.sub(r"'\1'", message)
+        self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\n"
+                     f"Error: {message}\n")
+
+
+def _workers(text: str) -> int:
+    """The ``--workers`` value: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
+
+
+def _build_parser() -> _Parser:
+    """The one parser of every command.  No parser takes an abbreviated
+    option, and each has ``--help`` and no ``-h``."""
+    parser = _Parser(prog="twobridge", add_help=False, allow_abbrev=False,
+                     description="Alternating-word models of 2-bridge knots: "
+                                 "enumeration, signature tables, and 4-genus bounds.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        summary = run.__doc__
+        sub = commands.add_parser(name, help=summary, description=summary,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(parser=sub, run=run)
+        return sub.add_argument
+
+    add = command("enumerate", cmd_enumerate)
+    add("--c", type=int, required=True, help="Crossing number.")
+    add("--count-only", action="store_true", help="Print the word count only.")
+
+    add = command("sig-table", cmd_sig_table)
+    add("--c", default="3..14", help="c or lo..hi range (default: %(default)s).")
+    add("--method", choices=("enumerate", "recurse", "both"), default="both",
+        help="Enumerate every word, recurse on the two rows below, or both "
+             "and compare (default: %(default)s).")
+    add("--format", dest="fmt", choices=("csv", "json"), default="csv",
+        help="Output format (default: %(default)s).")
+    add("--cache-dir", help="Enumerated-row cache directory; no cache without it.")
+    add("--workers", type=_workers,
+        help="Enumeration shards; defaults to available parallelism.")
+
+    add = command("avg-sig", cmd_avg_sig)
+    add("--c", default="3..20", help="c or lo..hi range (default: %(default)s).")
+    add("--format", dest="fmt", choices=("csv", "json"), default="csv",
+        help="Output format (default: %(default)s).")
+
+    add = command("g4", cmd_g4)
+    add("--word", help="One word to decompose.")
+    add("--c", type=int, help="Aggregate over all of T(c) instead.")
+    add("--s", type=int, help="Block size; defaults to ceil(log10 c).")
+    add("--format", dest="fmt", choices=("csv", "json"), default="json",
+        help="Output format (default: %(default)s).")
+
+    add = command("markov-verify", cmd_markov_verify)
+    add("--s", type=int, default=6, help="Largest block size (default: %(default)s).")
+    add("--kmax", type=int, default=8,
+        help="Largest power k of M^s (default: %(default)s).")
+
+    add = command("walk-sim", cmd_walk_sim)
+    add("--s", type=int, required=True, help="Block size.")
+    add("--t", type=int, required=True, help="Number of blocks.")
+    add("--exact", action="store_true", help="Exact value by transfer DP.")
+    add("--trials", type=int, default=10 ** 4,
+        help="Monte Carlo walks (default: %(default)s).")
+    add("--seed", type=int, default=0, help="Monte Carlo seed (default: %(default)s).")
+
+    add = command("verify-all", cmd_verify_all)
+    add("--budget-c", type=int, help="Cap crossing-number ranges for a quicker run.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run one command; see the module docstring for the contract."""
+    try:
+        # Unknown options are reported here, against the command's own usage;
+        # parse_args would report them against the top-level one.
+        options, unknown = _PARSER.parse_known_args(args)
+        options = vars(options)
+        parser, run = options.pop("parser"), options.pop("run")
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    except SystemExit as stop:  # --help, --version, or a parse error
+        code = stop.code
+    else:
+        try:
+            code = run(**options)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        except (BudgetError, _Refusal) as problem:
+            print(f"Error: {problem}", file=sys.stderr)
+            code = 2
+        except BrokenPipeError:
+            # stdout was closed early (``twobridge enumerate --c 22 | head``):
+            # exit 1 quietly, and send what is left to devnull at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

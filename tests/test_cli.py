@@ -6,27 +6,43 @@ starts with a schema comment line; repeated runs with the same
 arguments and seed are byte-identical.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import resource
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
+import twobridge
 from test_sigtables import enumerated_palindromic_histogram
 from twobridge import cobordism, markov, sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
-
-runner = CliRunner()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(*args):
-    return runner.invoke(main, list(args))
+    """Run one command in process, as a caller that redirects the standard
+    streams does; ``output`` is the stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args), standalone_mode=False)
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           stderr=err.getvalue(), output=out.getvalue())
+
+
+# ``python -m twobridge.cli`` from the source tree, with the package not installed.
+CLI = [sys.executable, "-m", "twobridge.cli"]
+SOURCE_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def assert_refused(result, message):
@@ -186,6 +202,67 @@ def test_click_parse_errors_keep_usage(args, option):
     assert result.stdout == ""
     assert result.stderr.startswith("Usage: ")
     assert option in result.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args, option", [
+    (("g4", "--wor", "X"), "'--wor'"),
+    (("sig-table", "--work", "1"), "'--work'"),
+])
+def test_options_take_no_abbreviation(args, option):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: twobridge {args[0]} ")
+    assert option in result.stderr.splitlines()[-1]
+
+
+COMMANDS = ["enumerate", "sig-table", "avg-sig", "g4", "markov-verify",
+            "walk-sim", "verify-all"]
+
+
+def test_help_lists_the_commands():
+    result = invoke("--help")
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    listed = [line.split()[0] for line in result.stdout.split("COMMAND\n")[-1].splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == COMMANDS
+    for command in COMMANDS:
+        result = invoke(command, "--help")
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"usage: twobridge {command} [--help]")
+
+
+def test_word_that_starts_with_a_dash():
+    # A value that starts with '-' reads as an option; no word starts so.
+    result = invoke("g4", "--word", "-+-")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: twobridge g4 ")
+    assert result.stderr.splitlines()[-1] == "Error: argument '--word': expected one argument"
+    assert_refused(invoke("g4", "--word=-+-"), "invalid word: word must start with +: '-+-'")
+
+
+def test_version_from_a_source_checkout():
+    result = subprocess.run(CLI + ["--version"], env=SOURCE_ENV, cwd=ROOT,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"twobridge, version {twobridge.__version__}\n"
+    assert invoke("--version").exit_code == 0
+    # The package metadata reads the same one version.
+    assert 'version = {attr = "twobridge.__version__"}' in \
+        (ROOT / "pyproject.toml").read_text()
+
+
+def test_closed_stdout_ends_quietly():
+    # T(20) prints about 2 MB, more than a pipe holds.
+    with subprocess.Popen(CLI + ["enumerate", "--c", "20"], env=SOURCE_ENV, cwd=ROOT,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"+-+-+-+-+-+-+-+-+--++-\n"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 @pytest.mark.parametrize("args, message", [

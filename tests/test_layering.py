@@ -142,11 +142,6 @@ def readers():
     return found
 
 
-def is_click_command(node):
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in node.decorator_list)
-
-
 def exported():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {element.value for node in tree.body if isinstance(node, ast.Assign)
@@ -159,7 +154,7 @@ def public_definitions():
     for name in sorted(MODULES):
         for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") and not is_click_command(node):
+                    and not node.name.startswith("_"):
                 yield name, node.name
 
 

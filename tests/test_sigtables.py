@@ -172,6 +172,14 @@ def test_cli_import_starts_no_process_machinery():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_click():
+    program = "import sys, twobridge.cli\nprint('click' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_recursed_equals_enumerated(enum14, rec20):
     for c in range(3, 15):
         assert rec20[c] == enum14[c], c
