@@ -17,22 +17,21 @@ ENUMERATION_BUDGET = 22
 RECURSION_WORK_BUDGET = 1 << 21
 #: 0.14-0.25 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
 #: 3.5-6.2 s, ``--c 175410``, the largest even c, 4.6-5.7 s, and
-#: ``--c 3..10582``, the largest run from 3, 4.6-5.3 s at a peak of 0.23 GB
+#: ``--c 3..10582``, the largest run from 3, 3.8-5.3 s at a peak of 62 MB
 AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: 7-30 ns per charged cell update, which overstates the three-state DP:
-#: ``g4 --c 1994``, the largest c at the default s, takes 1.2-1.7 s, and the
-#: largest c at s = 1..7 1.0-4.0 s, ``--c 2732 --s 3`` the slowest
-G4_WORK_BUDGET = 1 << 27
 #: 11-32 ns per unit: the largest t at each s takes 3.7-10.7 s,
 #: ``walk-sim --s 1 --t 2215 --exact`` 8.0-8.8 s, ``--s 4 --t 785`` 5.6-6.2 s,
 #: ``--s 5 --t 977`` 9.4-9.7 s, ``--s 7 --t 884`` 10.2-10.7 s and
 #: ``(150, 225)``, where the counts far from d = 0 fill little of their
 #: packed slots, 6.7 s.  At t = 1 the largest odd s,
 #: ``exact_walk_cell(780895, 1)``, takes 1.9-2.1 s and the largest even s,
-#: 493662, 1.0-1.1 s
+#: 493662, 1.0-1.1 s.  The mean g4 DP, charged the same way (``check_g4``):
+#: the largest c at each s = 1..16 takes 4.4-9.0 s, ``g4 --c 3146`` (the
+#: default s) 4.6-5.5 s and ``--c 4892 --s 5`` and ``--c 9270 --s 13``, the
+#: slowest, 8.0-9.0 s
 WALK_WORK_BUDGET = 5 << 26
 #: about 3 us per table entry: ``per_class_moments(18, 1)`` takes 1.8-2.7 s,
 #: and ``(20, 1)``, refused, 14 s at a peak of 0.46 GB
@@ -55,7 +54,8 @@ _ROW_SHARE = 16
 # 1.5 s at c = 10^5, against 2.3-2.4 s (tot) and 1.4 s (tot_p) at odd c.
 _EVEN_QUARTERS = 3
 # One table entry of the mean g4 DP (a block analysed as a class and as a
-# mirror, ~30 us) costs 2^10 cell updates.
+# mirror, 17-28 us) costs 2^10 walk work units, so the table alone refuses
+# every s past 16; at s = 16 it takes 3.4 s.
 _TABLE_ENTRY_WORK = 1 << 10
 # A block of the walk DP costs a few us per signature group beyond its
 # element operations (a Python step and one or two moves on the group's
@@ -155,27 +155,6 @@ def check_palindromic(c_values: Sequence[int]) -> None:
            f"the palindromic rows at {_c_label(c_values)}", "work units (palindromic_work)")
 
 
-def _g4_cells(c: int, s: int) -> int:
-    """s letter steps over 9 states and 2k + 3 displacements at block k, per
-    signature group of the walk (``_walk_groups``): the charge of the DP
-    over (orientation state, interior length mod 3) that the mean once ran.
-    The state fixes the length, so the residual now runs the walk's block
-    step on three states, which this charge, kept unchanged so that the
-    same requests are admitted, overstates."""
-    t = (2 * ((c - 1) // 2) - 1) // s
-    return _walk_groups(s)[0] * 9 * s * t * (t + 2)
-
-
-def check_g4(c: int, s: int) -> None:
-    """Cell updates of the mean g4 DP: ``_g4_cells``, plus _TABLE_ENTRY_WORK
-    for each of the 3 * 2^s entries of its block table, passed as a shift
-    (no 2^s built)."""
-    _check(_g4_cells(c, s), G4_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
-           f"cell updates (2^10 per entry of its table of 3 * 2^{s} block "
-           "masks, plus _g4_cells for its DP)",
-           shift=(3 * _TABLE_ENTRY_WORK, s))
-
-
 def _walk_groups(s: int) -> tuple[int, int]:
     """The walk DP's rows, one per signature group
     (``markov._signature_groups``), and how many are palindromic-type: 3 and
@@ -184,30 +163,41 @@ def _walk_groups(s: int) -> tuple[int, int]:
     return (3, 0) if s == 1 else (8, 6) if s == 2 else (6, 0) if s % 2 else (15, 9)
 
 
-def _walk_ops(s: int) -> int:
-    """Element operations per displacement of a block, summed over the walk
-    DP's rows: 3 for the step at s = 1 (one letter over 3 states) and from
-    s = 2 on 6 (three sums, their product by c_s, three adds) plus one per
-    32 bits of c_s, 2 for the own move, and 2 more for the mirror's unless
-    the row is palindromic-type."""
-    rows, palindromic = _walk_groups(s)
+def _dp_work(s: int, t: int, rows: int, palindromic: int) -> int:
+    """The displacement-law DP's t blocks, plus its element operations at
+    each of the 2k + 3 displacements of block k, t (t + 2) in all, summed
+    over its rows: 3 for the step at s = 1 (one letter over 3 states) and
+    from s = 2 on 6 (three sums, their product by c_s, three adds) plus one
+    per 32 bits of c_s, 2 for the own move, and 2 more for the mirror's
+    unless the row is palindromic-type.  Each operation is weighted by
+    1 + s t / 1024 for the size of its ints."""
     step = 3 if s == 1 else 6 + s // 32
-    return rows * (step + 2) + 2 * (rows - palindromic)
+    ops = (rows * (step + 2) + 2 * (rows - palindromic)) * t * (t + 2)
+    return _BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
 
 
 def walk_work(s: int, t: int) -> int:
-    """The exact walk DP's t blocks, plus _walk_ops(s) element operations
-    at each of the 2k + 3 displacements of block k, t (t + 2) in all, each
-    weighted by 1 + s t / 1024 for the size of its ints.  The signature
-    groups, read off M^s and M^(s/2) in closed form, are not charged."""
-    ops = _walk_ops(s) * t * (t + 2)
-    return _BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
+    """The exact walk DP (``_dp_work``) on the walk's signature groups,
+    which are read off M^s and M^(s/2) in closed form and not charged."""
+    return _dp_work(s, t, *_walk_groups(s))
 
 
 def check_walk(s: int, t: int) -> None:
     _check(walk_work(s, t), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
            "(sample it with monte_carlo_distance: walk-sim without --exact)",
            "work units for its blocks and element operations (walk_work)")
+
+
+def check_g4(c: int, s: int) -> None:
+    """The mean g4 DP, charged as the walk's (``_dp_work``) on its rows, the
+    signatures of its classes with at least 2 repaired crossings: the walk's
+    groups, but only one at s = 1.  Plus _TABLE_ENTRY_WORK for each of the
+    3 * 2^s entries of its block table, passed as a shift (no 2^s built)."""
+    t = (2 * ((c - 1) // 2) - 1) // s
+    rows = (1, 0) if s == 1 else _walk_groups(s)
+    _check(_dp_work(s, t, *rows), WALK_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
+           f"work units (2^10 per entry of its table of 3 * 2^{s} block masks, "
+           "plus walk_work's for its DP)", shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
 def check_class_listing(s: int) -> None:

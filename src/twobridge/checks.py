@@ -281,13 +281,13 @@ def check_cobordism_example(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_aggregate_g4(budget_c: int | None = None) -> tuple[bool, str]:
-    """Exact mean saddle-move bound (transfer DP) under 9.75c/log10(c) and
-    the closed-form expression bound, for c = 7..100, 200, 500 and 1000, or
-    c = 7..min(15, budget_c) under a budget.  Unbudgeted, the detail adds the
-    mean over c/log10(c) and over c/ln(c) at the largest c, since the
-    abstract writes "log c"."""
+    """Exact mean saddle-move bound (transfer DP) under the closed-form
+    expression bound, and that under 9.75c/log10(c), for c = 7..100, 200,
+    500, 1000 and 2000, or c = 7..min(15, budget_c) under a budget.
+    Unbudgeted, the detail adds the mean over c/log10(c) and over c/ln(c)
+    at the largest c, since the abstract writes "log c"."""
     if budget_c is None:
-        c_values = [*range(7, 101), 200, 500, 1000]
+        c_values = [*range(7, 101), 200, 500, 1000, 2000]
     else:
         c_values = range(7, max(7, _clamp(15, budget_c)) + 1)
     details = []
@@ -297,13 +297,15 @@ def check_aggregate_g4(budget_c: int | None = None) -> tuple[bool, str]:
             return False, f"mean bound fails at c={c}"
         if not row.below_expression:
             return False, f"expression bound fails at c={c}"
+        if row.expression_bound > row.log10_bound:
+            return False, f"expression bound exceeds 9.75c/log10(c) at c={c}"
         if c <= 15:
             details.append(f"{c}:{float(row.mean_upper):.2f}<{row.log10_bound:.1f}")
     detail = "mean g4 upper vs 9.75c/log10(c): " + " ".join(details)
     if budget_c is None:
         mean = float(row.mean_upper)
-        detail += ("; also c = 16..100, 200, 500, 1000 and the expression bound"
-                   f"; at c={c} mean {mean:.2f} = {mean * math.log10(c) / c:.3f}"
+        detail += ("; also c = 16..100, 200, 500, 1000, 2000 and the expression "
+                   f"bound; at c={c} mean {mean:.2f} = {mean * math.log10(c) / c:.3f}"
                    f" c/log10(c) = {mean * math.log(c) / c:.3f} c/ln(c)")
     return True, detail
 

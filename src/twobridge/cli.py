@@ -153,17 +153,22 @@ def cmd_avg_sig(c: str, fmt: str) -> int:
     c_values = _parse_c_range(c)
     # The work grows with c: refuse the whole range before any row.
     budget.check_avg_sig(c_values)
-    entries = [(c, _fraction_digits(r.avg_abs_sigma), float(r.avg_abs_sigma), r.asymptote)
-               for c, r in sigtables.totals(c_values).items()]
+    reports = sigtables.totals(c_values)
+    # Each row is printed as it is formatted; JSON keys are in sorted-string
+    # order, as ``_echo_json`` prints them.
+    order = sorted(c_values, key=str) if fmt == "json" else c_values
+    rows = ((c, *_fraction_digits(reports[c].avg_abs_sigma),
+             float(reports[c].avg_abs_sigma), reports[c].asymptote) for c in order)
     if fmt == "json":
-        _echo_json({"schema": SCHEMA, "rows": {
-            str(c): {"avg": "/".join(digits), "avg_float": avg, "root": root,
-                     "gap": avg - root}
-            for c, digits, avg, root in entries}})
+        print('{"rows": {', end="")
+        for i, (c, num, den, avg, root) in enumerate(rows):
+            row = {"avg": f"{num}/{den}", "avg_float": avg, "gap": avg - root, "root": root}
+            print(f'{", " if i else ""}"{c}": {json.dumps(row, sort_keys=True)}', end="")
+        print(f'}}, "schema": {SCHEMA}}}')
     else:
         print(f"# twobridge avg-sig schema={SCHEMA}")
         print("c,avg_num,avg_den,avg_float,root,gap")
-        for c, (num, den), avg, root in entries:
+        for c, num, den, avg, root in rows:
             print(f"{c},{num},{den},{avg!r},{root!r},{avg - root!r}")
     return 0
 

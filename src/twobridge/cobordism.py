@@ -28,12 +28,12 @@ no command builds one in a process that then decomposes words.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the orientation states of the word cores, with no enumeration (see
-``average_g4_row``), within ``budget.check_g4``.  Its residual term is the
-summand walk's displacement-law DP, ``markov.displacement_laws``, on the
-walk's own rows, the signatures of the classes, with each final state
-weighted by the core endings that put a core into T(c): each signature's
-law is decoded once, summed over the cores of T(c), and scored as the
-walk's are (``markov.residual_totals``).
+``average_g4_row``).  Its residual term is the summand walk's
+displacement-law DP, ``markov.displacement_laws``, on the walk's own rows,
+the signatures of the classes, with each final state weighted by the core
+endings that put a core into T(c), so ``budget.check_g4`` charges it as the
+walk's; each signature's law is decoded once, summed over the cores of T(c),
+and scored as the walk's are (``markov.residual_totals``).
 """
 
 from __future__ import annotations

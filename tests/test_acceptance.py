@@ -111,8 +111,9 @@ def test_10_cobordism_example():
 
 def test_11_aggregate_g4():
     # The exact mean saddle-move upper bound over T(c), by transfer DP,
-    # stays below 9.75 c / log10(c) and the closed-form expression bound
-    # for 7 <= c <= 100 and c = 200, 500, 1000, in under a minute.
+    # stays below the closed-form expression bound, and that below
+    # 9.75 c / log10(c), for 7 <= c <= 100 and c = 200, 500, 1000, 2000, in
+    # under a minute.
     _run("aggregate-g4", budget_seconds=60)
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.budget import BudgetError, _g4_cells, check_g4
+from twobridge.budget import BudgetError, _walk_groups, check_g4
 from twobridge.cobordism import (
     AverageRow,
     OrientedWord,
@@ -35,7 +35,7 @@ from twobridge.cobordism import (
     remainder_component_count,
     summand_class,
 )
-from twobridge import checks, cobordism, diagram, markov, words
+from twobridge import budget, checks, cobordism, diagram, markov, words
 from twobridge.diagram import PLAT_RIGHT, S3, closure_components, signature
 from twobridge.words import (
     enumerate_words,
@@ -725,10 +725,10 @@ def test_g4_work_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cobordism, "_summand_table", build)
     check_g4(1000, 3)
-    with pytest.raises(BudgetError, match=r"c=2000, s=4.*_g4_cells"):
-        check_g4(2000, 4)
+    with pytest.raises(BudgetError, match=r"c=3147, s=4.*walk_work"):
+        check_g4(3147, 4)
     start = time.perf_counter()
-    for c, s in ((2000, 4), (80, 39)):
+    for c, s in ((3147, 4), (80, 39)):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
@@ -763,25 +763,43 @@ def test_interior_length_check_survives_optimize_flag():
                                    "interior length of its end state")
 
 
-def test_g4_budget_charges_the_law_rows():
+def test_g4_budget_charges_the_law_rows(monkeypatch):
+    # The mean DP runs one row per signature of the classes with at least 2
+    # repaired crossings: the rows, and the palindromic-type ones among
+    # them, that its charge assumes.
+    charged = []
+    with monkeypatch.context() as patch:
+        patch.setattr(budget, "_dp_work", lambda s, t, *rows: charged.append(rows) or 0)
+        for s in range(1, 11):
+            check_g4(100, s)
+    assert len(charged) == 10
+    for s, rows in enumerate(charged, 1):
+        keys = cobordism._summand_table(s).weights
+        assert rows == (len(keys), sum(key[4] for key in keys)), s
     # The largest mean row at the default s, 4 from c = 1000 on.
-    assert choose_block_size(1994) == choose_block_size(1995) == 4
-    check_g4(1994, 4)
-    with pytest.raises(BudgetError, match=r"c=1995, s=4"):
-        check_g4(1995, 4)
+    assert choose_block_size(3146) == choose_block_size(3147) == 4
+    check_g4(3146, 4)
+    with pytest.raises(BudgetError, match=r"c=3147, s=4"):
+        check_g4(3147, 4)
 
-    # The charge when every class (at most 54 law keys) was a DP row: the
-    # one by signature group never exceeds it, so no request admitted then
-    # is refused.
-    def by_class(c, s):
+
+def test_g4_budget_admits_what_the_nine_state_charge_admitted():
+    # The charge of the nine-state DP the mean once ran, s letter steps over
+    # 9 states and 2k + 3 displacements at block k per signature group of
+    # the walk, against its own budget of 2^27, table entries included: no
+    # request it admitted is refused.
+    def nine_state_admits(c, s):
         t = (2 * ((c - 1) // 2) - 1) // s
-        classes = (((3 << s) + (3 << s // 2 if s % 2 == 0 else 0)) // 2 if s < 6
-                   else 54)
-        return min(classes, 54) * 9 * s * t * (t + 2)
+        cells = _walk_groups(s)[0] * 9 * s * t * (t + 2)
+        return cells + (3 << 10 + s) <= 1 << 27
 
+    admitted = 0
     for s in range(1, 17):
-        for c in range(max(3, s + 2), 5001):
-            assert _g4_cells(c, s) <= by_class(c, s), (c, s)
+        for c in range(max(3, s + 2), 10 ** 4 + 1):
+            if nine_state_admits(c, s):
+                check_g4(c, s)
+                admitted += 1
+    assert admitted == 49009
 
 
 def test_average_g4_row_domain():
