@@ -17,7 +17,9 @@ ENUMERATION_BUDGET = 22
 RECURSION_WORK_BUDGET = 1 << 21
 #: 0.14-0.25 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
 #: 3.5-6.2 s, ``--c 175410``, the largest even c, 4.6-5.7 s, and
-#: ``--c 3..10582``, the largest run from 3, 3.8-5.3 s at a peak of 62 MB
+#: ``--c 3..10582``, the largest run from 3, 3.8-5.3 s at a peak of 62 MB.
+#: ``enumerate --count-only`` is charged as one row: ``--c 632455``, the
+#: largest c, takes 1.0-1.1 s
 AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
@@ -33,9 +35,6 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: default s) 4.6-5.5 s and ``--c 4892 --s 5`` and ``--c 9270 --s 13``, the
 #: slowest, 8.0-9.0 s
 WALK_WORK_BUDGET = 5 << 26
-#: about 3 us per table entry: ``per_class_moments(18, 1)`` takes 1.8-2.7 s,
-#: and ``(20, 1)``, refused, 14 s at a peak of 0.46 GB
-CLASS_LISTING_BUDGET = 1 << 21
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
 #: ``--s 2 --t 8388600 --trials 2`` 1.3 s at 0.34 GB and ``--s 3 --t 333
@@ -144,6 +143,12 @@ def check_avg_sig(c_values: Sequence[int]) -> None:
            f"the average signature at {_c_label(c_values)}", "work units (avg_sig_work)")
 
 
+def check_word_count(c: int) -> None:
+    """The digits of |T(c)|, charged as one avg-sig row's: c^2 / 16."""
+    _check(c * c // _ROW_SHARE, AVG_SIG_WORK_BUDGET, f"the word count at c={c}",
+           "work units (c^2 / 16 for its digits, as an avg-sig row's)")
+
+
 def palindromic_work(c_values: Sequence[int]) -> int:
     """c^2 for the folded palindrome pass to each of the last two c, one per
     parity of a run of consecutive c."""
@@ -198,12 +203,6 @@ def check_g4(c: int, s: int) -> None:
     _check(_dp_work(s, t, *rows), WALK_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
            f"work units (2^10 per entry of its table of 3 * 2^{s} block masks, "
            "plus walk_work's for its DP)", shift=(3 * _TABLE_ENTRY_WORK, s))
-
-
-def check_class_listing(s: int) -> None:
-    """3 * 2^s table entries, to list every summand class."""
-    _check(0, CLASS_LISTING_BUDGET, f"the per-class walk moments at s={s} "
-           "(sample the walk with monte_carlo_distance)", "table entries", shift=(3, s))
 
 
 def check_monte_carlo(s: int, t: int, trials: int) -> None:

@@ -63,6 +63,12 @@ def _clamp(value: int, budget_c: int | None) -> int:
     return value if budget_c is None else min(value, budget_c)
 
 
+def _clamp_m(value: int, budget_c: int | None) -> int:
+    """The largest m of the rows 2m + 1 and 2m + 2: value, or at most
+    (budget_c - 1) / 2 under a budget, and never below 2."""
+    return max(2, _clamp(value, (budget_c - 1) // 2 if budget_c is not None else None))
+
+
 def check_counting(budget_c: int | None = None) -> tuple[bool, str]:
     """Enumerated word, palindrome, and knot counts match the closed forms."""
     c_max = max(3, _clamp(20, budget_c))
@@ -124,7 +130,7 @@ def check_sig_table(budget_c: int | None = None) -> tuple[bool, str]:
 
 def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
     """Odd/even recursed row sums collapse to central binomial coefficients."""
-    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c is not None else None))
+    m_max = _clamp_m(8, budget_c)
     rows = sigtables.recursed_table(2 * m_max + 2)
     for m in range(1, m_max + 1):
         if not sigtables.verify_binomial(m, rows):
@@ -135,9 +141,9 @@ def check_binomial(budget_c: int | None = None) -> tuple[bool, str]:
 def check_totals(budget_c: int | None = None) -> tuple[bool, str]:
     """Total-|sigma| identities on the recursed rows: paired rows, even-c
     recursion, exact forms."""
-    m_max = max(2, _clamp(8, (budget_c - 1) // 2 if budget_c is not None else None))
+    m_max = _clamp_m(8, budget_c)
     even_max = max(6, _clamp(18, budget_c))
-    identity_max = max(2, _clamp(6, (budget_c - 1) // 2 if budget_c is not None else None))
+    identity_max = _clamp_m(6, budget_c)
     rows = sigtables.recursed_table(max(2 * m_max + 2, even_max))
     for m in range(1, m_max + 1):
         if not sigtables.verify_tot2(m, rows):

@@ -78,7 +78,8 @@ def cmd_enumerate(c: int, count_only: bool) -> int:
     """Stream the words of T(c) in enumeration order."""
     _crossing_number(c)
     if count_only:
-        print(words.word_count(c))
+        budget.check_word_count(c)
+        print(Decimal(words.word_count(c)))  # past str's digit limit, as _fraction_digits
         return 0
     budget.check_enumeration(c)
     for word in words.enumerate_words(c):

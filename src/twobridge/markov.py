@@ -59,11 +59,10 @@ blocks, so that each kernel array (256 KB at most, unless one walk is
 longer) stays in cache and a binned chunk has at most 2 * 2^16 bins; the
 draws do not depend on the chunking.  The lookup tables hold what the
 sampler reads once each: the key over all 3 * 2^s oriented blocks, and r
-and the palindromic type per block; ``per_class_moments`` reads its class
-listing off them, and the binned scorer its bins.  They are built afresh,
-by prefix doubling in int32, on the end states (``_end_states``) that
-``verify_chain`` counts the blocks by, O(2^s) work, for no exact walk
-value.
+and the palindromic type per block; the binned scorer reads its bins off
+them.  They are built afresh, by prefix doubling in int32, on the end
+states (``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s)
+work, for no exact walk value.
 """
 
 from __future__ import annotations
@@ -236,10 +235,11 @@ def pal_coordinate_count(s: int) -> int:
     return 3 * 2 ** (s // 2) if s % 2 == 0 else 0
 
 
-def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
+def _signature_groups(s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The walk's signature groups in increasing order of signature code:
     one row (start, end, mirror start, mirror end, palindromic-type) of
-    state indices 0..2 per group, and the number of classes in each.
+    state indices 0..2 per group, and the number of classes in each, as
+    two tuples.
 
     No block is listed: N[x][y], the number of blocks that take state x to
     y, is M^s (``_closed_form``).  A palindromic-type block (even s) is a
@@ -266,9 +266,8 @@ def _signature_groups(s: int) -> tuple[np.ndarray, list[int]]:
             groups.append(((x, y, 2 - y, 2 - x, 0),
                            others if x < 2 - y else others // 2))
         groups.append(((x, y, 2 - y, 2 - x, 1), p[x][y]))
-    groups = [group for group in groups if group[1]]
-    return (np.array([row for row, _ in groups], dtype=np.int64),
-            [size for _, size in groups])
+    rows, sizes = zip(*(group for group in groups if group[1]))
+    return rows, sizes
 
 
 @dataclass(frozen=True)
@@ -340,27 +339,6 @@ def _class_count(s: int) -> int:
     """Number K of summand classes: one per mirror pair of the 3 * 2^s
     oriented blocks, and one per palindromic-type oriented block."""
     return (3 << s) + pal_coordinate_count(s) >> 1
-
-
-def _class_listing(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical ids of the summand classes, the ids on the own side,
-    and each class's signature group (``_signature_groups``) by its start,
-    type and end state, read off r as ``_summand_ids`` does."""
-    s = tables.s
-    classes = np.flatnonzero((tables.key & 1) == 0)
-    x, block = classes >> s, classes & ((1 << s) - 1)
-    y = ((-1) ** s * x + tables.offset[block]) % 3
-    signatures, _ = _signature_groups(s)
-    group_of = np.zeros((3, 3, 2), dtype=np.int8)
-    group_of[tuple(signatures[:, [0, 1, 4]].T)] = np.arange(len(signatures))
-    return classes, group_of[x, y, tables.is_pal[block].astype(np.int8)]
-
-
-def oriented_word_key(s: int, ident: int) -> str:
-    """Serialize an id from the walk tables as an oriented-word key."""
-    state, block = divmod(ident, 1 << s)
-    letters = format(block, f"0{s}b").translate(str.maketrans("01", "ab"))
-    return f"o{state + 1}:{letters}"
 
 
 def _summand_ids(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
@@ -608,17 +586,17 @@ def residual_totals(laws: list[list[int]], pals, t: int, power: int = 1) -> list
     return [sum(map(operator.mul, law, scores[pal])) for law, pal in zip(laws, pals)]
 
 
-def _group_totals(s: int, t: int) -> tuple[list[int], list[bool], list[int], list[int]]:
-    """Per signature group: its number of classes, whether it is
-    palindromic-type, and the sums of |D_w| and of D_w^2 over the 2^(s t)
-    block sequences, with |D_w| read as the parity bit for palindromic-type
-    classes."""
+def _group_totals(s: int, t: int) -> tuple[tuple, tuple[int, ...], list[int], list[int]]:
+    """Per signature group: its row and number of classes
+    (``_signature_groups``), and the sums of |D_w| and of D_w^2 over the
+    2^(s t) block sequences, with |D_w| read as the parity bit for
+    palindromic-type rows."""
     _check_walk_domain(s, t)
     budget.check_walk(s, t)
-    signatures, sizes = _signature_groups(s)
-    pals = signatures[:, 4].astype(bool).tolist()
-    laws = displacement_laws(s, t, signatures.tolist(), (1, 1, 1))
-    return (sizes, pals, residual_totals(laws, pals, t),
+    rows, sizes = _signature_groups(s)
+    pals = [row[4] for row in rows]
+    laws = displacement_laws(s, t, rows, (1, 1, 1))
+    return (rows, sizes, residual_totals(laws, pals, t),
             residual_totals(laws, pals, t, 2))
 
 
@@ -714,27 +692,15 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     return mean, stderr
 
 
-@dataclass(frozen=True)
-class ClassMoments:
-    """Exact moments of one class displacement D_w over the full walk."""
-
-    key: str
-    palindromic: bool
-    abs_mean: Fraction
-    second_moment: Fraction
-
-
-def per_class_moments(s: int, t: int) -> dict[str, ClassMoments]:
-    """Exact E|D_w| and E[D_w^2] for every summand class."""
-    budget.check_class_listing(s)
-    _, pals, abs_totals, square_totals = _group_totals(s, t)
+def per_class_moments(s: int, t: int) -> list[tuple[tuple, int, Fraction, Fraction]]:
+    """Exact E|D_w| and E[D_w^2] of the classes w of each signature group,
+    with |D_w| read as the parity bit for a palindromic-type row: one
+    (row, number of classes, E|D_w|, E[D_w^2]) per group, in the order of
+    ``_signature_groups``."""
+    rows, sizes, abs_totals, square_totals = _group_totals(s, t)
     total = 1 << (s * t)
-    moments = [(p, Fraction(a, total), Fraction(q, total))
-               for p, a, q in zip(pals, abs_totals, square_totals)]
-    classes, groups = _class_listing(_tables(s))
-    keys = [oriented_word_key(s, ident) for ident in classes.tolist()]
-    return {key: ClassMoments(key, *moments[group])
-            for key, group in zip(keys, groups.tolist())}
+    return [(row, n, Fraction(a, total), Fraction(q, total))
+            for row, n, a, q in zip(rows, sizes, abs_totals, square_totals)]
 
 
 def verify_abs_means(s: int, t: int) -> bool:
@@ -751,7 +717,8 @@ def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
     _check_walk_domain(s, t)
     if t == 0:
         return Fraction(0), True
-    sizes, pals, abs_totals, _ = _group_totals(s, t)
+    rows, sizes, abs_totals, _ = _group_totals(s, t)
     expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
     bound = 4 * t << 2 * s * t
-    return expected, all(a * a << s <= bound for p, a in zip(pals, abs_totals) if not p)
+    return expected, all(a * a << s <= bound for row, a in zip(rows, abs_totals)
+                         if not row[4])

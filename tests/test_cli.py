@@ -23,7 +23,7 @@ import pytest
 
 import twobridge
 from test_sigtables import enumerated_palindromic_histogram
-from twobridge import cobordism, markov, sigtables, words
+from twobridge import budget, cobordism, markov, sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
@@ -63,6 +63,24 @@ def test_enumerate_count_only():
     result = invoke("enumerate", "--c", "12", "--count-only")
     assert result.exit_code == 0
     assert result.output.strip() == "341"
+
+
+def test_enumerate_count_only_past_the_digit_limit(lift_digit_limit):
+    # 14288 is the first c whose count has more than 4300 digits.
+    result = invoke("enumerate", "--c", "14288", "--count-only")
+    assert result.exit_code == 0 and result.stderr == ""
+    lift_digit_limit()
+    assert result.output == f"{words.word_count(14288)}\n"
+    assert len(result.output) == 4301 + 1
+
+
+def test_enumerate_count_only_over_budget_exits_2():
+    # Its digits are charged as one avg-sig row's: c^2 / 16 work units.
+    budget.check_word_count(632455)
+    assert_refused(invoke("enumerate", "--c", "632456", "--count-only"),
+                   "refusing the word count at c=632456: it needs about 25000036996 "
+                   "work units (c^2 / 16 for its digits, as an avg-sig row's), "
+                   "and the budget stops at 25000000000")
 
 
 def test_enumerate_rejects_small_c():
@@ -319,6 +337,8 @@ def test_avg_sig_over_budget_exits_2():
      "at c=20000000003, s=10000000000"),
     (("enumerate", "--c", "10000000000"), words.enumerate_words,
      "refusing to enumerate c=10000000000"),
+    (("enumerate", "--c", "10000000000", "--count-only"), words.word_count,
+     "refusing the word count at c=10000000000"),
 ])
 def test_range_over_budget_refused_before_work(monkeypatch, args, work, message):
     """The worker an over-budget request would start, patched by its module

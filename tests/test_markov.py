@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from twobridge import checks, markov
 from twobridge.budget import (
-    CLASS_LISTING_BUDGET,
     WALK_WORK_BUDGET,
     BudgetError,
     _walk_groups,
@@ -33,7 +32,6 @@ from twobridge.markov import (
     _bin_table,
     _binned_distances,
     _class_count,
-    _class_listing,
     _distances,
     _signature_groups,
     _tables,
@@ -45,7 +43,6 @@ from twobridge.markov import (
     identity_matrix,
     matrix_power,
     monte_carlo_distance,
-    oriented_word_key,
     pal_coordinate_count,
     per_class_moments,
     power_closed_form,
@@ -134,7 +131,7 @@ def letter_step_walk_cell(s, t):
     DP: per signature group, (state, D_w) counts stepped across each block
     one letter at a time, then the block's own move (d -> d + 1) and, for
     a non-palindromic group, its mirror's (d -> d - 1)."""
-    signatures, sizes = _signature_groups(s)
+    rows, sizes = _signature_groups(s)
     law = np.zeros((len(sizes), 3, 2 * t + 1), dtype=object)
     law[:, 0, t] = 1
     a, b = LETTER_SOURCES
@@ -142,7 +139,7 @@ def letter_step_walk_cell(s, t):
         before = law
         for _ in range(s):
             law = law[:, a] + law[:, b]
-        for g, (x, y, x_m, y_m, pal) in enumerate(signatures.tolist()):
+        for g, (x, y, x_m, y_m, pal) in enumerate(rows):
             law[g, y, 1:] += before[g, x, :-1]
             law[g, y, :] -= before[g, x, :]
             if not pal:
@@ -150,7 +147,8 @@ def letter_step_walk_cell(s, t):
                 law[g, y_m, :] -= before[g, x_m, :]
     total = 1 << (s * t)
     expected, holds = Fraction(0), True
-    for g, (size, pal) in enumerate(zip(sizes, signatures[:, 4].tolist())):
+    for g, (size, row) in enumerate(zip(sizes, rows)):
+        pal = row[4]
         counts = law[g].sum(axis=0)
         d = np.arange(-t, t + 1)
         mean = Fraction(int((counts * np.where(pal, d & 1, np.abs(d))).sum()), total)
@@ -162,9 +160,17 @@ def letter_step_walk_cell(s, t):
 def verify_second_moments(s, t):
     """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
     bound = Fraction(4 * t, 2 ** s)
-    _, pals, _, square_totals = markov._group_totals(s, t)
+    rows, _, _, square_totals = markov._group_totals(s, t)
     return all(Fraction(q, 1 << (s * t)) <= bound
-               for pal, q in zip(pals, square_totals) if not pal)
+               for row, q in zip(rows, square_totals) if not row[4])
+
+
+def class_word(s, ident):
+    """The oriented word of an id (state - 1) * 2^s + block of the walk
+    tables, whose top bit is its first letter (0 = a, 1 = b)."""
+    state, block = divmod(ident, 1 << s)
+    letters = format(block, f"0{s}b").translate(str.maketrans("01", "ab"))
+    return OrientedWord(state + 1, letters)
 
 
 def class_bucket(key):
@@ -192,9 +198,9 @@ def reference_tables(s):
     """Per-bit build of the walk tables: s passes over all 3 * 2^s ids for
     the end states and s more for the mirror blocks.  Returns the fields
     of ``_WalkTables`` with the sort key split into canonical id and sign,
-    the end state of every id, the classes and groups of
-    ``_class_listing``, and the rows and sizes of ``_signature_groups`` read
-    off the classes."""
+    the end state of every id, the canonical ids of the classes and the
+    index of each one's signature group, and the rows and sizes of
+    ``_signature_groups`` read off the classes."""
     half = 1 << s
     blocks = np.arange(half, dtype=np.int64)
 
@@ -491,7 +497,8 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
     # on both sides of the bound; palindromic-type groups are not checked.
     def verdict(s, t, pals, abs_totals):
         monkeypatch.setattr(markov, "_group_totals", lambda s, t: (
-            [1] * len(pals), pals, abs_totals, [0] * len(pals)))
+            [(0, 0, 2, 2, pal) for pal in pals], [1] * len(pals), abs_totals,
+            [0] * len(pals)))
         return markov.exact_walk_cell(s, t)[1]
 
     for s, t in [(1, 1), (2, 3), (4, 100), (7, 2)]:
@@ -532,7 +539,7 @@ def test_block_step_equals_letter_steps():
 def walk_dp_rows(s):
     """The walk DP's rows, one signature (start, end, mirror start, mirror
     end, palindromic-type) per group."""
-    return _signature_groups(s)[0].tolist()
+    return list(_signature_groups(s)[0])
 
 
 def parity_moves(rows):
@@ -637,8 +644,7 @@ def test_exact_distance_basics():
     assert exact_expected_distance(2, 3) == Fraction(45, 16)
     # No block: every displacement is 0, and the DP decodes its one slot.
     assert markov.exact_walk_cell(2, 0) == (0, True)
-    assert {(m.abs_mean, m.second_moment) for m in per_class_moments(3, 0).values()} \
-        == {(0, 0)}
+    assert {(a, q) for _, _, a, q in per_class_moments(3, 0)} == {(0, 0)}
     with pytest.raises(ValueError, match="block size"):
         exact_expected_distance(0, 1)
 
@@ -651,8 +657,8 @@ def test_exact_distance_matches_brute_force():
 
 def test_walk_work_charges_the_dp_rows():
     for s in range(1, 65):
-        signatures, sizes = _signature_groups(s)
-        assert _walk_groups(s) == (len(sizes), int(signatures[:, 4].sum())), s
+        rows, sizes = _signature_groups(s)
+        assert _walk_groups(s) == (len(sizes), sum(row[4] for row in rows)), s
 
 
 def test_budgets_admit_what_the_slower_paths_admitted():
@@ -682,19 +688,19 @@ def test_budgets_admit_what_the_slower_paths_admitted():
 
 
 def test_exact_distance_budget():
-    # The walk DP and the per-class listing's table each have a budget.
+    # The walk DP's budget is the one charge of the exact walk values.
     assert walk_work(4, 1000) > WALK_WORK_BUDGET
-    assert 3 << 25 > CLASS_LISTING_BUDGET
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
         exact_expected_distance(4, 1000)
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        per_class_moments(25, 1)
+        per_class_moments(4, 1000)
 
 
 def test_huge_block_size_refused_before_work():
-    # The budget refuses on the bit length of s and never builds 2^s.
+    # The budgets refuse before any 2^s is built: the walk's charges no
+    # table, and Monte Carlo's refuses its table on the bit length of s.
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"s=10000000000 .*about 2\^10000000001"):
+    with pytest.raises(BudgetError, match=r"exact walk at s=10000000000, t=1 .*walk_work"):
         per_class_moments(10 ** 10, 1)
     with pytest.raises(BudgetError, match=r"s=10000000000, t=1, trials=2.*2\^10000000001"):
         monte_carlo_distance(10 ** 10, 1, 2)
@@ -748,11 +754,10 @@ def test_signature_groups_cover_every_oriented_block():
     # A non-palindromic class stands for two oriented blocks, the class and
     # its mirror; a palindromic-type class for one.
     for s in [*range(1, 65), 1000]:
-        signatures, sizes = _signature_groups(s)
-        blocks = sum(n if pal else 2 * n
-                     for pal, n in zip(signatures[:, 4].tolist(), sizes))
+        rows, sizes = _signature_groups(s)
+        blocks = sum(n if row[4] else 2 * n for row, n in zip(rows, sizes))
         assert blocks == 3 << s, s
-        pal_blocks = sum(n for pal, n in zip(signatures[:, 4].tolist(), sizes) if pal)
+        pal_blocks = sum(n for row, n in zip(rows, sizes) if row[4])
         assert pal_blocks == pal_coordinate_count(s), s
 
 
@@ -794,15 +799,14 @@ def s3_count_groups(s):
                            others if x < 2 - y else others // 2))
         groups.append(((x, y, 2 - y, 2 - x, 1), p[x][y]))
     groups = [group for group in groups if group[1]]
-    return [list(row) for row, _ in groups], [size for _, size in groups]
+    return tuple(row for row, _ in groups), tuple(size for _, size in groups)
 
 
 def test_signature_groups_match_s3_block_counts():
     # The closed form of M^s and M^(s/2) gives the groups that the S3
     # block counts over s and s / 2 letters give.
     for s in [*range(1, 301), 1000, 2046]:
-        signatures, sizes = _signature_groups(s)
-        assert (signatures.tolist(), sizes) == s3_count_groups(s), s
+        assert _signature_groups(s) == s3_count_groups(s), s
 
 
 @pytest.mark.parametrize("call, args, message", [
@@ -835,38 +839,56 @@ def test_exact_distance_matches_enumeration():
 
 
 def test_per_class_moments_match_enumeration():
+    # Every class's enumerated totals against the moments of its group,
+    # with classes and groups from the per-bit reference.
     for s in range(1, 15):
+        reference = reference_tables(s)
+        classes = reference["classes"].tolist()
+        class_group = reference["class_group"].tolist()
+        keys = [class_word(s, ident).serialize() for ident in classes]
+        mapped = np.bincount(reference["class_group"]).tolist()
         for t in range(1, 14 // s + 1):
             abs_totals, square_totals = enumerated_class_totals(s, t)
             moments = per_class_moments(s, t)
+            rows = [row for row, _, _, _ in moments]
             # A mirror's (start, end) is the flip of the class's (end, start),
             # which bounds the signature groups by 9 pairs times the type.
-            signatures, _ = _signature_groups(s)
-            assert (signatures[:, 2:4] == 2 - signatures[:, 1::-1]).all()
-            classes = _class_listing(_tables(s))[0].tolist()
-            assert list(moments) == [oriented_word_key(s, i) for i in classes]
+            assert all(row[2:4] == (2 - row[1], 2 - row[0]) for row in rows)
+            assert rows == list(map(tuple, reference["signatures"].tolist())), (s, t)
+            assert [n for _, n, _, _ in moments] == mapped, (s, t)
             buckets = {}
-            for ident, m in zip(classes, moments.values()):
+            for ident, group, key in zip(classes, class_group, keys):
+                _, _, abs_mean, second_moment = moments[group]
                 enumerated = (int(abs_totals[ident]), int(square_totals[ident]))
-                assert (m.abs_mean, m.second_moment) == (
+                assert (abs_mean, second_moment) == (
                     Fraction(enumerated[0], 1 << (s * t)),
-                    Fraction(enumerated[1], 1 << (s * t))), (s, t, m.key)
+                    Fraction(enumerated[1], 1 << (s * t))), (s, t, key)
                 # The bucket lemma, on the enumeration: a class's totals
                 # depend only on its start state, strand permutation and type.
-                assert buckets.setdefault(class_bucket(m.key), enumerated) \
-                    == enumerated, (s, t, m.key)
+                assert buckets.setdefault(class_bucket(key), enumerated) \
+                    == enumerated, (s, t, key)
             assert sum(not pal for _, _, pal in buckets) <= 18, (s, t)
+
+
+def test_per_class_moments_admitted_at_s_20():
+    # The walk budget is the one charge: s = 20 was refused while the
+    # moments were listed per class, on a table of 3 * 2^20 entries.
+    moments = per_class_moments(20, 1)
+    assert sum(n for _, n, _, _ in moments) == _class_count(20)
+    assert sum(n * a for _, n, a, _ in moments) == exact_expected_distance(20, 1) == 1
 
 
 def test_ungrouped_laws_match_grouped_moments(monkeypatch):
     # One DP row per summand class, with no signature grouping: each row
     # moves its class's own ids and its mirror's, read off the walk tables,
     # and the block step is s letter steps built from orientation_after.
+    # Classes and their groups are the per-bit reference's.
     for s in (1, 2, 3):
         tables = _tables(s)
+        reference = reference_tables(s)
         next_state = markov._end_states(s).reshape(-1).tolist()
         mirror_of = {k >> 1: i for i, k in enumerate(tables.key.tolist()) if k & 1}
-        classes, _ = _class_listing(tables)
+        classes = reference["classes"]
         mirrors = np.array([mirror_of.get(c, c) for c in classes.tolist()])
         pal = tables.is_pal[classes & ((1 << s) - 1)]
         assert (mirrors == classes).tolist() == pal.tolist()
@@ -879,14 +901,18 @@ def test_ungrouped_laws_match_grouped_moments(monkeypatch):
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
             expected = {
-                oriented_word_key(s, c): (bool(p), Fraction(a, 1 << (s * t)),
-                                          Fraction(q, 1 << (s * t)))
+                class_word(s, c).serialize(): (bool(p), Fraction(a, 1 << (s * t)),
+                                               Fraction(q, 1 << (s * t)))
                 for c, p, a, q in zip(classes.tolist(), pal.tolist(),
                                       (law * count).sum(axis=1).tolist(),
                                       (law * count * count).sum(axis=1).tolist())}
             moments = per_class_moments(s, t)
-            assert {key: (m.palindromic, m.abs_mean, m.second_moment)
-                    for key, m in moments.items()} == expected, (s, t)
+            grouped = {}
+            for c, g in zip(classes.tolist(), reference["class_group"].tolist()):
+                row, _, abs_mean, second_moment = moments[g]
+                grouped[class_word(s, c).serialize()] = (bool(row[4]), abs_mean,
+                                                         second_moment)
+            assert grouped == expected, (s, t)
 
 
 def test_distance_bound_small_grid():
@@ -910,15 +936,12 @@ def test_tables_match_per_bit_reference():
         tables = _tables(s)
         reference = reference_tables(s)
         assert tables.s == s
-        classes, class_group = _class_listing(tables)
-        for name, field in (("offset", tables.offset), ("is_pal", tables.is_pal),
-                            ("classes", classes), ("class_group", class_group)):
+        for name, field in (("offset", tables.offset), ("is_pal", tables.is_pal)):
             assert field.dtype == reference[name].dtype, (s, name)
             assert np.array_equal(field, reference[name]), (s, name)
-        signatures, sizes = _signature_groups(s)
-        assert signatures.dtype == reference["signatures"].dtype, s
-        assert np.array_equal(signatures, reference["signatures"]), s
-        assert sizes == reference["group_sizes"].tolist(), s
+        rows, sizes = _signature_groups(s)
+        assert rows == tuple(map(tuple, reference["signatures"].tolist())), s
+        assert sizes == tuple(reference["group_sizes"].tolist()), s
         assert tables.key.dtype == np.int32
         assert np.array_equal(tables.key,
                               2 * reference["canon"] + (reference["sign"] < 0)), s
@@ -937,23 +960,25 @@ def test_walk_tables_hold_each_fact_once():
         assert all(array.dtype != np.int64 for array in arrays.values()), s
 
 
-def test_class_listing_matches_end_states_and_code_rule():
-    # The listing's end states (its groups' rows) against the prefix-doubled
-    # end states, and its groups against the rule that they replaced: each
-    # class's signature row as one mixed-radix code, found by searchsorted
-    # among the codes of the signature groups.
+def test_signature_groups_match_end_states_and_code_rule():
+    # The reference's classes, with end states read off the prefix-doubled
+    # ones, against the signature groups by the rule that grouped them
+    # before: each class's signature row as one mixed-radix code, found by
+    # searchsorted among the codes of the groups, which increase.
     weights = np.array([54, 18, 6, 2, 1], dtype=np.int64)
     for s in range(1, 13):
-        tables = _tables(s)
-        classes, groups = _class_listing(tables)
-        signatures, _ = _signature_groups(s)
+        reference = reference_tables(s)
+        classes = reference["classes"]
+        rows, sizes = _signature_groups(s)
         x, y = classes >> s, markov._end_states(s).reshape(-1)[classes] - 1
-        pal = tables.is_pal[classes & ((1 << s) - 1)]
-        rows = signatures[groups]
-        assert np.array_equal(rows[:, 0], x) and np.array_equal(rows[:, 1], y), s
-        assert np.array_equal(rows[:, 4], pal), s
+        pal = _tables(s).is_pal[classes & ((1 << s) - 1)]
+        group_codes = np.array(rows, dtype=np.int64) @ weights
+        assert (np.diff(group_codes) > 0).all(), s
         codes = np.stack([x, y, 2 - y, 2 - x, pal], axis=1) @ weights
-        assert np.array_equal(groups, np.searchsorted(signatures @ weights, codes)), s
+        groups = np.searchsorted(group_codes, codes)
+        assert np.array_equal(group_codes[groups], codes), s
+        assert np.array_equal(groups, reference["class_group"]), s
+        assert np.bincount(groups, minlength=len(rows)).tolist() == list(sizes), s
 
 
 def test_distances_match_argsort_oracle():
@@ -977,12 +1002,13 @@ def test_distances_match_argsort_oracle():
 
 
 def test_bin_table_ranks_the_classes():
-    # Bin 2 * rank + side: the rank indexes the class listing, the side is
-    # the key's, and K = (3 * 2^s + p) / 2 classes get one pair of bins each.
+    # Bin 2 * rank + side: the rank indexes the reference's classes, the
+    # side is the key's, and K = (3 * 2^s + p) / 2 classes get one pair of
+    # bins each.
     for s in range(1, 13):
         tables = _tables(s)
         bins, pal = _bin_table(tables)
-        classes, _ = _class_listing(tables)
+        classes = reference_tables(s)["classes"]
         assert bins.dtype == np.int32 and bins.shape == tables.key.shape, s
         assert pal.size == classes.size == _class_count(s), s
         assert np.array_equal(classes[bins >> 1], tables.key >> 1), s
@@ -1137,20 +1163,21 @@ def test_monte_carlo_below_bound():
 
 
 def test_per_class_moments_sum_to_distance():
+    # E[Dist] = sum over the classes of E|D_w|, each group's moment once
+    # per class.
     for s, t in [(1, 4), (2, 3), (3, 2), (4, 1)]:
         moments = per_class_moments(s, t)
-        assert len(moments) == sum(
-            1 for _ in moments)  # keys unique by construction
-        assert sum(m.abs_mean for m in moments.values()) == \
-            exact_expected_distance(s, t)
+        assert sum(n for _, n, _, _ in moments) == _class_count(s)
+        assert sum(n * a for _, n, a, _ in moments) == exact_expected_distance(s, t)
 
 
 def test_per_class_moment_count():
     # One class per mirror pair plus one per palindromic-type oriented word.
     moments = per_class_moments(2, 1)
-    pal = sum(1 for m in moments.values() if m.palindromic)
+    classes = sum(n for _, n, _, _ in moments)
+    pal = sum(n for row, n, _, _ in moments if row[4])
     assert pal == pal_coordinate_count(2)
-    assert 2 * (len(moments) - pal) + pal == 3 * 2 ** 2
+    assert 2 * (classes - pal) + pal == 3 * 2 ** 2
 
 
 def test_second_moment_bound():
@@ -1165,16 +1192,15 @@ def test_second_moment_example():
     # A single step displaces each non-palindromic class w by 1 with
     # probability 2 / (3 * 2^s) ... but conditioned on the fixed start
     # state 1, only classes reachable from state 1 move at all.
-    moments = per_class_moments(1, 1)
     bound = Fraction(4, 2)
-    for m in moments.values():
-        assert not m.palindromic
-        assert m.second_moment <= bound
+    for row, _, _, second_moment in per_class_moments(1, 1):
+        assert not row[4]
+        assert second_moment <= bound
 
 
 def test_oriented_word_key_and_bucket():
-    assert oriented_word_key(3, 0) == "o1:aaa"
-    assert oriented_word_key(3, (2 - 1) * 8 + 0b101) == "o2:bab"
+    assert class_word(3, 0).serialize() == "o1:aaa"
+    assert class_word(3, (2 - 1) * 8 + 0b101).serialize() == "o2:bab"
     start, perm, pal = class_bucket("o2:ab")
     assert start == 2
     assert perm == (2, 3, 1)
