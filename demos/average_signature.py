@@ -1,8 +1,8 @@
 """Average |signature| over T(c) and its sqrt(2c/pi) asymptote.
 
-The exact averages come from three P-recurrences for the totals (no
-enumeration and no histogram row), so the table extends well past what
-exhaustive scoring could reach.
+The exact averages come from closed forms of the totals in central
+binomial sums (no enumeration and no histogram row), so the table extends
+well past what exhaustive scoring could reach.
 Wallis-type bounds on the central binomial ratio pin the asymptote
 from both sides.
 """

@@ -15,9 +15,9 @@ ENUMERATION_BUDGET = 22
 #: printed rows cost more than their recursion as their counts grow long:
 #: ``sig-table --c 3..1448 --method recurse`` takes 4-6.4 s
 RECURSION_WORK_BUDGET = 1 << 21
-#: 0.14-0.25 ns per unit: ``avg-sig --c 110095``, the largest odd c, takes
-#: 3.5-6.2 s, ``--c 175410``, the largest even c, 4.6-5.7 s, and
-#: ``--c 3..10582``, the largest run from 3, 3.8-5.3 s at a peak of 62 MB.
+#: 0.12-0.14 ns per unit: ``avg-sig --c 175411``, the largest c, takes
+#: 3.2-3.4 s, ``--c 175410``, the largest even c, 3.1-3.4 s, and
+#: ``--c 3..10614``, the largest run from 3, 2.9-3.0 s at a peak of 62 MB.
 #: ``enumerate --count-only`` is charged as one row: ``--c 632455``, the
 #: largest c, takes 1.0-1.1 s
 AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
@@ -47,11 +47,8 @@ MONTE_CARLO_WORK_BUDGET = 1 << 24
 MARKOV_WORK_BUDGET = 1 << 19
 
 # A row of avg-sig (its Fraction, checked once more by its report, two
-# floats and its digits) costs about as much as 1/16 of a recurrence's c^2.
+# floats and its digits) costs about c^2 / 16 units.
 _ROW_SHARE = 16
-# The even-c tot unroll costs 3/4 as much per c^2 as an odd-c recurrence:
-# 1.5 s at c = 10^5, against 2.3-2.4 s (tot) and 1.4 s (tot_p) at odd c.
-_EVEN_QUARTERS = 3
 # One table entry of the mean g4 DP (a block analysed as a class and as a
 # mirror, 17-28 us) costs 2^10 walk work units, so the table alone refuses
 # every s past 16; at s = 16 it takes 3.4 s.
@@ -121,20 +118,24 @@ def _sum_of_squares(c_values: Sequence[int]) -> int:
     return sum(c * c for c in c_values)
 
 
+def _tops(c_values: Sequence[int]) -> tuple[int, int]:
+    """The largest even and odd c (0 if none), in O(1) for an increasing range."""
+    if isinstance(c_values, range) and c_values.step > 0:
+        c_values = c_values[-2:]
+    return tuple(max((c for c in c_values if c % 2 == odd), default=0) for odd in (0, 1))
+
+
 def avg_sig_work(c_values: Sequence[int]) -> int:
-    """c^2 for each P-recurrence unrolled to the largest c of its parity,
-    about c/2 steps on c-bit ints: tot and tot_p at odd c, and tot at even
-    c, charged _EVEN_QUARTERS / 4 of that.  Each row then costs c^2 / 16
-    for its exact fraction and digits."""
-    unrolled = 0
-    for parity, quarters in ((0, _EVEN_QUARTERS), (1, 8)):
-        top = next((c for c in reversed(c_values) if c % 2 == parity), 0)
-        unrolled += quarters * top * top
-    return unrolled // 4 + _sum_of_squares(c_values) // _ROW_SHARE
+    """3 c^2 / 4 for the one totals pass to the largest c, about c/2 steps
+    on c-bit ints, whatever its parity.  Each row then costs c^2 / 16 for
+    its exact fraction and digits."""
+    top = max(_tops(c_values))
+    return 3 * top * top // 4 + _sum_of_squares(c_values) // _ROW_SHARE
 
 
 def _c_label(c_values: Sequence[int]) -> str:
-    lo, hi = c_values[0], c_values[-1]
+    lo = c_values[0] if isinstance(c_values, range) and c_values.step > 0 else min(c_values)
+    hi = max(_tops(c_values))
     return f"c={lo}" if lo == hi else f"c={lo}..{hi}"
 
 
@@ -150,9 +151,8 @@ def check_word_count(c: int) -> None:
 
 
 def palindromic_work(c_values: Sequence[int]) -> int:
-    """c^2 for the folded palindrome pass to each of the last two c, one per
-    parity of a run of consecutive c."""
-    return sum(c * c for c in c_values[-2:])
+    """c^2 for the folded palindrome pass to the largest c of each parity."""
+    return sum(top * top for top in _tops(c_values))
 
 
 def check_palindromic(c_values: Sequence[int]) -> None:

@@ -168,9 +168,11 @@ def check_avg_signature(budget_c: int | None = None) -> tuple[bool, str]:
     """avg|sigma|(6) = 2/3; for 6 <= c <= 1000 (to budget_c under a budget)
     the gap to sqrt(2c/pi) is positive at odd c and negative at even c, and
     |gap| shrinks at every step c -> c+2 from c = 9 and 10 on.  The totals
-    come from the P-recurrences, so they are checked first: tot against the
-    recursion for every c <= 400, and tot_p against the folded DP at odd
-    c <= 61 and at c = 999 and 1001, each c to budget_c.  The detail reports
+    come from closed forms, so they are checked first: tot, derived, against
+    the recursion for every c <= 400, and tot_p, which rests on the checked
+    fold identity, against the folded DP at odd c <= 61 (each folded row also
+    against the fold of row (c+1)/2, ``sigtables.verify_fold``) and at
+    c = 999 and 1001, each c to budget_c.  The detail reports
     gap * sqrt(c) at the last two c without asserting it.  Unbudgeted, it
     adds gap * sqrt(c) less its parity's empirical constant at c = 10^3 and
     10^4, asserting only that this difference shrinks."""
@@ -181,13 +183,16 @@ def check_avg_signature(budget_c: int | None = None) -> tuple[bool, str]:
     far = [c for c in (1001, 10 ** 4, 10 ** 4 + 1) if within(c)]
     reports = sigtables.totals([*range(3, c_max + 1), *far])
     tot_max = _clamp(400, budget_c)
-    for c, row in sigtables.recursed_table(tot_max).items():
+    rows = sigtables.recursed_table(tot_max)
+    for c, row in rows.items():
         if reports[c].tot != sigtables.total_abs(row):
-            return False, f"tot by recurrence differs from the recursion at c={c}"
+            return False, f"tot in closed form differs from the recursion at c={c}"
     odd = [c for c in (*range(3, 62, 2), 999, 1001) if within(c)]
     for c, row in sigtables.palindromic_table(odd).items():
+        if c <= 61 and not sigtables.verify_fold(c, row, rows):
+            return False, f"the fold identity fails at c={c}"
         if reports[c].tot_p != sigtables.total_abs(row):
-            return False, f"tot_p by recurrence differs from the folded DP at c={c}"
+            return False, f"tot_p in closed form differs from the folded DP at c={c}"
     if reports[6].avg_abs_sigma != Fraction(2, 3):
         return False, "avg|sigma|(6) != 2/3"
     gaps = {c: float(r.avg_abs_sigma) - r.asymptote for c, r in reports.items()}
@@ -209,9 +214,9 @@ def check_avg_signature(budget_c: int | None = None) -> tuple[bool, str]:
         if not abs(rest[late]) < abs(rest[near]):
             return False, (f"gap*sqrt(c) less its constant does not shrink from "
                            f"c={near} to c={late}")
-    return True, (f"{detail}; tot = recursion for c <= {tot_max}, tot_p = folded DP "
-                  "at odd c <= 61 and c = 999, 1001; past these c by recurrence, "
-                  f"verified to c = {tot_max} (tot) and 1001 (tot_p); "
+    return True, (f"{detail}; tot (derived) = recursion for c <= {tot_max}; tot_p (by "
+                  "the checked fold identity, each folded row at odd c <= 61 the fold of "
+                  "row (c+1)/2) = folded DP at odd c <= 61 and c = 999, 1001; "
                   "gap*sqrt(c) less +23/12 sqrt(2/pi) (odd c) "
                   "or -31/12 sqrt(2/pi) (even c), constants not asserted: "
                   + ", ".join(f"c={c}: {r:+.2e}" for c, r in rest.items()))

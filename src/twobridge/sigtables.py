@@ -16,12 +16,10 @@ it sees.  The palindromic rows come from the same DP folded in half
 
 On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
-asymptote it approaches.  ``totals`` reads tot and tot_p from three linear
-recurrences with polynomial coefficients (P-recurrences), unrolled from
-literal seed terms in O(c) steps on c-bit ints, with no row built.  The
-recurrences are checked, not proven: against the recursion and the folded
-DP (``checks.check_avg_signature`` and the tests), and by every division
-they make being exact.
+asymptote it approaches.  ``totals`` reads tot and tot_p off central
+binomial sums in one pass of O(c) steps on c-bit ints, with no row built:
+the closed form of tot is derived, and that of tot_p rests on a fold
+identity (``verify_fold``), checked, not proven.
 """
 
 from __future__ import annotations
@@ -237,8 +235,8 @@ def transfer_table(c_max: int) -> dict[int, Row]:
 
 
 def palindromic_table(c_values: Sequence[int]) -> dict[int, Row]:
-    """Histogram rows of the palindromic words of T(c), for each c of an
-    increasing sequence, by the DP folded in half.
+    """Histogram rows of the palindromic words of T(c), for each c of a
+    sequence, by the DP folded in half.
 
     A palindrome has e_i = e_{c+1-i}, so run c+1-i carries run i's letter
     for odd c and the other letter for even c.  One pass per parity walks
@@ -251,9 +249,9 @@ def palindromic_table(c_values: Sequence[int]) -> dict[int, Row]:
     Keys are (forward state, backward state, length mod 3); a pass to c is
     O(c^2) counter updates, within ``budget.check_palindromic``.
     """
-    if c_values[0] < 3:
-        raise ValueError(f"crossing number must be >= 3, got {c_values[0]}")
     budget.check_palindromic(c_values)
+    if min(c_values) < 3:
+        raise ValueError(f"crossing number must be >= 3, got {min(c_values)}")
     rows: dict[int, Row] = {}
     for odd in (False, True):
         wanted = {c for c in c_values if c % 2 == odd}
@@ -339,6 +337,18 @@ def verify_symmetry(c: int, row: Row) -> bool:
     )
 
 
+def verify_fold(c: int, folded: Row, rows: Mapping[int, Row]) -> bool:
+    """The fold identity at odd c, with c' = (c + 1)/2 and e = +1 at even c',
+    -1 at odd c', and row 2 empty: the palindromic row of c is
+    p(c, sigma) = s(c', sigma/2) + s(c', sigma/2 - 3e) + e [sigma = 2e]."""
+    half = (c + 1) // 2
+    e = 1 if half % 2 == 0 else -1
+    want = Counter({2 * e: e})
+    for sigma, n in (rows[half] if half > 2 else {}).items():
+        want.update({2 * sigma: n, 2 * (sigma + 3 * e): n})
+    return {sigma: n for sigma, n in want.items() if n} == folded
+
+
 def _comb(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
@@ -369,61 +379,49 @@ def palindromic_total_abs(c: int) -> int:
     return total_abs(palindromic_table((c,))[c])
 
 
-# ------------------------------------------------------------ P-recurrences
+# ------------------------------------------------------------ closed forms
 #
-# Write a(k) for tot or tot_p at c = 2k or c = 2k + 1, one sequence per
-# parity.  Each satisfies lead(k) a(k + r) = sum_j coefficients(k)[j] a(k + j)
-# from its first seed on, with r its number of seeds; the recurrences were
-# found by a nullspace solve over Q on the terms to c = 160.  tot_p(2k) = 0,
-# since every palindrome of even c closes to an amphichiral knot.
+# tot is derived.  The two-step recursion gives the even-row step
+# R_{2k+2}(u) = ((1 + u)^2 / u) R_{2k}(u) + 1 on R_c(u) = sum_i s(c, 2i) u^i,
+# so s(2k, 2i) = sum_{j=0..k-2} C(2j, i + j).  As sum_i |i| C(2j, j + i) =
+# j C(2j, j), tot(2k) = 2 S(k - 2) with S(n) = sum_{j=1..n} j C(2j, j), and
+# tot(2m+1) + tot(2m+2) = m C(2m, m) gives tot(2k+1) = k C(2k, k) - 2 S(k - 1).
+#
+# tot_p rests on the fold identity of ``verify_fold``, checked, not proven.
+# Even rows are even in sigma, and odd rows symmetric about 3 but for
+# s(c, 2) = s(c, 4) + 1, so at odd c, with c' = (c + 1)/2, it gives
+# tot_p(c) = 4 tot(c') + 6 s(c', 0) + 4 s(c', 2) + 2 at even c' and
+# 4 tot(c') - 8 s(c', 4) - 4 at odd c'.  The even-row step at sigma = 0 gives
+# s(2m, 0) + 2 s(2m, 2) + 1 = C(2m-2, m-1), the one-step recursion
+# s(2m+1, 4) = s(2m, 0) + s(2m, 2), and (j + 1) C(2j+2, j+1) = (4j + 2) C(2j, j)
+# summed over j < m gives 3 S(m - 1) = m C(2m, m) - 2 s(2m+2, 0).  So at step
+# j of the pass, with C = C(2j, j) and s = S(j - 1):
+#   tot(2j+1) = j C - 2 s,            tot(2j+2) = 2 s,
+#   tot_p(4j+3) = (2j + 2) C + 2 s,   tot_p(4j+5) = (6j + 4) C - 2 s,
+# and tot_p(2k) = 0: every palindrome of even c closes to an amphichiral knot.
+# The fold identity is checked against ``palindromic_table`` row by row at
+# every odd c <= 401 (tests/test_sigtables.py) and at odd c <= 61 (verify-all).
 
 
-@dataclass(frozen=True)
-class PRecurrence:
-    """One sequence's recurrence, from the seeds at c = first, first + 2, ..."""
-
-    name: str
-    first: int
-    seeds: tuple[int, ...]
-    lead: Callable[[int], int]
-    coefficients: Callable[[int], tuple[int, ...]]
-
-
-RECURRENCES = (
-    # tot(2k), k >= 2: (k-1) a(k+2) = (5k-3) a(k+1) - 2(2k-1) a(k)
-    PRecurrence("tot", 4, (0, 4), lambda k: k - 1,
-                lambda k: (-2 * (2 * k - 1), 5 * k - 3)),
-    # tot(2k+1), k >= 1:
-    # (k+1)(k+2) a(k+2) = (5k^2 + 17k + 8) a(k+1) - 2(k+3)(2k+1) a(k)
-    PRecurrence("tot", 3, (2, 8), lambda k: (k + 1) * (k + 2),
-                lambda k: (-2 * (k + 3) * (2 * k + 1), 5 * k * k + 17 * k + 8)),
-    # tot_p(2k+1), k >= 1: (k+1)(k+2) a(k+3)
-    #   = 4k(k+2) a(k) + 4(k^2 + 3k + 1) a(k+1) - (k-2)(k+1) a(k+2)
-    PRecurrence("tot_p", 3, (2, 4, 8), lambda k: (k + 1) * (k + 2),
-                lambda k: (4 * k * (k + 2), 4 * (k * k + 3 * k + 1), -(k - 2) * (k + 1))),
-)
-
-
-def unroll(recurrence: PRecurrence, c_values: Sequence[int]) -> dict[int, int]:
-    """The sequence at each c of c_values with its parity, unrolled from the
-    seeds to the largest such c; an inexact division raises ValueError."""
-    wanted = {c for c in c_values if c % 2 == recurrence.first % 2}
-    seeded = range(recurrence.first, recurrence.first + 2 * len(recurrence.seeds), 2)
-    out = {c: a for c, a in zip(seeded, recurrence.seeds) if c in wanted}
-    terms = list(recurrence.seeds)
-    k = recurrence.first // 2
-    for c in range(seeded.stop, max(wanted, default=0) + 1, 2):
-        lead = recurrence.lead(k)
-        a, rest = divmod(sum(f * x for f, x in zip(recurrence.coefficients(k), terms)),
-                         lead)
-        if rest:
-            raise ValueError(f"{recurrence.name}({c}) is not an integer: its "
-                             f"recurrence leaves remainder {rest} mod {lead}")
-        terms = [*terms[1:], a]
-        if c in wanted:
-            out[c] = a
-        k += 1
-    return out
+def _tot_pass(c_values: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """tot and tot_p at each c of c_values, from one pass over
+    j = 0 .. max(c)/2 that carries C(2j, j) and S(j - 1)."""
+    wanted = set(c_values)
+    tot: dict[int, int] = {}
+    tot_p = {c: 0 for c in wanted if c % 2 == 0}
+    central, s = 1, 0
+    for j in range(max(wanted) // 2 + 1):
+        if 2 * j + 1 in wanted:
+            tot[2 * j + 1] = j * central - 2 * s
+        if 2 * j + 2 in wanted:
+            tot[2 * j + 2] = 2 * s
+        if 4 * j + 3 in wanted:
+            tot_p[4 * j + 3] = (2 * j + 2) * central + 2 * s
+        if 4 * j + 5 in wanted:
+            tot_p[4 * j + 5] = (6 * j + 4) * central - 2 * s
+        s += j * central
+        central = central * (4 * j + 2) // (j + 1)
+    return tot, tot_p
 
 
 @dataclass(frozen=True)
@@ -450,31 +448,25 @@ class TotalsReport:
 
 
 def totals(c_values: Sequence[int]) -> dict[int, TotalsReport]:
-    """Totals reports for an increasing sequence of crossing numbers.
+    """Totals reports for a sequence of crossing numbers.
 
-    tot and tot_p come from the P-recurrences (``RECURRENCES``), each
-    unrolled once to the largest c of its parity, within
-    ``budget.check_avg_sig``; no histogram row is built.  The average per
-    knot is exact: each knot is counted by two words, or by one word when
-    that word is palindromic, so summing |sigma| over words and palindromes
-    double-counts every knot.  An int c (``perfbench/record_reference.py``)
-    gives c's report alone.
+    tot and tot_p come from their closed forms (``_tot_pass``), in one pass
+    to the largest c, within ``budget.check_avg_sig``; no histogram row is
+    built.  The average per knot is exact: each knot is counted by two
+    words, or by one word when that word is palindromic, so summing |sigma|
+    over words and palindromes double-counts every knot.  An int c
+    (``perfbench/record_reference.py``) gives c's report alone.
     """
     if isinstance(c_values, int):
         return totals((c_values,))[c_values]
-    if c_values[0] < 3:
-        raise ValueError(f"crossing number must be >= 3, got {c_values[0]}")
     budget.check_avg_sig(c_values)
-    tot_even, tot_odd, tot_p = (unroll(r, c_values) for r in RECURRENCES)
-    tot = {**tot_even, **tot_odd}
-    reports = {}
-    for c in c_values:
-        tot_c, tot_p_c = tot[c], tot_p.get(c, 0)
-        reports[c] = TotalsReport(
-            c=c, tot=tot_c, tot_p=tot_p_c,
-            avg_abs_sigma=Fraction(tot_c + tot_p_c, 2 * knot_count(c)),
-            asymptote=math.sqrt(2 * c / math.pi))
-    return reports
+    if min(c_values) < 3:
+        raise ValueError(f"crossing number must be >= 3, got {min(c_values)}")
+    tot, tot_p = _tot_pass(c_values)
+    return {c: TotalsReport(c=c, tot=tot[c], tot_p=tot_p[c],
+                            avg_abs_sigma=Fraction(tot[c] + tot_p[c], 2 * knot_count(c)),
+                            asymptote=math.sqrt(2 * c / math.pi))
+            for c in c_values}
 
 
 def verify_tot2(m: int, rows: Mapping[int, Row]) -> bool:

@@ -58,8 +58,9 @@ def test_05_totals():
 
 
 def test_06_average_signature():
-    # The totals by recurrence equal the recursion's for c <= 400 and the
-    # folded DP's at odd c <= 61 and c = 999, 1001; avg |sigma| at c = 6 is
+    # The totals in closed form equal the recursion's for c <= 400 and the
+    # folded DP's at odd c <= 61 and c = 999, 1001, each folded row at odd
+    # c <= 61 is the fold of row (c+1)/2; avg |sigma| at c = 6 is
     # exactly 2/3; for 6 <= c <= 1000 the gap to sqrt(2c/pi) is positive at
     # odd c and negative at even c, and |gap| shrinks at every step
     # c -> c+2 from c = 9 and 10 on; in under two minutes.
@@ -83,6 +84,21 @@ def test_06_average_signature_reports_a_failure(monkeypatch, c, shift, detail):
     monkeypatch.setattr(sigtables, "totals", moved)
     passed, reported = checks.check_avg_signature(14)
     assert not passed and detail in reported
+
+
+def test_06_average_signature_reports_a_broken_fold(monkeypatch):
+    # Moving one palindrome of c = 9 from sigma = 2 to -2 keeps tot_p(9) but
+    # breaks the fold identity that tot_p rests on.
+    table = sigtables.palindromic_table
+
+    def moved(c_values):
+        rows = table(c_values)
+        rows[9] = {**rows[9], 2: rows[9][2] - 1, -2: rows[9][-2] + 1}
+        return rows
+
+    monkeypatch.setattr(sigtables, "palindromic_table", moved)
+    passed, reported = checks.check_avg_signature(14)
+    assert not passed and reported == "the fold identity fails at c=9"
 
 
 def test_07_wallis_bounds():

@@ -307,8 +307,8 @@ def test_misuse_refused_with_one_line(args, message):
 
 
 def test_avg_sig_over_budget_exits_2():
-    # The smallest refused c: an odd c unrolls two recurrences, an even c one.
-    result = invoke("avg-sig", "--c", "110097")
+    # The smallest refused c, one pass to it whatever its parity.
+    result = invoke("avg-sig", "--c", "175412")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
@@ -318,7 +318,7 @@ def test_avg_sig_over_budget_exits_2():
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
      sigtables.histogram_enumerated, "budget stops at c=22"),
-    (("avg-sig", "--c", "3..10583"), sigtables.totals, "avg_sig_work"),
+    (("avg-sig", "--c", "3..10615"), sigtables.totals, "avg_sig_work"),
     (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
     (("sig-table", "--c", "100000", "--method", "recurse"),
      sigtables.recursed_table, "recursion_work"),

@@ -49,8 +49,8 @@ def enum14():
 
 
 @pytest.fixture(scope="module")
-def pal400():
-    return S.palindromic_table(range(3, 401))
+def pal401():
+    return S.palindromic_table(range(3, 402))
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +264,7 @@ def test_totals_report_checks_its_average(avg, ok):
             S.TotalsReport(6, 4, 0, avg, 1.95)
 
 
-def test_totals_build_no_table(monkeypatch, pal400):
+def test_totals_build_no_table(monkeypatch, pal401):
     rows = S.recursed_table(60)
 
     def refuse(*args, **kwargs):
@@ -276,25 +276,74 @@ def test_totals_build_no_table(monkeypatch, pal400):
     assert list(reports) == list(range(3, 61))
     for c, report in reports.items():
         assert report.tot == S.total_abs(rows[c]), c
-        assert report.tot_p == S.total_abs(pal400[c]), c
+        assert report.tot_p == S.total_abs(pal401[c]), c
 
 
-def test_recurrence_seeds_are_the_first_terms():
-    tot_even, tot_odd, tot_p = S.RECURRENCES
-    rows = S.recursed_table(6)
-    folded = S.palindromic_table((3, 5, 7))
-    assert tot_even.seeds == tuple(S.total_abs(rows[c]) for c in (4, 6)) == (0, 4)
-    assert tot_odd.seeds == tuple(S.total_abs(rows[c]) for c in (3, 5)) == (2, 8)
-    assert tot_p.seeds == tuple(S.total_abs(folded[c]) for c in (3, 5, 7)) == (2, 4, 8)
-    assert (tot_even.first, tot_odd.first, tot_p.first) == (4, 3, 3)
+def test_even_rows_in_closed_form():
+    # s(2k, 2i) = sum_{j=0..k-2} C(2j, i + j), from the even-row step.
+    rows = S.recursed_table(200)
+    for k in range(2, 101):
+        closed = {2 * i: sum(S._comb(2 * j, i + j) for j in range(k - 1))
+                  for i in range(-k, k + 1)}
+        assert {s: n for s, n in closed.items() if n} == rows[2 * k], 2 * k
 
 
-def test_recurrences_match_the_recursion_and_the_folded_dp(pal400):
+def test_fold_identity_row_by_row(pal401):
+    # p(c, sigma) = s(c', sigma/2) + s(c', sigma/2 - 3e) + e [sigma = 2e] at
+    # odd c, with c' = (c + 1)/2, e = +1 for even c' and -1 for odd c', and
+    # row 2 empty.
+    rows = {2: {}, **S.recursed_table(201)}
+    for c in range(3, 402, 2):
+        half = (c + 1) // 2
+        e = 1 if half % 2 == 0 else -1
+        folded = Counter({2 * sigma: n for sigma, n in rows[half].items()})
+        folded.update({2 * (sigma + 3 * e): n for sigma, n in rows[half].items()})
+        folded[2 * e] += e
+        assert {s: n for s, n in folded.items() if n} == pal401[c], c
+
+
+# The P-recurrences that gave tot and tot_p before their closed forms, found
+# by a nullspace solve over Q on the terms to c = 160, kept as a literal
+# oracle: (first c, seeds at c = first, first + 2, ..., lead(k), coefficients(k)),
+# with lead(k) a(k + r) = sum_j coefficients(k)[j] a(k + j) for r seeds, where
+# a(k) is the term at c = 2k or 2k + 1.
+RETIRED_RECURRENCES = {
+    "tot even": (4, (0, 4), lambda k: k - 1, lambda k: (-2 * (2 * k - 1), 5 * k - 3)),
+    "tot odd": (3, (2, 8), lambda k: (k + 1) * (k + 2),
+                lambda k: (-2 * (k + 3) * (2 * k + 1), 5 * k * k + 17 * k + 8)),
+    "tot_p odd": (3, (2, 4, 8), lambda k: (k + 1) * (k + 2),
+                  lambda k: (4 * k * (k + 2), 4 * (k * k + 3 * k + 1), -(k - 2) * (k + 1))),
+}
+
+
+def unrolled(name, c_max):
+    """The retired recurrence's terms from its first c to c_max, by c."""
+    first, seeds, lead, coefficients = RETIRED_RECURRENCES[name]
+    terms = {first + 2 * i: a for i, a in enumerate(seeds)}
+    for c in range(first + 2 * len(seeds), c_max + 1, 2):
+        k = (c - 2 * len(seeds)) // 2
+        a, rest = divmod(sum(f * terms[c - 2 * len(seeds) + 2 * j]
+                             for j, f in enumerate(coefficients(k))), lead(k))
+        assert rest == 0, (name, c)
+        terms[c] = a
+    return terms
+
+
+def test_totals_match_the_retired_recurrences():
+    reports = S.totals(range(3, 10 ** 4 + 1))
+    tot = {**unrolled("tot even", 10 ** 4), **unrolled("tot odd", 10 ** 4)}
+    tot_p = unrolled("tot_p odd", 10 ** 4)
+    for c, report in reports.items():
+        assert (report.tot, report.tot_p) == (tot[c], tot_p.get(c, 0)), c
+
+
+def test_recurrences_match_the_recursion_and_the_folded_dp(pal401):
+    # The closed forms against the recursion and the folded DP.
     reports = S.totals(range(3, 401))
     rows = S.recursed_table(400)
     for c in range(3, 401):
         assert reports[c].tot == S.total_abs(rows[c]), c
-        assert reports[c].tot_p == S.total_abs(pal400[c]), c
+        assert reports[c].tot_p == S.total_abs(pal401[c]), c
     folded = S.palindromic_table((999, 1001))
     far = S.totals((999, 1001))
     for c in (999, 1001):
@@ -314,28 +363,6 @@ def test_recurrences_match_at_the_largest_recursed_and_folded_c():
     # largest that the folded DP takes.
     assert S.totals(1448).tot == total_abs_by_recursion(1448)
     assert S.totals(2047).tot_p == S.palindromic_total_abs(2047)
-
-
-@pytest.mark.parametrize("which, seeds", [(1, (2, 9)), (2, (2, 4, 9)), (2, (3, 4, 8))])
-def test_a_corrupted_seed_raises_without_asserts(which, seeds):
-    # Run under python -O: the exact-division check must not be an assert.
-    # The odd-c recurrences divide exactly only from the right seeds; the
-    # even-c tot recurrence stays integral from any integer seeds, so only
-    # the comparisons with the recursion catch a wrong seed there.
-    program = (
-        "import dataclasses, sys\n"
-        "from twobridge import sigtables as S\n"
-        f"bad = dataclasses.replace(S.RECURRENCES[{which}], seeds={seeds!r})\n"
-        "try:\n"
-        "    S.unroll(bad, (200, 201))\n"
-        "except ValueError as problem:\n"
-        "    print(problem)\n"
-        "else:\n"
-        "    sys.exit('no ValueError')\n")
-    result = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert result.returncode == 0, result.stderr
-    assert "is not an integer" in result.stdout
 
 
 def test_verify_tot2(rows18):
@@ -422,26 +449,50 @@ def test_palindromic_total_budget(monkeypatch):
 
 
 def test_avg_sig_budget(monkeypatch):
-    # An odd c unrolls two recurrences and an even c one, charged 3/4 of
-    # one, so the largest single c within the budget is 110095 if odd and
-    # 175410 if even.
-    assert budget.avg_sig_work((110095,)) <= budget.AVG_SIG_WORK_BUDGET
-    assert budget.avg_sig_work((110097,)) > budget.AVG_SIG_WORK_BUDGET
-    assert budget.avg_sig_work((175410,)) <= budget.AVG_SIG_WORK_BUDGET
+    # One pass to the largest c, whatever its parity: the largest single c
+    # within the budget is 175411, and the largest even c 175410.
+    assert budget.avg_sig_work((175411,)) <= budget.AVG_SIG_WORK_BUDGET
     assert budget.avg_sig_work((175412,)) > budget.AVG_SIG_WORK_BUDGET
-    # Each row costs its own fraction and digits: c = 3..10582 is the
+    assert budget.avg_sig_work((175410,)) <= budget.AVG_SIG_WORK_BUDGET
+    # Each row costs its own fraction and digits: c = 3..10614 is the
     # largest run from c = 3, and a run is charged as its listed c are.
-    budget.check_avg_sig(range(3, 10583))
-    with pytest.raises(BudgetError, match="c=3..10583"):
-        budget.check_avg_sig(range(3, 10584))
+    budget.check_avg_sig(range(3, 10615))
+    with pytest.raises(BudgetError, match="c=3..10615"):
+        budget.check_avg_sig(range(3, 10616))
     assert budget.avg_sig_work(range(5, 300)) == budget.avg_sig_work(tuple(range(5, 300)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("an over-budget request must be refused first")
 
-    monkeypatch.setattr(S, "unroll", refuse)
+    monkeypatch.setattr(S, "_tot_pass", refuse)
     with pytest.raises(BudgetError, match="avg_sig_work"):
-        S.totals((110097,))
+        S.totals((175412,))
+
+
+def test_unordered_requests_are_charged_their_largest_c(monkeypatch):
+    # The largest c, not the last, sets the pass: (200001, 3) is charged as
+    # 3..200001 would be for its pass, and refused before any work.
+    assert budget.avg_sig_work((200001, 3)) == budget.avg_sig_work((3, 200001))
+    assert budget.palindromic_work((4001, 3, 5)) == budget.palindromic_work((3, 5, 4001))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget request must be refused first")
+
+    monkeypatch.setattr(S, "_tot_pass", refuse)
+    monkeypatch.setattr(S, "_advance", refuse)
+    with pytest.raises(BudgetError, match="c=3..200001"):
+        S.totals((200001, 3))
+    with pytest.raises(BudgetError, match="c=3..400001"):
+        S.totals((400001, 3))
+    with pytest.raises(BudgetError, match="c=3..4001"):
+        S.palindromic_table((4001, 3, 5))
+
+
+def test_unordered_requests_give_the_ordered_reports():
+    assert S.totals((41, 3, 20)) == {c: S.totals(c) for c in (41, 3, 20)}
+    assert S.palindromic_table((25, 3, 8)) == S.palindromic_table((3, 8, 25))
+    with pytest.raises(ValueError, match="got 2"):
+        S.totals((5, 2))
 
 
 def test_palindromic_share_vanishes():
@@ -465,11 +516,11 @@ def test_palindromic_histogram_matches_enumeration():
             enumerated_palindromic_histogram(c)), c
 
 
-def test_palindromic_histogram_counts_and_even_c_identity(pal400):
+def test_palindromic_histogram_counts_and_even_c_identity(pal401):
     # Counted, not assumed: the DP handles both parities alike, and at even
     # c every palindrome is amphichiral, so its row is all sigma = 0.
-    assert list(pal400) == list(range(3, 401))
-    for c, row in pal400.items():
+    assert list(pal401) == list(range(3, 402))
+    for c, row in pal401.items():
         assert sum(row.values()) == W.palindrome_count(c), c
         assert all(s % 2 == 0 for s in row), c
         if c % 2 == 0:
@@ -478,12 +529,12 @@ def test_palindromic_histogram_counts_and_even_c_identity(pal400):
         S.palindromic_table((2,))
 
 
-def test_palindromic_table_closes_each_c_as_its_own_pass_would(pal400):
-    # One pass per parity to c = 400 gives each c the row of a pass that
+def test_palindromic_table_closes_each_c_as_its_own_pass_would(pal401):
+    # One pass per parity to c = 401 gives each c the row of a pass that
     # stops at c.
     for c in range(3, 61):
-        assert pal400[c] == S.palindromic_table((c,))[c], c
-    assert S.palindromic_table((5, 8, 9)) == {c: pal400[c] for c in (5, 8, 9)}
+        assert pal401[c] == S.palindromic_table((c,))[c], c
+    assert S.palindromic_table((5, 8, 9)) == {c: pal401[c] for c in (5, 8, 9)}
 
 
 def test_transfer_table_matches_enumeration_and_recursion(enum14):
