@@ -188,7 +188,9 @@ def walk_work(s: int, t: int) -> int:
 
 
 def check_walk(s: int, t: int) -> None:
-    _check(walk_work(s, t), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
+    """``walk_work``, with t = 0 charged as t = 1: the signature groups and
+    the block step are built either way."""
+    _check(walk_work(s, max(t, 1)), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
            "(sample it with monte_carlo_distance: walk-sim without --exact)",
            "work units for its blocks and element operations (walk_work)")
 

@@ -32,8 +32,10 @@ over the orientation states of the word cores, with no enumeration (see
 displacement-law DP, ``markov.displacement_laws``, on the walk's own rows,
 the signatures of the classes, with each final state weighted by the core
 endings that put a core into T(c), so ``budget.check_g4`` charges it as the
-walk's; each signature's law is decoded once, summed over the cores of T(c),
-and scored as the walk's are (``markov.residual_totals``).
+walk's; one call of ``markov.residual_totals``, the walk's exact residual,
+decodes each signature's law once, summed over the cores of T(c), and
+scores it as the walk's are.  The cores and their saddles step across the
+blocks with the walk's ``markov.block_step``, the closed form of M^s.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import budget
+from . import budget, markov
 from .diagram import COMPONENTS, CROSSING_PAIR, S3, metrics_for_braid, s3_index
-from .markov import displacement_laws, residual_totals
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -472,23 +473,21 @@ def _length(state: int, n: int) -> int:
 class _SummandTable:
     """What the mean DP needs to know of the 3 * 2^s oriented blocks.
 
-    ``counts[i][j]`` is the number of blocks that take orientation state
-    i + 1 to j + 1, M^s, and ``costs[i][j]`` their summed local saddle
-    moves: the block's link repair and the cut after it.  ``weights`` maps
-    each signature of the walk (``markov._signature_groups``: the (start,
-    end) state indices of the class and of its mirror, and the
-    palindromic-type flag) to the summed floor(n_w / 2) of its classes:
-    the joint law of (orientation state, D_w) over the cores depends on
-    nothing else.
+    ``costs[i][j]`` is the summed local saddle moves of the blocks that
+    take orientation state i + 1 to j + 1: the block's link repair and the
+    cut after it.  Their number is M^s, which ``markov.block_step``
+    applies.  ``weights`` maps each signature of the walk
+    (``markov._signature_groups``: the (start, end) state indices of the
+    class and of its mirror, and the palindromic-type flag) to the summed
+    floor(n_w / 2) of its classes: the joint law of (orientation state,
+    D_w) over the cores depends on nothing else.
     """
 
-    counts: tuple[tuple[int, ...], ...]
     costs: tuple[tuple[int, ...], ...]
     weights: dict[tuple[int, ...], int]
 
 
 def _summand_table(s: int) -> _SummandTable:
-    counts = [[0] * 3 for _ in range(3)]
     costs = [[0] * 3 for _ in range(3)]
     weights: Counter[tuple[int, ...]] = Counter()
     for start in (1, 2, 3):
@@ -502,7 +501,6 @@ def _summand_table(s: int) -> _SummandTable:
                         - _length(end, p + s)) % 3:
                     raise ValueError(f"block {x.serialize()} at parity {p} does not "
                                      "end on the interior length of its end state")
-            counts[start - 1][end - 1] += 1
             costs[start - 1][end - 1] += block.saddles + _CUT_SADDLES[end]
             cls = block.cls
             if cls.polarity == "minus":
@@ -520,8 +518,7 @@ def _summand_table(s: int) -> _SummandTable:
             key = (start - 1, end - 1, 3 - end, 3 - start,
                    int(cls.polarity == "self_mirror"))
             weights[key] += crossings // 2
-    return _SummandTable(tuple(map(tuple, counts)), tuple(map(tuple, costs)),
-                         dict(weights))
+    return _SummandTable(tuple(map(tuple, costs)), dict(weights))
 
 
 def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
@@ -530,15 +527,14 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
     ``tails[i]`` counts the core endings that put a core whose t blocks
     end in state i + 1 into T(c).
 
-    The law of D_w over the cores, one row per signature, comes from the
-    walk's DP, ``markov.displacement_laws``, with each final state weighted
-    by its tails, so each row is decoded once, summed over the cores of
-    T(c), and scored by ``markov.residual_totals``.
+    The law of D_w over the cores, one row per signature, comes from one
+    call of the walk's exact residual, ``markov.residual_totals``, with
+    each final state weighted by its tails, so each row is decoded once,
+    summed over the cores of T(c).
     """
     if not weights:
         return 0
-    laws = displacement_laws(s, t, list(weights), tails)
-    totals = residual_totals(laws, [key[4] for key in weights], t)
+    totals, = markov.residual_totals(s, t, list(weights), tails)
     return sum(map(operator.mul, weights.values(), totals))
 
 
@@ -548,12 +544,13 @@ def average_g4_row(c: int, s: int) -> AverageRow:
 
     By linearity of expectation the mean splits into local terms and the
     residual.  The cut and link-repair saddles of every block follow a DP
-    over the orientation state across the t blocks; the remainder's repair
-    and crossings depend only on the last state and the at most s - 1 core
-    letters after the blocks, which are enumerated with the ending they
-    force, read off the interior length that the last state fixes
-    (``_length``).  The residual is linear over summand classes, and each
-    signature's E|D_w| comes from the walk's displacement-law DP
+    over the orientation state across the t blocks, whose cores and
+    saddles step with the walk's ``markov.block_step``; the remainder's
+    repair and crossings depend only on the last state and the at most
+    s - 1 core letters after the blocks, which are enumerated with the
+    ending they force, read off the interior length that the last state
+    fixes (``_length``).  The residual is linear over summand classes,
+    and each signature's E|D_w| comes from the walk's exact residual
     (``_residual_total``).  Words are counted, not listed, and the count
     must equal word_count(c).
     """
@@ -569,16 +566,12 @@ def average_g4_row(c: int, s: int) -> AverageRow:
 
     # Cores and their summed cut and link-repair saddles, by orientation
     # state after the t blocks.
+    step = markov.block_step(s)
     cores = [1, 0, 0]
     saddles = [_CUT_SADDLES[1], 0, 0]
-    counts, costs = table.counts, table.costs
     for _ in range(t):
-        next_cores, next_saddles = [0] * 3, [0] * 3
-        for i in range(3):
-            for j in range(3):
-                next_cores[j] += counts[i][j] * cores[i]
-                next_saddles[j] += counts[i][j] * saddles[i] + costs[i][j] * cores[i]
-        cores, saddles = next_cores, next_saddles
+        added, = markov.matrix_multiply((cores,), table.costs)
+        cores, saddles = step(cores), list(map(operator.add, step(saddles), added))
 
     # The core letters after the blocks and the ending they force form the
     # remainder.  c is odd exactly when the interior length is 2 mod 3.

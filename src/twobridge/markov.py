@@ -32,10 +32,12 @@ big-int additions and shifts per group, whatever the number of
 displacements: the block step applies M^s by its closed form, c_s times
 the sum of the three states plus or minus one of them (at s = 1 the three
 sums of M are cheaper), and a class's move from d to d +- 1 is a shift by
-one slot.  A row is a group's signature, a plain tuple.  With other
-weights on the final states, the same DP gives the residual term of
-``cobordism.average_g4_row``, whose rows are the same signatures, and
-``residual_totals`` scores the decoded laws of both.
+one slot.  A row is a group's signature, a plain tuple.  The one exact
+residual, ``residual_totals``, runs the DP once and scores each row's law
+per power p, against |d|^p, or d mod 2 if palindromic-type: p = 1 for the
+walk and, with other weights on the final states, for the residual term of
+``cobordism.average_g4_row`` on the same rows; p = 1 and 2 for
+``per_class_moments``.  The mean steps its cores by ``block_step`` too.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -438,15 +440,16 @@ def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
 _DIVIDE_S = 200
 
 
-def _block_step(s: int):
-    """The block step of ``displacement_laws``: a row's list of state ints
-    after one block of s letters, every slot at once, by the closed form of
-    M^s, the letter counts over a block.  M^s = c_s B + (-J)^s
-    (``_closed_form``), so state i after the block holds c_s times the sum
-    over the three states before it, plus (-1)^s the state J^s i before
-    it: five integer operations and a product by c_s (from ``_DIVIDE_S``
-    on, a shift, a subtraction and a division by 3).  At s = 1 the three
-    sums of M itself are cheaper.
+def block_step(s: int):
+    """The block step of ``displacement_laws`` and of the mean's cores
+    (``cobordism.average_g4_row``), the one application of M^s outside the
+    Markov checks: three state ints after one block of s letters, every
+    slot at once, by the closed form of M^s, the letter counts over a
+    block.  M^s = c_s B + (-J)^s (``_closed_form``), so state i after the
+    block holds c_s times the sum over the three states before it, plus
+    (-1)^s the state J^s i before it: five integer operations and a
+    product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a
+    division by 3).  At s = 1 the three sums of M itself are cheaper.
 
     The integer M^s, a power of the letter counts, must equal the closed
     form, or ValueError is raised.
@@ -515,7 +518,7 @@ def displacement_laws(s: int, t: int, rows, weights) -> list[list[int]]:
 
     A row is a signature (start, end, mirror start, mirror end,
     palindromic-type) in state indices 0..2, as ``_signature_groups``
-    lists them.  After the block step of each block (``_block_step``), the
+    lists them.  After the block step of each block (``block_step``), the
     counts of the row's start state before the block move from d to d + 1
     in its end state, and unless the row is palindromic-type, those of its
     mirror start from d to d - 1 in its mirror end.
@@ -533,17 +536,21 @@ def displacement_laws(s: int, t: int, rows, weights) -> list[list[int]]:
     the slots get too narrow, every law moves to wider ones (``_regrid``),
     with empty slots below that last as long as they do.
 
-    Each row's weighted sum is decoded once, and its plain sum over the
-    states must come to 2^(s t): ValueError if it does not, as when a
-    count overflowed its slot.
+    Each row's weighted sum over the states is decoded once, and its slots
+    must sum to e_0 N^t w (N = M^s, w the weights), a 3-vector stepped by
+    the same block step: ValueError if not.  A weighted count that outgrows
+    its slot carries 1 into the next, which lowers the slot sum by
+    2^width - 1 (a carry out of the top slot does not decode at all).
     """
-    step = _block_step(s)
+    step = block_step(s)
     periods = [0 if pal else 1 if x_m == y_m else 2 for _, _, x_m, y_m, pal in rows]
     extra = max(1, *weights).bit_length()
     final = -(-(s * t + extra) // 8) * 8
     width, lo = 0, [0] * len(rows)
     laws = [[1, 0, 0] for _ in rows]
+    ends = [1, 0, 0]
     for k in range(t):
+        ends = step(ends)
         new_width = _slot_width(s * (k + 1) + extra, width, final)
         if new_width != width:
             # The slots below must last to the block before the next width.
@@ -564,40 +571,29 @@ def displacement_laws(s: int, t: int, rows, weights) -> list[list[int]]:
             laws[g] = after
 
     width = width or final  # t = 0: no block set a width
+    total = sum(map(operator.mul, weights, ends))
     decoded = []
     for row, low in zip(laws, lo):
-        total, weighted = sum(row), sum(w * p for w, p in zip(weights, row))
-        law = _slots(weighted, width, t + 1 - low)
-        plain = law if weighted == total else _slots(total, width, t + 1 - low)
-        if law is None or plain is None or sum(plain) != 1 << s * t:
+        law = _slots(sum(map(operator.mul, weights, row)), width, t + 1 - low)
+        if law is None or sum(law) != total:
             raise ValueError(f"a displacement law at s={s}, t={t} overflowed "
                              f"its slots of {width} bits")
         decoded.append([0] * (t + low) + law)
     return decoded
 
 
-def residual_totals(laws: list[list[int]], pals, t: int, power: int = 1) -> list[int]:
-    """Per decoded law of ``displacement_laws``, its counts summed against
-    |d|^power, or against d mod 2 for a palindromic-type row: the copies
-    of the class that cancellation leaves (``residual_count``), or their
-    square."""
+def residual_totals(s: int, t: int, rows, weights, powers=(1,)) -> list[list[int]]:
+    """The one exact residual: per power p in ``powers``, each row's law of
+    ``displacement_laws(s, t, rows, weights)`` summed against |d|^p, or
+    against d mod 2 for a palindromic-type row, the copies of the class
+    that cancellation leaves (``residual_count``) or their p-th power.
+    The laws are run and decoded once, whatever the powers."""
+    laws = displacement_laws(s, t, rows, weights)
     shifts = range(-t, t + 1)
-    scores = ([abs(d) ** power for d in shifts], [d & 1 for d in shifts])
-    return [sum(map(operator.mul, law, scores[pal])) for law, pal in zip(laws, pals)]
-
-
-def _group_totals(s: int, t: int) -> tuple[tuple, tuple[int, ...], list[int], list[int]]:
-    """Per signature group: its row and number of classes
-    (``_signature_groups``), and the sums of |D_w| and of D_w^2 over the
-    2^(s t) block sequences, with |D_w| read as the parity bit for
-    palindromic-type rows."""
-    _check_walk_domain(s, t)
-    budget.check_walk(s, t)
-    rows, sizes = _signature_groups(s)
-    pals = [row[4] for row in rows]
-    laws = displacement_laws(s, t, rows, (1, 1, 1))
-    return (rows, sizes, residual_totals(laws, pals, t),
-            residual_totals(laws, pals, t, 2))
+    parity = [d & 1 for d in shifts]
+    return [[sum(map(operator.mul, law, parity if row[4] else scores))
+             for law, row in zip(laws, rows)]
+            for scores in ([abs(d) ** p for d in shifts] for p in powers)]
 
 
 def _check_walk_domain(s: int, t: int) -> None:
@@ -697,7 +693,10 @@ def per_class_moments(s: int, t: int) -> list[tuple[tuple, int, Fraction, Fracti
     with |D_w| read as the parity bit for a palindromic-type row: one
     (row, number of classes, E|D_w|, E[D_w^2]) per group, in the order of
     ``_signature_groups``."""
-    rows, sizes, abs_totals, square_totals = _group_totals(s, t)
+    _check_walk_domain(s, t)
+    budget.check_walk(s, t)
+    rows, sizes = _signature_groups(s)
+    abs_totals, square_totals = residual_totals(s, t, rows, (1, 1, 1), (1, 2))
     total = 1 << (s * t)
     return [(row, n, Fraction(a, total), Fraction(q, total))
             for row, n, a, q in zip(rows, sizes, abs_totals, square_totals)]
@@ -717,7 +716,9 @@ def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
     _check_walk_domain(s, t)
     if t == 0:
         return Fraction(0), True
-    rows, sizes, abs_totals, _ = _group_totals(s, t)
+    budget.check_walk(s, t)
+    rows, sizes = _signature_groups(s)
+    abs_totals, = residual_totals(s, t, rows, (1, 1, 1))
     expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
     bound = 4 * t << 2 * s * t
     return expected, all(a * a << s <= bound for row, a in zip(rows, abs_totals)

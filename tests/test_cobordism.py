@@ -47,7 +47,7 @@ from twobridge.words import (
 
 import object_walk_dp
 from test_diagram import orientation_after, strand_permutation
-from test_markov import reference_arguments
+from test_markov import letter_steps, reference_arguments
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 
@@ -657,11 +657,12 @@ def test_summand_table_matches_mirror_analysis():
     # s = 11 is the first table with more blocks than the block memo holds.
     for s in range(1, 12):
         table = cobordism._summand_table(s)
-        assert ((table.counts, table.costs, table.weights)
-                == reference_summand_table(s)), s
-        # The counts are M^s, and the rows of the residual DP are signature
-        # groups of the walk.
-        assert table.counts == markov._closed_form(s), s
+        counts, costs, weights = reference_summand_table(s)
+        assert (table.costs, table.weights) == (costs, weights), s
+        # The enumerated block counts are the closed form of M^s, which the
+        # mean applies by markov.block_step, and the rows of the residual
+        # DP are signature groups of the walk.
+        assert counts == markov._closed_form(s), s
         assert set(table.weights) <= set(markov._signature_groups(s)[0]), s
 
 
@@ -687,6 +688,45 @@ def test_packed_g4_laws_match_object_array_oracle():
                 weights = [int(i == state) for i in range(3)]
                 laws = markov.displacement_laws(s, t, keys, weights)
                 assert laws == nine[:, state, length].tolist(), (s, t, state)
+
+
+def test_mean_steps_with_the_walk_block_step(monkeypatch):
+    # The mean builds the walk's block step twice, for its cores and for
+    # its one residual call (|d| only): patched to s letter steps through
+    # the module, both give the same means.
+    c_s = [(7, 1), (60, 2), (61, 3), (120, 6), (200, 3)]
+    expected = [average_g4_row(c, s) for c, s in c_s]
+    built, calls = [], []
+    residual_totals = markov.residual_totals
+
+    def spied_totals(s, t, rows, weights, powers=(1,)):
+        calls.append(tuple(powers))
+        return residual_totals(s, t, rows, weights, powers)
+
+    monkeypatch.setattr(markov, "block_step", lambda s: built.append(s) or letter_steps(s))
+    monkeypatch.setattr(markov, "residual_totals", spied_totals)
+    assert [average_g4_row(c, s) for c, s in c_s] == expected
+    assert built == [s for _, s in c_s for _ in range(2)]
+    assert calls == [(1,)] * len(c_s)
+
+
+def test_residual_overflow_refused_under_optimize_flag():
+    # Slots of 8 bits cannot hold the mean's weighted counts at c = 60,
+    # s = 2: the decoded laws no longer sum to e_0 N^t w.
+    code = ("from twobridge import cobordism, markov\n"
+            "markov._slot_width = lambda bits, width, final: 8\n"
+            "try:\n"
+            "    cobordism.average_g4_row(60, 2)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(cobordism.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "a displacement law at s=2, t=28 overflowed its slots of 8 bits"
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):

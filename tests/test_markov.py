@@ -114,7 +114,7 @@ LETTER_SOURCES = tuple(
 
 def letter_steps(s):
     """The walk's block step as s letter steps on Python ints, the oracle
-    of ``markov._block_step``: a row's state j after a letter is the sum of
+    of ``markov.block_step``: a row's state j after a letter is the sum of
     its states a[j] and b[j] before it (``LETTER_SOURCES``)."""
     pairs = list(zip(*(sources.tolist() for sources in LETTER_SOURCES)))
 
@@ -160,9 +160,7 @@ def letter_step_walk_cell(s, t):
 def verify_second_moments(s, t):
     """Every integer-coordinate class satisfies E[D_w^2] <= 4 t / 2^s."""
     bound = Fraction(4 * t, 2 ** s)
-    rows, _, _, square_totals = markov._group_totals(s, t)
-    return all(Fraction(q, 1 << (s * t)) <= bound
-               for row, q in zip(rows, square_totals) if not row[4])
+    return all(q <= bound for row, _, _, q in per_class_moments(s, t) if not row[4])
 
 
 def class_word(s, ident):
@@ -496,9 +494,10 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
     # a^2 2^s <= 4 t 2^(2 s t) against E|D_w| = a / 2^(s t) in fractions,
     # on both sides of the bound; palindromic-type groups are not checked.
     def verdict(s, t, pals, abs_totals):
-        monkeypatch.setattr(markov, "_group_totals", lambda s, t: (
-            [(0, 0, 2, 2, pal) for pal in pals], [1] * len(pals), abs_totals,
-            [0] * len(pals)))
+        monkeypatch.setattr(markov, "_signature_groups", lambda s: (
+            [(0, 0, 2, 2, pal) for pal in pals], [1] * len(pals)))
+        monkeypatch.setattr(markov, "residual_totals",
+                            lambda s, t, rows, weights, powers=(1,): [abs_totals])
         return markov.exact_walk_cell(s, t)[1]
 
     for s, t in [(1, 1), (2, 3), (4, 100), (7, 2)]:
@@ -520,7 +519,7 @@ def test_block_step_equals_letter_steps():
     rng = np.random.default_rng(2406)
     divide = markov._DIVIDE_S
     for s in [*range(1, 13), divide - 1, divide, divide + 1]:
-        step = markov._block_step(s)
+        step = markov.block_step(s)
         letters = letter_steps(s)
         for scale in (1, 1 << 70):
             before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
@@ -707,6 +706,27 @@ def test_huge_block_size_refused_before_work():
     assert time.perf_counter() - start < 1
 
 
+def test_walk_without_blocks_is_charged_one_block(monkeypatch):
+    # The groups and the block step are built at t = 0 too, so the budget
+    # charges t = 0 as t = 1, and refuses a huge s before any closed form.
+    def refuse(s):
+        raise AssertionError(f"the signature groups were built at s={s}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(markov, "_signature_groups", refuse)
+        start = time.perf_counter()
+        for s in (10 ** 10, 10 ** 6):
+            with pytest.raises(BudgetError, match=rf"s={s}, t=0 .*walk_work"):
+                per_class_moments(s, 0)
+        assert time.perf_counter() - start < 1
+    # t = 0 is admitted exactly as far as t = 1, at either parity.
+    for s in (780895, 493662):
+        check_walk(s, 0)
+        with pytest.raises(BudgetError, match="walk_work"):
+            check_walk(s + 2, 0)
+    assert all(q == a == 0 for _, _, a, q in per_class_moments(7, 0))
+
+
 def test_walk_cell_without_blocks_builds_no_block_power():
     # With t = 0 the answer is exact at any s, and M^s is never built.
     start = time.perf_counter()
@@ -736,18 +756,24 @@ def test_exact_walk_cell_is_both_verdicts_from_one_dp(monkeypatch):
         for t in range(1, 12 // s + 1):
             assert markov.exact_walk_cell(s, t) == (
                 exact_expected_distance(s, t), verify_abs_means(s, t)), (s, t)
-    # check_walk runs the walk DP once per cell of its grid.
+    # check_walk runs the walk DP once per cell of its grid, and scores
+    # |d| alone; per_class_moments is the one caller that also scores d^2.
     cells = []
-    group_totals = markov._group_totals
+    residual_totals = markov.residual_totals
 
-    def counted(s, t):
-        cells.append((s, t))
-        return group_totals(s, t)
+    def counted(s, t, rows, weights, powers=(1,)):
+        cells.append((s, t, tuple(powers)))
+        return residual_totals(s, t, rows, weights, powers)
 
-    monkeypatch.setattr(markov, "_group_totals", counted)
+    monkeypatch.setattr(markov, "residual_totals", counted)
     passed, _ = checks.check_walk(8)
-    grid = [(s, t) for s in range(1, 9) for t in range(1, 8 // s + 1)]
-    assert passed and cells == [*grid, (4, 100)]
+    grid = [(s, t, (1,)) for s in range(1, 9) for t in range(1, 8 // s + 1)]
+    assert passed and cells == [*grid, (4, 100, (1,))]
+    cells.clear()
+    assert markov.exact_walk_cell(3, 2) == (exact_expected_distance(3, 2),
+                                            verify_abs_means(3, 2))
+    per_class_moments(3, 2)
+    assert cells == [(3, 2, (1,))] * 3 + [(3, 2, (1, 2))]
 
 
 def test_signature_groups_cover_every_oriented_block():
@@ -896,7 +922,7 @@ def test_ungrouped_laws_match_grouped_moments(monkeypatch):
                 for c, m, p in zip(classes.tolist(), mirrors.tolist(), pal.tolist())]
         for t in (1, 2, 3, 8, 21, 60):
             with monkeypatch.context() as patch:
-                patch.setattr(markov, "_block_step", letter_steps)
+                patch.setattr(markov, "block_step", letter_steps)
                 law = np.array(displacement_laws(s, t, rows, (1, 1, 1)), dtype=object)
             d = np.arange(-t, t + 1)
             count = np.where(pal[:, None], d & 1, np.abs(d))
