@@ -6,6 +6,7 @@ from a 2-CPU x86 machine, process start included; the largest request each
 limit accepts takes about 10 s or less.  No module of the package is imported.
 """
 
+import math
 from typing import Sequence
 
 #: 2.5-4 us per exponent mask when ``enumerate --c 22`` streams its words,
@@ -24,16 +25,14 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: 11-32 ns per unit: the largest t at each s takes 3.7-10.7 s,
-#: ``walk-sim --s 1 --t 2215 --exact`` 8.0-8.8 s, ``--s 4 --t 785`` 5.6-6.2 s,
-#: ``--s 5 --t 977`` 9.4-9.7 s, ``--s 7 --t 884`` 10.2-10.7 s and
-#: ``(150, 225)``, where the counts far from d = 0 fill little of their
-#: packed slots, 6.7 s.  At t = 1 the largest odd s,
-#: ``exact_walk_cell(780895, 1)``, takes 1.9-2.1 s and the largest even s,
-#: 493662, 1.0-1.1 s.  The mean g4 DP, charged the same way (``check_g4``):
-#: the largest c at each s = 1..16 takes 4.4-9.0 s, ``g4 --c 3146`` (the
-#: default s) 4.6-5.5 s and ``--c 4892 --s 5`` and ``--c 9270 --s 13``, the
-#: slowest, 8.0-9.0 s
+#: 7-15 ns per unit of the exact residual: the largest t at each s takes
+#: 2.2-5.1 s at 34-36 MB, ``walk-sim --s 1 --t 47075 --exact`` 4.2 s,
+#: ``--s 3 --t 20657`` 5.1 s, ``--s 4 --t 11884`` 3.0 s, ``--s 150
+#: --t 1109`` 3.0 s and ``--s 5000 --t 49`` 2.2 s, and the largest s at
+#: t = 1, 1207519 (odd) and 893024 (even), 1.1-1.2 s at 46 MB.  The mean g4
+#: DP, charged the same way (``check_g4``): the largest c at each s takes
+#: 3.7-6.0 s, ``g4 --c 66442`` (the default s) 4.1 s and ``--c 61972
+#: --s 3``, the slowest, 6.0 s
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
@@ -53,14 +52,10 @@ _ROW_SHARE = 16
 # mirror, 17-28 us) costs 2^10 walk work units, so the table alone refuses
 # every s past 16; at s = 16 it takes 3.4 s.
 _TABLE_ENTRY_WORK = 1 << 10
-# A block of the walk DP costs a few us per signature group beyond its
-# element operations (a Python step and one or two moves on the group's
-# packed ints); the 4096 units charged for it overstate that, and are kept
-# so that every request admitted so far stays admitted.  An element
-# operation, one displacement's slot of a packed int, costs one unit more
-# for every 1024 bits of the exact counts, which have up to s * t bits.
-_BLOCK_WORK = 4096
-_CELL_BITS = 1024
+# A step of an exact-residual series costs about 2 us in Python beyond its
+# big-int products, which cost a unit per _SERIES_BITS of s t^2 (64 + s).
+_SERIES_STEP = 80
+_SERIES_BITS = 1300
 # A matrix power of the Markov checks, taken from the previous one and
 # compared with its closed form and for its row spread, costs 20-30 us, 2
 # units, and one unit more for every 1024 bits of its exponent n = k s (its
@@ -161,50 +156,44 @@ def check_palindromic(c_values: Sequence[int]) -> None:
 
 
 def _walk_groups(s: int) -> tuple[int, int]:
-    """The walk DP's rows, one per signature group
+    """The walk's rows, one per signature group
     (``markov._signature_groups``), and how many are palindromic-type: 3 and
     0 at s = 1, 8 and 6 at s = 2, and from s = 3 on 6 and 0 at odd and 15
     and 9 at even s."""
     return (3, 0) if s == 1 else (8, 6) if s == 2 else (6, 0) if s % 2 else (15, 9)
 
 
-def _dp_work(s: int, t: int, rows: int, palindromic: int) -> int:
-    """The displacement-law DP's t blocks, plus its element operations at
-    each of the 2k + 3 displacements of block k, t (t + 2) in all, summed
-    over its rows: 3 for the step at s = 1 (one letter over 3 states) and
-    from s = 2 on 6 (three sums, their product by c_s, three adds) plus one
-    per 32 bits of c_s, 2 for the own move, and 2 more for the mirror's
-    unless the row is palindromic-type.  Each operation is weighted by
-    1 + s t / 1024 for the size of its ints."""
-    step = 3 if s == 1 else 6 + s // 32
-    ops = (rows * (step + 2) + 2 * (rows - palindromic)) * t * (t + 2)
-    return _BLOCK_WORK * t + ops * (_CELL_BITS + s * t) // _CELL_BITS
-
-
-def walk_work(s: int, t: int) -> int:
-    """The exact walk DP (``_dp_work``) on the walk's signature groups,
-    which are read off M^s and M^(s/2) in closed form and not charged."""
-    return _dp_work(s, t, *_walk_groups(s))
+def kernel_work(s: int, t: int) -> int:
+    """The exact residual (``markov.residual_totals``) on the walk's rows,
+    among which are the mean g4 DP's: a series per non-palindromic row (at
+    least one per distinct kernel), one for the squares, and one per two
+    palindromic-type rows for their 3-vector steps.  Each costs
+    _SERIES_STEP per step, plus its products of ints of up to s t bits by
+    kernel coefficients of about 2 s bits: s t^2 (64 + s) / _SERIES_BITS,
+    with 47 sqrt(s) for 64 + s past s = 2048, where CPython multiplies by
+    Karatsuba.  The signature groups and closed forms are not charged."""
+    rows, palindromic = _walk_groups(s)
+    size = s * t * t * min(64 + s, 47 * math.isqrt(s)) // _SERIES_BITS
+    return (rows - palindromic + 1 + palindromic // 2) * (_SERIES_STEP * t + size)
 
 
 def check_walk(s: int, t: int) -> None:
-    """``walk_work``, with t = 0 charged as t = 1: the signature groups and
-    the block step are built either way."""
-    _check(walk_work(s, max(t, 1)), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
+    """``kernel_work``, with t = 0 charged as t = 1: the signature groups and
+    the closed forms are built either way."""
+    _check(kernel_work(s, max(t, 1)), WALK_WORK_BUDGET, f"the exact walk at s={s}, t={t} "
            "(sample it with monte_carlo_distance: walk-sim without --exact)",
-           "work units for its blocks and element operations (walk_work)")
+           "work units for its series (kernel_work)")
 
 
 def check_g4(c: int, s: int) -> None:
-    """The mean g4 DP, charged as the walk's (``_dp_work``) on its rows, the
-    signatures of its classes with at least 2 repaired crossings: the walk's
-    groups, but only one at s = 1.  Plus _TABLE_ENTRY_WORK for each of the
-    3 * 2^s entries of its block table, passed as a shift (no 2^s built)."""
+    """The mean g4 DP: the exact residual on its rows, charged as the
+    walk's (``kernel_work``), plus _TABLE_ENTRY_WORK for each of the
+    3 * 2^s entries of its block table, passed as a shift (no 2^s built).
+    Its cores' t block steps cost less than one series."""
     t = (2 * ((c - 1) // 2) - 1) // s
-    rows = (1, 0) if s == 1 else _walk_groups(s)
-    _check(_dp_work(s, t, *rows), WALK_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
+    _check(kernel_work(s, t), WALK_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
            f"work units (2^10 per entry of its table of 3 * 2^{s} block masks, "
-           "plus walk_work's for its DP)", shift=(3 * _TABLE_ENTRY_WORK, s))
+           "plus kernel_work's for its residual)", shift=(3 * _TABLE_ENTRY_WORK, s))
 
 
 def check_monte_carlo(s: int, t: int, trials: int) -> None:

@@ -241,23 +241,26 @@ def check_markov(budget_c: int | None = None) -> tuple[bool, str]:
 
 
 def check_walk(budget_c: int | None = None) -> tuple[bool, str]:
-    """Exact taxicab and per-class bounds on the full s*t grid, plus a Monte
-    Carlo run that must agree with the exact value within 5 standard errors."""
+    """Exact taxicab and per-class bounds on the full s*t grid, and
+    unbudgeted also at (4, 1000) and (1, 2215), plus a Monte Carlo run that
+    must agree with the exact value within 5 standard errors."""
     grid = max(4, _clamp(20, budget_c))
-    for s in range(1, grid + 1):
-        for t in range(1, grid // s + 1):
-            expected, abs_means_hold = markov.exact_walk_cell(s, t)
-            if not markov.distance_bound_holds(s, t, expected):
-                return False, f"distance bound fails at s={s}, t={t}"
-            if not abs_means_hold:
-                return False, f"per-class bound fails at s={s}, t={t}"
+    cells = [(s, t) for s in range(1, grid + 1) for t in range(1, grid // s + 1)]
+    long_walks = [(4, 1000), (1, 2215)] if budget_c is None else []
+    for s, t in cells + long_walks:
+        expected, abs_means_hold = markov.exact_walk_cell(s, t)
+        if not markov.distance_bound_holds(s, t, expected):
+            return False, f"distance bound fails at s={s}, t={t}"
+        if not abs_means_hold:
+            return False, f"per-class bound fails at s={s}, t={t}"
     exact = float(markov.exact_expected_distance(4, 100))
     mean, stderr = markov.monte_carlo_distance(4, 100, 10 ** 4, seed=0)
     if abs(mean - exact) > 5 * stderr:
         return False, f"Monte Carlo mean {mean:.3f} not within 5 stderr of exact {exact:.3f}"
     if mean - 3 * stderr > markov.distance_bound(4, 100):
         return False, "Monte Carlo mean exceeds bound beyond 3 sigma"
-    return True, (f"exact (transfer DP) s*t <= {grid}; s=4, t=100: MC mean "
+    long_detail = "".join(f", s={s} t={t}" for s, t in long_walks)
+    return True, (f"exact (transfer DP) s*t <= {grid}{long_detail}; s=4, t=100: MC mean "
                   f"{mean:.2f} +- {stderr:.2f} vs exact {exact:.3f}, bound "
                   f"{markov.distance_bound(4, 100):.2f}")
 
@@ -294,11 +297,12 @@ def check_cobordism_example(budget_c: int | None = None) -> tuple[bool, str]:
 def check_aggregate_g4(budget_c: int | None = None) -> tuple[bool, str]:
     """Exact mean saddle-move bound (transfer DP) under the closed-form
     expression bound, and that under 9.75c/log10(c), for c = 7..100, 200,
-    500, 1000 and 2000, or c = 7..min(15, budget_c) under a budget.
+    500, 1000, 2000, 5000 and 10^4, or c = 7..min(15, budget_c) under a
+    budget.
     Unbudgeted, the detail adds the mean over c/log10(c) and over c/ln(c)
     at the largest c, since the abstract writes "log c"."""
     if budget_c is None:
-        c_values = [*range(7, 101), 200, 500, 1000, 2000]
+        c_values = [*range(7, 101), 200, 500, 1000, 2000, 5000, 10 ** 4]
     else:
         c_values = range(7, max(7, _clamp(15, budget_c)) + 1)
     details = []
@@ -315,9 +319,10 @@ def check_aggregate_g4(budget_c: int | None = None) -> tuple[bool, str]:
     detail = "mean g4 upper vs 9.75c/log10(c): " + " ".join(details)
     if budget_c is None:
         mean = float(row.mean_upper)
-        detail += ("; also c = 16..100, 200, 500, 1000, 2000 and the expression "
-                   f"bound; at c={c} mean {mean:.2f} = {mean * math.log10(c) / c:.3f}"
-                   f" c/log10(c) = {mean * math.log(c) / c:.3f} c/ln(c)")
+        detail += ("; also c = 16..100, 200, 500, 1000, 2000, 5000, 10000 and the "
+                   f"expression bound; at c={c} mean {mean:.2f} = "
+                   f"{mean * math.log10(c) / c:.3f} c/log10(c) = "
+                   f"{mean * math.log(c) / c:.3f} c/ln(c)")
     return True, detail
 
 

@@ -62,7 +62,15 @@ def _parse_c_range(text: str) -> range:
 
 
 def _echo_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    """Print one JSON object.  ``json`` refuses an int past the digit limit
+    of ``str``; such an int (a word count from c = 14288 on) is written
+    by ``Decimal``, as in ``_fraction_digits``, in the same digits."""
+    marks = {key: f"\0{key}" for key, value in payload.items()
+             if type(value) is int and value.bit_length() > 10000}
+    text = json.dumps({**payload, **marks}, sort_keys=True)
+    for key, mark in marks.items():
+        text = text.replace(json.dumps(mark), str(Decimal(payload[key])))
+    print(text)
 
 
 def _fraction_digits(value: Fraction) -> tuple[str, str]:
@@ -240,7 +248,9 @@ def cmd_walk_sim(s: int, t: int, exact: bool, trials: int, seed: int) -> int:
     try:
         bound = markov.distance_bound(s, t)
     except ValueError as problem:
-        raise _Refusal(problem)
+        if not exact:
+            raise _Refusal(problem)
+        bound = None  # past the float range; the exact verdict needs no float
     if exact:
         value = markov.exact_expected_distance(s, t)
         ok = markov.distance_bound_holds(s, t, value)
@@ -359,7 +369,8 @@ def _build_parser() -> _Parser:
     add = command("walk-sim", cmd_walk_sim)
     add("--s", type=int, required=True, help="Block size.")
     add("--t", type=int, required=True, help="Number of blocks.")
-    add("--exact", action="store_true", help="Exact value by transfer DP.")
+    add("--exact", action="store_true",
+        help="Exact value from the transfer matrix's generating functions.")
     add("--trials", type=int, default=10 ** 4,
         help="Monte Carlo walks (default: %(default)s).")
     add("--seed", type=int, default=0, help="Monte Carlo seed (default: %(default)s).")

@@ -28,14 +28,12 @@ no command builds one in a process that then decomposes words.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the orientation states of the word cores, with no enumeration (see
-``average_g4_row``).  Its residual term is the summand walk's
-displacement-law DP, ``markov.displacement_laws``, on the walk's own rows,
-the signatures of the classes, with each final state weighted by the core
-endings that put a core into T(c), so ``budget.check_g4`` charges it as the
-walk's; one call of ``markov.residual_totals``, the walk's exact residual,
-decodes each signature's law once, summed over the cores of T(c), and
-scores it as the walk's are.  The cores and their saddles step across the
-blocks with the walk's ``markov.block_step``, the closed form of M^s.
+``average_g4_row``).  Its residual term is one call of the walk's exact
+residual, ``markov.residual_totals``, on the walk's own rows, the
+signatures of the classes, with each final state weighted by the core
+endings that put a core into T(c), so ``budget.check_g4`` charges it as
+the walk's.  The cores and their saddles step across the blocks with the
+walk's ``markov.block_step``, the closed form of M^s.
 """
 
 from __future__ import annotations
@@ -527,14 +525,13 @@ def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
     ``tails[i]`` counts the core endings that put a core whose t blocks
     end in state i + 1 into T(c).
 
-    The law of D_w over the cores, one row per signature, comes from one
-    call of the walk's exact residual, ``markov.residual_totals``, with
-    each final state weighted by its tails, so each row is decoded once,
-    summed over the cores of T(c).
+    The sums of |D_w| over the cores, one row per signature, come from
+    one call of the walk's exact residual, ``markov.residual_totals``, with
+    each final state weighted by its tails.
     """
     if not weights:
         return 0
-    totals, = markov.residual_totals(s, t, list(weights), tails)
+    totals, _ = markov.residual_totals(s, t, list(weights), tails)
     return sum(map(operator.mul, weights.values(), totals))
 
 

@@ -21,23 +21,16 @@ of one displacement D_w depends only on the class's transfer signature:
 the (start, end) states of the class and of its mirror, and its type.
 Classes are grouped by signature, and ``_signature_groups`` counts the
 classes of each group off the closed forms of M^s and M^(s/2), with no
-block listed.  One exact integer dynamic program, ``displacement_laws``,
-steps (orientation state, D_w) for every group across the t uniform
-blocks, one block step per block, instead of a sum over all 2^(s t) block
-sequences (the tests keep that enumeration as the oracle, and the same DP
-on numpy object arrays, one int per cell, as the reference).  The law of
-each (group, state) is one Python int, its count at each d in a slot of
-s (k + 1) + 1 bits or more after block k, so a block costs about a dozen
-big-int additions and shifts per group, whatever the number of
-displacements: the block step applies M^s by its closed form, c_s times
-the sum of the three states plus or minus one of them (at s = 1 the three
-sums of M are cheaper), and a class's move from d to d +- 1 is a shift by
-one slot.  A row is a group's signature, a plain tuple.  The one exact
-residual, ``residual_totals``, runs the DP once and scores each row's law
-per power p, against |d|^p, or d mod 2 if palindromic-type: p = 1 for the
-walk and, with other weights on the final states, for the residual term of
-``cobordism.average_g4_row`` on the same rows; p = 1 and 2 for
-``per_class_moments``.  The mean steps its cores by ``block_step`` too.
+block listed.  A row is a group's signature, a plain tuple.  The one exact
+residual, ``residual_totals``, reads each row's sums of |D_w| and D_w^2
+(of D_w mod 2 if palindromic-type) after t uniform blocks off closed-form
+generating functions, by the kernel method for directed lattice paths, in
+O(t) exact integer steps, instead of a sum over all 2^(s t) block
+sequences (the tests keep that enumeration as the oracle, and a DP over
+every displacement on numpy object arrays as the reference).  It serves
+the walk, ``per_class_moments`` and, with other weights on the final
+states, the residual term of ``cobordism.average_g4_row`` on the same
+rows; the mean steps its cores by ``block_step``, the closed form of M^s.
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -71,6 +64,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -142,16 +136,58 @@ def _power_parts(n: int) -> tuple[int, int]:
 def _power_matrix(bulk: int, sign: int) -> IntMatrix:
     """(-J)^n + c_n B from (c_n, (-1)^n), with B the all-ones matrix and J
     the flip 1 <-> 3 (the anti-diagonal permutation)."""
-    return tuple(
-        tuple(bulk + sign * (j == (2 - i if sign < 0 else i)) for j in range(3))
-        for i in range(3)
-    )
+    low, high = bulk, bulk + sign
+    if sign < 0:
+        return (low, low, high), (low, high, low), (high, low, low)
+    return (high, low, low), (low, high, low), (low, low, high)
 
 
 def _closed_form(n: int) -> IntMatrix:
     """M^n = (-J)^n + c_n B, with (c_n, (-1)^n) from ``_power_parts``:
     M = B - J, and B J = J B = B, B^2 = 3 B."""
     return _power_matrix(*_power_parts(n))
+
+
+# B is the all-ones matrix and J the flip 1 <-> 3: the letter counts are
+# M = B - J (``_letter_counts``), and M^n = c_n B + (-J)^n.
+_I = identity_matrix()
+_B = ((1, 1, 1),) * 3
+_J = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+_LETTERS = tuple(tuple(b - j for b, j in zip(*rows)) for rows in zip(_B, _J))
+
+
+def _check_algebra() -> None:
+    """Raise ValueError unless B^2 = 3 B, B J = J B = B and J^2 = I, the
+    products that M^n = c_n B + (-J)^n rests on."""
+    if not (matrix_multiply(_B, _B) == tuple(tuple(3 * x for x in row) for row in _B)
+            and matrix_multiply(_B, _J) == matrix_multiply(_J, _B) == _B
+            and matrix_multiply(_J, _J) == _I):
+        raise ValueError("B and J break B^2 = 3 B, B J = J B = B or J^2 = I")
+
+
+_check_algebra()
+
+
+def _block_power(s: int) -> tuple[int, int]:
+    """(c_s, (-1)^s) with M^s = c_s B + (-J)^s, the one check of M^s that
+    ``block_step`` and ``residual_totals`` make, in O(log s) steps.
+
+    With M = B - J and the products that ``_check_algebra`` checks,
+    M^(2k) = (3 c_k^2 + 2 (-1)^k c_k) B + I and
+    M^(k+1) = (2 c_k + (-1)^k) B + (-J)^(k+1), so c_s follows the bits of
+    s.  ValueError unless the letter counts are B - J and
+    ``_closed_form(s)`` equals c_s B + (-J)^s.
+    """
+    bulk, sign = 0, 1  # M^0 = I
+    for bit in bin(s)[2:]:
+        bulk, sign = 3 * bulk * bulk + 2 * sign * bulk, 1
+        if bit == "1":
+            bulk, sign = 2 * bulk + sign, -sign
+    power = tuple(tuple(bulk * b + sign * f for b, f in zip(*rows))
+                  for rows in zip(_B, _J if sign < 0 else _I))
+    if _letter_counts() != _LETTERS or _closed_form(s) != power:
+        raise ValueError(f"M^{s} differs from its closed form")
+    return bulk, sign
 
 
 def _scaled(counts: IntMatrix, n: int) -> Matrix:
@@ -441,25 +477,21 @@ _DIVIDE_S = 200
 
 
 def block_step(s: int):
-    """The block step of ``displacement_laws`` and of the mean's cores
-    (``cobordism.average_g4_row``), the one application of M^s outside the
-    Markov checks: three state ints after one block of s letters, every
-    slot at once, by the closed form of M^s, the letter counts over a
-    block.  M^s = c_s B + (-J)^s (``_closed_form``), so state i after the
-    block holds c_s times the sum over the three states before it, plus
-    (-1)^s the state J^s i before it: five integer operations and a
-    product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a
+    """The block step of the mean's cores (``cobordism.average_g4_row``) and
+    of the palindromic-type rows of ``residual_totals``, the one
+    application of M^s outside the Markov checks: three state ints after
+    one block of s letters, by the closed form of M^s, the letter counts
+    over a block.  M^s = c_s B + (-J)^s (``_block_power``), so state i
+    after the block holds c_s times the sum over the three states before
+    it, plus (-1)^s the state J^s i before it: five integer operations and
+    a product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a
     division by 3).  At s = 1 the three sums of M itself are cheaper.
-
-    The integer M^s, a power of the letter counts, must equal the closed
-    form, or ValueError is raised.
+    ValueError if M^s differs from its closed form (``_block_power``).
     """
-    if matrix_power(_letter_counts(), s) != _closed_form(s):
-        raise ValueError(f"M^{s} differs from its closed form")
+    bulk, sign = _block_power(s)
     if s == 1:
         return lambda before: [before[0] + before[1], before[0] + before[2],
                                before[1] + before[2]]
-    bulk, sign = _power_parts(s)
 
     def step(before: list[int]) -> list[int]:
         total = before[0] + before[1] + before[2]
@@ -473,127 +505,144 @@ def block_step(s: int):
     return step
 
 
-def _slot_width(bits: int, width: int, final: int) -> int:
-    """The slot width, in whole bytes, for counts of the given bit length:
-    ``width`` while it holds them, else grown by max(64, width / 8) bits
-    (enough for them), and never past ``final``, the width of the last
-    block."""
-    if bits <= width:
-        return width
-    grown = min(max(bits, width + max(64, width >> 3)), final)
-    return -(-grown // 8) * 8
+def _poly_mul(a, b) -> list[int]:
+    """Product of two integer polynomials in X, coefficients lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def _regrid(row: list[int], width: int, new_width: int, pad: int) -> None:
-    """Move a row's packed laws from slots of ``width`` bits to slots of
-    ``new_width`` bits, with ``pad`` empty slots added below, in place."""
-    if new_width == width:
-        row[:] = [p << pad * width for p in row]
-        return
-    size, new_size = width // 8, new_width // 8
-    for i, p in enumerate(row):
-        slots = -(-p.bit_length() // width)
-        old = np.frombuffer(p.to_bytes(slots * size, "little"), dtype=np.uint8)
-        new = np.zeros((pad + slots, new_size), dtype=np.uint8)
-        new[pad:, :size] = old.reshape(slots, size)
-        row[i] = int.from_bytes(new.tobytes(), "little")
+def _series_tails(s: int, t: int, root, numerator, divisor) -> tuple[list[int], list[int]]:
+    """[X^t], [X^(t-1)], [X^(t-2)] of Y = root^(-1/2) and [X^t], ...,
+    [X^(t-3)] of numerator Y / divisor, for integer polynomials of 7, 3 and
+    4 terms with divisor(0) = 1 and an integral Y, in t steps that keep six
+    terms: 2 root Y' + root' Y = 0 gives 2 n Y_n =
+    -sum_j (2 n - j) root_j Y_(n-j).  ValueError if root(0) is not 1 or a
+    division by 2 n is not exact."""
+    if root[0] != 1:
+        raise ValueError(f"a kernel discriminant at s={s} is {root[0]} at X = 0, not 1")
+    roots, lower = root[1:], divisor[1:]
+    weighted = list(map(operator.mul, range(1, 7), roots))
+    ys = deque((1, 0, 0, 0, 0, 0), 6)  # Y_n, Y_(n-1), ...
+    hs = deque((1, 0, 0, 0, 0, 0), 6)  # the same of Y / divisor
+    for n in range(1, t + 1):
+        y, rest = divmod(sum(map(operator.mul, weighted, ys)), 2 * n)
+        if rest:
+            raise ValueError(f"a kernel series division at s={s}, X^{n} is not exact")
+        ys.appendleft(y - sum(map(operator.mul, roots, ys)))
+        hs.appendleft(ys[0] - sum(map(operator.mul, lower, hs)))
+    a, b, c = numerator
+    h0, h1, h2, h3, h4, h5 = hs
+    return [ys[0], ys[1], ys[2]], [a * h0 + b * h1 + c * h2, a * h1 + b * h2 + c * h3,
+                                   a * h2 + b * h3 + c * h4, a * h3 + b * h4 + c * h5]
 
 
-def _slots(packed: int, width: int, count: int) -> list[int]:
-    """The ``count`` slots of ``width`` bits of a packed law, lowest first,
-    or None if it is negative or does not fit them."""
-    size = width // 8
-    if packed < 0 or packed.bit_length() > count * width:
-        return None
-    data = packed.to_bytes(count * size, "little")
-    return [int.from_bytes(data[i:i + size], "little")
-            for i in range(0, count * size, size)]
-
-
-def displacement_laws(s: int, t: int, rows, weights) -> list[list[int]]:
-    """law[g][t + d] = sum over the states i of ``weights[i]`` times the
-    number of sequences of t blocks of s letters, from state 0 and D = 0,
-    that end in state i and displace the class of row g by d (its match
-    count if palindromic-type).
-
-    A row is a signature (start, end, mirror start, mirror end,
-    palindromic-type) in state indices 0..2, as ``_signature_groups``
-    lists them.  After the block step of each block (``block_step``), the
-    counts of the row's start state before the block move from d to d + 1
-    in its end state, and unless the row is palindromic-type, those of its
-    mirror start from d to d - 1 in its mirror end.
-
-    Each (row, state) law is one Python int, the count at d in its slot
-    d - lo of ``width`` bits.  Every count after block k is at most
-    2^(s (k + 1)), so a slot of s (k + 1) + 1 bits holds it
-    (``_slot_width``, one bit more for each bit of the largest weight).
-    The block step maps every slot at once.  An own move adds
-    (m << width) - m for the law m before the block, and a mirror move adds
-    (m >> width) - m, which is exact while m's lowest slot is empty.  So
-    lo stays below the lowest d that the row's mirror moves reach before
-    block k: k if the mirror ends in the state it starts from, so that its
-    move can repeat at every block, else k / 2, one block in two.  When
-    the slots get too narrow, every law moves to wider ones (``_regrid``),
-    with empty slots below that last as long as they do.
-
-    Each row's weighted sum over the states is decoded once, and its slots
-    must sum to e_0 N^t w (N = M^s, w the weights), a 3-vector stepped by
-    the same block step: ValueError if not.  A weighted count that outgrows
-    its slot carries 1 into the next, which lowers the slot sum by
-    2^width - 1 (a carry out of the top slot does not decode at all).
+# The kernel method (Banderier and Flajolet, "Basic analytic combinatorics
+# of directed lattice paths", 2002).  For a row (x, y, x', y', pal) and
+# weights w, F = sum_t X^t sum_d p_t(d) z^d = e_0 (I - X T(z))^(-1) w with
+# T(z) = N + (z - 1) E_xy + (1/z - 1) E_x'y', N = M^s and E_ij the matrix
+# units: the own block moves d by +1, its mirror (none if pal) by -1.
+# - A0 = I - X N has det K1 = (1 - 2^s X)(1 - X)(1 - (-1)^s X) and
+#   adj A0 = c_s X (1 - X) B + (1 - 2^s X) E, E = (1 - X) I at even s and
+#   I - X J at odd s.
+# - z det(I - X T(z)) = P z^2 + R z + Q.  Row x over z tends to -X e_y as
+#   z -> oo and row x' times z to -X e_y' as z -> 0, so
+#   P = -X (adj A0[y][x] + X D) and Q = -X (adj A0[y'][x'] + X D), with
+#   D = sign(x y, x' y', x'' y'') A0[x''][y''] the mixed second derivative
+#   of det A0 if x != x' and y != y', else 0.  N is symmetric, J N J = N
+#   and (x', y') = (2 - y, 2 - x), so J T(1/z)^T J = T(z): Q = P and
+#   R = K1 - 2 P.
+# - By Cramer's rule z F = n(z) / (P z^2 + R z + P), with n the same
+#   determinant with column 0 replaced by w: n0 + n2 is the same sum on
+#   that matrix, with no term for a move in column 0, and n(1) = N1 =
+#   e_0 adj(A0) w.
+# - The kernel's roots in z are z0 = O(X) and 1/z0, and partial fractions
+#   give sum_d |d| [z^d] F = A / (K1 sqrt(Delta)), A = K1 (n0 + n2) -
+#   2 P N1 and Delta = R^2 - 4 P^2 = K1 (K1 - 4 P); (z d/dz)^2 F at z = 1
+#   gives sum_d d^2 [z^d] F = A / K1^2, the same with Delta = K1^2.  So
+#   both are [X^t] of (n0 + n2) Y - 2 P N1 Y / K1 with Y = Delta^(-1/2) =
+#   K1^(-1) sum_k binom(2k, k) (P / K1)^k, which is integral.
+# - A palindromic-type row scores d mod 2, (F_t(1) - F_t(-1)) / 2, with
+#   F_t(1) = e_0 M^(s t) w and F_t(-1) = e_0 (N - 2 E_xy)^t w.
+def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]]:
+    """The one exact residual: per row, sum_d |d| p_t(d) and
+    sum_d d^2 p_t(d), with p_t(d) the sum over the states i of
+    ``weights[i]`` times the number of sequences of t blocks of s letters,
+    from state 0, that end in state i and displace the class of the row
+    (a signature of ``_signature_groups``) by d; both are the sum over odd
+    d, the copies that cancellation leaves, if it is palindromic-type.
+    Read off the generating functions above in O(t) steps per kernel.
+    ValueError unless M^s has its closed form (``_block_power``), K1 is the
+    row-0 expansion of det A0 with the closed-form adjugate, [X^t] N1 / K1
+    is e_0 M^(s t) w, each kernel is palindromic, every division is exact
+    and the two totals of each row have the same parity.
     """
-    step = block_step(s)
-    periods = [0 if pal else 1 if x_m == y_m else 2 for _, _, x_m, y_m, pal in rows]
-    extra = max(1, *weights).bit_length()
-    final = -(-(s * t + extra) // 8) * 8
-    width, lo = 0, [0] * len(rows)
-    laws = [[1, 0, 0] for _ in rows]
-    ends = [1, 0, 0]
-    for k in range(t):
-        ends = step(ends)
-        new_width = _slot_width(s * (k + 1) + extra, width, final)
-        if new_width != width:
-            # The slots below must last to the block before the next width.
-            last = min(t, (new_width - extra) // s) - 1
-            for g, row in enumerate(laws):
-                new_lo = (-last // periods[g] if periods[g] else 0) - 1
-                _regrid(row, width or new_width, new_width, lo[g] - new_lo)
-                lo[g] = new_lo
-            width = new_width
-        for g, (x, y, x_m, y_m, pal) in enumerate(rows):
-            before = laws[g]
-            after = step(before)
-            m = before[x]
-            after[y] += (m << width) - m
-            if not pal:
-                m = before[x_m]
-                after[y_m] += (m >> width) - m
-            laws[g] = after
-
-    width = width or final  # t = 0: no block set a width
-    total = sum(map(operator.mul, weights, ends))
-    decoded = []
-    for row, low in zip(laws, lo):
-        law = _slots(sum(map(operator.mul, weights, row)), width, t + 1 - low)
-        if law is None or sum(law) != total:
-            raise ValueError(f"a displacement law at s={s}, t={t} overflowed "
-                             f"its slots of {width} bits")
-        decoded.append([0] * (t + low) + law)
-    return decoded
-
-
-def residual_totals(s: int, t: int, rows, weights, powers=(1,)) -> list[list[int]]:
-    """The one exact residual: per power p in ``powers``, each row's law of
-    ``displacement_laws(s, t, rows, weights)`` summed against |d|^p, or
-    against d mod 2 for a palindromic-type row, the copies of the class
-    that cancellation leaves (``residual_count``) or their p-th power.
-    The laws are run and decoded once, whatever the powers."""
-    laws = displacement_laws(s, t, rows, weights)
-    shifts = range(-t, t + 1)
-    parity = [d & 1 for d in shifts]
-    return [[sum(map(operator.mul, law, parity if row[4] else scores))
-             for law, row in zip(laws, rows)]
-            for scores in ([abs(d) ** p for d in shifts] for p in powers)]
+    bulk, sign = _block_power(s)
+    n = _power_matrix(bulk, sign)
+    power = 1 << s
+    k1 = [1, -power - 1 - sign, power * (1 + sign) + sign, -power * sign]
+    adjugate = [[(e, bulk - f - power * e, power * f - bulk) for e, f in zip(*rows)]
+                for rows in zip(_I, _I if sign > 0 else _J)]
+    moved = [sum(map(operator.mul, n[0], terms))
+             for terms in zip(*(row[0] for row in adjugate))]
+    if [a - b for a, b in zip((*adjugate[0][0], 0), (0, *moved))] != k1:
+        raise ValueError(f"det(I - X M^{s}) differs from its row-0 expansion")
+    n1 = [sum(map(operator.mul, weights, terms)) for terms in zip(*adjugate[0])]
+    squares = _series_tails(s, t, _poly_mul(k1, k1), n1, k1)
+    total = sum(map(operator.mul, _closed_form(s * t)[0], weights))
+    if sum(map(operator.mul, n1, squares[0])) != total:
+        raise ValueError(f"the kernel's weighted total at s={s}, t={t} differs "
+                         f"from e_0 M^{s * t} w")
+    step = block_step(s) if any(row[4] for row in rows) else None
+    series = {}
+    abs_totals, square_totals = [], []
+    for x, y, x_m, y_m, pal in rows:
+        if pal:
+            flipped = [1, 0, 0]
+            for _ in range(t):
+                flipped, before = step(flipped), flipped
+                flipped[y] -= 2 * before[x]
+            odd, rest = divmod(total - sum(map(operator.mul, flipped, weights)), 2)
+            if rest:
+                raise ValueError(f"a palindromic-type row at s={s}, t={t} has an "
+                                 "odd parity difference")
+            abs_totals.append(odd)
+            square_totals.append(odd)
+            continue
+        a0, a1, a2 = adjugate[y][x]
+        if adjugate[y_m][x_m] != (a0, a1, a2):
+            raise ValueError(f"the kernel of row {(x, y, x_m, y_m)} at s={s} "
+                             "is not palindromic")
+        p = [0, -a0, -a1, -a2]
+        m = [0, 0, 0]  # n0 + n2: -X times the cofactors with column 0 replaced by w
+        for i, j in ((x, y), (x_m, y_m)):
+            if j:
+                r1, r2 = (1, 2) if i == 0 else (0, 3 - i)
+                c, turn = 3 - j, -1 if (i + j) % 2 else 1
+                m[1] -= turn * (weights[r1] * (r2 == c) - weights[r2] * (r1 == c))
+                m[2] -= turn * (weights[r2] * n[r1][c] - weights[r1] * n[r2][c])
+        if x != x_m and y != y_m:  # the mixed second derivatives
+            turn = 1 if (y - x) % 3 == (y_m - x_m) % 3 else -1
+            x_o, y_o = 3 - x - x_m, 3 - y - y_m
+            p[2] -= turn * (x_o == y_o)
+            p[3] += turn * n[x_o][y_o]
+            if y and y_m:
+                m[2] -= 2 * turn * weights[x_o]
+        key = tuple(p)
+        if key not in series:
+            delta = _poly_mul(k1, [k - 4 * q for k, q in zip(k1, p)])
+            series[key] = _series_tails(s, t, delta, n1, k1)
+        (ys, vs), (zs, us) = series[key], squares
+        first = sum(map(operator.mul, m, ys)) - 2 * sum(map(operator.mul, p, vs))
+        second = sum(map(operator.mul, m, zs)) - 2 * sum(map(operator.mul, p, us))
+        if (first - second) % 2:
+            raise ValueError(f"row {(x, y, x_m, y_m)} at s={s}, t={t} has sums of "
+                             "|d| and d^2 of different parity")
+        abs_totals.append(first)
+        square_totals.append(second)
+    return abs_totals, square_totals
 
 
 def _check_walk_domain(s: int, t: int) -> None:
@@ -696,7 +745,7 @@ def per_class_moments(s: int, t: int) -> list[tuple[tuple, int, Fraction, Fracti
     _check_walk_domain(s, t)
     budget.check_walk(s, t)
     rows, sizes = _signature_groups(s)
-    abs_totals, square_totals = residual_totals(s, t, rows, (1, 1, 1), (1, 2))
+    abs_totals, square_totals = residual_totals(s, t, rows, (1, 1, 1))
     total = 1 << (s * t)
     return [(row, n, Fraction(a, total), Fraction(q, total))
             for row, n, a, q in zip(rows, sizes, abs_totals, square_totals)]
@@ -710,7 +759,7 @@ def verify_abs_means(s: int, t: int) -> bool:
 
 def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
     """``exact_expected_distance(s, t)`` and ``verify_abs_means(s, t)``
-    from one run of the walk DP, in integers until the one fraction: with
+    from one exact-residual call, in integers until the one fraction: with
     E|D_w| = a / 2^(s t), the abs-mean bound is a^2 2^s <= 4 t 2^(2 s t).
     With no block every displacement is 0, at any s: no M^s is built."""
     _check_walk_domain(s, t)
@@ -718,7 +767,7 @@ def exact_walk_cell(s: int, t: int) -> tuple[Fraction, bool]:
         return Fraction(0), True
     budget.check_walk(s, t)
     rows, sizes = _signature_groups(s)
-    abs_totals, = residual_totals(s, t, rows, (1, 1, 1))
+    abs_totals, _ = residual_totals(s, t, rows, (1, 1, 1))
     expected = Fraction(sum(n * a for n, a in zip(sizes, abs_totals)), 1 << (s * t))
     bound = 4 * t << 2 * s * t
     return expected, all(a * a << s <= bound for row, a in zip(rows, abs_totals)

@@ -297,8 +297,8 @@ def test_closed_stdout_ends_quietly():
      "need --s >= 1 and --t >= 0"),
     (("g4", "--word", EXAMPLE_WORD, "--format", "csv"),
      "--format csv applies to --c only"),
-    (("walk-sim", "--s", "2048", "--t", "0", "--exact"),
-     "the walk bound 3 sqrt(2^s t) + p at s=2048, t=0 exceeds the float range"),
+    (("walk-sim", "--s", "2048", "--t", "1"),
+     "the walk bound 3 sqrt(2^s t) + p at s=2048, t=1 exceeds the float range"),
     (("walk-sim", "--s", "2046", "--t", "1"),
      "the walk bound 3 sqrt(2^s t) + p at s=2046, t=1 exceeds the float range"),
 ])
@@ -439,6 +439,18 @@ def test_walk_sim_exact_prints_a_mean_past_the_digit_limit(lift_digit_limit):
     assert printed == markov.exact_expected_distance(1498, 10)
 
 
+def test_g4_prints_a_word_count_past_the_digit_limit(lift_digit_limit):
+    # The exact mean reaches c = 20001, whose word count has more digits
+    # than str prints by default.
+    result = invoke("g4", "--c", "20001")
+    assert result.exit_code == 0, result.stderr
+    lift_digit_limit()
+    payload = json.loads(result.output)
+    assert len(str(payload["words"])) > 4300
+    assert payload["words"] == words.word_count(20001)
+    assert Fraction(payload["mean_upper"]) == cobordism.average_g4_row(20001, 5).mean_upper
+
+
 def test_g4_single_word_report():
     result = invoke("g4", "--word", EXAMPLE_WORD, "--s", "3")
     assert result.exit_code == 0
@@ -470,7 +482,7 @@ def test_g4_aggregate_below_bound():
 
 
 def test_g4_aggregate_refuses_huge_c():
-    result = invoke("g4", "--c", "3147")
+    result = invoke("g4", "--c", "66443")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
@@ -536,11 +548,22 @@ def test_walk_sim_exact_reads_no_tables(monkeypatch):
 
 
 def test_walk_sim_exact_over_budget():
-    result = invoke("walk-sim", "--s", "4", "--t", "1000", "--exact")
+    result = invoke("walk-sim", "--s", "4", "--t", "11885", "--exact")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert "--exact" in result.stderr
+
+
+@pytest.mark.parametrize("s, t, mean", [("2046", "1", "1/1"), ("2048", "1", "1/1"),
+                                         ("2048", "0", "0/1")])
+def test_walk_sim_exact_past_the_float_range(s, t, mean):
+    # From s = 2046 the bound 3 sqrt(2^s t) + p is no float: the exact walk
+    # prints it as null and decides the verdict exactly.
+    result = invoke("walk-sim", "--s", s, "--t", t, "--exact")
+    assert result.exit_code == 0, result.stderr
+    payload = json.loads(result.output)
+    assert (payload["mean_exact"], payload["bound"], payload["pass"]) == (mean, None, True)
 
 
 def test_walk_sim_rejects_one_trial():

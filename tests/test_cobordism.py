@@ -47,7 +47,7 @@ from twobridge.words import (
 
 import object_walk_dp
 from test_diagram import orientation_after, strand_permutation
-from test_markov import letter_steps, reference_arguments
+from test_markov import letter_steps, oracle_laws, reference_arguments, scored_laws
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 
@@ -666,13 +666,13 @@ def test_summand_table_matches_mirror_analysis():
         assert set(table.weights) <= set(markov._signature_groups(s)[0]), s
 
 
-def test_packed_g4_laws_match_object_array_oracle():
-    # The mean's residual laws, one row per signature over the three
-    # orientation states, against the DP on object arrays that the packed
-    # one replaced, run over the nine (orientation state, interior length
-    # mod 3) states with s letter steps per block and summed over the
-    # lengths.  Only the length that the state fixes holds any count.  At
-    # s = 3 blocks start at both position parities.
+def test_g4_residual_matches_object_array_oracle():
+    # The mean's residual totals, one row per signature over the three
+    # orientation states, against the DP on object arrays run over the nine
+    # (orientation state, interior length mod 3) states with s letter steps
+    # per block and summed over the lengths.  Only the length that the
+    # state fixes holds any count.  At s = 3 blocks start at both position
+    # parities.
     for s in (3, 4):
         keys = list(cobordism._summand_table(s).weights)
         moves = nine_state_moves(s, keys)
@@ -685,36 +685,54 @@ def test_packed_g4_laws_match_object_array_oracle():
             for state in range(3):
                 length = cobordism._length(state + 1, s * t)
                 assert not np.delete(nine[:, state], length, axis=1).any(), (s, t, state)
-                weights = [int(i == state) for i in range(3)]
-                laws = markov.displacement_laws(s, t, keys, weights)
-                assert laws == nine[:, state, length].tolist(), (s, t, state)
+            laws = np.stack([nine[:, state, cobordism._length(state + 1, s * t)]
+                             for state in range(3)], axis=1)
+            for weights in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 5, 3)]:
+                assert markov.residual_totals(s, t, keys, weights) == \
+                    scored_laws(laws, keys, weights), (s, t, weights)
+
+
+def oracle_residual_totals(s, t, rows, weights):
+    """``markov.residual_totals`` read off the object-array DP's laws."""
+    return scored_laws(oracle_laws(s, t, rows), rows, weights)
+
+
+def test_mean_matches_the_oracle_residual(monkeypatch):
+    # The mean with its residual read off the object-array DP, at the
+    # default block size, equals the mean with the kernel's.
+    c_values = [*range(3, 201), 1000, 2000]
+    expected = [average_g4_row(c, choose_block_size(c)) for c in c_values]
+    monkeypatch.setattr(markov, "residual_totals", oracle_residual_totals)
+    assert [average_g4_row(c, choose_block_size(c)) for c in c_values] == expected
 
 
 def test_mean_steps_with_the_walk_block_step(monkeypatch):
-    # The mean builds the walk's block step twice, for its cores and for
-    # its one residual call (|d| only): patched to s letter steps through
-    # the module, both give the same means.
+    # The mean steps its cores with the walk's block step, and its one
+    # residual call steps its palindromic-type rows with it too: patched to
+    # s letter steps through the module, both give the same means.
     c_s = [(7, 1), (60, 2), (61, 3), (120, 6), (200, 3)]
     expected = [average_g4_row(c, s) for c, s in c_s]
     built, calls = [], []
     residual_totals = markov.residual_totals
 
-    def spied_totals(s, t, rows, weights, powers=(1,)):
-        calls.append(tuple(powers))
-        return residual_totals(s, t, rows, weights, powers)
+    def spied_totals(s, t, rows, weights):
+        calls.append(s)
+        return residual_totals(s, t, rows, weights)
 
     monkeypatch.setattr(markov, "block_step", lambda s: built.append(s) or letter_steps(s))
     monkeypatch.setattr(markov, "residual_totals", spied_totals)
     assert [average_g4_row(c, s) for c, s in c_s] == expected
-    assert built == [s for _, s in c_s for _ in range(2)]
-    assert calls == [(1,)] * len(c_s)
+    assert built == [s for _, s in c_s for _ in range(1 + (s % 2 == 0))]
+    assert calls == [s for _, s in c_s]
 
 
-def test_residual_overflow_refused_under_optimize_flag():
-    # Slots of 8 bits cannot hold the mean's weighted counts at c = 60,
-    # s = 2: the decoded laws no longer sum to e_0 N^t w.
+def test_residual_invariant_refused_under_optimize_flag():
+    # The mean's residual must give e_0 M^(s t) w with its weights, the
+    # core endings, at c = 60, s = 2 (t = 28): a wrong M^56 is refused
+    # with no assert.
     code = ("from twobridge import cobordism, markov\n"
-            "markov._slot_width = lambda bits, width, final: 8\n"
+            "real = markov._closed_form\n"
+            "markov._closed_form = lambda n: real(n + (n == 56))\n"
             "try:\n"
             "    cobordism.average_g4_row(60, 2)\n"
             "except ValueError as refused:\n"
@@ -726,7 +744,7 @@ def test_residual_overflow_refused_under_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
-        "a displacement law at s=2, t=28 overflowed its slots of 8 bits"
+        "the kernel's weighted total at s=2, t=28 differs from e_0 M^56 w"
 
 
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
@@ -765,10 +783,10 @@ def test_g4_work_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cobordism, "_summand_table", build)
     check_g4(1000, 3)
-    with pytest.raises(BudgetError, match=r"c=3147, s=4.*walk_work"):
-        check_g4(3147, 4)
+    with pytest.raises(BudgetError, match=r"c=66443, s=5.*kernel_work"):
+        check_g4(66443, 5)
     start = time.perf_counter()
-    for c, s in ((3147, 4), (80, 39)):
+    for c, s in ((66443, 5), (80, 39)):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
@@ -803,24 +821,20 @@ def test_interior_length_check_survives_optimize_flag():
                                    "interior length of its end state")
 
 
-def test_g4_budget_charges_the_law_rows(monkeypatch):
-    # The mean DP runs one row per signature of the classes with at least 2
-    # repaired crossings: the rows, and the palindromic-type ones among
-    # them, that its charge assumes.
-    charged = []
-    with monkeypatch.context() as patch:
-        patch.setattr(budget, "_dp_work", lambda s, t, *rows: charged.append(rows) or 0)
-        for s in range(1, 11):
-            check_g4(100, s)
-    assert len(charged) == 10
-    for s, rows in enumerate(charged, 1):
+def test_g4_budget_charges_the_law_rows():
+    # The mean runs one row per signature of the classes with at least 2
+    # repaired crossings: signature groups of the walk, so the walk's
+    # charge, one series per non-palindromic row, covers them.
+    for s in range(1, 11):
         keys = cobordism._summand_table(s).weights
-        assert rows == (len(keys), sum(key[4] for key in keys)), s
-    # The largest mean row at the default s, 4 from c = 1000 on.
-    assert choose_block_size(3146) == choose_block_size(3147) == 4
-    check_g4(3146, 4)
-    with pytest.raises(BudgetError, match=r"c=3147, s=4"):
-        check_g4(3147, 4)
+        rows, palindromic = _walk_groups(s)
+        assert set(keys) <= set(markov._signature_groups(s)[0]), s
+        assert sum(not key[4] for key in keys) <= rows - palindromic, s
+    # The largest mean row at the default s, 5 from c = 10001 on.
+    assert choose_block_size(66442) == choose_block_size(66443) == 5
+    check_g4(66442, 5)
+    with pytest.raises(BudgetError, match=r"c=66443, s=5"):
+        check_g4(66443, 5)
 
 
 def test_g4_budget_admits_what_the_nine_state_charge_admitted():

@@ -24,7 +24,7 @@ from twobridge.budget import (
     check_markov,
     check_monte_carlo,
     check_walk,
-    walk_work,
+    kernel_work,
 )
 from twobridge.cobordism import OrientedWord, cancel_mirrors
 from twobridge.diagram import S3, STATE_AFTER, s3_index
@@ -36,7 +36,6 @@ from twobridge.markov import (
     _signature_groups,
     _tables,
     contraction_gap,
-    displacement_laws,
     distance_bound,
     distance_bound_holds,
     exact_expected_distance,
@@ -497,7 +496,7 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
         monkeypatch.setattr(markov, "_signature_groups", lambda s: (
             [(0, 0, 2, 2, pal) for pal in pals], [1] * len(pals)))
         monkeypatch.setattr(markov, "residual_totals",
-                            lambda s, t, rows, weights, powers=(1,): [abs_totals])
+                            lambda s, t, rows, weights: (abs_totals, abs_totals))
         return markov.exact_walk_cell(s, t)[1]
 
     for s, t in [(1, 1), (2, 3), (4, 100), (7, 2)]:
@@ -563,43 +562,84 @@ def reference_arguments(moves):
     return side(0), side(1), pal
 
 
-def test_packed_laws_match_object_array_oracle():
-    # Every law of every walk cell with s t <= 40, state by state, and the
-    # sum over the states at (4, 100), (79, 100) and past the block size
-    # where the block step divides, against the DP on object arrays that
-    # the packed one replaced (at s = 1, its letter step).
-    cells = [(s, t) for s in range(1, 41) for t in range(1, 40 // s + 1)]
-    for s, t in [*cells, (4, 100), (79, 100), (markov._DIVIDE_S, 5), (301, 4)]:
-        if s == 1:
-            oracle_step = object_walk_dp.letter_steps(1, (LETTER_SOURCES,) * 2)
-        else:
-            oracle_step = object_walk_dp._block_step(s)
+def oracle_laws(s, t, rows, oracle_step=None):
+    """The object-array DP's laws of the rows, by state: its block step is
+    the reference's closed form, or ``oracle_step``."""
+    return object_walk_dp.displacement_laws(s, t, oracle_step or object_walk_dp._block_step(s),
+                                            *reference_arguments(parity_moves(rows)))
+
+
+def scored_laws(laws, rows, weights):
+    """Per row, the sums of |d| and of d^2 over the weighted laws (d mod 2
+    for both if palindromic-type): the oracle of ``markov.residual_totals``."""
+    t = laws.shape[2] // 2
+    weighted = (laws * np.array(weights, dtype=object)[:, None]).sum(axis=1)
+    d = np.arange(-t, t + 1)
+    pal = np.array([bool(row[4]) for row in rows])[:, None]
+    return tuple((weighted * np.where(pal, d & 1, score)).sum(axis=1).tolist()
+                 for score in (np.abs(d), d * d))
+
+
+def test_kernel_matches_object_array_oracle():
+    # Both totals of every row at every cell with s <= 8 and s t <= 200, for
+    # four weight vectors, and of every cell with s t <= 40 for s up to 40,
+    # (4, 100), (79, 100) and past the block size where the block step
+    # divides, against the displacement laws of the DP on object arrays
+    # (at s = 1, its letter step).
+    weight_sets = [(1, 1, 1), (1, 0, 2), (0, 3, 1), (2, 5, 3)]
+    cells = {(s, t) for s in range(1, 9) for t in range(0, 200 // s + 1)}
+    cells |= {(s, t) for s in range(9, 41) for t in range(0, 40 // s + 1)}
+    cells |= {(4, 100), (79, 100), (markov._DIVIDE_S, 5), (301, 4)}
+    for s, t in sorted(cells):
+        step = object_walk_dp.letter_steps(1, (LETTER_SOURCES,) * 2) if s == 1 else None
         rows = walk_dp_rows(s)
-        expected = object_walk_dp.displacement_laws(s, t, oracle_step,
-                                                    *reference_arguments(parity_moves(rows)))
-        for weights in ([(1, 1, 1)] if s * t > 40 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            laws = displacement_laws(s, t, rows, weights)
-            assert laws == (expected * np.array(weights)[:, None]).sum(axis=1).tolist(), \
-                (s, t, weights)
+        laws = oracle_laws(s, t, rows, step)
+        for weights in weight_sets if s <= 8 else weight_sets[:1]:
+            assert markov.residual_totals(s, t, rows, weights) == \
+                scored_laws(laws, rows, weights), (s, t, weights)
 
 
-def test_slot_overflow_refused_under_optimize_flag():
-    # Slots of 8 bits cannot hold the counts of (4, 3), up to 2^12: the
-    # decoded laws no longer sum to 2^(s t).
-    code = ("from twobridge import markov\n"
-            "markov._slot_width = lambda bits, width, final: 8\n"
-            "try:\n"
-            "    markov.exact_expected_distance(4, 3)\n"
-            "except ValueError as refused:\n"
-            "    print(refused)\n")
+@pytest.mark.parametrize("patch, call, message", [
+    ("real = markov._poly_mul\n"
+     "markov._poly_mul = lambda a, b: [v + (i == 0) for i, v in enumerate(real(a, b))]",
+     "markov.exact_expected_distance(3, 2)",
+     "a kernel discriminant at s=3 is 2 at X = 0, not 1"),
+    ("real = markov._block_power\n"
+     "markov._block_power = lambda s: (real(s)[0] + 1, real(s)[1])",
+     "markov.exact_expected_distance(3, 2)",
+     "det(I - X M^3) differs from its row-0 expansion"),
+    ("", "markov._series_tails(1, 3, (1, 1), (1, 0, 0), (1, 0, 0, 0))",
+     "a kernel series division at s=1, X^1 is not exact"),
+    ("real = markov._closed_form\n"
+     "markov._closed_form = lambda n: real(n + (n == 6))",
+     "markov.exact_expected_distance(3, 2)",
+     "the kernel's weighted total at s=3, t=2 differs from e_0 M^6 w"),
+    ("real, calls = markov._series_tails, []\n"
+     "def odd(*args):\n"
+     "    ys, vs = real(*args)\n"
+     "    calls.append(args)\n"
+     "    return (ys if len(calls) == 1 else [ys[0], ys[1] + 1, ys[2]]), vs\n"
+     "markov._series_tails = odd",
+     "markov.exact_expected_distance(4, 2)",
+     "row (0, 0, 2, 2) at s=4, t=2 has sums of |d| and d^2 of different parity"),
+], ids=["discriminant", "expansion", "division", "total", "parity"])
+def test_kernel_invariant_refused_under_optimize_flag(patch, call, message):
+    # Each invariant of the kernel raises ValueError with no assert: a
+    # discriminant other than 1 at X = 0 (the squares' series, the first,
+    # is broken here), K1 against the row-0 expansion with the closed-form
+    # adjugate (a wrong c_s), an inexact division ((1 + X)^(-1/2) has
+    # halves), [X^t] N1 / K1 against e_0 M^(s t) w (a wrong M^6), and the
+    # parity of the two totals per row (Y_(t-1) off by one in every kernel
+    # series but the squares').
+    code = (f"from twobridge import markov\n{patch}\n"
+            f"try:\n    {call}\nexcept ValueError as refused:\n    print(refused)\n")
     src = str(Path(markov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
-        "a displacement law at s=4, t=3 overflowed its slots of 8 bits"
+    assert proc.stdout.strip() == message
 
 
 def test_wrong_block_power_refused_under_optimize_flag():
@@ -641,7 +681,7 @@ def test_exact_distance_basics():
     assert exact_expected_distance(1, 0) == 0
     assert exact_expected_distance(1, 1) == 1
     assert exact_expected_distance(2, 3) == Fraction(45, 16)
-    # No block: every displacement is 0, and the DP decodes its one slot.
+    # No block: every displacement is 0, and so is every total.
     assert markov.exact_walk_cell(2, 0) == (0, True)
     assert {(a, q) for _, _, a, q in per_class_moments(3, 0)} == {(0, 0)}
     with pytest.raises(ValueError, match="block size"):
@@ -663,43 +703,47 @@ def test_walk_work_charges_the_dp_rows():
 def test_budgets_admit_what_the_slower_paths_admitted():
     # The largest requests admitted when the walk DP stepped letter by
     # letter, when the signature groups were counted by an S3 block-count
-    # DP, and when the Markov checks multiplied fractions stay admitted.
+    # DP, when the laws were packed into one int per state (the largest t
+    # at s = 1, 4, 5, 7 and 150 and the largest s at t = 1) and when the
+    # Markov checks multiplied fractions stay admitted.
     for s, t in [(1, 2174), (2, 976), (3, 841), (4, 499), (5, 608), (6, 387),
                  (7, 490), (8, 322), (79, 101), (1498, 10), (29547, 1), (45367, 1),
-                 (191027, 1)]:
+                 (191027, 1), (1, 2215), (4, 785), (5, 977), (7, 884), (150, 225),
+                 (780895, 1), (493662, 1)]:
         check_walk(s, t)
     # At t = 1 the largest admitted s, odd and even (an even s runs more
-    # signature groups), and the next s of each parity refused.
-    for s in (780895, 493662):
+    # palindromic-type rows), and the next s of each parity refused.
+    for s in (1207519, 893024):
         check_walk(s, 1)
-        with pytest.raises(BudgetError, match="walk_work"):
+        with pytest.raises(BudgetError, match="kernel_work"):
             check_walk(s + 2, 1)
     # The Markov checks also keep the largest requests admitted when each
     # block was charged a whole unit, and admit s up to 23.
     for s, kmax in [(1, 8191), (6, 1365), (18, 227), (1, 30783), (6, 6588),
                     (18, 1568), (23, 1233)]:
         check_markov(s, kmax)
-    with pytest.raises(BudgetError, match="walk_work"):
-        check_walk(4, 1000)
+    check_walk(4, 11884)
+    with pytest.raises(BudgetError, match="kernel_work"):
+        check_walk(4, 11885)
     for s, kmax in [(6, 10 ** 4), (23, 1234), (24, 1)]:
         with pytest.raises(BudgetError, match="markov_work"):
             check_markov(s, kmax)
 
 
 def test_exact_distance_budget():
-    # The walk DP's budget is the one charge of the exact walk values.
-    assert walk_work(4, 1000) > WALK_WORK_BUDGET
+    # The exact residual's budget is the one charge of the exact walk values.
+    assert kernel_work(4, 11885) > WALK_WORK_BUDGET
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        exact_expected_distance(4, 1000)
+        exact_expected_distance(4, 11885)
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        per_class_moments(4, 1000)
+        per_class_moments(4, 11885)
 
 
 def test_huge_block_size_refused_before_work():
     # The budgets refuse before any 2^s is built: the walk's charges no
     # table, and Monte Carlo's refuses its table on the bit length of s.
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"exact walk at s=10000000000, t=1 .*walk_work"):
+    with pytest.raises(BudgetError, match=r"exact walk at s=10000000000, t=1 .*kernel_work"):
         per_class_moments(10 ** 10, 1)
     with pytest.raises(BudgetError, match=r"s=10000000000, t=1, trials=2.*2\^10000000001"):
         monte_carlo_distance(10 ** 10, 1, 2)
@@ -707,7 +751,7 @@ def test_huge_block_size_refused_before_work():
 
 
 def test_walk_without_blocks_is_charged_one_block(monkeypatch):
-    # The groups and the block step are built at t = 0 too, so the budget
+    # The groups and the closed forms are built at t = 0 too, so the budget
     # charges t = 0 as t = 1, and refuses a huge s before any closed form.
     def refuse(s):
         raise AssertionError(f"the signature groups were built at s={s}")
@@ -715,14 +759,14 @@ def test_walk_without_blocks_is_charged_one_block(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(markov, "_signature_groups", refuse)
         start = time.perf_counter()
-        for s in (10 ** 10, 10 ** 6):
-            with pytest.raises(BudgetError, match=rf"s={s}, t=0 .*walk_work"):
+        for s in (10 ** 10, 2 * 10 ** 6):
+            with pytest.raises(BudgetError, match=rf"s={s}, t=0 .*kernel_work"):
                 per_class_moments(s, 0)
         assert time.perf_counter() - start < 1
     # t = 0 is admitted exactly as far as t = 1, at either parity.
-    for s in (780895, 493662):
+    for s in (1207519, 893024):
         check_walk(s, 0)
-        with pytest.raises(BudgetError, match="walk_work"):
+        with pytest.raises(BudgetError, match="kernel_work"):
             check_walk(s + 2, 0)
     assert all(q == a == 0 for _, _, a, q in per_class_moments(7, 0))
 
@@ -756,24 +800,24 @@ def test_exact_walk_cell_is_both_verdicts_from_one_dp(monkeypatch):
         for t in range(1, 12 // s + 1):
             assert markov.exact_walk_cell(s, t) == (
                 exact_expected_distance(s, t), verify_abs_means(s, t)), (s, t)
-    # check_walk runs the walk DP once per cell of its grid, and scores
-    # |d| alone; per_class_moments is the one caller that also scores d^2.
+    # check_walk runs the exact residual once per cell of its grid, and so
+    # does each of the three calls below, per_class_moments included.
     cells = []
     residual_totals = markov.residual_totals
 
-    def counted(s, t, rows, weights, powers=(1,)):
-        cells.append((s, t, tuple(powers)))
-        return residual_totals(s, t, rows, weights, powers)
+    def counted(s, t, rows, weights):
+        cells.append((s, t))
+        return residual_totals(s, t, rows, weights)
 
     monkeypatch.setattr(markov, "residual_totals", counted)
     passed, _ = checks.check_walk(8)
-    grid = [(s, t, (1,)) for s in range(1, 9) for t in range(1, 8 // s + 1)]
-    assert passed and cells == [*grid, (4, 100, (1,))]
+    grid = [(s, t) for s in range(1, 9) for t in range(1, 8 // s + 1)]
+    assert passed and cells == [*grid, (4, 100)]
     cells.clear()
     assert markov.exact_walk_cell(3, 2) == (exact_expected_distance(3, 2),
                                             verify_abs_means(3, 2))
     per_class_moments(3, 2)
-    assert cells == [(3, 2, (1,))] * 3 + [(3, 2, (1, 2))]
+    assert cells == [(3, 2)] * 4
 
 
 def test_signature_groups_cover_every_oriented_block():
@@ -904,11 +948,12 @@ def test_per_class_moments_admitted_at_s_20():
     assert sum(n * a for _, n, a, _ in moments) == exact_expected_distance(20, 1) == 1
 
 
-def test_ungrouped_laws_match_grouped_moments(monkeypatch):
+def test_ungrouped_laws_match_grouped_moments():
     # One DP row per summand class, with no signature grouping: each row
     # moves its class's own ids and its mirror's, read off the walk tables,
-    # and the block step is s letter steps built from orientation_after.
-    # Classes and their groups are the per-bit reference's.
+    # in the object-array DP whose block step is s letter steps built from
+    # orientation_after.  Classes and their groups are the per-bit
+    # reference's.
     for s in (1, 2, 3):
         tables = _tables(s)
         reference = reference_tables(s)
@@ -920,18 +965,15 @@ def test_ungrouped_laws_match_grouped_moments(monkeypatch):
         assert (mirrors == classes).tolist() == pal.tolist()
         rows = [(c >> s, next_state[c] - 1, m >> s, next_state[m] - 1, p)
                 for c, m, p in zip(classes.tolist(), mirrors.tolist(), pal.tolist())]
+        step = object_walk_dp.letter_steps(s, (LETTER_SOURCES,) * 2)
         for t in (1, 2, 3, 8, 21, 60):
-            with monkeypatch.context() as patch:
-                patch.setattr(markov, "block_step", letter_steps)
-                law = np.array(displacement_laws(s, t, rows, (1, 1, 1)), dtype=object)
-            d = np.arange(-t, t + 1)
-            count = np.where(pal[:, None], d & 1, np.abs(d))
+            abs_totals, square_totals = scored_laws(oracle_laws(s, t, rows, step),
+                                                    rows, (1, 1, 1))
             expected = {
                 class_word(s, c).serialize(): (bool(p), Fraction(a, 1 << (s * t)),
                                                Fraction(q, 1 << (s * t)))
                 for c, p, a, q in zip(classes.tolist(), pal.tolist(),
-                                      (law * count).sum(axis=1).tolist(),
-                                      (law * count * count).sum(axis=1).tolist())}
+                                      abs_totals, square_totals)}
             moments = per_class_moments(s, t)
             grouped = {}
             for c, g in zip(classes.tolist(), reference["class_group"].tolist()):
@@ -1176,7 +1218,7 @@ def test_monte_carlo_matches_exact():
 @pytest.mark.parametrize("s, t", [(3, 333), (2, 500)])
 def test_monte_carlo_matches_exact_past_enumeration(s, t):
     # Far past the 2^(s t) enumeration, sampling is the exact DP's check.
-    assert walk_work(s, t) <= WALK_WORK_BUDGET
+    assert kernel_work(s, t) <= WALK_WORK_BUDGET
     exact = exact_expected_distance(s, t)
     mean, stderr = monte_carlo_distance(s, t, 4000, seed=t)
     assert stderr > 0
