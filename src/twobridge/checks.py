@@ -260,7 +260,7 @@ def check_walk(budget_c: int | None = None) -> tuple[bool, str]:
     if mean - 3 * stderr > markov.distance_bound(4, 100):
         return False, "Monte Carlo mean exceeds bound beyond 3 sigma"
     long_detail = "".join(f", s={s} t={t}" for s, t in long_walks)
-    return True, (f"exact (transfer DP) s*t <= {grid}{long_detail}; s=4, t=100: MC mean "
+    return True, (f"exact (kernel series) s*t <= {grid}{long_detail}; s=4, t=100: MC mean "
                   f"{mean:.2f} +- {stderr:.2f} vs exact {exact:.3f}, bound "
                   f"{markov.distance_bound(4, 100):.2f}")
 

@@ -191,12 +191,13 @@ def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> int:
         raise _Refusal("--format csv applies to --c only")
     if word is not None:
         try:
-            c_word = words.validate_word(word)
+            braid = words.to_braid(word)  # validates the word, once
         except ValueError as problem:
             raise _Refusal(f"invalid word: {problem}")
+        c_word = len(braid)
         block = s if s is not None else cobordism.choose_block_size(c_word)
         try:
-            report = cobordism.decompose(word, block)
+            report = cobordism.decompose(word, block, braid=braid)
         except ValueError as problem:
             raise _Refusal(problem)
         _echo_json({

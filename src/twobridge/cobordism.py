@@ -21,10 +21,20 @@ Each oriented block is analysed once per process.  ``_analyse_block`` is a
 ``functools.lru_cache`` memo keyed by (start state, letters) and bounded at
 2^12 records, enough for every block with s <= 10.  It holds only results
 of pure functions of its key: the block's ``OrientedWord``, end state,
-mirror class and link repair.  A check that raises caches nothing.
+mirror class, link repair, positive crossings from its start state and
+the signed step of its class (+1 or -1 within a mirror pair, a parity bit
+for a palindromic-type class).  A check that raises caches nothing.
 ``decompose`` and the mean DP's table read every block from it.  A table
 past s = 10 has more blocks than the memo holds and evicts what it cached;
 no command builds one in a process that then decomposes words.
+
+``decompose`` reads a word off its block records alone, with no diagram
+scan: one loop sums the saddles, the positive crossings and each class's
+net step in plain int dicts, and the remainder's at most s letters are
+walked on top.  Crossing 1 is walked from the diagram's start state
+(``diagram.start_state``) and must end in o1, as in every word diagram,
+which makes it negative.  With the count of 'a' for s_A that gives the
+signature s_A - c_plus - 1 and the lower bound |sigma| / 2.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the orientation states of the word cores, with no enumeration (see
@@ -47,7 +57,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import budget, markov
-from .diagram import COMPONENTS, CROSSING_PAIR, S3, metrics_for_braid, s3_index
+from .diagram import (COMPONENTS, CROSSING_PAIR, S3, all_A_circles, positive_crossings,
+                      s3_index, start_state)
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -68,7 +79,9 @@ _CUT_SADDLES = {1: 1, 2: 2, 3: 1}
 
 @dataclass(frozen=True)
 class OrientedWord:
-    """A braid-letter block together with the orientation state at its left cut."""
+    """A braid-letter block together with the orientation state at its left
+    cut.  ``end``, the state at its right cut, is read once, on creation:
+    the block analysis reads it several times."""
 
     start: int
     letters: str
@@ -78,10 +91,7 @@ class OrientedWord:
             raise ValueError(f"orientation state must be 1, 2 or 3, got {self.start}")
         if self.letters:
             validate_braid(self.letters)
-
-    @property
-    def end(self) -> int:
-        return S3[s3_index(self.letters)][self.start - 1]
+        object.__setattr__(self, "end", S3[s3_index(self.letters)][self.start - 1])
 
     def serialize(self) -> str:
         return f"o{self.start}:{self.letters}"
@@ -217,29 +227,45 @@ def _repair_costs(x: OrientedWord) -> tuple[int, int]:
     return 0, len(x.letters)
 
 
+# A summand's signed step in its class: its copies of a mirror pair add and
+# its mirror's subtract, while copies of a palindromic-type class cancel in
+# pairs (0 marks the parity bit).
+_SIGN = {"plus": 1, "minus": -1, "self_mirror": 0}
+
+
 @dataclass(eq=False, slots=True)
 class _BlockAnalysis:
     """An oriented block's summand, end state, mirror class and link repair
-    (saddle moves, repaired crossings).  Records compare by identity: the
-    memo hands out one record per (start, letters), and no caller writes
-    to one."""
+    (saddle moves, repaired crossings), its positive crossings read from
+    its start state, and the signed step of its class (``_SIGN``).
+    Records compare by identity: the memo hands out one record per
+    (start, letters), and no caller writes to one."""
 
     summand: OrientedWord
     end: int
     cls: SummandClass
     saddles: int
     crossings: int
+    positive: int
+    sign: int
 
 
 @functools.lru_cache(maxsize=1 << 12)
 def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
     """Analyse one oriented block, with every check of ``OrientedWord``,
-    ``summand_class`` and ``link_lemma_fix``.  The memo holds every block
-    with s <= 10; a check that raises caches nothing."""
+    ``summand_class`` and ``link_lemma_fix``, and count its positive
+    crossings by a ``STEP`` walk, which must end in the state its strand
+    permutation gives.  The memo holds every block with s <= 10; a check
+    that raises caches nothing."""
     x = OrientedWord(start, letters)
+    end = x.end
+    positive, walked = positive_crossings(start, letters)
+    if walked != end:
+        raise ValueError(f"block {x.serialize()} walks to o{walked}, but its "
+                         f"strand permutation ends it in o{end}")
     cls = summand_class(x)
     saddles, crossings = _repair_costs(x)
-    return _BlockAnalysis(x, x.end, cls, saddles, crossings)
+    return _BlockAnalysis(x, end, cls, saddles, crossings, positive, _SIGN[cls.polarity])
 
 
 def _remainder_is_link(state: int, remainder: str, closure: str) -> bool:
@@ -256,32 +282,27 @@ def _remainder_is_link(state: int, remainder: str, closure: str) -> bool:
 def cancel_mirrors(summands: list[OrientedWord] | tuple[OrientedWord, ...]
                    ) -> tuple[int, tuple[str, ...]]:
     """Cancel mirror-image summand pairs; return (count, residual keys)."""
-    return _cancel(Counter(map(summand_class, summands)))
+    net: dict[str, int] = {}
+    for cls in map(summand_class, summands):
+        n, sign = net.get(cls.key, 0), _SIGN[cls.polarity]
+        net[cls.key] = n + sign if sign else n ^ 1
+    residual = _residual(net)
+    return len(residual), residual
 
 
-def _cancel(classes: Counter[SummandClass]) -> tuple[int, tuple[str, ...]]:
-    """Cancel mirror pairs within a multiset of summand classes.
+def _residual(net: dict[str, int]) -> tuple[str, ...]:
+    """Sorted residual keys of the net signed steps of each class.
 
     A mirror pair's connected sum is slice, so opposite polarities within a
     class cancel and the class survives |plus - minus| times.  A
     palindromic-type oriented word is its own potential partner: two equal
-    copies cancel, so it survives its count mod 2.
+    copies cancel, so its net step is its count mod 2.
     """
-    displacement: Counter[str] = Counter()
-    parity: Counter[str] = Counter()
-    for cls, n in classes.items():
-        if cls.polarity == "self_mirror":
-            parity[cls.key] ^= n & 1
-        else:
-            displacement[cls.key] += n if cls.polarity == "plus" else -n
     residual: list[str] = []
-    for key, value in displacement.items():
-        residual.extend([key] * abs(value))
-    for key, bit in parity.items():
-        if bit:
-            residual.append(key)
+    for key, n in net.items():
+        residual += [key] * abs(n)
     residual.sort()
-    return len(residual), tuple(residual)
+    return tuple(residual)
 
 
 @dataclass(frozen=True)
@@ -320,55 +341,73 @@ class DecompositionReport:
                              "is empty")
 
 
-def decompose(word: str, s: int) -> DecompositionReport:
-    """Run the full saddle-move pipeline on one word at block size s."""
-    braid = to_braid(word)  # validates the word
+def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionReport:
+    """Run the full saddle-move pipeline on one word at block size s.
+
+    ``braid`` is ``to_braid(word)`` for a caller that has converted, and so
+    validated, the word already; without it the word is validated here.
+    Every block is read off its ``_analyse_block`` record: one loop sums
+    the saddles, the positive crossings and the signed class steps, and
+    the lower bound |sigma| / 2 comes from Traczyk's formula with the
+    remainder's few letters walked on top, with no diagram scan.
+    """
+    if braid is None:
+        braid = to_braid(word)  # validates the word
     c = len(braid)
     m = (c - 1) // 2
     j = c - 2 * m
     if not 1 <= s <= 2 * m - 1:
         raise ValueError(f"block size must satisfy 1 <= s <= {2 * m - 1}, got {s}")
-    core = braid[1:2 * m]
     t = (2 * m - 1) // s
     r = c - s * t
     if not 0 <= r - 1 - j <= s - 1:
         raise ValueError(f"remainder r={r} out of range for s={s}, j={j}")
+    # The word's diagram must close to a knot whose state right of crossing
+    # 1 is o1, where the first block starts; that makes crossing 1 negative.
+    closure = "A" if c % 2 == 1 else "B"
+    x0 = start_state(closure, s3_index(braid))
+    if x0 < 0:
+        raise ValueError("diagram is a link; cannot orient by one traversal")
+    positive, state = positive_crossings(x0 + 1, braid[0])
+    if state != 1:
+        raise ValueError(f"state right of crossing 1 must be o1, got o{state}")
 
     # One block record per cut, each block starting at the state its
-    # predecessor ends in.
-    state = 1
+    # predecessor ends in.  A class's net step is summed in ``net``, and its
+    # residual copies cost the repaired crossing count of its first summand
+    # (mirrors cost the same).
+    core = braid[1:2 * m]
     cut_states = [state]
-    blocks = []
+    summands = []
+    link_fix_saddles = 0
+    net: dict[str, int] = {}
+    crossings: dict[str, int] = {}
     for k in range(0, s * t, s):
         block = _analyse_block(state, core[k:k + s])
-        blocks.append(block)
+        summands.append(block.summand)
         state = block.end
         cut_states.append(state)
-    cut_saddles = sum(_CUT_SADDLES[q] for q in cut_states)
-    summands = tuple(block.summand for block in blocks)
-
-    # Each distinct block is charged per occurrence.  A class's residual
-    # copies cost the repaired crossing count of its first summand (mirrors
-    # cost the same).
-    classes: Counter[SummandClass] = Counter()
-    crossings: dict[str, int] = {}
-    link_fix_saddles = 0
-    for block, n in Counter(blocks).items():
-        classes[block.cls] += n
-        link_fix_saddles += n * block.saddles
-        crossings.setdefault(block.cls.key, block.crossings)
+        link_fix_saddles += block.saddles
+        positive += block.positive
+        key, sign = block.cls.key, block.sign
+        n = net.get(key)
+        if n is None:
+            crossings[key] = block.crossings
+            n = 0
+        net[key] = n + sign if sign else n ^ 1
+    cut_saddles = sum(map(_CUT_SADDLES.__getitem__, cut_states))
 
     remainder = braid[1 + t * s:]
     if not len(remainder) == r - 1 >= 1:
         raise ValueError(f"remainder {remainder!r} should hold r-1={r - 1} >= 1 "
                          "letters")
-    closure = "A" if c % 2 == 1 else "B"
     remainder_is_link = _remainder_is_link(state, remainder, closure)
     remainder_fix_saddles = int(remainder_is_link)
     remaining = r - 1 - remainder_fix_saddles
+    positive += positive_crossings(state, remainder)[0]
 
-    _, residual = _cancel(classes)
-    residual_crossings = tuple(crossings[key] for key in residual)
+    residual = _residual(net)
+    residual_crossings = tuple(map(crossings.__getitem__, residual))
 
     total_saddles = cut_saddles + link_fix_saddles + remainder_fix_saddles
     # Knot-to-knot cobordisms use an even number of saddle moves.
@@ -377,17 +416,17 @@ def decompose(word: str, s: int) -> DecompositionReport:
     upper = total_saddles // 2
     upper += sum(n // 2 for n in residual_crossings)
     upper += remaining // 2
-    lower = abs(metrics_for_braid(braid).signature) // 2
+    signature = all_A_circles(braid.count("a"), int(closure == "B")) - positive - 1
     return DecompositionReport(
         word=word, s=s, t=t, r=r,
         cut_states=tuple(cut_states), cut_saddles=cut_saddles,
-        summands=summands, link_fix_saddles=link_fix_saddles,
+        summands=tuple(summands), link_fix_saddles=link_fix_saddles,
         remainder_letters=remainder, remainder_crossings=r - 1,
         remainder_is_link=remainder_is_link,
         remainder_fix_saddles=remainder_fix_saddles,
         remaining_remainder_crossings=remaining,
         residual=residual, residual_crossings=residual_crossings,
-        g4_lower=lower, g4_upper=upper,
+        g4_lower=abs(signature) // 2, g4_upper=upper,
     )
 
 

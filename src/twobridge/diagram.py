@@ -41,10 +41,12 @@ come from one prefix sum per word, with no graph and no loop over letters:
 
 ``scan`` runs this on one diagram's letters or on a whole (n, c) array of
 them at once, one closure per row; ``orient_diagram`` and
-``metrics_for_braid`` are its one-row calls, and ``sigtables`` scores whole
+``metrics_for_word`` are its one-row calls, and ``sigtables`` scores whole
 signature rows with it.  ``s3_index`` reads Q_c off the letter counts of the
-two parities.  The two reflections and the sign rule are checked against
-``STATE_AFTER`` and ``STEP`` at import.
+two parities, and ``start_state`` gives x_0 from it.  The two reflections
+and the sign rule are checked against ``STATE_AFTER`` and ``STEP`` at
+import; ``positive_crossings`` walks ``STEP`` over a short block from any
+state, for the block records of ``cobordism``.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
@@ -186,7 +188,7 @@ COMPONENTS = {(left, right): tuple(closure_components(PLAT_RIGHT[left], perm,
               for left in PLAT_RIGHT for right in PLAT_RIGHT}
 
 
-def _start_state(closure: str, index: int) -> int:
+def start_state(closure: str, index: int) -> int:
     """x = state - 1 on cut 0 of the diagram with this right closure and
     strand permutation, or -1 when it closes to a link."""
     if COMPONENTS[PLAT_LEFT, closure][index] != 1:
@@ -201,7 +203,7 @@ def _start_state(closure: str, index: int) -> int:
 
 #: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q), read
 #: flat at 6 [closure is B] + 3 (c mod 2) + Q
-_START = np.array([[[_start_state(closure, _S3_OF[parity][q]) for q in range(3)]
+_START = np.array([[[start_state(closure, _S3_OF[parity][q]) for q in range(3)]
                     for parity in (0, 1)] for closure in "AB"], np.int32).ravel()
 
 
@@ -276,6 +278,18 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     return (2 * positive.view(np.int8) - 1).tolist(), (x + 1).tolist()
 
 
+def positive_crossings(start: int, letters: str) -> tuple[int, int]:
+    """(positive crossings, end state) of letters read from orientation
+    state ``start``, one ``STEP`` per letter: by the sign rule that
+    ``_check_reflections`` checks, a crossing is positive exactly when
+    x > k on its left."""
+    total, state = 0, start
+    for letter in letters:
+        sign, state = STEP[letter][state]
+        total += sign
+    return (len(letters) + total) // 2, state
+
+
 def s3_index(letters: str, index: int = 0) -> int:
     """S3 index of the strand permutation of ``index`` followed by the
     letters, which the caller has validated: the parity of their length and
@@ -304,13 +318,7 @@ def all_A_components(d: PlatDiagram) -> int:
 
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
-    return metrics_for_braid(to_braid(word))  # validates the word
-
-
-def metrics_for_braid(z: str) -> DiagramMetrics:
-    """``metrics_for_word`` of the word whose braid word is z, for callers
-    that hold the braid word of a validated word already."""
-    d = _braid_diagram(z)
+    d = _braid_diagram(to_braid(word))  # validates the word
     c_plus = int(np.count_nonzero(_one_row(d, words=True)[0]))
     s_a = all_A_components(d)
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)

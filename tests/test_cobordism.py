@@ -46,6 +46,7 @@ from twobridge.words import (
 )
 
 import object_walk_dp
+from test_cli import assert_refused, invoke
 from test_diagram import orientation_after, strand_permutation
 from test_markov import letter_steps, oracle_laws, reference_arguments, scored_laws
 
@@ -448,14 +449,41 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
     assert all(x is y for x, y in zip(again.summands, rep.summands, strict=True))
 
 
+def scanned_positives(letters):
+    """Oracle: positive crossings of a block from each start state, read off
+    ``diagram.scan`` of knot diagrams that hold the block after a short
+    prefix, by the state that the scan finds on the block's left cut."""
+    found = {}
+    for prefix, suffix in product(("", "a", "b", "aa", "ab", "ba", "bb"), ("", "a", "b")):
+        z = prefix + letters + suffix
+        codes = np.frombuffer(z.encode().translate(bytes.maketrans(b"ab", b"\0\1")),
+                              np.int8)
+        for closure in "AB":
+            if diagram.COMPONENTS["A", closure][diagram.s3_index(z)] != 1:
+                continue
+            positive, x = diagram.scan(codes, int(closure == "B"))
+            cut = len(prefix)
+            found.setdefault(int(x[cut]) + 1,
+                             int(positive[cut:cut + len(letters)].sum()))
+        if len(found) == 3:
+            return found
+    raise AssertionError(f"no knot diagram holds {letters} after every start state")
+
+
 def test_block_memo_matches_fresh_analysis():
     for s in range(1, 9):
-        for x in all_oriented_words(s):
-            block = cobordism._analyse_block(x.start, x.letters)
-            assert (block.summand, block.end, block.cls,
-                    block.saddles, block.crossings) == (
-                x, x.end, summand_class(x), *cobordism._repair_costs(x))
-            assert cobordism._analyse_block(x.start, x.letters) is block
+        for bits in product("ab", repeat=s):
+            letters = "".join(bits)
+            positives = scanned_positives(letters)
+            for start in (1, 2, 3):
+                x = OrientedWord(start, letters)
+                block = cobordism._analyse_block(start, letters)
+                cls = summand_class(x)
+                sign = {"plus": 1, "minus": -1, "self_mirror": 0}[cls.polarity]
+                assert (block.summand, block.end, block.cls, block.saddles,
+                        block.crossings, block.positive, block.sign) == (
+                    x, x.end, cls, *cobordism._repair_costs(x), positives[start], sign)
+                assert cobordism._analyse_block(start, letters) is block
 
 
 def test_block_memo_caches_no_failure(monkeypatch):
@@ -486,7 +514,8 @@ def test_block_memo_is_bounded():
 
 def test_decompose_validates_its_word_once(monkeypatch):
     # to_braid validates the word; decompose reads c off the braid word and
-    # scores the lower bound on it.
+    # the lower bound off its blocks.  The CLI converts the word itself, to
+    # choose the block size, and hands decompose the braid word.
     calls = []
     real = words.validate_word
 
@@ -501,6 +530,85 @@ def test_decompose_validates_its_word_once(monkeypatch):
     # An invalid word still fails with validate_word's own message.
     with pytest.raises(ValueError, match="run exponents must be 1 or 2"):
         decompose("+---+", 1)
+    for args in (("--s", "3"), ()):
+        calls.clear()
+        result = invoke("g4", "--word", EXAMPLE_WORD, *args)
+        assert result.exit_code == 0 and calls == [EXAMPLE_WORD]
+    calls.clear()
+    assert_refused(invoke("g4", "--word", "+-+"),
+                   "invalid word: length must be 1 mod 3, got 3: '+-+'")
+    assert calls == ["+-+"]
+
+
+def test_lower_bound_matches_the_diagram_scan():
+    # Two derivations of |sigma| / 2: the block records with the remainder
+    # walked on top, and a scan of the whole diagram.
+    for c in range(3, 15):
+        m = (c - 1) // 2
+        for word in enumerate_words(c):
+            lower = abs(diagram.metrics_for_word(word).signature) // 2
+            for s in range(1, 2 * m):
+                assert decompose(word, s).g4_lower == lower, (word, s)
+    for word in seeded_long_words(200, seed=2025):
+        lower = abs(diagram.metrics_for_word(word).signature) // 2
+        for s in range(1, 6):
+            assert decompose(word, s).g4_lower == lower, (word, s)
+
+
+def test_decompose_makes_no_numpy_call():
+    word = seeded_long_words(1, seed=7, crossings=(250, 250))[0]
+    decompose(word, 3)  # fills the block memo
+    numpy_calls = []
+
+    def watch(frame, event, arg):
+        # numpy's Python functions, and its builtins and array methods.
+        if event == "call" and "numpy" in frame.f_code.co_filename:
+            numpy_calls.append(frame.f_code.co_name)
+        elif event == "c_call" and "numpy" in f"{arg.__module__} "\
+                f"{type(arg.__self__).__module__}":
+            numpy_calls.append(arg.__name__)
+
+    sys.setprofile(watch)
+    try:
+        decompose(word, 3)
+        cobordism._analyse_block.cache_clear()
+        decompose(word, 3)
+    finally:
+        sys.setprofile(None)
+    assert numpy_calls == []
+
+
+@pytest.mark.parametrize("setup, call, message", [
+    # A braid word that closes to a link, and one whose state right of
+    # crossing 1 is o3: the diagram invariants that every word keeps.
+    ("", f"decompose({EXAMPLE_WORD!r}, 3, braid='baababaabbbb')",
+     "diagram is a link; cannot orient by one traversal"),
+    ("", f"decompose({EXAMPLE_WORD!r}, 3, braid='abababaabbbb')",
+     "state right of crossing 1 must be o1, got o3"),
+    # A record whose end state disagrees with its STEP walk.
+    ("real = cobordism.OrientedWord.__post_init__\n"
+     "def corrupted(x):\n"
+     "    real(x)\n"
+     "    object.__setattr__(x, 'end', 1)\n"
+     "cobordism.OrientedWord.__post_init__ = corrupted\n",
+     f"decompose({EXAMPLE_WORD!r}, 3)",
+     "block o1:aab walks to o2, but its strand permutation ends it in o1"),
+])
+def test_decompose_invariants_survive_optimize_flag(setup, call, message):
+    code = ("from twobridge import cobordism\n"
+            "from twobridge.cobordism import decompose\n"
+            + setup +
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(cobordism.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
 
 
 def test_sandwich_at_chosen_block_size():

