@@ -10,9 +10,12 @@ block above an ``Error:`` line that quotes the option.  The row cache, in
 the directory that ``--cache-dir`` names, holds enumerated rows only.
 
 ``main(args=None, standalone_mode=True)`` parses ``args`` (``sys.argv[1:]``
-when None) with one parser built at import, runs the command, and exits
-the process with its exit code; with ``standalone_mode=False`` it returns
-the code instead.  It writes to the ``sys.stdout`` and ``sys.stderr`` of
+when None) once, runs the command, and exits the process with its exit
+code; with ``standalone_mode=False`` it returns the code instead.  The
+parsers are built at import.  An argv that starts with a command name is
+parsed by that command's own parser alone; the top-level parser handles
+the rest (``--help``, ``--version``, no argv, an unknown name, or an
+option first).  It writes to the ``sys.stdout`` and ``sys.stderr`` of
 the moment of the call, so a caller may redirect them.
 """
 
@@ -160,9 +163,7 @@ def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
 def cmd_avg_sig(c: str, fmt: str) -> int:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
     c_values = _parse_c_range(c)
-    # The work grows with c: refuse the whole range before any row.
-    budget.check_avg_sig(c_values)
-    reports = sigtables.totals(c_values)
+    reports = sigtables.totals(c_values)  # refuses the whole range before any work
     # Each row is printed as it is formatted; JSON keys are in sorted-string
     # order, as ``_echo_json`` prints them.
     order = sorted(c_values, key=str) if fmt == "json" else c_values
@@ -315,9 +316,10 @@ def _workers(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    """The one parser of every command.  No parser takes an abbreviated
-    option, and each has ``--help`` and no ``-h``."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, which lists every command, and each command's
+    own parser by name.  No parser takes an abbreviated option, and each
+    has ``--help`` and no ``-h``."""
     parser = _Parser(prog="twobridge", add_help=False, allow_abbrev=False,
                      description="Alternating-word models of 2-bridge knots: "
                                  "enumeration, signature tables, and 4-genus bounds.")
@@ -326,11 +328,12 @@ def _build_parser() -> _Parser:
                         help="Show the version and exit.")
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    by_name: dict[str, _Parser] = {}
 
     def command(name, run):
         summary = run.__doc__
-        sub = commands.add_parser(name, help=summary, description=summary,
-                                  add_help=False, allow_abbrev=False)
+        sub = by_name[name] = commands.add_parser(
+            name, help=summary, description=summary, add_help=False, allow_abbrev=False)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
         sub.set_defaults(parser=sub, run=run)
         return sub.add_argument
@@ -378,20 +381,26 @@ def _build_parser() -> _Parser:
 
     add = command("verify-all", cmd_verify_all)
     add("--budget-c", type=int, help="Cap crossing-number ranges for a quicker run.")
-    return parser
+    return parser, by_name
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
-    """Run one command; see the module docstring for the contract."""
+    """Run one command; see the module docstring for the contract.  A
+    command's argv is parsed by its own parser, once: the top-level parser
+    would hand it the same arguments."""
+    if args is None:
+        args = sys.argv[1:]
     try:
-        # Unknown options are reported here, against the command's own usage;
-        # parse_args would report them against the top-level one.
-        options, unknown = _PARSER.parse_known_args(args)
+        command = _COMMANDS.get(args[0]) if args else None
+        options, unknown = (command.parse_known_args(args[1:]) if command
+                            else _PARSER.parse_known_args(args))
         options = vars(options)
         parser, run = options.pop("parser"), options.pop("run")
+        # Unknown options are reported here, against the command's own usage;
+        # parse_args would report them against the top-level one.
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as stop:  # --help, --version, or a parse error

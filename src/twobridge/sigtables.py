@@ -451,10 +451,11 @@ def totals(c_values: Sequence[int]) -> dict[int, TotalsReport]:
     """Totals reports for a sequence of crossing numbers.
 
     tot and tot_p come from their closed forms (``_tot_pass``), in one pass
-    to the largest c, within ``budget.check_avg_sig``; no histogram row is
-    built.  The average per knot is exact: each knot is counted by two
-    words, or by one word when that word is palindromic, so summing |sigma|
-    over words and palindromes double-counts every knot.  An int c
+    to the largest c, within ``budget.check_avg_sig``, which is checked here
+    before any work and is the one charge of an ``avg-sig`` request; no
+    histogram row is built.  The average per knot is exact: each knot is
+    counted by two words, or by one word when that word is palindromic, so
+    summing |sigma| over words and palindromes double-counts every knot.  An int c
     (``perfbench/record_reference.py``) gives c's report alone.
     """
     if isinstance(c_values, int):

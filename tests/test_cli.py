@@ -6,6 +6,7 @@ starts with a schema comment line; repeated runs with the same
 arguments and seed are byte-identical.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -23,7 +24,7 @@ import pytest
 
 import twobridge
 from test_sigtables import enumerated_palindromic_histogram
-from twobridge import budget, cobordism, markov, sigtables, words
+from twobridge import budget, cli, cobordism, markov, sigtables, words
 from twobridge.cli import main
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"
@@ -261,6 +262,58 @@ def test_word_that_starts_with_a_dash():
     assert_refused(invoke("g4", "--word=-+-"), "invalid word: word must start with +: '-+-'")
 
 
+# Each command's usual call, one cheap run of each.
+USUAL_CALLS = [
+    ("enumerate", "--c", "5"),
+    ("sig-table", "--c", "3..6"),
+    ("avg-sig", "--c", "9", "--format", "json"),
+    ("g4", "--word", EXAMPLE_WORD),
+    ("markov-verify", "--s", "2", "--kmax", "2"),
+    ("walk-sim", "--s", "2", "--t", "3", "--exact"),
+    ("verify-all", "--budget-c", "3"),
+]
+
+
+def test_a_command_call_parses_once(monkeypatch):
+    """A command's argv goes to its own parser alone, in one parse."""
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for args in USUAL_CALLS + [("g4", "--help"), ("g4", "--bogus", "1")]:
+        parsed.clear()
+        invoke(*args)
+        assert parsed == [f"twobridge {args[0]}"], args
+    parsed.clear()
+    invoke("--version")
+    assert parsed == ["twobridge"]
+
+
+# verify-all prints its seconds, so its refusal stands in for its usual call.
+@pytest.mark.parametrize("args", USUAL_CALLS[:-1] + [("verify-all", "--budget-c", "2")] + [
+    (command, "--help") for command in COMMANDS] + [
+    ("--help",), ("--version",), (), ("bogus",), ("--bogus",), ("--c", "5", "g4"),
+    ("--bogus", "g4", "--word", EXAMPLE_WORD),
+    ("g4", "--bogus", "1"), ("g4", "--word"), ("g4", "--c", "x"),
+    ("sig-table", "--method", "nope"), ("sig-table", "--c", "5", "--workers", "0"),
+    ("g4", "--word=-+-"), ("g4", "--c", "5", "--c", "7"),
+    ("g4", "--word", EXAMPLE_WORD, "extra"), ("g4", "--", "--c", "5"),
+], ids=lambda args: " ".join(args) or "no argv")
+def test_command_parsers_answer_as_the_top_level_parser(monkeypatch, args):
+    """The top-level parser, which hands a command's argv to the same
+    command parser, gives the same stdout, stderr and exit code on every
+    argv, usual or not."""
+    direct = invoke(*args)
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv takes the top-level path
+    via_top = invoke(*args)
+    assert (direct.exit_code, direct.stdout, direct.stderr) == \
+        (via_top.exit_code, via_top.stdout, via_top.stderr)
+
+
 def test_version_from_a_source_checkout():
     result = subprocess.run(CLI + ["--version"], env=SOURCE_ENV, cwd=ROOT,
                             capture_output=True, text=True)
@@ -306,19 +359,39 @@ def test_misuse_refused_with_one_line(args, message):
     assert_refused(invoke(*args), message)
 
 
+def test_avg_sig_charges_a_request_once(monkeypatch):
+    """``sigtables.totals`` makes the one check, and labels only a refusal."""
+    charged = []
+    check = budget.check_avg_sig
+
+    def counted(c_values):
+        charged.append(c_values)
+        check(c_values)
+
+    def label(c_values):
+        raise AssertionError("an admitted request needs no refusal label")
+
+    monkeypatch.setattr(budget, "check_avg_sig", counted)
+    monkeypatch.setattr(budget, "_c_label", label)
+    for args in (("avg-sig",), ("avg-sig", "--c", "1001"), ("avg-sig", "--c", "9..300")):
+        charged.clear()
+        assert invoke(*args, "--format", "json").exit_code == 0
+        assert len(charged) == 1, args
+
+
 def test_avg_sig_over_budget_exits_2():
-    # The smallest refused c, one pass to it whatever its parity.
-    result = invoke("avg-sig", "--c", "175412")
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.count("\n") == 1
-    assert "avg_sig_work" in result.stderr
+    # The smallest refused c, one pass to it whatever its parity, and the
+    # smallest refused run from 3.
+    for c, work in (("175412", 25000112917), ("3..10615", 25006349938)):
+        assert_refused(invoke("avg-sig", "--c", c),
+                       f"refusing the average signature at c={c}: it needs about {work} "
+                       "work units (avg_sig_work), and the budget stops at 25000000000")
 
 
 @pytest.mark.parametrize("args, work, message", [
     (("sig-table", "--c", "22..23", "--method", "enumerate", "--workers", "1"),
      sigtables.histogram_enumerated, "budget stops at c=22"),
-    (("avg-sig", "--c", "3..10615"), sigtables.totals, "avg_sig_work"),
+    (("avg-sig", "--c", "3..10615"), sigtables._tot_pass, "avg_sig_work"),
     (("enumerate", "--c", "60"), words.enumerate_words, "budget stops at c=22"),
     (("sig-table", "--c", "100000", "--method", "recurse"),
      sigtables.recursed_table, "recursion_work"),
@@ -329,7 +402,7 @@ def test_avg_sig_over_budget_exits_2():
      "Monte Carlo at s=40"),
     (("walk-sim", "--s", "2", "--t", "1", "--trials", "100000000000"),
      markov._tables, "trials=100000000000"),
-    (("avg-sig", "--c", "3..1000000000"), sigtables.totals, "avg_sig_work"),
+    (("avg-sig", "--c", "3..1000000000"), sigtables._tot_pass, "avg_sig_work"),
     # A huge s is refused without building 2^s.
     (("markov-verify", "--s", "10000000000"), markov.matrix_power,
      "s=10000000000, kmax=8"),
