@@ -80,8 +80,9 @@ _CUT_SADDLES = {1: 1, 2: 2, 3: 1}
 @dataclass(frozen=True)
 class OrientedWord:
     """A braid-letter block together with the orientation state at its left
-    cut.  ``end``, the state at its right cut, is read once, on creation:
-    the block analysis reads it several times."""
+    cut.  ``end``, the state at its right cut, and ``_index``, the S3 index
+    of the strand permutation, are read once, on creation: the block
+    analysis reads them several times."""
 
     start: int
     letters: str
@@ -91,7 +92,8 @@ class OrientedWord:
             raise ValueError(f"orientation state must be 1, 2 or 3, got {self.start}")
         if self.letters:
             validate_braid(self.letters)
-        object.__setattr__(self, "end", S3[s3_index(self.letters)][self.start - 1])
+        object.__setattr__(self, "_index", s3_index(self.letters))
+        object.__setattr__(self, "end", S3[self._index][self.start - 1])
 
     def serialize(self) -> str:
         return f"o{self.start}:{self.letters}"
@@ -129,7 +131,7 @@ def summand_class(x: OrientedWord) -> SummandClass:
 
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
-    return COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[x.end]][s3_index(x.letters)]
+    return COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[x.end]][x._index]
 
 
 def remainder_component_count(start: int, letters: str, closure: str) -> int:
@@ -179,18 +181,15 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     """
     z = x.letters
     s = len(z)
-    # One walk over the block gives its closure and the orientation state
-    # before its central crossing (odd s) or at its middle cut (even s).
-    h = s // 2
-    half = s3_index(z[:h])
-    index = s3_index(z[h:], half)
-    end = S3[index][x.start - 1]
-    closed = COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[end]]
-    if closed[index] != 2:
+    closed = COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[x.end]]
+    if closed[x._index] != 2:
         raise ValueError("link repair applies only to two-component summands")
     if s < 1:
         raise ValueError("link repair needs a non-empty summand")
-    before = S3[half][x.start - 1]
+    # The orientation state before the central crossing (odd s) or at the
+    # middle cut (even s).
+    h = s // 2
+    before = S3[s3_index(z[:h])][x.start - 1]
     if s % 2 == 1:
         pair = CROSSING_PAIR[z[h]]
         twist = "a" if pair == (1, 2) else "b"
@@ -211,9 +210,9 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
     fixed_end = S3[fixed][x.start - 1]
-    if fixed_end != end:
+    if fixed_end != x.end:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} moved the end "
-                         f"state {end} -> {fixed_end}")
+                         f"state {x.end} -> {fixed_end}")
     if closed[fixed] != 1:
         raise ValueError(f"{fix.kind} repair of {x.serialize()} left a link")
     return fix

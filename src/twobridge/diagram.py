@@ -15,8 +15,7 @@ sends strand 1 around.  The diagram of a word in T(c) ends in a lower
 crossing exactly when c is odd, and its plat uses closure A in that case,
 closure B otherwise.
 
-Traczyk's formula sigma = s_A - c_plus - 1 needs three things.  All three
-come from one prefix sum per word, with no graph and no loop over letters:
+Traczyk's formula sigma = s_A - c_plus - 1 needs three things:
 
 * Orientation states.  Exactly one strand runs leftward on each cut line
   of a knot diagram (the around arc always runs leftward outside it).
@@ -39,18 +38,19 @@ come from one prefix sum per word, with no graph and no loop over letters:
   gap between consecutive 'a's closes one circle, and the closure adds
   one more outer circle when it is B.
 
-``scan`` runs this on one diagram's letters or on a whole (n, c) array of
-them at once, one closure per row; ``orient_diagram`` and
-``metrics_for_word`` are its one-row calls, and ``sigtables`` scores whole
-signature rows with it.  ``s3_index`` reads Q_c off the letter counts of the
-two parities, and ``start_state`` gives x_0 from it.  The two reflections
-and the sign rule are checked against ``STATE_AFTER`` and ``STEP`` at
-import; ``positive_crossings`` walks ``STEP`` over a short block from any
-state, for the block records of ``cobordism``.
+``s3_index`` reads Q_c off the letter counts of the two parities, and
+``start_state`` gives x_0 from it.  ``orient_diagram`` and
+``metrics_for_word`` walk ``STEP`` over one diagram from there, as
+``positive_crossings`` does over a short block for ``cobordism``; ``scan``
+runs the prefix sum on an (n, c) batch of letter rows, with no loop over
+the letters, to score whole signature rows for ``sigtables``.  The two
+reflections and the sign rule are checked against ``STATE_AFTER`` and
+``STEP`` at import.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
-in ``tests/test_diagram.py`` as the oracle the scan is checked against.
+in ``tests/test_diagram.py`` as the oracle the walk and the scan are
+checked against.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def _check_reflections() -> None:
 
 
 _check_reflections()
-#: letter codes of a braid word's bytes, 0 for 'a' and 1 for 'b'
-_CODES = bytes.maketrans(b"ab", b"\0\1")
 #: (-1)^j in Z/3 for j = 0, 1, 2, ...: the weights of the prefix sum
 _TURN = np.tile(np.int32([1, 2]), 1 << 12)
 #: S3 index of the strand permutation x -> (-1)^c (x + Q) of a word, by
@@ -212,57 +210,43 @@ def plat_component_count(d: PlatDiagram) -> int:
     return COMPONENTS[PLAT_LEFT, d.closure][s3_index(d.letters)]
 
 
-def scan(letters: np.ndarray, closure_b, *, words: bool = False
+def scan(letters: np.ndarray, closure_b: np.ndarray, *, words: bool = False
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Orient one diagram, or a batch of n diagrams of c crossings each.
+    """Orient a batch of n diagrams of c crossings each.
 
-    ``letters`` holds braid letters, 0 for 'a' and 1 for 'b', as a (c,)
-    int8 array or an (n, c) one, and ``closure_b`` is 1 where the right
-    closure is B: one int, or an (n,) int8 array for a batch.  Returns
-    (positive, x): the bool array, true where the crossing is positive, and
-    the cut states of ``orient_diagram`` less one, one column longer.  A
-    diagram that closes to a link raises ValueError, and with ``words`` so
-    does one whose state right of crossing 1 is not o1, as in every word
-    diagram; the message of a batch names its first bad row.
+    ``letters`` holds braid letters, 0 for 'a' and 1 for 'b', as an (n, c)
+    int8 array, and ``closure_b`` is an (n,) int8 array, 1 where the right
+    closure is B.  Returns (positive, x): the (n, c) bool array, true where
+    the crossing is positive, and the cut states of ``orient_diagram`` less
+    one, one column longer.  A diagram that closes to a link raises
+    ValueError, and with ``words`` so does one whose state right of
+    crossing 1 is not o1, as in every word diagram; the message names the
+    first bad row.  A single diagram is oriented by ``orient_diagram``.
     """
-    c = letters.shape[-1]
+    n, c = letters.shape
     # _TURN has even length, so np.resize continues it for longer words.
     turn = _TURN[:c + 1] if c < _TURN.size else np.resize(_TURN, c + 1)
     # Q_j on cut j, then x_j = (-1)^j (x_0 + Q_j); int32 holds the at most
     # 4c + 4 of the unreduced terms for any c below 5 * 10^8.
-    x = np.zeros(letters.shape[:-1] + (c + 1,), np.int32)
-    np.multiply(letters, turn[1:], out=x[..., 1:])
-    np.add.accumulate(x, axis=-1, out=x)
-    offset = 6 * closure_b + 3 * (c % 2)
-    one = x.ndim == 1
-    if one:
-        # One diagram keeps its per-row values as Python ints: numpy calls
-        # on single values would cost more than the rest of its scan.
-        x0 = int(_START[offset + int(x[-1]) % 3])
-        x += x0
-    else:
-        x0 = _START.take(x[:, -1] % 3 + offset)
-        x += x0[:, None]
+    x = np.zeros((n, c + 1), np.int32)
+    np.multiply(letters, turn[1:], out=x[:, 1:])
+    np.add.accumulate(x, axis=1, out=x)
+    x0 = _START.take(x[:, -1] % 3 + 6 * closure_b + 3 * (c % 2))
+    x += x0[:, None]
     x *= turn
     x %= 3
-    starts, firsts = ([x0], [int(x[1])]) if one else (x0.tolist(), x[:, 1].tolist())
+    starts, firsts = x0.tolist(), x[:, 1].tolist()
     # A link's x_0 = -1 is 2 mod 3, which leaves x_1 at 1 or 2 whatever the
     # first letter, so on word rows the o1 check refuses links as well.
     if any(firsts) if words else min(starts, default=0) < 0:
         row = next(i for i, (start, first) in enumerate(zip(starts, firsts))
                    if start < 0 or words and first)
-        where = "" if one else f"row {row}: "
+        where = f"row {row}: "
         if starts[row] < 0:
             raise ValueError(where + "diagram is a link; cannot orient by one traversal")
         raise ValueError(where + "state right of crossing 1 must be o1, "
                          f"got o{firsts[row] + 1}")
-    return x[..., :-1] > letters, x
-
-
-def _one_row(d: PlatDiagram, *, words: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``scan`` of one diagram, whose letters were validated with it."""
-    letters = np.frombuffer(d.letters.encode().translate(_CODES), np.int8)
-    return scan(letters, int(d.closure == "B"), words=words)
+    return x[:, :-1] > letters, x
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
@@ -272,10 +256,19 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     right, so the leftmost crossing is oriented "horizontally and to the
     right".  `signs[i-1]` is +1 iff the planar cross product of the over-
     and under-strand directions at crossing i is positive.  `states[j]`
-    (j = 0..n) is the strand oriented leftward on cut line j.
+    (j = 0..n) is the strand oriented leftward on cut line j, one ``STEP``
+    per letter from the state that ``start_state`` gives cut 0.
     """
-    positive, x = _one_row(d)
-    return (2 * positive.view(np.int8) - 1).tolist(), (x + 1).tolist()
+    x0 = start_state(d.closure, s3_index(d.letters))
+    if x0 < 0:
+        raise ValueError("diagram is a link; cannot orient by one traversal")
+    state = x0 + 1
+    signs, states = [], [state]
+    for letter in d.letters:
+        sign, state = STEP[letter][state]
+        signs.append(sign)
+        states.append(state)
+    return signs, states
 
 
 def positive_crossings(start: int, letters: str) -> tuple[int, int]:
@@ -319,7 +312,10 @@ def all_A_components(d: PlatDiagram) -> int:
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
     d = _braid_diagram(to_braid(word))  # validates the word
-    c_plus = int(np.count_nonzero(_one_row(d, words=True)[0]))
+    signs, states = orient_diagram(d)
+    if states[1] != 1:
+        raise ValueError(f"state right of crossing 1 must be o1, got o{states[1]}")
+    c_plus = signs.count(1)
     s_a = all_A_components(d)
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 

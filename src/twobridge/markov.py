@@ -485,13 +485,10 @@ def block_step(s: int):
     after the block holds c_s times the sum over the three states before
     it, plus (-1)^s the state J^s i before it: five integer operations and
     a product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a
-    division by 3).  At s = 1 the three sums of M itself are cheaper.
-    ValueError if M^s differs from its closed form (``_block_power``).
+    division by 3).  ValueError if M^s differs from its closed form
+    (``_block_power``).
     """
     bulk, sign = _block_power(s)
-    if s == 1:
-        return lambda before: [before[0] + before[1], before[0] + before[2],
-                               before[1] + before[2]]
 
     def step(before: list[int]) -> list[int]:
         total = before[0] + before[1] + before[2]

@@ -47,7 +47,7 @@ from twobridge.words import (
 
 import object_walk_dp
 from test_cli import assert_refused, invoke
-from test_diagram import orientation_after, strand_permutation
+from test_diagram import letter_array, numpy_calls, orientation_after, strand_permutation
 from test_markov import letter_steps, oracle_laws, reference_arguments, scored_laws
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
@@ -452,16 +452,17 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
 def scanned_positives(letters):
     """Oracle: positive crossings of a block from each start state, read off
     ``diagram.scan`` of knot diagrams that hold the block after a short
-    prefix, by the state that the scan finds on the block's left cut."""
+    prefix, each a one-row batch, by the state that the scan finds on the
+    block's left cut."""
     found = {}
     for prefix, suffix in product(("", "a", "b", "aa", "ab", "ba", "bb"), ("", "a", "b")):
         z = prefix + letters + suffix
-        codes = np.frombuffer(z.encode().translate(bytes.maketrans(b"ab", b"\0\1")),
-                              np.int8)
+        codes = letter_array([z])
         for closure in "AB":
             if diagram.COMPONENTS["A", closure][diagram.s3_index(z)] != 1:
                 continue
-            positive, x = diagram.scan(codes, int(closure == "B"))
+            positive, x = diagram.scan(codes, np.int8([closure == "B"]))
+            positive, x = positive[0], x[0]
             cut = len(prefix)
             found.setdefault(int(x[cut]) + 1,
                              int(positive[cut:cut + len(letters)].sum()))
@@ -558,24 +559,12 @@ def test_lower_bound_matches_the_diagram_scan():
 def test_decompose_makes_no_numpy_call():
     word = seeded_long_words(1, seed=7, crossings=(250, 250))[0]
     decompose(word, 3)  # fills the block memo
-    numpy_calls = []
 
-    def watch(frame, event, arg):
-        # numpy's Python functions, and its builtins and array methods.
-        if event == "call" and "numpy" in frame.f_code.co_filename:
-            numpy_calls.append(frame.f_code.co_name)
-        elif event == "c_call" and "numpy" in f"{arg.__module__} "\
-                f"{type(arg.__self__).__module__}":
-            numpy_calls.append(arg.__name__)
-
-    sys.setprofile(watch)
-    try:
+    def twice():
         decompose(word, 3)
         cobordism._analyse_block.cache_clear()
         decompose(word, 3)
-    finally:
-        sys.setprofile(None)
-    assert numpy_calls == []
+    assert numpy_calls(twice) == []
 
 
 @pytest.mark.parametrize("setup, call, message", [

@@ -196,12 +196,20 @@ def test_oracle_reproduces_metric_rows():
 
 
 def test_scan_matches_oracle_on_every_word_to_c16():
+    # Each word alone by its STEP walk, and each T(c) as one scan batch.
     for c in range(3, 17):
-        for w in W.enumerate_words(c):
+        found = list(W.enumerate_words(c))
+        diagrams = [D.diagram_for_word(w) for w in found]
+        oriented = [oracle_orient(d) for d in diagrams]
+        for w, d, (signs, states) in zip(found, diagrams, oriented, strict=True):
             m = D.metrics_for_word(w)
-            assert (m.c_plus, m.s_A, m.signature) == oracle_metrics(w), w
-            d = D.diagram_for_word(w)
-            assert D.orient_diagram(d) == oracle_orient(d), w
+            c_plus, s_a = signs.count(1), oracle_all_A(d)
+            assert (m.c_plus, m.s_A, m.signature) == (c_plus, s_a, s_a - c_plus - 1), w
+            assert D.orient_diagram(d) == (signs, states), w
+        positive, x = D.scan(letter_array([d.letters for d in diagrams]),
+                             closure_array(diagrams), words=True)
+        assert (2 * positive.astype(int) - 1).tolist() == [signs for signs, _ in oriented]
+        assert (x + 1).tolist() == [states for _, states in oriented]
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=40), st.sampled_from("AB"))
@@ -217,6 +225,11 @@ def letter_array(zs):
     return np.array([[int(letter == "b") for letter in z] for z in zs], np.int8)
 
 
+def closure_array(diagrams):
+    """The closure codes of ``scan``, 1 where the right closure is B."""
+    return np.array([d.closure == "B" for d in diagrams], np.int8)
+
+
 @st.composite
 def braid_batches(draw):
     """Equal-length braid words, each with its own closure."""
@@ -229,7 +242,7 @@ def braid_batches(draw):
 def test_scan_matches_oracle_on_braid_word_batches(batch):
     diagrams = [D.PlatDiagram(z, closure) for z, closure in batch]
     letters = letter_array([d.letters for d in diagrams])
-    closure_b = np.array([d.closure == "B" for d in diagrams], np.int8)
+    closure_b = closure_array(diagrams)
     circles = D.all_A_circles(letters.shape[1] - letters.sum(axis=1), closure_b)
     assert circles.tolist() == [oracle_all_A(d) for d in diagrams]
     outcomes = [_outcome(oracle_orient, d) for d in diagrams]
@@ -249,11 +262,12 @@ def test_scan_matches_oracle_on_braid_word_batches(batch):
 
 # Batches that break the link refusal in row 1, also as word rows (links
 # whose first letter is 'a' and 'b'), and the o1 invariant of word diagrams
-# in row 2; the message names the row under python -O too.  A single
-# diagram (a 1-d letter array) keeps the message of orient_diagram.
+# in row 2, and one-row batches that break each in row 0; the message names
+# the row under python -O too.
 BAD_BATCHES = {
-    "link-one": ("aab", "A", False, "diagram is a link; cannot orient by one traversal"),
-    "o1-one": ("aaa", "B", True, "state right of crossing 1 must be o1, got o3"),
+    "link-one": ("aab", "A", False,
+                 "row 0: diagram is a link; cannot orient by one traversal"),
+    "o1-one": ("aaa", "B", True, "row 0: state right of crossing 1 must be o1, got o3"),
     "link": ("aaa aab aba", "AAB", False,
              "row 1: diagram is a link; cannot orient by one traversal"),
     "link-word-a": ("aaa aab aba", "AAB", True,
@@ -268,25 +282,81 @@ BAD_BATCHES = {
 @pytest.mark.parametrize("words, closures, word_rows, message", BAD_BATCHES.values(),
                          ids=BAD_BATCHES.keys())
 def test_scan_refuses_bad_rows_under_optimize_flag(words, closures, word_rows, message):
-    letters = letter_array(words.split())
+    letters = letter_array(words.split()).tolist()
     closure_b = [int(c == "B") for c in closures]
-    if len(letters) == 1:
-        letters, closure_b = letters[0], closure_b[0]
-    code = ("import numpy as np\n"
-            "from twobridge.diagram import scan\n"
-            f"letters = np.array({letters.tolist()}, np.int8)\n"
-            f"closure_b = np.array({closure_b}, np.int8)\n"
-            "try:\n"
-            f"    scan(letters, closure_b, words={word_rows})\n"
-            "except ValueError as refused:\n"
-            "    print(refused)\n")
+    assert refusal_under_optimize_flag(
+        "import numpy as np\n"
+        "from twobridge.diagram import scan\n"
+        f"letters = np.array({letters}, np.int8)\n"
+        f"closure_b = np.array({closure_b}, np.int8)\n",
+        f"scan(letters, closure_b, words={word_rows})") == message
+
+
+# One diagram refuses a link, and one word diagram also a state other than
+# o1 right of crossing 1, with the messages of ``decompose``; no word has
+# such a diagram, so the last two read their word as a braid word that has.
+BAD_DIAGRAMS = {
+    "orient-link": ("", "D.orient_diagram(D.PlatDiagram('aab', 'A'))",
+                    "diagram is a link; cannot orient by one traversal"),
+    "metrics-link": ("D.to_braid = lambda word: 'baababaabbbb'\n",
+                     "D.metrics_for_word('+--+-+-+--++-++-')",
+                     "diagram is a link; cannot orient by one traversal"),
+    "metrics-o1": ("D.to_braid = lambda word: 'abababaabbbb'\n",
+                   "D.metrics_for_word('+--+-+-+--++-++-')",
+                   "state right of crossing 1 must be o1, got o3"),
+}
+
+
+@pytest.mark.parametrize("setup, call, message", BAD_DIAGRAMS.values(),
+                         ids=BAD_DIAGRAMS.keys())
+def test_one_diagram_refuses_under_optimize_flag(setup, call, message):
+    assert refusal_under_optimize_flag("from twobridge import diagram as D\n" + setup,
+                                       call) == message
+
+
+def refusal_under_optimize_flag(setup, call):
+    """The ValueError message of a call, run after its setup under python -O."""
+    code = setup + f"try:\n    {call}\nexcept ValueError as refused:\n    print(refused)\n"
     src = str(Path(D.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == message
+    return proc.stdout.strip()
+
+
+def numpy_calls(call):
+    """Names of the numpy functions, builtins and array methods that a call
+    runs."""
+    found = []
+
+    def watch(frame, event, arg):
+        if event == "call" and "numpy" in frame.f_code.co_filename:
+            found.append(frame.f_code.co_name)
+        elif event == "c_call" and "numpy" in f"{arg.__module__} "\
+                f"{type(arg.__self__).__module__}":
+            found.append(arg.__name__)
+
+    sys.setprofile(watch)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return found
+
+
+def test_scan_takes_batches_only():
+    # One diagram is oriented by its STEP walk, not by a 1-d scan.
+    with pytest.raises(ValueError, match="expected 2"):
+        D.scan(letter_array(["aaa"])[0], np.int8(1))
+
+
+def test_one_diagram_makes_no_numpy_call():
+    w = list(W.enumerate_words(13))[100]
+    d = D.diagram_for_word(w)
+    assert numpy_calls(lambda: (D.metrics_for_word(w), D.orient_diagram(d),
+                                D.signature(w))) == []
 
 
 @pytest.mark.parametrize("table, letter, entry", [
@@ -311,6 +381,9 @@ def test_scan_matches_oracle_on_long_random_words():
         w = W.word_from_interior_bits(c, mask)
         m = D.metrics_for_word(w)
         assert (m.c_plus, m.s_A, m.signature) == oracle_metrics(w), w
+        d = D.diagram_for_word(w)
+        positive, _ = D.scan(letter_array([d.letters]), closure_array([d]), words=True)
+        assert int(positive.sum()) == m.c_plus, w
 
 
 # ------------------------------------------------------------------- building

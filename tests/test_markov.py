@@ -509,12 +509,12 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
 
 
 def test_block_step_equals_letter_steps():
-    # The closed form of M^s (the three sums of M at s = 1) against s letter
-    # gathers, on the states of seeded random rows, some past 64 bits, on
-    # both sides of the block size where c_s x turns into a division: per
-    # column, and with the 7 columns packed into one int per state 100 bits
-    # apart (negative values borrow from the slot above, which the sum
-    # undoes).
+    # The closed form of M^s (at s = 1, c_1 = 1 and the sign -1 give the
+    # three sums of M) against s letter gathers, on the states of seeded
+    # random rows, some past 64 bits, on both sides of the block size where
+    # c_s x turns into a division: per column, and with the 7 columns packed
+    # into one int per state 100 bits apart (negative values borrow from the
+    # slot above, which the sum undoes).
     rng = np.random.default_rng(2406)
     divide = markov._DIVIDE_S
     for s in [*range(1, 13), divide - 1, divide, divide + 1]:
