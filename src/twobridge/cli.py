@@ -17,6 +17,12 @@ parsed by that command's own parser alone; the top-level parser handles
 the rest (``--help``, ``--version``, no argv, an unknown name, or an
 option first).  It writes to the ``sys.stdout`` and ``sys.stderr`` of
 the moment of the call, so a caller may redirect them.
+
+Importing this module loads no numpy: only ``sig-table --method enumerate``
+or ``both``, Monte Carlo ``walk-sim``, ``markov-verify`` and ``verify-all``
+run numpy code, and the functions that run it import it.  The import pins
+OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``, below) for the commands
+that load it.
 """
 
 from __future__ import annotations
@@ -31,8 +37,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__, budget, checks, cobordism, markov, sigtables, words
-from .budget import BudgetError
+# No twobridge code calls BLAS (the one einsum is an integer row sum), yet
+# OpenBLAS starts a thread pool when numpy loads: 50-70 ms of a process,
+# and a helper thread that spins on after the import.  One thread spares
+# both.  It is set before any command can load numpy; a value the caller
+# set wins, and a plain ``import twobridge`` leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__, budget, checks, cobordism, markov, sigtables, words  # noqa: E402
+from .budget import BudgetError  # noqa: E402
 
 SCHEMA = 1
 

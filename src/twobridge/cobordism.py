@@ -31,10 +31,11 @@ no command builds one in a process that then decomposes words.
 ``decompose`` reads a word off its block records alone, with no diagram
 scan: one loop sums the saddles, the positive crossings and each class's
 net step in plain int dicts, and the remainder's at most s letters are
-walked on top.  Crossing 1 is walked from the diagram's start state
-(``diagram.start_state``) and must end in o1, as in every word diagram,
-which makes it negative.  With the count of 'a' for s_A that gives the
-signature s_A - c_plus - 1 and the lower bound |sigma| / 2.
+walked on top.  Crossing 1 is walked from the diagram's start state by
+``diagram.first_crossing``, which refuses a link and a state other than
+o1 after it, as in every word diagram; o1 makes it negative.  With the
+count of 'a' for s_A that gives the signature s_A - c_plus - 1 and the
+lower bound |sigma| / 2.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the orientation states of the word cores, with no enumeration (see
@@ -57,8 +58,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import budget, markov
-from .diagram import (COMPONENTS, CROSSING_PAIR, S3, all_A_circles, positive_crossings,
-                      s3_index, start_state)
+from .diagram import (COMPONENTS, CROSSING_PAIR, S3, all_A_circles, first_crossing,
+                      positive_crossings, s3_index)
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -364,12 +365,8 @@ def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionRe
     # The word's diagram must close to a knot whose state right of crossing
     # 1 is o1, where the first block starts; that makes crossing 1 negative.
     closure = "A" if c % 2 == 1 else "B"
-    x0 = start_state(closure, s3_index(braid))
-    if x0 < 0:
-        raise ValueError("diagram is a link; cannot orient by one traversal")
-    positive, state = positive_crossings(x0 + 1, braid[0])
-    if state != 1:
-        raise ValueError(f"state right of crossing 1 must be o1, got o{state}")
+    sign, state = first_crossing(closure, braid)
+    positive = int(sign > 0)
 
     # One block record per cut, each block starting at the state its
     # predecessor ends in.  A class's net step is summed in ``net``, and its

@@ -39,13 +39,16 @@ Traczyk's formula sigma = s_A - c_plus - 1 needs three things:
   one more outer circle when it is B.
 
 ``s3_index`` reads Q_c off the letter counts of the two parities, and
-``start_state`` gives x_0 from it.  ``orient_diagram`` and
-``metrics_for_word`` walk ``STEP`` over one diagram from there, as
-``positive_crossings`` does over a short block for ``cobordism``; ``scan``
-runs the prefix sum on an (n, c) batch of letter rows, with no loop over
-the letters, to score whole signature rows for ``sigtables``.  The two
-reflections and the sign rule are checked against ``STATE_AFTER`` and
-``STEP`` at import.
+``start_state`` gives x_0 from it.  ``orient_diagram`` walks ``STEP`` over
+one diagram from there, and ``first_crossing`` takes the one step across
+crossing 1 of a word diagram, with its two refusals, for
+``metrics_for_word`` and ``cobordism.decompose``, which walk the rest as
+``positive_crossings`` does.  ``scan`` runs the prefix sum on an (n, c)
+batch of letter rows, with no loop over the letters, to score whole
+signature rows for ``sigtables``; it is the one function here that runs
+numpy, and it imports numpy when it runs, so that a process that orients
+no batch never loads it.  The two reflections and the sign rule are
+checked against ``STATE_AFTER`` and ``STEP`` at import.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
@@ -56,10 +59,12 @@ checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .words import to_braid, validate_braid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: strands involved in each crossing letter
 CROSSING_PAIR = {"a": (2, 3), "b": (1, 2)}
@@ -97,8 +102,8 @@ def _check_reflections() -> None:
 
 
 _check_reflections()
-#: (-1)^j in Z/3 for j = 0, 1, 2, ...: the weights of the prefix sum
-_TURN = np.tile(np.int32([1, 2]), 1 << 12)
+#: (-1)^j in Z/3 for j = 0, 1: the weights of the prefix sum, repeated
+_TURN = (1, 2)
 #: S3 index of the strand permutation x -> (-1)^c (x + Q) of a word, by
 #: (c mod 2, Q), Q its alternating letter sum in Z/3 (module docstring)
 _S3_OF = tuple(tuple(S3.index(tuple((-1) ** parity * (x + q) % 3 + 1 for x in range(3)))
@@ -201,8 +206,10 @@ def start_state(closure: str, index: int) -> int:
 
 #: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q), read
 #: flat at 6 [closure is B] + 3 (c mod 2) + Q
-_START = np.array([[[start_state(closure, _S3_OF[parity][q]) for q in range(3)]
-                    for parity in (0, 1)] for closure in "AB"], np.int32).ravel()
+_START = tuple(start_state(closure, _S3_OF[parity][q])
+               for closure in "AB" for parity in (0, 1) for q in range(3))
+#: the refusal of a diagram that closes to a link
+_LINK = "diagram is a link; cannot orient by one traversal"
 
 
 def plat_component_count(d: PlatDiagram) -> int:
@@ -223,15 +230,16 @@ def scan(letters: np.ndarray, closure_b: np.ndarray, *, words: bool = False
     crossing 1 is not o1, as in every word diagram; the message names the
     first bad row.  A single diagram is oriented by ``orient_diagram``.
     """
+    import numpy as np
+
     n, c = letters.shape
-    # _TURN has even length, so np.resize continues it for longer words.
-    turn = _TURN[:c + 1] if c < _TURN.size else np.resize(_TURN, c + 1)
+    turn = np.resize(np.int32(_TURN), c + 1)
     # Q_j on cut j, then x_j = (-1)^j (x_0 + Q_j); int32 holds the at most
     # 4c + 4 of the unreduced terms for any c below 5 * 10^8.
     x = np.zeros((n, c + 1), np.int32)
     np.multiply(letters, turn[1:], out=x[:, 1:])
     np.add.accumulate(x, axis=1, out=x)
-    x0 = _START.take(x[:, -1] % 3 + 6 * closure_b + 3 * (c % 2))
+    x0 = np.int32(_START).take(x[:, -1] % 3 + 6 * closure_b + 3 * (c % 2))
     x += x0[:, None]
     x *= turn
     x %= 3
@@ -243,7 +251,7 @@ def scan(letters: np.ndarray, closure_b: np.ndarray, *, words: bool = False
                    if start < 0 or words and first)
         where = f"row {row}: "
         if starts[row] < 0:
-            raise ValueError(where + "diagram is a link; cannot orient by one traversal")
+            raise ValueError(where + _LINK)
         raise ValueError(where + "state right of crossing 1 must be o1, "
                          f"got o{firsts[row] + 1}")
     return x[:, :-1] > letters, x
@@ -261,7 +269,7 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     """
     x0 = start_state(d.closure, s3_index(d.letters))
     if x0 < 0:
-        raise ValueError("diagram is a link; cannot orient by one traversal")
+        raise ValueError(_LINK)
     state = x0 + 1
     signs, states = [], [state]
     for letter in d.letters:
@@ -269,6 +277,20 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
         signs.append(sign)
         states.append(state)
     return signs, states
+
+
+def first_crossing(closure: str, letters: str) -> tuple[int, int]:
+    """(sign, state right of it) of crossing 1 of a word diagram, one
+    ``STEP`` from the state that ``start_state`` gives cut 0.  ValueError
+    if the diagram closes to a link, or if that state is not o1, as it is
+    in every word diagram; the caller has validated the letters."""
+    x0 = start_state(closure, s3_index(letters))
+    if x0 < 0:
+        raise ValueError(_LINK)
+    sign, state = STEP[letters[0]][x0 + 1]
+    if state != 1:
+        raise ValueError(f"state right of crossing 1 must be o1, got o{state}")
+    return sign, state
 
 
 def positive_crossings(start: int, letters: str) -> tuple[int, int]:
@@ -312,10 +334,8 @@ def all_A_components(d: PlatDiagram) -> int:
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
     d = _braid_diagram(to_braid(word))  # validates the word
-    signs, states = orient_diagram(d)
-    if states[1] != 1:
-        raise ValueError(f"state right of crossing 1 must be o1, got o{states[1]}")
-    c_plus = signs.count(1)
+    sign, state = first_crossing(d.closure, d.letters)
+    c_plus = (sign > 0) + positive_crossings(state, d.letters[1:])[0]
     s_a = all_A_components(d)
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 

@@ -42,7 +42,8 @@ state from state 1, and one prefix sum along a sampled walk gives the state
 before each of its blocks, with no Python step per block.  Blocks are the
 top s bits of the 32-bit halves of raw Philox words (``_block_sampler``),
 the values that ``Generator.integers`` draws, in int32, and every kernel
-array with one entry per block is int32.  A walk of t >= K blocks, with K
+array with one entry per block is int32 but the intp summand ids
+(``_work``).  A walk of t >= K blocks, with K
 about 1.5 * 2^s summand classes (``_class_count``), is scored by one
 ``np.bincount`` over (walk, class, side) bins: each class's own count less
 its mirror count is D_w, which contributes |D_w|, or its parity for a
@@ -50,7 +51,7 @@ palindromic-type class.  A shorter walk would leave most bins empty, so
 its t int32 keys 2 * canon + [mirror side] are sorted instead, which
 groups every class, and one run-length pass gives each D_w.  The choice
 depends on (s, t) alone.  Walks are drawn in chunks of at most 2^16
-blocks, so that each kernel array (256 KB at most, unless one walk is
+blocks, so that each kernel array (512 KB at most, unless one walk is
 longer) stays in cache and a binned chunk has at most 2 * 2^16 bins; the
 draws do not depend on the chunking.  The lookup tables hold what the
 sampler reads once each: the key over all 3 * 2^s oriented blocks, and r
@@ -58,6 +59,10 @@ and the palindromic type per block; the binned scorer reads its bins off
 them.  They are built afresh, by prefix doubling in int32, on the end
 states (``_end_states``) that ``verify_chain`` counts the blocks by, O(2^s)
 work, for no exact walk value.
+
+Only the sampler and those block counts run numpy, and each function that
+does imports it when it runs: an exact walk cell, mean or power of M never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -68,11 +73,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import budget
 from .diagram import STATE_AFTER
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = tuple[tuple[Fraction, Fraction, Fraction], ...]
 IntMatrix = tuple[tuple[int, int, int], ...]
@@ -80,12 +87,12 @@ IntMatrix = tuple[tuple[int, int, int], ...]
 # The most blocks (at least one walk) that Monte Carlo sampling draws and
 # scores at once.  The kernel's step count does not grow with a chunk, so a
 # chunk only needs to spread its fixed numpy calls, and small arrays stay in
-# cache: int32 arrays of 256 KB, and for walks of t >= K blocks at most
-# rows * 2 K <= 2 * 2^16 bins.
+# cache: work arrays of 256 KB (int32) and 512 KB (the intp summand ids),
+# and for walks of t >= K blocks at most rows * 2 K <= 2 * 2^16 bins.
 _CELL_CAP = 1 << 16
 
 # Orientation state after a letter a (row 0) or b (row 1), by state 1..3.
-_STEPS = np.array([STATE_AFTER["a"], STATE_AFTER["b"]], dtype=np.int64)
+_STEPS = (STATE_AFTER["a"], STATE_AFTER["b"])
 
 
 def identity_matrix() -> IntMatrix:
@@ -123,6 +130,8 @@ def _letter_counts() -> IntMatrix:
 def _block_counts(s: int) -> IntMatrix:
     """Number of the 2^s letter blocks moving state i+1 to j+1, counted off
     their end states, on which the walk tables are built (``_end_states``)."""
+    import numpy as np
+
     return tuple(tuple(np.bincount(ends, minlength=4)[1:].tolist())
                  for ends in _end_states(s))
 
@@ -326,7 +335,9 @@ def _end_states(s: int) -> np.ndarray:
     """End state after each block from each start state, shape (3, 2^s), by
     prefix doubling: the block b of k + 1 letters is the block b >> 1 of k
     letters followed by the letter b & 1."""
-    a_step, b_step = _STEPS.astype(np.int32)
+    import numpy as np
+
+    a_step, b_step = np.array(_STEPS, dtype=np.int32)
     ends = np.arange(1, 4, dtype=np.int32)[:, None]  # shape (3, 2^k)
     for k in range(s):
         longer = np.empty((3, 2 << k), dtype=np.int32)
@@ -337,6 +348,8 @@ def _end_states(s: int) -> np.ndarray:
 
 
 def _tables(s: int) -> _WalkTables:
+    import numpy as np
+
     # The end states, and each block with its letters reversed by the same
     # prefix doubling.  The build runs in int32: the budgets keep
     # 3 * 2^s <= 2^24, so every key, below 6 * 2^s, stays below 2^31.
@@ -379,9 +392,21 @@ def _class_count(s: int) -> int:
     return (3 << s) + pal_coordinate_count(s) >> 1
 
 
-def _summand_ids(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
-    """Summand id (state - 1) * 2^s + block, in int32, of each entry of a
-    (rows, t) array of blocks, every walk from state 1.
+def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The work arrays of the walk kernels for blocks of this shape: the
+    summand ids in intp, the index type of ``np.take`` and ``np.bincount``
+    (int32 ids would be copied to intp on each call), and two int32 planes
+    of scratch."""
+    import numpy as np
+
+    return np.empty(shape, dtype=np.intp), np.empty((2, *shape), dtype=np.int32)
+
+
+def _summand_ids(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """Summand id (state - 1) * 2^s + block of each entry of a (rows, t)
+    array of blocks, every walk from state 1, written into ``ids``, with
+    ``spare`` as scratch (``_work``).
 
     With x = state - 1 in Z/3, a letter is a reflection (``STATE_AFTER``):
     a is x -> -x and b is x -> 1 - x.  So block j moves x to
@@ -390,54 +415,81 @@ def _summand_ids(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
     j < k for even s, and (-1)^k times the sum of (-1)^(j+1) r_j for odd s,
     mod 3.  No step loops over t.
     """
+    import numpy as np
+
     s = tables.s
-    # Column k holds r_(k-1), signed by (-1)^k for odd s.  Its row prefix
-    # sums are the states, at most 2 t < 2^24 in magnitude: with at least
-    # two trials, ``budget.check_monte_carlo`` keeps t below 2^23.
-    ident = np.zeros(blocks.shape, dtype=np.int32)
-    ident[:, 1:] = np.take(tables.offset, blocks[:, :-1])
+    scratch, x = spare
+    # Column k holds r_(k-1), signed by (-1)^k for odd s, and column 0 is 0,
+    # so one prefix sum over the whole array, less its value at each row's
+    # start, gives the states.  It is at most 2 rows t < 2^24 in magnitude:
+    # a chunk has rows t <= max(2^16, t), and with at least two trials
+    # ``budget.check_monte_carlo`` keeps t below 2^23.  numpy's integer
+    # prefix sum runs 3-7 times as fast with a strided operand (numpy 2.4,
+    # 65,000 int32: 38-70 against 180-280 us), so the steps are written at
+    # a stride of two into the memory of ``ids``, not yet written.
+    lanes = ids.view(np.int32)
+    steps = lanes[:, ::2]
+    steps[:, 0] = 0
+    steps[:, 1:] = np.take(tables.offset, blocks[:, :-1])
     if s % 2:
-        ident[:, 1::2] *= -1
-    np.cumsum(ident, axis=1, out=ident)
+        steps[:, 1::2] *= -1
+    np.cumsum(lanes.reshape(-1)[::2], out=x.reshape(-1))
+    x -= x[:, :1]
     if s % 2:
-        ident[:, 1::2] *= -1
+        x[:, 1::2] *= -1
     # x mod 3 as x - 3 (x // 3): numpy vectorises floor division by a
     # scalar but not the remainder, which costs about 15 times as much.
-    ident -= 3 * (ident // 3)
-    ident <<= s
-    ident += blocks
-    return ident
+    np.floor_divide(x, 3, out=scratch)
+    scratch *= 3
+    x -= scratch
+    x <<= s
+    return np.add(x, blocks, out=ids)
 
 
-def _distances(blocks: np.ndarray, tables: _WalkTables) -> np.ndarray:
-    """Walk distance of each row of a (rows, t) array of blocks, by sorting.
+def _distances(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray | None = None,
+               spare: np.ndarray | None = None) -> np.ndarray:
+    """Walk distance of each row of a (rows, t) array of blocks, by sorting,
+    in the work arrays of ``_work`` (new ones if not given).
 
     Sorting a row's summand keys puts each class's summands next to each
     other, own side (+1) before mirror side (-1).  One run-length pass over
     the sorted rows sums each class's signed count D_w, which contributes
     |D_w|, or its parity for a palindromic-type class.
     """
+    import numpy as np
+
     rows, t = blocks.shape
     s = tables.s
-    keys = np.take(tables.key, _summand_ids(blocks, tables))
+    if ids is None:
+        ids, spare = _work(blocks.shape)
+    keys = np.take(tables.key, _summand_ids(blocks, tables, ids, spare), out=spare[0])
     keys.sort(axis=1)
 
     flat = keys.reshape(-1)
-    canon = flat >> 1
+    canon = np.right_shift(flat, 1, out=spare[1].reshape(-1))
     first = np.empty(flat.size, dtype=bool)
     first[0] = True
     np.not_equal(canon[1:], canon[:-1], out=first[1:])
     first[::t] = True  # a run never crosses into the next row
     starts = np.flatnonzero(first)
-    counts = np.add.reduceat(1 - 2 * (flat & 1), starts)
+    flat &= 1  # the side, then its sign 1 - 2 side
+    flat *= -2
+    flat += 1
+    counts = np.add.reduceat(flat, starts)
     contributions = residual_count(counts, tables.is_pal[canon[starts] & ((1 << s) - 1)])
     return np.bincount(starts // t, weights=contributions,
                        minlength=rows).astype(np.int64)
 
 
 def residual_count(d, pal):
-    """Copies of a class left by cancellation: |d|, or d mod 2 if palindromic-type."""
-    return np.where(pal, d & 1, np.abs(d))
+    """Copies of a class left by cancellation: |d|, or d mod 2 if
+    palindromic-type, with ``pal`` over the last axis of ``d``, written
+    over ``d``."""
+    import numpy as np
+
+    np.abs(d, out=d)
+    d[..., pal] &= 1
+    return d
 
 
 def _bin_table(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
@@ -445,6 +497,8 @@ def _bin_table(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
     among the K classes in order of canonical id, and whether each class,
     by rank, is palindromic-type: int32 over the 3 * 2^s ids, bool over
     the K classes."""
+    import numpy as np
+
     own = (tables.key & 1) == 0
     rank = np.cumsum(own, dtype=np.int32)  # rank + 1 at each canonical id
     bins = rank[tables.key >> 1]
@@ -456,16 +510,22 @@ def _bin_table(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
-                      bins: np.ndarray, pal: np.ndarray) -> np.ndarray:
+                      bins: np.ndarray, pal: np.ndarray, ids: np.ndarray | None = None,
+                      spare: np.ndarray | None = None) -> np.ndarray:
     """Walk distance of each row of a (rows, t) array of blocks, by one
-    ``np.bincount`` over the (row, class, side) bins of ``_bin_table``:
-    each class's own count less its mirror count is D_w.  In int32, with
+    ``np.bincount`` over the (row, class, side) bins of ``_bin_table``, in
+    the work arrays of ``_work`` (new ones if not given), the bins in the
+    intp one: each class's own count less its mirror count is D_w.
     rows * 2 K bins."""
+    import numpy as np
+
     rows = blocks.shape[0]
     width = 2 * pal.size
-    where = np.take(bins, _summand_ids(blocks, tables))
-    where += np.arange(0, rows * width, width, dtype=np.int32)[:, None]
-    counts = np.bincount(where.reshape(-1), minlength=rows * width)
+    if ids is None:
+        ids, spare = _work(blocks.shape)
+    where = np.take(bins, _summand_ids(blocks, tables, ids, spare), out=spare[0])
+    np.add(where, np.arange(0, rows * width, width, dtype=np.int32)[:, None], out=ids)
+    counts = np.bincount(ids.reshape(-1), minlength=rows * width)
     counts = counts.reshape(rows, pal.size, 2)
     return residual_count(counts[:, :, 0] - counts[:, :, 1], pal).sum(axis=1)
 
@@ -681,16 +741,20 @@ def distance_bound_holds(s: int, t: int, expected: Fraction) -> bool:
 
 def _block_sampler(bitgen: np.random.BitGenerator, s: int):
     """A function of n that returns the next n blocks of s letters, uniform
-    below 2^s, in int32.  They are the top s bits of successive 32-bit
-    halves of the generator's 64-bit words, low half first, an unused half
-    kept for the next call: the values that
+    below 2^s, in int32, written into its second argument if given (an
+    int32 array of n entries).  They are the top s bits of successive
+    32-bit halves of the generator's 64-bit words, low half first, an
+    unused half kept for the next call: the values that
     ``np.random.Generator(bitgen).integers(0, 2^s, n, dtype=np.int32)``
     draws, with one shift per value."""
+    import numpy as np
+
     spare = np.empty(0, dtype=np.uint32)
 
-    def draw(count: int) -> np.ndarray:
+    def draw(count: int, blocks: np.ndarray | None = None) -> np.ndarray:
         nonlocal spare
-        blocks = np.empty(count, dtype=np.int32)
+        if blocks is None:
+            blocks = np.empty(count, dtype=np.int32)
         out = blocks.view(np.uint32)  # a block below 2^31 reads the same
         used = spare.size  # at most one half, and count >= 1
         np.right_shift(spare, 32 - s, out=out[:used])
@@ -711,7 +775,11 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     (``_binned_distances``) if t is at least the class count K, else by
     the row-sort kernel (``_distances``).  The chunked draws concatenate
     to the single draw of all trials, so the samples, and the result,
-    depend only on (s, t, trials, seed), not on the chunking.
+    depend only on (s, t, trials, seed), not on the chunking.  A chunk's
+    blocks and the kernels' work arrays (``_work``) are taken once per
+    call: with fresh ones per chunk, glibc's heap gave their pages back
+    and faulted them in again, about 22,000 minor faults at (8, 1000, 4000)
+    in a fresh process, against about 800.
     """
     _check_walk_domain(s, t)
     if trials < 2:
@@ -719,16 +787,22 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     budget.check_monte_carlo(s, t, trials)
     if t == 0:
         return 0.0, 0.0
+    import numpy as np
+
     tables = _tables(s)
     bins = _bin_table(tables) if _class_count(s) <= t else None
-    rows = max(1, _CELL_CAP // t)
+    rows = min(max(1, _CELL_CAP // t), trials)
+    drawn = np.empty(rows * t, dtype=np.int32)
+    summands, scratch = _work((rows * t,))
     distances = np.empty(trials, dtype=np.int64)
     draw = _block_sampler(np.random.Philox(seed), s)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
-        blocks = draw((hi - lo) * t).reshape(hi - lo, t)
-        distances[lo:hi] = (_distances(blocks, tables) if bins is None
-                            else _binned_distances(blocks, tables, *bins))
+        n = (hi - lo) * t
+        blocks = draw(n, drawn[:n]).reshape(hi - lo, t)
+        ids, spare = summands[:n].reshape(hi - lo, t), scratch[:, :n].reshape(2, hi - lo, t)
+        distances[lo:hi] = (_distances(blocks, tables, ids, spare) if bins is None
+                            else _binned_distances(blocks, tables, *bins, ids, spare))
     mean = float(distances.mean())
     stderr = float(distances.std(ddof=1) / trials ** 0.5)
     return mean, stderr

@@ -9,10 +9,13 @@ words (``transfer_table``), and exhaustive enumeration
 words straight from their exponent masks and scores the whole chunk with
 one ``diagram.scan``; a row is the sum of its chunks' counts, taken on
 worker threads from c = 21 on (numpy releases the GIL in its larger calls,
-and two threads score c = 22 in 93 against 140 ms).  Every identity takes
-the rows it checks as an argument, so the caller decides which derivation
-it sees.  The palindromic rows come from the same DP folded in half
-(``palindromic_table``), one pass per parity for a whole run of c.
+and two threads score c = 22 in 93 against 140 ms).  Enumeration is the
+one derivation here that runs numpy, and its functions import it when
+they run: the recursion, the DPs and the totals never load it.  Every
+identity takes the rows it checks as an argument, so the caller decides
+which derivation it sees.  The palindromic rows come from the same DP
+folded in half (``palindromic_table``), one pass per parity for a whole
+run of c.
 
 On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
@@ -33,13 +36,14 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from . import budget
 from .diagram import STATE_AFTER, STEP, all_A_circles, scan
 from .words import knot_count, swap_braid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Row = dict[int, int]
 
@@ -72,6 +76,8 @@ def _letter_rows(c: int, masks: np.ndarray) -> np.ndarray:
     c plus its mask's bit count, and only the c - 2 interior bits of the
     kept masks are unpacked, bit 0 first, so into columns c-2 down to 1.
     """
+    import numpy as np
+
     kept = masks[(c + np.bitwise_count(masks)) % 3 == 1]
     rows = np.zeros((kept.size, c), np.int8)
     rows[:, -2:0:-1] = np.unpackbits(kept.astype("<u4").view(np.uint8).reshape(-1, 4),
@@ -84,6 +90,8 @@ def _chunk_counts(c: int, n_masks: int, start: int) -> np.ndarray:
     """Signature counts of the words of T(c) whose masks are the
     ``_CHUNK_MASKS`` from start (below n_masks), scored by one
     ``diagram.scan``: entry sigma + c counts signature sigma."""
+    import numpy as np
+
     rows = _letter_rows(c, np.arange(start, min(start + _CHUNK_MASKS, n_masks)))
     # A word's closure is B exactly when its last letter is 'b'.
     closure_b = rows[:, -1]
@@ -119,7 +127,7 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
             counts = sum(pool.map(chunk, starts))
     else:
         counts = sum(map(chunk, starts))
-    return {i - c: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
+    return {i - c: int(counts[i]) for i in counts.nonzero()[0].tolist()}
 
 
 def histogram_recursed(c: int, base: Mapping[int, Row]) -> Row:

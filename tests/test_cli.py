@@ -325,6 +325,29 @@ def test_version_from_a_source_checkout():
         (ROOT / "pyproject.toml").read_text()
 
 
+# The commands behind the paper's three claims run no numpy code, so a
+# process that runs one never loads numpy; a Monte Carlo walk does.
+@pytest.mark.parametrize("argv, loads", [
+    ("g4 --word +--+-+-+--++-++-", False),
+    ("g4 --c 101", False),
+    ("avg-sig --c 3..30", False),
+    ("walk-sim --s 4 --t 20 --exact", False),
+    ("enumerate --c 6", False),
+    ("sig-table --c 3..8 --method recurse", False),
+    ("walk-sim --s 4 --t 20 --trials 100", True),
+])
+def test_command_loads_numpy_only_where_it_runs(argv, loads):
+    program = ("import contextlib, io, sys\n"
+               "from twobridge import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    code = cli.main(sys.argv[1:], standalone_mode=False)\n"
+               "print(code, 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", program, *argv.split()], env=SOURCE_ENV,
+                            cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"0 {loads}\n"
+
+
 def test_closed_stdout_ends_quietly():
     # T(20) prints about 2 MB, more than a pipe holds.
     with subprocess.Popen(CLI + ["enumerate", "--c", "20"], env=SOURCE_ENV, cwd=ROOT,

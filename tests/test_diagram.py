@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twobridge import cobordism
 from twobridge import diagram as D
 from twobridge import words as W
 
@@ -346,6 +347,25 @@ def numpy_calls(call):
     return found
 
 
+def test_word_diagrams_take_one_start_check(monkeypatch):
+    # Crossing 1 of every word diagram is negative and ends in o1, and
+    # both readers of one word, ``metrics_for_word`` and ``decompose``,
+    # take that step, with its refusals, from ``first_crossing``.
+    for c in range(3, 13):
+        for w in W.enumerate_words(c):
+            d = D.diagram_for_word(w)
+            assert D.first_crossing(d.closure, d.letters) == (-1, 1), w
+    calls = []
+    step = D.first_crossing
+    monkeypatch.setattr(D, "first_crossing",
+                        lambda *args: calls.append(args) or step(*args))
+    monkeypatch.setattr(cobordism, "first_crossing", D.first_crossing)
+    word = "+--+-+-+--++-++-"
+    D.metrics_for_word(word)
+    cobordism.decompose(word, 2)
+    assert calls == [("B", W.to_braid(word))] * 2
+
+
 def test_scan_takes_batches_only():
     # One diagram is oriented by its STEP walk, not by a 1-d scan.
     with pytest.raises(ValueError, match="expected 2"):
@@ -373,8 +393,9 @@ def test_reflection_check_refuses_inconsistent_tables(monkeypatch, table, letter
 def test_scan_matches_oracle_on_long_random_words():
     rng = random.Random(20240)
     for i in range(201):
-        # The last word is longer than the precomputed weights of the scan.
-        c = rng.randint(60, 250) if i < 200 else D._TURN.size + 1
+        # The last word, of 2^13 + 1 crossings, runs the scan's weights far
+        # past the words of any enumerated row.
+        c = rng.randint(60, 250) if i < 200 else (1 << 13) + 1
         mask = rng.getrandbits(c - 2)
         while (c + mask.bit_count()) % 3 != 1:
             mask = rng.getrandbits(c - 2)

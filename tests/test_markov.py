@@ -376,9 +376,7 @@ def test_chain_passes_at_every_admitted_block_size():
 
 _CORRUPT_STEPS = """
 from twobridge import markov
-steps = markov._STEPS.copy()
-steps[0] = steps[1]  # the letter a now acts as b
-markov._STEPS = steps
+markov._STEPS = (markov._STEPS[1], markov._STEPS[1])  # the letter a now acts as b
 print(sorted(name for name, ok in markov.verify_chain(6, 8).items() if not ok))
 """
 
@@ -387,9 +385,7 @@ def test_corrupt_letter_table_fails_only_the_empirical_check(monkeypatch):
     # The end states (and the walk tables built on them) read _STEPS at call
     # time; the powers and closed forms read the letter counts of
     # STATE_AFTER, so only the block counts change.
-    steps = markov._STEPS.copy()
-    steps[0] = steps[1]
-    monkeypatch.setattr(markov, "_STEPS", steps)
+    monkeypatch.setattr(markov, "_STEPS", (markov._STEPS[1], markov._STEPS[1]))
     assert verify_chain(6, 8) == {**dict.fromkeys(CHAIN_CHECKS, True), "empirical": False}
     assert checks.check_markov() == (False, "failed: empirical")
     monkeypatch.undo()

@@ -172,11 +172,22 @@ def test_cli_import_starts_no_process_machinery():
 
 
 def test_cli_import_loads_no_click():
-    program = "import sys, twobridge.cli\nprint('click' in sys.modules)\n"
-    result = subprocess.run([sys.executable, "-c", program], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    # Importing the CLI loads neither click nor numpy, and pins OpenBLAS to
+    # one thread unless the caller set a count; the package alone leaves the
+    # environment as it is.
+    def imported(module, **env):
+        program = (f"import os, sys, {module}\n"
+                   "print('click' in sys.modules, 'numpy' in sys.modules, "
+                   "os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        result = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                                text=True, env={**base, "PYTHONPATH": SRC, **env})
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    assert imported("twobridge.cli") == "False False 1\n"
+    assert imported("twobridge.cli", OPENBLAS_NUM_THREADS="3") == "False False 3\n"
+    assert imported("twobridge") == "False False None\n"
 
 
 def test_recursed_equals_enumerated(enum14, rec20):
