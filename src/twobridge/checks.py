@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import cobordism, markov, sigtables, words
 from .diagram import metrics_for_word
@@ -51,8 +51,7 @@ METRIC_ROWS: dict[str, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     seconds: float

@@ -22,7 +22,10 @@ Importing this module loads no numpy: only ``sig-table --method enumerate``
 or ``both``, Monte Carlo ``walk-sim``, ``markov-verify`` and ``verify-all``
 run numpy code, and the functions that run it import it.  The import pins
 OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``, below) for the commands
-that load it.
+that load it.  Nor does it load ``dataclasses`` (the package's records are
+named tuples and ``__slots__`` classes) or ``concurrent.futures``, which
+only an enumerated row scored on threads imports (c >= 21, ``--workers``
+above 1).
 """
 
 from __future__ import annotations

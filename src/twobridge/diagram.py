@@ -58,7 +58,6 @@ checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .words import to_braid, validate_braid
@@ -113,34 +112,30 @@ _S3_THEN = tuple(tuple(S3.index(tuple(S3[j][p - 1] for p in S3[i])) for j in ran
                  for i in range(6))
 
 
-@dataclass(frozen=True)
 class PlatDiagram:
     """A braid word together with a choice of right plat closure."""
 
-    letters: str
-    closure: str  # "A" or "B", see module docstring
+    __slots__ = ("letters", "closure")
 
-    def __post_init__(self) -> None:
-        validate_braid(self.letters)
-        if not self.letters:
+    def __init__(self, letters: str, closure: str) -> None:
+        validate_braid(letters)
+        if not letters:
             raise ValueError("diagram needs at least one crossing")
-        if self.closure not in ("A", "B"):
-            raise ValueError(f"closure must be 'A' or 'B': {self.closure!r}")
+        if closure not in ("A", "B"):  # see module docstring
+            raise ValueError(f"closure must be 'A' or 'B': {closure!r}")
+        self.letters, self.closure = letters, closure
 
 
-@dataclass(frozen=True)
 class DiagramMetrics:
     """Positive crossings, all-A circles, and the signature they define."""
 
-    c_plus: int
-    s_A: int
-    signature: int
+    __slots__ = ("c_plus", "s_A", "signature")
 
-    def __post_init__(self) -> None:
-        if self.signature != self.s_A - self.c_plus - 1:
+    def __init__(self, c_plus: int, s_A: int, signature: int) -> None:
+        if signature != s_A - c_plus - 1:
             raise ValueError(
-                f"signature {self.signature} != s_A - c_plus - 1 = "
-                f"{self.s_A - self.c_plus - 1}")
+                f"signature {signature} != s_A - c_plus - 1 = {s_A - c_plus - 1}")
+        self.c_plus, self.s_A, self.signature = c_plus, s_A, signature
 
 
 def diagram_for_word(word: str) -> PlatDiagram:

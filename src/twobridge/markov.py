@@ -43,17 +43,18 @@ before each of its blocks, with no Python step per block.  Blocks are the
 top s bits of the 32-bit halves of raw Philox words (``_block_sampler``),
 the values that ``Generator.integers`` draws, in int32, and every kernel
 array with one entry per block is int32 but the intp summand ids
-(``_work``).  A walk of t >= K blocks, with K
-about 1.5 * 2^s summand classes (``_class_count``), is scored by one
-``np.bincount`` over (walk, class, side) bins: each class's own count less
-its mirror count is D_w, which contributes |D_w|, or its parity for a
-palindromic-type class.  A shorter walk would leave most bins empty, so
-its t int32 keys 2 * canon + [mirror side] are sorted instead, which
-groups every class, and one run-length pass gives each D_w.  The choice
-depends on (s, t) alone.  Walks are drawn in chunks of at most 2^16
-blocks, so that each kernel array (512 KB at most, unless one walk is
-longer) stays in cache and a binned chunk has at most 2 * 2^16 bins; the
-draws do not depend on the chunking.  The lookup tables hold what the
+(``_work``) and the sorting scorer's positions and flags (``_run_work``).
+A walk of t >= K blocks, with K about 1.5 * 2^s summand classes
+(``_class_count``), is scored by one ``np.bincount`` over (walk, class,
+side) bins: each class's own count less its mirror count is D_w, which
+contributes |D_w|, or its parity for a palindromic-type class.  A shorter
+walk would leave most bins empty, so its t int32 keys 2 * canon + [mirror
+side] are sorted instead, which groups every class into one run, and one
+``np.add.reduceat`` over the runs gives each D_w.  The choice depends on
+(s, t) alone.  Walks are drawn in chunks of at most 2^16 blocks, so that
+each kernel array (512 KB at most, unless one walk is longer) stays in
+cache and a binned chunk has at most 2 * 2^16 bins; the draws do not
+depend on the chunking.  The lookup tables hold what the
 sampler reads once each: the key over all 3 * 2^s oriented blocks, and r
 and the palindromic type per block; the binned scorer reads its bins off
 them.  They are built afresh, by prefix doubling in int32, on the end
@@ -70,10 +71,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import budget
 from .diagram import STATE_AFTER
@@ -317,8 +317,7 @@ def _signature_groups(s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, .
     return rows, sizes
 
 
-@dataclass(frozen=True)
-class _WalkTables:
+class _WalkTables(NamedTuple):
     """Lookup tables for the walk kernel, by id (state - 1) * 2^s + block or by block."""
 
     s: int
@@ -446,39 +445,58 @@ def _summand_ids(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray,
     return np.add(x, blocks, out=ids)
 
 
+def _run_work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The work arrays of the sorting scorer for n entries: the positions
+    0 .. n - 1 in intp, and two bool planes of n + 1 flags, for the run
+    edges and for the palindromic type."""
+    import numpy as np
+
+    return np.arange(n), np.empty((2, n + 1), dtype=bool)
+
+
 def _distances(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray | None = None,
-               spare: np.ndarray | None = None) -> np.ndarray:
+               spare: np.ndarray | None = None,
+               runs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Walk distance of each row of a (rows, t) array of blocks, by sorting,
-    in the work arrays of ``_work`` (new ones if not given).
+    in the work arrays of ``_work`` and ``_run_work`` (new ones if not
+    given).
 
     Sorting a row's summand keys puts each class's summands next to each
-    other, own side (+1) before mirror side (-1).  One run-length pass over
-    the sorted rows sums each class's signed count D_w, which contributes
-    |D_w|, or its parity for a palindromic-type class.
+    other, own side (+1) before mirror side (-1), in one run.  Each entry
+    is given the start of its run, and one ``np.add.reduceat`` over those
+    starts sums each class's signed count D_w at the last entry of its run,
+    which contributes |D_w|, or its parity for a palindromic-type class.
     """
     import numpy as np
 
     rows, t = blocks.shape
-    s = tables.s
+    n = rows * t
     if ids is None:
         ids, spare = _work(blocks.shape)
+    positions, flags = _run_work(n) if runs is None else runs
     keys = np.take(tables.key, _summand_ids(blocks, tables, ids, spare), out=spare[0])
     keys.sort(axis=1)
 
     flat = keys.reshape(-1)
     canon = np.right_shift(flat, 1, out=spare[1].reshape(-1))
-    first = np.empty(flat.size, dtype=bool)
-    first[0] = True
-    np.not_equal(canon[1:], canon[:-1], out=first[1:])
-    first[::t] = True  # a run never crosses into the next row
-    starts = np.flatnonzero(first)
+    # Entry i starts a run where edge[i] is set, and ends one where
+    # edge[i + 1] is; a run never crosses into the next row.
+    edge, pal = flags[0, :n + 1], flags[1, :n]
+    np.not_equal(canon[1:], canon[:-1], out=edge[1:n])
+    edge[::t] = True
+    index = ids.reshape(-1)
+    np.bitwise_and(canon, (1 << tables.s) - 1, out=index)
+    np.take(tables.is_pal, index, out=pal)
     flat &= 1  # the side, then its sign 1 - 2 side
     flat *= -2
     flat += 1
-    counts = np.add.reduceat(flat, starts)
-    contributions = residual_count(counts, tables.is_pal[canon[starts] & ((1 << s) - 1)])
-    return np.bincount(starts // t, weights=contributions,
-                       minlength=rows).astype(np.int64)
+    np.multiply(edge[:n], positions[:n], out=index)
+    np.maximum.accumulate(index, out=index)  # the start of each entry's run
+    # At a run's last entry the next index is the next run's start, so
+    # reduceat sums the run there; elsewhere it copies one sign.
+    counts = residual_count(np.add.reduceat(flat, index, out=canon), pal)
+    counts *= edge[1:]
+    return counts.reshape(rows, t).sum(axis=1, dtype=np.int64)
 
 
 def residual_count(d, pal):
@@ -776,10 +794,11 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     the row-sort kernel (``_distances``).  The chunked draws concatenate
     to the single draw of all trials, so the samples, and the result,
     depend only on (s, t, trials, seed), not on the chunking.  A chunk's
-    blocks and the kernels' work arrays (``_work``) are taken once per
-    call: with fresh ones per chunk, glibc's heap gave their pages back
-    and faulted them in again, about 22,000 minor faults at (8, 1000, 4000)
-    in a fresh process, against about 800.
+    blocks and the kernels' work arrays (``_work``, and ``_run_work`` for
+    the sorting scorer) are taken once per call: with fresh ones per
+    chunk, glibc's heap gave their pages back and faulted them in again,
+    about 22,000 minor faults at (8, 1000, 4000) in a fresh process,
+    against about 800.
     """
     _check_walk_domain(s, t)
     if trials < 2:
@@ -794,6 +813,7 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     rows = min(max(1, _CELL_CAP // t), trials)
     drawn = np.empty(rows * t, dtype=np.int32)
     summands, scratch = _work((rows * t,))
+    runs = _run_work(rows * t) if bins is None else None
     distances = np.empty(trials, dtype=np.int64)
     draw = _block_sampler(np.random.Philox(seed), s)
     for lo in range(0, trials, rows):
@@ -801,7 +821,7 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
         n = (hi - lo) * t
         blocks = draw(n, drawn[:n]).reshape(hi - lo, t)
         ids, spare = summands[:n].reshape(hi - lo, t), scratch[:, :n].reshape(2, hi - lo, t)
-        distances[lo:hi] = (_distances(blocks, tables, ids, spare) if bins is None
+        distances[lo:hi] = (_distances(blocks, tables, ids, spare, runs) if bins is None
                             else _binned_distances(blocks, tables, *bins, ids, spare))
     mean = float(distances.mean())
     stderr = float(distances.std(ddof=1) / trials ** 0.5)

@@ -11,11 +11,11 @@ one ``diagram.scan``; a row is the sum of its chunks' counts, taken on
 worker threads from c = 21 on (numpy releases the GIL in its larger calls,
 and two threads score c = 22 in 93 against 140 ms).  Enumeration is the
 one derivation here that runs numpy, and its functions import it when
-they run: the recursion, the DPs and the totals never load it.  Every
-identity takes the rows it checks as an argument, so the caller decides
-which derivation it sees.  The palindromic rows come from the same DP
-folded in half (``palindromic_table``), one pass per parity for a whole
-run of c.
+they run, as the threaded branch imports its thread pool: the recursion,
+the DPs and the totals never load either.  Every identity takes the rows
+it checks as an argument, so the caller decides which derivation it sees.
+The palindromic rows come from the same DP folded in half
+(``palindromic_table``), one pass per parity for a whole run of c.
 
 On top of the rows sit the total absolute signature tot(c), its palindromic
 variant tot_p(c), the exact average |sigma| per knot, and the √(2c/π)
@@ -31,8 +31,6 @@ import hashlib
 import math
 import os
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from pathlib import Path
@@ -121,8 +119,12 @@ def histogram_enumerated(c: int, workers: int | None = None) -> Row:
     chunk = partial(_chunk_counts, c, n_masks)
     starts = range(0, n_masks, _CHUNK_MASKS)
     if workers and workers > 1 and n_masks >= _THREAD_MIN_MASKS:
-        # The threads call no function that perfbench/tracing.py wraps: its
-        # span stack is not thread-safe.
+        # Imported here: concurrent.futures loads logging, traceback and
+        # queue, about 5 ms of every process that never gets this far.  The
+        # threads call no function that perfbench/tracing.py wraps: its span
+        # stack is not thread-safe.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers) as pool:
             counts = sum(pool.map(chunk, starts))
     else:
@@ -432,27 +434,30 @@ def _tot_pass(c_values: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
     return tot, tot_p
 
 
-@dataclass(frozen=True)
 class TotalsReport:
-    """Exact totals and the average |sigma| per knot for one c."""
+    """Exact totals and the average |sigma| per knot for one c, equal to
+    another with the same five fields."""
 
-    c: int
-    tot: int
-    tot_p: int
-    avg_abs_sigma: Fraction
-    asymptote: float
+    __slots__ = ("c", "tot", "tot_p", "avg_abs_sigma", "asymptote")
 
-    def __post_init__(self) -> None:
+    def __init__(self, c: int, tot: int, tot_p: int, avg_abs_sigma: Fraction,
+                 asymptote: float) -> None:
         # A reduced fraction equals (tot + tot_p) / (2 * knot_count) exactly
         # when its denominator divides 2 * knot_count and the quotient takes
         # its numerator to tot + tot_p: no second gcd and no product of two
         # c-bit ints.
-        avg = self.avg_abs_sigma
-        scale, rest = divmod(2 * knot_count(self.c), avg.denominator)
-        if rest or avg.numerator * scale != self.tot + self.tot_p:
+        scale, rest = divmod(2 * knot_count(c), avg_abs_sigma.denominator)
+        if rest or avg_abs_sigma.numerator * scale != tot + tot_p:
             raise ValueError(
-                f"avg_abs_sigma {self.avg_abs_sigma} != (tot + tot_p) / "
-                f"(2 * knot_count) at c={self.c}")
+                f"avg_abs_sigma {avg_abs_sigma} != (tot + tot_p) / "
+                f"(2 * knot_count) at c={c}")
+        self.c, self.tot, self.tot_p = c, tot, tot_p
+        self.avg_abs_sigma, self.asymptote = avg_abs_sigma, asymptote
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TotalsReport):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def totals(c_values: Sequence[int]) -> dict[int, TotalsReport]:

@@ -14,7 +14,6 @@ Braid words are strings over ``{a,b}`` where ``a`` is a lower-row crossing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 _SWAP_SIGNS = str.maketrans("+-", "-+")
@@ -153,20 +152,17 @@ def knot_count(c: int) -> int:
     return (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1) // 3
 
 
-@dataclass(frozen=True)
 class CountReport:
     """Word, palindrome and knot counts for one crossing number."""
 
-    c: int
-    words: int
-    palindromes: int
-    knots: int
+    __slots__ = ("c", "words", "palindromes", "knots")
 
-    def __post_init__(self) -> None:
-        if 2 * self.knots != self.words + self.palindromes:
+    def __init__(self, c: int, words: int, palindromes: int, knots: int) -> None:
+        if 2 * knots != words + palindromes:
             raise ValueError(
-                f"2 * knots ({2 * self.knots}) != words + palindromes "
-                f"({self.words + self.palindromes}) at c={self.c}")
+                f"2 * knots ({2 * knots}) != words + palindromes "
+                f"({words + palindromes}) at c={c}")
+        self.c, self.words, self.palindromes, self.knots = c, words, palindromes, knots
 
 
 def count_report(c: int) -> CountReport:

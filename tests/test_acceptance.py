@@ -7,8 +7,6 @@ backs `twobridge verify-all`, so a green run here matches exit 0
 there.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from twobridge import checks, sigtables
@@ -78,7 +76,9 @@ def test_06_average_signature_reports_a_failure(monkeypatch, c, shift, detail):
 
     def moved(c_values):
         reports = totals(c_values)
-        reports[c] = replace(reports[c], asymptote=reports[c].asymptote + shift)
+        r = reports[c]
+        reports[c] = sigtables.TotalsReport(r.c, r.tot, r.tot_p, r.avg_abs_sigma,
+                                            r.asymptote + shift)
         return reports
 
     monkeypatch.setattr(sigtables, "totals", moved)

@@ -1,6 +1,5 @@
 """Tests for the saddle-move decomposition and 4-genus bounds."""
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -429,8 +428,8 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
     for name in ("summand_class", "_repair_costs", "component_count",
                  "link_lemma_fix"):
         monkeypatch.setattr(cobordism, name, counted(name, getattr(cobordism, name)))
-    monkeypatch.setattr(OrientedWord, "__post_init__",
-                        counted("OrientedWord", OrientedWord.__post_init__))
+    monkeypatch.setattr(OrientedWord, "__init__",
+                        counted("OrientedWord", OrientedWord.__init__))
     rep = decompose(word, 3)
     first = dict(calls)
     calls.clear()
@@ -575,11 +574,11 @@ def test_decompose_makes_no_numpy_call():
     ("", f"decompose({EXAMPLE_WORD!r}, 3, braid='abababaabbbb')",
      "state right of crossing 1 must be o1, got o3"),
     # A record whose end state disagrees with its STEP walk.
-    ("real = cobordism.OrientedWord.__post_init__\n"
-     "def corrupted(x):\n"
-     "    real(x)\n"
-     "    object.__setattr__(x, 'end', 1)\n"
-     "cobordism.OrientedWord.__post_init__ = corrupted\n",
+    ("real = cobordism.OrientedWord.__init__\n"
+     "def corrupted(x, *args):\n"
+     "    real(x, *args)\n"
+     "    x.end = 1\n"
+     "cobordism.OrientedWord.__init__ = corrupted\n",
      f"decompose({EXAMPLE_WORD!r}, 3)",
      "block o1:aab walks to o2, but its strand permutation ends it in o1"),
 ])
@@ -849,8 +848,8 @@ def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
 
     def lopsided(x):
         fix = real(x)
-        return dataclasses.replace(fix, added_crossings=fix.added_crossings
-                                   + (x.letters[0] == "a"))
+        return fix._replace(added_crossings=fix.added_crossings
+                            + (x.letters[0] == "a"))
 
     monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
     with pytest.raises(ValueError, match="mirror"):
@@ -858,12 +857,10 @@ def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
 
 
 def test_mirror_crossing_check_survives_optimize_flag():
-    code = ("import dataclasses\n"
-            "from twobridge import cobordism\n"
+    code = ("from twobridge import cobordism\n"
             "real = cobordism.link_lemma_fix\n"
-            "cobordism.link_lemma_fix = lambda x: dataclasses.replace(\n"
-            "    real(x), added_crossings=real(x).added_crossings\n"
-            "    + (x.letters[0] == 'a'))\n"
+            "cobordism.link_lemma_fix = lambda x: real(x)._replace(\n"
+            "    added_crossings=real(x).added_crossings + (x.letters[0] == 'a'))\n"
             "cobordism.average_g4_row(9, 3)\n")
     src = str(Path(cobordism.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

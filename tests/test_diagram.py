@@ -582,9 +582,16 @@ INCONSISTENT_REPORTS = {
         "TotalsReport(c=6, tot=4, tot_p=0, avg_abs_sigma=Fraction(1, 3),\n"
         "             asymptote=1.95)",
     "DecompositionReport":
-        "from dataclasses import replace\n"
-        "from twobridge.cobordism import decompose\n"
-        "replace(decompose('+--+-+-+--++-++-', 3), g4_lower=99)",
+        "from twobridge.cobordism import DecompositionReport, decompose\n"
+        "report = decompose('+--+-+-+--++-++-', 3)\n"
+        "fields = {name: getattr(report, name) for name in DecompositionReport.__slots__}\n"
+        "DecompositionReport(**{**fields, 'g4_lower': 99})",
+    "PlatDiagram":
+        "from twobridge.diagram import PlatDiagram\n"
+        "PlatDiagram(letters='ab', closure='C')",
+    "OrientedWord":
+        "from twobridge.cobordism import OrientedWord\n"
+        "OrientedWord(start=0, letters='ab')",
 }
 
 

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -1017,8 +1016,8 @@ def test_walk_tables_hold_each_fact_once():
     # the block alone, and no table is int64.
     for s in range(1, 13):
         tables = _tables(s)
-        arrays = {field.name: getattr(tables, field.name)
-                  for field in fields(markov._WalkTables) if field.name != "s"}
+        arrays = {name: getattr(tables, name)
+                  for name in markov._WalkTables._fields if name != "s"}
         assert {name: array.shape for name, array in arrays.items()} == {
             name: (3 << s,) if name == "key" else (1 << s,) for name in arrays}, s
         assert all(array.dtype != np.int64 for array in arrays.values()), s
@@ -1200,8 +1199,7 @@ def test_monte_carlo_builds_no_class_listing(monkeypatch):
         raise AssertionError(f"signature groups looked up at s={s}")
 
     monkeypatch.setattr(markov, "_signature_groups", refuse)
-    assert [field.name for field in fields(markov._WalkTables)] == \
-        ["s", "key", "offset", "is_pal"]
+    assert list(markov._WalkTables._fields) == ["s", "key", "offset", "is_pal"]
     test_monte_carlo_pinned_values()
 
 

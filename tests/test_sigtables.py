@@ -1,5 +1,6 @@
 """Tests for signature histograms, recursions, totals, and the CSV cache."""
 
+import concurrent.futures
 import math
 import os
 import random
@@ -139,9 +140,10 @@ def test_enumeration_makes_no_per_word_diagram_call(monkeypatch):
 
 
 def test_workers_shard_agrees_with_serial(monkeypatch):
-    # c = 21 has 2^19 masks, the fewest that are scored on threads.
+    # c = 21 has 2^19 masks, the fewest that are scored on threads.  The
+    # threaded branch imports the pool from concurrent.futures when it runs.
     pools = []
-    monkeypatch.setattr(S, "ThreadPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
     assert S.histogram_enumerated(20, workers=2) == S.recursed_table(20)[20]
     assert pools == []
@@ -162,8 +164,10 @@ def test_threaded_row_at_the_budget_matches_the_recursion():
 
 
 def test_cli_import_starts_no_process_machinery():
+    # Nor the thread pool, which only a threaded row imports, nor dataclasses.
     program = ("import sys, twobridge.cli\n"
-               "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+               "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+               "                         'concurrent.futures', 'dataclasses')\n"
                "             if m in sys.modules))\n")
     result = subprocess.run([sys.executable, "-c", program], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": SRC})
