@@ -24,9 +24,10 @@ of pure functions of its key: the block's ``OrientedWord``, end state,
 mirror class, link repair, positive crossings from its start state and
 the signed step of its class (+1 or -1 within a mirror pair, a parity bit
 for a palindromic-type class).  A check that raises caches nothing.
-``decompose`` and the mean DP's table read every block from it.  A table
-past s = 10 has more blocks than the memo holds and evicts what it cached;
-no command builds one in a process that then decomposes words.
+``decompose`` and the mean DP's table read every block from it, and the
+table checks each mirror pair against its two blocks' records, so it
+analyses no block twice.  A table past s = 10 evicts what ``decompose``
+cached; no command builds one in a process that then decomposes words.
 
 ``decompose`` reads a word off its block records alone, with no diagram
 scan: one loop sums the saddles, the positive crossings and each class's
@@ -228,14 +229,6 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     return fix
 
 
-def _repair_costs(x: OrientedWord) -> tuple[int, int]:
-    """(saddle moves, crossings) of a summand after its link repair, if any."""
-    if component_count(x) == 2:
-        fix = link_lemma_fix(x)
-        return fix.saddles, len(x.letters) + fix.added_crossings
-    return 0, len(x.letters)
-
-
 # A summand's signed step in its class: its copies of a mirror pair add and
 # its mirror's subtract, while copies of a palindromic-type class cancel in
 # pairs (0 marks the parity bit).
@@ -261,10 +254,10 @@ class _BlockAnalysis:
 @functools.lru_cache(maxsize=1 << 12)
 def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
     """Analyse one oriented block, with every check of ``OrientedWord``,
-    ``summand_class`` and ``link_lemma_fix``, and count its positive
-    crossings by a ``STEP`` walk, which must end in the state its strand
-    permutation gives.  The memo holds every block with s <= 10; a check
-    that raises caches nothing."""
+    ``summand_class`` and ``link_lemma_fix`` (whose costs are summed here
+    alone), and count its positive crossings by a ``STEP`` walk, which must
+    end in the state its strand permutation gives.  The memo holds every
+    block with s <= 10; a check that raises caches nothing."""
     x = OrientedWord(start, letters)
     end = x.end
     positive, walked = positive_crossings(start, letters)
@@ -272,7 +265,10 @@ def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
         raise ValueError(f"block {x.serialize()} walks to o{walked}, but its "
                          f"strand permutation ends it in o{end}")
     cls = summand_class(x)
-    saddles, crossings = _repair_costs(x)
+    saddles, crossings = 0, len(letters)
+    if component_count(x) == 2:
+        fix = link_lemma_fix(x)
+        saddles, crossings = fix.saddles, crossings + fix.added_crossings
     return _BlockAnalysis(x, end, cls, saddles, crossings, positive, _SIGN[cls.polarity])
 
 
@@ -516,7 +512,8 @@ def _length(state: int, n: int) -> int:
 
 
 class _SummandTable(NamedTuple):
-    """What the mean DP needs to know of the 3 * 2^s oriented blocks.
+    """What the mean DP needs to know of the 3 * 2^s oriented blocks, read
+    off one ``_analyse_block`` record each.
 
     ``costs[i][j]`` is the summed local saddle moves of the blocks that
     take orientation state i + 1 to j + 1: the block's link repair and the
@@ -533,36 +530,50 @@ class _SummandTable(NamedTuple):
 
 
 def _summand_table(s: int) -> _SummandTable:
+    """The table at block size s, from one ``_analyse_block`` record per
+    oriented block, each checked against its interior length and against
+    its mirror's record."""
     costs = [[0] * 3 for _ in range(3)]
     weights: Counter[tuple[int, ...]] = Counter()
+    # The repaired crossings of each mirror pair's side met first.
+    unmatched: dict[str, int] = {}
     for start in (1, 2, 3):
         for letters in map("".join, product("ab", repeat=s)):
             block = _analyse_block(start, letters)
-            x, end, crossings = block.summand, block.end, block.crossings
+            end, cls, crossings = block.end, block.cls, block.crossings
             # At either position parity the block must take the interior
             # length of its start state to that of its end state.
             for p in (0, 1):
                 if (_length(start, p) + _interior_length(letters, p)
                         - _length(end, p + s)) % 3:
-                    raise ValueError(f"block {x.serialize()} at parity {p} does not "
+                    raise ValueError(f"block o{start}:{letters} at parity {p} does not "
                                      "end on the interior length of its end state")
             costs[start - 1][end - 1] += block.saddles + _CUT_SADDLES[end]
-            cls = block.cls
-            if cls.polarity == "minus":
-                continue
-            other = mirror(x)
+            if cls.polarity != "minus" and crossings >= 2:
+                # The mirror runs from _FLIP[end] to _FLIP[start], the state
+                # indices 3 - end and 3 - start.
+                key = (start - 1, end - 1, 3 - end, 3 - start,
+                       int(cls.polarity == "self_mirror"))
+                weights[key] += crossings // 2
             # decompose charges a class the crossings of whichever side
-            # occurs first; the DP charges the class's own.
-            if _repair_costs(other)[1] != crossings:
-                raise ValueError(f"summand {x.serialize()} and its mirror "
+            # occurs first, the DP the class's own.  A mirror pair's sides
+            # share its class key; a palindromic-type block's mirror has its
+            # letters from the flipped end state.
+            if block.sign:
+                pair = cls.key
+            elif start != _FLIP[end]:
+                pair = f"o{min(start, _FLIP[end])}:{letters}"
+            else:
+                continue  # its own mirror
+            met = unmatched.pop(pair, None)
+            if met is None:
+                unmatched[pair] = crossings
+            elif met != crossings:
+                raise ValueError(f"summand {pair} and its mirror "
                                  "have different repaired crossing counts")
-            if crossings < 2:
-                continue
-            # The mirror runs from _FLIP[end] to _FLIP[start], the state
-            # indices 3 - end and 3 - start.
-            key = (start - 1, end - 1, 3 - end, 3 - start,
-                   int(cls.polarity == "self_mirror"))
-            weights[key] += crossings // 2
+    if unmatched:
+        raise ValueError(f"summand {min(unmatched)} met no mirror among the "
+                         f"blocks of {s} letters")
     return _SummandTable(tuple(map(tuple, costs)), dict(weights))
 
 

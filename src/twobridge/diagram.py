@@ -107,9 +107,6 @@ _TURN = (1, 2)
 #: (c mod 2, Q), Q its alternating letter sum in Z/3 (module docstring)
 _S3_OF = tuple(tuple(S3.index(tuple((-1) ** parity * (x + q) % 3 + 1 for x in range(3)))
                      for q in range(3)) for parity in (0, 1))
-#: S3 index of permutation i followed by permutation j, at [i][j]
-_S3_THEN = tuple(tuple(S3.index(tuple(S3[j][p - 1] for p in S3[i])) for j in range(6))
-                 for i in range(6))
 
 
 class PlatDiagram:
@@ -300,12 +297,12 @@ def positive_crossings(start: int, letters: str) -> tuple[int, int]:
     return (len(letters) + total) // 2, state
 
 
-def s3_index(letters: str, index: int = 0) -> int:
-    """S3 index of the strand permutation of ``index`` followed by the
-    letters, which the caller has validated: the parity of their length and
-    their alternating sum Q (module docstring) fix it."""
+def s3_index(letters: str) -> int:
+    """S3 index of the strand permutation of the letters, which the caller
+    has validated: the parity of their length and their alternating sum Q
+    (module docstring) fix it."""
     q = (2 * letters[::2].count("b") + letters[1::2].count("b")) % 3
-    return _S3_THEN[index][_S3_OF[len(letters) % 2][q]]
+    return _S3_OF[len(letters) % 2][q]
 
 
 def all_A_circles(a, closure_b):

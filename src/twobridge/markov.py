@@ -454,12 +454,10 @@ def _run_work(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.empty((2, n + 1), dtype=bool)
 
 
-def _distances(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray | None = None,
-               spare: np.ndarray | None = None,
-               runs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _distances(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray,
+               spare: np.ndarray, runs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Walk distance of each row of a (rows, t) array of blocks, by sorting,
-    in the work arrays of ``_work`` and ``_run_work`` (new ones if not
-    given).
+    in the work arrays of ``_work`` and ``_run_work``.
 
     Sorting a row's summand keys puts each class's summands next to each
     other, own side (+1) before mirror side (-1), in one run.  Each entry
@@ -471,9 +469,7 @@ def _distances(blocks: np.ndarray, tables: _WalkTables, ids: np.ndarray | None =
 
     rows, t = blocks.shape
     n = rows * t
-    if ids is None:
-        ids, spare = _work(blocks.shape)
-    positions, flags = _run_work(n) if runs is None else runs
+    positions, flags = runs
     keys = np.take(tables.key, _summand_ids(blocks, tables, ids, spare), out=spare[0])
     keys.sort(axis=1)
 
@@ -528,19 +524,16 @@ def _bin_table(tables: _WalkTables) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
-                      bins: np.ndarray, pal: np.ndarray, ids: np.ndarray | None = None,
-                      spare: np.ndarray | None = None) -> np.ndarray:
+                      bins: np.ndarray, pal: np.ndarray, ids: np.ndarray,
+                      spare: np.ndarray) -> np.ndarray:
     """Walk distance of each row of a (rows, t) array of blocks, by one
     ``np.bincount`` over the (row, class, side) bins of ``_bin_table``, in
-    the work arrays of ``_work`` (new ones if not given), the bins in the
-    intp one: each class's own count less its mirror count is D_w.
-    rows * 2 K bins."""
+    the work arrays of ``_work``, the bins in the intp one: each class's
+    own count less its mirror count is D_w.  rows * 2 K bins."""
     import numpy as np
 
     rows = blocks.shape[0]
     width = 2 * pal.size
-    if ids is None:
-        ids, spare = _work(blocks.shape)
     where = np.take(bins, _summand_ids(blocks, tables, ids, spare), out=spare[0])
     np.add(where, np.arange(0, rows * width, width, dtype=np.int32)[:, None], out=ids)
     counts = np.bincount(ids.reshape(-1), minlength=rows * width)
@@ -758,21 +751,19 @@ def distance_bound_holds(s: int, t: int, expected: Fraction) -> bool:
 
 
 def _block_sampler(bitgen: np.random.BitGenerator, s: int):
-    """A function of n that returns the next n blocks of s letters, uniform
-    below 2^s, in int32, written into its second argument if given (an
-    int32 array of n entries).  They are the top s bits of successive
-    32-bit halves of the generator's 64-bit words, low half first, an
-    unused half kept for the next call: the values that
+    """A function of n that writes the next n blocks of s letters, uniform
+    below 2^s, into its second argument, an int32 array of n entries, and
+    returns it.  They are the top s bits of successive 32-bit halves of
+    the generator's 64-bit words, low half first, an unused half kept for
+    the next call: the values that
     ``np.random.Generator(bitgen).integers(0, 2^s, n, dtype=np.int32)``
     draws, with one shift per value."""
     import numpy as np
 
     spare = np.empty(0, dtype=np.uint32)
 
-    def draw(count: int, blocks: np.ndarray | None = None) -> np.ndarray:
+    def draw(count: int, blocks: np.ndarray) -> np.ndarray:
         nonlocal spare
-        if blocks is None:
-            blocks = np.empty(count, dtype=np.int32)
         out = blocks.view(np.uint32)  # a block below 2^31 reads the same
         used = spare.size  # at most one half, and count >= 1
         np.right_shift(spare, 32 - s, out=out[:used])

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -65,6 +66,15 @@ def all_oriented_words(s):
     for start in (1, 2, 3):
         for bits in product("ab", repeat=s):
             yield OrientedWord(start, "".join(bits))
+
+
+def repair_costs(x):
+    """Oracle: (saddle moves, crossings) of a summand after its link repair,
+    if any, from ``component_count`` and ``link_lemma_fix`` alone."""
+    if component_count(x) == 2:
+        fix = link_lemma_fix(x)
+        return fix.saddles, len(x.letters) + fix.added_crossings
+    return 0, len(x.letters)
 
 
 def test_oriented_word_validation():
@@ -425,8 +435,7 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("summand_class", "_repair_costs", "component_count",
-                 "link_lemma_fix"):
+    for name in ("summand_class", "component_count", "link_lemma_fix"):
         monkeypatch.setattr(cobordism, name, counted(name, getattr(cobordism, name)))
     monkeypatch.setattr(OrientedWord, "__init__",
                         counted("OrientedWord", OrientedWord.__init__))
@@ -442,7 +451,6 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
     links = sum(component_count(x) == 2 for x in distinct)
     assert rep.t > 2 * len(distinct) and links > 0
     assert first == {"OrientedWord": len(distinct), "summand_class": len(distinct),
-                     "_repair_costs": len(distinct),
                      "component_count": len(distinct), "link_lemma_fix": links}
     assert again == rep and not calls
     assert all(x is y for x, y in zip(again.summands, rep.summands, strict=True))
@@ -482,7 +490,7 @@ def test_block_memo_matches_fresh_analysis():
                 sign = {"plus": 1, "minus": -1, "self_mirror": 0}[cls.polarity]
                 assert (block.summand, block.end, block.cls, block.saddles,
                         block.crossings, block.positive, block.sign) == (
-                    x, x.end, cls, *cobordism._repair_costs(x), positives[start], sign)
+                    x, x.end, cls, *repair_costs(x), positives[start], sign)
                 assert cobordism._analyse_block(start, letters) is block
 
 
@@ -681,18 +689,17 @@ def test_repaired_crossings_are_mirror_invariant():
     # decompose that of whichever side occurs first: they must agree.
     for s in range(1, 11):
         for x in all_oriented_words(s):
-            assert (cobordism._repair_costs(x)[1]
-                    == cobordism._repair_costs(mirror(x))[1])
+            assert repair_costs(x)[1] == repair_costs(mirror(x))[1]
 
 
 def reference_summand_table(s):
-    """Table build that analyses every class's mirror from scratch: its
-    (start, end) from ``mirror``."""
+    """Table build that analyses every block from scratch, with no block
+    memo, and every class's mirror: its (start, end) from ``mirror``."""
     counts = [[0] * 3 for _ in range(3)]
     costs = [[0] * 3 for _ in range(3)]
     weights = Counter()
     for x in all_oriented_words(s):
-        saddles, crossings = cobordism._repair_costs(x)
+        saddles, crossings = repair_costs(x)
         counts[x.start - 1][x.end - 1] += 1
         costs[x.start - 1][x.end - 1] += saddles + cobordism._CUT_SADDLES[x.end]
         cls = summand_class(x)
@@ -843,7 +850,15 @@ def test_residual_invariant_refused_under_optimize_flag():
         "the kernel's weighted total at s=2, t=28 differs from e_0 M^56 w"
 
 
+MIRROR_MISMATCH = (r"summand o[123]:[ab]+ and its mirror have different repaired "
+                   "crossing counts")
+
+
 def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
+    # A warm memo serves both sides of every pair from records that the real
+    # repair made, so the memo is cleared before the repair is patched.
+    average_g4_row(9, 3)
+    cobordism._analyse_block.cache_clear()
     real = cobordism.link_lemma_fix
 
     def lopsided(x):
@@ -852,7 +867,7 @@ def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
                             + (x.letters[0] == "a"))
 
     monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
-    with pytest.raises(ValueError, match="mirror"):
+    with pytest.raises(ValueError, match=MIRROR_MISMATCH):
         average_g4_row(9, 3)
 
 
@@ -869,6 +884,82 @@ def test_mirror_crossing_check_survives_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert "ValueError" in proc.stderr
+
+
+def test_summand_table_rejects_palindromic_mirror_mismatch(monkeypatch):
+    # The repair gains a crossing on palindromic-type blocks from state 1
+    # only.  Such a block's mirror has the same letters from the flipped end
+    # state, and at s = 4 three two-component ones from state 1 have their
+    # mirror from state 2 or 3.
+    real = cobordism.link_lemma_fix
+
+    def lopsided(x):
+        fix = real(x)
+        return fix._replace(added_crossings=fix.added_crossings
+                            + (x.start == 1 and is_palindromic_type(x.letters)))
+
+    monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
+    with pytest.raises(ValueError, match=MIRROR_MISMATCH):
+        average_g4_row(10, 4)
+
+
+def test_palindromic_mirror_check_survives_optimize_flag():
+    code = ("from twobridge import cobordism, words\n"
+            "real = cobordism.link_lemma_fix\n"
+            "cobordism.link_lemma_fix = lambda x: real(x)._replace(\n"
+            "    added_crossings=real(x).added_crossings\n"
+            "    + (x.start == 1 and words.is_palindromic_type(x.letters)))\n"
+            "try:\n"
+            "    cobordism.average_g4_row(10, 4)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n")
+    src = str(Path(cobordism.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(MIRROR_MISMATCH, proc.stdout.strip()), proc.stdout
+
+
+def test_summand_table_refuses_an_unpaired_class(monkeypatch):
+    # Each side of a mirror pair must find the other's record: with the
+    # class keys of one side changed, no pair meets.
+    real = cobordism.summand_class
+
+    def unpaired(x):
+        cls = real(x)
+        return cls._replace(key=x.serialize()) if cls.polarity == "minus" else cls
+
+    monkeypatch.setattr(cobordism, "summand_class", unpaired)
+    with pytest.raises(ValueError, match=r"summand o[123]:[ab]+ met no mirror among "
+                       "the blocks of 3 letters"):
+        cobordism._summand_table(3)
+
+
+def test_summand_table_repairs_each_link_block_once(monkeypatch):
+    # From a cleared memo a table repairs each two-component oriented block
+    # once, past s = 10 too, where the memo cannot hold the table: the
+    # mirror check reads the records that the enumeration makes.  A rebuild
+    # whose blocks all fit in the memo repairs none.
+    real = cobordism.link_lemma_fix
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return real(x)
+
+    monkeypatch.setattr(cobordism, "link_lemma_fix", counted)
+    for s in range(2, 13):
+        links = Counter(x for x in all_oriented_words(s) if component_count(x) == 2)
+        cobordism._analyse_block.cache_clear()
+        calls.clear()
+        cobordism._summand_table(s)
+        assert calls == links, s
+        if s <= 10:
+            calls.clear()
+            cobordism._summand_table(s)
+            assert not calls, s
 
 
 def test_g4_work_refused_before_any_work(monkeypatch):

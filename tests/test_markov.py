@@ -32,8 +32,10 @@ from twobridge.markov import (
     _binned_distances,
     _class_count,
     _distances,
+    _run_work,
     _signature_groups,
     _tables,
+    _work,
     contraction_gap,
     distance_bound,
     distance_bound_holds,
@@ -1052,7 +1054,8 @@ def test_distances_match_argsort_oracle():
             if s >= 17 and t > 50:
                 continue
             blocks = rng.integers(0, 1 << s, size=(40, t), dtype=np.int64)
-            distances = _distances(blocks, tables)
+            distances = _distances(blocks, tables, *_work(blocks.shape),
+                                   _run_work(blocks.size))
             assert distances.dtype == np.int64
             assert np.array_equal(distances, oracle_distances(blocks, tables)), (s, t)
     # One walk longer than a chunk, at each parity of s: the oracle steps
@@ -1060,7 +1063,8 @@ def test_distances_match_argsort_oracle():
     for s in (3, 4):
         tables = _tables(s)
         blocks = rng.integers(0, 1 << s, size=(1, markov._CELL_CAP + 3), dtype=np.int64)
-        assert np.array_equal(_distances(blocks, tables),
+        assert np.array_equal(_distances(blocks, tables, *_work(blocks.shape),
+                                         _run_work(blocks.size)),
                               oracle_distances(blocks, tables)), s
 
 
@@ -1090,13 +1094,15 @@ def test_binned_distances_match_argsort_oracle():
         for t in (_class_count(s) - 1, _class_count(s), _class_count(s) + 1):
             blocks = rng.integers(0, 1 << s, size=(40, t), dtype=np.int32)
             expected = oracle_distances(blocks, tables)
-            binned = _binned_distances(blocks, tables, bins, pal)
+            binned = _binned_distances(blocks, tables, bins, pal, *_work(blocks.shape))
             assert np.array_equal(binned, expected), (s, t)
-            assert np.array_equal(_distances(blocks, tables), expected), (s, t)
+            assert np.array_equal(_distances(blocks, tables, *_work(blocks.shape),
+                                             _run_work(blocks.size)), expected), (s, t)
     for s in (3, 4):
         tables = _tables(s)
         blocks = rng.integers(0, 1 << s, size=(1, markov._CELL_CAP + 3), dtype=np.int32)
-        assert np.array_equal(_binned_distances(blocks, tables, *_bin_table(tables)),
+        assert np.array_equal(_binned_distances(blocks, tables, *_bin_table(tables),
+                                                *_work(blocks.shape)),
                               oracle_distances(blocks, tables)), s
 
 
@@ -1123,7 +1129,7 @@ def test_block_sampler_equals_generator_draws():
         draw = markov._block_sampler(np.random.Philox(s), s)
         rng = np.random.Generator(np.random.Philox(s))
         for count in (7, 1, 3000, 2, 5, 600, 1):
-            drawn = draw(count)
+            drawn = draw(count, np.empty(count, dtype=np.int32))
             assert drawn.dtype == np.int32
             assert np.array_equal(drawn, rng.integers(0, 1 << s, size=count,
                                                       dtype=np.int32)), (s, count)
