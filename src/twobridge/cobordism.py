@@ -33,8 +33,9 @@ cached; no command builds one in a process that then decomposes words.
 scan: one loop sums the saddles, the positive crossings and each class's
 net step in plain int dicts, and the remainder's at most s letters are
 walked on top.  Crossing 1 is walked from the diagram's start state by
-``diagram.first_crossing``, which refuses a link and a state other than
-o1 after it, as in every word diagram; o1 makes it negative.  With the
+``diagram.first_crossing``, which takes the closure from c and refuses a
+link and a state other than o1 after it, as in every word diagram; o1
+makes it negative.  With the
 count of 'a' for s_A that gives the signature s_A - c_plus - 1 and the
 lower bound |sigma| / 2.
 
@@ -375,7 +376,7 @@ def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionRe
     # The word's diagram must close to a knot whose state right of crossing
     # 1 is o1, where the first block starts; that makes crossing 1 negative.
     closure = "A" if c % 2 == 1 else "B"
-    sign, state = first_crossing(closure, braid)
+    sign, state = first_crossing(braid)
     positive = int(sign > 0)
 
     # One block record per cut, each block starting at the state its

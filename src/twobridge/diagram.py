@@ -39,16 +39,16 @@ Traczyk's formula sigma = s_A - c_plus - 1 needs three things:
   one more outer circle when it is B.
 
 ``s3_index`` reads Q_c off the letter counts of the two parities, and
-``start_state`` gives x_0 from it.  ``orient_diagram`` walks ``STEP`` over
-one diagram from there, and ``first_crossing`` takes the one step across
-crossing 1 of a word diagram, with its two refusals, for
-``metrics_for_word`` and ``cobordism.decompose``, which walk the rest as
-``positive_crossings`` does.  ``scan`` runs the prefix sum on an (n, c)
-batch of letter rows, with no loop over the letters, to score whole
-signature rows for ``sigtables``; it is the one function here that runs
-numpy, and it imports numpy when it runs, so that a process that orients
-no batch never loads it.  The two reflections and the sign rule are
-checked against ``STATE_AFTER`` and ``STEP`` at import.
+``start_state`` gives x_0 from it.  Each shape of diagram has one
+evaluator: ``orient_diagram`` walks ``STEP`` over one general diagram;
+one word diagram, closed as the parity of c says, takes crossing 1 by
+``first_crossing``, with its two refusals, and the rest as
+``positive_crossings`` does (``metrics_for_word``, ``cobordism.decompose``);
+and ``scan`` runs the prefix sum on an (n, c) batch of the letter rows of
+words of one T(c), with no loop over the letters, for ``sigtables``.  It
+is the one function here that runs numpy, and imports it when it runs, so
+a process that orients no batch never loads it.  The two reflections and
+the sign rule are checked against ``STATE_AFTER`` and ``STEP`` at import.
 
 The arc graph these rules were read off (one node per strand per cut
 line, traced curve by curve, with a union-find for the smoothing) is kept
@@ -136,14 +136,10 @@ class DiagramMetrics:
 
 
 def diagram_for_word(word: str) -> PlatDiagram:
-    """The alternating knot diagram of a word."""
-    return _braid_diagram(to_braid(word))  # validates the word
-
-
-def _braid_diagram(z: str) -> PlatDiagram:
-    """The diagram of a word's braid word z: closure matches the last
-    crossing row, which is what the drawn plat closures do."""
-    return PlatDiagram(z, "A" if z[-1:] == "a" else "B")
+    """The alternating knot diagram of a word: closure A at odd c and B at
+    even c, which matches its last crossing row, as drawn plats do."""
+    z = to_braid(word)  # validates the word
+    return PlatDiagram(z, "A" if len(z) % 2 else "B")
 
 
 def closure_components(left: tuple[tuple[int, int], int],
@@ -196,10 +192,10 @@ def start_state(closure: str, index: int) -> int:
     return perm.index(cap[0] + cap[1] - perm[2])
 
 
-#: x_0 of a diagram, or -1 for a link, by (closure is B, c mod 2, Q), read
-#: flat at 6 [closure is B] + 3 (c mod 2) + Q
-_START = tuple(start_state(closure, _S3_OF[parity][q])
-               for closure in "AB" for parity in (0, 1) for q in range(3))
+#: x_0 of a word diagram, closed by B at even c and by A at odd c, or -1
+#: for a link, by (c mod 2, Q), read flat at 3 (c mod 2) + Q
+_START = tuple(start_state("BA"[parity], _S3_OF[parity][q])
+               for parity in (0, 1) for q in range(3))
 #: the refusal of a diagram that closes to a link
 _LINK = "diagram is a link; cannot orient by one traversal"
 
@@ -209,18 +205,16 @@ def plat_component_count(d: PlatDiagram) -> int:
     return COMPONENTS[PLAT_LEFT, d.closure][s3_index(d.letters)]
 
 
-def scan(letters: np.ndarray, closure_b: np.ndarray, *, words: bool = False
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Orient a batch of n diagrams of c crossings each.
+def scan(letters: np.ndarray) -> np.ndarray:
+    """Orient a batch of n word diagrams of c crossings each.
 
-    ``letters`` holds braid letters, 0 for 'a' and 1 for 'b', as an (n, c)
-    int8 array, and ``closure_b`` is an (n,) int8 array, 1 where the right
-    closure is B.  Returns (positive, x): the (n, c) bool array, true where
-    the crossing is positive, and the cut states of ``orient_diagram`` less
-    one, one column longer.  A diagram that closes to a link raises
-    ValueError, and with ``words`` so does one whose state right of
-    crossing 1 is not o1, as in every word diagram; the message names the
-    first bad row.  A single diagram is oriented by ``orient_diagram``.
+    ``letters`` holds the braid letters of words of one T(c), 0 for 'a'
+    and 1 for 'b', as an (n, c) int8 array; their closure follows from c.
+    Returns the (n, c) bool array, true where the crossing is positive.  A
+    row whose state right of crossing 1 is not o1, as it is in every word
+    diagram, raises ValueError naming the first such row; that refuses a
+    row that closes to a link too.  A single diagram is oriented by
+    ``orient_diagram``, or as a word by ``first_crossing``.
     """
     import numpy as np
 
@@ -231,22 +225,17 @@ def scan(letters: np.ndarray, closure_b: np.ndarray, *, words: bool = False
     x = np.zeros((n, c + 1), np.int32)
     np.multiply(letters, turn[1:], out=x[:, 1:])
     np.add.accumulate(x, axis=1, out=x)
-    x0 = np.int32(_START).take(x[:, -1] % 3 + 6 * closure_b + 3 * (c % 2))
-    x += x0[:, None]
+    x += np.int32(_START).take(x[:, -1:] % 3 + 3 * (c % 2))
     x *= turn
     x %= 3
-    starts, firsts = x0.tolist(), x[:, 1].tolist()
     # A link's x_0 = -1 is 2 mod 3, which leaves x_1 at 1 or 2 whatever the
-    # first letter, so on word rows the o1 check refuses links as well.
-    if any(firsts) if words else min(starts, default=0) < 0:
-        row = next(i for i, (start, first) in enumerate(zip(starts, firsts))
-                   if start < 0 or words and first)
-        where = f"row {row}: "
-        if starts[row] < 0:
-            raise ValueError(where + _LINK)
-        raise ValueError(where + "state right of crossing 1 must be o1, "
-                         f"got o{firsts[row] + 1}")
-    return x[:, :-1] > letters, x
+    # first letter, so the o1 check refuses links as well.
+    first = x[:, 1]
+    if first.any():
+        row = int(np.flatnonzero(first)[0])
+        raise ValueError(f"row {row}: state right of crossing 1 must be o1, "
+                         f"got o{first[row] + 1}")
+    return x[:, :-1] > letters
 
 
 def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
@@ -271,12 +260,13 @@ def orient_diagram(d: PlatDiagram) -> tuple[list[int], list[int]]:
     return signs, states
 
 
-def first_crossing(closure: str, letters: str) -> tuple[int, int]:
-    """(sign, state right of it) of crossing 1 of a word diagram, one
-    ``STEP`` from the state that ``start_state`` gives cut 0.  ValueError
-    if the diagram closes to a link, or if that state is not o1, as it is
-    in every word diagram; the caller has validated the letters."""
-    x0 = start_state(closure, s3_index(letters))
+def first_crossing(letters: str) -> tuple[int, int]:
+    """(sign, state right of it) of crossing 1 of a word diagram, its
+    closure read off c, one ``STEP`` from the state that ``start_state``
+    gives cut 0.  ValueError if the diagram closes to a link, or if that
+    state is not o1, as in every word diagram; the caller has validated
+    the letters."""
+    x0 = start_state("A" if len(letters) % 2 else "B", s3_index(letters))
     if x0 < 0:
         raise ValueError(_LINK)
     sign, state = STEP[letters[0]][x0 + 1]
@@ -324,11 +314,12 @@ def all_A_components(d: PlatDiagram) -> int:
 
 
 def metrics_for_word(word: str) -> DiagramMetrics:
-    """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot."""
-    d = _braid_diagram(to_braid(word))  # validates the word
-    sign, state = first_crossing(d.closure, d.letters)
-    c_plus = (sign > 0) + positive_crossings(state, d.letters[1:])[0]
-    s_a = all_A_components(d)
+    """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot, by
+    one ``STEP`` walk from ``first_crossing``; its closure is B at even c."""
+    z = to_braid(word)  # validates the word
+    sign, state = first_crossing(z)
+    c_plus = (sign > 0) + positive_crossings(state, z[1:])[0]
+    s_a = all_A_circles(z.count("a"), int(len(z) % 2 == 0))
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 
 

@@ -794,6 +794,8 @@ def monte_carlo_distance(s: int, t: int, trials: int, seed: int = 0
     _check_walk_domain(s, t)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     budget.check_monte_carlo(s, t, trials)
     if t == 0:
         return 0.0, 0.0

@@ -667,6 +667,15 @@ def test_walk_sim_rejects_one_trial():
                    "need at least 2 trials, got 1")
 
 
+@pytest.mark.parametrize("t", ["0", "2"])
+def test_walk_sim_rejects_a_negative_seed(t):
+    # Refused before any work, also with no block to draw; --exact draws
+    # nothing and ignores the seed.
+    assert_refused(invoke("walk-sim", "--s", "2", "--t", t, "--seed", "-1"),
+                   "seed must be nonnegative, got -1")
+    assert invoke("walk-sim", "--s", "2", "--t", t, "--seed", "-1", "--exact").exit_code == 0
+
+
 def test_walk_sim_monte_carlo_deterministic():
     args = ("walk-sim", "--s", "3", "--t", "10", "--trials", "400",
             "--seed", "7")

@@ -47,7 +47,7 @@ from twobridge.words import (
 
 import object_walk_dp
 from test_cli import assert_refused, invoke
-from test_diagram import letter_array, numpy_calls, orientation_after, strand_permutation
+from test_diagram import numpy_calls, oracle_orient, orientation_after, strand_permutation
 from test_markov import letter_steps, oracle_laws, reference_arguments, scored_laws
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
@@ -456,23 +456,21 @@ def test_decompose_analyses_each_distinct_block_once(monkeypatch):
     assert all(x is y for x, y in zip(again.summands, rep.summands, strict=True))
 
 
-def scanned_positives(letters):
+def traced_positives(letters):
     """Oracle: positive crossings of a block from each start state, read off
-    ``diagram.scan`` of knot diagrams that hold the block after a short
-    prefix, each a one-row batch, by the state that the scan finds on the
-    block's left cut."""
+    the arc-graph traversal ``oracle_orient`` of knot diagrams that hold the
+    block after a short prefix, by the state that it finds on the block's
+    left cut."""
     found = {}
     for prefix, suffix in product(("", "a", "b", "aa", "ab", "ba", "bb"), ("", "a", "b")):
         z = prefix + letters + suffix
-        codes = letter_array([z])
         for closure in "AB":
-            if diagram.COMPONENTS["A", closure][diagram.s3_index(z)] != 1:
+            try:
+                signs, states = oracle_orient(diagram.PlatDiagram(z, closure))
+            except ValueError:  # a link
                 continue
-            positive, x = diagram.scan(codes, np.int8([closure == "B"]))
-            positive, x = positive[0], x[0]
             cut = len(prefix)
-            found.setdefault(int(x[cut]) + 1,
-                             int(positive[cut:cut + len(letters)].sum()))
+            found.setdefault(states[cut], signs[cut:cut + len(letters)].count(1))
         if len(found) == 3:
             return found
     raise AssertionError(f"no knot diagram holds {letters} after every start state")
@@ -482,7 +480,7 @@ def test_block_memo_matches_fresh_analysis():
     for s in range(1, 9):
         for bits in product("ab", repeat=s):
             letters = "".join(bits)
-            positives = scanned_positives(letters)
+            positives = traced_positives(letters)
             for start in (1, 2, 3):
                 x = OrientedWord(start, letters)
                 block = cobordism._analyse_block(start, letters)
@@ -550,7 +548,7 @@ def test_decompose_validates_its_word_once(monkeypatch):
 
 def test_lower_bound_matches_the_diagram_scan():
     # Two derivations of |sigma| / 2: the block records with the remainder
-    # walked on top, and a scan of the whole diagram.
+    # walked on top, and one STEP walk of the whole diagram.
     for c in range(3, 15):
         m = (c - 1) // 2
         for word in enumerate_words(c):

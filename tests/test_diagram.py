@@ -207,10 +207,8 @@ def test_scan_matches_oracle_on_every_word_to_c16():
             c_plus, s_a = signs.count(1), oracle_all_A(d)
             assert (m.c_plus, m.s_A, m.signature) == (c_plus, s_a, s_a - c_plus - 1), w
             assert D.orient_diagram(d) == (signs, states), w
-        positive, x = D.scan(letter_array([d.letters for d in diagrams]),
-                             closure_array(diagrams), words=True)
+        positive = D.scan(letter_array([d.letters for d in diagrams]))
         assert (2 * positive.astype(int) - 1).tolist() == [signs for signs, _ in oriented]
-        assert (x + 1).tolist() == [states for _, states in oriented]
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=40), st.sampled_from("AB"))
@@ -226,71 +224,51 @@ def letter_array(zs):
     return np.array([[int(letter == "b") for letter in z] for z in zs], np.int8)
 
 
-def closure_array(diagrams):
-    """The closure codes of ``scan``, 1 where the right closure is B."""
-    return np.array([d.closure == "B" for d in diagrams], np.int8)
-
-
 @st.composite
-def braid_batches(draw):
-    """Equal-length braid words, each with its own closure."""
-    n = draw(st.integers(min_value=1, max_value=30))
-    word = st.text(alphabet="ab", min_size=n, max_size=n)
-    return draw(st.lists(st.tuples(word, st.sampled_from("AB")), min_size=1, max_size=12))
+def word_batches(draw):
+    """The braid words of up to 12 words of one T(c), c at most 40."""
+    c = draw(st.integers(min_value=3, max_value=40))
+    mask = st.integers(min_value=0, max_value=(1 << (c - 2)) - 1).filter(
+        lambda mask: (c + mask.bit_count()) % 3 == 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=12))
+    return [W.to_braid(W.word_from_interior_bits(c, mask)) for mask in masks]
 
 
-@given(braid_batches())
-def test_scan_matches_oracle_on_braid_word_batches(batch):
-    diagrams = [D.PlatDiagram(z, closure) for z, closure in batch]
-    letters = letter_array([d.letters for d in diagrams])
-    closure_b = closure_array(diagrams)
-    circles = D.all_A_circles(letters.shape[1] - letters.sum(axis=1), closure_b)
+@given(word_batches())
+def test_scan_matches_oracle_on_word_batches(batch):
+    # Odd and even c close by A and by B, which the scan reads off c.
+    diagrams = [D.PlatDiagram(z, "A" if len(z) % 2 else "B") for z in batch]
+    letters = letter_array(batch)
+    c = letters.shape[1]
+    circles = D.all_A_circles(c - letters.sum(axis=1), int(c % 2 == 0))
     assert circles.tolist() == [oracle_all_A(d) for d in diagrams]
-    outcomes = [_outcome(oracle_orient, d) for d in diagrams]
-    links = [i for i, o in enumerate(outcomes) if o == "link"]
-    if links:
-        with pytest.raises(ValueError) as refused:
-            D.scan(letters, closure_b)
-        where = f"row {links[0]}: "
-        assert str(refused.value) == where + "diagram is a link; cannot orient by one traversal"
-    knots = [i for i, o in enumerate(outcomes) if o != "link"]
-    positive, x = D.scan(letters[knots], closure_b[knots])
-    for row, i in enumerate(knots):
-        signs, states = outcomes[i]
-        assert (2 * positive[row].astype(int) - 1).tolist() == signs
-        assert (x[row] + 1).tolist() == states
+    positive = D.scan(letters)
+    assert (2 * positive.astype(int) - 1).tolist() == [oracle_orient(d)[0] for d in diagrams]
 
 
-# Batches that break the link refusal in row 1, also as word rows (links
-# whose first letter is 'a' and 'b'), and the o1 invariant of word diagrams
-# in row 2, and one-row batches that break each in row 0; the message names
-# the row under python -O too.
+# Batches of letter rows of one length, closed by A at odd and by B at even
+# length, that hold a link (first letter 'a' or 'b') or a knot whose state
+# right of crossing 1 is not o1, as row 0 of one-row batches and as a later
+# row; the o1 check refuses both, and the message names the first bad row
+# under python -O too.
 BAD_BATCHES = {
-    "link-one": ("aab", "A", False,
-                 "row 0: diagram is a link; cannot orient by one traversal"),
-    "o1-one": ("aaa", "B", True, "row 0: state right of crossing 1 must be o1, got o3"),
-    "link": ("aaa aab aba", "AAB", False,
-             "row 1: diagram is a link; cannot orient by one traversal"),
-    "link-word-a": ("aaa aab aba", "AAB", True,
-                    "row 1: diagram is a link; cannot orient by one traversal"),
-    "link-word-b": ("aaa baa", "AA", True,
-                    "row 1: diagram is a link; cannot orient by one traversal"),
-    "o1": ("aaa abb aaa", "AAB", True,
-           "row 2: state right of crossing 1 must be o1, got o3"),
+    "link-one": ("aab", "row 0: state right of crossing 1 must be o1, got o2"),
+    "o1-one": ("aba", "row 0: state right of crossing 1 must be o1, got o3"),
+    "link": ("abab aaab bbbb", "row 1: state right of crossing 1 must be o1, got o2"),
+    "link-word-a": ("aaa aab aba", "row 1: state right of crossing 1 must be o1, got o2"),
+    "link-word-b": ("aaa baa", "row 1: state right of crossing 1 must be o1, got o3"),
+    "o1": ("abab baab babb", "row 2: state right of crossing 1 must be o1, got o2"),
 }
 
 
-@pytest.mark.parametrize("words, closures, word_rows, message", BAD_BATCHES.values(),
-                         ids=BAD_BATCHES.keys())
-def test_scan_refuses_bad_rows_under_optimize_flag(words, closures, word_rows, message):
+@pytest.mark.parametrize("words, message", BAD_BATCHES.values(), ids=BAD_BATCHES.keys())
+def test_scan_refuses_bad_rows_under_optimize_flag(words, message):
     letters = letter_array(words.split()).tolist()
-    closure_b = [int(c == "B") for c in closures]
     assert refusal_under_optimize_flag(
         "import numpy as np\n"
         "from twobridge.diagram import scan\n"
-        f"letters = np.array({letters}, np.int8)\n"
-        f"closure_b = np.array({closure_b}, np.int8)\n",
-        f"scan(letters, closure_b, words={word_rows})") == message
+        f"letters = np.array({letters}, np.int8)\n",
+        "scan(letters)") == message
 
 
 # One diagram refuses a link, and one word diagram also a state other than
@@ -354,7 +332,7 @@ def test_word_diagrams_take_one_start_check(monkeypatch):
     for c in range(3, 13):
         for w in W.enumerate_words(c):
             d = D.diagram_for_word(w)
-            assert D.first_crossing(d.closure, d.letters) == (-1, 1), w
+            assert D.first_crossing(d.letters) == (-1, 1), w
     calls = []
     step = D.first_crossing
     monkeypatch.setattr(D, "first_crossing",
@@ -363,13 +341,13 @@ def test_word_diagrams_take_one_start_check(monkeypatch):
     word = "+--+-+-+--++-++-"
     D.metrics_for_word(word)
     cobordism.decompose(word, 2)
-    assert calls == [("B", W.to_braid(word))] * 2
+    assert calls == [(W.to_braid(word),)] * 2
 
 
 def test_scan_takes_batches_only():
     # One diagram is oriented by its STEP walk, not by a 1-d scan.
     with pytest.raises(ValueError, match="expected 2"):
-        D.scan(letter_array(["aaa"])[0], np.int8(1))
+        D.scan(letter_array(["aaa"])[0])
 
 
 def test_one_diagram_makes_no_numpy_call():
@@ -403,7 +381,7 @@ def test_scan_matches_oracle_on_long_random_words():
         m = D.metrics_for_word(w)
         assert (m.c_plus, m.s_A, m.signature) == oracle_metrics(w), w
         d = D.diagram_for_word(w)
-        positive, _ = D.scan(letter_array([d.letters]), closure_array([d]), words=True)
+        positive = D.scan(letter_array([d.letters]))
         assert int(positive.sum()) == m.c_plus, w
 
 
