@@ -31,8 +31,8 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: --t 1109`` 3.0 s and ``--s 5000 --t 49`` 2.2 s, and the largest s at
 #: t = 1, 1207519 (odd) and 893024 (even), 1.1-1.2 s at 46 MB.  The mean g4
 #: DP, charged the same way (``check_g4``): the largest c at each s takes
-#: 3.7-6.0 s, ``g4 --c 66442`` (the default s) 4.1 s and ``--c 61972
-#: --s 3``, the slowest, 6.0 s
+#: 3.0-5.4 s, ``g4 --c 66452`` (the default s) 3.2-4.3 s and ``--c 61974
+#: --s 3``, the slowest, 4.7-6.8 s (``--c 61972 --s 3`` 5.2-6.3 s beside it)
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
@@ -48,10 +48,10 @@ MARKOV_WORK_BUDGET = 1 << 19
 # A row of avg-sig (its Fraction, checked once more by its report, two
 # floats and its digits) costs about c^2 / 16 units.
 _ROW_SHARE = 16
-# One table entry of the mean g4 DP (a block analysed as a class and as a
-# mirror, 17-28 us) costs 2^10 walk work units, so the table alone refuses
-# every s past 16; at s = 16 it takes 3.4 s.
-_TABLE_ENTRY_WORK = 1 << 10
+# One remainder ending of the mean g4 DP (its interior length and the
+# remainder's components from each of the three states, about 6 us) costs
+# 2^10 walk work units, so the endings alone refuse 2^19 and more.
+_ENDING_WORK = 1 << 10
 # A step of an exact-residual series costs about 2 us in Python beyond its
 # big-int products, which cost a unit per _SERIES_BITS of s t^2 (64 + s).
 _SERIES_STEP = 80
@@ -191,13 +191,17 @@ def check_walk(s: int, t: int) -> None:
 
 def check_g4(c: int, s: int) -> None:
     """The mean g4 DP: the exact residual on its rows, charged as the
-    walk's (``kernel_work``), plus _TABLE_ENTRY_WORK for each of the
-    3 * 2^s entries of its block table, passed as a shift (no 2^s built).
-    Its cores' t block steps cost less than one series."""
-    t = (2 * ((c - 1) // 2) - 1) // s
-    _check(kernel_work(s, t), WALK_WORK_BUDGET, f"the mean g4 DP at c={c}, s={s}",
-           f"work units (2^10 per entry of its table of 3 * 2^{s} block masks, "
-           "plus kernel_work's for its residual)", shift=(3 * _TABLE_ENTRY_WORK, s))
+    walk's (``kernel_work``), plus _ENDING_WORK for each ending of its cores,
+    2^e for the e core letters past its t blocks, passed as a shift (no 2^e
+    built).  Its block table and its t block steps cost less than a series.
+    Its mean and word count are then charged as an avg-sig row's digits."""
+    t, e = divmod(2 * ((c - 1) // 2) - 1, s)
+    request = f"the mean g4 DP at c={c}, s={s}"
+    _check(kernel_work(s, t), WALK_WORK_BUDGET, request,
+           f"work units (2^10 per ending of its cores, 2^{e} of them, "
+           "plus kernel_work's for its residual)", shift=(_ENDING_WORK, e))
+    _check(c * c // _ROW_SHARE, AVG_SIG_WORK_BUDGET, request,
+           "work units (c^2 / 16 for the digits of its mean, as an avg-sig row's)")
 
 
 def check_monte_carlo(s: int, t: int, trials: int) -> None:

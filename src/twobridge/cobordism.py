@@ -17,36 +17,33 @@ summand classes contributes crossings to the 4-genus bound.  Every saddle
 move contributes genus 1/2 and each surviving knot with n crossings
 contributes at most floor(n / 2).
 
-Each oriented block is analysed once per process.  ``_analyse_block`` is a
-``functools.lru_cache`` memo keyed by (start state, letters) and bounded at
-2^12 records, enough for every block with s <= 10.  It holds only results
-of pure functions of its key: the block's ``OrientedWord``, end state,
-mirror class, link repair, positive crossings from its start state and
-the signed step of its class (+1 or -1 within a mirror pair, a parity bit
-for a palindromic-type class).  A check that raises caches nothing.
-``decompose`` and the mean DP's table read every block from it, and the
-table checks each mirror pair against its two blocks' records, so it
-analyses no block twice.  A table past s = 10 evicts what ``decompose``
-cached; no command builds one in a process that then decomposes words.
+Each oriented block that ``decompose`` meets is analysed once per process
+by ``_analyse_block``, a ``functools.lru_cache`` memo keyed by (start
+state, letters) and bounded at 2^12 records, every block with s <= 10.  It
+holds only pure functions of its key: the block's ``OrientedWord``, end
+state, mirror class, link repair, positive crossings from its start state
+and the signed step of its class (+1 or -1 within a mirror pair, a parity
+bit for a palindromic-type class).  A check that raises caches nothing.
+The memo is ``decompose``'s alone: the mean analyses no block.
 
 ``decompose`` reads a word off its block records alone, with no diagram
 scan: one loop sums the saddles, the positive crossings and each class's
 net step in plain int dicts, and the remainder's at most s letters are
 walked on top.  Crossing 1 is walked from the diagram's start state by
-``diagram.first_crossing``, which takes the closure from c and refuses a
-link and a state other than o1 after it, as in every word diagram; o1
-makes it negative.  With the
+``diagram.first_crossing``, which refuses a link and a state other than
+o1 after it, as in every word diagram; o1 makes it negative.  With the
 count of 'a' for s_A that gives the signature s_A - c_plus - 1 and the
 lower bound |sigma| / 2.
 
 The mean of that bound over T(c) comes from one transfer dynamic program
 over the orientation states of the word cores, with no enumeration (see
-``average_g4_row``).  Its residual term is one call of the walk's exact
-residual, ``markov.residual_totals``, on the walk's own rows, the
-signatures of the classes, with each final state weighted by the core
-endings that put a core into T(c), so ``budget.check_g4`` charges it as
-the walk's.  The cores and their saddles step across the blocks with the
-walk's ``markov.block_step``, the closed form of M^s.
+``average_g4_row``), on a closed form of the blocks over their start,
+middle and end states (``_summand_table``).  Its residual term is one call
+of the walk's exact residual, ``markov.residual_totals``, on the walk's
+own rows, with each final state weighted by the core endings that put a
+core into T(c), so ``budget.check_g4`` charges it as the walk's.  The
+cores and their saddles step across the blocks with the walk's
+``markov.block_step``, the closed form of M^s.
 """
 
 from __future__ import annotations
@@ -54,14 +51,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
 from . import budget, markov
-from .diagram import (COMPONENTS, CROSSING_PAIR, S3, all_A_circles, first_crossing,
-                      positive_crossings, s3_index)
+from .diagram import (_S3_OF, COMPONENTS, CROSSING_PAIR, S3, all_A_circles,
+                      first_crossing, positive_crossings, s3_index, word_closure)
 from .words import (is_palindromic_type, swap_braid, to_braid, validate_braid,
                     word_count)
 
@@ -180,6 +176,13 @@ def _fix_permutation(fix: LinkFix) -> int:
     return S3.index(tuple(right[_FLIP[left[q - 1]] - 1] for q in (1, 2, 3)))
 
 
+def _repair_cost(s: int, middle: int) -> int:
+    """Saddles, and as many added crossings, of a two-component block's
+    repair, by its length s and its state after s // 2 letters: 3 for the
+    strand slide at even s with state 2 there, 1 otherwise."""
+    return 3 if s % 2 == 0 and middle == 2 else 1
+
+
 def link_lemma_fix(x: OrientedWord) -> LinkFix:
     """Turn a two-component summand into a knot with 1 or 3 saddle moves.
 
@@ -202,22 +205,21 @@ def link_lemma_fix(x: OrientedWord) -> LinkFix:
     # middle cut (even s).
     h = s // 2
     before = S3[s3_index(z[:h])][x.start - 1]
+    cost = _repair_cost(s, before)
     if s % 2 == 1:
         pair = CROSSING_PAIR[z[h]]
         twist = "a" if pair == (1, 2) else "b"
         if before not in pair:
-            fix = LinkFix("double", z[: h + 1] + z[h] + z[h + 1:], None, 1, 1)
+            fix = LinkFix("double", z[: h + 1] + z[h] + z[h + 1:], None, cost, cost)
         elif before != 2:
-            fix = LinkFix("twist-left", z[:h] + twist + z[h:], None, 1, 1)
+            fix = LinkFix("twist-left", z[:h] + twist + z[h:], None, cost, cost)
         else:
-            fix = LinkFix("twist-right", z[: h + 1] + twist + z[h + 1:], None, 1, 1)
+            fix = LinkFix("twist-right", z[: h + 1] + twist + z[h + 1:], None, cost, cost)
+    elif before == 2:
+        fix = LinkFix("rii-twist", z, h, cost, cost)
     else:
-        if before == 1:
-            fix = LinkFix("twist-middle", z[:h] + "a" + z[h:], None, 1, 1)
-        elif before == 3:
-            fix = LinkFix("twist-middle", z[:h] + "b" + z[h:], None, 1, 1)
-        else:
-            fix = LinkFix("rii-twist", z, h, 3, 3)
+        twist = "a" if before == 1 else "b"
+        fix = LinkFix("twist-middle", z[:h] + twist + z[h:], None, cost, cost)
     fixed = _fix_permutation(fix)
     # The repair never moves the strands at the cuts, so the end state and
     # therefore the closure caps are unchanged.
@@ -254,11 +256,12 @@ class _BlockAnalysis:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
-    """Analyse one oriented block, with every check of ``OrientedWord``,
-    ``summand_class`` and ``link_lemma_fix`` (whose costs are summed here
-    alone), and count its positive crossings by a ``STEP`` walk, which must
-    end in the state its strand permutation gives.  The memo holds every
-    block with s <= 10; a check that raises caches nothing."""
+    """Analyse one oriented block for ``decompose``, with every check of
+    ``OrientedWord``, ``summand_class`` and ``link_lemma_fix``, and count
+    its positive crossings by a ``STEP`` walk, which must end in the state
+    its strand permutation gives.  The memo holds every block with
+    s <= 10; a check that raises caches nothing.  The mean's table reads
+    no record: it is a closed form (``_summand_table``)."""
     x = OrientedWord(start, letters)
     end = x.end
     positive, walked = positive_crossings(start, letters)
@@ -375,7 +378,7 @@ def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionRe
         raise ValueError(f"remainder r={r} out of range for s={s}, j={j}")
     # The word's diagram must close to a knot whose state right of crossing
     # 1 is o1, where the first block starts; that makes crossing 1 negative.
-    closure = "A" if c % 2 == 1 else "B"
+    closure = word_closure(c)
     sign, state = first_crossing(braid)
     positive = int(sign > 0)
 
@@ -423,7 +426,7 @@ def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionRe
     upper = total_saddles // 2
     upper += sum(n // 2 for n in residual_crossings)
     upper += remaining // 2
-    signature = all_A_circles(braid.count("a"), int(closure == "B")) - positive - 1
+    signature = all_A_circles(braid.count("a"), closure) - positive - 1
     return DecompositionReport(
         word=word, s=s, t=t, r=r,
         cut_states=tuple(cut_states), cut_saddles=cut_saddles,
@@ -456,12 +459,16 @@ def choose_block_size(c: int) -> int:
 
 def expression_upper_bound(c: int, s: int) -> float:
     """Closed-form bound (t+1) + 3t/2 + 3(s+3)sqrt(2^s t)/2 + (s+3)2^(s/2)/2
-    + (r-1)/2 on the expected 4-genus at crossing number c, block size s."""
+    + (r-1)/2 on the expected 4-genus at crossing number c, block size s;
+    inf once 2^s t passes the float range."""
     m = (c - 1) // 2
     t = (2 * m - 1) // s
     r = c - s * t
-    return ((t + 1) + 1.5 * t + 1.5 * (s + 3) * math.sqrt(2 ** s * t)
-            + 0.5 * (s + 3) * 2 ** (s / 2) + 0.5 * (r - 1))
+    try:
+        return ((t + 1) + 1.5 * t + 1.5 * (s + 3) * math.sqrt(2 ** s * t)
+                + 0.5 * (s + 3) * 2 ** (s / 2) + 0.5 * (r - 1))
+    except OverflowError:
+        return math.inf
 
 
 def log10_upper_bound(c: int) -> float:
@@ -512,86 +519,59 @@ def _length(state: int, n: int) -> int:
     return 2 - x if n % 2 else x
 
 
-class _SummandTable(NamedTuple):
-    """What the mean DP needs to know of the 3 * 2^s oriented blocks, read
-    off one ``_analyse_block`` record each.
+def _summand_table(s: int) -> tuple[markov.IntMatrix, dict[tuple[int, ...], int]]:
+    """What the mean DP needs of the 3 * 2^s oriented blocks, (costs,
+    weights), in closed form over the state indices x, m, y at the start,
+    after h = s // 2 letters and at the end, with no block listed.
 
-    ``costs[i][j]`` is the summed local saddle moves of the blocks that
-    take orientation state i + 1 to j + 1: the block's link repair and the
-    cut after it.  Their number is M^s, which ``markov.block_step``
-    applies.  ``weights`` maps each signature of the walk
-    (``markov._signature_groups``: the (start, end) state indices of the
-    class and of its mirror, and the palindromic-type flag) to the summed
-    floor(n_w / 2) of its classes: the joint law of (orientation state,
-    D_w) over the cores depends on nothing else.
+    ``costs[x][y]`` sums the link-repair and cut saddles of the M^s[x][y]
+    blocks x -> y, and ``weights`` maps each signature of the walk
+    (``markov._signature_groups``) to the summed floor(n_w / 2) of its
+    classes, where positive.  M^h[x][m] M^(s-h)[m][y] blocks run
+    x -> m -> y (``markov._closed_form``).  The strand permutation of their
+    parity that takes x to y (``diagram._S3_OF``) decides if they are links,
+    repaired for ``_repair_cost(s, m + 1)`` saddles and added crossings.
+    The palindromic-type ones (even s), each its own class, number
+    M^h[x][m] and end at y = x + e (2 r + 1) - 1 = e (1 - m) - x - 1 mod 3,
+    with e = (-1)^h and r = m - e x.  A mirror runs from flip(y) through
+    flip(m) to flip(x) at the same cost, and a class is the side with the
+    smaller serialization: all other blocks at x < flip(y), half of them
+    at x = flip(y), none otherwise.  ValueError, with no assert, unless
+    the middle states split M^s and every half is whole.
     """
-
-    costs: tuple[tuple[int, ...], ...]
-    weights: dict[tuple[int, ...], int]
-
-
-def _summand_table(s: int) -> _SummandTable:
-    """The table at block size s, from one ``_analyse_block`` record per
-    oriented block, each checked against its interior length and against
-    its mirror's record."""
+    h = s // 2
+    first, second, whole = (markov._closed_form(n) for n in (h, s - h, s))
+    sign, turn = 1 - 2 * (s % 2), 1 - 2 * (h % 2)
     costs = [[0] * 3 for _ in range(3)]
-    weights: Counter[tuple[int, ...]] = Counter()
-    # The repaired crossings of each mirror pair's side met first.
-    unmatched: dict[str, int] = {}
-    for start in (1, 2, 3):
-        for letters in map("".join, product("ab", repeat=s)):
-            block = _analyse_block(start, letters)
-            end, cls, crossings = block.end, block.cls, block.crossings
-            # At either position parity the block must take the interior
-            # length of its start state to that of its end state.
-            for p in (0, 1):
-                if (_length(start, p) + _interior_length(letters, p)
-                        - _length(end, p + s)) % 3:
-                    raise ValueError(f"block o{start}:{letters} at parity {p} does not "
-                                     "end on the interior length of its end state")
-            costs[start - 1][end - 1] += block.saddles + _CUT_SADDLES[end]
-            if cls.polarity != "minus" and crossings >= 2:
-                # The mirror runs from _FLIP[end] to _FLIP[start], the state
-                # indices 3 - end and 3 - start.
-                key = (start - 1, end - 1, 3 - end, 3 - start,
-                       int(cls.polarity == "self_mirror"))
-                weights[key] += crossings // 2
-            # decompose charges a class the crossings of whichever side
-            # occurs first, the DP the class's own.  A mirror pair's sides
-            # share its class key; a palindromic-type block's mirror has its
-            # letters from the flipped end state.
-            if block.sign:
-                pair = cls.key
-            elif start != _FLIP[end]:
-                pair = f"o{min(start, _FLIP[end])}:{letters}"
-            else:
-                continue  # its own mirror
-            met = unmatched.pop(pair, None)
-            if met is None:
-                unmatched[pair] = crossings
-            elif met != crossings:
-                raise ValueError(f"summand {pair} and its mirror "
-                                 "have different repaired crossing counts")
-    if unmatched:
-        raise ValueError(f"summand {min(unmatched)} met no mirror among the "
-                         f"blocks of {s} letters")
-    return _SummandTable(tuple(map(tuple, costs)), dict(weights))
-
-
-def _residual_total(weights: dict[tuple[int, ...], int], s: int, t: int,
-                    tails: list[int]) -> int:
-    """Sum over the words of T(c) of sum_w floor(n_w / 2) |D_w|, where
-    ``tails[i]`` counts the core endings that put a core whose t blocks
-    end in state i + 1 into T(c).
-
-    The sums of |D_w| over the cores, one row per signature, come from
-    one call of the walk's exact residual, ``markov.residual_totals``, with
-    each final state weighted by its tails.
-    """
-    if not weights:
-        return 0
-    totals, _ = markov.residual_totals(s, t, list(weights), tails)
-    return sum(map(operator.mul, weights.values(), totals))
+    weights = {}
+    for x, y in product(range(3), repeat=2):
+        blocks = [first[x][m] * second[m][y] for m in range(3)]
+        if sum(blocks) != whole[x][y]:
+            raise ValueError(f"the blocks of {s} letters from o{x + 1} to o{y + 1} "
+                             f"split into {sum(blocks)} by their middle states, "
+                             f"not M^{s} = {whole[x][y]}")
+        index = _S3_OF[s % 2][(sign * y - x) % 3]
+        link = COMPONENTS[_LEFT_CLOSURE[x + 1], _RIGHT_CLOSURE[y + 1]][index] == 2
+        saddles = own = others = 0
+        for m, count in enumerate(blocks):
+            added = _repair_cost(s, m + 1) if link else 0
+            pal = first[x][m] if s % 2 == 0 and (turn * (1 - m) - x - 1) % 3 == y else 0
+            saddles += count * added
+            own += pal * ((s + added) // 2)
+            others += (count - pal) * ((s + added) // 2)
+        costs[x][y] = saddles + whole[x][y] * _CUT_SADDLES[y + 1]
+        if x == 2 - y:
+            if others % 2:
+                raise ValueError(f"the blocks of {s} letters from o{x + 1} to o{y + 1}, "
+                                 "each paired with its mirror among them, weigh "
+                                 f"{others} in all, which does not halve")
+            others //= 2
+        elif x > 2 - y:
+            others = 0
+        for flag, weight in ((0, others), (1, own)):
+            if weight:
+                weights[x, y, 2 - y, 2 - x, flag] = weight
+    return tuple(map(tuple, costs)), weights
 
 
 def average_g4_row(c: int, s: int) -> AverageRow:
@@ -606,9 +586,8 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     s - 1 core letters after the blocks, which are enumerated with the
     ending they force, read off the interior length that the last state
     fixes (``_length``).  The residual is linear over summand classes,
-    and each signature's E|D_w| comes from the walk's exact residual
-    (``_residual_total``).  Words are counted, not listed, and the count
-    must equal word_count(c).
+    and each signature's E|D_w| comes from the walk's exact residual.
+    Words are counted, not listed, and the count must equal word_count(c).
     """
     if c < 3:
         raise ValueError(f"crossing number must be at least 3, got {c}")
@@ -618,7 +597,7 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     budget.check_g4(c, s)
     t = (2 * m - 1) // s
     r = c - s * t
-    table = _summand_table(s)
+    costs, weights = _summand_table(s)
 
     # Cores and their summed cut and link-repair saddles, by orientation
     # state after the t blocks.
@@ -626,32 +605,41 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     cores = [1, 0, 0]
     saddles = [_CUT_SADDLES[1], 0, 0]
     for _ in range(t):
-        added, = markov.matrix_multiply((cores,), table.costs)
+        added, = markov.matrix_multiply((cores,), costs)
         cores, saddles = step(cores), list(map(operator.add, step(saddles), added))
 
     # The core letters after the blocks and the ending they force form the
-    # remainder.  c is odd exactly when the interior length is 2 mod 3.
-    closure = "A" if c % 2 == 1 else "B"
-    tails = [0, 0, 0]
-    words = total_saddles = total_remaining = 0
+    # remainder.  c is odd exactly when the interior length is 2 mod 3.  Per
+    # final state, the endings that put a core into T(c), the remainders
+    # among them that are links, and their remaining crossings halved are
+    # counted in small ints, and each multiplies the cores once.
+    closure = word_closure(c)
+    tails, links, halves = [0, 0, 0], [0, 0, 0], [0, 0, 0]
     for letters in map("".join, product("ab", repeat=2 * m - 1 - s * t)):
         step = _interior_length(letters, s * t % 2)
         for i in range(3):
             final = (_length(i + 1, s * t) + step) % 3
             if (final == 2) != (c % 2 == 1):
                 continue
-            tails[i] += 1
             link = _remainder_is_link(i + 1, letters + _ENDING[final], closure)
-            words += cores[i]
-            total_saddles += saddles[i] + link * cores[i]
-            total_remaining += (r - 1 - link) // 2 * cores[i]
+            tails[i] += 1
+            links[i] += link
+            halves[i] += (r - 1 - link) // 2
+    words = sum(map(operator.mul, cores, tails))
+    total_saddles = (sum(map(operator.mul, saddles, tails))
+                     + sum(map(operator.mul, cores, links)))
+    total_remaining = sum(map(operator.mul, cores, halves))
     if words != word_count(c):
         raise ValueError(f"mean DP counted {words} words in T({c}), "
                          f"expected {word_count(c)}")
     # Each word uses an even number of saddle moves, so the sum is even.
     if total_saddles % 2:
         raise ValueError(f"odd saddle total {total_saddles} over T({c})")
+    # The residual, sum_w floor(n_w / 2) |D_w| over T(c): each signature's
+    # sums of |D_w| over the cores from one call of the walk's exact
+    # residual, each final state weighted by its tails.
+    totals, _ = markov.residual_totals(s, t, list(weights), tails)
     total = (total_saddles // 2 + total_remaining
-             + _residual_total(table.weights, s, t, tails))
+             + sum(map(operator.mul, weights.values(), totals)))
     return AverageRow(c, words, Fraction(total, words),
                       expression_upper_bound(c, s), log10_upper_bound(c))

@@ -13,7 +13,7 @@ outside the diagram.  On the right there are two shapes: closure "A" caps
 strands 1,2 and sends strand 3 around; closure "B" caps strands 2,3 and
 sends strand 1 around.  The diagram of a word in T(c) ends in a lower
 crossing exactly when c is odd, and its plat uses closure A in that case,
-closure B otherwise.
+closure B otherwise: ``word_closure``, which every word evaluator reads.
 
 Traczyk's formula sigma = s_A - c_plus - 1 needs three things:
 
@@ -41,7 +41,7 @@ Traczyk's formula sigma = s_A - c_plus - 1 needs three things:
 ``s3_index`` reads Q_c off the letter counts of the two parities, and
 ``start_state`` gives x_0 from it.  Each shape of diagram has one
 evaluator: ``orient_diagram`` walks ``STEP`` over one general diagram;
-one word diagram, closed as the parity of c says, takes crossing 1 by
+one word diagram, closed by ``word_closure``, takes crossing 1 by
 ``first_crossing``, with its two refusals, and the rest as
 ``positive_crossings`` does (``metrics_for_word``, ``cobordism.decompose``);
 and ``scan`` runs the prefix sum on an (n, c) batch of the letter rows of
@@ -135,11 +135,16 @@ class DiagramMetrics:
         self.c_plus, self.s_A, self.signature = c_plus, s_A, signature
 
 
+def word_closure(c: int) -> str:
+    """The right plat closure of every word diagram with c crossings: A at
+    odd c and B at even c, matching its last crossing row, as drawn plats do."""
+    return "BA"[c % 2]
+
+
 def diagram_for_word(word: str) -> PlatDiagram:
-    """The alternating knot diagram of a word: closure A at odd c and B at
-    even c, which matches its last crossing row, as drawn plats do."""
+    """The alternating knot diagram of a word, closed by ``word_closure``."""
     z = to_braid(word)  # validates the word
-    return PlatDiagram(z, "A" if len(z) % 2 else "B")
+    return PlatDiagram(z, word_closure(len(z)))
 
 
 def closure_components(left: tuple[tuple[int, int], int],
@@ -192,9 +197,9 @@ def start_state(closure: str, index: int) -> int:
     return perm.index(cap[0] + cap[1] - perm[2])
 
 
-#: x_0 of a word diagram, closed by B at even c and by A at odd c, or -1
-#: for a link, by (c mod 2, Q), read flat at 3 (c mod 2) + Q
-_START = tuple(start_state("BA"[parity], _S3_OF[parity][q])
+#: x_0 of a word diagram, closed by ``word_closure``, or -1 for a link,
+#: by (c mod 2, Q), read flat at 3 (c mod 2) + Q
+_START = tuple(start_state(word_closure(parity), _S3_OF[parity][q])
                for parity in (0, 1) for q in range(3))
 #: the refusal of a diagram that closes to a link
 _LINK = "diagram is a link; cannot orient by one traversal"
@@ -266,7 +271,7 @@ def first_crossing(letters: str) -> tuple[int, int]:
     gives cut 0.  ValueError if the diagram closes to a link, or if that
     state is not o1, as in every word diagram; the caller has validated
     the letters."""
-    x0 = start_state("A" if len(letters) % 2 else "B", s3_index(letters))
+    x0 = start_state(word_closure(len(letters)), s3_index(letters))
     if x0 < 0:
         raise ValueError(_LINK)
     sign, state = STEP[letters[0]][x0 + 1]
@@ -295,10 +300,10 @@ def s3_index(letters: str) -> int:
     return _S3_OF[len(letters) % 2][q]
 
 
-def all_A_circles(a, closure_b):
-    """All-A circles from the count of 'a' and whether the closure is B,
-    for ints or elementwise for arrays (``all_A_components``)."""
-    return a + closure_b + 2 * (a == 0) * (1 - closure_b)
+def all_A_circles(a, closure: str):
+    """All-A circles from the count of 'a' and the closure (A or B), for
+    ints or elementwise for arrays (``all_A_components``)."""
+    return a + (closure == "B") + 2 * (a == 0) * (closure == "A")
 
 
 def all_A_components(d: PlatDiagram) -> int:
@@ -310,16 +315,16 @@ def all_A_components(d: PlatDiagram) -> int:
     1, and for closure B one more past the last 'a'; with none, strand 1
     and the closure make two circles under closure A and one under B.
     """
-    return all_A_circles(d.letters.count("a"), int(d.closure == "B"))
+    return all_A_circles(d.letters.count("a"), d.closure)
 
 
 def metrics_for_word(word: str) -> DiagramMetrics:
     """c_plus, s_A and the signature s_A - c_plus - 1 of a word's knot, by
-    one ``STEP`` walk from ``first_crossing``; its closure is B at even c."""
+    one ``STEP`` walk from ``first_crossing``, closed by ``word_closure``."""
     z = to_braid(word)  # validates the word
     sign, state = first_crossing(z)
     c_plus = (sign > 0) + positive_crossings(state, z[1:])[0]
-    s_a = all_A_circles(z.count("a"), int(len(z) % 2 == 0))
+    s_a = all_A_circles(z.count("a"), word_closure(len(z)))
     return DiagramMetrics(c_plus, s_a, s_a - c_plus - 1)
 
 

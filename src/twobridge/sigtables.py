@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from . import budget
-from .diagram import STATE_AFTER, STEP, all_A_circles, scan
+from .diagram import STATE_AFTER, STEP, all_A_circles, scan, word_closure
 from .words import knot_count, swap_braid
 
 if TYPE_CHECKING:
@@ -87,18 +87,17 @@ def _letter_rows(c: int, masks: np.ndarray) -> np.ndarray:
 def _chunk_counts(c: int, n_masks: int, start: int) -> np.ndarray:
     """Signature counts of the words of T(c) whose masks are the
     ``_CHUNK_MASKS`` from start (below n_masks), scored by one
-    ``diagram.scan`` of their letter rows, which takes the closure from c:
-    entry sigma + c counts signature sigma."""
+    ``diagram.scan`` of their letter rows, each closed by
+    ``diagram.word_closure``: entry sigma + c counts signature sigma."""
     import numpy as np
 
     rows = _letter_rows(c, np.arange(start, min(start + _CHUNK_MASKS, n_masks)))
     # Only the crossing signs are kept, and einsum (3x faster than
     # sum(axis=1) on rows this short) takes the row sums; either keeps a
     # chunk's peak low enough that its heap is reused for the next chunk (a
-    # serial row at c = 22 faulted in 13,440 fresh pages otherwise).  A
-    # word's closure is B exactly when c is even.
+    # serial row at c = 22 faulted in 13,440 fresh pages otherwise).
     positive = scan(rows)
-    sigma = (all_A_circles(c - np.einsum("ij->i", rows, dtype=np.int32), int(c % 2 == 0))
+    sigma = (all_A_circles(c - np.einsum("ij->i", rows, dtype=np.int32), word_closure(c))
              - np.einsum("ij->i", positive, dtype=np.int32) - 1)
     return np.bincount(sigma + c, minlength=2 * c + 1)
 

@@ -578,7 +578,7 @@ def test_g4_aggregate_below_bound():
 
 
 def test_g4_aggregate_refuses_huge_c():
-    result = invoke("g4", "--c", "66443")
+    result = invoke("g4", "--c", "66453")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1

@@ -1,6 +1,7 @@
 """Tests for the saddle-move decomposition and 4-genus bounds."""
 
 import hashlib
+import math
 import os
 import random
 import re
@@ -755,16 +756,15 @@ def test_interior_length_matches_letter_scan():
 
 
 def test_summand_table_matches_mirror_analysis():
-    # s = 11 is the first table with more blocks than the block memo holds.
-    for s in range(1, 12):
-        table = cobordism._summand_table(s)
+    # Every block analysed from scratch, to s = 12, against the closed form.
+    for s in range(1, 13):
         counts, costs, weights = reference_summand_table(s)
-        assert (table.costs, table.weights) == (costs, weights), s
+        assert cobordism._summand_table(s) == (costs, weights), s
         # The enumerated block counts are the closed form of M^s, which the
         # mean applies by markov.block_step, and the rows of the residual
         # DP are signature groups of the walk.
         assert counts == markov._closed_form(s), s
-        assert set(table.weights) <= set(markov._signature_groups(s)[0]), s
+        assert set(weights) <= set(markov._signature_groups(s)[0]), s
 
 
 def test_g4_residual_matches_object_array_oracle():
@@ -775,7 +775,7 @@ def test_g4_residual_matches_object_array_oracle():
     # state fixes holds any count.  At s = 3 blocks start at both position
     # parities.
     for s in (3, 4):
-        keys = list(cobordism._summand_table(s).weights)
+        keys = list(cobordism._summand_table(s)[1])
         moves = nine_state_moves(s, keys)
         sources = [tuple(np.array(nine_state_sources(p, letter)) for letter in "ab")
                    for p in (0, 1)]
@@ -848,67 +848,12 @@ def test_residual_invariant_refused_under_optimize_flag():
         "the kernel's weighted total at s=2, t=28 differs from e_0 M^56 w"
 
 
-MIRROR_MISMATCH = (r"summand o[123]:[ab]+ and its mirror have different repaired "
-                   "crossing counts")
-
-
-def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
-    # A warm memo serves both sides of every pair from records that the real
-    # repair made, so the memo is cleared before the repair is patched.
-    average_g4_row(9, 3)
-    cobordism._analyse_block.cache_clear()
-    real = cobordism.link_lemma_fix
-
-    def lopsided(x):
-        fix = real(x)
-        return fix._replace(added_crossings=fix.added_crossings
-                            + (x.letters[0] == "a"))
-
-    monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
-    with pytest.raises(ValueError, match=MIRROR_MISMATCH):
-        average_g4_row(9, 3)
-
-
-def test_mirror_crossing_check_survives_optimize_flag():
-    code = ("from twobridge import cobordism\n"
-            "real = cobordism.link_lemma_fix\n"
-            "cobordism.link_lemma_fix = lambda x: real(x)._replace(\n"
-            "    added_crossings=real(x).added_crossings + (x.letters[0] == 'a'))\n"
-            "cobordism.average_g4_row(9, 3)\n")
-    src = str(Path(cobordism.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode != 0
-    assert "ValueError" in proc.stderr
-
-
-def test_summand_table_rejects_palindromic_mirror_mismatch(monkeypatch):
-    # The repair gains a crossing on palindromic-type blocks from state 1
-    # only.  Such a block's mirror has the same letters from the flipped end
-    # state, and at s = 4 three two-component ones from state 1 have their
-    # mirror from state 2 or 3.
-    real = cobordism.link_lemma_fix
-
-    def lopsided(x):
-        fix = real(x)
-        return fix._replace(added_crossings=fix.added_crossings
-                            + (x.start == 1 and is_palindromic_type(x.letters)))
-
-    monkeypatch.setattr(cobordism, "link_lemma_fix", lopsided)
-    with pytest.raises(ValueError, match=MIRROR_MISMATCH):
-        average_g4_row(10, 4)
-
-
-def test_palindromic_mirror_check_survives_optimize_flag():
-    code = ("from twobridge import cobordism, words\n"
-            "real = cobordism.link_lemma_fix\n"
-            "cobordism.link_lemma_fix = lambda x: real(x)._replace(\n"
-            "    added_crossings=real(x).added_crossings\n"
-            "    + (x.start == 1 and words.is_palindromic_type(x.letters)))\n"
+def refused_under_optimize_flag(setup, call):
+    """The ValueError message that ``call`` raises after ``setup`` in a
+    fresh ``python -O`` process, where no assert runs."""
+    code = ("from twobridge import cobordism, markov\n" + setup +
             "try:\n"
-            "    cobordism.average_g4_row(10, 4)\n"
+            f"    {call}\n"
             "except ValueError as refused:\n"
             "    print(refused)\n")
     src = str(Path(cobordism.__file__).resolve().parents[1])
@@ -917,47 +862,112 @@ def test_palindromic_mirror_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert re.fullmatch(MIRROR_MISMATCH, proc.stdout.strip()), proc.stdout
+    return proc.stdout.strip()
 
 
-def test_summand_table_refuses_an_unpaired_class(monkeypatch):
-    # Each side of a mirror pair must find the other's record: with the
-    # class keys of one side changed, no pair meets.
-    real = cobordism.summand_class
-
-    def unpaired(x):
-        cls = real(x)
-        return cls._replace(key=x.serialize()) if cls.polarity == "minus" else cls
-
-    monkeypatch.setattr(cobordism, "summand_class", unpaired)
-    with pytest.raises(ValueError, match=r"summand o[123]:[ab]+ met no mirror among "
-                       "the blocks of 3 letters"):
-        cobordism._summand_table(3)
+REPAIR_COST = cobordism._repair_cost
+# A repair two saddles and crossings dearer from middle state 1 than from
+# its flip, 3, so that a block and its mirror differ.  At s = 3 the blocks
+# from o1 to o3 pair with their mirrors among themselves, and under this
+# repair their weights sum to 5.
+LOPSIDED = ("real = cobordism._repair_cost\n"
+            "cobordism._repair_cost = lambda s, middle: real(s, middle) + 2 * (middle == 1)\n")
+MIRROR_MISMATCH = ("the blocks of 3 letters from o1 to o3, each paired with its mirror "
+                   "among them, weigh 5 in all, which does not halve")
 
 
-def test_summand_table_repairs_each_link_block_once(monkeypatch):
-    # From a cleared memo a table repairs each two-component oriented block
-    # once, past s = 10 too, where the memo cannot hold the table: the
-    # mirror check reads the records that the enumeration makes.  A rebuild
-    # whose blocks all fit in the memo repairs none.
-    real = cobordism.link_lemma_fix
-    calls = Counter()
+def test_summand_table_rejects_mirror_crossing_mismatch(monkeypatch):
+    monkeypatch.setattr(cobordism, "_repair_cost",
+                        lambda s, middle: REPAIR_COST(s, middle) + 2 * (middle == 1))
+    with pytest.raises(ValueError, match=re.escape(MIRROR_MISMATCH)):
+        average_g4_row(9, 3)
 
-    def counted(x):
-        calls[x] += 1
-        return real(x)
 
-    monkeypatch.setattr(cobordism, "link_lemma_fix", counted)
-    for s in range(2, 13):
-        links = Counter(x for x in all_oriented_words(s) if component_count(x) == 2)
-        cobordism._analyse_block.cache_clear()
-        calls.clear()
+def test_mirror_crossing_check_survives_optimize_flag():
+    assert refused_under_optimize_flag(LOPSIDED, "cobordism.average_g4_row(9, 3)") \
+        == MIRROR_MISMATCH
+
+
+def test_middle_state_split_check_survives_optimize_flag():
+    # A wrong M^3 splits the blocks of 6 letters over their middle states
+    # into other counts than M^6.
+    assert refused_under_optimize_flag(
+        "real = markov._closed_form\n"
+        "markov._closed_form = lambda n: real(n + (n == 3))\n",
+        "cobordism._summand_table(6)") == (
+        "the blocks of 6 letters from o1 to o1 split into 86 by their middle "
+        "states, not M^6 = 22")
+
+
+def test_summand_table_analyses_no_block(monkeypatch):
+    # The table is a closed form and the mean reads no block record: with
+    # the block analysis and the link repair refused, both run at any s,
+    # and the block memo stays empty.
+    memo = cobordism._analyse_block
+
+    def refuse(*args):
+        raise AssertionError("the mean analysed or repaired a block")
+
+    monkeypatch.setattr(cobordism, "_analyse_block", refuse)
+    monkeypatch.setattr(cobordism, "link_lemma_fix", refuse)
+    for s in range(1, 41):
         cobordism._summand_table(s)
-        assert calls == links, s
-        if s <= 10:
-            calls.clear()
-            cobordism._summand_table(s)
-            assert not calls, s
+    for c, s in ((9, 3), (61, 2), (200, 11), (1000, 3), (163, 20)):
+        average_g4_row(c, s)
+    assert memo.cache_info().currsize == 0
+
+
+def test_closed_form_rule_on_random_blocks():
+    # Blocks past the reference table, analysed from scratch, follow the
+    # rule the closed form uses: a block of s letters from x to y is a link
+    # exactly when the blocks of 3 or 4 letters of the same parity from x
+    # to y are; its repair costs _repair_cost(s, m) saddles and as many
+    # added crossings, m its state after s // 2 letters; its mirror runs
+    # from flip(y) to flip(x), through flip(m) at even s, at the same cost;
+    # and a palindromic-type block ends at e (1 - m) - x - 1 mod 3 in state
+    # indices, e = (-1)^(s // 2).
+    links = {(len(x.letters) % 2, x.start, x.end): component_count(x) == 2
+             for n in (3, 4) for x in all_oriented_words(n)}
+    assert len(links) == 18
+    flip = {1: 3, 2: 2, 3: 1}
+    rng = random.Random(45)
+    for s in range(13, 41):
+        h = s // 2
+        blocks = ["".join(rng.choice("ab") for _ in range(s)) for _ in range(40)]
+        if s % 2 == 0:
+            halves = ["".join(rng.choice("ab") for _ in range(h)) for _ in range(20)]
+            blocks += [half + swap_braid(half[::-1]) for half in halves]
+        for letters in blocks:
+            x = OrientedWord(rng.choice((1, 2, 3)), letters)
+            middle = orientation_after(x.start, letters[:h])
+            end = orientation_after(x.start, letters)
+            saddles, crossings = repair_costs(x)
+            cost = REPAIR_COST(s, middle) if links[s % 2, x.start, end] else 0
+            assert (saddles, crossings) == (cost, s + cost), (s, x)
+            y = mirror(x)
+            assert (y.start, y.end) == (flip[end], flip[x.start]), (s, x)
+            if s % 2 == 0:
+                assert orientation_after(y.start, y.letters[:h]) == flip[middle], (s, x)
+            assert repair_costs(y) == (saddles, crossings), (s, x)
+            if is_palindromic_type(letters):
+                turn = (-1) ** h
+                assert (turn * (2 - middle) - x.start) % 3 == end - 1, (s, x)
+
+
+def test_every_block_takes_its_interior_length_to_its_end():
+    # The mean reads a core's interior length mod 3 off its orientation
+    # state (_length): every oriented block of up to 12 letters, from each
+    # start and at both position parities, takes the length of its start
+    # state to that of its end state.
+    for s in range(13):
+        for bits in product("ab", repeat=s):
+            letters = "".join(bits)
+            for start in (1, 2, 3):
+                end = orientation_after(start, letters)
+                for p in (0, 1):
+                    assert (cobordism._length(start, p)
+                            + cobordism._interior_length(letters, p)
+                            - cobordism._length(end, p + s)) % 3 == 0, (start, letters, p)
 
 
 def test_g4_work_refused_before_any_work(monkeypatch):
@@ -966,10 +976,10 @@ def test_g4_work_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cobordism, "_summand_table", build)
     check_g4(1000, 3)
-    with pytest.raises(BudgetError, match=r"c=66443, s=5.*kernel_work"):
-        check_g4(66443, 5)
+    with pytest.raises(BudgetError, match=r"c=66453, s=5.*kernel_work"):
+        check_g4(66453, 5)
     start = time.perf_counter()
-    for c, s in ((66443, 5), (80, 39)):
+    for c, s in ((66453, 5), (80, 39)):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
@@ -985,39 +995,20 @@ def test_interior_length_fixed_by_end_states():
                 == cobordism._interior_length(letters, 0) % 3, letters
 
 
-def test_interior_length_check_survives_optimize_flag():
-    code = ("from twobridge import cobordism\n"
-            "real = cobordism._interior_length\n"
-            "cobordism._interior_length = lambda letters, parity: (\n"
-            "    real(letters, parity) + (letters == 'ab'))\n"
-            "try:\n"
-            "    cobordism._summand_table(2)\n"
-            "except ValueError as refused:\n"
-            "    print(refused)\n")
-    src = str(Path(cobordism.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ("block o1:ab at parity 0 does not end on the "
-                                   "interior length of its end state")
-
-
 def test_g4_budget_charges_the_law_rows():
     # The mean runs one row per signature of the classes with at least 2
     # repaired crossings: signature groups of the walk, so the walk's
     # charge, one series per non-palindromic row, covers them.
     for s in range(1, 11):
-        keys = cobordism._summand_table(s).weights
+        keys = cobordism._summand_table(s)[1]
         rows, palindromic = _walk_groups(s)
         assert set(keys) <= set(markov._signature_groups(s)[0]), s
         assert sum(not key[4] for key in keys) <= rows - palindromic, s
     # The largest mean row at the default s, 5 from c = 10001 on.
-    assert choose_block_size(66442) == choose_block_size(66443) == 5
-    check_g4(66442, 5)
-    with pytest.raises(BudgetError, match=r"c=66443, s=5"):
-        check_g4(66443, 5)
+    assert choose_block_size(66452) == choose_block_size(66453) == 5
+    check_g4(66452, 5)
+    with pytest.raises(BudgetError, match=r"c=66453, s=5"):
+        check_g4(66453, 5)
 
 
 def test_g4_budget_admits_what_the_nine_state_charge_admitted():
@@ -1037,6 +1028,23 @@ def test_g4_budget_admits_what_the_nine_state_charge_admitted():
                 check_g4(c, s)
                 admitted += 1
     assert admitted == 49009
+
+
+def test_g4_budget_charges_the_digits_as_an_avg_sig_row():
+    # Past the old table charge a mean runs at block sizes far beyond 16,
+    # up to the c whose word count the CLI may print (c^2 / 16 units).
+    check_g4(632455, 632452)
+    with pytest.raises(BudgetError, match=r"c=632456, s=632452.*c\^2 / 16"):
+        check_g4(632456, 632452)
+
+
+def test_mean_past_the_float_range():
+    # At s = 2090 the expression bound overflows a float: it reads inf,
+    # which the exact mean is below.
+    row = average_g4_row(2100, 2090)
+    assert row.expression_bound == math.inf and row.below_expression
+    assert row.words == word_count(2100) and row.below_log10
+    assert expression_upper_bound(2100, 1022) < math.inf
 
 
 def test_average_g4_row_domain():

@@ -240,7 +240,7 @@ def test_scan_matches_oracle_on_word_batches(batch):
     diagrams = [D.PlatDiagram(z, "A" if len(z) % 2 else "B") for z in batch]
     letters = letter_array(batch)
     c = letters.shape[1]
-    circles = D.all_A_circles(c - letters.sum(axis=1), int(c % 2 == 0))
+    circles = D.all_A_circles(c - letters.sum(axis=1), diagrams[0].closure)
     assert circles.tolist() == [oracle_all_A(d) for d in diagrams]
     positive = D.scan(letters)
     assert (2 * positive.astype(int) - 1).tolist() == [oracle_orient(d)[0] for d in diagrams]
@@ -342,6 +342,16 @@ def test_word_diagrams_take_one_start_check(monkeypatch):
     D.metrics_for_word(word)
     cobordism.decompose(word, 2)
     assert calls == [(W.to_braid(word),)] * 2
+
+
+def test_word_closure_matches_the_last_crossing_row():
+    # A word diagram closes by A exactly when its last crossing is a lower
+    # one ('a'), and the diagram of a word takes its closure from c alone.
+    for c in range(3, 13):
+        for w in W.enumerate_words(c):
+            z = W.to_braid(w)
+            assert D.word_closure(c) == ("A" if z[-1] == "a" else "B"), w
+            assert D.diagram_for_word(w).closure == D.word_closure(c), w
 
 
 def test_scan_takes_batches_only():
