@@ -9,9 +9,9 @@ limit accepts takes about 10 s or less.  No module of the package is imported.
 import math
 from typing import Sequence
 
-#: 2.5-4 us per exponent mask when ``enumerate --c 22`` streams its words,
-#: 2.6-4.0 s; scored in batches, ``sig-table --c 22 --method enumerate``
-#: takes 0.6-0.7 s
+#: about 0.85 us per exponent mask when ``enumerate --c 22`` streams its
+#: words to /dev/null, 0.85-0.91 s; scored in batches, ``sig-table --c 22
+#: --method enumerate`` takes 0.24-0.25 s
 ENUMERATION_BUDGET = 22
 #: printed rows cost more than their recursion as their counts grow long:
 #: ``sig-table --c 3..1448 --method recurse`` takes 4-6.4 s
@@ -25,14 +25,15 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
-#: 7-15 ns per unit of the exact residual: the largest t at each s takes
-#: 2.2-5.1 s at 34-36 MB, ``walk-sim --s 1 --t 47075 --exact`` 4.2 s,
-#: ``--s 3 --t 20657`` 5.1 s, ``--s 4 --t 11884`` 3.0 s, ``--s 150
-#: --t 1109`` 3.0 s and ``--s 5000 --t 49`` 2.2 s, and the largest s at
-#: t = 1, 1207519 (odd) and 893024 (even), 1.1-1.2 s at 46 MB.  The mean g4
-#: DP, charged the same way (``check_g4``): the largest c at each s takes
-#: 3.0-5.4 s, ``g4 --c 66452`` (the default s) 3.2-4.3 s and ``--c 61974
-#: --s 3``, the slowest, 4.7-6.8 s (``--c 61972 --s 3`` 5.2-6.3 s beside it)
+#: 3-7 ns per unit of the exact residual: the largest t at each s takes
+#: 1.0-2.1 s at 20-21 MB of peak RSS, ``walk-sim --s 1 --t 47075 --exact``
+#: 1.4 s, ``--s 3 --t 20657`` 2.0 s, ``--s 4 --t 11884`` 1.5 s, ``--s 150
+#: --t 1109`` 1.5-1.7 s and ``--s 5000 --t 49`` 1.0 s, and the largest s at
+#: t = 1, 1207519 (odd) and 893024 (even), 0.7-1.1 s at 31-33 MB.  The mean
+#: g4 DP, charged the same way (``check_g4``): the largest c at each s takes
+#: 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.5 s and ``--c 61974
+#: --s 3`` 2.1-2.3 s.  The budget was set when the squares took a series
+#: and the mean stepped its cores, at about twice these times
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
@@ -170,8 +171,9 @@ def _walk_groups(s: int) -> tuple[int, int]:
 def kernel_work(s: int, t: int) -> int:
     """The exact residual (``markov.residual_totals``) on the walk's rows,
     among which are the mean g4 DP's: a series per non-palindromic row (at
-    least one per distinct kernel), one for the squares, and one per two
-    palindromic-type rows for their 3-vector steps.  Each costs
+    least one per distinct kernel), one more as a margin (the squares, now
+    closed forms of a few big-int operations, once took a series), and one
+    per two palindromic-type rows for their 3-vector steps.  Each costs
     _SERIES_STEP per step, plus its products of ints of up to s t bits by
     kernel coefficients of about 2 s bits: s t^2 (64 + s) / _SERIES_BITS,
     with 47 sqrt(s) for 64 + s past s = 2048, where CPython multiplies by
@@ -193,8 +195,9 @@ def check_g4(c: int, s: int) -> None:
     """The mean g4 DP: the exact residual on its rows, charged as the
     walk's (``kernel_work``), plus _ENDING_WORK for each ending of its cores,
     2^e for the e core letters past its t blocks, passed as a shift (no 2^e
-    built).  Its block table and its t block steps cost less than a series.
-    Its mean and word count are then charged as an avg-sig row's digits."""
+    built).  Its block table, cores and saddles are closed forms, which
+    cost less than a series.  Its mean and word count are then charged as
+    an avg-sig row's digits."""
     t, e = divmod(2 * ((c - 1) // 2) - 1, s)
     request = f"the mean g4 DP at c={c}, s={s}"
     _check(kernel_work(s, t), WALK_WORK_BUDGET, request,

@@ -42,8 +42,9 @@ middle and end states (``_summand_table``).  Its residual term is one call
 of the walk's exact residual, ``markov.residual_totals``, on the walk's
 own rows, with each final state weighted by the core endings that put a
 core into T(c), so ``budget.check_g4`` charges it as the walk's.  The
-cores and their saddles step across the blocks with the walk's
-``markov.block_step``, the closed form of M^s.
+cores are row 0 of the closed form of M^(s t), and the saddles that they
+collect over the blocks geometric sums of M^(s k) (``markov.cost_sums``):
+no step per block.
 """
 
 from __future__ import annotations
@@ -538,14 +539,22 @@ def _summand_table(s: int) -> tuple[markov.IntMatrix, dict[tuple[int, ...], int]
     smaller serialization: all other blocks at x < flip(y), half of them
     at x = flip(y), none otherwise.  ValueError, with no assert, unless
     the middle states split M^s and every half is whole.
+
+    Every entry of M^n is c_n + d with d in {0, 1, -1} (c_n is entry
+    [0][1]), so each count M^h[x][m] M^(s-h)[m][y] = (c_h + d)(c_(s-h) + d')
+    is the one big product c_h c_(s-h) plus d' c_h + d c_(s-h) + d d'.
     """
     h = s // 2
     first, second, whole = (markov._closed_form(n) for n in (h, s - h, s))
+    low, high = first[0][1], second[0][1]
+    both = low * high
+    rows = [[n - low for n in row] for row in first]
+    columns = [[n - high for n in column] for column in zip(*second)]
     sign, turn = 1 - 2 * (s % 2), 1 - 2 * (h % 2)
     costs = [[0] * 3 for _ in range(3)]
     weights = {}
     for x, y in product(range(3), repeat=2):
-        blocks = [first[x][m] * second[m][y] for m in range(3)]
+        blocks = [both + e * low + d * high + d * e for d, e in zip(rows[x], columns[y])]
         if sum(blocks) != whole[x][y]:
             raise ValueError(f"the blocks of {s} letters from o{x + 1} to o{y + 1} "
                              f"split into {sum(blocks)} by their middle states, "
@@ -580,8 +589,10 @@ def average_g4_row(c: int, s: int) -> AverageRow:
 
     By linearity of expectation the mean splits into local terms and the
     residual.  The cut and link-repair saddles of every block follow a DP
-    over the orientation state across the t blocks, whose cores and
-    saddles step with the walk's ``markov.block_step``; the remainder's
+    over the orientation state across the t blocks, in closed form: the
+    cores after them are e_0 M^(s t) and their saddles, summed by final
+    state, e_0 M^(s t) for the first cut plus ``markov.cost_sums`` over the
+    table's costs, the geometric sums of M^(s k); the remainder's
     repair and crossings depend only on the last state and the at most
     s - 1 core letters after the blocks, which are enumerated with the
     ending they force, read off the interior length that the last state
@@ -600,13 +611,11 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     costs, weights = _summand_table(s)
 
     # Cores and their summed cut and link-repair saddles, by orientation
-    # state after the t blocks.
-    step = markov.block_step(s)
-    cores = [1, 0, 0]
-    saddles = [_CUT_SADDLES[1], 0, 0]
-    for _ in range(t):
-        added, = markov.matrix_multiply((cores,), costs)
-        cores, saddles = step(cores), list(map(operator.add, step(saddles), added))
+    # state after the t blocks: e_0 M^(s t), and the cut saddles of state 1
+    # carried along plus the costs that the blocks collect (``cost_sums``).
+    cores = markov._closed_form(s * t)[0]
+    saddles = [_CUT_SADDLES[1] * n + cost
+               for n, cost in zip(cores, markov.cost_sums(s, t, costs))]
 
     # The core letters after the blocks and the ending they force form the
     # remainder.  c is odd exactly when the interior length is 2 mod 3.  Per

@@ -24,13 +24,15 @@ classes of each group off the closed forms of M^s and M^(s/2), with no
 block listed.  A row is a group's signature, a plain tuple.  The one exact
 residual, ``residual_totals``, reads each row's sums of |D_w| and D_w^2
 (of D_w mod 2 if palindromic-type) after t uniform blocks off closed-form
-generating functions, by the kernel method for directed lattice paths, in
-O(t) exact integer steps, instead of a sum over all 2^(s t) block
-sequences (the tests keep that enumeration as the oracle, and a DP over
-every displacement on numpy object arrays as the reference).  It serves
-the walk, ``per_class_moments`` and, with other weights on the final
-states, the residual term of ``cobordism.average_g4_row`` on the same
-rows; the mean steps its cores by ``block_step``, the closed form of M^s.
+generating functions, by the kernel method for directed lattice paths,
+in one O(t) exact integer series per kernel, its rational parts in closed
+form, instead of a sum over all 2^(s t) block sequences (the tests keep
+that enumeration as the oracle, and a DP over every displacement on numpy
+object arrays as the reference).  It serves the walk, ``per_class_moments``
+and, with other weights on the final states, the residual term of
+``cobordism.average_g4_row`` on the same rows; the mean's cores and the
+costs they collect over the blocks (``cost_sums``) are closed forms of
+M^(s k).
 The module checks the taxicab-distance bound 3 sqrt(2^s t) + p and the
 per-class abs-mean bound 2 sqrt(t / 2^s); the tests check the second-moment
 bound 4 t / 2^s that implies it.
@@ -70,7 +72,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
@@ -179,7 +180,8 @@ _check_algebra()
 
 def _block_power(s: int) -> tuple[int, int]:
     """(c_s, (-1)^s) with M^s = c_s B + (-J)^s, the one check of M^s that
-    ``block_step`` and ``residual_totals`` make, in O(log s) steps.
+    ``residual_totals`` makes, once per call, for its kernels and its
+    ``block_step``, in O(log s) steps.
 
     With M = B - J and the products that ``_check_algebra`` checks,
     M^(2k) = (3 c_k^2 + 2 (-1)^k c_k) B + I and
@@ -543,24 +545,23 @@ def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
 
 # From this block size on, c_s has 7 or more 30-bit digits, and the block
 # step's product by it costs more than a shift by s, a subtraction and an
-# exact division by 3.
+# exact division by 3.  From as many bits of 2^k - 1 on, ``_quotient``
+# divides by doubling steps: CPython's division by 2^k - 1 is schoolbook,
+# and it overtakes them between 200 and 400 bits.
 _DIVIDE_S = 200
 
 
-def block_step(s: int):
-    """The block step of the mean's cores (``cobordism.average_g4_row``) and
-    of the palindromic-type rows of ``residual_totals``, the one
-    application of M^s outside the Markov checks: three state ints after
-    one block of s letters, by the closed form of M^s, the letter counts
-    over a block.  M^s = c_s B + (-J)^s (``_block_power``), so state i
-    after the block holds c_s times the sum over the three states before
-    it, plus (-1)^s the state J^s i before it: five integer operations and
-    a product by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a
-    division by 3).  ValueError if M^s differs from its closed form
-    (``_block_power``).
+def block_step(s: int, bulk: int, sign: int):
+    """The block step of the palindromic-type rows of ``residual_totals``,
+    the one application of M^s outside the Markov checks: three state ints
+    after one block of s letters, by the closed form of M^s, the letter
+    counts over a block, from its parts (c_s, (-1)^s), which the caller has
+    checked (``_block_power``).  M^s = c_s B + (-J)^s, so state i after the
+    block holds c_s times the sum over the three states before it, plus
+    (-1)^s the state J^s i before it: five integer operations and a product
+    by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a division
+    by 3).
     """
-    bulk, sign = _block_power(s)
-
     def step(before: list[int]) -> list[int]:
         total = before[0] + before[1] + before[2]
         if s < _DIVIDE_S:
@@ -571,6 +572,45 @@ def block_step(s: int):
             return [total - before[2], total - before[1], total - before[0]]
         return [total + x for x in before]
     return step
+
+
+def cost_sums(s: int, t: int, costs: IntMatrix) -> list[int]:
+    """e_0 sum_(k<t) M^(s k) C M^(s (t-1-k)) for an integer matrix C: the
+    costs C that the walk from state 1 collects over its t blocks, by the
+    state after them, in closed form, with no step per block.
+
+    M^n = c_n B + (-J)^n = 2^n P1 + (-1)^n P2 + P3, with the projections
+    P1 = B / 3, P3 = (I - J) / 2 and P2 = I - P1 - P3 onto the eigenvectors
+    f1 = (1, 1, 1), f2 = (1, -2, 1) and f3 = (1, 0, -1), so 6 P_j =
+    m_j f_j f_j^T with m = (2, 1, 3) and the sum is
+    sum_(i,j) g(l_i, l_j) P_i C P_j, with l = (2^s, (-1)^s, 1) and the
+    geometric sums g(x, y) = sum_(k<t) x^k y^(t-1-k): t x^(t-1) if x = y,
+    else (x^t - y^t) / (x - y).  Row 0 of 6 P_i is m_i f_i, so 36 times the
+    sum is sum_j h_j f_j with h_j = m_j sum_i g(l_i, l_j) m_i f_i^T C f_j.
+    ValueError, with no assert, unless 36 divides it.
+    """
+    power, sign = 1 << s, -1 if s % 2 else 1
+    high, low = 1 << s * t, sign ** t
+    # g(x, y) by the pair of eigenvalue indices, x <= y
+    g = {(0, 0): t << s * (t - 1) if t else 0,
+         (0, 1): (high - low) // (power - sign),
+         (0, 2): (high - 1) // (power - 1),
+         (1, 1): t if t % 2 or sign > 0 else -t,
+         (1, 2): t if sign > 0 else t % 2,
+         (2, 2): t}
+    vectors = ((1, 1, 1), (1, -2, 1), (1, 0, -1))
+    forms = matrix_multiply(matrix_multiply(vectors, costs), tuple(zip(*vectors)))
+    h = [scale * sum(g[min(i, j), max(i, j)] * (weight * forms[i][j])
+                     for i, weight in enumerate((2, 1, 3)))
+         for j, scale in enumerate((2, 1, 3))]
+    sums = []
+    for combined in (h[0] + h[1] + h[2], h[0] - 2 * h[1], h[0] + h[1] - h[2]):
+        total, rest = divmod(combined, 36)
+        if rest:
+            raise ValueError(f"the costs over {t} blocks of {s} letters are not "
+                             "whole: 36 does not divide their projections")
+        sums.append(total)
+    return sums
 
 
 def _poly_mul(a, b) -> list[int]:
@@ -584,27 +624,91 @@ def _poly_mul(a, b) -> list[int]:
 
 def _series_tails(s: int, t: int, root, numerator, divisor) -> tuple[list[int], list[int]]:
     """[X^t], [X^(t-1)], [X^(t-2)] of Y = root^(-1/2) and [X^t], ...,
-    [X^(t-3)] of numerator Y / divisor, for integer polynomials of 7, 3 and
-    4 terms with divisor(0) = 1 and an integral Y, in t steps that keep six
-    terms: 2 root Y' + root' Y = 0 gives 2 n Y_n =
-    -sum_j (2 n - j) root_j Y_(n-j).  ValueError if root(0) is not 1 or a
-    division by 2 n is not exact."""
+    [X^(t-3)] of numerator Y / divisor, for integer polynomials of at most
+    7 terms, 3 and 4 terms with divisor(0) = 1 and an integral Y, in t
+    steps that keep six terms: 2 root Y' + root' Y = 0 gives 2 n Y_n =
+    sum_j (j - 2 n) root_j Y_(n-j), one product of a big Y by a small
+    coefficient per term.  ValueError if root(0) is not 1 or a division by
+    2 n is not exact."""
     if root[0] != 1:
         raise ValueError(f"a kernel discriminant at s={s} is {root[0]} at X = 0, not 1")
-    roots, lower = root[1:], divisor[1:]
-    weighted = list(map(operator.mul, range(1, 7), roots))
-    ys = deque((1, 0, 0, 0, 0, 0), 6)  # Y_n, Y_(n-1), ...
-    hs = deque((1, 0, 0, 0, 0, 0), 6)  # the same of Y / divisor
+    r1, r2, r3, r4, r5, r6 = (*root[1:], 0, 0, 0, 0, 0, 0)[:6]
+    _, d1, d2, d3 = divisor
+    y0, y1, y2, y3, y4, y5 = 1, 0, 0, 0, 0, 0  # Y_n, Y_(n-1), ...
+    h0, h1, h2, h3, h4, h5 = 1, 0, 0, 0, 0, 0  # the same of Y / divisor
     for n in range(1, t + 1):
-        y, rest = divmod(sum(map(operator.mul, weighted, ys)), 2 * n)
+        m = 2 * n
+        y, rest = divmod((1 - m) * r1 * y0 + (2 - m) * r2 * y1 + (3 - m) * r3 * y2
+                         + (4 - m) * r4 * y3 + (5 - m) * r5 * y4 + (6 - m) * r6 * y5, m)
         if rest:
             raise ValueError(f"a kernel series division at s={s}, X^{n} is not exact")
-        ys.appendleft(y - sum(map(operator.mul, roots, ys)))
-        hs.appendleft(ys[0] - sum(map(operator.mul, lower, hs)))
+        y0, y1, y2, y3, y4, y5 = y, y0, y1, y2, y3, y4
+        h0, h1, h2, h3, h4, h5 = y - d1 * h0 - d2 * h1 - d3 * h2, h0, h1, h2, h3, h4
     a, b, c = numerator
-    h0, h1, h2, h3, h4, h5 = hs
-    return [ys[0], ys[1], ys[2]], [a * h0 + b * h1 + c * h2, a * h1 + b * h2 + c * h3,
-                                   a * h2 + b * h3 + c * h4, a * h3 + b * h4 + c * h5]
+    return [y0, y1, y2], [a * h0 + b * h1 + c * h2, a * h1 + b * h2 + c * h3,
+                          a * h2 + b * h3 + c * h4, a * h3 + b * h4 + c * h5]
+
+
+def _quotient(s: int, n: int, x: int, k: int, power: int) -> int:
+    """x / (2^k - 1)^power, exact.  While k < ``_DIVIDE_S`` by one divmod;
+    from there on, where CPython's schoolbook division takes time quadratic
+    in k (a coefficient of 1 / K1^2 took 1.6 s at s = 400000, so about
+    14 s at s = 1207519), by ``power`` divisions by 2^k - 1 of a few shifts
+    and adds each: x / (2^k - 1) = q, with 0 <= q < 2^K for K = k 2^L at
+    least the bit length of x, is x (2^K - 1) / (2^k - 1) / (2^K - 1), and
+    x times prod_(i<L) (1 + 2^(k 2^i)) is (q << K) - q, whose ceiling over
+    2^K is q.  ValueError, with no assert, unless every division is exact
+    (the coefficient at X^n, block size s)."""
+    if k < _DIVIDE_S:
+        q, rest = divmod(x, ((1 << k) - 1) ** power)
+    else:
+        q, rest = x, 0
+        for _ in range(power):
+            y, span = q, k
+            while span < q.bit_length():
+                y += y << span
+                span <<= 1
+            q, dividend = -(-y >> span), q
+            rest |= (q << k) - q != dividend
+    if rest:
+        raise ValueError(f"a partial-fraction division at s={s}, X^{n} is not exact")
+    return q
+
+
+def _k1_coefficient(s: int, n: int, square: bool) -> int:
+    """[X^n] of 1 / K1, or of 1 / K1^2, with K1 = (1 - a X)(1 - X)(1 - (-1)^s
+    X) and a = 2^s, by partial fractions over the poles 1/a, 1 and
+    (-1)^s, as a polynomial in a with small coefficients over (a^2 - 1) or
+    (a^2 - 1)^3 at odd s and (a - 1)^2 or (a - 1)^5 at even s; 0 at n < 0.
+    Each power of a is a shift, and the one division is ``_quotient``'s."""
+    if n < 0:
+        return 0
+    if s % 2:  # K1 = (1 - a X)(1 - X^2)
+        if not square:
+            return _quotient(s, n, (1 << s * (n + 2)) - (1 << s * (n % 2)), 2 * s, 1)
+        tail = ((n + 5 << 3 * s) - (n + 1 << s) if n % 2
+                else (n // 2 + 2 << 4 * s) + (3 << 2 * s) - n // 2 - 1)
+        return _quotient(s, n, (n + 1 << s * (n + 6)) - (n + 5 << s * (n + 4)) + tail,
+                         2 * s, 3)
+    if not square:  # K1 = (1 - a X)(1 - X)^2
+        return _quotient(s, n, (1 << s * (n + 2)) - (n + 2 << s) + n + 1, s, 2)
+    return _quotient(s, n, (n + 1 << s * (n + 5)) - (n + 5 << s * (n + 4))
+                     + ((n + 3) * (n + 4) * (n + 5) // 6 << 3 * s)
+                     - ((n + 1) * (n + 4) * (n + 5) // 2 << 2 * s)
+                     + ((n + 1) * (n + 2) * (n + 5) // 2 << s)
+                     - (n + 1) * (n + 2) * (n + 3) // 6, s, 5)
+
+
+def _squares(s: int, t: int, numerator) -> tuple[list[int], list[int]]:
+    """What ``_series_tails`` gives for the root K1^2 and the divisor K1,
+    in closed form: [X^t], [X^(t-1)], [X^(t-2)] of 1 / K1 and [X^t], ...,
+    [X^(t-3)] of numerator / K1^2 (``_k1_coefficient``), O(1) big-int
+    operations in place of t steps."""
+    inverse = [_k1_coefficient(s, n, False) for n in range(t, t - 3, -1)]
+    v0, v1, v2, v3, v4, v5 = (_k1_coefficient(s, n, True) for n in range(t, t - 6, -1))
+    a, b, c = numerator
+    return inverse, [a * v0 + b * v1 + c * v2, a * v1 + b * v2 + c * v3,
+                     a * v2 + b * v3 + c * v4, a * v3 + b * v4 + c * v5]
 
 
 # The kernel method (Banderier and Flajolet, "Basic analytic combinatorics
@@ -631,7 +735,8 @@ def _series_tails(s: int, t: int, root, numerator, divisor) -> tuple[list[int], 
 #   2 P N1 and Delta = R^2 - 4 P^2 = K1 (K1 - 4 P); (z d/dz)^2 F at z = 1
 #   gives sum_d d^2 [z^d] F = A / K1^2, the same with Delta = K1^2.  So
 #   both are [X^t] of (n0 + n2) Y - 2 P N1 Y / K1 with Y = Delta^(-1/2) =
-#   K1^(-1) sum_k binom(2k, k) (P / K1)^k, which is integral.
+#   K1^(-1) sum_k binom(2k, k) (P / K1)^k, which is integral: a series per
+#   kernel for |d|, and partial fractions of 1 / K1 and 1 / K1^2 for d^2.
 # - A palindromic-type row scores d mod 2, (F_t(1) - F_t(-1)) / 2, with
 #   F_t(1) = e_0 M^(s t) w and F_t(-1) = e_0 (N - 2 E_xy)^t w.
 def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]]:
@@ -641,11 +746,15 @@ def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]
     from state 0, that end in state i and displace the class of the row
     (a signature of ``_signature_groups``) by d; both are the sum over odd
     d, the copies that cancellation leaves, if it is palindromic-type.
-    Read off the generating functions above in O(t) steps per kernel.
-    ValueError unless M^s has its closed form (``_block_power``), K1 is the
-    row-0 expansion of det A0 with the closed-form adjugate, [X^t] N1 / K1
-    is e_0 M^(s t) w, each kernel is palindromic, every division is exact
-    and the two totals of each row have the same parity.
+    Read off the generating functions above: the sums of |d| in t steps
+    per distinct kernel (``_series_tails``), those of d^2 from the closed
+    forms of 1 / K1 and N1 / K1^2 (``_squares``), and the palindromic-type
+    rows in t block steps (``block_step``), from the one check of M^s that
+    the call makes.  ValueError unless M^s has its closed form
+    (``_block_power``), K1 is the row-0 expansion of det A0 with the
+    closed-form adjugate, [X^t] N1 / K1, a closed form of 1 / K1, is
+    e_0 M^(s t) w, each kernel is palindromic, every division is exact and
+    the two totals of each row have the same parity.
     """
     bulk, sign = _block_power(s)
     n = _power_matrix(bulk, sign)
@@ -658,12 +767,12 @@ def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]
     if [a - b for a, b in zip((*adjugate[0][0], 0), (0, *moved))] != k1:
         raise ValueError(f"det(I - X M^{s}) differs from its row-0 expansion")
     n1 = [sum(map(operator.mul, weights, terms)) for terms in zip(*adjugate[0])]
-    squares = _series_tails(s, t, _poly_mul(k1, k1), n1, k1)
+    squares = _squares(s, t, n1)
     total = sum(map(operator.mul, _closed_form(s * t)[0], weights))
     if sum(map(operator.mul, n1, squares[0])) != total:
         raise ValueError(f"the kernel's weighted total at s={s}, t={t} differs "
                          f"from e_0 M^{s * t} w")
-    step = block_step(s) if any(row[4] for row in rows) else None
+    step = block_step(s, bulk, sign) if any(row[4] for row in rows) else None
     series = {}
     abs_totals, square_totals = [], []
     for x, y, x_m, y_m, pal in rows:

@@ -808,44 +808,84 @@ def test_mean_matches_the_oracle_residual(monkeypatch):
 
 
 def test_mean_steps_with_the_walk_block_step(monkeypatch):
-    # The mean steps its cores with the walk's block step, and its one
-    # residual call steps its palindromic-type rows with it too: patched to
-    # s letter steps through the module, both give the same means.
+    # The mean's one residual call steps its palindromic-type rows (even s)
+    # with the walk's block step, built from the one check of M^s that the
+    # call makes; its cores and saddles are closed forms that step no
+    # block.  Patched to s letter steps through the module, the block step
+    # gives the same means.
     c_s = [(7, 1), (60, 2), (61, 3), (120, 6), (200, 3)]
     expected = [average_g4_row(c, s) for c, s in c_s]
-    built, calls = [], []
-    residual_totals = markov.residual_totals
+    built, checked, calls = [], [], []
+    residual_totals, block_power = markov.residual_totals, markov._block_power
 
     def spied_totals(s, t, rows, weights):
         calls.append(s)
         return residual_totals(s, t, rows, weights)
 
-    monkeypatch.setattr(markov, "block_step", lambda s: built.append(s) or letter_steps(s))
+    monkeypatch.setattr(markov, "block_step",
+                        lambda s, bulk, sign: built.append(s) or letter_steps(s))
+    monkeypatch.setattr(markov, "_block_power", lambda s: checked.append(s) or block_power(s))
     monkeypatch.setattr(markov, "residual_totals", spied_totals)
     assert [average_g4_row(c, s) for c, s in c_s] == expected
-    assert built == [s for _, s in c_s for _ in range(1 + (s % 2 == 0))]
-    assert calls == [s for _, s in c_s]
+    assert built == [s for _, s in c_s if s % 2 == 0]
+    assert checked == calls == [s for _, s in c_s]
+
+
+def stepped_cores(s, t, costs):
+    """The mean's cores e_0 M^(s t) and the costs collected over their t
+    blocks, e_0 sum_(k<t) M^(s k) C M^(s (t-1-k)), by the loop that the
+    mean ran before both were closed forms: one block step of the walk per
+    block, and one product of the cores by C."""
+    step = markov.block_step(s, *markov._block_power(s))
+    cores, collected = [1, 0, 0], [0, 0, 0]
+    for _ in range(t):
+        added, = markov.matrix_multiply((cores,), costs)
+        cores, collected = step(cores), [x + y for x, y in zip(step(collected), added)]
+    return cores, collected
+
+
+def test_closed_form_cores_and_costs_match_the_stepped_loop():
+    # Row 0 of the closed form of M^(s t) and markov.cost_sums against the
+    # stepped loop, at both parities of s, with the mean's own table and
+    # seeded matrices of mixed signs, some entries past 64 bits.
+    rng = random.Random(46)
+    cells = [(s, t) for s in range(1, 17) for t in range(65)]
+    cells += [(s, t) for s in (1, 2, 5, 16) for t in (1000, 1001)]
+    cells += [(s, t) for s in (199, 200, 201, 202) for t in range(4)]
+    for s, t in cells:
+        matrices = [cobordism._summand_table(s)[0]] if s <= 40 else []
+        matrices += [tuple(tuple(rng.randint(-1 << bits, 1 << bits) for _ in range(3))
+                           for _ in range(3)) for bits in (3, 70)]
+        for costs in matrices:
+            cores, collected = stepped_cores(s, t, costs)
+            assert list(markov._closed_form(s * t)[0]) == cores, (s, t)
+            assert markov.cost_sums(s, t, costs) == collected, (s, t, costs)
+
+
+def test_mean_matches_the_stepped_cores(monkeypatch):
+    # The mean with its cores and saddles from the stepped loop equals the
+    # mean from the closed forms.
+    c_s = [(c, choose_block_size(c)) for c in range(3, 121)] + [(61, 2), (120, 6), (200, 11)]
+    expected = [average_g4_row(c, s) for c, s in c_s]
+    monkeypatch.setattr(markov, "cost_sums", lambda s, t, costs: stepped_cores(s, t, costs)[1])
+    assert [average_g4_row(c, s) for c, s in c_s] == expected
 
 
 def test_residual_invariant_refused_under_optimize_flag():
     # The mean's residual must give e_0 M^(s t) w with its weights, the
-    # core endings, at c = 60, s = 2 (t = 28): a wrong M^56 is refused
-    # with no assert.
-    code = ("from twobridge import cobordism, markov\n"
-            "real = markov._closed_form\n"
-            "markov._closed_form = lambda n: real(n + (n == 56))\n"
-            "try:\n"
-            "    cobordism.average_g4_row(60, 2)\n"
-            "except ValueError as refused:\n"
-            "    print(refused)\n")
-    src = str(Path(cobordism.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
+    # core endings, at c = 60, s = 2 (t = 28): a kernel whose closed form
+    # of 1 / K1 is off by one at X^28 is refused with no assert.  A wrong
+    # M^56 is refused too, by the word count of its cores.
+    assert refused_under_optimize_flag(
+        "real = markov._k1_coefficient\n"
+        "markov._k1_coefficient = lambda s, n, square: real(s, n, square) + (n == 28 and not square)\n",
+        "cobordism.average_g4_row(60, 2)") == \
         "the kernel's weighted total at s=2, t=28 differs from e_0 M^56 w"
+    assert refused_under_optimize_flag(
+        "real = markov._closed_form\n"
+        "markov._closed_form = lambda n: real(n + (n == 56))\n",
+        "cobordism.average_g4_row(60, 2)") == \
+        "mean DP counted 192153584101141162 words in T(60), expected 96076792050570581"
 
 
 def refused_under_optimize_flag(setup, call):

@@ -3,9 +3,11 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -515,7 +517,7 @@ def test_block_step_equals_letter_steps():
     rng = np.random.default_rng(2406)
     divide = markov._DIVIDE_S
     for s in [*range(1, 13), divide - 1, divide, divide + 1]:
-        step = markov.block_step(s)
+        step = markov.block_step(s, *markov._block_power(s))
         letters = letter_steps(s)
         for scale in (1, 1 << 70):
             before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
@@ -611,23 +613,28 @@ def test_kernel_matches_object_array_oracle():
      "markov._closed_form = lambda n: real(n + (n == 6))",
      "markov.exact_expected_distance(3, 2)",
      "the kernel's weighted total at s=3, t=2 differs from e_0 M^6 w"),
-    ("real, calls = markov._series_tails, []\n"
+    ("real = markov._series_tails\n"
      "def odd(*args):\n"
      "    ys, vs = real(*args)\n"
-     "    calls.append(args)\n"
-     "    return (ys if len(calls) == 1 else [ys[0], ys[1] + 1, ys[2]]), vs\n"
+     "    return [ys[0], ys[1] + 1, ys[2]], vs\n"
      "markov._series_tails = odd",
      "markov.exact_expected_distance(4, 2)",
      "row (0, 0, 2, 2) at s=4, t=2 has sums of |d| and d^2 of different parity"),
-], ids=["discriminant", "expansion", "division", "total", "parity"])
+    ("", "markov._quotient(3, 5, 28, 6, 1)",
+     "a partial-fraction division at s=3, X^5 is not exact"),
+    ("", "markov._quotient(201, 4, ((1 << 402) - 1) ** 3 + 1, 402, 3)",
+     "a partial-fraction division at s=201, X^4 is not exact"),
+], ids=["discriminant", "expansion", "division", "total", "parity", "closed-division",
+        "closed-division-long"])
 def test_kernel_invariant_refused_under_optimize_flag(patch, call, message):
     # Each invariant of the kernel raises ValueError with no assert: a
-    # discriminant other than 1 at X = 0 (the squares' series, the first,
-    # is broken here), K1 against the row-0 expansion with the closed-form
-    # adjugate (a wrong c_s), an inexact division ((1 + X)^(-1/2) has
-    # halves), [X^t] N1 / K1 against e_0 M^(s t) w (a wrong M^6), and the
-    # parity of the two totals per row (Y_(t-1) off by one in every kernel
-    # series but the squares').
+    # discriminant other than 1 at X = 0 (the first kernel series is broken
+    # here), K1 against the row-0 expansion with the closed-form adjugate
+    # (a wrong c_s), an inexact division ((1 + X)^(-1/2) has halves; its
+    # root of two terms is shorter than a kernel's seven), [X^t] N1 / K1
+    # against e_0 M^(s t) w (a wrong M^6), and the parity of the two totals
+    # per row (Y_(t-1) off by one in every kernel series; the squares'
+    # totals are a closed form).
     code = (f"from twobridge import markov\n{patch}\n"
             f"try:\n    {call}\nexcept ValueError as refused:\n    print(refused)\n")
     src = str(Path(markov.__file__).resolve().parents[1])
@@ -637,6 +644,103 @@ def test_kernel_invariant_refused_under_optimize_flag(patch, call, message):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == message
+
+
+def deque_series_tails(s, t, root, numerator, divisor):
+    """``markov._series_tails`` as it stood before its terms were straight
+    lines: six terms in deques, and each step's sum split into
+    sum_j j root_j Y_(n-j), divided by 2 n, less sum_j root_j Y_(n-j).  The
+    oracle of the straight-line series and, with the root K1^2, of the
+    squares' closed form."""
+    assert root[0] == 1
+    roots, lower = root[1:], divisor[1:]
+    weighted = [j * r for j, r in enumerate(roots, 1)]
+    ys = deque((1, 0, 0, 0, 0, 0), 6)
+    hs = deque((1, 0, 0, 0, 0, 0), 6)
+    for n in range(1, t + 1):
+        y, rest = divmod(sum(w * y for w, y in zip(weighted, ys)), 2 * n)
+        assert not rest
+        ys.appendleft(y - sum(r * y for r, y in zip(roots, ys)))
+        hs.appendleft(ys[0] - sum(d * h for d, h in zip(lower, hs)))
+    a, b, c = numerator
+    h0, h1, h2, h3, h4, h5 = hs
+    return [ys[0], ys[1], ys[2]], [a * h0 + b * h1 + c * h2, a * h1 + b * h2 + c * h3,
+                                   a * h2 + b * h3 + c * h4, a * h3 + b * h4 + c * h5]
+
+
+def k1_polynomial(s):
+    """K1 = (1 - 2^s X)(1 - X)(1 - (-1)^s X), coefficients lowest first."""
+    return markov._poly_mul(markov._poly_mul([1, -(1 << s)], [1, -1]), [1, (-1) ** (s + 1)])
+
+
+NUMERATORS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -7, 2), (1 << 80, -(1 << 75), 5)]
+
+
+def test_closed_form_squares_match_the_series():
+    # The partial fractions of 1 / K1 and 1 / K1^2 against the O(t) series
+    # of the root K1^2 that the residual ran before, at both parities of s,
+    # with no term at negative powers for t < 5, and past the block size
+    # where the closed form's division turns into doubling steps.
+    cells = [(s, t) for s in range(1, 17) for t in range(65)]
+    cells += [(s, t) for s in (1, 2, 3, 4, 15, 16) for t in (1000, 1001)]
+    cells += [(s, t) for s in (99, 100, 199, 200, 201, 202, 401, 1000) for t in range(6)]
+    for s, t in cells:
+        k1 = k1_polynomial(s)
+        square = markov._poly_mul(k1, k1)
+        for numerator in NUMERATORS if t < 1000 else NUMERATORS[3:]:
+            assert markov._squares(s, t, numerator) == \
+                deque_series_tails(s, t, square, numerator, k1), (s, t, numerator)
+
+
+def test_series_matches_the_deque_series(monkeypatch):
+    # Every kernel series of the residual, in straight lines, against the
+    # deque oracle, at both parities of s; and a root of two terms, which
+    # is padded: (1 - 4 X)^(-1/2) has the central binomial coefficients.
+    series = markov._series_tails
+
+    def both(s, t, root, numerator, divisor):
+        tails = series(s, t, root, numerator, divisor)
+        assert tails == deque_series_tails(s, t, root, numerator, divisor), (s, t, root)
+        calls.append(s)
+        return tails
+
+    calls = []
+    monkeypatch.setattr(markov, "_series_tails", both)
+    cells = [(s, t) for s in range(1, 17) for t in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64)]
+    for s, t in [*cells, (1, 1000), (4, 1000), (16, 1001), (201, 3)]:
+        markov.residual_totals(s, t, list(_signature_groups(s)[0]), (2, 5, 3))
+    assert len(set(calls)) == 17
+    assert series(1, 5, (1, -4), (1, 0, 0), (1, 0, 0, 0))[0] == [252, 70, 20]
+
+
+def test_quotient_by_doubling_matches_divmod():
+    # Past _DIVIDE_S the closed form divides by 2^k - 1 in doubling steps:
+    # exact multiples give their quotient, and a remainder of 1 or -1 is
+    # refused, at every power the squares use.
+    rng = random.Random(46)
+    for k in (200, 201, 402, 1001):
+        for power in (1, 2, 3, 5):
+            divisor = ((1 << k) - 1) ** power
+            for q in (0, 1, rng.getrandbits(50), rng.getrandbits(5 * k)):
+                assert markov._quotient(k, 0, q * divisor, k, power) == q
+                for off in (1, -1):
+                    if q * divisor + off >= 0:
+                        with pytest.raises(ValueError, match="not exact"):
+                            markov._quotient(k, 0, q * divisor + off, k, power)
+
+
+def test_cost_sums_refuse_a_broken_projection(monkeypatch):
+    # The projections of the costs must come out whole: one entry of the
+    # eigenvector forms off by one is refused.
+    product = markov.matrix_multiply
+
+    def bump(a, b):
+        out = product(a, b)
+        return ((out[0][0], out[0][1] + 1, out[0][2]), *out[1:])
+
+    monkeypatch.setattr(markov, "matrix_multiply", bump)
+    with pytest.raises(ValueError, match="36 does not divide"):
+        markov.cost_sums(2, 3, ((0, 0, 0),) * 3)
 
 
 def test_wrong_block_power_refused_under_optimize_flag():
