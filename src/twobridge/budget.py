@@ -3,7 +3,7 @@
 Each ``check_*`` function estimates its computation's work and refuses it
 above its limit, read from here at call time, before any work.  Times are
 from a 2-CPU x86 machine, process start included; the largest request each
-limit accepts takes about 10 s or less.  No module of the package is imported.
+limit accepts takes 6.5 s or less.  No module of the package is imported.
 """
 
 import math
@@ -30,10 +30,11 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: 1.4 s, ``--s 3 --t 20657`` 2.0 s, ``--s 4 --t 11884`` 1.5 s, ``--s 150
 #: --t 1109`` 1.5-1.7 s and ``--s 5000 --t 49`` 1.0 s, and the largest s at
 #: t = 1, 1207519 (odd) and 893024 (even), 0.7-1.1 s at 31-33 MB.  The mean
-#: g4 DP, charged the same way (``check_g4``): the largest c at each s takes
-#: 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.5 s and ``--c 61974
-#: --s 3`` 2.1-2.3 s.  The budget was set when the squares took a series
-#: and the mean stepped its cores, at about twice these times
+#: g4 DP, charged the same way (``check_g4``): the largest c at each s <= 21
+#: takes 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.6-1.7 s, ``--c 61974
+#: --s 3`` 2.1-2.3 s and the slowest mean found, ``--c 632455 --s 64515``,
+#: 4.0-5.1 s.  The budget was set when the squares took a series and the
+#: mean stepped its cores, at about twice these times
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
@@ -49,10 +50,6 @@ MARKOV_WORK_BUDGET = 1 << 19
 # A row of avg-sig (its Fraction, checked once more by its report, two
 # floats and its digits) costs about c^2 / 16 units.
 _ROW_SHARE = 16
-# One remainder ending of the mean g4 DP (its interior length and the
-# remainder's components from each of the three states, about 6 us) costs
-# 2^10 walk work units, so the endings alone refuse 2^19 and more.
-_ENDING_WORK = 1 << 10
 # A step of an exact-residual series costs about 2 us in Python beyond its
 # big-int products, which cost a unit per _SERIES_BITS of s t^2 (64 + s).
 _SERIES_STEP = 80
@@ -193,16 +190,13 @@ def check_walk(s: int, t: int) -> None:
 
 def check_g4(c: int, s: int) -> None:
     """The mean g4 DP: the exact residual on its rows, charged as the
-    walk's (``kernel_work``), plus _ENDING_WORK for each ending of its cores,
-    2^e for the e core letters past its t blocks, passed as a shift (no 2^e
-    built).  Its block table, cores and saddles are closed forms, which
-    cost less than a series.  Its mean and word count are then charged as
-    an avg-sig row's digits."""
-    t, e = divmod(2 * ((c - 1) // 2) - 1, s)
+    walk's (``kernel_work``).  Its block table, cores, saddles and
+    remainder classes are closed forms, which cost less than a series.  Its
+    mean and word count are then charged as an avg-sig row's digits."""
+    t = (2 * ((c - 1) // 2) - 1) // s
     request = f"the mean g4 DP at c={c}, s={s}"
     _check(kernel_work(s, t), WALK_WORK_BUDGET, request,
-           f"work units (2^10 per ending of its cores, 2^{e} of them, "
-           "plus kernel_work's for its residual)", shift=(_ENDING_WORK, e))
+           "work units for its residual (kernel_work)")
     _check(c * c // _ROW_SHARE, AVG_SIG_WORK_BUDGET, request,
            "work units (c^2 / 16 for the digits of its mean, as an avg-sig row's)")
 

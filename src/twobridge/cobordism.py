@@ -42,9 +42,9 @@ middle and end states (``_summand_table``).  Its residual term is one call
 of the walk's exact residual, ``markov.residual_totals``, on the walk's
 own rows, with each final state weighted by the core endings that put a
 core into T(c), so ``budget.check_g4`` charges it as the walk's.  The
-cores are row 0 of the closed form of M^(s t), and the saddles that they
-collect over the blocks geometric sums of M^(s k) (``markov.cost_sums``):
-no step per block.
+cores are row 0 of the closed form of M^(s t), the saddles that they collect
+over the blocks geometric sums of M^(s k) (``markov.cost_sums``) and their
+remainders nine residue classes: no step per block and no ending listed.
 """
 
 from __future__ import annotations
@@ -142,13 +142,6 @@ def summand_class(x: OrientedWord) -> SummandClass:
 def component_count(x: OrientedWord) -> int:
     """Number of components (1 or 2) of a summand closed at both cuts."""
     return COMPONENTS[_LEFT_CLOSURE[x.start], _RIGHT_CLOSURE[x.end]][x._index]
-
-
-def remainder_component_count(start: int, letters: str, closure: str) -> int:
-    """Components of the remainder block: cut cap on the left, original plat
-    closure (A or B) on the right."""
-    validate_braid(letters)
-    return COMPONENTS[_LEFT_CLOSURE[start], closure][s3_index(letters)]
 
 
 class LinkFix(NamedTuple):
@@ -277,14 +270,17 @@ def _analyse_block(start: int, letters: str) -> _BlockAnalysis:
     return _BlockAnalysis(x, end, cls, saddles, crossings, positive, _SIGN[cls.polarity])
 
 
-def _remainder_is_link(state: int, remainder: str, closure: str) -> bool:
-    """Whether the remainder block closes up to a two-component link.  Its
-    repair undoes the final twist crossing: one saddle move removes one
+def _remainder_is_link(state: int, whole: int, cut: int, closure: str) -> bool:
+    """Whether the remainder block from the given state, of S3 index whole,
+    closes up to a link under the word's closure.  Its repair undoes the
+    final twist crossing, to S3 index cut: one saddle move removes one
     crossing and reconnects the two components."""
-    if remainder_component_count(state, remainder, closure) == 1:
+    closed = COMPONENTS[_LEFT_CLOSURE[state], closure]
+    if closed[whole] == 1:
         return False
-    if remainder_component_count(state, remainder[:-1], closure) != 1:
-        raise ValueError(f"undoing the last twist of {remainder!r} left a link")
+    if closed[cut] != 1:
+        raise ValueError(f"undoing the last twist of the remainder {S3[whole]} "
+                         f"from o{state} under closure {closure} left a link")
     return True
 
 
@@ -412,7 +408,8 @@ def decompose(word: str, s: int, *, braid: str | None = None) -> DecompositionRe
     if not len(remainder) == r - 1 >= 1:
         raise ValueError(f"remainder {remainder!r} should hold r-1={r - 1} >= 1 "
                          "letters")
-    remainder_is_link = _remainder_is_link(state, remainder, closure)
+    remainder_is_link = _remainder_is_link(state, s3_index(remainder),
+                                           s3_index(remainder[:-1]), closure)
     remainder_fix_saddles = int(remainder_is_link)
     remaining = r - 1 - remainder_fix_saddles
     positive += positive_crossings(state, remainder)[0]
@@ -502,12 +499,10 @@ class AverageRow(NamedTuple):
 _ENDING = {2: "a", 1: "ab", 0: "bb"}
 
 
-def _interior_length(letters: str, parity: int) -> int:
-    """Length of the word runs that core letters stand for, the first one
-    at a core position of the given parity: 2 for an 'a' at an even
-    position or a 'b' at an odd one, 1 otherwise."""
-    even = parity % 2
-    return len(letters) + letters[even::2].count("a") + letters[1 - even::2].count("b")
+def _subsets(n: int, k: int) -> int:
+    """Subsets of n positions whose size is k mod 3:
+    (2^n + 2 cos(pi (n - 2 k) / 3)) / 3, whose cosine term is 2, 1, -1 or -2."""
+    return ((1 << n) + (2, 1, -1, -2, -1, 1)[(n - 2 * k) % 6]) // 3
 
 
 def _length(state: int, n: int) -> int:
@@ -583,6 +578,35 @@ def _summand_table(s: int) -> tuple[markov.IntMatrix, dict[tuple[int, ...], int]
     return tuple(map(tuple, costs)), weights
 
 
+def _remainder_counts(c: int, s: int, t: int) -> tuple[list[int], list[int], list[int]]:
+    """(tails, links, halves) by the state after the t blocks: remainders
+    (the e core letters after the blocks and the ending they force) that
+    put a core into T(c), links among them, and remaining crossings halved.
+    By j and k, their b's at even and at odd positions mod 3, the letters
+    fall into nine classes of ``_subsets`` counts, which fix their interior
+    length mod 3 and their alternating sum Q = 2 j + k (``s3_index``); a 'b'
+    of the ending at remainder position n adds 2 - n mod 2 to Q."""
+    e = 2 * ((c - 1) // 2) - 1 - s * t
+    even, odd = (e + 1) // 2, e // 2
+    tails, links, halves = [0, 0, 0], [0, 0, 0], [0, 0, 0]
+    for j, k in product(range(3), repeat=2):
+        count = _subsets(even, j) * _subsets(odd, k)
+        step = e + (even - j + k if s * t % 2 == 0 else odd - k + j)
+        for i in range(3):
+            final = (_length(i + 1, s * t) + step) % 3
+            if (final == 2) != (c % 2 == 1):
+                continue
+            q, whole = 2 * j + k, _S3_OF[e % 2][(2 * j + k) % 3]
+            for n, letter in enumerate(_ENDING[final], e):
+                q += (letter == "b") * (2 - n % 2)
+                cut, whole = whole, _S3_OF[(n + 1) % 2][q % 3]
+            link = _remainder_is_link(i + 1, whole, cut, word_closure(c))
+            tails[i] += count
+            links[i] += count * link
+            halves[i] += count * ((c - 1 - s * t - link) // 2)
+    return tails, links, halves
+
+
 def average_g4_row(c: int, s: int) -> AverageRow:
     """Exact mean saddle-move upper bound over T(c), with the closed-form
     bounds, by a transfer DP over the cores of length 2m - 1.
@@ -594,9 +618,8 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     state, e_0 M^(s t) for the first cut plus ``markov.cost_sums`` over the
     table's costs, the geometric sums of M^(s k); the remainder's
     repair and crossings depend only on the last state and the at most
-    s - 1 core letters after the blocks, which are enumerated with the
-    ending they force, read off the interior length that the last state
-    fixes (``_length``).  The residual is linear over summand classes,
+    s - 1 core letters after the blocks, counted in nine residue classes
+    (``_remainder_counts``).  The residual is linear over summand classes,
     and each signature's E|D_w| comes from the walk's exact residual.
     Words are counted, not listed, and the count must equal word_count(c).
     """
@@ -607,7 +630,6 @@ def average_g4_row(c: int, s: int) -> AverageRow:
         raise ValueError(f"block size must satisfy 1 <= s <= {2 * m - 1}, got {s}")
     budget.check_g4(c, s)
     t = (2 * m - 1) // s
-    r = c - s * t
     costs, weights = _summand_table(s)
 
     # Cores and their summed cut and link-repair saddles, by orientation
@@ -617,23 +639,7 @@ def average_g4_row(c: int, s: int) -> AverageRow:
     saddles = [_CUT_SADDLES[1] * n + cost
                for n, cost in zip(cores, markov.cost_sums(s, t, costs))]
 
-    # The core letters after the blocks and the ending they force form the
-    # remainder.  c is odd exactly when the interior length is 2 mod 3.  Per
-    # final state, the endings that put a core into T(c), the remainders
-    # among them that are links, and their remaining crossings halved are
-    # counted in small ints, and each multiplies the cores once.
-    closure = word_closure(c)
-    tails, links, halves = [0, 0, 0], [0, 0, 0], [0, 0, 0]
-    for letters in map("".join, product("ab", repeat=2 * m - 1 - s * t)):
-        step = _interior_length(letters, s * t % 2)
-        for i in range(3):
-            final = (_length(i + 1, s * t) + step) % 3
-            if (final == 2) != (c % 2 == 1):
-                continue
-            link = _remainder_is_link(i + 1, letters + _ENDING[final], closure)
-            tails[i] += 1
-            links[i] += link
-            halves[i] += (r - 1 - link) // 2
+    tails, links, halves = _remainder_counts(c, s, t)
     words = sum(map(operator.mul, cores, tails))
     total_saddles = (sum(map(operator.mul, saddles, tails))
                      + sum(map(operator.mul, cores, links)))

@@ -585,9 +585,11 @@ def test_g4_aggregate_refuses_huge_c():
     assert "refusing" in result.stderr
 
 
+# At c = 632455 and s = 39 the mean's residual series, t = 16216 blocks,
+# are over the walk budget (kernel_work).
 @pytest.mark.parametrize("c, message", [
     ("40", "block size must satisfy 1 <= s <= 37, got 39"),
-    ("80", "refusing"),
+    ("632455", "refusing"),
 ])
 def test_g4_aggregate_refuses_huge_block_size_at_once(c, message):
     start = time.perf_counter()
@@ -597,6 +599,18 @@ def test_g4_aggregate_refuses_huge_block_size_at_once(c, message):
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("Error: ") and message in result.stderr
+
+
+def test_g4_aggregate_admits_every_ending_at_once():
+    # One block of 39 letters and 38 core letters after it: the 2^38
+    # remainder endings fall into nine classes, charged nothing.
+    start = time.perf_counter()
+    result = invoke("g4", "--c", "80", "--s", "39")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["words"] == words.word_count(80)
+    assert payload["below_bound"] is True
 
 
 def test_g4_aggregate_exact_at_c_1000():

@@ -1,5 +1,6 @@
 """Tests for the saddle-move decomposition and 4-genus bounds."""
 
+import functools
 import hashlib
 import math
 import os
@@ -33,11 +34,11 @@ from twobridge.cobordism import (
     link_lemma_fix,
     log10_upper_bound,
     mirror,
-    remainder_component_count,
     summand_class,
 )
 from twobridge import budget, checks, cobordism, diagram, markov, words
-from twobridge.diagram import PLAT_RIGHT, S3, closure_components, signature
+from twobridge.diagram import (COMPONENTS, PLAT_RIGHT, S3, closure_components, s3_index,
+                               signature)
 from twobridge.words import (
     enumerate_words,
     swap_braid,
@@ -179,12 +180,21 @@ def test_component_count_is_mirror_invariant():
             assert component_count(x) == component_count(mirror(x))
 
 
+def remainder_component_count(start, letters, closure):
+    """Components of a remainder block, cut cap on the left and the plat
+    closure (A or B) on the right, as ``cobordism._remainder_is_link`` reads
+    them: ``diagram.COMPONENTS`` at the letters' S3 index."""
+    return COMPONENTS[cobordism._LEFT_CLOSURE[start], closure][s3_index(letters)]
+
+
 def test_remainder_component_count():
     # The c=12 example remainder: two b crossings entered at state 3 with
     # the even-length plat closure form a two-component link; dropping the
     # final crossing reconnects it.
     assert remainder_component_count(3, "bb", "B") == 2
     assert remainder_component_count(3, "b", "B") == 1
+    assert cobordism._remainder_is_link(3, s3_index("bb"), s3_index("b"), "B")
+    assert not cobordism._remainder_is_link(3, s3_index("b"), s3_index(""), "B")
 
 
 def test_remainder_table_matches_union_find():
@@ -711,6 +721,14 @@ def reference_summand_table(s):
     return tuple(map(tuple, counts)), tuple(map(tuple, costs)), dict(weights)
 
 
+def interior_length(letters, parity):
+    """Length of the word runs that core letters stand for, the first one
+    at a core position of the given parity: 2 for an 'a' at an even
+    position or a 'b' at an odd one, 1 otherwise."""
+    even = parity % 2
+    return len(letters) + letters[even::2].count("a") + letters[1 - even::2].count("b")
+
+
 def nine_state_sources(parity, letter):
     """sources[j]: the state that one core letter, at a position of the
     given parity, moves to state j, over the nine states
@@ -730,7 +748,7 @@ def nine_state_moves(s, keys):
     same moves."""
     def moves(x):
         return [[(3 * (x.start - 1) + n,
-                  3 * (x.end - 1) + (n + cobordism._interior_length(x.letters, p)) % 3)
+                  3 * (x.end - 1) + (n + interior_length(x.letters, p)) % 3)
                  for n in range(3)] for p in (0, 1)]
 
     rows = {}
@@ -750,7 +768,7 @@ def test_interior_length_matches_letter_scan():
         for bits in product("ab", repeat=n):
             letters = "".join(bits)
             for parity in (0, 1):
-                assert cobordism._interior_length(letters, parity) == sum(
+                assert interior_length(letters, parity) == sum(
                     2 if (letter == "a") == ((parity + i) % 2 == 0) else 1
                     for i, letter in enumerate(letters))
 
@@ -869,6 +887,81 @@ def test_mean_matches_the_stepped_cores(monkeypatch):
     expected = [average_g4_row(c, s) for c, s in c_s]
     monkeypatch.setattr(markov, "cost_sums", lambda s, t, costs: stepped_cores(s, t, costs)[1])
     assert [average_g4_row(c, s) for c, s in c_s] == expected
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_remainders(e, parity, odd, closure):
+    """(tails, links, halves) of ``cobordism._remainder_counts`` by the loop
+    that the mean ran before it counted nine classes: every one of the 2^e
+    core letter strings after the blocks, the ending that its interior
+    length forces from each final state, and the remainder's components
+    with and without its last letter.  The loop reads s t and c by their
+    parities alone (c's as odd and as its closure), so it runs once per
+    (e, s t mod 2, c mod 2)."""
+    tails, links, halves = [0, 0, 0], [0, 0, 0], [0, 0, 0]
+    for letters in map("".join, product("ab", repeat=e)):
+        step = interior_length(letters, parity)
+        for i in range(3):
+            final = (cobordism._length(i + 1, parity) + step) % 3
+            if (final == 2) != odd:
+                continue
+            remainder = letters + cobordism._ENDING[final]
+            link = remainder_component_count(i + 1, remainder, closure) == 2
+            assert not link or remainder_component_count(i + 1, remainder[:-1], closure) == 1
+            tails[i] += 1
+            links[i] += link
+            halves[i] += (len(remainder) - link) // 2
+    return tails, links, halves
+
+
+def test_remainder_classes_match_the_enumerated_endings():
+    # Every (c, s) with 3 <= c <= 69 and at most 16 core letters after the
+    # blocks, e = (2m - 1) mod s.
+    cases = 0
+    for c in range(3, 70):
+        for s in range(1, 2 * ((c - 1) // 2)):
+            t, e = divmod(2 * ((c - 1) // 2) - 1, s)
+            if e <= 16:
+                expected = enumerated_remainders(e, s * t % 2, c % 2, diagram.word_closure(c))
+                assert cobordism._remainder_counts(c, s, t) == expected, (c, s)
+                cases += 1
+    assert cases == 1929
+
+
+def test_subset_counts_match_brute_force():
+    for n in range(21):
+        sizes = Counter(size % 3 for size in map(int.bit_count, range(1 << n)))
+        assert [cobordism._subsets(n, k) for k in range(3)] == [sizes[k] for k in range(3)], n
+
+
+def test_means_unchanged_by_the_remainder_classes():
+    # sha256 over each word count and mean at the default s for c = 7..300,
+    # and at every s <= 16 for c = 40, 77 and 120, recorded when the mean
+    # listed every remainder ending.
+    cases = [(c, choose_block_size(c)) for c in range(7, 301)]
+    cases += [(c, s) for c in (40, 77, 120) for s in range(1, 17)]
+    digest = hashlib.sha256()
+    for c, s in cases:
+        row = average_g4_row(c, s)
+        digest.update(f"{c},{s}:{row.words}:{row.mean_upper};".encode())
+    assert digest.hexdigest() == \
+        "0c32812bb8cfe74eb755bc8803509c805c126359a764d7d9386db0dd3fc0aee5"
+
+
+def test_remainder_repair_check_survives_optimize_flag():
+    # Under closure B (even c) a remainder from o3 closes with the cap
+    # shapes (B, B).  Counted as a link there, the strand permutation of
+    # "b" makes undoing the last twist of the example word's remainder "bb"
+    # leave a link, and so that of the mean's remainders from o3 at c = 12,
+    # s = 3, the same "bb".  Both are refused with no assert.
+    setup = ("from twobridge import diagram\n"
+             "shapes, index = diagram.COMPONENTS['B', 'B'], diagram.s3_index('b')\n"
+             "diagram.COMPONENTS['B', 'B'] = shapes[:index] + (2,) + shapes[index + 1:]\n")
+    message = (f"undoing the last twist of the remainder {S3[s3_index('bb')]} from o3 "
+               "under closure B left a link")
+    assert refused_under_optimize_flag(setup, f"cobordism.decompose({EXAMPLE_WORD!r}, 3)") \
+        == message
+    assert refused_under_optimize_flag(setup, "cobordism.average_g4_row(12, 3)") == message
 
 
 def test_residual_invariant_refused_under_optimize_flag():
@@ -1006,7 +1099,7 @@ def test_every_block_takes_its_interior_length_to_its_end():
                 end = orientation_after(start, letters)
                 for p in (0, 1):
                     assert (cobordism._length(start, p)
-                            + cobordism._interior_length(letters, p)
+                            + interior_length(letters, p)
                             - cobordism._length(end, p + s)) % 3 == 0, (start, letters, p)
 
 
@@ -1019,10 +1112,19 @@ def test_g4_work_refused_before_any_work(monkeypatch):
     with pytest.raises(BudgetError, match=r"c=66453, s=5.*kernel_work"):
         check_g4(66453, 5)
     start = time.perf_counter()
-    for c, s in ((66453, 5), (80, 39)):
+    for c, s in ((66453, 5), (632455, 150000)):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
+
+
+def test_g4_budget_charges_no_remainder_ending():
+    # The remainder classes are closed forms, charged nothing: 2^38 endings
+    # at c = 80, s = 39 and 2^51818 at the slowest admitted mean found,
+    # c = 632455, s = 64515, where kernel_work nearly meets the budget.
+    for c, s in ((80, 39), (632455, 64515)):
+        check_g4(c, s)
+    assert budget.kernel_work(64515, 9) <= budget.WALK_WORK_BUDGET < budget.kernel_work(64515, 10)
 
 
 def test_interior_length_fixed_by_end_states():
@@ -1032,7 +1134,7 @@ def test_interior_length_fixed_by_end_states():
         for bits in product("ab", repeat=n):
             letters = "".join(bits)
             assert cobordism._length(orientation_after(1, letters), n) \
-                == cobordism._interior_length(letters, 0) % 3, letters
+                == interior_length(letters, 0) % 3, letters
 
 
 def test_g4_budget_charges_the_law_rows():
