@@ -26,15 +26,15 @@ AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
 PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: 3-7 ns per unit of the exact residual: the largest t at each s takes
-#: 1.0-2.1 s at 20-21 MB of peak RSS, ``walk-sim --s 1 --t 47075 --exact``
-#: 1.4 s, ``--s 3 --t 20657`` 2.0 s, ``--s 4 --t 11884`` 1.5 s, ``--s 150
-#: --t 1109`` 1.5-1.7 s and ``--s 5000 --t 49`` 1.0 s, and the largest s at
-#: t = 1, 1207519 (odd) and 893024 (even), 0.7-1.1 s at 31-33 MB.  The mean
-#: g4 DP, charged the same way (``check_g4``): the largest c at each s <= 21
-#: takes 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.6-1.7 s, ``--c 61974
-#: --s 3`` 2.1-2.3 s and the slowest mean found, ``--c 632455 --s 64515``,
-#: 4.0-5.1 s.  The budget was set when the squares took a series and the
-#: mean stepped its cores, at about twice these times
+#: 1.0-2.4 s at 20-22 MB of peak RSS, ``walk-sim --s 1 --t 47075 --exact``
+#: 1.4 s, ``--s 2 --t 38780`` 2.3 s, ``--s 4 --t 14946`` 1.5-1.7 s, ``--s
+#: 150 --t 1391`` 1.8 s and ``--s 5000 --t 61`` 1.7 s, and the largest s at
+#: t = 1, 1207519 (odd) and 1207518 (even), 0.7-1.1 s at 31-34 MB.  The
+#: mean g4 DP, charged the same way (``check_g4``): the largest c at each
+#: s <= 21 takes 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.6-1.7 s,
+#: ``--c 77564 --s 2`` 2.3 s and the slowest mean found, ``--c 632455 --s
+#: 64515``, 3.8-5.1 s.  The budget was set when the squares took a series,
+#: the mean stepped its cores and the palindromic-type rows their blocks
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s
 #: at a peak of 0.19 GB, ``--s 2 --t 1 --trials 16777000`` 2.1 s at 0.30 GB,
@@ -157,27 +157,24 @@ def check_palindromic(c_values: Sequence[int]) -> None:
            f"the palindromic rows at {_c_label(c_values)}", "work units (palindromic_work)")
 
 
-def _walk_groups(s: int) -> tuple[int, int]:
-    """The walk's rows, one per signature group
-    (``markov._signature_groups``), and how many are palindromic-type: 3 and
-    0 at s = 1, 8 and 6 at s = 2, and from s = 3 on 6 and 0 at odd and 15
-    and 9 at even s."""
-    return (3, 0) if s == 1 else (8, 6) if s == 2 else (6, 0) if s % 2 else (15, 9)
+def _walk_groups(s: int) -> int:
+    """The walk's non-palindromic rows (``markov._signature_groups``): 3 at
+    s = 1, 2 at s = 2 and 6 from s = 3 on."""
+    return 3 if s == 1 else 2 if s == 2 else 6
 
 
 def kernel_work(s: int, t: int) -> int:
     """The exact residual (``markov.residual_totals``) on the walk's rows,
     among which are the mean g4 DP's: a series per non-palindromic row (at
-    least one per distinct kernel), one more as a margin (the squares, now
-    closed forms of a few big-int operations, once took a series), and one
-    per two palindromic-type rows for their 3-vector steps.  Each costs
-    _SERIES_STEP per step, plus its products of ints of up to s t bits by
-    kernel coefficients of about 2 s bits: s t^2 (64 + s) / _SERIES_BITS,
-    with 47 sqrt(s) for 64 + s past s = 2048, where CPython multiplies by
-    Karatsuba.  The signature groups and closed forms are not charged."""
-    rows, palindromic = _walk_groups(s)
+    least one per distinct kernel), and one more as a margin (the squares,
+    now closed forms of a few big-int operations, once took a series).
+    Each costs _SERIES_STEP per step, plus its products of ints of up to
+    s t bits by kernel coefficients of about 2 s bits: s t^2 (64 + s) /
+    _SERIES_BITS, with 47 sqrt(s) for 64 + s past s = 2048, where CPython
+    multiplies by Karatsuba.  The groups and the closed forms, the
+    palindromic-type rows among them, are not charged."""
     size = s * t * t * min(64 + s, 47 * math.isqrt(s)) // _SERIES_BITS
-    return (rows - palindromic + 1 + palindromic // 2) * (_SERIES_STEP * t + size)
+    return (_walk_groups(s) + 1) * (_SERIES_STEP * t + size)
 
 
 def check_walk(s: int, t: int) -> None:

@@ -25,9 +25,9 @@ block listed.  A row is a group's signature, a plain tuple.  The one exact
 residual, ``residual_totals``, reads each row's sums of |D_w| and D_w^2
 (of D_w mod 2 if palindromic-type) after t uniform blocks off closed-form
 generating functions, by the kernel method for directed lattice paths,
-in one O(t) exact integer series per kernel, its rational parts in closed
-form, instead of a sum over all 2^(s t) block sequences (the tests keep
-that enumeration as the oracle, and a DP over every displacement on numpy
+in one O(t) exact integer series per kernel and the rest in closed form,
+instead of a sum over all 2^(s t) block sequences (the tests keep that
+enumeration as the oracle, and a DP over every displacement on numpy
 object arrays as the reference).  It serves the walk, ``per_class_moments``
 and, with other weights on the final states, the residual term of
 ``cobordism.average_g4_row`` on the same rows; the mean's cores and the
@@ -181,7 +181,7 @@ _check_algebra()
 def _block_power(s: int) -> tuple[int, int]:
     """(c_s, (-1)^s) with M^s = c_s B + (-J)^s, the one check of M^s that
     ``residual_totals`` makes, once per call, for its kernels and its
-    ``block_step``, in O(log s) steps.
+    palindromic-type rows' Lucas sequences, in O(log s) steps.
 
     With M = B - J and the products that ``_check_algebra`` checks,
     M^(2k) = (3 c_k^2 + 2 (-1)^k c_k) B + I and
@@ -543,35 +543,15 @@ def _binned_distances(blocks: np.ndarray, tables: _WalkTables,
     return residual_count(counts[:, :, 0] - counts[:, :, 1], pal).sum(axis=1)
 
 
-# From this block size on, c_s has 7 or more 30-bit digits, and the block
-# step's product by it costs more than a shift by s, a subtraction and an
-# exact division by 3.  From as many bits of 2^k - 1 on, ``_quotient``
-# divides by doubling steps: CPython's division by 2^k - 1 is schoolbook,
-# and it overtakes them between 200 and 400 bits.
-_DIVIDE_S = 200
-
-
-def block_step(s: int, bulk: int, sign: int):
-    """The block step of the palindromic-type rows of ``residual_totals``,
-    the one application of M^s outside the Markov checks: three state ints
-    after one block of s letters, by the closed form of M^s, the letter
-    counts over a block, from its parts (c_s, (-1)^s), which the caller has
-    checked (``_block_power``).  M^s = c_s B + (-J)^s, so state i after the
-    block holds c_s times the sum over the three states before it, plus
-    (-1)^s the state J^s i before it: five integer operations and a product
-    by c_s (from ``_DIVIDE_S`` on, a shift, a subtraction and a division
-    by 3).
-    """
-    def step(before: list[int]) -> list[int]:
-        total = before[0] + before[1] + before[2]
-        if s < _DIVIDE_S:
-            total *= bulk
-        else:  # c_s x = (2^s x - (-1)^s x) / 3, exactly
-            total = ((total << s) - total if sign > 0 else (total << s) + total) // 3
-        if sign < 0:  # J reverses the three states
-            return [total - before[2], total - before[1], total - before[0]]
-        return [total + x for x in before]
-    return step
+def _lucas(trace: int, det: int, t: int) -> tuple[int, int]:
+    """(U_t, U_(t+1)) of U_0 = 0, U_1 = 1, U_(n+1) = trace U_n - det U_(n-1),
+    by U_2k = U_k (2 U_(k+1) - trace U_k), U_(2k+1) = U_(k+1)^2 - det U_k^2."""
+    u, v = 0, 1
+    for bit in bin(t)[2:]:
+        u, v = u * (2 * v - trace * u), v * v - det * u * u
+        if bit == "1":
+            u, v = v, trace * v - det * u
+    return u, v
 
 
 def cost_sums(s: int, t: int, costs: IntMatrix) -> list[int]:
@@ -647,6 +627,11 @@ def _series_tails(s: int, t: int, root, numerator, divisor) -> tuple[list[int], 
     a, b, c = numerator
     return [y0, y1, y2], [a * h0 + b * h1 + c * h2, a * h1 + b * h2 + c * h3,
                           a * h2 + b * h3 + c * h4, a * h3 + b * h4 + c * h5]
+
+
+# ``_quotient`` divides by doubling steps from this many bits of 2^k - 1 on:
+# they overtake CPython's schoolbook division between 200 and 400 bits.
+_DIVIDE_S = 200
 
 
 def _quotient(s: int, n: int, x: int, k: int, power: int) -> int:
@@ -737,8 +722,14 @@ def _squares(s: int, t: int, numerator) -> tuple[list[int], list[int]]:
 #   both are [X^t] of (n0 + n2) Y - 2 P N1 Y / K1 with Y = Delta^(-1/2) =
 #   K1^(-1) sum_k binom(2k, k) (P / K1)^k, which is integral: a series per
 #   kernel for |d|, and partial fractions of 1 / K1 and 1 / K1^2 for d^2.
-# - A palindromic-type row scores d mod 2, (F_t(1) - F_t(-1)) / 2, with
-#   F_t(1) = e_0 M^(s t) w and F_t(-1) = e_0 (N - 2 E_xy)^t w.
+# - A palindromic-type row (even s) scores d mod 2, (F_t(1) - F_t(-1)) / 2,
+#   with F_t(1) = e_0 M^(s t) w and F_t(-1) = e_0 (N - 2 E_xy)^t w = w_0 +
+#   a_t sum(w) + b_t w_y: N = c_s B + I, and (a, b) steps from 0 by
+#   v -> R v + g, R = [[1 + 3 c_s, c_s], [-2, 1 - 2 delta]], g = (c_s,
+#   -2 epsilon), delta = [x = y], epsilon = [x = 0].  (R - I) u =
+#   (1 - 3 delta) g for u = (epsilon - delta, 1 - 3 epsilon), and R^t =
+#   U_t R + (U_(t+1) - T U_t) I (Cayley-Hamilton; ``_lucas``), so (a_t, b_t)
+#   = U_t g + q u / (1 - 3 delta), q = U_(t+1) - (T - 1) U_t - 1.
 def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]]:
     """The one exact residual: per row, sum_d |d| p_t(d) and
     sum_d d^2 p_t(d), with p_t(d) the sum over the states i of
@@ -749,12 +740,12 @@ def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]
     Read off the generating functions above: the sums of |d| in t steps
     per distinct kernel (``_series_tails``), those of d^2 from the closed
     forms of 1 / K1 and N1 / K1^2 (``_squares``), and the palindromic-type
-    rows in t block steps (``block_step``), from the one check of M^s that
-    the call makes.  ValueError unless M^s has its closed form
-    (``_block_power``), K1 is the row-0 expansion of det A0 with the
-    closed-form adjugate, [X^t] N1 / K1, a closed form of 1 / K1, is
-    e_0 M^(s t) w, each kernel is palindromic, every division is exact and
-    the two totals of each row have the same parity.
+    rows (even s only) from a Lucas sequence per delta (``_lucas``), all
+    from the one check of M^s that the call makes.  ValueError unless M^s
+    has its closed form (``_block_power``), K1 is the row-0 expansion of
+    det A0 with the closed-form adjugate, [X^t] N1 / K1, a closed form of
+    1 / K1, is e_0 M^(s t) w, each kernel is palindromic, every division
+    is exact and the two totals of each row have the same parity.
     """
     bulk, sign = _block_power(s)
     n = _power_matrix(bulk, sign)
@@ -772,16 +763,26 @@ def residual_totals(s: int, t: int, rows, weights) -> tuple[list[int], list[int]
     if sum(map(operator.mul, n1, squares[0])) != total:
         raise ValueError(f"the kernel's weighted total at s={s}, t={t} differs "
                          f"from e_0 M^{s * t} w")
-    step = block_step(s, bulk, sign) if any(row[4] for row in rows) else None
-    series = {}
+    series, lucas = {}, {}
     abs_totals, square_totals = [], []
     for x, y, x_m, y_m, pal in rows:
         if pal:
-            flipped = [1, 0, 0]
-            for _ in range(t):
-                flipped, before = step(flipped), flipped
-                flipped[y] -= 2 * before[x]
-            odd, rest = divmod(total - sum(map(operator.mul, flipped, weights)), 2)
+            if sign < 0:
+                raise ValueError(f"a palindromic-type row at odd s={s}")
+            delta, epsilon = int(x == y), int(x == 0)
+            if delta not in lucas:
+                trace = 2 + 3 * bulk - 2 * delta
+                u, v = _lucas(trace, (1 + 3 * bulk) * (1 - 2 * delta) + 2 * bulk, t)
+                lucas[delta] = u, v - (trace - 1) * u - 1
+            u, q = lucas[delta]
+            a, rest_a = divmod(q * (epsilon - delta), 1 - 3 * delta)
+            b, rest_b = divmod(q * (1 - 3 * epsilon), 1 - 3 * delta)
+            if rest_a or rest_b:
+                raise ValueError(f"a palindromic-type row at s={s}, t={t} does not "
+                                 "divide by 1 - 3 [x = y]")
+            flipped = (weights[0] + (a + bulk * u) * sum(weights)
+                       + (b - 2 * epsilon * u) * weights[y])
+            odd, rest = divmod(total - flipped, 2)
             if rest:
                 raise ValueError(f"a palindromic-type row at s={s}, t={t} has an "
                                  "odd parity difference")

@@ -9,7 +9,7 @@ words (``transfer_table``), and exhaustive enumeration
 words straight from their exponent masks and scores the whole chunk with
 one ``diagram.scan``; a row is the sum of its chunks' counts, taken on
 worker threads from c = 21 on (numpy releases the GIL in its larger calls,
-and two threads score c = 22 in 93 against 140 ms).  Enumeration is the
+yet two threads take 103 ms against 99 at c = 22).  Enumeration is the
 one derivation here that runs numpy, and its functions import it when
 they run, as the threaded branch imports its thread pool: the recursion,
 the DPs and the totals never load either.  Every identity takes the rows
@@ -45,12 +45,12 @@ if TYPE_CHECKING:
 
 Row = dict[int, int]
 
-# Fewest masks that histogram_enumerated scores on worker threads.  numpy
-# releases the GIL inside its larger calls, so on a 2-CPU x86 machine two
-# threads beat a serial row from c = 21 on (median of 8 fresh processes:
-# 54 against 73 ms at c = 21, 93 against 140 ms at c = 22); below it they
-# spend their time handing the GIL between short numpy calls (33 against
-# 36 ms at c = 20, 19 against 18 ms at c = 19, 8.3 against 4.9 ms at c = 17).
+# Fewest masks that histogram_enumerated scores on worker threads: numpy
+# releases the GIL in its larger calls, and two threads once beat a serial
+# row from c = 21 on (93 against 140 ms at c = 22), but on a 2-CPU x86
+# machine no longer do (the row alone, medians of 7 interleaved fresh
+# processes: 62 against 56 ms at c = 21, 103 against 99 ms at c = 22; the
+# whole ``sig-table`` command 215 against 200 and 290 against 308 ms).
 _THREAD_MIN_MASKS = 1 << 19
 # Masks scored per diagram.scan call: at c = 22 its int32 cut states take
 # about 0.5 MB for the third of them that are words.  Larger chunks are no

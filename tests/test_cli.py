@@ -658,7 +658,7 @@ def test_walk_sim_exact_reads_no_tables(monkeypatch):
 
 
 def test_walk_sim_exact_over_budget():
-    result = invoke("walk-sim", "--s", "4", "--t", "11885", "--exact")
+    result = invoke("walk-sim", "--s", "4", "--t", "14947", "--exact")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1

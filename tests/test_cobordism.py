@@ -50,7 +50,7 @@ from twobridge.words import (
 import object_walk_dp
 from test_cli import assert_refused, invoke
 from test_diagram import numpy_calls, oracle_orient, orientation_after, strand_permutation
-from test_markov import letter_steps, oracle_laws, reference_arguments, scored_laws
+from test_markov import block_step, oracle_laws, reference_arguments, scored_laws
 
 EXAMPLE_WORD = "+--+-+-+--++-++-"  # 12 runs, braid aaababaabbbb
 
@@ -778,9 +778,9 @@ def test_summand_table_matches_mirror_analysis():
     for s in range(1, 13):
         counts, costs, weights = reference_summand_table(s)
         assert cobordism._summand_table(s) == (costs, weights), s
-        # The enumerated block counts are the closed form of M^s, which the
-        # mean applies by markov.block_step, and the rows of the residual
-        # DP are signature groups of the walk.
+        # The enumerated block counts are the closed form of M^s, whose
+        # powers give the mean's cores, and the rows of the residual DP are
+        # signature groups of the walk.
         assert counts == markov._closed_form(s), s
         assert set(weights) <= set(markov._signature_groups(s)[0]), s
 
@@ -825,36 +825,40 @@ def test_mean_matches_the_oracle_residual(monkeypatch):
     assert [average_g4_row(c, choose_block_size(c)) for c in c_values] == expected
 
 
-def test_mean_steps_with_the_walk_block_step(monkeypatch):
-    # The mean's one residual call steps its palindromic-type rows (even s)
-    # with the walk's block step, built from the one check of M^s that the
-    # call makes; its cores and saddles are closed forms that step no
-    # block.  Patched to s letter steps through the module, the block step
-    # gives the same means.
-    c_s = [(7, 1), (60, 2), (61, 3), (120, 6), (200, 3)]
+def test_mean_residual_steps_no_block(monkeypatch):
+    # The mean's one residual call checks M^s once and steps no block: its
+    # palindromic-type rows (even s) are read off one Lucas sequence per
+    # value of [x = y] among them (x != y in all six at s = 2), each in
+    # O(log t) doubling steps, and its cores and saddles are closed forms.
+    # The walk's block step is gone from the package; the tests keep it as
+    # an oracle.
+    c_s = [(7, 1), (60, 2), (61, 3), (120, 6), (200, 3), (1001, 4)]
     expected = [average_g4_row(c, s) for c, s in c_s]
-    built, checked, calls = [], [], []
+    checked, calls, sequences = [], [], []
     residual_totals, block_power = markov.residual_totals, markov._block_power
+    lucas = markov._lucas
 
     def spied_totals(s, t, rows, weights):
         calls.append(s)
         return residual_totals(s, t, rows, weights)
 
-    monkeypatch.setattr(markov, "block_step",
-                        lambda s, bulk, sign: built.append(s) or letter_steps(s))
+    monkeypatch.setattr(markov, "_lucas",
+                        lambda trace, det, t: sequences.append(calls[-1]) or lucas(trace, det, t))
     monkeypatch.setattr(markov, "_block_power", lambda s: checked.append(s) or block_power(s))
     monkeypatch.setattr(markov, "residual_totals", spied_totals)
     assert [average_g4_row(c, s) for c, s in c_s] == expected
-    assert built == [s for _, s in c_s if s % 2 == 0]
+    assert not hasattr(markov, "block_step")
     assert checked == calls == [s for _, s in c_s]
+    assert sequences == [2, 6, 6, 4, 4]
 
 
 def stepped_cores(s, t, costs):
     """The mean's cores e_0 M^(s t) and the costs collected over their t
     blocks, e_0 sum_(k<t) M^(s k) C M^(s (t-1-k)), by the loop that the
     mean ran before both were closed forms: one block step of the walk per
-    block, and one product of the cores by C."""
-    step = markov.block_step(s, *markov._block_power(s))
+    block (the tests' copy, ``block_step``), and one product of the cores
+    by C."""
+    step = block_step(s, *markov._block_power(s))
     cores, collected = [1, 0, 0], [0, 0, 0]
     for _ in range(t):
         added, = markov.matrix_multiply((cores,), costs)
@@ -1112,7 +1116,7 @@ def test_g4_work_refused_before_any_work(monkeypatch):
     with pytest.raises(BudgetError, match=r"c=66453, s=5.*kernel_work"):
         check_g4(66453, 5)
     start = time.perf_counter()
-    for c, s in ((66453, 5), (632455, 150000)):
+    for c, s in ((66453, 5), (632455, 90350)):
         with pytest.raises(BudgetError, match="refusing"):
             average_g4_row(c, s)
     assert time.perf_counter() - start < 1
@@ -1143,9 +1147,8 @@ def test_g4_budget_charges_the_law_rows():
     # charge, one series per non-palindromic row, covers them.
     for s in range(1, 11):
         keys = cobordism._summand_table(s)[1]
-        rows, palindromic = _walk_groups(s)
         assert set(keys) <= set(markov._signature_groups(s)[0]), s
-        assert sum(not key[4] for key in keys) <= rows - palindromic, s
+        assert sum(not key[4] for key in keys) <= _walk_groups(s), s
     # The largest mean row at the default s, 5 from c = 10001 on.
     assert choose_block_size(66452) == choose_block_size(66453) == 5
     check_g4(66452, 5)
@@ -1158,9 +1161,11 @@ def test_g4_budget_admits_what_the_nine_state_charge_admitted():
     # 9 states and 2k + 3 displacements at block k per signature group of
     # the walk, against its own budget of 2^27, table entries included: no
     # request it admitted is refused.
+    groups = {s: len(markov._signature_groups(s)[1]) for s in range(1, 17)}
+
     def nine_state_admits(c, s):
         t = (2 * ((c - 1) // 2) - 1) // s
-        cells = _walk_groups(s)[0] * 9 * s * t * (t + 2)
+        cells = groups[s] * 9 * s * t * (t + 2)
         return cells + (3 << 10 + s) <= 1 << 27
 
     admitted = 0

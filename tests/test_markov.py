@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge import checks, markov
+from twobridge import checks, cobordism, markov
 from twobridge.budget import (
     WALK_WORK_BUDGET,
     BudgetError,
@@ -116,8 +117,8 @@ LETTER_SOURCES = tuple(
 
 def letter_steps(s):
     """The walk's block step as s letter steps on Python ints, the oracle
-    of ``markov.block_step``: a row's state j after a letter is the sum of
-    its states a[j] and b[j] before it (``LETTER_SOURCES``)."""
+    of ``block_step``: a row's state j after a letter is the sum of its
+    states a[j] and b[j] before it (``LETTER_SOURCES``)."""
     pairs = list(zip(*(sources.tolist() for sources in LETTER_SOURCES)))
 
     def step(before):
@@ -507,17 +508,50 @@ def test_abs_mean_verdict_is_exact_at_the_bound(monkeypatch):
         assert not verdict(s, t, [False], [at_bound + 1])
 
 
+def block_step(s, bulk, sign):
+    """The walk's block step on three Python ints, by the closed form of
+    M^s from its parts (c_s, (-1)^s) (``markov._block_power``): state i
+    after the block holds c_s times the sum over the three states before
+    it, plus (-1)^s the state J^s i before it.  ``markov`` stepped its
+    palindromic-type rows, and the mean its cores, with it before both
+    were closed forms."""
+    def step(before):
+        total = bulk * (before[0] + before[1] + before[2])
+        if sign < 0:  # J reverses the three states
+            return [total - before[2], total - before[1], total - before[0]]
+        return [total + x for x in before]
+    return step
+
+
+def stepped_parity_totals(s, t, rows, weights):
+    """Per palindromic-type row (x, y), the weighted count of sequences
+    that leave it an odd displacement, (F_t(1) - F_t(-1)) / 2, with
+    F_t(-1) = e_0 (N - 2 E_xy)^t w, N = M^s, stepped block by block as
+    ``markov.residual_totals`` stepped it before its closed form: the
+    oracle of its Lucas sequences."""
+    step = block_step(s, *markov._block_power(s))
+    total = sum(map(operator.mul, markov._closed_form(s * t)[0], weights))
+    odd = []
+    for x, y, _, _, pal in rows:
+        if pal:
+            flipped = [1, 0, 0]
+            for _ in range(t):
+                flipped, before = step(flipped), flipped
+                flipped[y] -= 2 * before[x]
+            odd.append((total - sum(map(operator.mul, flipped, weights))) // 2)
+    return odd
+
+
 def test_block_step_equals_letter_steps():
     # The closed form of M^s (at s = 1, c_1 = 1 and the sign -1 give the
     # three sums of M) against s letter gathers, on the states of seeded
-    # random rows, some past 64 bits, on both sides of the block size where
-    # c_s x turns into a division: per column, and with the 7 columns packed
-    # into one int per state 100 bits apart (negative values borrow from the
-    # slot above, which the sum undoes).
+    # random rows, some past 64 bits, at both parities of s and where c_s
+    # has about 200 bits: per column, and with the 7 columns packed into one
+    # int per state 100 bits apart (negative values borrow from the slot
+    # above, which the sum undoes).
     rng = np.random.default_rng(2406)
-    divide = markov._DIVIDE_S
-    for s in [*range(1, 13), divide - 1, divide, divide + 1]:
-        step = markov.block_step(s, *markov._block_power(s))
+    for s in [*range(1, 13), 199, 200, 201]:
+        step = block_step(s, *markov._block_power(s))
         letters = letter_steps(s)
         for scale in (1, 1 << 70):
             before = rng.integers(-10 ** 6, 10 ** 6, size=(5, 3, 7)).astype(object) * scale
@@ -579,6 +613,32 @@ def scored_laws(laws, rows, weights):
                  for score in (np.abs(d), d * d))
 
 
+def test_palindromic_rows_match_the_stepped_loop():
+    # Both totals of every palindromic-type row, read off two Lucas
+    # sequences, against t block steps per row, at even s for the mean's
+    # tails (at c = s t + 3), three small weight vectors and seeded ones of
+    # up to 70 bits, at t up to 64, at t = 1000 and 1001, and past
+    # _DIVIDE_S, where the block step once shifted and divided.  A
+    # palindromic-type row at odd s, where N is no c_s B + I, is refused.
+    rng = random.Random(48)
+    cells = [(s, t) for s in range(2, 17, 2) for t in range(65)]
+    cells += [(s, t) for s in (2, 4, 16) for t in (1000, 1001)]
+    cells += [(s, t) for s in (198, 200, 202, 400, 1000) for t in range(6)]
+    for s, t in cells:
+        rows = [row for row in _signature_groups(s)[0] if row[4]]
+        assert len(rows) == (6 if s == 2 else 9), s
+        weight_sets = [cobordism._remainder_counts(s * t + 3, s, t)[0],
+                       (1, 1, 1), (1, 0, 2), (0, 3, 1),
+                       tuple(rng.randint(-1 << 70, 1 << 70) for _ in range(3))]
+        for weights in weight_sets:
+            odd = stepped_parity_totals(s, t, rows, weights)
+            assert markov.residual_totals(s, t, rows, weights) == (odd, odd), \
+                (s, t, weights)
+    for s in (1, 3, 199, 201):
+        with pytest.raises(ValueError, match=f"a palindromic-type row at odd s={s}"):
+            markov.residual_totals(s, 2, [(1, 1, 1, 1, 1)], (1, 1, 1))
+
+
 def test_kernel_matches_object_array_oracle():
     # Both totals of every row at every cell with s <= 8 and s t <= 200, for
     # four weight vectors, and of every cell with s t <= 40 for s up to 40,
@@ -624,8 +684,12 @@ def test_kernel_matches_object_array_oracle():
      "a partial-fraction division at s=3, X^5 is not exact"),
     ("", "markov._quotient(201, 4, ((1 << 402) - 1) ** 3 + 1, 402, 3)",
      "a partial-fraction division at s=201, X^4 is not exact"),
+    ("real = markov._lucas\n"
+     "markov._lucas = lambda trace, det, t: (lambda u, v: (u, v + 1))(*real(trace, det, t))",
+     "markov.residual_totals(4, 3, [(1, 1, 1, 1, 1)], (1, 1, 1))",
+     "a palindromic-type row at s=4, t=3 does not divide by 1 - 3 [x = y]"),
 ], ids=["discriminant", "expansion", "division", "total", "parity", "closed-division",
-        "closed-division-long"])
+        "closed-division-long", "palindromic-division"])
 def test_kernel_invariant_refused_under_optimize_flag(patch, call, message):
     # Each invariant of the kernel raises ValueError with no assert: a
     # discriminant other than 1 at X = 0 (the first kernel series is broken
@@ -634,7 +698,8 @@ def test_kernel_invariant_refused_under_optimize_flag(patch, call, message):
     # root of two terms is shorter than a kernel's seven), [X^t] N1 / K1
     # against e_0 M^(s t) w (a wrong M^6), and the parity of the two totals
     # per row (Y_(t-1) off by one in every kernel series; the squares'
-    # totals are a closed form).
+    # totals are a closed form), and the division by 1 - 3 [x = y] of a
+    # palindromic-type row with x = y != 0 (U_(t+1) off by one).
     code = (f"from twobridge import markov\n{patch}\n"
             f"try:\n    {call}\nexcept ValueError as refused:\n    print(refused)\n")
     src = str(Path(markov.__file__).resolve().parents[1])
@@ -796,9 +861,11 @@ def test_exact_distance_matches_brute_force():
 
 
 def test_walk_work_charges_the_dp_rows():
+    # One series per non-palindromic row: the palindromic-type rows are a
+    # closed form, and are not charged.
     for s in range(1, 65):
-        rows, sizes = _signature_groups(s)
-        assert _walk_groups(s) == (len(sizes), sum(row[4] for row in rows)), s
+        rows, _ = _signature_groups(s)
+        assert _walk_groups(s) == sum(not row[4] for row in rows), s
 
 
 def test_budgets_admit_what_the_slower_paths_admitted():
@@ -812,9 +879,11 @@ def test_budgets_admit_what_the_slower_paths_admitted():
                  (191027, 1), (1, 2215), (4, 785), (5, 977), (7, 884), (150, 225),
                  (780895, 1), (493662, 1)]:
         check_walk(s, t)
-    # At t = 1 the largest admitted s, odd and even (an even s runs more
-    # palindromic-type rows), and the next s of each parity refused.
-    for s in (1207519, 893024):
+    # At t = 1 the largest admitted s, odd and even (893024 while the
+    # palindromic-type rows of an even s were charged for their block
+    # steps), and the next s of each parity refused.
+    check_walk(893024, 1)
+    for s in (1207519, 1207518):
         check_walk(s, 1)
         with pytest.raises(BudgetError, match="kernel_work"):
             check_walk(s + 2, 1)
@@ -823,9 +892,13 @@ def test_budgets_admit_what_the_slower_paths_admitted():
     for s, kmax in [(1, 8191), (6, 1365), (18, 227), (1, 30783), (6, 6588),
                     (18, 1568), (23, 1233)]:
         check_markov(s, kmax)
-    check_walk(4, 11884)
-    with pytest.raises(BudgetError, match="kernel_work"):
-        check_walk(4, 11885)
+    # The largest t at s = 2 and 4, 27262 and 11884 while the block steps
+    # were charged.
+    for s, t in [(2, 27262), (2, 38780), (4, 11884), (4, 14946)]:
+        check_walk(s, t)
+    for s, t in [(2, 38781), (4, 14947)]:
+        with pytest.raises(BudgetError, match="kernel_work"):
+            check_walk(s, t)
     for s, kmax in [(6, 10 ** 4), (23, 1234), (24, 1)]:
         with pytest.raises(BudgetError, match="markov_work"):
             check_markov(s, kmax)
@@ -833,11 +906,11 @@ def test_budgets_admit_what_the_slower_paths_admitted():
 
 def test_exact_distance_budget():
     # The exact residual's budget is the one charge of the exact walk values.
-    assert kernel_work(4, 11885) > WALK_WORK_BUDGET
+    assert kernel_work(4, 14947) > WALK_WORK_BUDGET
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        exact_expected_distance(4, 11885)
+        exact_expected_distance(4, 14947)
     with pytest.raises(BudgetError, match="monte_carlo_distance"):
-        per_class_moments(4, 11885)
+        per_class_moments(4, 14947)
 
 
 def test_huge_block_size_refused_before_work():
@@ -865,7 +938,7 @@ def test_walk_without_blocks_is_charged_one_block(monkeypatch):
                 per_class_moments(s, 0)
         assert time.perf_counter() - start < 1
     # t = 0 is admitted exactly as far as t = 1, at either parity.
-    for s in (1207519, 893024):
+    for s in (1207519, 1207518):
         check_walk(s, 0)
         with pytest.raises(BudgetError, match="kernel_work"):
             check_walk(s + 2, 0)
