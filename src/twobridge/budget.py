@@ -20,7 +20,8 @@ RECURSION_WORK_BUDGET = 1 << 21
 #: 3.2-3.4 s, ``--c 175410``, the largest even c, 3.1-3.4 s, and
 #: ``--c 3..10614``, the largest run from 3, 2.9-3.0 s at a peak of 62 MB.
 #: ``enumerate --count-only`` is charged as one row: ``--c 632455``, the
-#: largest c, takes 1.0-1.1 s
+#: largest c, takes 0.06-0.07 s since its digits are computed in decimal
+#: arithmetic (0.8 s when they were converted from the binary count)
 AVG_SIG_WORK_BUDGET = 25 * 10 ** 9
 #: about 1.3 us per unit: ``palindromic_table((2047,))``, the largest c, takes
 #: 5.5 s in process; only the avg-signature check and the tests run the DP
@@ -33,7 +34,7 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: mean g4 DP, charged the same way (``check_g4``): the largest c at each
 #: s <= 21 takes 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.6-1.7 s,
 #: ``--c 77564 --s 2`` 2.3 s and the slowest mean found, ``--c 632455 --s
-#: 64515``, 3.8-5.1 s.  The budget was set when the squares took a series,
+#: 64515``, 3.1-3.4 s.  The budget was set when the squares took a series,
 #: the mean stepped its cores and the palindromic-type rows their blocks
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s

@@ -18,7 +18,13 @@ the rest (``--help``, ``--version``, no argv, an unknown name, or an
 option first).  It writes to the ``sys.stdout`` and ``sys.stderr`` of
 the moment of the call, so a caller may redirect them.
 
-Importing this module loads no numpy: only ``sig-table --method enumerate``
+Importing this module loads ``budget`` and builds the parsers; it loads
+no other module of the package.  Each command imports the layer it runs
+when it runs, with the layers below it: ``enumerate`` imports ``words``,
+``sig-table`` and ``avg-sig`` ``sigtables``, ``g4`` ``cobordism``,
+``walk-sim`` and ``markov-verify`` ``markov``, and ``verify-all``
+``checks``; ``--version`` and ``enumerate --count-only`` load none.  Nor
+does the import load numpy: only ``sig-table --method enumerate``
 or ``both``, Monte Carlo ``walk-sim``, ``markov-verify`` and ``verify-all``
 run numpy code, and the functions that run it import it.  The import pins
 OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``, below) for the commands
@@ -35,10 +41,9 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
-from fractions import Fraction
+from decimal import Decimal, Inexact, Rounded, localcontext
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 # No twobridge code calls BLAS (the one einsum is an integer row sum), yet
 # OpenBLAS starts a thread pool when numpy loads: 50-70 ms of a process,
@@ -47,8 +52,13 @@ from typing import NoReturn
 # set wins, and a plain ``import twobridge`` leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, budget, checks, cobordism, markov, sigtables, words  # noqa: E402
+from . import __version__, budget  # noqa: E402
 from .budget import BudgetError  # noqa: E402
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .sigtables import Row
 
 SCHEMA = 1
 
@@ -80,15 +90,14 @@ def _parse_c_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _echo_json(payload: dict) -> None:
-    """Print one JSON object.  ``json`` refuses an int past the digit limit
-    of ``str``; such an int (a word count from c = 14288 on) is written
-    by ``Decimal``, as in ``_fraction_digits``, in the same digits."""
-    marks = {key: f"\0{key}" for key, value in payload.items()
-             if type(value) is int and value.bit_length() > 10000}
+def _echo_json(payload: dict, numbers: dict[str, str] | None = None) -> None:
+    """Print one JSON object, with each value of ``numbers`` (decimal
+    digits, by key) written as a bare number: ``json`` refuses an int past
+    the digit limit of ``str``, such as a word count from c = 14288 on."""
+    marks = {key: f"\0{key}" for key in numbers or ()}
     text = json.dumps({**payload, **marks}, sort_keys=True)
     for key, mark in marks.items():
-        text = text.replace(json.dumps(mark), str(Decimal(payload[key])))
+        text = text.replace(json.dumps(mark), numbers[key])
     print(text)
 
 
@@ -101,22 +110,39 @@ def _fraction_digits(value: Fraction) -> tuple[str, str]:
     return str(Decimal(value.numerator)), str(Decimal(value.denominator))
 
 
+def _word_count_digits(c: int) -> str:
+    """|T(c)| = (2^(c-2) - (-1)^c) / 3 in decimal, as ``words.word_count``
+    counts it, computed in decimal arithmetic: converting the binary int
+    takes time quadratic in its digits (0.66 s at c = 632455, against
+    0.01 s here).  The precision covers the digits of 2^(c-2), since
+    0.30103 > log10 2, and a result that needed more would raise
+    ``Inexact`` rather than round."""
+    with localcontext() as context:
+        context.prec = (c - 2) * 30103 // 100000 + 1
+        context.traps[Inexact] = context.traps[Rounded] = True
+        return str((Decimal(2) ** (c - 2) - (-1) ** c) / 3)
+
+
 def cmd_enumerate(c: int, count_only: bool) -> int:
     """Stream the words of T(c) in enumeration order."""
     _crossing_number(c)
     if count_only:
         budget.check_word_count(c)
-        print(Decimal(words.word_count(c)))  # past str's digit limit, as _fraction_digits
+        print(_word_count_digits(c))
         return 0
+    from . import words
+
     budget.check_enumeration(c)
     for word in words.enumerate_words(c):
         print(word)
     return 0
 
 
-def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables.Row:
+def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> Row:
     """Enumerated row via cache when possible; re-enumerate and overwrite
     on corruption."""
+    from . import sigtables
+
     if cache_dir is not None:
         try:
             cached = sigtables.load_cached_row(cache_dir, c)
@@ -135,6 +161,8 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> sigtables
 def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
                   workers: int | None) -> int:
     """Signature histogram rows s(c, sigma)."""
+    from . import sigtables
+
     c_values = _parse_c_range(c)
     # The cache holds enumerated rows only: a recursed row stored there
     # would later be compared with itself.
@@ -149,7 +177,7 @@ def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
     recursed = (sigtables.recursed_table(c_values[-1])
                 if method in ("recurse", "both") else None)
 
-    rows: dict[int, sigtables.Row] = {}
+    rows: dict[int, Row] = {}
     try:  # only the cache does I/O here, and its directory is made before any row
         if cache is not None:
             cache.mkdir(parents=True, exist_ok=True)
@@ -178,6 +206,8 @@ def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
 
 def cmd_avg_sig(c: str, fmt: str) -> int:
     """Average |signature| per crossing number and gap to sqrt(2c/pi)."""
+    from . import sigtables
+
     c_values = _parse_c_range(c)
     reports = sigtables.totals(c_values)  # refuses the whole range before any work
     # Each row is printed as it is formatted; JSON keys are in sorted-string
@@ -206,6 +236,8 @@ def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> int:
         raise _Refusal("pass exactly one of --word or --c")
     if word is not None and fmt == "csv":
         raise _Refusal("--format csv applies to --c only")
+    from . import cobordism, words
+
     if word is not None:
         try:
             braid = words.to_braid(word)  # validates the word, once
@@ -234,13 +266,15 @@ def cmd_g4(word: str | None, c: int | None, s: int | None, fmt: str) -> int:
     mean = row.mean_upper
     num, den = _fraction_digits(mean)
     if fmt == "json":
+        # The row's count is checked against word_count(c), so its digits
+        # are the word count's.
         _echo_json({
-            "schema": SCHEMA, "c": c, "s": block, "words": row.words,
+            "schema": SCHEMA, "c": c, "s": block,
             "mean_upper": f"{num}/{den}",
             "mean_upper_float": float(mean),
             "bound_975": row.log10_bound,
             "below_bound": row.below_log10,
-        })
+        }, {"words": _word_count_digits(c)})
     else:
         print(f"# twobridge g4 schema={SCHEMA}")
         print("c,s,mean_upper_num,mean_upper_den,bound_975")
@@ -252,6 +286,8 @@ def cmd_markov_verify(s: int, kmax: int) -> int:
     """Exact transition-matrix verifications up to the given sizes."""
     if s < 1 or kmax < 1:
         raise _Refusal("--s and --kmax must be >= 1")
+    from . import markov
+
     results = markov.verify_chain(s, kmax)
     passed = all(results.values())
     _echo_json({"schema": SCHEMA, "s": s, "kmax": kmax,
@@ -263,6 +299,8 @@ def cmd_walk_sim(s: int, t: int, exact: bool, trials: int, seed: int) -> int:
     """Summand-walk expected distance versus the taxicab bound."""
     if s < 1 or t < 0:
         raise _Refusal("need --s >= 1 and --t >= 0")
+    from . import markov
+
     try:
         bound = markov.distance_bound(s, t)
     except ValueError as problem:
@@ -291,6 +329,8 @@ def cmd_verify_all(budget_c: int | None) -> int:
     """Run every named verification check; exit 0 only if all pass."""
     if budget_c is not None and budget_c < 3:
         raise _Refusal("--budget-c must be >= 3")
+    from . import checks
+
     results = checks.run_all(budget_c)
     payload = {
         "schema": SCHEMA,

@@ -16,6 +16,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -346,6 +347,47 @@ def test_command_loads_numpy_only_where_it_runs(argv, loads):
                             cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"0 {loads}\n"
+
+
+LAYERS = ("words", "diagram", "markov", "cobordism", "sigtables", "checks")
+BELOW_COBORDISM = "words diagram markov cobordism"
+
+
+# The import loads no layer, and each command loads the layers it runs: the
+# one it imports and those below it.  ``enumerate --count-only`` reads the count
+# off c, so it runs no layer.
+@pytest.mark.parametrize("argv, loaded", [
+    ("", ""),
+    ("--version", ""),
+    ("enumerate --c 6 --count-only", ""),
+    ("enumerate --c 6", "words"),
+    ("avg-sig --c 3..30", "sigtables diagram words"),
+    ("sig-table --c 3..8 --method recurse", "sigtables diagram words"),
+    ("walk-sim --s 4 --t 20 --exact", "markov diagram words"),
+    ("markov-verify --s 3 --kmax 2", "markov diagram words"),
+    ("g4 --word +--+-+-+--++-++-", BELOW_COBORDISM),
+    ("g4 --c 101", BELOW_COBORDISM),
+    ("verify-all --budget-c 5", " ".join(LAYERS)),
+])
+def test_command_loads_only_its_layers(argv, loaded):
+    program = ("import contextlib, io, sys\n"
+               "from twobridge import cli\n"
+               "if sys.argv[1:]:\n"
+               "    with contextlib.redirect_stdout(io.StringIO()):\n"
+               "        code = cli.main(sys.argv[1:], standalone_mode=False)\n"
+               "    assert code == 0, code\n"
+               f"print(*sorted(m for m in {LAYERS} if 'twobridge.' + m in sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", program, *argv.split()], env=SOURCE_ENV,
+                            cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == sorted(loaded.split())
+
+
+def test_word_count_digits_match_the_binary_count():
+    # Both parities past str's digit limit, and the largest c the budget
+    # admits: each reference conversion there takes about 0.7 s.
+    for c in (*range(3, 3001), 14288, 100001, 632454, 632455):
+        assert cli._word_count_digits(c) == str(Decimal(words.word_count(c))), c
 
 
 def test_closed_stdout_ends_quietly():

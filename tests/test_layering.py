@@ -5,11 +5,20 @@ The layers run words -> diagram -> markov -> cobordism, with sigtables,
 checks and cli above them: markov steps the displacement laws that
 cobordism's mean 4-genus bound reuses, so markov must not import cobordism.
 ``budget`` sits below them all and is the only module that raises
-``BudgetError``.
+``BudgetError``.  ``import twobridge`` loads none of them: each name that
+the package re-exports is read from its home module on access.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import twobridge
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twobridge"
@@ -180,3 +189,35 @@ def runs():
 def test_kept_names_are_still_unread():
     # An allow-list entry that gains a reader outside the tests is stale.
     assert set(KEPT_UNREAD) & readers() == set()
+
+
+def test_reexports_are_their_home_modules_names():
+    assert set(twobridge.__all__) == set(twobridge._HOMES) | {"__version__"}
+    assert exported() == set(twobridge.__all__)
+    for name, home in twobridge._HOMES.items():
+        assert getattr(twobridge, name) is \
+            getattr(importlib.import_module(f"twobridge.{home}"), name), name
+    bound = {}
+    exec("from twobridge import *", bound)
+    assert set(twobridge.__all__) <= set(bound)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        twobridge.no_such_name
+
+
+def test_package_import_loads_a_layer_on_first_access():
+    # ``import twobridge`` loads no module of the package; a re-exported
+    # name loads its home module and the layers below it, and ``from
+    # twobridge import <module>`` still imports that module.
+    program = ("import sys, twobridge\n"
+               "def loaded():\n"
+               "    return sorted(m for m in sys.modules if m.startswith('twobridge.'))\n"
+               "print(*loaded(), sep=',')\n"
+               "twobridge.word_count\n"
+               "print(*loaded(), sep=',')\n"
+               "from twobridge import budget\n"
+               "print(*loaded(), sep=',')\n")
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "", "twobridge.words", "twobridge.budget,twobridge.words"]
