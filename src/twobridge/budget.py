@@ -34,7 +34,8 @@ PALINDROMIC_WORK_BUDGET = 2047 ** 2
 #: mean g4 DP, charged the same way (``check_g4``): the largest c at each
 #: s <= 21 takes 0.9-2.6 s, ``g4 --c 66452`` (the default s) 1.6-1.7 s,
 #: ``--c 77564 --s 2`` 2.3 s and the slowest mean found, ``--c 632455 --s
-#: 64515``, 3.1-3.4 s.  The budget was set when the squares took a series,
+#: 64515``, 2.9-4.0 s (median 3.9 s against 5.0 s with its mean's digits
+#: converted whole, 5 interleaved processes on a slower spell).  The budget was set when the squares took a series,
 #: the mean stepped its cores and the palindromic-type rows their blocks
 WALK_WORK_BUDGET = 5 << 26
 #: about 0.1 us per unit: ``walk-sim --s 22 --t 1 --trials 2`` takes 0.5-0.8 s

@@ -9,17 +9,26 @@ error (an unknown option, a missing or ill-typed value) prints a usage
 block above an ``Error:`` line that quotes the option.  The row cache, in
 the directory that ``--cache-dir`` names, holds enumerated rows only.
 
-``main(args=None, standalone_mode=True)`` parses ``args`` (``sys.argv[1:]``
+``main(args=None, standalone_mode=True)`` reads ``args`` (``sys.argv[1:]``
 when None) once, runs the command, and exits the process with its exit
-code; with ``standalone_mode=False`` it returns the code instead.  The
-parsers are built at import.  An argv that starts with a command name is
-parsed by that command's own parser alone; the top-level parser handles
-the rest (``--help``, ``--version``, no argv, an unknown name, or an
-option first).  It writes to the ``sys.stdout`` and ``sys.stderr`` of
+code; with ``standalone_mode=False`` it returns the code instead.  Each
+command's options are one table, ``_COMMANDS``.  A plain argv (a command
+name, then only that command's options, each flag alone and each other
+option with one value that does not start with ``-`` and converts by its
+type within its choices, every required option present) is read off the
+table straight into the command's keyword arguments.  Every other argv
+(``--help``, ``--version``, no argv, an unknown name or option,
+``--opt=value``, ``--``, a value that starts with a dash, a failed
+conversion or choice, or a missing required option) goes to argparse,
+whose parsers are built then, from the same table: an argv that starts
+with a command name is parsed by that command's own parser alone, the
+rest by the top-level parser.  So the usage, help and ``Error:`` lines
+are argparse's.  It writes to the ``sys.stdout`` and ``sys.stderr`` of
 the moment of the call, so a caller may redirect them.
 
-Importing this module loads ``budget`` and builds the parsers; it loads
-no other module of the package.  Each command imports the layer it runs
+Importing this module loads ``budget`` and no other module of the
+package, and neither ``argparse`` nor the ``gettext`` and ``locale`` that
+it loads; it builds no parser.  Each command imports the layer it runs
 when it runs, with the layers below it: ``enumerate`` imports ``words``,
 ``sig-table`` and ``avg-sig`` ``sigtables``, ``g4`` ``cobordism``,
 ``walk-sim`` and ``markov-verify`` ``markov``, and ``verify-all``
@@ -36,7 +45,6 @@ above 1).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -56,6 +64,8 @@ from . import __version__, budget  # noqa: E402
 from .budget import BudgetError  # noqa: E402
 
 if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable
     from fractions import Fraction
 
     from .sigtables import Row
@@ -101,13 +111,44 @@ def _echo_json(payload: dict, numbers: dict[str, str] | None = None) -> None:
     print(text)
 
 
-def _fraction_digits(value: Fraction) -> tuple[str, str]:
-    """An exact fraction's numerator and denominator in decimal, at any size.
+# An int of up to this many bits converts straight through ``Decimal(n)``,
+# in time quadratic in its digits: about 2 ms at this size, where splitting
+# it gains nothing yet.
+_DIRECT_BITS = 1 << 15
+
+
+def _decimal_digits(n: int) -> str:
+    """An int in decimal, at any size.
 
     ``str`` refuses an int of more than 4300 digits by default, but a
     ``Decimal`` holds any int exactly and prints the same digits, and
-    changes no process-wide setting.  The budgets bound the digit count."""
-    return str(Decimal(value.numerator)), str(Decimal(value.denominator))
+    changes no process-wide setting.  Past ``_DIRECT_BITS`` the int splits
+    on powers of two, n = hi 2^k + lo, and the parts join in decimal
+    arithmetic: 0.1 s at 632,000 bits, against 0.8 s for ``Decimal(n)``.
+    The precision covers the digits of n, since 0.30103 > log10 2, and a
+    result that needed more would raise ``Inexact`` rather than round."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(Decimal(n))
+    powers: dict[int, Decimal] = {}
+
+    def join(n: int) -> Decimal:
+        if n.bit_length() <= _DIRECT_BITS:
+            return Decimal(n)
+        k = 1 << (n.bit_length() - 1).bit_length() - 1  # the largest power of 2 below
+        if k not in powers:
+            powers[k] = Decimal(2) ** k
+        return join(n >> k) * powers[k] + join(n & (1 << k) - 1)
+
+    with localcontext() as context:
+        context.prec = context.Emax = n.bit_length() * 30103 // 100000 + 1
+        context.traps[Inexact] = context.traps[Rounded] = True
+        return ("-" if n < 0 else "") + str(join(abs(n)))
+
+
+def _fraction_digits(value: Fraction) -> tuple[str, str]:
+    """An exact fraction's numerator and denominator in decimal, at any
+    size; the budgets bound the digit count."""
+    return _decimal_digits(value.numerator), _decimal_digits(value.denominator)
 
 
 def _word_count_digits(c: int) -> str:
@@ -346,119 +387,181 @@ def cmd_verify_all(budget_c: int | None) -> int:
     return 0 if payload["passed"] else 1
 
 
-# An option name in an argparse message, not already quoted.
-_OPTION = re.compile(r"(?<![\w'-])(--[\w-]+)")
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser whose errors print the usage, a pointer to ``--help``, and
-    an ``Error:`` line that quotes the option at fault, then exit 2."""
-
-    def error(self, message: str) -> NoReturn:
-        usage = self.format_usage().removeprefix("usage: ")
-        message = _OPTION.sub(r"'\1'", message)
-        self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\n"
-                     f"Error: {message}\n")
-
-
 def _workers(text: str) -> int:
-    """The ``--workers`` value: an int of at least 1."""
+    """The ``--workers`` value: an int of at least 1.  argparse reports the
+    error this raises, so only an error imports argparse."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
-    return value
+        problem = f"{text!r} is not a valid integer"
+    else:
+        if value >= 1:
+            return value
+        problem = f"{value} is not in the range x>=1"
+    import argparse
+
+    raise argparse.ArgumentTypeError(problem)
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+# The option rows that two commands share, but for the default.
+def _range_option(default: str) -> tuple:
+    return ("--c", "c", None, default, None, None, "c or lo..hi range (default: %(default)s).")
+
+
+def _format_option(default: str) -> tuple:
+    return ("--format", "fmt", None, default, ("csv", "json"), None,
+            "Output format (default: %(default)s).")
+
+
+# Each command's function and options.  An option's row gives its option
+# string, its dest (the function's keyword), the type that converts its value
+# (None keeps the str), its default, its choices, "required", "flag" (it
+# stands alone and sets True) or None, and its help text.  ``main`` reads a
+# plain argv off these rows; argparse's parsers are built from them for
+# every other argv.
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, (
+        ("--c", "c", int, None, None, "required", "Crossing number."),
+        ("--count-only", "count_only", None, False, None, "flag",
+         "Print the word count only."),
+    )),
+    "sig-table": (cmd_sig_table, (
+        _range_option("3..14"),
+        ("--method", "method", None, "both", ("enumerate", "recurse", "both"), None,
+         "Enumerate every word, recurse on the two rows below, or both "
+         "and compare (default: %(default)s)."),
+        _format_option("csv"),
+        ("--cache-dir", "cache_dir", None, None, None, None,
+         "Enumerated-row cache directory; no cache without it."),
+        ("--workers", "workers", _workers, None, None, None,
+         "Enumeration shards; defaults to available parallelism."),
+    )),
+    "avg-sig": (cmd_avg_sig, (_range_option("3..20"), _format_option("csv"))),
+    "g4": (cmd_g4, (
+        ("--word", "word", None, None, None, None, "One word to decompose."),
+        ("--c", "c", int, None, None, None, "Aggregate over all of T(c) instead."),
+        ("--s", "s", int, None, None, None, "Block size; defaults to ceil(log10 c)."),
+        _format_option("json"),
+    )),
+    "markov-verify": (cmd_markov_verify, (
+        ("--s", "s", int, 6, None, None, "Largest block size (default: %(default)s)."),
+        ("--kmax", "kmax", int, 8, None, None,
+         "Largest power k of M^s (default: %(default)s)."),
+    )),
+    "walk-sim": (cmd_walk_sim, (
+        ("--s", "s", int, None, None, "required", "Block size."),
+        ("--t", "t", int, None, None, "required", "Number of blocks."),
+        ("--exact", "exact", None, False, None, "flag",
+         "Exact value from the transfer matrix's generating functions."),
+        ("--trials", "trials", int, 10 ** 4, None, None,
+         "Monte Carlo walks (default: %(default)s)."),
+        ("--seed", "seed", int, 0, None, None, "Monte Carlo seed (default: %(default)s)."),
+    )),
+    "verify-all": (cmd_verify_all, (
+        ("--budget-c", "budget_c", int, None, None, None,
+         "Cap crossing-number ranges for a quicker run."),
+    )),
+}
+
+
+def _read_plain(rows: tuple, argv: list[str]) -> dict | None:
+    """A command's keyword arguments, defaults included, read off its
+    option rows from the words after the command name when they make a
+    plain argv (see the module docstring); None otherwise.  argparse reads
+    a plain argv the same way, the last of a repeated option winning."""
+    by_option = {row[0]: row for row in rows}
+    options = {row[1]: row[3] for row in rows if row[5] != "required"}
+    words = iter(argv)
+    for word in words:
+        row = by_option.get(word)
+        if row is None:
+            return None
+        _, dest, kind, _, choices, need, _ = row
+        if need == "flag":
+            options[dest] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # argparse converts it again and reports the failure
+                return None
+        if choices is not None and value not in choices:
+            return None
+        options[dest] = value
+    return options if all(row[1] in options for row in rows) else None
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, which lists every command, and each command's
-    own parser by name.  No parser takes an abbreviated option, and each
-    has ``--help`` and no ``-h``."""
-    parser = _Parser(prog="twobridge", add_help=False, allow_abbrev=False,
-                     description="Alternating-word models of 2-bridge knots: "
-                                 "enumeration, signature tables, and 4-genus bounds.")
+    own parser by name, built from ``_COMMANDS``.  No parser takes an
+    abbreviated option, and each has ``--help`` and no ``-h``.  A parse
+    error prints the usage, a pointer to ``--help``, and an ``Error:`` line
+    that quotes the option at fault, then exits 2."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            usage = self.format_usage().removeprefix("usage: ")
+            # Quote each option name that the message does not quote already.
+            message = re.sub(r"(?<![\w'-])(--[\w-]+)", r"'\1'", message)
+            self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\n"
+                         f"Error: {message}\n")
+
+    parser = Parser(prog="twobridge", add_help=False, allow_abbrev=False,
+                    description="Alternating-word models of 2-bridge knots: "
+                                "enumeration, signature tables, and 4-genus bounds.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s, version {__version__}",
                         help="Show the version and exit.")
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    by_name: dict[str, _Parser] = {}
-
-    def command(name, run):
+    by_name = {}
+    for name, (run, rows) in _COMMANDS.items():
         summary = run.__doc__
         sub = by_name[name] = commands.add_parser(
             name, help=summary, description=summary, add_help=False, allow_abbrev=False)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
         sub.set_defaults(parser=sub, run=run)
-        return sub.add_argument
-
-    add = command("enumerate", cmd_enumerate)
-    add("--c", type=int, required=True, help="Crossing number.")
-    add("--count-only", action="store_true", help="Print the word count only.")
-
-    add = command("sig-table", cmd_sig_table)
-    add("--c", default="3..14", help="c or lo..hi range (default: %(default)s).")
-    add("--method", choices=("enumerate", "recurse", "both"), default="both",
-        help="Enumerate every word, recurse on the two rows below, or both "
-             "and compare (default: %(default)s).")
-    add("--format", dest="fmt", choices=("csv", "json"), default="csv",
-        help="Output format (default: %(default)s).")
-    add("--cache-dir", help="Enumerated-row cache directory; no cache without it.")
-    add("--workers", type=_workers,
-        help="Enumeration shards; defaults to available parallelism.")
-
-    add = command("avg-sig", cmd_avg_sig)
-    add("--c", default="3..20", help="c or lo..hi range (default: %(default)s).")
-    add("--format", dest="fmt", choices=("csv", "json"), default="csv",
-        help="Output format (default: %(default)s).")
-
-    add = command("g4", cmd_g4)
-    add("--word", help="One word to decompose.")
-    add("--c", type=int, help="Aggregate over all of T(c) instead.")
-    add("--s", type=int, help="Block size; defaults to ceil(log10 c).")
-    add("--format", dest="fmt", choices=("csv", "json"), default="json",
-        help="Output format (default: %(default)s).")
-
-    add = command("markov-verify", cmd_markov_verify)
-    add("--s", type=int, default=6, help="Largest block size (default: %(default)s).")
-    add("--kmax", type=int, default=8,
-        help="Largest power k of M^s (default: %(default)s).")
-
-    add = command("walk-sim", cmd_walk_sim)
-    add("--s", type=int, required=True, help="Block size.")
-    add("--t", type=int, required=True, help="Number of blocks.")
-    add("--exact", action="store_true",
-        help="Exact value from the transfer matrix's generating functions.")
-    add("--trials", type=int, default=10 ** 4,
-        help="Monte Carlo walks (default: %(default)s).")
-    add("--seed", type=int, default=0, help="Monte Carlo seed (default: %(default)s).")
-
-    add = command("verify-all", cmd_verify_all)
-    add("--budget-c", type=int, help="Cap crossing-number ranges for a quicker run.")
+        for option, dest, kind, default, choices, need, text in rows:
+            if need == "flag":
+                sub.add_argument(option, dest=dest, action="store_true", help=text)
+            else:
+                sub.add_argument(option, dest=dest, type=kind, default=default,
+                                 choices=choices, required=need == "required", help=text)
     return parser, by_name
 
 
-_PARSER, _COMMANDS = _build_parser()
+def _parse(args: list[str]) -> tuple[Callable[..., int], dict]:
+    """The command function and keyword arguments that argparse reads off
+    ``args``; SystemExit for ``--help``, ``--version`` and a parse error.  An
+    argv that starts with a command name is parsed by that command's own
+    parser alone, once: the top-level parser would hand it the same
+    arguments."""
+    parser, by_name = _build_parser()
+    command = by_name.get(args[0]) if args else None
+    options, unknown = (command.parse_known_args(args[1:]) if command
+                        else parser.parse_known_args(args))
+    options = vars(options)
+    parser, run = options.pop("parser"), options.pop("run")
+    # Unknown options are reported here, against the command's own usage;
+    # parse_args would report them against the top-level one.
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return run, options
 
 
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
-    """Run one command; see the module docstring for the contract.  A
-    command's argv is parsed by its own parser, once: the top-level parser
-    would hand it the same arguments."""
+    """Run one command; see the module docstring for the contract."""
     if args is None:
         args = sys.argv[1:]
+    run, rows = _COMMANDS.get(args[0], (None, None)) if args else (None, None)
+    options = _read_plain(rows, args[1:]) if run else None
     try:
-        command = _COMMANDS.get(args[0]) if args else None
-        options, unknown = (command.parse_known_args(args[1:]) if command
-                            else _PARSER.parse_known_args(args))
-        options = vars(options)
-        parser, run = options.pop("parser"), options.pop("run")
-        # Unknown options are reported here, against the command's own usage;
-        # parse_args would report them against the top-level one.
-        if unknown:
-            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        if options is None:
+            run, options = _parse(args)
     except SystemExit as stop:  # --help, --version, or a parse error
         code = stop.code
     else:

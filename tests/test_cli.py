@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twobridge
 from test_sigtables import enumerated_palindromic_histogram
@@ -276,7 +279,8 @@ USUAL_CALLS = [
 
 
 def test_a_command_call_parses_once(monkeypatch):
-    """A command's argv goes to its own parser alone, in one parse."""
+    """A plain usual call is read off the option table with no argparse
+    parse; any other argv takes one parse, by its command's own parser."""
     parsed = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -285,10 +289,14 @@ def test_a_command_call_parses_once(monkeypatch):
         return parse(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-    for args in USUAL_CALLS + [("g4", "--help"), ("g4", "--bogus", "1")]:
+    for args in USUAL_CALLS:
         parsed.clear()
         invoke(*args)
-        assert parsed == [f"twobridge {args[0]}"], args
+        assert parsed == [], args
+    for args in [("g4", "--help"), ("g4", "--bogus", "1")]:
+        parsed.clear()
+        invoke(*args)
+        assert parsed == ["twobridge g4"], args
     parsed.clear()
     invoke("--version")
     assert parsed == ["twobridge"]
@@ -305,14 +313,66 @@ def test_a_command_call_parses_once(monkeypatch):
     ("g4", "--word", EXAMPLE_WORD, "extra"), ("g4", "--", "--c", "5"),
 ], ids=lambda args: " ".join(args) or "no argv")
 def test_command_parsers_answer_as_the_top_level_parser(monkeypatch, args):
-    """The top-level parser, which hands a command's argv to the same
-    command parser, gives the same stdout, stderr and exit code on every
-    argv, usual or not."""
+    """Every argv, usual or not, gives the same stdout, stderr and exit code
+    three ways: read off the option table where it is plain, by its
+    command's own parser with the plain reader off, and by the top-level
+    parser, which hands a command's argv to the same command parser."""
     direct = invoke(*args)
-    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv takes the top-level path
+    monkeypatch.setattr(cli, "_read_plain", lambda rows, argv: None)
+    by_argparse = invoke(*args)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: (build()[0], {}))
     via_top = invoke(*args)
     assert (direct.exit_code, direct.stdout, direct.stderr) == \
+        (by_argparse.exit_code, by_argparse.stdout, by_argparse.stderr) == \
         (via_top.exit_code, via_top.stdout, via_top.stderr)
+
+
+# Values of every kind an option takes, and junk, none with a leading dash;
+# and words that only argparse reads.
+PLAIN_VALUES = st.one_of(
+    st.integers(0, 40).map(str), st.sampled_from(["3..9", "9..3", "x", "", " 7", "1_0"]),
+    st.sampled_from(["csv", "json", "enumerate", "recurse", "both", EXAMPLE_WORD, "+-+"]),
+    st.text(max_size=4).filter(lambda text: not text.startswith("-")))
+OTHER_WORDS = st.one_of(
+    st.sampled_from(["--", "-", "--help", "--version", "-1", "--bogus", "-+-"]),
+    st.integers(-30, -1).map(str))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(COMMANDS), st.data())
+def test_plain_reader_agrees_with_argparse(name, data):
+    """The plain reader either declines an argv or returns exactly the
+    options that argparse reads off it.  On an argv of option strings and
+    values with no leading dash it declines just where argparse fails."""
+    run, rows = cli._COMMANDS[name]
+    options = st.sampled_from([row[0] for row in rows])
+    # Mostly each option with a value of its kind (a flag alone), repeats
+    # allowed, and now and then a stray word.
+    argv = []
+    for option, _, kind, _, choices, need, _ in data.draw(st.lists(st.sampled_from(rows),
+                                                                   max_size=6)):
+        argv.append(option)
+        if need != "flag":
+            kinds = (st.sampled_from(choices) if choices else
+                     st.integers(0, 40).map(str) if kind else st.sampled_from(["3..9", "+-+"]))
+            argv.append(data.draw(kinds if data.draw(st.integers(0, 3)) else PLAIN_VALUES))
+    plain_shaped = data.draw(st.booleans())
+    stray = options | PLAIN_VALUES
+    if not plain_shaped:
+        stray |= OTHER_WORDS | st.tuples(options, PLAIN_VALUES | OTHER_WORDS).map("=".join)
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(stray))
+    read = cli._read_plain(rows, argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli._parse([name, *argv])
+        except SystemExit:
+            parsed = None
+    if read is not None:
+        assert parsed == (run, read)
+    if plain_shaped:
+        assert (read is None) == (parsed is None)
 
 
 def test_version_from_a_source_checkout():
@@ -355,10 +415,14 @@ BELOW_COBORDISM = "words diagram markov cobordism"
 
 # The import loads no layer, and each command loads the layers it runs: the
 # one it imports and those below it.  ``enumerate --count-only`` reads the count
-# off c, so it runs no layer.
+# off c, so it runs no layer.  Nor does the import, or a plain call, load
+# argparse, gettext or locale: only an argv that argparse reads (help, the
+# version, or a parse error) loads them.
 @pytest.mark.parametrize("argv, loaded", [
     ("", ""),
     ("--version", ""),
+    ("g4 --help", ""),
+    ("g4 --bogus 1", ""),
     ("enumerate --c 6 --count-only", ""),
     ("enumerate --c 6", "words"),
     ("avg-sig --c 3..30", "sigtables diagram words"),
@@ -372,15 +436,20 @@ BELOW_COBORDISM = "words diagram markov cobordism"
 def test_command_loads_only_its_layers(argv, loaded):
     program = ("import contextlib, io, sys\n"
                "from twobridge import cli\n"
+               "code = 0\n"
                "if sys.argv[1:]:\n"
-               "    with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+               "            contextlib.redirect_stderr(io.StringIO()):\n"
                "        code = cli.main(sys.argv[1:], standalone_mode=False)\n"
-               "    assert code == 0, code\n"
+               "print(code, *(m in sys.modules for m in ('argparse', 'gettext', 'locale')))\n"
                f"print(*sorted(m for m in {LAYERS} if 'twobridge.' + m in sys.modules))\n")
     result = subprocess.run([sys.executable, "-c", program, *argv.split()], env=SOURCE_ENV,
                             cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == sorted(loaded.split())
+    status, layers = result.stdout.split("\n", 1)
+    by_argparse = argv in ("--version", "g4 --help", "g4 --bogus 1")
+    assert status.split() == [str(2 if "bogus" in argv else 0), *[str(by_argparse)] * 3]
+    assert layers.split() == sorted(loaded.split())
 
 
 def test_word_count_digits_match_the_binary_count():
@@ -388,6 +457,20 @@ def test_word_count_digits_match_the_binary_count():
     # admits: each reference conversion there takes about 0.7 s.
     for c in (*range(3, 3001), 14288, 100001, 632454, 632455):
         assert cli._word_count_digits(c) == str(Decimal(words.word_count(c))), c
+
+
+def test_decimal_digits_match_a_direct_conversion():
+    # Ints on both sides of the split point, of one and more splits, of the
+    # largest sizes a mean prints, and one negative; each all ones, a power
+    # of two, and random bits.
+    rng = random.Random(5)
+    split = cli._DIRECT_BITS
+    for bits in (1, 64, split - 1, split, split + 1, 2 * split, 2 * split + 1, 5 * split + 7,
+                 632_000):
+        for n in ((1 << bits) - 1, 1 << bits - 1, rng.getrandbits(bits)):
+            assert cli._decimal_digits(n) == str(Decimal(n)), (bits, n.bit_length())
+    n = -rng.getrandbits(3 * split)
+    assert cli._decimal_digits(n) == str(Decimal(n))
 
 
 def test_closed_stdout_ends_quietly():
