@@ -4,43 +4,36 @@ All commands print deterministic output for a fixed (version, options,
 seed): JSON objects carry ``"schema": 1`` and sorted keys, CSV tables carry
 a schema comment line.  Exit codes: 0 success, 1 verification failure,
 2 usage or domain error.  A request that twobridge refuses (misuse, or over
-budget) prints one ``Error:`` line on stderr and nothing on stdout; a parse
-error (an unknown option, a missing or ill-typed value) prints a usage
-block above an ``Error:`` line that quotes the option.  The row cache, in
-the directory that ``--cache-dir`` names, holds enumerated rows only.
+budget) prints one ``Error:`` line on stderr and nothing on stdout; a usage
+error (an unknown command or option, a missing or ill-typed value) prints
+the usage and a pointer to ``--help`` above an ``Error:`` line that quotes
+the word at fault.  The row cache, in the directory that ``--cache-dir``
+names, holds enumerated rows only.
 
 ``main(args=None, standalone_mode=True)`` reads ``args`` (``sys.argv[1:]``
 when None) once, runs the command, and exits the process with its exit
-code; with ``standalone_mode=False`` it returns the code instead.  Each
-command's options are one table, ``_COMMANDS``.  A plain argv (a command
-name, then only that command's options, each flag alone and each other
-option with one value that does not start with ``-`` and converts by its
-type within its choices, every required option present) is read off the
-table straight into the command's keyword arguments.  Every other argv
-(``--help``, ``--version``, no argv, an unknown name or option,
-``--opt=value``, ``--``, a value that starts with a dash, a failed
-conversion or choice, or a missing required option) goes to argparse,
-whose parsers are built then, from the same table: an argv that starts
-with a command name is parsed by that command's own parser alone, the
-rest by the top-level parser.  So the usage, help and ``Error:`` lines
-are argparse's.  It writes to the ``sys.stdout`` and ``sys.stderr`` of
-the moment of the call, so a caller may redirect them.
+code; with ``standalone_mode=False`` it returns the code instead.  One
+table, ``_COMMANDS``, holds each command's function and options.  One
+reader, ``_read``, reads every argv off it, ``--help`` and ``--version``
+too, in argparse's grammar: ``--opt value`` or ``--opt=value``, a flag
+alone, the last repeat winning, '-' and negative numbers as values, ``--``
+ending the options, and no abbreviation.  The same table renders the usage
+and help, unwrapped.  Output goes to the ``sys.stdout`` and ``sys.stderr``
+of the moment of the call, so a caller may redirect them.
 
 Importing this module loads ``budget`` and no other module of the
-package, and neither ``argparse`` nor the ``gettext`` and ``locale`` that
-it loads; it builds no parser.  Each command imports the layer it runs
-when it runs, with the layers below it: ``enumerate`` imports ``words``,
-``sig-table`` and ``avg-sig`` ``sigtables``, ``g4`` ``cobordism``,
-``walk-sim`` and ``markov-verify`` ``markov``, and ``verify-all``
-``checks``; ``--version`` and ``enumerate --count-only`` load none.  Nor
-does the import load numpy: only ``sig-table --method enumerate``
-or ``both``, Monte Carlo ``walk-sim``, ``markov-verify`` and ``verify-all``
-run numpy code, and the functions that run it import it.  The import pins
-OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``, below) for the commands
-that load it.  Nor does it load ``dataclasses`` (the package's records are
-named tuples and ``__slots__`` classes) or ``concurrent.futures``, which
-only an enumerated row scored on threads imports (c >= 21, ``--workers``
-above 1).
+package.  Each command imports the layer it runs when it runs, with the
+layers below it: ``enumerate`` imports ``words``, ``sig-table`` and
+``avg-sig`` ``sigtables``, ``g4`` ``cobordism``, ``walk-sim`` and
+``markov-verify`` ``markov``, and ``verify-all`` ``checks``; ``--version``,
+``--help`` and ``enumerate --count-only`` load none.  Only ``sig-table
+--method enumerate`` or ``both``, Monte Carlo ``walk-sim``,
+``markov-verify`` and ``verify-all`` run numpy code, and the functions that
+run it import it; the import pins OpenBLAS to one thread
+(``OPENBLAS_NUM_THREADS``, below) for them.  No argv loads ``argparse``
+(with ``gettext`` and ``locale``) or ``dataclasses``, and only an
+enumerated row scored on threads loads ``concurrent.futures`` (c >= 21,
+``--workers`` above 1).
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import re
 import sys
 from decimal import Decimal, Inexact, Rounded, localcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING
 
 # No twobridge code calls BLAS (the one einsum is an integer row sum), yet
 # OpenBLAS starts a thread pool when numpy loads: 50-70 ms of a process,
@@ -64,7 +57,6 @@ from . import __version__, budget  # noqa: E402
 from .budget import BudgetError  # noqa: E402
 
 if TYPE_CHECKING:
-    import argparse
     from collections.abc import Callable
     from fractions import Fraction
 
@@ -74,7 +66,10 @@ SCHEMA = 1
 
 
 class _Refusal(Exception):
-    """A request that twobridge refuses: one ``Error:`` line, exit 2."""
+    """A request that twobridge refuses: one ``Error:`` line, exit 2.  A
+    usage error prints its ``usage`` block above that line."""
+
+    usage = ""
 
 
 def _crossing_number(c: int | None) -> None:
@@ -202,6 +197,8 @@ def _cached_histogram(c: int, cache_dir: Path | None, workers: int) -> Row:
 def cmd_sig_table(c: str, method: str, fmt: str, cache_dir: str | None,
                   workers: int | None) -> int:
     """Signature histogram rows s(c, sigma)."""
+    if workers is not None and workers < 1:
+        raise _Refusal("--workers must be >= 1")
     from . import sigtables
 
     c_values = _parse_c_range(c)
@@ -387,22 +384,6 @@ def cmd_verify_all(budget_c: int | None) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _workers(text: str) -> int:
-    """The ``--workers`` value: an int of at least 1.  argparse reports the
-    error this raises, so only an error imports argparse."""
-    try:
-        value = int(text)
-    except ValueError:
-        problem = f"{text!r} is not a valid integer"
-    else:
-        if value >= 1:
-            return value
-        problem = f"{value} is not in the range x>=1"
-    import argparse
-
-    raise argparse.ArgumentTypeError(problem)
-
-
 # The option rows that two commands share, but for the default.
 def _range_option(default: str) -> tuple:
     return ("--c", "c", None, default, None, None, "c or lo..hi range (default: %(default)s).")
@@ -416,9 +397,8 @@ def _format_option(default: str) -> tuple:
 # Each command's function and options.  An option's row gives its option
 # string, its dest (the function's keyword), the type that converts its value
 # (None keeps the str), its default, its choices, "required", "flag" (it
-# stands alone and sets True) or None, and its help text.  ``main`` reads a
-# plain argv off these rows; argparse's parsers are built from them for
-# every other argv.
+# stands alone and sets True) or None, and its help text.  ``_read`` reads
+# every argv off these rows, and ``_usage`` and ``_help`` render them.
 _COMMANDS = {
     "enumerate": (cmd_enumerate, (
         ("--c", "c", int, None, None, "required", "Crossing number."),
@@ -433,7 +413,7 @@ _COMMANDS = {
         _format_option("csv"),
         ("--cache-dir", "cache_dir", None, None, None, None,
          "Enumerated-row cache directory; no cache without it."),
-        ("--workers", "workers", _workers, None, None, None,
+        ("--workers", "workers", int, None, None, None,
          "Enumeration shards; defaults to available parallelism."),
     )),
     "avg-sig": (cmd_avg_sig, (_range_option("3..20"), _format_option("csv"))),
@@ -464,118 +444,129 @@ _COMMANDS = {
 }
 
 
-def _read_plain(rows: tuple, argv: list[str]) -> dict | None:
-    """A command's keyword arguments, defaults included, read off its
-    option rows from the words after the command name when they make a
-    plain argv (see the module docstring); None otherwise.  argparse reads
-    a plain argv the same way, the last of a repeated option winning."""
-    by_option = {row[0]: row for row in rows}
-    options = {row[1]: row[3] for row in rows if row[5] != "required"}
-    words = iter(argv)
+def _is_value(word: str, options: dict) -> bool:
+    """Whether ``word`` is a value, not an option string: '-' is one, and
+    so is a negative number or a word with a space that names no option."""
+    return (not word.startswith("-") or word == "-" or word.split("=", 1)[0] not in options
+            and (re.match(r"-\d+$|-\d*\.\d+$", word) is not None or " " in word))
+
+
+def _usage(name: str | None) -> tuple[str, list[tuple[str, str]]]:
+    """The usage line of command ``name`` (of the top level with no name),
+    and its options with their help, each as the usage shows it: with its
+    metavar (its choices in braces, else its dest in upper case), and in
+    brackets unless it is required."""
+    entries = [("[--help]", "Show this message and exit.")]
+    if name is None:
+        entries.insert(0, ("[--version]", "Show the version and exit."))
+    for option, dest, _, default, choices, need, text in _COMMANDS[name][1] if name else ():
+        if need != "flag":
+            option += " {" + ",".join(choices) + "}" if choices else " " + dest.upper()
+        entries.append((option if need == "required" else "[%s]" % option,
+                        text % {"default": default}))
+    words = " ".join(word for word, _ in entries)
+    return ("twobridge %s %s" % (name, words) if name else
+            "twobridge %s COMMAND ..." % words), entries
+
+
+def _help(name: str | None, option: str = "--help") -> int:
+    """What ``--help`` and ``--version`` run: print the version, or the help
+    of command ``name`` (of the top level, which lists the commands, with no
+    name).  No line is wrapped, whatever the terminal's width."""
+    def columns(entries: list, indent: str = "  ") -> str:
+        width = max(len(left) for left, _ in entries) + 2
+        return "".join(indent + left.ljust(width) + right + "\n" for left, right in entries)
+
+    if option == "--version":
+        print("twobridge, version", __version__)
+        return 0
+    usage, entries = _usage(name)
+    summary = _COMMANDS[name][0].__doc__ if name else (
+        "Alternating-word models of 2-bridge knots: enumeration, signature tables, "
+        "and 4-genus bounds.")
+    print("usage: %s\n\n%s\n\noptions:\n" % (usage, summary)
+          + columns([(word.strip("[]"), text) for word, text in entries]), end="")
+    if name is None:
+        print("\ncommands:\n  COMMAND\n" + columns(
+            [(command, run.__doc__) for command, (run, _) in _COMMANDS.items()], "    "), end="")
+    return 0
+
+
+def _usage_error(name: str | None, message: str) -> _Refusal:
+    """A usage error of command ``name`` (of the top level with no name):
+    its usage line and a pointer to its help go above the ``Error:`` line."""
+    error, usage = _Refusal(message), _usage(name)[0]
+    error.usage = "Usage: %s\nTry '%s --help' for help.\n\n" % (usage, usage.split(" [")[0])
+    return error
+
+
+def _read(args: list[str]) -> tuple[Callable[..., int], dict]:
+    """The function that ``args`` runs and its keyword arguments, defaults
+    included, read off ``_COMMANDS``: a command, or ``_help`` for the help
+    or the version.  A usage error raises ``_Refusal``."""
+    # Up to the command name, the first value, only --help and --version
+    # are options, and the other words are reported as the command's.
+    name, by_option, unknown = None, {"--help": None, "--version": None}, []
+    words = iter(args)
     for word in words:
         row = by_option.get(word)
-        if row is None:
-            return None
-        _, dest, kind, _, choices, need, _ = row
-        if need == "flag":
-            options[dest] = True
+        if row is not None:  # an option; a flag takes no value
+            value = row[5] == "flag" or next(words, "--")
+            if value is not True and value.startswith("-") and not _is_value(value, by_option):
+                raise _usage_error(name, "argument %r: expected one argument" % word)
+        elif name is None and word in _COMMANDS:
+            name, (run, rows) = word, _COMMANDS[word]
+            by_option = {row[0]: row for row in rows}
+            by_option["--help"] = None
+            options = {row[1]: row[3] for row in rows if row[5] != "required"}
             continue
-        value = next(words, "-")
-        if value.startswith("-"):
-            return None
-        if kind is not None:
-            try:
-                value = kind(value)
-            except Exception:  # argparse converts it again and reports the failure
-                return None
+        elif word in by_option:
+            return _help, {"name": name, "option": word}
+        elif name is None and (word == "--" or _is_value(word, by_option)):
+            raise _usage_error(None, "argument COMMAND: invalid choice: %r (choose from %s)"
+                               % (word, ", ".join(map(repr, _COMMANDS))))
+        elif word.split("=", 1)[0] not in by_option:
+            # A word that no option takes; from '--' on, every word is one.
+            unknown += [word, *words] if word == "--" else [word]
+            continue
+        else:  # --option=value
+            head, _, value = word.partition("=")
+            row = by_option[head]
+            if row is None or row[5] == "flag" or value == "--":
+                raise _usage_error(name, "argument %r: cannot take %r" % (head, value))
+        option, dest, kind, _, choices, _, _ = row
+        try:
+            value = kind(value) if kind else value
+        except ValueError:
+            raise _usage_error(name, "argument %r: invalid %s value: %r"
+                               % (option, kind.__name__, value))
         if choices is not None and value not in choices:
-            return None
+            raise _usage_error(name, "argument %r: invalid choice: %r (choose from %s)"
+                               % (option, value, ", ".join(map(repr, choices))))
         options[dest] = value
-    return options if all(row[1] in options for row in rows) else None
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, which lists every command, and each command's
-    own parser by name, built from ``_COMMANDS``.  No parser takes an
-    abbreviated option, and each has ``--help`` and no ``-h``.  A parse
-    error prints the usage, a pointer to ``--help``, and an ``Error:`` line
-    that quotes the option at fault, then exits 2."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> NoReturn:
-            usage = self.format_usage().removeprefix("usage: ")
-            # Quote each option name that the message does not quote already.
-            message = re.sub(r"(?<![\w'-])(--[\w-]+)", r"'\1'", message)
-            self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\n"
-                         f"Error: {message}\n")
-
-    parser = Parser(prog="twobridge", add_help=False, allow_abbrev=False,
-                    description="Alternating-word models of 2-bridge knots: "
-                                "enumeration, signature tables, and 4-genus bounds.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s, version {__version__}",
-                        help="Show the version and exit.")
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    by_name = {}
-    for name, (run, rows) in _COMMANDS.items():
-        summary = run.__doc__
-        sub = by_name[name] = commands.add_parser(
-            name, help=summary, description=summary, add_help=False, allow_abbrev=False)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-        sub.set_defaults(parser=sub, run=run)
-        for option, dest, kind, default, choices, need, text in rows:
-            if need == "flag":
-                sub.add_argument(option, dest=dest, action="store_true", help=text)
-            else:
-                sub.add_argument(option, dest=dest, type=kind, default=default,
-                                 choices=choices, required=need == "required", help=text)
-    return parser, by_name
-
-
-def _parse(args: list[str]) -> tuple[Callable[..., int], dict]:
-    """The command function and keyword arguments that argparse reads off
-    ``args``; SystemExit for ``--help``, ``--version`` and a parse error.  An
-    argv that starts with a command name is parsed by that command's own
-    parser alone, once: the top-level parser would hand it the same
-    arguments."""
-    parser, by_name = _build_parser()
-    command = by_name.get(args[0]) if args else None
-    options, unknown = (command.parse_known_args(args[1:]) if command
-                        else parser.parse_known_args(args))
-    options = vars(options)
-    parser, run = options.pop("parser"), options.pop("run")
-    # Unknown options are reported here, against the command's own usage;
-    # parse_args would report them against the top-level one.
+    missing = [repr(row[0]) for row in rows if row[1] not in options] if name else ["COMMAND"]
+    if missing:
+        raise _usage_error(name, "the following arguments are required: " + ", ".join(missing))
     if unknown:
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        raise _usage_error(name, "unrecognized arguments: " + " ".join(map(repr, unknown)))
     return run, options
 
 
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
-    """Run one command; see the module docstring for the contract."""
-    if args is None:
-        args = sys.argv[1:]
-    run, rows = _COMMANDS.get(args[0], (None, None)) if args else (None, None)
-    options = _read_plain(rows, args[1:]) if run else None
+    """Read ``args`` with ``_read``, the one reader, and run what it reads: a
+    command, the help or the version; see the module docstring."""
     try:
-        if options is None:
-            run, options = _parse(args)
-    except SystemExit as stop:  # --help, --version, or a parse error
-        code = stop.code
-    else:
-        try:
-            code = run(**options)
-            sys.stdout.flush()  # a closed pipe shows here, not at exit
-        except (BudgetError, _Refusal) as problem:
-            print(f"Error: {problem}", file=sys.stderr)
-            code = 2
-        except BrokenPipeError:
-            # stdout was closed early (``twobridge enumerate --c 22 | head``):
-            # exit 1 quietly, and send what is left to devnull at exit.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            code = 1
+        run, options = _read(sys.argv[1:] if args is None else args)
+        code = run(**options)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except (BudgetError, _Refusal) as problem:
+        print("%sError: %s" % (getattr(problem, "usage", ""), problem), file=sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # stdout was closed early (``twobridge enumerate --c 22 | head``):
+        # exit 1 quietly, and send what is left to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if standalone_mode:
         sys.exit(code)
     return code

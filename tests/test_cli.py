@@ -8,6 +8,7 @@ arguments and seed are byte-identical.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -216,7 +217,7 @@ def test_sig_table_rejects_bad_options():
 
 
 @pytest.mark.parametrize("args, option", [
-    (("sig-table", "--c", "5", "--workers", "0"), "'--workers'"),
+    (("sig-table", "--c", "5", "--workers", "x"), "'--workers'"),
     (("walk-sim", "--t", "3"), "'--s'"),
 ])
 def test_click_parse_errors_keep_usage(args, option):
@@ -256,6 +257,16 @@ def test_help_lists_the_commands():
         assert result.stdout.startswith(f"usage: twobridge {command} [--help]")
 
 
+def test_help_and_usage_ignore_the_terminal_width():
+    # Nothing is wrapped, so a narrow and a wide terminal read the same bytes.
+    for args in (["--help"], ["g4", "--help"], ["sig-table", "--help"], ["walk-sim", "--t", "3"]):
+        narrow, wide = (subprocess.run(CLI + args, env={**SOURCE_ENV, "COLUMNS": columns},
+                                       cwd=ROOT, capture_output=True, text=True, timeout=60)
+                        for columns in ("20", "300"))
+        assert narrow.returncode == wide.returncode == (2 if "--t" in args else 0), args
+        assert (narrow.stdout, narrow.stderr) == (wide.stdout, wide.stderr), args
+
+
 def test_word_that_starts_with_a_dash():
     # A value that starts with '-' reads as an option; no word starts so.
     result = invoke("g4", "--word", "-+-")
@@ -279,57 +290,158 @@ USUAL_CALLS = [
 
 
 def test_a_command_call_parses_once(monkeypatch):
-    """A plain usual call is read off the option table with no argparse
-    parse; any other argv takes one parse, by its command's own parser."""
-    parsed = []
-    parse = argparse.ArgumentParser.parse_known_args
+    """Every argv, a usual call, help, the version or a parse error, is read
+    once, off the option table, and no argparse parser parses it."""
+    parsed, read = [], []
+    parse, reader = argparse.ArgumentParser.parse_known_args, cli._read
 
     def spy(self, *args, **kwargs):
         parsed.append(self.prog)
         return parse(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-    for args in USUAL_CALLS:
+    monkeypatch.setattr(cli, "_read", lambda args: read.append(args) or reader(args))
+    for args in [*USUAL_CALLS, ("g4", "--help"), ("g4", "--bogus", "1"), ("--version",)]:
         parsed.clear()
+        read.clear()
         invoke(*args)
-        assert parsed == [], args
-    for args in [("g4", "--help"), ("g4", "--bogus", "1")]:
-        parsed.clear()
-        invoke(*args)
-        assert parsed == ["twobridge g4"], args
-    parsed.clear()
-    invoke("--version")
-    assert parsed == ["twobridge"]
+        assert (parsed, read) == ([], [list(args)]), args
 
 
-# verify-all prints its seconds, so its refusal stands in for its usual call.
-@pytest.mark.parametrize("args", USUAL_CALLS[:-1] + [("verify-all", "--budget-c", "2")] + [
-    (command, "--help") for command in COMMANDS] + [
-    ("--help",), ("--version",), (), ("bogus",), ("--bogus",), ("--c", "5", "g4"),
-    ("--bogus", "g4", "--word", EXAMPLE_WORD),
-    ("g4", "--bogus", "1"), ("g4", "--word"), ("g4", "--c", "x"),
-    ("sig-table", "--method", "nope"), ("sig-table", "--c", "5", "--workers", "0"),
-    ("g4", "--word=-+-"), ("g4", "--c", "5", "--c", "7"),
-    ("g4", "--word", EXAMPLE_WORD, "extra"), ("g4", "--", "--c", "5"),
-], ids=lambda args: " ".join(args) or "no argv")
-def test_command_parsers_answer_as_the_top_level_parser(monkeypatch, args):
-    """Every argv, usual or not, gives the same stdout, stderr and exit code
-    three ways: read off the option table where it is plain, by its
-    command's own parser with the plain reader off, and by the top-level
-    parser, which hands a command's argv to the same command parser."""
-    direct = invoke(*args)
-    monkeypatch.setattr(cli, "_read_plain", lambda rows, argv: None)
-    by_argparse = invoke(*args)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: (build()[0], {}))
-    via_top = invoke(*args)
-    assert (direct.exit_code, direct.stdout, direct.stderr) == \
-        (by_argparse.exit_code, by_argparse.stdout, by_argparse.stderr) == \
-        (via_top.exit_code, via_top.stdout, via_top.stderr)
+def assert_usage_error(result, last_line):
+    """A parse error: exit 2, nothing on stdout, and on stderr the usage of
+    the command (of the top level if there is none), a pointer to its help,
+    a blank line and one ``Error:`` line."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    usage, pointer, blank, error = result.stderr.split("\n")[:-1]
+    assert usage.startswith("Usage: twobridge ")
+    prog = usage.removeprefix("Usage: ").split(" [")[0]
+    assert (pointer, blank, error) == (f"Try '{prog} --help' for help.", "", last_line)
+
+
+INVALID_COMMAND = ("Error: argument COMMAND: invalid choice: {!r} (choose from 'enumerate', "
+                   "'sig-table', 'avg-sig', 'g4', 'markov-verify', 'walk-sim', 'verify-all')")
+# Each argv's exit code, the start of its stdout (the whole first line) and
+# the last line of its stderr.  verify-all prints its seconds, so its
+# refusal stands in for its usual call.
+GOLDEN = {
+    ("enumerate", "--c", "5"): (0, "+-++--+\n", ""),
+    ("sig-table", "--c", "3..6"): (0, "# twobridge sig-table schema=1 sha256=7dd08f3066e9dc650a6"
+                                      "ead855a5a8b770dfa8a52e3b1e2bea6967dea0613e11b\n", ""),
+    ("avg-sig", "--c", "9", "--format", "json"):
+        (0, '{"rows": {"9": {"avg": "19/6", "avg_float": 3.1666666666666665, '
+            '"gap": 0.7730129842580706, "root": 2.393653682408596}}, "schema": 1}\n', ""),
+    ("g4", "--word", EXAMPLE_WORD):
+        (0, '{"c": 12, "cut_saddles": 6, "g4_lower": 1, "g4_upper": 9, "link_saddles": 2, '
+            '"r": 4, "residual": ["o1:aa", "o1:ba", "o2:ab", "o3:ba"], "s": 2, "schema": 1, '
+            f'"t": 4, "word": "{EXAMPLE_WORD}"}}\n', ""),
+    ("markov-verify", "--s", "2", "--kmax", "2"):
+        (0, '{"checks": {"closed_form": true, "contraction": true, "empirical": true, '
+            '"power_identity": true}, "kmax": 2, "passed": true, "s": 2, "schema": 1}\n', ""),
+    ("walk-sim", "--s", "2", "--t", "3", "--exact"):
+        (0, '{"bound": 16.392304845413264, "mean": 2.8125, "mean_exact": "45/16", '
+            '"mode": "exact", "pass": true, "s": 2, "schema": 1, "t": 3}\n', ""),
+    ("verify-all", "--budget-c", "2"): (2, "", "Error: --budget-c must be >= 3"),
+    ("enumerate", "--help"): (0, "usage: twobridge enumerate [--help] --c C [--count-only]\n", ""),
+    ("sig-table", "--help"):
+        (0, "usage: twobridge sig-table [--help] [--c C] [--method {enumerate,recurse,both}] "
+            "[--format {csv,json}] [--cache-dir CACHE_DIR] [--workers WORKERS]\n", ""),
+    ("avg-sig", "--help"): (0, "usage: twobridge avg-sig [--help] [--c C] [--format {csv,json}]\n",
+                            ""),
+    ("g4", "--help"):
+        (0, "usage: twobridge g4 [--help] [--word WORD] [--c C] [--s S] [--format {csv,json}]\n",
+         ""),
+    ("markov-verify", "--help"):
+        (0, "usage: twobridge markov-verify [--help] [--s S] [--kmax KMAX]\n", ""),
+    ("walk-sim", "--help"):
+        (0, "usage: twobridge walk-sim [--help] --s S --t T [--exact] [--trials TRIALS] "
+            "[--seed SEED]\n", ""),
+    ("verify-all", "--help"): (0, "usage: twobridge verify-all [--help] [--budget-c BUDGET_C]\n",
+                               ""),
+    ("--help",): (0, "usage: twobridge [--version] [--help] COMMAND ...\n", ""),
+    ("--version",): (0, f"twobridge, version {twobridge.__version__}\n", ""),
+    (): (2, "", "Error: the following arguments are required: COMMAND"),
+    ("bogus",): (2, "", INVALID_COMMAND.format("bogus")),
+    ("--bogus",): (2, "", "Error: the following arguments are required: COMMAND"),
+    ("--c", "5", "g4"): (2, "", INVALID_COMMAND.format("5")),
+    ("--bogus", "g4", "--word", EXAMPLE_WORD): (2, "", "Error: unrecognized arguments: '--bogus'"),
+    ("g4", "--bogus", "1"): (2, "", "Error: unrecognized arguments: '--bogus' '1'"),
+    ("g4", "--word"): (2, "", "Error: argument '--word': expected one argument"),
+    ("g4", "--c", "x"): (2, "", "Error: argument '--c': invalid int value: 'x'"),
+    ("sig-table", "--method", "nope"):
+        (2, "", "Error: argument '--method': invalid choice: 'nope' "
+                "(choose from 'enumerate', 'recurse', 'both')"),
+    ("sig-table", "--c", "5", "--workers", "0"): (2, "", "Error: --workers must be >= 1"),
+    ("g4", "--word=-+-"): (2, "", "Error: invalid word: word must start with +: '-+-'"),
+    ("g4", "--c", "5", "--c", "7"):
+        (0, '{"below_bound": true, "bound_975": 80.75986071254954, "c": 7, '
+            '"mean_upper": "59/11", "mean_upper_float": 5.363636363636363, "s": 1, '
+            '"schema": 1, "words": 11}\n', ""),
+    ("g4", "--word", EXAMPLE_WORD, "extra"): (2, "", "Error: unrecognized arguments: 'extra'"),
+    ("g4", "--", "--c", "5"): (2, "", "Error: unrecognized arguments: '--' '--c' '5'"),
+}
+
+
+@pytest.mark.parametrize("args", GOLDEN, ids=lambda args: " ".join(args) or "no argv")
+def test_command_parsers_answer_as_the_top_level_parser(args):
+    """Every argv, usual or not, exits with its pinned code.  Output and
+    help start with their pinned line and print nothing on stderr; an error
+    prints nothing on stdout and its pinned ``Error:`` line on stderr, a
+    refusal alone and a parse error below the usage."""
+    code, out, err = GOLDEN[args]
+    result = invoke(*args)
+    if code == 0:
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(out)
+    elif result.stderr.startswith("Usage: "):
+        assert_usage_error(result, err)
+    else:
+        assert_refused(result, err.removeprefix("Error: "))
+
+
+@functools.cache
+def argparse_parsers():
+    """The top-level argparse parser and each command's own by name, built
+    from ``cli._COMMANDS`` as the CLI once built them.  No parser takes an
+    abbreviated option, and each has ``--help`` and no ``-h``."""
+    top = argparse.ArgumentParser(prog="twobridge", add_help=False, allow_abbrev=False)
+    top.add_argument("--version", action="version", version="twobridge")
+    top.add_argument("--help", action="help")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    by_name = {}
+    for name, (run, rows) in cli._COMMANDS.items():
+        parser = by_name[name] = commands.add_parser(name, add_help=False, allow_abbrev=False)
+        parser.add_argument("--help", action="help")
+        parser.set_defaults(run=run)
+        for option, dest, kind, default, choices, need, _ in rows:
+            if need == "flag":
+                parser.add_argument(option, dest=dest, action="store_true")
+            else:
+                parser.add_argument(option, dest=dest, type=kind, default=default,
+                                    choices=choices, required=need == "required")
+    return top, by_name
+
+
+def argparse_read(args):
+    """The command function and keyword arguments that argparse reads off
+    ``args``, or the code it exits with (0 for help, 2 for an error): an
+    argv that starts with a command name goes to that command's own parser,
+    the rest to the top-level one."""
+    top, by_name = argparse_parsers()
+    parser = by_name.get(args[0]) if args else None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            options, unknown = (parser.parse_known_args(args[1:]) if parser
+                                else top.parse_known_args(args))
+        except SystemExit as stop:
+            return stop.code
+    options = vars(options)
+    return 2 if unknown else (options.pop("run"), options)
 
 
 # Values of every kind an option takes, and junk, none with a leading dash;
-# and words that only argparse reads.
+# and words that take argparse's other paths.
 PLAIN_VALUES = st.one_of(
     st.integers(0, 40).map(str), st.sampled_from(["3..9", "9..3", "x", "", " 7", "1_0"]),
     st.sampled_from(["csv", "json", "enumerate", "recurse", "both", EXAMPLE_WORD, "+-+"]),
@@ -342,9 +454,11 @@ OTHER_WORDS = st.one_of(
 @settings(deadline=None, max_examples=400)
 @given(st.sampled_from(COMMANDS), st.data())
 def test_plain_reader_agrees_with_argparse(name, data):
-    """The plain reader either declines an argv or returns exactly the
-    options that argparse reads off it.  On an argv of option strings and
-    values with no leading dash it declines just where argparse fails."""
+    """Where argparse accepts an argv, ``_read`` returns the same function
+    and options; where argparse prints help, so does ``main``; and where it
+    fails, ``main`` exits 2 with the usage and one ``Error:`` line.  One
+    argparse quirk is refused: ``--opt=--`` drops the ``--`` and stores an
+    empty list, which no command takes."""
     run, rows = cli._COMMANDS[name]
     options = st.sampled_from([row[0] for row in rows])
     # Mostly each option with a value of its kind (a flag alone), repeats
@@ -363,16 +477,19 @@ def test_plain_reader_agrees_with_argparse(name, data):
         stray |= OTHER_WORDS | st.tuples(options, PLAIN_VALUES | OTHER_WORDS).map("=".join)
     for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
         argv.insert(data.draw(st.integers(0, len(argv))), data.draw(stray))
-    read = cli._read_plain(rows, argv)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            parsed = cli._parse([name, *argv])
-        except SystemExit:
-            parsed = None
-    if read is not None:
-        assert parsed == (run, read)
-    if plain_shaped:
-        assert (read is None) == (parsed is None)
+    parsed = argparse_read([name, *argv])
+    if isinstance(parsed, tuple) and [] not in parsed[1].values():
+        assert cli._read([name, *argv]) == parsed
+    elif parsed == 0:
+        result = invoke(name, *argv)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(f"usage: twobridge {name} [--help]")
+    else:
+        with pytest.raises(cli._Refusal):  # refused before any command runs
+            cli._read([name, *argv])
+        result = invoke(name, *argv)
+        assert_usage_error(result, result.stderr.splitlines()[-1])
+        assert result.stderr.splitlines()[-1].startswith("Error: ")
 
 
 def test_version_from_a_source_checkout():
@@ -415,9 +532,8 @@ BELOW_COBORDISM = "words diagram markov cobordism"
 
 # The import loads no layer, and each command loads the layers it runs: the
 # one it imports and those below it.  ``enumerate --count-only`` reads the count
-# off c, so it runs no layer.  Nor does the import, or a plain call, load
-# argparse, gettext or locale: only an argv that argparse reads (help, the
-# version, or a parse error) loads them.
+# off c, so it runs no layer.  No argv, help, the version and a parse error
+# included, loads argparse, gettext or locale.
 @pytest.mark.parametrize("argv, loaded", [
     ("", ""),
     ("--version", ""),
@@ -447,8 +563,7 @@ def test_command_loads_only_its_layers(argv, loaded):
                             cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     status, layers = result.stdout.split("\n", 1)
-    by_argparse = argv in ("--version", "g4 --help", "g4 --bogus 1")
-    assert status.split() == [str(2 if "bogus" in argv else 0), *[str(by_argparse)] * 3]
+    assert status.split() == [str(2 if "bogus" in argv else 0), "False", "False", "False"]
     assert layers.split() == sorted(loaded.split())
 
 
@@ -502,6 +617,7 @@ def test_closed_stdout_ends_quietly():
      "the walk bound 3 sqrt(2^s t) + p at s=2048, t=1 exceeds the float range"),
     (("walk-sim", "--s", "2046", "--t", "1"),
      "the walk bound 3 sqrt(2^s t) + p at s=2046, t=1 exceeds the float range"),
+    (("sig-table", "--c", "5", "--workers", "0"), "--workers must be >= 1"),
 ])
 def test_misuse_refused_with_one_line(args, message):
     assert_refused(invoke(*args), message)
